@@ -11,8 +11,8 @@ countermodels.
 """
 
 from .aggregation import (Aggregator, FIRST_THEN_FULL_STRATEGY, ROUND_ROBIN_STRATEGY,
-                          STQ_STRATEGY, STRATEGIES, SelectionStrategy, aggregate,
-                          make_strategy, register_strategy, stq)
+                          STQ_STRATEGY, STRATEGIES, SelectionStrategy, make_strategy,
+                          stq)
 from .errors import (InconsistentInputError, LanguageError, ParseError,
                      PartitionError, RevforgeError, ScenarioError, SpaceError,
                      UnknownOperatorError, UnknownPostulateError,
@@ -24,8 +24,7 @@ from .logic import (BOTTOM, TOP, Formula, FormulaSet, Language, atoms_of,
 from .parallel import (ParallelContractionOperator, ParallelRevisionOperator,
                        default_parallel_contraction, default_parallel_revision,
                        harper_parallel_beliefs, levi_parallel_beliefs,
-                       minimal_inconsistent_indices, parallel_contract,
-                       parallel_revise, parse_operator_config)
+                       minimal_inconsistent_indices, parse_operator_config)
 from .postulates import (CATALOG, CheckContext, CheckReport, EQUIVALENCE_PAIRS,
                          InstanceSpace, OperatorConfig, check,
                          check_equivalence_pair, find_countermodel,
@@ -36,8 +35,7 @@ from .serial import (CONTRACTION_OPERATORS, LEX, NATURAL, NATURAL_CONTRACT,
                      RESTRAINED, REVISION_OPERATORS, SerialContractionOperator,
                      SerialRevisionOperator, get_contraction_operator,
                      get_revision_operator, lex_revise, natural_contract,
-                     natural_revise, register_contraction_operator,
-                     register_revision_operator, restrained_revise)
+                     natural_revise, restrained_revise)
 from .tpo import (ConditionalSet, TPO, conditional_set, intersect_conditionals,
                   rational_closure)
 
@@ -55,7 +53,7 @@ __all__ = [
     "STRATEGIES", "Scenario", "ScenarioError", "SelectionStrategy",
     "SerialContractionOperator", "SerialRevisionOperator", "SpaceError", "TOP",
     "TPO", "UnknownOperatorError", "UnknownPostulateError",
-    "UnsatisfiableConditionalsError", "aggregate", "atoms_of",
+    "UnsatisfiableConditionalsError", "atoms_of",
     "canonical_formula", "check", "check_equivalence_pair", "cn_equal", "conditional_set",
     "conj", "default_parallel_contraction", "default_parallel_revision",
     "entails", "evaluate", "export_dot", "find_countermodel", "format_formula",
@@ -63,10 +61,8 @@ __all__ = [
     "harper_parallel_beliefs", "intersect_conditionals", "is_consistent",
     "levi_parallel_beliefs", "lex_revise", "load_scenario", "loads_scenario",
     "make_strategy", "minimal_inconsistent_indices", "models",
-    "natural_contract", "natural_revise", "neg_set", "parallel_contract",
-    "parallel_revise", "parse_formula", "parse_operator_config",
-    "rational_closure", "register_contraction_operator",
-    "register_revision_operator", "register_strategy", "replay_witness",
+    "natural_contract", "natural_revise", "neg_set", "parse_formula",
+    "parse_operator_config", "rational_closure", "replay_witness",
     "restrained_revise", "run_scenario", "sat_subset", "stq",
     "verify_rc_identity",
 ]

@@ -12,7 +12,8 @@ one anyway, the round is skipped and emits no block.
 The synchronous strategy (``stq``) picks the whole profile every round.
 ``round-robin`` cycles through single positions.  ``first-then-full``
 picks the whole profile in round 1, then cycles.  The family is open:
-new strategies register by name.
+a new strategy registers by being assigned into ``STRATEGIES`` under its
+name.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import PartitionError, UnknownOperatorError
+from .errors import PartitionError, lookup
 from .tpo import TPO, Profile, validate_profile
 
 
@@ -61,15 +62,7 @@ STRATEGIES: dict[str, SelectionStrategy] = {
 
 
 def make_strategy(name: str) -> SelectionStrategy:
-    try:
-        return STRATEGIES[name]
-    except KeyError:
-        known = ", ".join(sorted(STRATEGIES))
-        raise UnknownOperatorError(f"unknown selection strategy {name!r} (known: {known})") from None
-
-
-def register_strategy(strategy: SelectionStrategy) -> None:
-    STRATEGIES[strategy.name] = strategy
+    return lookup(STRATEGIES, name, "selection strategy")
 
 
 @dataclass(frozen=True)
@@ -79,37 +72,33 @@ class Aggregator:
     strategy: SelectionStrategy
 
     def aggregate(self, profile: Sequence[TPO]) -> TPO:
-        return aggregate(self, profile)
+        """Run the round-by-round team construction over ``profile``."""
+        profile = validate_profile(profile)
+        n = len(profile)
+        remaining = set(range(profile[0].num_worlds))
+        blocks: list[frozenset[int]] = []
+        round_no = 0
+        while remaining:
+            round_no += 1
+            team = self.strategy.team(n, round_no)
+            if not team or not team <= frozenset(range(n)):
+                raise PartitionError(
+                    f"strategy {self.strategy.name!r} selected invalid team {sorted(team)} "
+                    f"at round {round_no} for a profile of size {n}")
+            block: frozenset[int] = frozenset()
+            for j in team:
+                block |= profile[j].min_of(remaining)
+            if not block:
+                continue
+            blocks.append(block)
+            remaining -= block
+        return TPO(tuple(blocks))
 
     @property
     def name(self) -> str:
         return self.strategy.name
 
 
-def aggregate(aggregator: Aggregator, profile: Sequence[TPO]) -> TPO:
-    """Run the round-by-round team construction over ``profile``."""
-    profile = validate_profile(profile)
-    n = len(profile)
-    remaining = set(range(profile[0].num_worlds))
-    blocks: list[frozenset[int]] = []
-    round_no = 0
-    while remaining:
-        round_no += 1
-        team = aggregator.strategy.team(n, round_no)
-        if not team or not team <= frozenset(range(n)):
-            raise PartitionError(
-                f"strategy {aggregator.strategy.name!r} selected invalid team {sorted(team)} "
-                f"at round {round_no} for a profile of size {n}")
-        block: frozenset[int] = frozenset()
-        for j in team:
-            block |= profile[j].min_of(remaining)
-        if not block:
-            continue
-        blocks.append(block)
-        remaining -= block
-    return TPO(tuple(blocks))
-
-
 def stq(profile: Sequence[TPO]) -> TPO:
     """Synchronous aggregation: every member contributes every round."""
-    return aggregate(Aggregator(STQ_STRATEGY), profile)
+    return Aggregator(STQ_STRATEGY).aggregate(profile)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the registry lookup
+that raises them."""
+
+from typing import Mapping
 
 
 class RevforgeError(Exception):
@@ -57,3 +60,17 @@ class ScenarioError(RevforgeError):
 
 class SpaceError(RevforgeError):
     """Raised for instance-space configurations outside supported bounds."""
+
+
+def lookup(registry: Mapping, name: str, what: str,
+           error: type = UnknownOperatorError):
+    """``registry[name]``, or ``error`` naming every registered key.
+
+    ``what`` names the kind of entry in the message, for example
+    ``"revision operator"``.
+    """
+    try:
+        return registry[name]
+    except KeyError:
+        known = ", ".join(sorted(registry))
+        raise error(f"unknown {what} {name!r} (known: {known})") from None

@@ -10,6 +10,10 @@ Parallel revision of a TPO by a set S runs a three-stage pipeline:
 Parallel contraction runs the member-wise contractions and aggregates,
 with no finishing step.
 
+These two operators are the only implementation of the pipeline: the
+postulate checker's ``CheckContext`` builds them from its configuration
+and memoizes their results instead of re-implementing the stages.
+
 Revision requires the conjunction of the inputs to be consistent;
 otherwise there is nothing coherent to promote and the call is rejected
 with a minimal inconsistent subset as a diagnostic.  An empty input set
@@ -44,13 +48,6 @@ def _full_set(t: TPO) -> frozenset[int]:
     return frozenset(range(t.num_worlds))
 
 
-def _intersection(member_sets: Sequence[frozenset[int]], full: frozenset[int]) -> frozenset[int]:
-    result = full
-    for member in member_sets:
-        result &= member
-    return result
-
-
 def minimal_inconsistent_indices(member_sets: Sequence[frozenset[int]],
                                  full: frozenset[int]) -> tuple[int, ...]:
     """Indices of an inclusion-minimal subfamily with empty intersection.
@@ -61,7 +58,7 @@ def minimal_inconsistent_indices(member_sets: Sequence[frozenset[int]],
     kept = list(range(len(member_sets)))
     for index in list(kept):
         trial = [i for i in kept if i != index]
-        if not _intersection([member_sets[i] for i in trial], full):
+        if not full.intersection(*(member_sets[i] for i in trial)):
             kept = trial
     return tuple(kept)
 
@@ -78,7 +75,7 @@ class ParallelRevisionOperator:
                       labels: Sequence[str] | None = None) -> TPO:
         full = _full_set(t)
         members = tuple(member_sets) or (full,)
-        target = _intersection(members, full)
+        target = full.intersection(*members)
         if not target:
             culprits = minimal_inconsistent_indices(members, full)
             names = tuple(labels[i] if labels else f"member {i}" for i in culprits)
@@ -113,14 +110,6 @@ class ParallelContractionOperator:
 
     def config_string(self) -> str:
         return f"parallel(base={self.base.name}, agg={self.aggregator.name})"
-
-
-def parallel_revise(op: ParallelRevisionOperator, t: TPO, s: FormulaSet) -> TPO:
-    return op.revise(t, s)
-
-
-def parallel_contract(op: ParallelContractionOperator, t: TPO, s: FormulaSet) -> TPO:
-    return op.contract(t, s)
 
 
 def default_parallel_revision() -> ParallelRevisionOperator:
@@ -165,7 +154,7 @@ def levi_worlds(op: ParallelContractionOperator, t: TPO,
     members = tuple(member_sets) or (full,)
     negated = tuple(full - member for member in members)
     withdrawn = op.contract_worlds(t, negated)
-    return withdrawn.belief_worlds() & _intersection(members, full)
+    return withdrawn.belief_worlds().intersection(*members)
 
 
 def levi_parallel_beliefs(op: ParallelContractionOperator, t: TPO, s: FormulaSet) -> frozenset[int]:

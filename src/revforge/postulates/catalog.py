@@ -11,6 +11,9 @@ instances of a fixed shape:
 * ``cset``     (t, s): a preorder and an input set for contraction.
 * ``profile2`` (profile,): a pair of preorders for aggregation checks.
 
+How each shape is enumerated, sampled and serialized is defined once, in
+``spaces.SHAPES``.
+
 Postulates are stated in their semantic form, as constraints on how the
 posterior preorder relates to the prior one; belief-set conditions are
 phrased through belief worlds (a sentence is believed exactly when the
@@ -104,20 +107,6 @@ def _promoted(t: TPO, t2: TPO, inside: Iterable[int], outside: Iterable[int]) ->
                 hits.append({"x": x, "y": y, "prior": _sym(t.compare(x, y)),
                              "posterior": _sym(t2.compare(x, y))})
     return hits
-
-
-def _intersect(sets: tuple[frozenset[int], ...], full: frozenset[int]) -> frozenset[int]:
-    result = full
-    for member in sets:
-        result &= member
-    return result
-
-
-def _union(sets: tuple[frozenset[int], ...]) -> frozenset[int]:
-    result: frozenset[int] = frozenset()
-    for member in sets:
-        result |= member
-    return result
 
 
 def _merge(s1: tuple[frozenset[int], ...], s2: tuple[frozenset[int], ...]) -> tuple:
@@ -293,7 +282,7 @@ def _cc4(ctx, t, a):
            "beliefs after revising by a set are the most plausible worlds of its conjunction")
 def _conj_star(ctx, t, s):
     beliefs = ctx.previse(t, s).belief_worlds()
-    expected = t.min_of(_intersect(s, ctx.full))
+    expected = t.min_of(ctx.full.intersection(*s))
     if beliefs != expected:
         return [{"beliefs": beliefs, "most_plausible": expected}]
     return []
@@ -308,7 +297,7 @@ def _ks1(ctx, t, s):
 @_register("K-star-2", "pset", "every member of the input set is believed afterwards")
 def _ks2(ctx, t, s):
     beliefs = ctx.previse(t, s).belief_worlds()
-    target = _intersect(s, ctx.full)
+    target = ctx.full.intersection(*s)
     if not beliefs <= target:
         return [{"beliefs": beliefs, "conjunction": target}]
     return []
@@ -316,7 +305,7 @@ def _ks2(ctx, t, s):
 
 @_register("K-star-3", "pset", "set revision keeps prior beliefs consistent with the set")
 def _ks3(ctx, t, s):
-    expansion = t.belief_worlds() & _intersect(s, ctx.full)
+    expansion = t.belief_worlds() & ctx.full.intersection(*s)
     beliefs = ctx.previse(t, s).belief_worlds()
     if not expansion <= beliefs:
         return [{"expansion": expansion, "beliefs": beliefs}]
@@ -325,7 +314,7 @@ def _ks3(ctx, t, s):
 
 @_register("K-star-4", "pset", "set revision adds nothing beyond expansion when compatible")
 def _ks4(ctx, t, s):
-    expansion = t.belief_worlds() & _intersect(s, ctx.full)
+    expansion = t.belief_worlds() & ctx.full.intersection(*s)
     if not expansion:
         return []
     beliefs = ctx.previse(t, s).belief_worlds()
@@ -345,7 +334,7 @@ def _ks5(ctx, t, s):
 @_register("K-star-6", "pset", "input sets with the same closure revise to the same beliefs")
 def _ks6(ctx, t, s):
     reference = ctx.previse(t, s).belief_worlds()
-    target = _intersect(s, ctx.full)
+    target = ctx.full.intersection(*s)
     variants = [(target,), tuple(reversed(s))]
     for variant in variants:
         beliefs = ctx.previse(t, variant).belief_worlds()
@@ -371,9 +360,9 @@ def _ks6_minus(ctx, t, s):
 @_register("K-star-7", "pset2", "revising by a union keeps everything expansion would add")
 def _ks7(ctx, t, s1, s2):
     merged = _merge(s1, s2)
-    if not _intersect(merged, ctx.full):
+    if not ctx.full.intersection(*merged):
         return None
-    lhs = ctx.previse(t, s1).belief_worlds() & _intersect(s2, ctx.full)
+    lhs = ctx.previse(t, s1).belief_worlds() & ctx.full.intersection(*s2)
     rhs = ctx.previse(t, merged).belief_worlds()
     if not lhs <= rhs:
         return [{"expansion": lhs, "union_beliefs": rhs}]
@@ -382,7 +371,7 @@ def _ks7(ctx, t, s1, s2):
 
 @_register("K-star-8", "pset2", "expansion of a set revision is conservative when consistent")
 def _ks8(ctx, t, s1, s2):
-    lhs = ctx.previse(t, s1).belief_worlds() & _intersect(s2, ctx.full)
+    lhs = ctx.previse(t, s1).belief_worlds() & ctx.full.intersection(*s2)
     if not lhs:
         return []
     rhs = ctx.previse(t, _merge(s1, s2)).belief_worlds()
@@ -394,33 +383,33 @@ def _ks8(ctx, t, s1, s2):
 @_register("C-star-1", "pset",
            "set revision preserves the order among worlds satisfying the whole set")
 def _cs1(ctx, t, s):
-    return _order_flips(t, ctx.previse(t, s), _intersect(s, ctx.full))
+    return _order_flips(t, ctx.previse(t, s), ctx.full.intersection(*s))
 
 
 @_register("C-star-2", "pset",
            "set revision preserves the order among worlds refuting every member")
 def _cs2(ctx, t, s):
-    return _order_flips(t, ctx.previse(t, s), ctx.full - _union(s))
+    return _order_flips(t, ctx.previse(t, s), ctx.full.difference(*s))
 
 
 @_register("C-star-2-plus", "pset",
            "set revision preserves the order among all worlds outside the conjunction",
            expected="violated")
 def _cs2_plus(ctx, t, s):
-    return _order_flips(t, ctx.previse(t, s), ctx.full - _intersect(s, ctx.full))
+    return _order_flips(t, ctx.previse(t, s), ctx.full - ctx.full.intersection(*s))
 
 
 @_register("C-star-3", "pset",
            "a set-satisfying world strictly below an outside one stays strictly below")
 def _cs3(ctx, t, s):
-    target = _intersect(s, ctx.full)
+    target = ctx.full.intersection(*s)
     return _kept_below(t, ctx.previse(t, s), target, ctx.full - target, weak=False)
 
 
 @_register("C-star-4", "pset",
            "a set-satisfying world weakly below an outside one stays weakly below")
 def _cs4(ctx, t, s):
-    target = _intersect(s, ctx.full)
+    target = ctx.full.intersection(*s)
     return _kept_below(t, ctx.previse(t, s), target, ctx.full - target, weak=True)
 
 
@@ -471,7 +460,7 @@ def _ind_star_expected(config) -> str:
            "a set-satisfying world weakly below an outside one ends up strictly below",
            expected=_ind_star_expected)
 def _ind_star(ctx, t, s):
-    target = _intersect(s, ctx.full)
+    target = ctx.full.intersection(*s)
     return _promoted(t, ctx.previse(t, s), target, ctx.full - target)
 
 
@@ -479,9 +468,9 @@ def _ind_star(ctx, t, s):
            "revising by the member-wise negations leaves the set's best worlds untouched")
 def _gr_star(ctx, t, s):
     negations = tuple(ctx.full - member for member in s)
-    if not _intersect(negations, ctx.full):
+    if not ctx.full.intersection(*negations):
         return None
-    target = _intersect(s, ctx.full)
+    target = ctx.full.intersection(*s)
     after = ctx.previse(t, negations).min_of(target)
     before = t.min_of(target)
     if after != before:
@@ -494,9 +483,9 @@ def _gr_star(ctx, t, s):
 def _s_star(ctx, t, s1, s2):
     negations = tuple(ctx.full - member for member in s2)
     mixed = _merge(s1, negations)
-    if not _intersect(mixed, ctx.full):
+    if not ctx.full.intersection(*mixed):
         return None
-    target = _intersect(_merge(s1, s2), ctx.full)
+    target = ctx.full.intersection(*_merge(s1, s2))
     before = t.min_of(target)
     after = ctx.previse(t, mixed).min_of(target)
     if before != after:
@@ -508,15 +497,15 @@ def _s_star(ctx, t, s1, s2):
            "after adopting one set against another, the other's best worlds satisfy the first",
            expected="violated")
 def _p_star(ctx, t, s1, s2):
-    joint = _intersect(_merge(s1, s2), ctx.full)
+    joint = ctx.full.intersection(*_merge(s1, s2))
     if not joint:
         return []
     negations = tuple(ctx.full - member for member in s2)
     mixed = _merge(s1, negations)
-    if not _intersect(mixed, ctx.full):
+    if not ctx.full.intersection(*mixed):
         return None
-    best = ctx.previse(t, mixed).min_of(_intersect(s2, ctx.full))
-    first = _intersect(s1, ctx.full)
+    best = ctx.previse(t, mixed).min_of(ctx.full.intersection(*s2))
+    first = ctx.full.intersection(*s1)
     if not best <= first:
         return [{"best_of_second": best, "first_conjunction": first}]
     return []
@@ -527,26 +516,26 @@ def _p_star(ctx, t, s1, s2):
 @_register("C-con-1", "cset",
            "set contraction preserves the order among worlds refuting every member")
 def _ccon1(ctx, t, s):
-    return _order_flips(t, ctx.pcontract(t, s), ctx.full - _union(s))
+    return _order_flips(t, ctx.pcontract(t, s), ctx.full.difference(*s))
 
 
 @_register("C-con-2", "cset",
            "set contraction preserves the order among worlds satisfying the whole set")
 def _ccon2(ctx, t, s):
-    return _order_flips(t, ctx.pcontract(t, s), _intersect(s, ctx.full))
+    return _order_flips(t, ctx.pcontract(t, s), ctx.full.intersection(*s))
 
 
 @_register("C-con-3", "cset",
            "an all-refuting world strictly below any other stays strictly below")
 def _ccon3(ctx, t, s):
-    refuting = ctx.full - _union(s)
+    refuting = ctx.full.difference(*s)
     return _kept_below(t, ctx.pcontract(t, s), refuting, ctx.full - refuting, weak=False)
 
 
 @_register("C-con-4", "cset",
            "an all-refuting world weakly below any other stays weakly below")
 def _ccon4(ctx, t, s):
-    refuting = ctx.full - _union(s)
+    refuting = ctx.full.difference(*s)
     return _kept_below(t, ctx.pcontract(t, s), refuting, ctx.full - refuting, weak=True)
 
 
@@ -554,10 +543,10 @@ def _ccon4(ctx, t, s):
            "some contraction by a consistent set still believes the set's disjunction",
            kind="existential")
 def _dip(ctx, t, s):
-    if not _intersect(s, ctx.full):
+    if not ctx.full.intersection(*s):
         return None
     beliefs = ctx.pcontract(t, s).belief_worlds()
-    disjunction = _union(s)
+    disjunction = frozenset().union(*s)
     if beliefs <= disjunction:
         return [{"beliefs": beliefs, "disjunction": disjunction}]
     return []
@@ -704,7 +693,7 @@ def _follow_up(ctx, t: TPO, x: frozenset[int]) -> frozenset[int]:
             "follow-ups entailing the set make the revision step irrelevant")
 def _syn_cs1(ctx, t, s):
     t2 = ctx.previse(t, s)
-    target = _intersect(s, ctx.full)
+    target = ctx.full.intersection(*s)
     for x in ctx.props:
         if x <= target and _follow_up(ctx, t2, x) != _follow_up(ctx, t, x):
             return False
@@ -715,7 +704,7 @@ def _syn_cs1(ctx, t, s):
             "follow-ups entailing every negation make the revision step irrelevant")
 def _syn_cs2(ctx, t, s):
     t2 = ctx.previse(t, s)
-    refuting = ctx.full - _union(s)
+    refuting = ctx.full.difference(*s)
     for x in ctx.props:
         if x <= refuting and _follow_up(ctx, t2, x) != _follow_up(ctx, t, x):
             return False
@@ -726,7 +715,7 @@ def _syn_cs2(ctx, t, s):
             "follow-ups that would leave the set believed still do after revising by it")
 def _syn_cs3(ctx, t, s):
     t2 = ctx.previse(t, s)
-    target = _intersect(s, ctx.full)
+    target = ctx.full.intersection(*s)
     for x in ctx.props:
         if _follow_up(ctx, t, x) <= target and not _follow_up(ctx, t2, x) <= target:
             return False
@@ -737,7 +726,7 @@ def _syn_cs3(ctx, t, s):
             "follow-ups that would leave the set consistent with beliefs still do")
 def _syn_cs4(ctx, t, s):
     t2 = ctx.previse(t, s)
-    target = _intersect(s, ctx.full)
+    target = ctx.full.intersection(*s)
     for x in ctx.props:
         if _follow_up(ctx, t, x) & target and not _follow_up(ctx, t2, x) & target:
             return False
@@ -750,7 +739,7 @@ def _subset_beliefs(ctx, t: TPO, s, x: frozenset[int]):
         for group in combinations(range(len(s)), size):
             members = tuple(s[i] for i in group)
             merged = _merge(members, (x,))
-            if _intersect(merged, ctx.full):
+            if ctx.full.intersection(*merged):
                 yield ctx.previse(t, merged).belief_worlds()
 
 

@@ -13,9 +13,13 @@ disagree.  ``verify_rc_identity`` checks that synchronous aggregation
 commutes with conditional-belief intersection followed by rational
 closure.
 
-A ``CheckContext`` carries the resolved operators plus memo tables for
-serial, aggregate, and pipeline results; sweeps that share operators
-should share one context.
+A ``CheckContext`` holds the configured operators and drives the
+shipped ``ParallelRevisionOperator`` and ``ParallelContractionOperator``;
+its memo tables wrap those operators (serial transforms, aggregation and
+whole pipeline results) rather than copying their stages, so every
+verdict tests the operator the package ships.  Sweeps that share
+operators should share one context.  Witness payloads are encoded and
+decoded through the shape table in ``spaces``.
 """
 
 from __future__ import annotations
@@ -23,43 +27,62 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from ..aggregation import Aggregator
-from ..errors import InconsistentInputError, SpaceError, UnknownPostulateError
+from ..errors import UnknownPostulateError, lookup
 from ..logic import Formula, Language, canonical_formula
 from ..parallel import ParallelContractionOperator, ParallelRevisionOperator
 from ..tpo import TPO, conditional_set, rational_closure
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, SYNTACTIC_FORMS, Postulate
-from .spaces import _ATOM_POOL, InstanceSpace, OperatorConfig, all_propositions
+from .spaces import (_ATOM_POOL, InstanceSpace, OperatorConfig, all_propositions,
+                     decode_instance, encode_instance)
 
 
-class _Memo(dict):
-    """Insertion-ordered dict that sheds its oldest entries at a cap.
+def _memoized(fn: Callable, cap: int = 150_000) -> Callable:
+    """``fn`` with its results remembered per argument tuple.
 
-    Sweeps visit one prior order at a time, so stale keys belong to
-    orders the sweep will never revisit; plain FIFO eviction keeps the
-    working set intact while bounding memory on sampled spaces, where
-    random preorders never repeat.
+    The table sheds its oldest eighth at ``cap`` entries.  Sweeps visit
+    one prior order at a time, so stale keys belong to orders the sweep
+    will never revisit; plain FIFO eviction keeps the working set intact
+    while bounding memory on sampled spaces, where random preorders never
+    repeat.
     """
+    memo: dict = {}
 
-    __slots__ = ("cap",)
+    def cached(*args):
+        hit = memo.get(args)
+        if hit is None:
+            if len(memo) >= cap:
+                for stale in list(itertools.islice(memo, cap // 8)):
+                    del memo[stale]
+            hit = memo[args] = fn(*args)
+        return hit
+    return cached
 
-    def __init__(self, cap: int = 150_000):
-        super().__init__()
-        self.cap = cap
 
-    def put(self, key, value) -> None:
-        if len(self) >= self.cap:
-            drop = self.cap // 8
-            for stale in list(itertools.islice(iter(self), drop)):
-                del self[stale]
-        self[key] = value
+class _MemoAggregator:
+    """An aggregator that remembers its result for every profile."""
+
+    __slots__ = ("name", "aggregate")
+
+    def __init__(self, aggregator: Aggregator):
+        self.name = aggregator.name
+        self.aggregate = _memoized(aggregator.aggregate)
 
 
 class CheckContext:
-    """Resolved operators plus memo tables for one sweep configuration."""
+    """The configured operators, memoized, for one sweep configuration.
+
+    ``previse`` and ``pcontract`` are ``revise_worlds`` and
+    ``contract_worlds`` of the shipped parallel operators, remembered per
+    (preorder, input family).  Those operators run on copies of the
+    configured serial operators whose ``transform`` is memoized, and on
+    a memoizing aggregator; each configured operator gets one copy, so
+    roles that share an operator share its results.  Nothing built here
+    refers back to the context.
+    """
 
     def __init__(self, lang: Language, config: OperatorConfig):
         self.lang = lang
@@ -67,79 +90,47 @@ class CheckContext:
         self.full = lang.all_worlds
         self.props = all_propositions(lang.num_worlds)
         self.subsets = (frozenset(),) + self.props
-        self.revision = config.resolved_revision()
-        self.contraction = config.resolved_contraction()
-        self.base = config.resolved_base()
-        self.finisher = config.resolved_finisher()
-        self.aggregator = Aggregator(config.resolved_strategy())
-        self.parallel_rev = ParallelRevisionOperator(self.base, self.finisher, self.aggregator)
-        self.parallel_con = ParallelContractionOperator(self.contraction, self.aggregator)
-        self._serial_cache = _Memo()
-        self._agg_cache = _Memo()
-        self._prev_cache = _Memo()
-        self._pcon_cache = _Memo()
-        self._canonical: dict = {}
+        copies: dict = {}
+
+        def memoized_copy(role: str):
+            op = config.resolved(role)
+            if id(op) not in copies:
+                copies[id(op)] = replace(op, transform=_memoized(op.transform))
+            return copies[id(op)]
+
+        self.revision = memoized_copy("revision")
+        self.contraction = memoized_copy("contraction")
+        self.aggregator = Aggregator(config.resolved("strategy"))
+        merge = _MemoAggregator(self.aggregator)
+        base, finisher = memoized_copy("base"), memoized_copy("finisher")
+        self.parallel_rev = ParallelRevisionOperator(base, finisher, merge)
+        self.parallel_con = ParallelContractionOperator(self.contraction, merge)
+        self._aggregate = merge.aggregate
+        self._previse = _memoized(self.parallel_rev.revise_worlds)
+        self._pcontract = _memoized(self.parallel_con.contract_worlds)
+        self._canonical = _memoized(lambda worlds: canonical_formula(worlds, lang))
 
     @classmethod
     def from_space(cls, space: InstanceSpace) -> "CheckContext":
         return cls(space.lang, space.operators)
 
     def canonical(self, worlds: frozenset[int]) -> Formula:
-        hit = self._canonical.get(worlds)
-        if hit is None:
-            hit = canonical_formula(worlds, self.lang)
-            self._canonical[worlds] = hit
-        return hit
-
-    def _serial(self, op, transform, t: TPO, sat: frozenset[int]) -> TPO:
-        key = (id(op), t, sat)
-        hit = self._serial_cache.get(key)
-        if hit is None:
-            hit = transform(t, sat)
-            self._serial_cache.put(key, hit)
-        return hit
+        return self._canonical(worlds)
 
     def revise(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self._serial(self.revision, self.revision.revise, t, sat)
+        return self.revision.revise(t, sat)
 
     def contract(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self._serial(self.contraction, self.contraction.contract, t, sat)
+        return self.contraction.contract(t, sat)
 
     def aggregate(self, profile: tuple[TPO, ...]) -> TPO:
-        hit = self._agg_cache.get(profile)
-        if hit is None:
-            hit = self.aggregator.aggregate(profile)
-            self._agg_cache.put(profile, hit)
-        return hit
+        return self._aggregate(tuple(profile))
 
     def previse(self, t: TPO, sets: tuple[frozenset[int], ...]) -> TPO:
-        """Cached parallel revision; mirrors the pipeline operator."""
-        sets = tuple(sets) or (self.full,)
-        key = (t, sets)
-        hit = self._prev_cache.get(key)
-        if hit is None:
-            target = self.full
-            for member in sets:
-                target &= member
-            if not target:
-                raise InconsistentInputError("revision input set is jointly inconsistent")
-            profile = tuple(self._serial(self.base, self.base.revise, t, m) for m in sets)
-            hit = self._serial(self.finisher, self.finisher.revise,
-                               self.aggregate(profile), target)
-            self._prev_cache.put(key, hit)
-        return hit
+        return self._previse(t, tuple(sets))
 
     def pcontract(self, t: TPO, sets: tuple[frozenset[int], ...]) -> TPO:
-        """Cached parallel contraction; mirrors the pipeline operator."""
-        sets = tuple(sets) or (self.full,)
-        key = (t, sets)
-        hit = self._pcon_cache.get(key)
-        if hit is None:
-            profile = tuple(
-                self._serial(self.contraction, self.contraction.contract, t, m) for m in sets)
-            hit = self.aggregate(profile)
-            self._pcon_cache.put(key, hit)
-        return hit
+        return self._pcontract(t, tuple(sets))
 
 
 def render_value(value, lang: Language):
@@ -159,35 +150,9 @@ def render_value(value, lang: Language):
     return value
 
 
-def _blocks(t: TPO, lang: Language) -> list[list[str]]:
-    return [sorted(lang.world_name(w) for w in block) for block in t.blocks]
-
-
-def _instance_payload(shape: str, instance: tuple, lang: Language) -> dict:
-    if shape in ("serial", "sercon"):
-        t, a = instance
-        return {"tpo": _blocks(t, lang), "input": render_value(a, lang)}
-    if shape == "serial2":
-        t, a, b = instance
-        return {"tpo": _blocks(t, lang), "input": render_value(a, lang),
-                "input2": render_value(b, lang)}
-    if shape in ("pset", "cset"):
-        t, s = instance
-        return {"tpo": _blocks(t, lang), "inputs": [render_value(m, lang) for m in s]}
-    if shape == "pset2":
-        t, s1, s2 = instance
-        return {"tpo": _blocks(t, lang),
-                "inputs": [render_value(m, lang) for m in s1],
-                "inputs2": [render_value(m, lang) for m in s2]}
-    if shape == "profile2":
-        (profile,) = instance
-        return {"profile": [_blocks(t, lang) for t in profile]}
-    raise SpaceError(f"unknown instance shape {shape!r}")
-
-
 def _make_witness(postulate: Postulate, instance: tuple, hit: dict, ctx: CheckContext) -> dict:
     return {
-        "instance": _instance_payload(postulate.shape, instance, ctx.lang),
+        "instance": encode_instance(postulate.shape, instance, ctx.lang),
         "operators": ctx.config.describe(),
         "detail": render_value(hit, ctx.lang),
     }
@@ -244,19 +209,14 @@ class CheckReport:
                 f"({self.total_hits} {noun}, {self.elapsed_ms:.1f} ms)")
 
 
-def _get_postulate(postulate_id: str) -> Postulate:
-    try:
-        return CATALOG[postulate_id]
-    except KeyError:
-        known = ", ".join(sorted(CATALOG))
-        raise UnknownPostulateError(
-            f"unknown postulate {postulate_id!r} (known: {known})") from None
+def _postulate(postulate_id: str) -> Postulate:
+    return lookup(CATALOG, postulate_id, "postulate", UnknownPostulateError)
 
 
 def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
           ctx: Optional[CheckContext] = None) -> CheckReport:
     """Sweep one postulate over ``space`` and report."""
-    postulate = _get_postulate(postulate_id)
+    postulate = _postulate(postulate_id)
     ctx = ctx or CheckContext.from_space(space)
     start = time.perf_counter()
     checked = 0
@@ -328,7 +288,7 @@ def check_equivalence_pair(semantic_id: str, syntactic_id: str, space: InstanceS
             total_hits += 1
             if len(kept) < space.violation_cap:
                 kept.append({
-                    "instance": _instance_payload("pset", instance, ctx.lang),
+                    "instance": encode_instance("pset", instance, ctx.lang),
                     "operators": ctx.config.describe(),
                     "detail": {"semantic_holds": sem_holds, "syntactic_holds": syn_holds},
                 })
@@ -381,7 +341,7 @@ def verify_rc_identity(space: InstanceSpace) -> CheckReport:
             total_hits += 1
             if len(kept) < space.violation_cap:
                 kept.append({
-                    "instance": _instance_payload("profile2", (profile,), lang),
+                    "instance": encode_instance("profile2", (profile,), lang),
                     "operators": {"strategy": "stq"},
                     "detail": {"aggregated": direct, "closure_of_intersection": closed},
                 })
@@ -404,32 +364,10 @@ def replay_witness(postulate_id: str, witness: dict, atoms: int) -> list:
     Returns the rendered hits; a faithful violation witness reproduces at
     least the hit it was reported with.
     """
-    postulate = _get_postulate(postulate_id)
+    postulate = _postulate(postulate_id)
     lang = Language(_ATOM_POOL[:atoms])
     ctx = CheckContext(lang, OperatorConfig(**witness["operators"]))
-    payload = witness["instance"]
-
-    def worlds(names) -> frozenset[int]:
-        return frozenset(lang.world_from_name(n) for n in names)
-
-    def tpo(blocks) -> TPO:
-        return TPO(tuple(worlds(b) for b in blocks))
-
-    shape = postulate.shape
-    if shape in ("serial", "sercon"):
-        instance = (tpo(payload["tpo"]), worlds(payload["input"]))
-    elif shape == "serial2":
-        instance = (tpo(payload["tpo"]), worlds(payload["input"]), worlds(payload["input2"]))
-    elif shape in ("pset", "cset"):
-        instance = (tpo(payload["tpo"]), tuple(worlds(m) for m in payload["inputs"]))
-    elif shape == "pset2":
-        instance = (tpo(payload["tpo"]),
-                    tuple(worlds(m) for m in payload["inputs"]),
-                    tuple(worlds(m) for m in payload["inputs2"]))
-    elif shape == "profile2":
-        instance = (tuple(tpo(blocks) for blocks in payload["profile"]),)
-    else:
-        raise SpaceError(f"unknown instance shape {shape!r}")
+    instance = decode_instance(postulate.shape, witness["instance"], lang)
     hits = postulate.evaluate(ctx, *instance)
     if hits is None:
         return []

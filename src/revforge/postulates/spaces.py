@@ -13,6 +13,13 @@ equivalence: each member is a distinct non-empty set of worlds.  Pair
 shapes draw both sets from the jointly-consistent family, because a set
 whose own conjunction is inconsistent only ever yields undefined or
 trivially-satisfied pair instances.
+
+``SHAPES`` is the one table of instance shapes.  It gives each shape
+name its sequence of (payload key, ``Part``) pairs, and each part knows
+how to enumerate, sample, encode and decode its value.  Exhaustive
+streams are the product of the parts' values, sampled streams draw the
+parts in order, and witnesses encode an instance part by part, so
+``decode_instance`` inverts ``encode_instance`` by construction.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..aggregation import SelectionStrategy, make_strategy
-from ..errors import SpaceError
+from ..errors import SpaceError, lookup
 from ..logic import Language
 from ..serial import (
     SerialContractionOperator,
@@ -73,12 +80,8 @@ def formula_set_tuples(props: Sequence[frozenset[int]], max_size: int,
     """Input sets of 1..max_size distinct propositions, in a stable order."""
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(props, size):
-            if jointly_consistent:
-                target = combo[0]
-                for member in combo[1:]:
-                    target = target & member
-                if not target:
-                    continue
+            if jointly_consistent and not combo[0].intersection(*combo[1:]):
+                continue
             yield combo
 
 
@@ -109,12 +112,8 @@ def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,
             member = _random_proposition(rng, num_worlds)
             if member not in members:
                 members.append(member)
-        if jointly_consistent:
-            target = frozenset(range(num_worlds))
-            for member in members:
-                target &= member
-            if not target:
-                continue
+        if jointly_consistent and not frozenset(range(num_worlds)).intersection(*members):
+            continue
         return tuple(members)
     raise SpaceError("could not sample a jointly consistent input set")
 
@@ -133,21 +132,10 @@ class OperatorConfig:
     finisher: str | SerialRevisionOperator = "natural"
     strategy: str | SelectionStrategy = "stq"
 
-    def resolved_revision(self) -> SerialRevisionOperator:
-        return get_revision_operator(self.revision) if isinstance(self.revision, str) else self.revision
-
-    def resolved_contraction(self) -> SerialContractionOperator:
-        return (get_contraction_operator(self.contraction)
-                if isinstance(self.contraction, str) else self.contraction)
-
-    def resolved_base(self) -> SerialRevisionOperator:
-        return get_revision_operator(self.base) if isinstance(self.base, str) else self.base
-
-    def resolved_finisher(self) -> SerialRevisionOperator:
-        return get_revision_operator(self.finisher) if isinstance(self.finisher, str) else self.finisher
-
-    def resolved_strategy(self) -> SelectionStrategy:
-        return make_strategy(self.strategy) if isinstance(self.strategy, str) else self.strategy
+    def resolved(self, role: str):
+        """The operator object in field ``role``, with names looked up."""
+        value = getattr(self, role)
+        return _RESOLVERS[role](value) if isinstance(value, str) else value
 
     def describe(self) -> dict:
         def name(value) -> str:
@@ -159,6 +147,96 @@ class OperatorConfig:
             "finisher": name(self.finisher),
             "strategy": name(self.strategy),
         }
+
+
+_RESOLVERS = {"revision": get_revision_operator, "base": get_revision_operator,
+              "finisher": get_revision_operator, "contraction": get_contraction_operator,
+              "strategy": make_strategy}
+
+
+# --- the shape table ---
+
+def _names(worlds, lang: Language) -> list[str]:
+    return sorted(lang.world_name(w) for w in worlds)
+
+
+def _worlds(names, lang: Language) -> frozenset[int]:
+    return frozenset(lang.world_from_name(n) for n in names)
+
+
+@dataclass(frozen=True)
+class Part:
+    """One component of an instance.
+
+    ``values(space)`` lists every value in exhaustive order,
+    ``sample(rng, space)`` draws one, and ``encode``/``decode`` map a
+    value to and from its JSON form, with worlds as atom bit-strings.
+    """
+
+    values: Callable = field(repr=False)
+    sample: Callable = field(repr=False)
+    encode: Callable = field(repr=False)
+    decode: Callable = field(repr=False)
+
+
+_PREORDER = Part(
+    lambda space: tuple(enumerate_tpos(space.num_worlds)),
+    lambda rng, space: random_tpo(rng, space.num_worlds),
+    lambda t, lang: [_names(block, lang) for block in t.blocks],
+    lambda blocks, lang: TPO(tuple(_worlds(block, lang) for block in blocks)))
+_PROPOSITION = Part(
+    lambda space: all_propositions(space.num_worlds),
+    lambda rng, space: _random_proposition(rng, space.num_worlds),
+    _names, _worlds)
+
+
+def _tuple_of(part: Part, values: Callable, sample: Callable) -> Part:
+    """A part whose value is a tuple of ``part`` values."""
+    return Part(values, sample,
+                lambda items, lang: [part.encode(x, lang) for x in items],
+                lambda data, lang: tuple(part.decode(x, lang) for x in data))
+
+
+def _family(jointly_consistent: bool) -> Part:
+    return _tuple_of(
+        _PROPOSITION,
+        lambda space: tuple(formula_set_tuples(all_propositions(space.num_worlds),
+                                               space.max_set_size, jointly_consistent)),
+        lambda rng, space: _random_set_tuple(rng, space.num_worlds, space.max_set_size,
+                                             jointly_consistent))
+
+
+_CONSISTENT_FAMILY = _family(True)
+_PROFILE = _tuple_of(
+    _PREORDER,
+    lambda space: tuple(itertools.product(_PREORDER.values(space), repeat=2)),
+    lambda rng, space: (_PREORDER.sample(rng, space), _PREORDER.sample(rng, space)))
+
+SHAPES: dict[str, tuple[tuple[str, Part], ...]] = {
+    "serial": (("tpo", _PREORDER), ("input", _PROPOSITION)),
+    "sercon": (("tpo", _PREORDER), ("input", _PROPOSITION)),
+    "serial2": (("tpo", _PREORDER), ("input", _PROPOSITION), ("input2", _PROPOSITION)),
+    "pset": (("tpo", _PREORDER), ("inputs", _CONSISTENT_FAMILY)),
+    "cset": (("tpo", _PREORDER), ("inputs", _family(False))),
+    "pset2": (("tpo", _PREORDER), ("inputs", _CONSISTENT_FAMILY),
+              ("inputs2", _CONSISTENT_FAMILY)),
+    "profile2": (("profile", _PROFILE),),
+}
+
+
+def _parts(shape: str) -> tuple[tuple[str, Part], ...]:
+    return lookup(SHAPES, shape, "instance shape", SpaceError)
+
+
+def encode_instance(shape: str, instance: tuple, lang: Language) -> dict:
+    """The JSON payload of ``instance``, one key per part."""
+    return {key: part.encode(value, lang)
+            for (key, part), value in zip(_parts(shape), instance)}
+
+
+def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
+    """The instance ``encode_instance`` made ``payload`` from."""
+    return tuple(part.decode(payload[key], lang) for key, part in _parts(shape))
 
 
 @dataclass
@@ -204,53 +282,11 @@ class InstanceSpace:
         info["operators"] = self.operators.describe()
         return info
 
-    # instance streams, one per postulate shape
-
     def instances(self, shape: str) -> Iterator[tuple]:
+        """The instance stream for the shape named ``shape``."""
+        parts = [part for _, part in _parts(shape)]
         if self.mode == "exhaustive":
-            return self._exhaustive(shape)
-        return self._sampled(shape)
-
-    def _exhaustive(self, shape: str) -> Iterator[tuple]:
-        props = all_propositions(self.num_worlds)
-        tpos = tuple(enumerate_tpos(self.num_worlds))
-        if shape in ("serial", "sercon"):
-            return ((t, a) for t in tpos for a in props)
-        if shape == "serial2":
-            return ((t, a, b) for t in tpos for a in props for b in props)
-        if shape == "pset":
-            sets = tuple(formula_set_tuples(props, self.max_set_size, jointly_consistent=True))
-            return ((t, s) for t in tpos for s in sets)
-        if shape == "cset":
-            sets = tuple(formula_set_tuples(props, self.max_set_size, jointly_consistent=False))
-            return ((t, s) for t in tpos for s in sets)
-        if shape == "pset2":
-            sets = tuple(formula_set_tuples(props, self.max_set_size, jointly_consistent=True))
-            return ((t, s1, s2) for t in tpos for s1 in sets for s2 in sets)
-        if shape == "profile2":
-            return (((t1, t2),) for t1 in tpos for t2 in tpos)
-        raise SpaceError(f"unknown instance shape {shape!r}")
-
-    def _sampled(self, shape: str) -> Iterator[tuple]:
+            return itertools.product(*(part.values(self) for part in parts))
         rng = random.Random(self.seed)
-        n = self.num_worlds
-
-        def one(shape: str) -> tuple:
-            if shape in ("serial", "sercon"):
-                return (random_tpo(rng, n), _random_proposition(rng, n))
-            if shape == "serial2":
-                return (random_tpo(rng, n), _random_proposition(rng, n),
-                        _random_proposition(rng, n))
-            if shape == "pset":
-                return (random_tpo(rng, n), _random_set_tuple(rng, n, self.max_set_size, True))
-            if shape == "cset":
-                return (random_tpo(rng, n), _random_set_tuple(rng, n, self.max_set_size, False))
-            if shape == "pset2":
-                return (random_tpo(rng, n),
-                        _random_set_tuple(rng, n, self.max_set_size, True),
-                        _random_set_tuple(rng, n, self.max_set_size, True))
-            if shape == "profile2":
-                return ((random_tpo(rng, n), random_tpo(rng, n)),)
-            raise SpaceError(f"unknown instance shape {shape!r}")
-
-        return (one(shape) for _ in range(self.sample_count))
+        return (tuple(part.sample(rng, self) for part in parts)
+                for _ in range(self.sample_count))

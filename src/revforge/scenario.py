@@ -68,6 +68,12 @@ def _expect(condition: bool, where: str, message: str) -> None:
         raise ScenarioError(f"{where}: {message}")
 
 
+def _list(data: dict, key: str, where: str) -> list:
+    value = data.get(key, [])
+    _expect(isinstance(value, list), where, f"{key!r} must be a list")
+    return value
+
+
 def _parse_sentence(text, lang: Language, where: str) -> Formula:
     _expect(isinstance(text, str), where, f"expected a sentence string, got {text!r}")
     try:
@@ -133,7 +139,7 @@ class Scenario:
     def from_dict(cls, data) -> "Scenario":
         _expect(isinstance(data, dict), "scenario", "document root must be an object")
         version = data.get("version")
-        _expect(version == SCHEMA_VERSION, "scenario",
+        _expect(type(version) is int and version == SCHEMA_VERSION, "scenario",
                 f"unsupported version {version!r} (expected {SCHEMA_VERSION})")
 
         atoms = data.get("atoms")
@@ -173,12 +179,10 @@ class Scenario:
 
         initial_queries = tuple(
             _validate_query(q, lang, f"initial_queries[{i}]")
-            for i, q in enumerate(data.get("initial_queries", [])))
+            for i, q in enumerate(_list(data, "initial_queries", "scenario")))
 
-        raw_steps = data.get("steps", [])
-        _expect(isinstance(raw_steps, list), "scenario", "'steps' must be a list")
         steps = []
-        for i, raw in enumerate(raw_steps):
+        for i, raw in enumerate(_list(data, "steps", "scenario")):
             where = f"steps[{i}]"
             _expect(isinstance(raw, dict), where, "each step must be an object")
             op = raw.get("op")
@@ -199,7 +203,7 @@ class Scenario:
                 formulas = (_parse_sentence(text, lang, f"{where}.sentence"),)
             queries = tuple(
                 _validate_query(q, lang, f"{where}.queries[{j}]")
-                for j, q in enumerate(raw.get("queries", [])))
+                for j, q in enumerate(_list(raw, "queries", where)))
             steps.append(Step(op=op, texts=texts, formulas=formulas, queries=queries))
 
         return cls(lang=lang, initial=start, base=base, finisher=finisher,

@@ -19,7 +19,8 @@ a contradiction leaves the preorder unchanged.
 
 Revision by an inconsistent input is rejected: there is no world to
 promote.  Operators are held in registries keyed by name so they can be
-selected from configuration text.
+selected from configuration text; registering one is assigning it into
+``REVISION_OPERATORS`` or ``CONTRACTION_OPERATORS``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import InconsistentInputError, UnknownOperatorError
+from .errors import InconsistentInputError, lookup
 from .logic import Formula, Language, models
 from .tpo import TPO
 
@@ -134,24 +135,8 @@ CONTRACTION_OPERATORS: dict[str, SerialContractionOperator] = {
 
 
 def get_revision_operator(name: str) -> SerialRevisionOperator:
-    try:
-        return REVISION_OPERATORS[name]
-    except KeyError:
-        known = ", ".join(sorted(REVISION_OPERATORS))
-        raise UnknownOperatorError(f"unknown revision operator {name!r} (known: {known})") from None
+    return lookup(REVISION_OPERATORS, name, "revision operator")
 
 
 def get_contraction_operator(name: str) -> SerialContractionOperator:
-    try:
-        return CONTRACTION_OPERATORS[name]
-    except KeyError:
-        known = ", ".join(sorted(CONTRACTION_OPERATORS))
-        raise UnknownOperatorError(f"unknown contraction operator {name!r} (known: {known})") from None
-
-
-def register_revision_operator(op: SerialRevisionOperator) -> None:
-    REVISION_OPERATORS[op.name] = op
-
-
-def register_contraction_operator(op: SerialContractionOperator) -> None:
-    CONTRACTION_OPERATORS[op.name] = op
+    return lookup(CONTRACTION_OPERATORS, name, "contraction operator")

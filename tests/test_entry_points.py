@@ -1,0 +1,85 @@
+"""The names and call shapes the benchmark in ``bench/`` relies on.
+
+The benchmark drives revforge only through its public API and hooks a
+few public seams for the traced run.  A cleanup that renames or reshapes
+one of these turns benchmark requests into failures, so they are pinned
+here.
+"""
+
+import dataclasses
+
+import revforge
+from revforge import (Aggregator, CheckContext, InstanceSpace, Language, OperatorConfig,
+                      check, default_parallel_contraction, default_parallel_revision,
+                      get_contraction_operator, get_revision_operator, make_strategy)
+
+from conftest import tpo
+
+BENCH_NAMES = (
+    "Aggregator", "CheckContext", "InstanceSpace", "Language", "OperatorConfig", "TPO",
+    "canonical_formula", "check", "check_equivalence_pair", "conditional_set",
+    "default_parallel_contraction", "default_parallel_revision", "format_formula",
+    "get_contraction_operator", "get_revision_operator", "loads_scenario", "make_strategy",
+    "models", "parse_formula", "rational_closure", "run_scenario", "verify_rc_identity",
+)
+A = frozenset({2, 3})
+B = frozenset({1, 3})
+
+
+def test_package_exports_what_the_benchmark_calls():
+    for name in BENCH_NAMES:
+        assert callable(getattr(revforge, name)), name
+    assert callable(revforge.TPO.min_of)
+
+
+def test_registry_lookups_and_default_pipelines():
+    t = tpo({0}, {1, 2, 3})
+    assert get_revision_operator("natural").name == "natural"
+    assert get_contraction_operator("natural-contract").name == "natural-contract"
+    profile = (get_revision_operator("natural").revise(t, A),
+               get_revision_operator("natural").revise(t, B))
+    assert Aggregator(make_strategy("stq")).aggregate(profile) == tpo({1, 2, 3}, {0})
+    assert default_parallel_revision().revise_worlds(t, (A, B)) == tpo({3}, {1, 2}, {0})
+    assert default_parallel_contraction().contract_worlds(t, (A, B)).num_worlds == 4
+
+
+def test_config_and_context_signatures():
+    config = OperatorConfig(revision="natural", contraction="natural-contract", base="lex",
+                            finisher="restrained", strategy="round-robin")
+    ctx = CheckContext(Language(("A", "B")), config)
+    for name in ("previse", "pcontract", "aggregate", "revise", "contract"):
+        assert callable(getattr(ctx, name)), name
+    assert ctx.aggregator.name == "round-robin"
+    assert ctx.previse(tpo({0}, {1, 2, 3}), (A, B)).belief_worlds() == frozenset({3})
+
+
+def test_serial_operators_stay_replaceable_dataclasses():
+    calls = []
+
+    def counted(transform):
+        def wrapper(t, sat):
+            calls.append(sat)
+            return transform(t, sat)
+        return wrapper
+
+    t = tpo({0}, {1, 2, 3})
+    for op, method in ((get_revision_operator("lex"), "revise"),
+                       (get_contraction_operator("natural-contract"), "contract")):
+        assert dataclasses.is_dataclass(op) and isinstance(op.name, str)
+        hooked = dataclasses.replace(op, transform=counted(op.transform))
+        assert hooked.name == op.name
+        assert getattr(hooked, method)(t, A) == getattr(op, method)(t, A)
+    assert calls == [A, A]
+
+
+def test_an_instance_space_subclass_drives_check():
+    full = InstanceSpace(atoms=2)
+    first = next(iter(full.instances("pset")))[0]
+    psets = [s for t, s in full.instances("pset") if t == first]
+
+    class OnePrior(InstanceSpace):
+        def instances(self, shape_name: str):
+            return ((first, s) for s in psets)
+
+    report = check("Conj-star", OnePrior(atoms=2))
+    assert report.holds and report.checked == len(psets) == 95

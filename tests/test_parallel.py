@@ -7,7 +7,7 @@ from revforge import (Aggregator, FIRST_THEN_FULL_STRATEGY, FormulaSet,
                       ParallelContractionOperator, ParallelRevisionOperator,
                       RESTRAINED, STQ_STRATEGY, TPO,
                       default_parallel_contraction, default_parallel_revision,
-                      parallel_contract, parallel_revise, parse_operator_config)
+                      parse_operator_config)
 from revforge.parallel import harper_worlds, levi_worlds, minimal_inconsistent_indices
 from revforge.postulates import enumerate_tpos, all_propositions, formula_set_tuples
 
@@ -30,7 +30,6 @@ def test_reference_pipeline_end_to_end(lang2):
 def test_revise_via_formula_set(lang2):
     op = default_parallel_revision()
     s = FormulaSet.parse(["A", "B"], lang2)
-    assert parallel_revise(op, tpo({0}, {1, 2, 3}), s) == tpo({3}, {1, 2}, {0})
     assert op.revise(tpo({0}, {1, 2, 3}), s) == tpo({3}, {1, 2}, {0})
 
 
@@ -104,7 +103,7 @@ def test_reference_contraction(lang2):
         NATURAL_CONTRACT.contract(t, A).belief_worlds()
         | NATURAL_CONTRACT.contract(t, B).belief_worlds())
     s = FormulaSet.parse(["A", "B"], lang2)
-    assert parallel_contract(op, t, s) == out
+    assert op.contract(t, s) == out
     assert op.config_string() == "parallel(base=natural-contract, agg=stq)"
 
 

@@ -1,20 +1,27 @@
 """Catalog, instance spaces, and the checking engine."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
-from revforge import (CATALOG, CheckContext, CheckReport, EQUIVALENCE_PAIRS,
-                      InstanceSpace, Language, OperatorConfig,
+from revforge import (CATALOG, Aggregator, CheckContext, CheckReport,
+                      EQUIVALENCE_PAIRS, InconsistentInputError, InstanceSpace,
+                      Language, NATURAL_CONTRACT, OperatorConfig,
+                      ParallelContractionOperator, ParallelRevisionOperator,
                       SerialRevisionOperator, SpaceError, TPO,
                       UnknownPostulateError, check, check_equivalence_pair,
-                      find_countermodel, replay_witness, verify_rc_identity)
+                      default_parallel_revision, find_countermodel,
+                      get_revision_operator, make_strategy, replay_witness,
+                      verify_rc_identity)
 from revforge.postulates import (all_propositions, enumerate_tpos,
                                  formula_set_tuples, random_tpo)
 from revforge.postulates.catalog import SYNTACTIC_FORMS
 from revforge.postulates.engine import render_value
-from revforge.postulates.spaces import DEFAULT_SEED
+from revforge.postulates.spaces import (DEFAULT_SEED, SHAPES, decode_instance,
+                                        encode_instance)
 
 from conftest import tpo
 
@@ -141,10 +148,11 @@ def test_instance_space_rejects_unknown_shape():
 def test_operator_config_accepts_names_and_objects():
     from revforge import LEX, NATURAL_CONTRACT, STQ_STRATEGY
     byname = OperatorConfig(revision="lex", strategy="stq")
-    assert byname.resolved_revision() is LEX
-    assert byname.resolved_strategy() is STQ_STRATEGY
+    assert byname.resolved("revision") is LEX
+    assert byname.resolved("strategy") is STQ_STRATEGY
     byobj = OperatorConfig(revision=LEX, contraction=NATURAL_CONTRACT)
-    assert byobj.resolved_revision() is LEX
+    assert byobj.resolved("revision") is LEX
+    assert byobj.resolved("contraction") is NATURAL_CONTRACT
     d = byobj.describe()
     assert list(d) == ["revision", "contraction", "base", "finisher", "strategy"]
     assert d["revision"] == "lex"
@@ -208,7 +216,61 @@ def test_shared_context_reuses_operators():
     a = check("K-star-2", space, ctx=ctx)
     b = check("K-star-3", space, ctx=ctx)
     assert a.holds and b.holds
-    assert ctx._serial_cache  # warm after the sweeps
+    # the warm context answers from memory: the very object it computed
+    # before, equal to what a fresh shipped operator computes now
+    fresh = default_parallel_revision()
+    for t, s in space.instances("pset"):
+        first = ctx.previse(t, s)
+        assert ctx.previse(t, s) is first
+        assert first == fresh.revise_worlds(t, s)
+
+
+@pytest.mark.parametrize("base, finisher, strategy", [
+    ("natural", "lex", "stq"),
+    ("lex", "restrained", "round-robin"),
+    ("restrained", "natural", "first-then-full"),
+])
+def test_memoized_context_matches_fresh_operators(base, finisher, strategy):
+    """The context's memo tables are transparent: a warm, shared context
+    agrees with unmemoized shipped operators on every 2-atom instance."""
+    config = OperatorConfig(base=base, finisher=finisher, strategy=strategy)
+    space = InstanceSpace(atoms=2, operators=config)
+    ctx = CheckContext.from_space(space)
+    prev = ParallelRevisionOperator(get_revision_operator(base), get_revision_operator(finisher),
+                                    Aggregator(make_strategy(strategy)))
+    pcon = ParallelContractionOperator(NATURAL_CONTRACT, Aggregator(make_strategy(strategy)))
+    psets = list(space.instances("pset"))
+    csets = list(space.instances("cset"))
+    for _ in range(2):  # cold, then warm
+        for t, s in psets:
+            assert ctx.previse(t, s) == prev.revise_worlds(t, s)
+        for t, s in csets:
+            assert ctx.pcontract(t, s) == pcon.contract_worlds(t, s)
+
+    clash = (frozenset({2, 3}), frozenset({1, 3}), frozenset({0}))
+    t = psets[0][0]
+    with pytest.raises(InconsistentInputError) as shipped:
+        prev.revise_worlds(t, clash)
+    with pytest.raises(InconsistentInputError) as memoized:
+        ctx.previse(t, clash)
+    assert memoized.value.culprits == shipped.value.culprits == ("member 1", "member 2")
+    assert str(memoized.value) == str(shipped.value)
+
+
+def test_dropped_context_is_freed_without_the_cycle_collector():
+    """Nothing a context builds refers back to it, so its memo tables go
+    as soon as the last reference does, not at the next cyclic collection."""
+    space = InstanceSpace(atoms=2)
+    gc.disable()
+    try:
+        ctx = CheckContext.from_space(space)
+        for pid in ("K6", "K-star-2", "C-con-1", "UB"):
+            check(pid, space, ctx=ctx)
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_existential_postulate_reports_witnesses_as_success():
@@ -291,6 +353,31 @@ def test_replay_round_trip_for_package_witnesses():
         assert witness is not None
         hits = replay_witness(pid, witness, atoms=2)
         assert witness["detail"] in hits
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_shapes_round_trip_through_their_payloads(shape):
+    spaces = (InstanceSpace(atoms=1),
+              InstanceSpace(atoms=3, mode="sampled", sample_count=200, seed=5, max_set_size=3))
+    for space in spaces:
+        lang = space.lang
+        count = 0
+        for instance in space.instances(shape):
+            payload = json.loads(json.dumps(encode_instance(shape, instance, lang)))
+            assert list(payload) == [key for key, _ in SHAPES[shape]]
+            assert decode_instance(shape, payload, lang) == instance
+            count += 1
+        assert count > 0
+
+
+def test_set_witnesses_replay_their_detail():
+    space = InstanceSpace(atoms=2, violation_cap=50)
+    for pid in ("C-star-2-plus", "P-star"):
+        report = check(pid, space, first=True)
+        assert 0 < report.total_hits <= space.violation_cap
+        details = [w["detail"] for w in report.violations]
+        for witness in report.violations:
+            assert replay_witness(pid, json.loads(json.dumps(witness)), atoms=2) == details
 
 
 def test_every_catalog_entry_executes_on_a_small_sample():

@@ -208,6 +208,10 @@ def test_compare_query_all_three_relations():
         ({"initial_queries": [{"type": "guess"}]}, "unknown query type 'guess'"),
         ({"initial_queries": [{"type": "compare", "left": "2", "right": "11"}]},
          "world name '2' is not a 2-bit string"),
+        ({"version": True}, "unsupported version True"),
+        ({"initial_queries": 3}, "scenario: 'initial_queries' must be a list"),
+        ({"steps": [{"op": "serial-revise", "sentence": "A", "queries": 3}]},
+         "steps[0]: 'queries' must be a list"),
     ],
 )
 def test_invalid_documents_are_rejected(mutation, fragment):
