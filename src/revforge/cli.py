@@ -7,9 +7,11 @@ Subcommands::
     revforge self-test
     revforge enumerate --atoms K [--list]
 
-``check`` accepts every catalog entry by id, plus ``rc-identity`` for
-the closure identity and ``<id>-pair`` (for example ``PC3-pair``) for a
-semantic/syntactic agreement sweep.
+``check`` is one call to the engine's ``check``, which accepts every
+catalog entry by id, plus ``rc-identity`` for the closure identity and
+``<id>-pair`` (for example ``PC3-pair``) for a semantic/syntactic
+agreement sweep.  ``--first`` and ``--cap`` apply to all three, and
+``--expect`` overrides the report's expected outcome.
 
 Exit codes: 0 when the run succeeds and the outcome matches the
 expectation, 1 when a requested expectation is missed, 2 on usage or
@@ -25,12 +27,11 @@ import os
 import sys
 from importlib import resources
 
-from .errors import RevforgeError, UnknownPostulateError
+from .errors import RevforgeError
 from .logic import Language
-from .postulates import (EQUIVALENCE_PAIRS, InstanceSpace, OperatorConfig,
-                         check, check_equivalence_pair, verify_rc_identity)
+from .postulates import InstanceSpace, OperatorConfig, check
 from .postulates.spaces import _ATOM_POOL, DEFAULT_SEED, enumerate_tpos
-from .scenario import export_dot, loads_scenario, run_scenario
+from .scenario import export_dot, load_scenario, loads_scenario, run_scenario
 
 BUNDLED_SCENARIO = "scenarios/example1.scenario"
 
@@ -49,10 +50,10 @@ def _resolve_seed(explicit) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        text = open(args.file, encoding="utf-8").read()
-    except OSError as exc:
+        scenario = load_scenario(args.file)
+    except (OSError, UnicodeDecodeError) as exc:
         raise RevforgeError(f"cannot read {args.file}: {exc}") from exc
-    trace = run_scenario(loads_scenario(text))
+    trace = run_scenario(scenario)
     if args.format == "json":
         print(trace.to_json())
     elif args.format == "dot":
@@ -74,39 +75,20 @@ def _make_space(args) -> InstanceSpace:
 
 
 def _cmd_check(args) -> int:
-    space = _make_space(args)
-    name = args.id
-    if name == "rc-identity":
-        report = verify_rc_identity(space)
-    elif name.endswith("-pair"):
-        semantic = name[: -len("-pair")]
-        syntactic = EQUIVALENCE_PAIRS.get(semantic)
-        if syntactic is None:
-            known = ", ".join(f"{k}-pair" for k in sorted(EQUIVALENCE_PAIRS))
-            raise UnknownPostulateError(f"unknown pair {name!r} (known: {known})")
-        report = check_equivalence_pair(semantic, syntactic, space)
-    else:
-        report = check(name, space, first=args.first)
-
-    expected = report.expected if args.expect == "auto" else args.expect
-    if expected == "violation":
-        expected = "violated"
-    if expected == "exploratory":
-        matched = True
-    elif expected == "sound":
-        matched = report.holds
-    else:
-        matched = not report.holds
+    report = check(args.id, _make_space(args), first=args.first)
+    if args.expect != "auto":
+        report.expected = "violated" if args.expect == "violation" else args.expect
+    matched = report.matches_expected()
 
     if args.format == "json":
         payload = report.to_json_dict()
-        payload["expected"] = expected
+        payload["expected"] = report.expected
         payload["outcome"] = report.outcome
         payload["matched"] = matched
         print(json.dumps(payload, indent=2))
     else:
         print(report.summary_line())
-        print(f"expected: {expected}; outcome: {report.outcome}"
+        print(f"expected: {report.expected}; outcome: {report.outcome}"
               f" -> {'ok' if matched else 'MISMATCH'}")
         for witness in report.violations[:3]:
             print(json.dumps(witness, indent=2))

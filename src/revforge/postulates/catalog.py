@@ -26,6 +26,10 @@ is fine) or ``None`` when the instance falls outside the postulate's
 domain of definition and is skipped.  For the one existential entry the
 hits are witnesses rather than violations, and the property holds over
 a space when at least one witness turns up.
+
+Two further kinds of check share that evaluator signature and live
+outside ``CATALOG``: ``PAIR_CHECKS`` holds one ``<id>-pair`` entry per
+agreement pair, and ``RC_IDENTITY`` is the rational-closure identity.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable
 
+from ..aggregation import stq
 from ..logic import And, Not, models
-from ..tpo import TPO
+from ..tpo import TPO, rational_closure
 
 Hits = "list[dict] | None"
 
@@ -48,6 +53,9 @@ class Postulate:
     evaluate: Callable = field(repr=False)
     kind: str = "universal"
     expected: object = "sound"
+    # (role, name) pairs the evaluator uses whatever the space configures;
+    # witnesses record these instead of the space's operators when given
+    operators: tuple = ()
 
     def expected_for(self, config) -> str:
         """Expected outcome for an operator configuration:
@@ -765,3 +773,48 @@ def _syn_pc4(ctx, t, s):
         if not any(beliefs <= two_step for beliefs in _subset_beliefs(ctx, t, s, x)):
             return False
     return True
+
+
+# --- agreement pairs and the closure identity ---
+
+def _agreement(semantic: Postulate, syntactic: SyntacticForm) -> Callable:
+    """One hit wherever the semantic and syntactic forms disagree."""
+    def evaluate(ctx, t, s):
+        hits = semantic.evaluate(ctx, t, s)
+        if hits is None:
+            return None
+        sem_holds = not hits
+        syn_holds = syntactic.holds(ctx, t, s)
+        if sem_holds != syn_holds:
+            return [{"semantic_holds": sem_holds, "syntactic_holds": syn_holds}]
+        return []
+    return evaluate
+
+
+PAIR_CHECKS: dict[str, Postulate] = {
+    f"{semantic}-pair": Postulate(
+        f"{semantic}~{syntactic}", "pset",
+        f"{semantic} and its syntactic form {syntactic} agree on every instance",
+        _agreement(CATALOG[semantic], SYNTACTIC_FORMS[syntactic]))
+    for semantic, syntactic in EQUIVALENCE_PAIRS.items()
+}
+
+
+def _rc_identity(ctx, profile):
+    # The left route aggregates synchronously; the right route intersects
+    # the members' conditional beliefs and rebuilds the least committal
+    # preorder supporting them, without ever aggregating.
+    merged = ctx.conditionals(profile[0])
+    for t in profile[1:]:
+        merged = merged.intersect(ctx.conditionals(t))
+    closed = rational_closure(merged)
+    direct = stq(profile)
+    if ctx.conditionals(direct) != ctx.conditionals(closed):
+        return [{"aggregated": direct, "closure_of_intersection": closed}]
+    return []
+
+
+RC_IDENTITY = Postulate(
+    "rc-identity", "profile2",
+    "synchronous aggregation equals rational closure of intersected conditional beliefs",
+    _rc_identity, operators=(("strategy", "stq"),))

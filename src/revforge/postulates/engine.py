@@ -6,12 +6,12 @@ the instance (preorder blocks, input sets, operator names) to rebuild
 and re-evaluate it bit-for-bit with ``replay_witness``.  Worlds are
 rendered as atom bit-strings throughout.
 
-``find_countermodel`` short-circuits at the first witness.
-``check_equivalence_pair`` sweeps a semantic postulate against its
-syntactic companion form and reports every instance where the two
-disagree.  ``verify_rc_identity`` checks that synchronous aggregation
-commutes with conditional-belief intersection followed by rational
-closure.
+``check`` is the one sweep loop.  Its id lookup resolves catalog ids,
+``<id>-pair`` for the agreement sweep of a semantic entry against its
+syntactic companion, and ``rc-identity`` for the check that synchronous
+aggregation commutes with conditional-belief intersection followed by
+rational closure.  ``find_countermodel``, ``check_equivalence_pair`` and
+``verify_rc_identity`` are calls to it.
 
 A ``CheckContext`` holds the configured operators and drives the
 shipped ``ParallelRevisionOperator`` and ``ParallelContractionOperator``;
@@ -34,8 +34,8 @@ from ..aggregation import Aggregator
 from ..errors import UnknownPostulateError, lookup
 from ..logic import Formula, Language, canonical_formula
 from ..parallel import ParallelContractionOperator, ParallelRevisionOperator
-from ..tpo import TPO, conditional_set, rational_closure
-from .catalog import CATALOG, EQUIVALENCE_PAIRS, SYNTACTIC_FORMS, Postulate
+from ..tpo import TPO, conditional_set
+from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
 from .spaces import (_ATOM_POOL, InstanceSpace, OperatorConfig, all_propositions,
                      decode_instance, encode_instance)
 
@@ -77,7 +77,8 @@ class CheckContext:
 
     ``previse`` and ``pcontract`` are ``revise_worlds`` and
     ``contract_worlds`` of the shipped parallel operators, remembered per
-    (preorder, input family).  Those operators run on copies of the
+    (preorder, input family); ``conditionals`` is ``conditional_set``,
+    remembered per preorder.  Those operators run on copies of the
     configured serial operators whose ``transform`` is memoized, and on
     a memoizing aggregator; each configured operator gets one copy, so
     roles that share an operator share its results.  Nothing built here
@@ -109,6 +110,7 @@ class CheckContext:
         self._previse = _memoized(self.parallel_rev.revise_worlds)
         self._pcontract = _memoized(self.parallel_con.contract_worlds)
         self._canonical = _memoized(lambda worlds: canonical_formula(worlds, lang))
+        self.conditionals = _memoized(conditional_set)
 
     @classmethod
     def from_space(cls, space: InstanceSpace) -> "CheckContext":
@@ -153,7 +155,7 @@ def render_value(value, lang: Language):
 def _make_witness(postulate: Postulate, instance: tuple, hit: dict, ctx: CheckContext) -> dict:
     return {
         "instance": encode_instance(postulate.shape, instance, ctx.lang),
-        "operators": ctx.config.describe(),
+        "operators": dict(postulate.operators) or ctx.config.describe(),
         "detail": render_value(hit, ctx.lang),
     }
 
@@ -210,6 +212,10 @@ class CheckReport:
 
 
 def _postulate(postulate_id: str) -> Postulate:
+    if postulate_id == RC_IDENTITY.id:
+        return RC_IDENTITY
+    if postulate_id.endswith("-pair"):
+        return lookup(PAIR_CHECKS, postulate_id, "pair", UnknownPostulateError)
     return lookup(CATALOG, postulate_id, "postulate", UnknownPostulateError)
 
 
@@ -237,7 +243,7 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
                 break
     elapsed = (time.perf_counter() - start) * 1000.0
     return CheckReport(
-        postulate=postulate_id,
+        postulate=postulate.id,
         space=space.describe(),
         checked=checked,
         violations=kept,
@@ -270,92 +276,13 @@ def check_equivalence_pair(semantic_id: str, syntactic_id: str, space: InstanceS
         known = ", ".join(f"{a}~{b}" for a, b in sorted(EQUIVALENCE_PAIRS.items()))
         raise UnknownPostulateError(
             f"{semantic_id!r}/{syntactic_id!r} is not a recognized agreement pair (known: {known})")
-    semantic = CATALOG[semantic_id]
-    syntactic = SYNTACTIC_FORMS[syntactic_id]
-    ctx = ctx or CheckContext.from_space(space)
-    start = time.perf_counter()
-    checked = 0
-    total_hits = 0
-    kept: list[dict] = []
-    for instance in space.instances("pset"):
-        sem_hits = semantic.evaluate(ctx, *instance)
-        if sem_hits is None:
-            continue
-        checked += 1
-        sem_holds = not sem_hits
-        syn_holds = syntactic.holds(ctx, *instance)
-        if sem_holds != syn_holds:
-            total_hits += 1
-            if len(kept) < space.violation_cap:
-                kept.append({
-                    "instance": encode_instance("pset", instance, ctx.lang),
-                    "operators": ctx.config.describe(),
-                    "detail": {"semantic_holds": sem_holds, "syntactic_holds": syn_holds},
-                })
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckReport(
-        postulate=f"{semantic_id}~{syntactic_id}",
-        space=space.describe(),
-        checked=checked,
-        violations=kept,
-        seed=space.seed,
-        elapsed_ms=round(elapsed, 3),
-        expected="sound",
-        total_hits=total_hits,
-    )
+    return check(f"{semantic_id}-pair", space, ctx=ctx)
 
 
 def verify_rc_identity(space: InstanceSpace) -> CheckReport:
     """Synchronous aggregation versus rational closure of intersected
-    conditional beliefs: the two routes must land on the same preorder.
-
-    The left route aggregates the profile synchronously and reads off its
-    conditional beliefs; the right route intersects the members'
-    conditional beliefs and rebuilds the least committal preorder
-    supporting them, without ever aggregating.
-    """
-    from ..aggregation import stq
-
-    start = time.perf_counter()
-    tables: dict[TPO, object] = {}
-
-    def cbel(t: TPO):
-        hit = tables.get(t)
-        if hit is None:
-            hit = conditional_set(t)
-            tables[t] = hit
-        return hit
-
-    checked = 0
-    total_hits = 0
-    kept: list[dict] = []
-    lang = space.lang
-    for (profile,) in space.instances("profile2"):
-        merged = cbel(profile[0])
-        for t in profile[1:]:
-            merged = merged.intersect(cbel(t))
-        closed = rational_closure(merged)
-        direct = stq(profile)
-        checked += 1
-        if cbel(direct) != cbel(closed):
-            total_hits += 1
-            if len(kept) < space.violation_cap:
-                kept.append({
-                    "instance": encode_instance("profile2", (profile,), lang),
-                    "operators": {"strategy": "stq"},
-                    "detail": {"aggregated": direct, "closure_of_intersection": closed},
-                })
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckReport(
-        postulate="rc-identity",
-        space=space.describe(),
-        checked=checked,
-        violations=[{**w, "detail": render_value(w["detail"], lang)} for w in kept],
-        seed=space.seed,
-        elapsed_ms=round(elapsed, 3),
-        expected="sound",
-        total_hits=total_hits,
-    )
+    conditional beliefs: the two routes must land on the same preorder."""
+    return check(RC_IDENTITY.id, space)
 
 
 def replay_witness(postulate_id: str, witness: dict, atoms: int) -> list:

@@ -266,6 +266,8 @@ class InstanceSpace:
                 raise SpaceError("sampled spaces need an explicit seed for reproducibility")
         if self.max_set_size < 1:
             raise SpaceError("max_set_size must be at least 1")
+        if self.violation_cap < 0:
+            raise SpaceError("violation_cap must be at least 0")
 
     @property
     def lang(self) -> Language:

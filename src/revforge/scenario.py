@@ -163,6 +163,9 @@ class Scenario:
                 raise
             except Exception as exc:
                 raise ScenarioError(f"initial: {exc}") from exc
+            _expect(start.num_worlds == lang.num_worlds, "initial",
+                    f"the order places {start.num_worlds} worlds, "
+                    f"the language has {lang.num_worlds}")
 
         ops = data.get("operators", {})
         _expect(isinstance(ops, dict), "operators", "must be an object")

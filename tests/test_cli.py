@@ -54,6 +54,13 @@ def test_run_missing_file(capsys):
     assert "error: cannot read" in capsys.readouterr().err
 
 
+def test_run_file_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.scenario"
+    p.write_bytes(b'{"version": 1, "atoms": ["\xe9"]}')
+    assert main(["run", str(p)]) == 2
+    assert "error: cannot read" in capsys.readouterr().err
+
+
 def test_run_invalid_json_file(tmp_path, capsys):
     p = tmp_path / "broken.scenario"
     p.write_text("{ nope", encoding="utf-8")

@@ -11,12 +11,12 @@ from revforge import (CATALOG, Aggregator, CheckContext, CheckReport,
                       EQUIVALENCE_PAIRS, InconsistentInputError, InstanceSpace,
                       Language, NATURAL_CONTRACT, OperatorConfig,
                       ParallelContractionOperator, ParallelRevisionOperator,
-                      SerialRevisionOperator, SpaceError, TPO,
+                      REVISION_OPERATORS, SerialRevisionOperator, SpaceError, TPO,
                       UnknownPostulateError, check, check_equivalence_pair,
                       default_parallel_revision, find_countermodel,
                       get_revision_operator, make_strategy, replay_witness,
                       verify_rc_identity)
-from revforge.postulates import (all_propositions, enumerate_tpos,
+from revforge.postulates import (all_propositions, catalog, enumerate_tpos,
                                  formula_set_tuples, random_tpo)
 from revforge.postulates.catalog import SYNTACTIC_FORMS
 from revforge.postulates.engine import render_value
@@ -128,6 +128,8 @@ def test_instance_space_validation():
         InstanceSpace(atoms=5, mode="sampled", sample_count=10, seed=1)
     with pytest.raises(SpaceError):
         InstanceSpace(atoms=2, mode="guess")
+    with pytest.raises(SpaceError):
+        InstanceSpace(atoms=2, violation_cap=-3)
 
 
 def test_instance_space_describe():
@@ -168,9 +170,10 @@ def test_clean_sweep_report_fields():
     assert report.violations == [] and report.total_hits == 0
     assert report.kind == "universal" and report.expected == "sound"
     assert report.matches_expected()
-    payload = report.to_json_dict()
-    assert list(payload) == ["postulate", "space", "checked", "violations",
-                             "seed", "elapsed_ms"]
+    tiny = InstanceSpace(atoms=1)
+    for each in (report, check_equivalence_pair("PC3", "PC3-b", tiny), verify_rc_identity(tiny)):
+        assert list(each.to_json_dict()) == ["postulate", "space", "checked", "violations",
+                                             "seed", "elapsed_ms"]
     json.loads(report.to_json())  # serializes cleanly
     assert "CR1" in report.summary_line()
 
@@ -323,6 +326,59 @@ def test_rc_identity_runs_and_holds_small():
     assert report.holds
     assert report.checked == 75 * 75
     assert report.postulate == "rc-identity"
+
+
+# Under a base operator that reverses the prior, the four pairs below
+# disagree on this many of the 7,125 exhaustive 2-atom pset instances.
+REVERSE_BASE_DISAGREEMENTS = {"C-star-1": 0, "C-star-2": 0, "C-star-3": 4066,
+                              "C-star-4": 4616, "PC3": 922, "PC4": 956}
+
+
+@pytest.fixture
+def reverse_base(monkeypatch):
+    op = SerialRevisionOperator("reverse", lambda t, sat: TPO(tuple(reversed(t.blocks))))
+    monkeypatch.setitem(REVISION_OPERATORS, "reverse", op)  # witnesses replay it by name
+    return OperatorConfig(base="reverse")
+
+
+def test_disagreeing_pairs_report_and_replay(reverse_base):
+    space = InstanceSpace(atoms=2, operators=reverse_base, violation_cap=3)
+    ctx = CheckContext.from_space(space)
+    for semantic, syntactic in sorted(EQUIVALENCE_PAIRS.items()):
+        report = check_equivalence_pair(semantic, syntactic, space, ctx=ctx)
+        assert report.checked == 7125
+        assert report.total_hits == REVERSE_BASE_DISAGREEMENTS[semantic]
+        assert report.holds == (report.total_hits == 0)
+        assert len(report.violations) == min(3, report.total_hits)
+        first = check(f"{semantic}-pair", space, first=True, ctx=ctx)
+        assert len(first.violations) == min(1, report.total_hits)
+        assert first.violations == report.violations[:1]
+        for witness in report.violations:
+            assert list(witness) == ["instance", "operators", "detail"]
+            assert witness["operators"] == reverse_base.describe()
+            detail = witness["detail"]
+            assert list(detail) == ["semantic_holds", "syntactic_holds"]
+            assert detail["semantic_holds"] != detail["syntactic_holds"]
+            replayed = replay_witness(f"{semantic}-pair", json.loads(json.dumps(witness)), atoms=2)
+            assert replayed == [detail]
+
+
+def test_rc_identity_witnesses_record_stq_and_replay(lang2, monkeypatch):
+    profile = (tpo({0}, {1, 2, 3}), tpo({3}, {0, 1, 2}))
+    witness = {"instance": encode_instance("profile2", (profile,), lang2),
+               "operators": {"strategy": "stq"}}
+    assert replay_witness("rc-identity", witness, atoms=2) == []
+    # with a broken synchronous aggregator the identity fails; witnesses
+    # name the strategy the identity uses, not the space's
+    monkeypatch.setattr(catalog, "stq", lambda p: TPO(tuple(reversed(p[0].blocks))))
+    space = InstanceSpace(atoms=2, operators=OperatorConfig(strategy="round-robin"),
+                          violation_cap=2)
+    report = verify_rc_identity(space)
+    assert report.total_hits > 2 and len(report.violations) == 2
+    for bad in report.violations:
+        assert bad["operators"] == {"strategy": "stq"}
+        assert list(bad["detail"]) == ["aggregated", "closure_of_intersection"]
+        assert replay_witness("rc-identity", bad, atoms=2) == [bad["detail"]]
 
 
 def test_default_seed_value():

@@ -212,6 +212,7 @@ def test_compare_query_all_three_relations():
         ({"initial_queries": 3}, "scenario: 'initial_queries' must be a list"),
         ({"steps": [{"op": "serial-revise", "sentence": "A", "queries": 3}]},
          "steps[0]: 'queries' must be a list"),
+        ({"initial": [["00"], ["01"]]}, "initial: the order places 2 worlds"),
     ],
 )
 def test_invalid_documents_are_rejected(mutation, fragment):
