@@ -4,10 +4,12 @@ Aggregation consumes a profile of TPOs over the same worlds and emits a
 single TPO.  It runs in rounds: at round i a selection strategy picks a
 non-empty team of profile positions, and the round's output block is the
 union, over the team, of each member's most plausible still-unplaced
-worlds.  Rounds continue until every world is placed.  Because every
-member ranks every world, a round with worlds remaining always yields a
-non-empty block; should a strategy-supplied team ever produce an empty
-one anyway, the round is skipped and emits no block.
+worlds.  Rounds work on world masks: the unplaced worlds are one
+``remaining`` mask, and each member contributes its ``min_mask`` of it.
+Rounds continue until every world is placed.  Because every member ranks
+every world, a round with worlds remaining always yields a non-empty
+block; should a strategy-supplied team ever produce an empty one anyway,
+the round is skipped and emits no block.
 
 The synchronous strategy (``stq``) picks the whole profile every round.
 ``round-robin`` cycles through single positions.  ``first-then-full``
@@ -75,24 +77,26 @@ class Aggregator:
         """Run the round-by-round team construction over ``profile``."""
         profile = validate_profile(profile)
         n = len(profile)
-        remaining = set(range(profile[0].num_worlds))
-        blocks: list[frozenset[int]] = []
+        positions = frozenset(range(n))
+        num_worlds = profile[0].num_worlds
+        remaining = (1 << num_worlds) - 1
+        blocks: list[int] = []
         round_no = 0
         while remaining:
             round_no += 1
             team = self.strategy.team(n, round_no)
-            if not team or not team <= frozenset(range(n)):
+            if not team or not team <= positions:
                 raise PartitionError(
                     f"strategy {self.strategy.name!r} selected invalid team {sorted(team)} "
                     f"at round {round_no} for a profile of size {n}")
-            block: frozenset[int] = frozenset()
+            block = 0
             for j in team:
-                block |= profile[j].min_of(remaining)
+                block |= profile[j].min_mask(remaining)
             if not block:
                 continue
             blocks.append(block)
-            remaining -= block
-        return TPO(tuple(blocks))
+            remaining &= ~block
+        return TPO._from_masks(tuple(blocks), num_worlds)
 
     @property
     def name(self) -> str:

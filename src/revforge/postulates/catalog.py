@@ -421,21 +421,24 @@ def _cs4(ctx, t, s):
     return _kept_below(t, ctx.previse(t, s), target, ctx.full - target, weak=True)
 
 
-def _sat_profile(s: tuple[frozenset[int], ...], world: int) -> frozenset[int]:
-    return frozenset(i for i, member in enumerate(s) if world in member)
+def _sat_profiles(s: tuple[frozenset[int], ...], num_worlds: int) -> list[int]:
+    """Per world, the mask of the member indices it satisfies."""
+    profiles = [0] * num_worlds
+    for i, member in enumerate(s):
+        for world in member:
+            profiles[world] |= 1 << i
+    return profiles
 
 
 @_register("PC3", "pset",
            "strictness survives when the lower world satisfies at least as much of the set")
 def _pc3(ctx, t, s):
     t2 = ctx.previse(t, s)
+    profiles = _sat_profiles(s, t.num_worlds)
     hits = []
-    for x in range(t.num_worlds):
-        sat_x = _sat_profile(s, x)
-        for y in range(t.num_worlds):
-            if x == y:
-                continue
-            if _sat_profile(s, y) <= sat_x and t.strictly_below(x, y) \
+    for x, sat_x in enumerate(profiles):
+        for y, sat_y in enumerate(profiles):
+            if x != y and not sat_y & ~sat_x and t.strictly_below(x, y) \
                     and not t2.strictly_below(x, y):
                 hits.append({"x": x, "y": y, "prior": "<", "posterior": _sym(t2.compare(x, y))})
     return hits
@@ -445,13 +448,11 @@ def _pc3(ctx, t, s):
            "weak order survives when the lower world satisfies at least as much of the set")
 def _pc4(ctx, t, s):
     t2 = ctx.previse(t, s)
+    profiles = _sat_profiles(s, t.num_worlds)
     hits = []
-    for x in range(t.num_worlds):
-        sat_x = _sat_profile(s, x)
-        for y in range(t.num_worlds):
-            if x == y:
-                continue
-            if _sat_profile(s, y) <= sat_x and t.weakly_below(x, y) \
+    for x, sat_x in enumerate(profiles):
+        for y, sat_y in enumerate(profiles):
+            if x != y and not sat_y & ~sat_x and t.weakly_below(x, y) \
                     and not t2.weakly_below(x, y):
                 hits.append({"x": x, "y": y, "prior": "<=", "posterior": ">"})
     return hits

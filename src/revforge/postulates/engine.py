@@ -242,9 +242,12 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
             if first:
                 break
     elapsed = (time.perf_counter() - start) * 1000.0
+    described = space.describe()
+    # roles the evaluator fixes ran with those operators, not the space's
+    described["operators"].update(postulate.operators)
     return CheckReport(
         postulate=postulate.id,
-        space=space.describe(),
+        space=described,
         checked=checked,
         violations=kept,
         seed=space.seed,

@@ -38,7 +38,7 @@ from ..serial import (
     get_contraction_operator,
     get_revision_operator,
 )
-from ..tpo import TPO
+from ..tpo import TPO, worlds_of
 
 DEFAULT_SEED = 1729
 MAX_ENUM_WORLDS = 8
@@ -54,25 +54,26 @@ def enumerate_tpos(num_worlds: int) -> Iterator[TPO]:
     if not 1 <= num_worlds <= MAX_ENUM_WORLDS:
         raise SpaceError(f"exhaustive enumeration supports 1..{MAX_ENUM_WORLDS} worlds")
 
-    def partitions(unplaced: tuple[int, ...]) -> Iterator[tuple[frozenset[int], ...]]:
+    def partitions(unplaced: int) -> Iterator[tuple[int, ...]]:
         if not unplaced:
             yield ()
             return
-        for mask in range(1, 1 << len(unplaced)):
-            block = frozenset(unplaced[i] for i in range(len(unplaced)) if (mask >> i) & 1)
-            rest = tuple(w for w in unplaced if w not in block)
-            for tail in partitions(rest):
+        block = 0
+        while True:
+            # the next submask of ``unplaced`` in ascending order
+            block = ((block | ~unplaced) + 1) & unplaced
+            if not block:
+                return
+            for tail in partitions(unplaced & ~block):
                 yield (block,) + tail
 
-    for blocks in partitions(tuple(range(num_worlds))):
-        yield TPO(blocks)
+    for masks in partitions((1 << num_worlds) - 1):
+        yield TPO._from_masks(masks, num_worlds)
 
 
 def all_propositions(num_worlds: int) -> tuple[frozenset[int], ...]:
     """Every consistent proposition, in ascending bitmask order."""
-    return tuple(
-        frozenset(w for w in range(num_worlds) if (mask >> w) & 1)
-        for mask in range(1, 1 << num_worlds))
+    return tuple(worlds_of(mask) for mask in range(1, 1 << num_worlds))
 
 
 def formula_set_tuples(props: Sequence[frozenset[int]], max_size: int,
@@ -89,18 +90,17 @@ def random_tpo(rng: random.Random, num_worlds: int) -> TPO:
     """A seeded pseudo-random TPO; coverage-oriented, not uniform."""
     worlds = list(range(num_worlds))
     rng.shuffle(worlds)
-    blocks: list[set[int]] = [{worlds[0]}]
+    masks = [1 << worlds[0]]
     for world in worlds[1:]:
         if rng.random() < 0.5:
-            blocks.append({world})
+            masks.append(1 << world)
         else:
-            blocks[-1].add(world)
-    return TPO(tuple(frozenset(b) for b in blocks))
+            masks[-1] |= 1 << world
+    return TPO._from_masks(tuple(masks), num_worlds)
 
 
 def _random_proposition(rng: random.Random, num_worlds: int) -> frozenset[int]:
-    mask = rng.randrange(1, 1 << num_worlds)
-    return frozenset(w for w in range(num_worlds) if (mask >> w) & 1)
+    return worlds_of(rng.randrange(1, 1 << num_worlds))
 
 
 def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,

@@ -2,10 +2,12 @@
 
 Each operator maps a TPO and one input proposition to a new TPO over the
 same worlds.  The core transforms take the input's set of models
-directly; ``apply`` is a convenience wrapper that takes a formula.  All
-three revision operators put the most plausible input-worlds at the
-bottom (so the revised beliefs are exactly those worlds) and differ in
-how they rearrange everything else:
+directly, as a frozenset that each converts to a world mask once, and
+build the result from the prior's block masks; ``apply`` is a
+convenience wrapper that takes a formula.  All three revision operators
+put the most plausible input-worlds at the bottom (so the revised
+beliefs are exactly those worlds) and differ in how they rearrange
+everything else:
 
 * natural: moves ``min(t, [a])`` down, leaves every other comparison alone.
 * lexicographic: drops all a-worlds below all non-a-worlds, preserving
@@ -30,45 +32,47 @@ from typing import Callable
 
 from .errors import InconsistentInputError, lookup
 from .logic import Formula, Language, models
-from .tpo import TPO
+from .tpo import TPO, mask_of
 
 
-def _require_consistent(sat: frozenset[int]) -> None:
-    if not sat:
+def _consistent_mask(t: TPO, sat: frozenset[int]) -> int:
+    mask = mask_of(sat, t.num_worlds)
+    if not mask:
         raise InconsistentInputError("cannot revise by an inconsistent input (no models)")
+    return mask
 
 
 def natural_revise(t: TPO, sat: frozenset[int]) -> TPO:
     """New bottom block ``min(t, sat)``; the rest keeps its relative order."""
-    _require_consistent(sat)
-    promoted = t.min_of(sat)
-    blocks = [promoted]
-    for block in t.blocks:
-        rest = block - promoted
+    promoted = t.min_mask(_consistent_mask(t, sat))
+    masks = [promoted]
+    for block in t.masks:
+        rest = block & ~promoted
         if rest:
-            blocks.append(rest)
-    return TPO(tuple(blocks))
+            masks.append(rest)
+    return TPO._from_masks(tuple(masks), t.num_worlds)
 
 
 def lex_revise(t: TPO, sat: frozenset[int]) -> TPO:
     """All sat-worlds below all others, prior order kept within each side."""
-    _require_consistent(sat)
-    width = t.num_blocks + 1
-    return TPO.from_ranks(
-        [t.rank(w) + (0 if w in sat else width) for w in range(t.num_worlds)])
+    mask = _consistent_mask(t, sat)
+    inside = [block & mask for block in t.masks]
+    outside = [block & ~mask for block in t.masks]
+    return TPO._from_masks(tuple(block for block in inside + outside if block), t.num_worlds)
 
 
 def restrained_revise(t: TPO, sat: frozenset[int]) -> TPO:
     """``min(t, sat)`` to the bottom; prior strict comparisons survive,
     and within surviving ties sat-worlds come first."""
-    _require_consistent(sat)
-    promoted = t.min_of(sat)
-    keys = {}
-    for w in range(t.num_worlds):
-        keys[w] = (0, 0, 0) if w in promoted else (1, t.rank(w), 0 if w in sat else 1)
-    levels = sorted(set(keys.values()))
-    level_index = {key: i for i, key in enumerate(levels)}
-    return TPO.from_ranks([level_index[keys[w]] for w in range(t.num_worlds)])
+    mask = _consistent_mask(t, sat)
+    promoted = t.min_mask(mask)
+    masks = [promoted]
+    for block in t.masks:
+        rest = block & ~promoted
+        for part in (rest & mask, rest & ~mask):
+            if part:
+                masks.append(part)
+    return TPO._from_masks(tuple(masks), t.num_worlds)
 
 
 def natural_contract(t: TPO, sat: frozenset[int]) -> TPO:
@@ -81,15 +85,14 @@ def natural_contract(t: TPO, sat: frozenset[int]) -> TPO:
     everything, so their minimum is the bottom block already) both leave
     the preorder unchanged.
     """
-    complement = frozenset(range(t.num_worlds)) - sat
-    demoted = t.min_of(complement)
-    bottom = t.blocks[0] | demoted
-    blocks = [bottom]
-    for block in t.blocks:
-        rest = block - bottom
+    full = (1 << t.num_worlds) - 1
+    bottom = t.masks[0] | t.min_mask(full & ~mask_of(sat, t.num_worlds))
+    masks = [bottom]
+    for block in t.masks[1:]:
+        rest = block & ~bottom
         if rest:
-            blocks.append(rest)
-    return TPO(tuple(blocks))
+            masks.append(rest)
+    return TPO._from_masks(tuple(masks), t.num_worlds)
 
 
 @dataclass(frozen=True)

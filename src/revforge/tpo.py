@@ -6,11 +6,22 @@ most plausible worlds (rank 1), and a world is weakly below another when
 its rank is no larger.  The bottom block is the set of belief worlds,
 i.e. the models of everything believed outright.
 
+Inside the package a set of worlds is an ``int`` mask with bit w set for
+world w.  A ``TPO`` stores its blocks as the tuple ``masks``, and
+``min_mask`` is the first non-zero ``block & mask``.  Frozensets stay at
+the edge: the frozenset ``blocks`` and the per-world ``ranks`` are built
+from the masks on first use and then kept, and ``min_of`` and the
+operators' ``sat`` arguments take frozensets, converted once by
+``mask_of``, which rejects worlds outside the order with
+``PartitionError``.  Equality and the hash, computed once, use the masks.
+``TPO(blocks)`` validates its argument; orders that operators build are
+valid by construction and skip the check through ``TPO._from_masks``.
+
 A ``ConditionalSet`` captures the conditional beliefs a TPO supports: it
 accepts the pair (antecedent X, consequent Y) exactly when the most
 plausible X-worlds all lie in Y.  Internally it stores, for every
-antecedent, the strongest accepted consequent, which doubles as a choice
-function.  Conditional sets of TPOs are closed under intersection, and
+antecedent mask, the mask of the strongest accepted consequent, which
+doubles as a choice function.  Conditional sets of TPOs are closed under intersection, and
 ``rational_closure`` maps any such intersection back to the unique least
 committal TPO that supports it, by iteratively peeling off the worlds
 that materially satisfy every conditional still in play.
@@ -18,7 +29,6 @@ that materially satisfy every conditional still in play.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PartitionError, SpaceError, UnsatisfiableConditionalsError
@@ -26,85 +36,167 @@ from .logic import Language
 
 MAX_CONDITIONAL_WORLDS = 8
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+def worlds_of(mask: int) -> frozenset[int]:
+    """The worlds whose bits are set in ``mask``."""
+    worlds = []
+    while mask:
+        low = mask & -mask
+        worlds.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(worlds)
+
+
+def mask_of(worlds: Iterable[int], num_worlds: int) -> int:
+    """``worlds`` as a mask; PartitionError unless all lie in ``range(num_worlds)``."""
+    mask = 0
+    for world in worlds:
+        try:
+            mask |= 1 << world
+        except (TypeError, ValueError):
+            raise PartitionError(f"world {world!r} is not in range({num_worlds})") from None
+    if mask >> num_worlds:
+        outside = sorted(worlds_of(mask >> num_worlds << num_worlds))
+        raise PartitionError(f"worlds {outside} are not in range({num_worlds})")
+    return mask
+
+
 class TPO:
-    """An ordered partition of ``range(num_worlds)``; block 0 is lowest."""
+    """An ordered partition of ``range(num_worlds)``; block 0 is lowest.
 
-    blocks: tuple[frozenset[int], ...]
+    ``masks[i]`` is block i as a world mask.  ``blocks`` (frozensets) and
+    ``ranks`` (1-based block index per world) are derived on first use.
+    Equality and hashing look at ``masks`` only.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        if not self.blocks:
+    __slots__ = ("masks", "num_worlds", "blocks", "ranks", "_hash")
+
+    def __init__(self, blocks: Iterable[Iterable[int]]):
+        blocks = tuple(frozenset(b) for b in blocks)
+        if not blocks:
             raise PartitionError("a total preorder needs at least one block")
-        blocks = tuple(frozenset(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        count = 0
-        seen: set[int] = set()
+        count = sum(map(len, blocks))
+        masks = []
+        seen = 0
         for block in blocks:
             if not block:
                 raise PartitionError("blocks must be non-empty")
-            if block & seen:
-                raise PartitionError(f"blocks overlap on {sorted(block & seen)}")
-            seen |= block
-            count += len(block)
-        if seen != set(range(count)):
-            raise PartitionError(f"blocks must cover range({count}) exactly, got {sorted(seen)}")
-        ranks = [0] * count
-        for depth, block in enumerate(blocks, start=1):
-            for world in block:
-                ranks[world] = depth
-        object.__setattr__(self, "_ranks", tuple(ranks))
+            try:
+                mask = mask_of(block, count)
+            except PartitionError as exc:
+                raise PartitionError(f"blocks must cover range({count}) exactly: {exc}") from None
+            if mask & seen:
+                raise PartitionError(f"blocks overlap on {sorted(worlds_of(mask & seen))}")
+            seen |= mask
+            masks.append(mask)
+        # disjoint blocks of ``count`` worlds, all in range(count), cover it
+        masks = tuple(masks)
+        _set(self, "masks", masks)
+        _set(self, "num_worlds", count)
+        _set(self, "_hash", hash(masks))
+        _set(self, "blocks", blocks)
+
+    @classmethod
+    def _from_masks(cls, masks: tuple[int, ...], num_worlds: int) -> "TPO":
+        """The order with block masks ``masks``, which must partition
+        ``range(num_worlds)``; only emptiness is checked."""
+        if not masks:
+            raise PartitionError("a total preorder needs at least one block")
+        t = object.__new__(cls)
+        _set(t, "masks", masks)
+        _set(t, "num_worlds", num_worlds)
+        _set(t, "_hash", hash(masks))
+        return t
+
+    def __getattr__(self, name: str):
+        # fills the derived slots ``blocks`` and ``ranks`` on first use
+        if name == "blocks":
+            value = tuple(worlds_of(mask) for mask in self.masks)
+        elif name == "ranks":
+            ranks = [0] * self.num_worlds
+            for depth, mask in enumerate(self.masks, start=1):
+                while mask:
+                    low = mask & -mask
+                    ranks[low.bit_length() - 1] = depth
+                    mask ^= low
+            value = tuple(ranks)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        _set(self, name, value)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TPO is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TPO is immutable")
+
+    def __reduce__(self):
+        return (TPO, (self.blocks,))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TPO):
+            return self.masks == other.masks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "TPO":
-        return cls(tuple(frozenset(b) for b in blocks))
+        return cls(blocks)
 
     @classmethod
     def uniform(cls, num_worlds: int) -> "TPO":
         """The single-block preorder: every world equally plausible."""
-        return cls((frozenset(range(num_worlds)),))
+        if num_worlds < 1:
+            raise PartitionError("a total preorder needs at least one world")
+        return cls._from_masks(((1 << num_worlds) - 1,), num_worlds)
 
     @classmethod
     def from_ranks(cls, ranks: Sequence[int]) -> "TPO":
         """Build from any per-world keys; equal keys share a block."""
-        levels = sorted(set(ranks))
-        return cls(tuple(frozenset(w for w, r in enumerate(ranks) if r == level) for level in levels))
-
-    @property
-    def num_worlds(self) -> int:
-        return len(self._ranks)
+        index = {level: i for i, level in enumerate(sorted(set(ranks)))}
+        masks = [0] * len(index)
+        for world, level in enumerate(ranks):
+            masks[index[level]] |= 1 << world
+        return cls._from_masks(tuple(masks), len(ranks))
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.masks)
 
     def rank(self, world: int) -> int:
         """1-based block index of ``world``; smaller is more plausible."""
-        return self._ranks[world]
+        return self.ranks[world]
 
     def compare(self, x: int, y: int) -> int:
         """Negative if x is strictly more plausible than y, 0 if tied."""
-        return self._ranks[x] - self._ranks[y]
+        ranks = self.ranks
+        return ranks[x] - ranks[y]
 
     def weakly_below(self, x: int, y: int) -> bool:
-        return self._ranks[x] <= self._ranks[y]
+        ranks = self.ranks
+        return ranks[x] <= ranks[y]
 
     def strictly_below(self, x: int, y: int) -> bool:
-        return self._ranks[x] < self._ranks[y]
+        ranks = self.ranks
+        return ranks[x] < ranks[y]
+
+    def min_mask(self, mask: int) -> int:
+        """The most plausible worlds of ``mask``: its first non-empty
+        intersection with a block; 0 iff ``mask`` is."""
+        for block in self.masks:
+            hit = block & mask
+            if hit:
+                return hit
+        return 0
 
     def min_of(self, worlds: Iterable[int]) -> frozenset[int]:
         """The most plausible worlds among ``worlds``; empty iff input is."""
-        best_rank = 0
-        best: list[int] = []
-        ranks = self._ranks
-        for world in worlds:
-            rank = ranks[world]
-            if not best or rank < best_rank:
-                best_rank = rank
-                best = [world]
-            elif rank == best_rank:
-                best.append(world)
-        return frozenset(best)
+        return worlds_of(self.min_mask(mask_of(worlds, self.num_worlds)))
 
     def belief_worlds(self) -> frozenset[int]:
         """The bottom block: models of the outright beliefs."""
@@ -149,12 +241,20 @@ class ConditionalSet:
     ``table`` maps every antecedent (as a frozenset of worlds) to the
     strongest accepted consequent; the pair (X, Y) is accepted exactly
     when ``table[X] <= Y``.  The empty antecedent maps to the empty set,
-    so it accepts every consequent.
+    so it accepts every consequent.  The table is kept with world masks
+    for keys and values.
     """
 
     def __init__(self, num_worlds: int, table: Mapping[frozenset[int], frozenset[int]]):
         self.num_worlds = num_worlds
-        self._table = dict(table)
+        self._table = {mask_of(x, num_worlds): mask_of(y, num_worlds) for x, y in table.items()}
+
+    @classmethod
+    def _from_masks(cls, num_worlds: int, table: dict[int, int]) -> "ConditionalSet":
+        c = object.__new__(cls)
+        c.num_worlds = num_worlds
+        c._table = table
+        return c
 
     @classmethod
     def from_tpo(cls, t: TPO) -> "ConditionalSet":
@@ -162,21 +262,18 @@ class ConditionalSet:
             raise SpaceError(
                 f"conditional tables materialize all antecedents; "
                 f"supported up to {MAX_CONDITIONAL_WORLDS} worlds, got {t.num_worlds}")
-        n = t.num_worlds
-        table = {}
-        for mask in range(1 << n):
-            antecedent = frozenset(w for w in range(n) if (mask >> w) & 1)
-            table[antecedent] = t.min_of(antecedent)
-        return cls(n, table)
+        return cls._from_masks(
+            t.num_worlds, {mask: t.min_mask(mask) for mask in range(1 << t.num_worlds)})
 
     def accepts(self, antecedent: frozenset[int], consequent: frozenset[int]) -> bool:
-        return self._table[frozenset(antecedent)] <= frozenset(consequent)
+        n = self.num_worlds
+        return not self._table[mask_of(antecedent, n)] & ~mask_of(consequent, n)
 
     def strongest(self, antecedent: frozenset[int]) -> frozenset[int]:
-        return self._table[frozenset(antecedent)]
+        return worlds_of(self._table[mask_of(antecedent, self.num_worlds)])
 
     def antecedents(self) -> Iterable[frozenset[int]]:
-        return self._table.keys()
+        return [worlds_of(mask) for mask in self._table]
 
     def intersect(self, other: "ConditionalSet") -> "ConditionalSet":
         """Conditionals accepted by both sides.
@@ -186,9 +283,9 @@ class ConditionalSet:
         """
         if other.num_worlds != self.num_worlds:
             raise PartitionError("conditional sets must share the same worlds")
-        return ConditionalSet(
-            self.num_worlds,
-            {x: self._table[x] | other._table[x] for x in self._table})
+        theirs = other._table
+        return ConditionalSet._from_masks(
+            self.num_worlds, {x: y | theirs[x] for x, y in self._table.items()})
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ConditionalSet)
@@ -199,8 +296,7 @@ class ConditionalSet:
         return hash((self.num_worlds, frozenset(self._table.items())))
 
     def __repr__(self) -> str:
-        pairs = sum(1 for x in self._table)
-        return f"ConditionalSet({self.num_worlds} worlds, {pairs} antecedents)"
+        return f"ConditionalSet({self.num_worlds} worlds, {len(self._table)} antecedents)"
 
 
 def conditional_set(t: TPO) -> ConditionalSet:
@@ -223,28 +319,25 @@ def rational_closure(conditionals: ConditionalSet) -> TPO:
     Level by level, collect the worlds that materially satisfy every
     conditional whose antecedent avoids all lower levels; a world x
     materially satisfies (X, Y) when x is outside X or inside Y.  Checking
-    only the strongest consequent per antecedent suffices.  If some round
-    strands worlds that satisfy nothing, no TPO supports the input.
+    only the strongest consequent per antecedent suffices, so a level is
+    what remains outside every live ``X - Y``.  If some round strands
+    worlds that satisfy nothing, no TPO supports the input.
     """
     n = conditionals.num_worlds
-    by_world: list[list[tuple[frozenset[int], frozenset[int]]]] = [[] for _ in range(n)]
-    for antecedent in conditionals.antecedents():
-        consequent = conditionals.strongest(antecedent)
-        for world in antecedent:
-            by_world[world].append((antecedent, consequent))
-    remaining = set(range(n))
-    settled: set[int] = set()
-    blocks: list[frozenset[int]] = []
+    # (antecedent, its worlds that break the conditional), for those with any
+    live = [(x, x & ~y) for x, y in conditionals._table.items() if x & ~y]
+    remaining = (1 << n) - 1
+    masks: list[int] = []
     while remaining:
-        level = frozenset(
-            world for world in remaining
-            if all(world in consequent
-                   for antecedent, consequent in by_world[world]
-                   if not (antecedent & settled)))
+        broken = 0
+        for _, breaking in live:
+            broken |= breaking
+        level = remaining & ~broken
         if not level:
             raise UnsatisfiableConditionalsError(
-                f"no total preorder supports these conditionals; stuck on worlds {sorted(remaining)}")
-        blocks.append(level)
-        settled |= level
-        remaining -= level
-    return TPO(tuple(blocks))
+                f"no total preorder supports these conditionals; "
+                f"stuck on worlds {sorted(worlds_of(remaining))}")
+        masks.append(level)
+        remaining &= ~level
+        live = [(x, breaking) for x, breaking in live if not x & level]
+    return TPO._from_masks(tuple(masks), n)

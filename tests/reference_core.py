@@ -1,0 +1,255 @@
+"""The frozenset core that the bitmask core replaced, kept as a test oracle.
+
+This is the earlier implementation of ``TPO``, the serial operators,
+TeamQueue aggregation, conditional tables and rational closure, which
+stored every world set as a frozenset and re-validated every order it
+built.  ``test_core_differential.py`` checks that the shipped core
+computes the same orders on every exhaustive two-atom instance and on a
+seeded three-atom sample.  Nothing outside the tests imports it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
+
+from revforge.aggregation import SelectionStrategy
+from revforge.errors import (InconsistentInputError, PartitionError,
+                             UnsatisfiableConditionalsError)
+
+
+@dataclass(frozen=True)
+class TPO:
+    """An ordered partition of ``range(num_worlds)``; block 0 is lowest."""
+
+    blocks: tuple[frozenset[int], ...]
+
+    def __post_init__(self):
+        if not self.blocks:
+            raise PartitionError("a total preorder needs at least one block")
+        blocks = tuple(frozenset(b) for b in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        count = 0
+        seen: set[int] = set()
+        for block in blocks:
+            if not block:
+                raise PartitionError("blocks must be non-empty")
+            if block & seen:
+                raise PartitionError(f"blocks overlap on {sorted(block & seen)}")
+            seen |= block
+            count += len(block)
+        if seen != set(range(count)):
+            raise PartitionError(f"blocks must cover range({count}) exactly, got {sorted(seen)}")
+        ranks = [0] * count
+        for depth, block in enumerate(blocks, start=1):
+            for world in block:
+                ranks[world] = depth
+        object.__setattr__(self, "_ranks", tuple(ranks))
+
+    @classmethod
+    def from_ranks(cls, ranks: Sequence[int]) -> "TPO":
+        """Build from any per-world keys; equal keys share a block."""
+        levels = sorted(set(ranks))
+        return cls(tuple(frozenset(w for w, r in enumerate(ranks) if r == level) for level in levels))
+
+    @property
+    def num_worlds(self) -> int:
+        return len(self._ranks)
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.blocks)
+
+    def rank(self, world: int) -> int:
+        """1-based block index of ``world``; smaller is more plausible."""
+        return self._ranks[world]
+
+    def compare(self, x: int, y: int) -> int:
+        """Negative if x is strictly more plausible than y, 0 if tied."""
+        return self._ranks[x] - self._ranks[y]
+
+    def weakly_below(self, x: int, y: int) -> bool:
+        return self._ranks[x] <= self._ranks[y]
+
+    def strictly_below(self, x: int, y: int) -> bool:
+        return self._ranks[x] < self._ranks[y]
+
+    def min_of(self, worlds: Iterable[int]) -> frozenset[int]:
+        """The most plausible worlds among ``worlds``; empty iff input is."""
+        best_rank = 0
+        best: list[int] = []
+        ranks = self._ranks
+        for world in worlds:
+            rank = ranks[world]
+            if not best or rank < best_rank:
+                best_rank = rank
+                best = [world]
+            elif rank == best_rank:
+                best.append(world)
+        return frozenset(best)
+
+    def belief_worlds(self) -> frozenset[int]:
+        """The bottom block: models of the outright beliefs."""
+        return self.blocks[0]
+
+
+def validate_profile(profile: Sequence[TPO]) -> tuple[TPO, ...]:
+    profile = tuple(profile)
+    if not profile:
+        raise PartitionError("a profile needs at least one preorder")
+    width = profile[0].num_worlds
+    for t in profile[1:]:
+        if t.num_worlds != width:
+            raise PartitionError("profile members must share the same worlds")
+    return profile
+
+
+def _require_consistent(sat: frozenset[int]) -> None:
+    if not sat:
+        raise InconsistentInputError("cannot revise by an inconsistent input (no models)")
+
+
+def natural_revise(t: TPO, sat: frozenset[int]) -> TPO:
+    """New bottom block ``min(t, sat)``; the rest keeps its relative order."""
+    _require_consistent(sat)
+    promoted = t.min_of(sat)
+    blocks = [promoted]
+    for block in t.blocks:
+        rest = block - promoted
+        if rest:
+            blocks.append(rest)
+    return TPO(tuple(blocks))
+
+
+def lex_revise(t: TPO, sat: frozenset[int]) -> TPO:
+    """All sat-worlds below all others, prior order kept within each side."""
+    _require_consistent(sat)
+    width = t.num_blocks + 1
+    return TPO.from_ranks(
+        [t.rank(w) + (0 if w in sat else width) for w in range(t.num_worlds)])
+
+
+def restrained_revise(t: TPO, sat: frozenset[int]) -> TPO:
+    """``min(t, sat)`` to the bottom; prior strict comparisons survive,
+    and within surviving ties sat-worlds come first."""
+    _require_consistent(sat)
+    promoted = t.min_of(sat)
+    keys = {}
+    for w in range(t.num_worlds):
+        keys[w] = (0, 0, 0) if w in promoted else (1, t.rank(w), 0 if w in sat else 1)
+    levels = sorted(set(keys.values()))
+    level_index = {key: i for i, key in enumerate(levels)}
+    return TPO.from_ranks([level_index[keys[w]] for w in range(t.num_worlds)])
+
+
+def natural_contract(t: TPO, sat: frozenset[int]) -> TPO:
+    """Merge the most plausible worlds outside ``sat`` into the bottom block.
+
+    ``sat`` is the model set of the retracted input; its most plausible
+    counter-worlds become maximally plausible too, which is exactly what
+    stops the input being believed.  A tautologous input (no
+    counter-worlds) and a contradictory one (whose counter-worlds are
+    everything, so their minimum is the bottom block already) both leave
+    the preorder unchanged.
+    """
+    complement = frozenset(range(t.num_worlds)) - sat
+    demoted = t.min_of(complement)
+    bottom = t.blocks[0] | demoted
+    blocks = [bottom]
+    for block in t.blocks:
+        rest = block - bottom
+        if rest:
+            blocks.append(rest)
+    return TPO(tuple(blocks))
+
+
+REVISIONS = {"natural": natural_revise, "lex": lex_revise, "restrained": restrained_revise}
+
+
+@dataclass(frozen=True)
+class Aggregator:
+    strategy: SelectionStrategy
+
+    def aggregate(self, profile: Sequence[TPO]) -> TPO:
+        """Run the round-by-round team construction over ``profile``."""
+        profile = validate_profile(profile)
+        n = len(profile)
+        remaining = set(range(profile[0].num_worlds))
+        blocks: list[frozenset[int]] = []
+        round_no = 0
+        while remaining:
+            round_no += 1
+            team = self.strategy.team(n, round_no)
+            if not team or not team <= frozenset(range(n)):
+                raise PartitionError(
+                    f"strategy {self.strategy.name!r} selected invalid team {sorted(team)} "
+                    f"at round {round_no} for a profile of size {n}")
+            block: frozenset[int] = frozenset()
+            for j in team:
+                block |= profile[j].min_of(remaining)
+            if not block:
+                continue
+            blocks.append(block)
+            remaining -= block
+        return TPO(tuple(blocks))
+
+
+class ConditionalSet:
+    """Antecedent -> strongest accepted consequent, as frozensets."""
+
+    def __init__(self, num_worlds: int, table: Mapping[frozenset[int], frozenset[int]]):
+        self.num_worlds = num_worlds
+        self._table = dict(table)
+
+    @classmethod
+    def from_tpo(cls, t: TPO) -> "ConditionalSet":
+        n = t.num_worlds
+        table = {}
+        for mask in range(1 << n):
+            antecedent = frozenset(w for w in range(n) if (mask >> w) & 1)
+            table[antecedent] = t.min_of(antecedent)
+        return cls(n, table)
+
+    def strongest(self, antecedent: frozenset[int]) -> frozenset[int]:
+        return self._table[frozenset(antecedent)]
+
+    def antecedents(self) -> Iterable[frozenset[int]]:
+        return self._table.keys()
+
+    def intersect(self, other: "ConditionalSet") -> "ConditionalSet":
+        return ConditionalSet(
+            self.num_worlds,
+            {x: self._table[x] | other._table[x] for x in self._table})
+
+
+def rational_closure(conditionals: ConditionalSet) -> TPO:
+    """The least committal TPO supporting ``conditionals``.
+
+    Level by level, collect the worlds that materially satisfy every
+    conditional whose antecedent avoids all lower levels; a world x
+    materially satisfies (X, Y) when x is outside X or inside Y.  Checking
+    only the strongest consequent per antecedent suffices.  If some round
+    strands worlds that satisfy nothing, no TPO supports the input.
+    """
+    n = conditionals.num_worlds
+    by_world: list[list[tuple[frozenset[int], frozenset[int]]]] = [[] for _ in range(n)]
+    for antecedent in conditionals.antecedents():
+        consequent = conditionals.strongest(antecedent)
+        for world in antecedent:
+            by_world[world].append((antecedent, consequent))
+    remaining = set(range(n))
+    settled: set[int] = set()
+    blocks: list[frozenset[int]] = []
+    while remaining:
+        level = frozenset(
+            world for world in remaining
+            if all(world in consequent
+                   for antecedent, consequent in by_world[world]
+                   if not (antecedent & settled)))
+        if not level:
+            raise UnsatisfiableConditionalsError(
+                f"no total preorder supports these conditionals; stuck on worlds {sorted(remaining)}")
+        blocks.append(level)
+        settled |= level
+        remaining -= level
+    return TPO(tuple(blocks))

@@ -115,6 +115,15 @@ def test_check_rc_identity(capsys):
     assert "rc-identity" in capsys.readouterr().out
 
 
+def test_check_rc_identity_json_names_the_aggregator_that_ran(capsys):
+    assert main(["check", "--id", "rc-identity", "--agg", "round-robin",
+                 "--format", "json"]) == 0
+    operators = json.loads(capsys.readouterr().out)["space"]["operators"]
+    assert operators == {"revision": "natural", "contraction": "natural-contract",
+                         "base": "natural", "finisher": "natural", "strategy": "stq"}
+    assert list(operators) == ["revision", "contraction", "base", "finisher", "strategy"]
+
+
 def test_check_json_format(capsys):
     assert main(["check", "--id", "CR2", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

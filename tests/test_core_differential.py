@@ -1,0 +1,130 @@
+"""The bitmask core against the frozenset core it replaced.
+
+``reference_core`` is the earlier implementation, which kept every world
+set as a frozenset.  The shipped operators must build the same orders,
+compared block by block, on:
+
+* every serial operator over all 75 two-atom priors and every input;
+* every strategy over all 75 x 75 two-atom profiles;
+* the pipeline for all 27 base x finisher x strategy combinations over
+  every exhaustive two-atom ``pset`` instance;
+* contraction over every two-atom ``cset`` family;
+* rational closure of every intersected pair of two-atom tables;
+* a seeded three-atom sample of all of the above.
+
+The reference side is memoized, which is sound because it is pure; the
+shipped side runs the operators unmemoized.
+"""
+
+import itertools
+from functools import lru_cache
+
+import pytest
+
+import reference_core as ref
+from revforge import (NATURAL_CONTRACT, REVISION_OPERATORS, STRATEGIES, Aggregator,
+                      InstanceSpace, ParallelContractionOperator, ParallelRevisionOperator,
+                      conditional_set, rational_closure)
+from revforge.postulates import all_propositions, enumerate_tpos
+
+ORDERS = tuple(enumerate_tpos(4))
+PSETS = tuple(InstanceSpace(atoms=2).instances("pset"))
+CSETS = tuple(InstanceSpace(atoms=2).instances("cset"))
+SAMPLE = InstanceSpace(atoms=3, mode="sampled", sample_count=150, seed=4242, max_set_size=3)
+SAMPLED_PSETS = tuple(SAMPLE.instances("pset"))
+SAMPLED_CSETS = tuple(SAMPLE.instances("cset"))
+SAMPLED_PROFILES = tuple(profile for (profile,) in SAMPLE.instances("profile2"))
+SERIAL = {**{name: op.transform for name, op in REVISION_OPERATORS.items()},
+          NATURAL_CONTRACT.name: NATURAL_CONTRACT.transform}
+REF_SERIAL = {**ref.REVISIONS, NATURAL_CONTRACT.name: ref.natural_contract}
+COMBOS = tuple(itertools.product(REVISION_OPERATORS, REVISION_OPERATORS, STRATEGIES))
+
+
+@lru_cache(maxsize=None)
+def old(t):
+    """The reference order with ``t``'s blocks, which it validates."""
+    return ref.TPO(t.blocks)
+
+
+@lru_cache(maxsize=None)
+def old_serial(name, r, sat):
+    return REF_SERIAL[name](r, sat)
+
+
+@lru_cache(maxsize=None)
+def old_aggregate(strategy, profile):
+    return ref.Aggregator(STRATEGIES[strategy]).aggregate(profile)
+
+
+def old_pipeline(base, finisher, strategy, r, members):
+    merged = old_aggregate(strategy, tuple(old_serial(base, r, m) for m in members))
+    return old_serial(finisher, merged, frozenset(range(r.num_worlds)).intersection(*members))
+
+
+def old_closure(profile):
+    tables = [ref.ConditionalSet.from_tpo(old(t)) for t in profile]
+    return ref.rational_closure(tables[0].intersect(tables[1]))
+
+
+def agrees(new, reference) -> bool:
+    return new.blocks == reference.blocks and new.ranks == reference._ranks
+
+
+@pytest.mark.parametrize("orders", [ORDERS, tuple(t for t, _ in SAMPLED_PSETS)],
+                         ids=["2-atom", "3-atom"])
+def test_order_queries(orders):
+    for t in orders:
+        r = old(t)
+        assert agrees(t, r)
+        assert t.num_worlds == r.num_worlds and t.num_blocks == r.num_blocks
+        for sat in (frozenset(),) + all_propositions(t.num_worlds):
+            assert t.min_of(sat) == r.min_of(sat)
+
+
+@pytest.mark.parametrize("name", SERIAL)
+def test_serial_operators(name):
+    inputs = all_propositions(4)
+    if name == NATURAL_CONTRACT.name:
+        inputs = (frozenset(),) + inputs
+    for t in ORDERS:
+        for sat in inputs:
+            assert agrees(SERIAL[name](t, sat), old_serial(name, old(t), sat)), (t, sat)
+    for t, s in SAMPLED_PSETS:
+        for sat in s:
+            assert agrees(SERIAL[name](t, sat), old_serial(name, old(t), sat)), (t, sat)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_aggregation_strategies(strategy):
+    aggregator = Aggregator(STRATEGIES[strategy])
+    profiles = itertools.chain(itertools.product(ORDERS, repeat=2), SAMPLED_PROFILES,
+                               (p + p[:1] for p in SAMPLED_PROFILES))
+    for profile in profiles:
+        expected = ref.Aggregator(STRATEGIES[strategy]).aggregate(tuple(map(old, profile)))
+        assert agrees(aggregator.aggregate(profile), expected), profile
+
+
+@pytest.mark.parametrize("base, finisher, strategy", COMBOS)
+def test_pipeline(base, finisher, strategy):
+    op = ParallelRevisionOperator(REVISION_OPERATORS[base], REVISION_OPERATORS[finisher],
+                                  Aggregator(STRATEGIES[strategy]))
+    for t, s in PSETS + SAMPLED_PSETS:
+        assert agrees(op.revise_worlds(t, s), old_pipeline(base, finisher, strategy, old(t), s)), \
+            (t, s)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_contraction(strategy):
+    op = ParallelContractionOperator(NATURAL_CONTRACT, Aggregator(STRATEGIES[strategy]))
+    for t, s in CSETS + SAMPLED_CSETS:
+        profile = tuple(old_serial(NATURAL_CONTRACT.name, old(t), m) for m in s)
+        assert agrees(op.contract_worlds(t, s), old_aggregate(strategy, profile)), (t, s)
+
+
+def test_rational_closure_of_intersections():
+    tables = {t: conditional_set(t) for t in ORDERS}
+    for a, b in itertools.product(ORDERS, repeat=2):
+        assert agrees(rational_closure(tables[a].intersect(tables[b])), old_closure((a, b)))
+    for a, b in SAMPLED_PROFILES:
+        closed = rational_closure(conditional_set(a).intersect(conditional_set(b)))
+        assert agrees(closed, old_closure((a, b)))

@@ -7,11 +7,16 @@ here.
 """
 
 import dataclasses
+import random
+
+import pytest
 
 import revforge
-from revforge import (Aggregator, CheckContext, InstanceSpace, Language, OperatorConfig,
-                      check, default_parallel_contraction, default_parallel_revision,
-                      get_contraction_operator, get_revision_operator, make_strategy)
+from revforge import (TPO, Aggregator, CheckContext, InstanceSpace, Language, OperatorConfig,
+                      PartitionError, check, conditional_set, default_parallel_contraction,
+                      default_parallel_revision, get_contraction_operator,
+                      get_revision_operator, make_strategy, rational_closure)
+from revforge.postulates import enumerate_tpos, random_tpo
 
 from conftest import tpo
 
@@ -83,3 +88,34 @@ def test_an_instance_space_subclass_drives_check():
 
     report = check("Conj-star", OnePrior(atoms=2))
     assert report.holds and report.checked == len(psets) == 95
+
+
+def test_built_orders_keep_the_frozenset_surface():
+    t = tpo({0}, {1, 2, 3})
+    built = [get_revision_operator(name).revise(t, A) for name in ("natural", "lex", "restrained")]
+    built += [
+        get_contraction_operator("natural-contract").contract(t, A),
+        Aggregator(make_strategy("round-robin")).aggregate((t, built[0])),
+        default_parallel_revision().revise_worlds(t, (A, B)),
+        default_parallel_contraction().contract_worlds(t, (A, B)),
+        TPO.uniform(4),
+        TPO.from_ranks([2, 0, 2, 1]),
+        rational_closure(conditional_set(t)),
+        list(enumerate_tpos(4))[40],
+        random_tpo(random.Random(3), 4),
+    ]
+    for order in built:
+        rebuilt = TPO(order.blocks)
+        assert rebuilt == order and hash(rebuilt) == hash(order)
+        assert type(order.blocks) is tuple
+        assert all(type(block) is frozenset for block in order.blocks)
+        assert order.num_worlds == 4
+        best = TPO.min_of(order, frozenset({1, 3}))
+        assert type(best) is frozenset and best <= {1, 3}
+
+
+@pytest.mark.parametrize("empty", [lambda: TPO.uniform(0), lambda: TPO.from_ranks([])],
+                         ids=["uniform", "from_ranks"])
+def test_no_constructor_builds_an_empty_order(empty):
+    with pytest.raises(PartitionError):
+        empty()

@@ -178,6 +178,16 @@ def test_clean_sweep_report_fields():
     assert "CR1" in report.summary_line()
 
 
+def test_rc_identity_report_names_the_aggregator_that_ran():
+    space = InstanceSpace(atoms=1, operators=OperatorConfig(strategy="round-robin"))
+    operators = check("rc-identity", space).to_json_dict()["space"]["operators"]
+    assert operators["strategy"] == "stq"
+    assert list(operators) == ["revision", "contraction", "base", "finisher", "strategy"]
+    # entries that aggregate with the configured strategy still report it
+    assert check("UB", space).space["operators"]["strategy"] == "round-robin"
+    assert space.describe()["operators"]["strategy"] == "round-robin"
+
+
 def test_unknown_postulate():
     with pytest.raises(UnknownPostulateError):
         check("K99", InstanceSpace(atoms=2))

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revforge import (InconsistentInputError, LEX, NATURAL, NATURAL_CONTRACT,
-                      RESTRAINED, SerialRevisionOperator, TPO,
-                      UnknownOperatorError, get_contraction_operator,
+                      PartitionError, RESTRAINED, SerialRevisionOperator, TPO,
+                      UnknownOperatorError, default_parallel_contraction,
+                      default_parallel_revision, get_contraction_operator,
                       get_revision_operator, lex_revise, natural_contract,
                       natural_revise, parse_formula, restrained_revise)
 from revforge.postulates import enumerate_tpos, all_propositions, random_tpo
@@ -231,3 +232,22 @@ def test_lex_is_a_refinement_merge(seed):
                 assert out.weakly_below(x, y) == t.weakly_below(x, y)
             elif x in sat:
                 assert out.strictly_below(x, y)
+
+
+# --- worlds outside the order ---
+
+@pytest.mark.parametrize("worlds", [frozenset({1, 7}), frozenset({-1, 2})],
+                         ids=["above-range", "negative"])
+@pytest.mark.parametrize("call", [
+    TPO.min_of,
+    natural_revise,
+    lex_revise,
+    restrained_revise,
+    natural_contract,
+    lambda t, worlds: default_parallel_revision().revise_worlds(t, (worlds,)),
+    lambda t, worlds: default_parallel_contraction().contract_worlds(t, (worlds,)),
+], ids=["min_of", "natural", "lex", "restrained", "natural-contract", "revise_worlds",
+        "contract_worlds"])
+def test_worlds_outside_the_order_raise_partition_error(call, worlds):
+    with pytest.raises(PartitionError, match=r"not in range\(4\)"):
+        call(tpo({0}, {1, 2, 3}), worlds)
