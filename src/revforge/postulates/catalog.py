@@ -27,6 +27,20 @@ domain of definition and is skipped.  For the one existential entry the
 hits are witnesses rather than violations, and the property holds over
 a space when at least one witness turns up.
 
+Evaluators work on world masks where a sweep is hot.  A ``CheckContext``
+hands every consistent proposition out as one shared object, indexed by
+mask in ``ctx.subsets``, with ``ctx.mask`` mapping it back; belief sets
+are read as ``masks[0]`` of an order and best worlds as ``min_mask``.
+What an evaluator derives from its input families alone (merged and
+negated families, conjunction masks, subfamilies, dominated world
+pairs) does not depend on the prior order, so it is a *plan*: a function
+of the world count and the families, looked up through
+``ctx.derived(plan, *families)`` and computed once per distinct family
+rather than once per instance.  Syntactic forms read the beliefs after
+every single follow-up input from ``ctx.follow_ups(order)``, once per
+order.  Hits keep frozensets, taken from ``ctx.subsets``, so witnesses
+render as before.
+
 Two further kinds of check share that evaluator signature and live
 outside ``CATALOG``: ``PAIR_CHECKS`` holds one ``<id>-pair`` entry per
 agreement pair, and ``RC_IDENTITY`` is the rational-closure identity.
@@ -41,6 +55,7 @@ from typing import Callable, Iterable
 from ..aggregation import stq
 from ..logic import And, Not, models
 from ..tpo import TPO, rational_closure
+from .spaces import all_subsets, proposition_masks
 
 Hits = "list[dict] | None"
 
@@ -78,42 +93,49 @@ def _sym(diff: int) -> str:
     return "<" if diff < 0 else (">" if diff > 0 else "~")
 
 
+# The order helpers below read ``ranks`` directly: their worlds all come
+# from the context's world sets, so the range check of ``TPO.rank`` would
+# only cost time.
+
 def _order_flips(t: TPO, t2: TPO, region: Iterable[int]) -> list[dict]:
     """Pairs in ``region`` whose comparison changes between t and t2."""
     worlds = sorted(region)
+    r, r2 = t.ranks, t2.ranks
     hits = []
     for i, x in enumerate(worlds):
         for y in worlds[i + 1:]:
-            before = t.compare(x, y)
-            after = t2.compare(x, y)
-            if _sym(before) != _sym(after):
-                hits.append({"x": x, "y": y, "prior": _sym(before), "posterior": _sym(after)})
+            before = _sym(r[x] - r[y])
+            after = _sym(r2[x] - r2[y])
+            if before != after:
+                hits.append({"x": x, "y": y, "prior": before, "posterior": after})
     return hits
 
 
 def _kept_below(t: TPO, t2: TPO, inside: Iterable[int], outside: Iterable[int],
                 weak: bool) -> list[dict]:
     """Inside-worlds weakly/strictly below outside-worlds must stay so."""
+    r, r2 = t.ranks, t2.ranks
     hits = []
     for x in sorted(inside):
         for y in sorted(outside):
             if weak:
-                if t.weakly_below(x, y) and not t2.weakly_below(x, y):
+                if r[x] <= r[y] and not r2[x] <= r2[y]:
                     hits.append({"x": x, "y": y, "prior": "<=", "posterior": ">"})
             else:
-                if t.strictly_below(x, y) and not t2.strictly_below(x, y):
-                    hits.append({"x": x, "y": y, "prior": "<", "posterior": _sym(t2.compare(x, y))})
+                if r[x] < r[y] and not r2[x] < r2[y]:
+                    hits.append({"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])})
     return hits
 
 
 def _promoted(t: TPO, t2: TPO, inside: Iterable[int], outside: Iterable[int]) -> list[dict]:
     """Weakly-below inside-worlds must end up strictly below."""
+    r, r2 = t.ranks, t2.ranks
     hits = []
     for x in sorted(inside):
         for y in sorted(outside):
-            if t.weakly_below(x, y) and not t2.strictly_below(x, y):
-                hits.append({"x": x, "y": y, "prior": _sym(t.compare(x, y)),
-                             "posterior": _sym(t2.compare(x, y))})
+            if r[x] <= r[y] and not r2[x] < r2[y]:
+                hits.append({"x": x, "y": y, "prior": _sym(r[x] - r[y]),
+                             "posterior": _sym(r2[x] - r2[y])})
     return hits
 
 
@@ -123,6 +145,41 @@ def _merge(s1: tuple[frozenset[int], ...], s2: tuple[frozenset[int], ...]) -> tu
         if member not in merged:
             merged.append(member)
     return tuple(merged)
+
+
+def _negation(ctx, a: frozenset[int]) -> frozenset[int]:
+    """The complement of proposition ``a``, as the shared table's set."""
+    return ctx.subsets[ctx.full_mask ^ ctx.mask[a]]
+
+
+def _conjunction(num_worlds: int, s) -> int:
+    """The mask of the worlds satisfying every member of ``s``."""
+    masks = proposition_masks(num_worlds)
+    conj = (1 << num_worlds) - 1
+    for member in s:
+        conj &= masks[member]
+    return conj
+
+
+def _negations(num_worlds: int, s) -> tuple[frozenset[int], ...]:
+    """The member-wise negations of ``s``, as the shared table's sets."""
+    masks, subsets = proposition_masks(num_worlds), all_subsets(num_worlds)
+    full = (1 << num_worlds) - 1
+    return tuple(subsets[full ^ masks[member]] for member in s)
+
+
+def _pair_plan(num_worlds: int, s1, s2) -> tuple:
+    """The prior-independent part of the ``pset2`` entries.
+
+    ``(merged, mixed, first, second)``: the union family of s1 and s2;
+    s1 joined with the negations of s2's members, or None when that
+    family is inconsistent; and the conjunction masks of s1 and of s2.
+    """
+    mixed = _merge(s1, _negations(num_worlds, s2))
+    if not _conjunction(num_worlds, mixed):
+        mixed = None
+    return (_merge(s1, s2), mixed, _conjunction(num_worlds, s1),
+            _conjunction(num_worlds, s2))
 
 
 # --- serial revision ---
@@ -214,17 +271,17 @@ def _cr1(ctx, t, a):
 
 @_register("CR2", "serial", "revision preserves the order among worlds refuting the input")
 def _cr2(ctx, t, a):
-    return _order_flips(t, ctx.revise(t, a), ctx.full - a)
+    return _order_flips(t, ctx.revise(t, a), _negation(ctx, a))
 
 
 @_register("CR3", "serial", "a satisfying world strictly below a refuting one stays strictly below")
 def _cr3(ctx, t, a):
-    return _kept_below(t, ctx.revise(t, a), a, ctx.full - a, weak=False)
+    return _kept_below(t, ctx.revise(t, a), a, _negation(ctx, a), weak=False)
 
 
 @_register("CR4", "serial", "a satisfying world weakly below a refuting one stays weakly below")
 def _cr4(ctx, t, a):
-    return _kept_below(t, ctx.revise(t, a), a, ctx.full - a, weak=True)
+    return _kept_below(t, ctx.revise(t, a), a, _negation(ctx, a), weak=True)
 
 
 def _ind_expected(config) -> str:
@@ -236,14 +293,14 @@ def _ind_expected(config) -> str:
            "a satisfying world weakly below a refuting one ends up strictly below",
            expected=_ind_expected)
 def _ind(ctx, t, a):
-    return _promoted(t, ctx.revise(t, a), a, ctx.full - a)
+    return _promoted(t, ctx.revise(t, a), a, _negation(ctx, a))
 
 
 @_register("LI-serial", "serial",
            "revising equals retracting the negation then adding the input, at the belief level")
 def _li_serial(ctx, t, a):
     direct = ctx.revise(t, a).belief_worlds()
-    via = ctx.contract(t, ctx.full - a).belief_worlds() & a
+    via = ctx.contract(t, _negation(ctx, a)).belief_worlds() & a
     if direct != via:
         return [{"revision_beliefs": direct, "contract_then_add": via}]
     return []
@@ -252,7 +309,7 @@ def _li_serial(ctx, t, a):
 @_register("HI-serial", "serial",
            "retracting equals keeping what survives revision by the negation, at the belief level")
 def _hi_serial(ctx, t, a):
-    negation = ctx.full - a
+    negation = _negation(ctx, a)
     if not negation:
         return None
     direct = ctx.contract(t, a).belief_worlds()
@@ -266,7 +323,7 @@ def _hi_serial(ctx, t, a):
 
 @_register("CC1", "sercon", "contraction preserves the order among worlds refuting the input")
 def _cc1(ctx, t, a):
-    return _order_flips(t, ctx.contract(t, a), ctx.full - a)
+    return _order_flips(t, ctx.contract(t, a), _negation(ctx, a))
 
 
 @_register("CC2", "sercon", "contraction preserves the order among worlds satisfying the input")
@@ -276,12 +333,12 @@ def _cc2(ctx, t, a):
 
 @_register("CC3", "sercon", "a refuting world strictly below a satisfying one stays strictly below")
 def _cc3(ctx, t, a):
-    return _kept_below(t, ctx.contract(t, a), ctx.full - a, a, weak=False)
+    return _kept_below(t, ctx.contract(t, a), _negation(ctx, a), a, weak=False)
 
 
 @_register("CC4", "sercon", "a refuting world weakly below a satisfying one stays weakly below")
 def _cc4(ctx, t, a):
-    return _kept_below(t, ctx.contract(t, a), ctx.full - a, a, weak=True)
+    return _kept_below(t, ctx.contract(t, a), _negation(ctx, a), a, weak=True)
 
 
 # --- parallel revision ---
@@ -367,24 +424,25 @@ def _ks6_minus(ctx, t, s):
 
 @_register("K-star-7", "pset2", "revising by a union keeps everything expansion would add")
 def _ks7(ctx, t, s1, s2):
-    merged = _merge(s1, s2)
-    if not ctx.full.intersection(*merged):
+    merged, _, first, second = ctx.derived(_pair_plan, s1, s2)
+    if not first & second:
         return None
-    lhs = ctx.previse(t, s1).belief_worlds() & ctx.full.intersection(*s2)
-    rhs = ctx.previse(t, merged).belief_worlds()
-    if not lhs <= rhs:
-        return [{"expansion": lhs, "union_beliefs": rhs}]
+    lhs = ctx.previse(t, s1).masks[0] & second
+    rhs = ctx.previse(t, merged).masks[0]
+    if lhs & ~rhs:
+        return [{"expansion": ctx.subsets[lhs], "union_beliefs": ctx.subsets[rhs]}]
     return []
 
 
 @_register("K-star-8", "pset2", "expansion of a set revision is conservative when consistent")
 def _ks8(ctx, t, s1, s2):
-    lhs = ctx.previse(t, s1).belief_worlds() & ctx.full.intersection(*s2)
+    merged, _, _, second = ctx.derived(_pair_plan, s1, s2)
+    lhs = ctx.previse(t, s1).masks[0] & second
     if not lhs:
         return []
-    rhs = ctx.previse(t, _merge(s1, s2)).belief_worlds()
-    if not rhs <= lhs:
-        return [{"expansion": lhs, "union_beliefs": rhs}]
+    rhs = ctx.previse(t, merged).masks[0]
+    if rhs & ~lhs:
+        return [{"expansion": ctx.subsets[lhs], "union_beliefs": ctx.subsets[rhs]}]
     return []
 
 
@@ -421,41 +479,33 @@ def _cs4(ctx, t, s):
     return _kept_below(t, ctx.previse(t, s), target, ctx.full - target, weak=True)
 
 
-def _sat_profiles(s: tuple[frozenset[int], ...], num_worlds: int) -> list[int]:
-    """Per world, the mask of the member indices it satisfies."""
+def _dominated_pairs(num_worlds: int, s) -> tuple[tuple[int, int], ...]:
+    """The world pairs (x, y), x != y, where x satisfies every member of
+    ``s`` that y satisfies."""
     profiles = [0] * num_worlds
     for i, member in enumerate(s):
         for world in member:
             profiles[world] |= 1 << i
-    return profiles
+    return tuple((x, y) for x, sat_x in enumerate(profiles)
+                 for y, sat_y in enumerate(profiles) if x != y and not sat_y & ~sat_x)
 
 
 @_register("PC3", "pset",
            "strictness survives when the lower world satisfies at least as much of the set")
 def _pc3(ctx, t, s):
-    t2 = ctx.previse(t, s)
-    profiles = _sat_profiles(s, t.num_worlds)
-    hits = []
-    for x, sat_x in enumerate(profiles):
-        for y, sat_y in enumerate(profiles):
-            if x != y and not sat_y & ~sat_x and t.strictly_below(x, y) \
-                    and not t2.strictly_below(x, y):
-                hits.append({"x": x, "y": y, "prior": "<", "posterior": _sym(t2.compare(x, y))})
-    return hits
+    r, r2 = t.ranks, ctx.previse(t, s).ranks
+    return [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])}
+            for x, y in ctx.derived(_dominated_pairs, s)
+            if r[x] < r[y] and not r2[x] < r2[y]]
 
 
 @_register("PC4", "pset",
            "weak order survives when the lower world satisfies at least as much of the set")
 def _pc4(ctx, t, s):
-    t2 = ctx.previse(t, s)
-    profiles = _sat_profiles(s, t.num_worlds)
-    hits = []
-    for x, sat_x in enumerate(profiles):
-        for y, sat_y in enumerate(profiles):
-            if x != y and not sat_y & ~sat_x and t.weakly_below(x, y) \
-                    and not t2.weakly_below(x, y):
-                hits.append({"x": x, "y": y, "prior": "<=", "posterior": ">"})
-    return hits
+    r, r2 = t.ranks, ctx.previse(t, s).ranks
+    return [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
+            for x, y in ctx.derived(_dominated_pairs, s)
+            if r[x] <= r[y] and not r2[x] <= r2[y]]
 
 
 def _ind_star_expected(config) -> str:
@@ -473,32 +523,41 @@ def _ind_star(ctx, t, s):
     return _promoted(t, ctx.previse(t, s), target, ctx.full - target)
 
 
+def _negation_plan(num_worlds: int, s) -> tuple:
+    """GR-star's prior-independent part: the member-wise negations of
+    ``s`` and the conjunction mask of ``s``, or () when the negations
+    are jointly inconsistent."""
+    negations = _negations(num_worlds, s)
+    if not _conjunction(num_worlds, negations):
+        return ()
+    return negations, _conjunction(num_worlds, s)
+
+
 @_register("GR-star", "pset",
            "revising by the member-wise negations leaves the set's best worlds untouched")
 def _gr_star(ctx, t, s):
-    negations = tuple(ctx.full - member for member in s)
-    if not ctx.full.intersection(*negations):
+    plan = ctx.derived(_negation_plan, s)
+    if not plan:
         return None
-    target = ctx.full.intersection(*s)
-    after = ctx.previse(t, negations).min_of(target)
-    before = t.min_of(target)
+    negations, target = plan
+    after = ctx.previse(t, negations).min_mask(target)
+    before = t.min_mask(target)
     if after != before:
-        return [{"before": before, "after": after}]
+        return [{"before": ctx.subsets[before], "after": ctx.subsets[after]}]
     return []
 
 
 @_register("S-star", "pset2",
            "discarding one set while adopting another keeps the joint best worlds fixed")
 def _s_star(ctx, t, s1, s2):
-    negations = tuple(ctx.full - member for member in s2)
-    mixed = _merge(s1, negations)
-    if not ctx.full.intersection(*mixed):
+    _, mixed, first, second = ctx.derived(_pair_plan, s1, s2)
+    if mixed is None:
         return None
-    target = ctx.full.intersection(*_merge(s1, s2))
-    before = t.min_of(target)
-    after = ctx.previse(t, mixed).min_of(target)
+    joint = first & second
+    before = t.min_mask(joint)
+    after = ctx.previse(t, mixed).min_mask(joint)
     if before != after:
-        return [{"before": before, "after": after}]
+        return [{"before": ctx.subsets[before], "after": ctx.subsets[after]}]
     return []
 
 
@@ -506,17 +565,14 @@ def _s_star(ctx, t, s1, s2):
            "after adopting one set against another, the other's best worlds satisfy the first",
            expected="violated")
 def _p_star(ctx, t, s1, s2):
-    joint = ctx.full.intersection(*_merge(s1, s2))
-    if not joint:
+    _, mixed, first, second = ctx.derived(_pair_plan, s1, s2)
+    if not first & second:
         return []
-    negations = tuple(ctx.full - member for member in s2)
-    mixed = _merge(s1, negations)
-    if not ctx.full.intersection(*mixed):
+    if mixed is None:
         return None
-    best = ctx.previse(t, mixed).min_of(ctx.full.intersection(*s2))
-    first = ctx.full.intersection(*s1)
-    if not best <= first:
-        return [{"best_of_second": best, "first_conjunction": first}]
+    best = ctx.previse(t, mixed).min_mask(second)
+    if best & ~first:
+        return [{"best_of_second": ctx.subsets[best], "first_conjunction": ctx.subsets[first]}]
     return []
 
 
@@ -723,44 +779,50 @@ def _syn_cs2(ctx, t, s):
 @_syntactic("C-star-3-b",
             "follow-ups that would leave the set believed still do after revising by it")
 def _syn_cs3(ctx, t, s):
-    t2 = ctx.previse(t, s)
-    target = ctx.full.intersection(*s)
-    for x in ctx.props:
-        if _follow_up(ctx, t, x) <= target and not _follow_up(ctx, t2, x) <= target:
-            return False
-    return True
+    target = ctx.derived(_conjunction, s)
+    after = ctx.follow_ups(ctx.previse(t, s))
+    return not any(not alone & ~target and two_step & ~target
+                   for alone, two_step in zip(ctx.follow_ups(t), after))
 
 
 @_syntactic("C-star-4-b",
             "follow-ups that would leave the set consistent with beliefs still do")
 def _syn_cs4(ctx, t, s):
-    t2 = ctx.previse(t, s)
-    target = ctx.full.intersection(*s)
-    for x in ctx.props:
-        if _follow_up(ctx, t, x) & target and not _follow_up(ctx, t2, x) & target:
-            return False
-    return True
+    target = ctx.derived(_conjunction, s)
+    after = ctx.follow_ups(ctx.previse(t, s))
+    return not any(alone & target and not two_step & target
+                   for alone, two_step in zip(ctx.follow_ups(t), after))
 
 
-def _subset_beliefs(ctx, t: TPO, s, x: frozenset[int]):
-    """Belief worlds of revising by each subfamily of ``s`` joined with x."""
-    for size in range(len(s) + 1):
+def _subfamilies(num_worlds: int, s) -> tuple:
+    """Every non-empty subfamily of ``s``, smallest first, with its
+    conjunction mask."""
+    groups = []
+    for size in range(1, len(s) + 1):
         for group in combinations(range(len(s)), size):
             members = tuple(s[i] for i in group)
-            merged = _merge(members, (x,))
-            if ctx.full.intersection(*merged):
-                yield ctx.previse(t, merged).belief_worlds()
+            groups.append((members, _conjunction(num_worlds, members)))
+    return tuple(groups)
+
+
+def _joined(groups: tuple, x: frozenset[int], x_mask: int) -> list:
+    """Each of the ``_subfamilies`` joined with x, where consistent.  The
+    empty subfamily joined with x is x alone, a follow-up."""
+    return [members if x in members else members + (x,)
+            for members, conj in groups if conj & x_mask]
 
 
 @_syntactic("PC3-b",
             "anything believed under every compatible subfamily survives the two-step route")
 def _syn_pc3(ctx, t, s):
-    t2 = ctx.previse(t, s)
-    for x in ctx.props:
-        support = frozenset()
-        for beliefs in _subset_beliefs(ctx, t, s, x):
-            support |= beliefs
-        if not _follow_up(ctx, t2, x) <= support:
+    previse = ctx.previse
+    after = ctx.follow_ups(previse(t, s))
+    groups = ctx.derived(_subfamilies, s)
+    for x_mask, (x, alone, two_step) in enumerate(zip(ctx.props, ctx.follow_ups(t), after), 1):
+        support = alone
+        for route in _joined(groups, x, x_mask):
+            support |= previse(t, route).masks[0]
+        if two_step & ~support:
             return False
     return True
 
@@ -768,10 +830,12 @@ def _syn_pc3(ctx, t, s):
 @_syntactic("PC4-b",
             "nothing refuted under every compatible subfamily appears on the two-step route")
 def _syn_pc4(ctx, t, s):
-    t2 = ctx.previse(t, s)
-    for x in ctx.props:
-        two_step = _follow_up(ctx, t2, x)
-        if not any(beliefs <= two_step for beliefs in _subset_beliefs(ctx, t, s, x)):
+    previse = ctx.previse
+    after = ctx.follow_ups(previse(t, s))
+    groups = ctx.derived(_subfamilies, s)
+    for x_mask, (x, alone, two_step) in enumerate(zip(ctx.props, ctx.follow_ups(t), after), 1):
+        if alone & ~two_step and all(previse(t, route).masks[0] & ~two_step
+                                     for route in _joined(groups, x, x_mask)):
             return False
     return True
 

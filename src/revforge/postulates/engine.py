@@ -6,7 +6,8 @@ the instance (preorder blocks, input sets, operator names) to rebuild
 and re-evaluate it bit-for-bit with ``replay_witness``.  Worlds are
 rendered as atom bit-strings throughout.
 
-``check`` is the one sweep loop.  Its id lookup resolves catalog ids,
+``check`` is the one sweep loop.  Its report counts the instances it
+generated and those it skipped as outside the postulate's domain.  Its id lookup resolves catalog ids,
 ``<id>-pair`` for the agreement sweep of a semantic entry against its
 syntactic companion, and ``rc-identity`` for the check that synchronous
 aggregation commutes with conditional-belief intersection followed by
@@ -17,7 +18,10 @@ A ``CheckContext`` holds the configured operators and drives the
 shipped ``ParallelRevisionOperator`` and ``ParallelContractionOperator``;
 its memo tables wrap those operators (serial transforms, aggregation and
 whole pipeline results) rather than copying their stages, so every
-verdict tests the operator the package ships.  Sweeps that share
+verdict tests the operator the package ships.  It also holds the shared
+proposition tables, with each proposition's mask, and the ``derived``
+memo for the evaluators' plans: the work that depends on the input
+families but not on the prior order.  Sweeps that share
 operators should share one context.  Witness payloads are encoded and
 decoded through the shape table in ``spaces``.
 """
@@ -37,7 +41,10 @@ from ..parallel import ParallelContractionOperator, ParallelRevisionOperator
 from ..tpo import TPO, conditional_set
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
 from .spaces import (_ATOM_POOL, InstanceSpace, OperatorConfig, all_propositions,
-                     decode_instance, encode_instance)
+                     all_subsets, decode_instance, encode_instance, proposition_masks)
+
+
+_MISS = object()
 
 
 def _memoized(fn: Callable, cap: int = 150_000) -> Callable:
@@ -52,8 +59,8 @@ def _memoized(fn: Callable, cap: int = 150_000) -> Callable:
     memo: dict = {}
 
     def cached(*args):
-        hit = memo.get(args)
-        if hit is None:
+        hit = memo.get(args, _MISS)
+        if hit is _MISS:
             if len(memo) >= cap:
                 for stale in list(itertools.islice(memo, cap // 8)):
                     del memo[stale]
@@ -81,16 +88,32 @@ class CheckContext:
     remembered per preorder.  Those operators run on copies of the
     configured serial operators whose ``transform`` is memoized, and on
     a memoizing aggregator; each configured operator gets one copy, so
-    roles that share an operator share its results.  Nothing built here
-    refers back to the context.
+    roles that share an operator share its results.
+
+    ``subsets`` is the shared table of world sets indexed by mask,
+    ``props`` its consistent part, ``mask`` maps each of those sets back
+    to its mask, and ``full_mask`` is the mask of every world.  The
+    negation of a proposition with mask m is ``subsets[full_mask ^ m]``.
+    ``derived(fn, *args)`` is ``fn(num_worlds, *args)``, remembered per
+    argument tuple: evaluators keep there the part of their work that
+    does not depend on the prior order (the families they revise by and
+    the conjunction masks they compare), so a sweep computes it once per
+    input family rather than once per instance.  ``follow_ups(t)`` is the
+    belief mask of ``previse(t, (x,))`` for every x in ``props``, in
+    order, remembered per preorder.  Nothing built here refers back to
+    the context.
     """
 
     def __init__(self, lang: Language, config: OperatorConfig):
         self.lang = lang
         self.config = config
+        num_worlds = lang.num_worlds
         self.full = lang.all_worlds
-        self.props = all_propositions(lang.num_worlds)
-        self.subsets = (frozenset(),) + self.props
+        self.full_mask = (1 << num_worlds) - 1
+        self.props = all_propositions(num_worlds)
+        self.subsets = all_subsets(num_worlds)
+        self.mask = proposition_masks(num_worlds)
+        self.derived = _memoized(lambda fn, *args: fn(num_worlds, *args))
         copies: dict = {}
 
         def memoized_copy(role: str):
@@ -108,6 +131,11 @@ class CheckContext:
         self.parallel_con = ParallelContractionOperator(self.contraction, merge)
         self._aggregate = merge.aggregate
         self._previse = _memoized(self.parallel_rev.revise_worlds)
+        previse, props = self._previse, self.props
+        # one entry per order: the cap keeps all 75 two-atom orders, and
+        # bounds sampled sweeps, whose orders rarely repeat
+        self.follow_ups = _memoized(
+            lambda t: tuple(previse(t, (x,)).masks[0] for x in props), cap=4096)
         self._pcontract = _memoized(self.parallel_con.contract_worlds)
         self._canonical = _memoized(lambda worlds: canonical_formula(worlds, lang))
         self.conditionals = _memoized(conditional_set)
@@ -173,6 +201,10 @@ class CheckReport:
     kind: str = "universal"
     expected: str = "sound"
     total_hits: int = 0
+    # instances drawn from the space; ``skipped`` fell outside the
+    # postulate's domain, so ``generated == checked + skipped``
+    generated: int = 0
+    skipped: int = 0
 
     @property
     def holds(self) -> bool:
@@ -200,6 +232,8 @@ class CheckReport:
             "violations": self.violations,
             "seed": self.seed,
             "elapsed_ms": self.elapsed_ms,
+            "generated": self.generated,
+            "skipped": self.skipped,
         }
 
     def to_json(self) -> str:
@@ -225,11 +259,13 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
     postulate = _postulate(postulate_id)
     ctx = ctx or CheckContext.from_space(space)
     start = time.perf_counter()
+    generated = 0
     checked = 0
     total_hits = 0
     kept: list[dict] = []
     cap = space.violation_cap
     for instance in space.instances(postulate.shape):
+        generated += 1
         hits = postulate.evaluate(ctx, *instance)
         if hits is None:
             continue
@@ -255,6 +291,8 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
         kind=postulate.kind,
         expected=postulate.expected_for(space.operators),
         total_hits=total_hits,
+        generated=generated,
+        skipped=generated - checked,
     )
 
 

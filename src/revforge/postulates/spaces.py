@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from ..aggregation import SelectionStrategy, make_strategy
@@ -71,9 +72,27 @@ def enumerate_tpos(num_worlds: int) -> Iterator[TPO]:
         yield TPO._from_masks(masks, num_worlds)
 
 
+@cache
+def all_subsets(num_worlds: int) -> tuple[frozenset[int], ...]:
+    """Every set of worlds, indexed by its mask: entry m is ``worlds_of(m)``.
+
+    One table per world count, built once and shared by every space and
+    context, so a proposition is the same object wherever it turns up.
+    """
+    return tuple(worlds_of(mask) for mask in range(1 << num_worlds))
+
+
+@cache
 def all_propositions(num_worlds: int) -> tuple[frozenset[int], ...]:
-    """Every consistent proposition, in ascending bitmask order."""
-    return tuple(worlds_of(mask) for mask in range(1, 1 << num_worlds))
+    """Every consistent proposition, in ascending bitmask order: entry i
+    has mask i + 1, and is the object ``all_subsets`` holds for it."""
+    return all_subsets(num_worlds)[1:]
+
+
+@cache
+def proposition_masks(num_worlds: int) -> dict[frozenset[int], int]:
+    """The mask of every set of worlds, the inverse of ``all_subsets``."""
+    return {worlds: mask for mask, worlds in enumerate(all_subsets(num_worlds))}
 
 
 def formula_set_tuples(props: Sequence[frozenset[int]], max_size: int,
@@ -100,7 +119,7 @@ def random_tpo(rng: random.Random, num_worlds: int) -> TPO:
 
 
 def _random_proposition(rng: random.Random, num_worlds: int) -> frozenset[int]:
-    return worlds_of(rng.randrange(1, 1 << num_worlds))
+    return all_subsets(num_worlds)[rng.randrange(1, 1 << num_worlds)]
 
 
 def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,

@@ -13,7 +13,7 @@ the edge: the frozenset ``blocks`` and the per-world ``ranks`` are built
 from the masks on first use and then kept, and ``min_of`` and the
 operators' ``sat`` arguments take frozensets, converted once by
 ``mask_of``, which rejects worlds outside the order with
-``PartitionError``.  Equality and the hash, computed once, use the masks.
+``PartitionError``, as do ``rank`` and the comparisons built on it.  Equality and the hash, computed once, use the masks.
 ``TPO(blocks)`` validates its argument; orders that operators build are
 valid by construction and skip the check through ``TPO._from_masks``.
 
@@ -169,21 +169,24 @@ class TPO:
         return len(self.masks)
 
     def rank(self, world: int) -> int:
-        """1-based block index of ``world``; smaller is more plausible."""
+        """1-based block index of ``world``; smaller is more plausible.
+
+        PartitionError unless ``world`` is in ``range(num_worlds)``; hot
+        loops that only pass worlds of the order read ``ranks`` instead.
+        """
+        if not 0 <= world < self.num_worlds:
+            raise PartitionError(f"world {world!r} is not in range({self.num_worlds})")
         return self.ranks[world]
 
     def compare(self, x: int, y: int) -> int:
         """Negative if x is strictly more plausible than y, 0 if tied."""
-        ranks = self.ranks
-        return ranks[x] - ranks[y]
+        return self.rank(x) - self.rank(y)
 
     def weakly_below(self, x: int, y: int) -> bool:
-        ranks = self.ranks
-        return ranks[x] <= ranks[y]
+        return self.rank(x) <= self.rank(y)
 
     def strictly_below(self, x: int, y: int) -> bool:
-        ranks = self.ranks
-        return ranks[x] < ranks[y]
+        return self.rank(x) < self.rank(y)
 
     def min_mask(self, mask: int) -> int:
         """The most plausible worlds of ``mask``: its first non-empty

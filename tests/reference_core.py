@@ -1,16 +1,21 @@
-"""The frozenset core that the bitmask core replaced, kept as a test oracle.
+"""The frozenset code that the bitmask code replaced, kept as a test oracle.
 
 This is the earlier implementation of ``TPO``, the serial operators,
 TeamQueue aggregation, conditional tables and rational closure, which
 stored every world set as a frozenset and re-validated every order it
-built.  ``test_core_differential.py`` checks that the shipped core
-computes the same orders on every exhaustive two-atom instance and on a
-seeded three-atom sample.  Nothing outside the tests imports it.
+built, and of the catalog evaluators that rebuilt their families,
+negations, conjunctions and follow-up revisions as frozensets on every
+instance (S-star, P-star, GR-star, C-star-3-b, C-star-4-b, PC3-b and
+PC4-b).  ``test_core_differential.py`` checks
+that the shipped code computes the same orders, hits and verdicts on
+every exhaustive two-atom instance, and the same orders on a seeded
+three-atom sample.  Nothing outside the tests imports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from revforge.aggregation import SelectionStrategy
@@ -253,3 +258,108 @@ def rational_closure(conditionals: ConditionalSet) -> TPO:
         settled |= level
         remaining -= level
     return TPO(tuple(blocks))
+
+
+# --- catalog evaluators on frozensets ---
+#
+# These take the same (ctx, t, ...) arguments as the shipped entries and
+# drive the same ``ctx.previse``, so a difference can only come from the
+# evaluators' own set algebra.
+
+def _merge(s1, s2) -> tuple:
+    merged = list(s1)
+    for member in s2:
+        if member not in merged:
+            merged.append(member)
+    return tuple(merged)
+
+
+def gr_star(ctx, t, s):
+    negations = tuple(ctx.full - member for member in s)
+    if not ctx.full.intersection(*negations):
+        return None
+    target = ctx.full.intersection(*s)
+    after = ctx.previse(t, negations).min_of(target)
+    before = t.min_of(target)
+    if after != before:
+        return [{"before": before, "after": after}]
+    return []
+
+
+def s_star(ctx, t, s1, s2):
+    negations = tuple(ctx.full - member for member in s2)
+    mixed = _merge(s1, negations)
+    if not ctx.full.intersection(*mixed):
+        return None
+    target = ctx.full.intersection(*_merge(s1, s2))
+    before = t.min_of(target)
+    after = ctx.previse(t, mixed).min_of(target)
+    if before != after:
+        return [{"before": before, "after": after}]
+    return []
+
+
+def p_star(ctx, t, s1, s2):
+    joint = ctx.full.intersection(*_merge(s1, s2))
+    if not joint:
+        return []
+    negations = tuple(ctx.full - member for member in s2)
+    mixed = _merge(s1, negations)
+    if not ctx.full.intersection(*mixed):
+        return None
+    best = ctx.previse(t, mixed).min_of(ctx.full.intersection(*s2))
+    first = ctx.full.intersection(*s1)
+    if not best <= first:
+        return [{"best_of_second": best, "first_conjunction": first}]
+    return []
+
+
+def _follow_up(ctx, t, x):
+    return ctx.previse(t, (x,)).belief_worlds()
+
+
+def cs3_b(ctx, t, s):
+    t2 = ctx.previse(t, s)
+    target = ctx.full.intersection(*s)
+    for x in ctx.props:
+        if _follow_up(ctx, t, x) <= target and not _follow_up(ctx, t2, x) <= target:
+            return False
+    return True
+
+
+def cs4_b(ctx, t, s):
+    t2 = ctx.previse(t, s)
+    target = ctx.full.intersection(*s)
+    for x in ctx.props:
+        if _follow_up(ctx, t, x) & target and not _follow_up(ctx, t2, x) & target:
+            return False
+    return True
+
+
+def _subset_beliefs(ctx, t, s, x):
+    for size in range(len(s) + 1):
+        for group in combinations(range(len(s)), size):
+            members = tuple(s[i] for i in group)
+            merged = _merge(members, (x,))
+            if ctx.full.intersection(*merged):
+                yield ctx.previse(t, merged).belief_worlds()
+
+
+def pc3_b(ctx, t, s):
+    t2 = ctx.previse(t, s)
+    for x in ctx.props:
+        support = frozenset()
+        for beliefs in _subset_beliefs(ctx, t, s, x):
+            support |= beliefs
+        if not _follow_up(ctx, t2, x) <= support:
+            return False
+    return True
+
+
+def pc4_b(ctx, t, s):
+    t2 = ctx.previse(t, s)
+    for x in ctx.props:
+        two_step = _follow_up(ctx, t2, x)
+        if not any(beliefs <= two_step for beliefs in _subset_beliefs(ctx, t, s, x)):
+            return False
+    return True

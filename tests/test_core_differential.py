@@ -10,10 +10,18 @@ compared block by block, on:
   every exhaustive two-atom ``pset`` instance;
 * contraction over every two-atom ``cset`` family;
 * rational closure of every intersected pair of two-atom tables;
-* a seeded three-atom sample of all of the above.
+* a seeded three-atom sample of all of the above;
+* the S-star, P-star, GR-star, C-star-3-b, C-star-4-b, PC3-b and PC4-b
+  evaluators, which the shipped catalog runs on masks, with plans made
+  once per input family and follow-up beliefs read once per order,
+  against the per-instance frozenset versions, on every exhaustive
+  two-atom instance, both under the default operators and under a base
+  operator that reverses the prior, which makes them fail.
 
 The reference side is memoized, which is sound because it is pure; the
-shipped side runs the operators unmemoized.
+shipped side runs the operators unmemoized.  The two versions of an
+evaluator share one memoized ``CheckContext``, so only their own set
+algebra differs.
 """
 
 import itertools
@@ -22,10 +30,11 @@ from functools import lru_cache
 import pytest
 
 import reference_core as ref
-from revforge import (NATURAL_CONTRACT, REVISION_OPERATORS, STRATEGIES, Aggregator,
-                      InstanceSpace, ParallelContractionOperator, ParallelRevisionOperator,
-                      conditional_set, rational_closure)
-from revforge.postulates import all_propositions, enumerate_tpos
+from revforge import (CATALOG, NATURAL_CONTRACT, REVISION_OPERATORS, STRATEGIES, TPO,
+                      Aggregator, CheckContext, InstanceSpace, OperatorConfig,
+                      ParallelContractionOperator, ParallelRevisionOperator,
+                      SerialRevisionOperator, conditional_set, rational_closure)
+from revforge.postulates import SYNTACTIC_FORMS, all_propositions, enumerate_tpos
 
 ORDERS = tuple(enumerate_tpos(4))
 PSETS = tuple(InstanceSpace(atoms=2).instances("pset"))
@@ -128,3 +137,32 @@ def test_rational_closure_of_intersections():
     for a, b in SAMPLED_PROFILES:
         closed = rational_closure(conditional_set(a).intersect(conditional_set(b)))
         assert agrees(closed, old_closure((a, b)))
+
+
+REVERSE = SerialRevisionOperator("reverse", lambda t, sat: TPO(tuple(reversed(t.blocks))))
+EVALUATOR_CONFIGS = {"natural": OperatorConfig(), "reverse-base": OperatorConfig(base=REVERSE)}
+REF_EVALUATORS = {"S-star": ref.s_star, "P-star": ref.p_star, "GR-star": ref.gr_star,
+                  "C-star-3-b": ref.cs3_b, "C-star-4-b": ref.cs4_b,
+                  "PC3-b": ref.pc3_b, "PC4-b": ref.pc4_b}
+
+
+@pytest.mark.parametrize("config_name", EVALUATOR_CONFIGS)
+@pytest.mark.parametrize("pid", REF_EVALUATORS)
+def test_catalog_evaluators(pid, config_name):
+    """Hits, skips and syntactic verdicts equal the frozenset evaluators'."""
+    ctx = CheckContext.from_space(InstanceSpace(atoms=2,
+                                                operators=EVALUATOR_CONFIGS[config_name]))
+    if pid in SYNTACTIC_FORMS:
+        shape, shipped = "pset", SYNTACTIC_FORMS[pid].holds
+    else:
+        shape, shipped = CATALOG[pid].shape, CATALOG[pid].evaluate
+    reference = REF_EVALUATORS[pid]
+    failing = 0
+    for instance in InstanceSpace(atoms=2).instances(shape):
+        expected = reference(ctx, *instance)
+        assert shipped(ctx, *instance) == expected, instance
+        # a form fails where it does not hold, an entry where it has hits
+        failing += expected is False if pid in SYNTACTIC_FORMS else bool(expected)
+    # the comparison reaches the failure paths: P-star fails under any
+    # operators, the others under the reversing base operator
+    assert bool(failing) == (config_name == "reverse-base" or pid == "P-star")

@@ -17,11 +17,12 @@ from revforge import (CATALOG, Aggregator, CheckContext, CheckReport,
                       get_revision_operator, make_strategy, replay_witness,
                       verify_rc_identity)
 from revforge.postulates import (all_propositions, catalog, enumerate_tpos,
-                                 formula_set_tuples, random_tpo)
+                                 formula_set_tuples, random_tpo, spaces)
 from revforge.postulates.catalog import SYNTACTIC_FORMS
-from revforge.postulates.engine import render_value
+from revforge.postulates.engine import _memoized, render_value
 from revforge.postulates.spaces import (DEFAULT_SEED, SHAPES, decode_instance,
                                         encode_instance)
+from revforge.tpo import mask_of, worlds_of
 
 from conftest import tpo
 
@@ -98,6 +99,42 @@ def test_all_propositions_counts_and_order():
     assert props[-1] == frozenset({0, 1, 2, 3})
 
 
+def test_propositions_are_one_shared_table():
+    props = all_propositions(8)
+    assert all_propositions(8) is props
+    assert [mask_of(p, 8) for p in props] == list(range(1, 256))
+    ctx = CheckContext(Language(("A", "B", "C")), OperatorConfig())
+    assert ctx.props is props and ctx.subsets[1:] == props and ctx.subsets[0] == frozenset()
+    assert all(ctx.mask[p] == m for m, p in enumerate(ctx.subsets))
+    assert ctx.full_mask == 255 and ctx.subsets[ctx.full_mask] == ctx.full
+
+
+def test_sampled_stream_draws_the_same_sets_from_the_table(monkeypatch):
+    """Indexing the shared table consumes the generator exactly as building
+    each proposition with ``worlds_of`` did, and hands out the table's own
+    objects."""
+    space = InstanceSpace(atoms=3, mode="sampled", sample_count=400, seed=5, max_set_size=3)
+    stream = list(space.instances("pset2"))
+    monkeypatch.setattr(spaces, "_random_proposition",
+                        lambda rng, n: worlds_of(rng.randrange(1, 1 << n)))
+    assert list(space.instances("pset2")) == stream
+    table = set(map(id, all_propositions(8)))
+    assert all(id(member) in table for _, s1, s2 in stream for member in s1 + s2)
+
+
+def test_memo_remembers_none_results():
+    calls = []
+
+    def probe(key):
+        calls.append(key)
+        return None
+
+    cached = _memoized(probe)
+    for key in (1, 2, 1, 2, 1):
+        assert cached(key) is None
+    assert calls == [1, 2]
+
+
 def test_formula_set_tuples_sizes_and_consistency():
     props = all_propositions(4)
     joint = list(formula_set_tuples(props, 2, jointly_consistent=True))
@@ -171,9 +208,15 @@ def test_clean_sweep_report_fields():
     assert report.kind == "universal" and report.expected == "sound"
     assert report.matches_expected()
     tiny = InstanceSpace(atoms=1)
-    for each in (report, check_equivalence_pair("PC3", "PC3-b", tiny), verify_rc_identity(tiny)):
+    vacuous = check("S-star", tiny)
+    for each in (report, check_equivalence_pair("PC3", "PC3-b", tiny), verify_rc_identity(tiny),
+                 vacuous):
         assert list(each.to_json_dict()) == ["postulate", "space", "checked", "violations",
-                                             "seed", "elapsed_ms"]
+                                             "seed", "elapsed_ms", "generated", "skipped"]
+        assert each.generated == each.checked + each.skipped
+    assert (report.generated, report.skipped) == (75 * 15, 0)
+    # 3 one-atom orders x 5 x 5 family pairs, most of them outside S-star's domain
+    assert (vacuous.generated, vacuous.checked, vacuous.skipped) == (75, 18, 57)
     json.loads(report.to_json())  # serializes cleanly
     assert "CR1" in report.summary_line()
 

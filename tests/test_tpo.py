@@ -67,6 +67,18 @@ def test_rank_compare_and_min():
     assert t.min_of(()) == frozenset()
 
 
+@pytest.mark.parametrize("world", [-1, 4], ids=["negative", "past-end"])
+@pytest.mark.parametrize("query", ["rank", "compare", "weakly_below", "strictly_below"])
+def test_order_queries_reject_worlds_outside_the_order(query, world):
+    t = TPO.from_ranks([0, 1, 2, 3])
+    args = (world,) if query == "rank" else (world, 0)
+    with pytest.raises(PartitionError, match=f"world {world} is not in range\\(4\\)"):
+        getattr(t, query)(*args)
+    if query != "rank":  # either side is checked
+        with pytest.raises(PartitionError):
+            getattr(t, query)(0, world)
+
+
 def test_beliefs():
     t = tpo({1, 2}, {0, 3})
     assert t.belief_worlds() == frozenset({1, 2})
