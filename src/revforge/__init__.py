@@ -21,14 +21,12 @@ from .logic import (BOTTOM, TOP, Formula, FormulaSet, Language, atoms_of,
                     canonical_formula, cn_equal, conj, entails, evaluate,
                     format_formula, is_consistent, models, neg_set,
                     parse_formula, sat_subset)
-from .parallel import (ParallelContractionOperator, ParallelRevisionOperator,
-                       default_parallel_contraction, default_parallel_revision,
-                       harper_parallel_beliefs, levi_parallel_beliefs,
-                       minimal_inconsistent_indices, parse_operator_config)
+from .parallel import (OperatorConfig, ParallelContractionOperator,
+                       ParallelRevisionOperator, default_parallel_contraction,
+                       default_parallel_revision, minimal_inconsistent_indices)
 from .postulates import (CATALOG, CheckContext, CheckReport, EQUIVALENCE_PAIRS,
-                         InstanceSpace, OperatorConfig, check,
-                         check_equivalence_pair, find_countermodel,
-                         replay_witness, verify_rc_identity)
+                         InstanceSpace, check, check_equivalence_pair,
+                         find_countermodel, replay_witness, verify_rc_identity)
 from .scenario import (RunTrace, Scenario, export_dot, load_scenario,
                        loads_scenario, run_scenario)
 from .serial import (CONTRACTION_OPERATORS, LEX, NATURAL, NATURAL_CONTRACT,
@@ -57,12 +55,10 @@ __all__ = [
     "canonical_formula", "check", "check_equivalence_pair", "cn_equal", "conditional_set",
     "conj", "default_parallel_contraction", "default_parallel_revision",
     "entails", "evaluate", "export_dot", "find_countermodel", "format_formula",
-    "get_contraction_operator", "get_revision_operator",
-    "harper_parallel_beliefs", "intersect_conditionals", "is_consistent",
-    "levi_parallel_beliefs", "lex_revise", "load_scenario", "loads_scenario",
+    "get_contraction_operator", "get_revision_operator", "intersect_conditionals",
+    "is_consistent", "lex_revise", "load_scenario", "loads_scenario",
     "make_strategy", "minimal_inconsistent_indices", "models",
     "natural_contract", "natural_revise", "neg_set", "parse_formula",
-    "parse_operator_config", "rational_closure", "replay_witness",
-    "restrained_revise", "run_scenario", "sat_subset", "stq",
-    "verify_rc_identity",
+    "rational_closure", "replay_witness", "restrained_revise", "run_scenario",
+    "sat_subset", "stq", "verify_rc_identity",
 ]

@@ -28,9 +28,8 @@ import sys
 from importlib import resources
 
 from .errors import RevforgeError
-from .logic import Language
 from .postulates import InstanceSpace, OperatorConfig, check
-from .postulates.spaces import _ATOM_POOL, DEFAULT_SEED, enumerate_tpos
+from .postulates.spaces import DEFAULT_SEED, enumerate_tpos, language
 from .scenario import export_dot, load_scenario, loads_scenario, run_scenario
 
 BUNDLED_SCENARIO = "scenarios/example1.scenario"
@@ -64,8 +63,7 @@ def _cmd_run(args) -> int:
 
 
 def _make_space(args) -> InstanceSpace:
-    config = OperatorConfig(revision=args.revision, contraction=args.contraction,
-                            base=args.base, finisher=args.finisher, strategy=args.agg)
+    config = OperatorConfig(**{role: getattr(args, role) for role in vars(OperatorConfig())})
     if args.sampled:
         return InstanceSpace(atoms=args.atoms, mode="sampled", sample_count=args.sampled,
                              seed=_resolve_seed(args.seed), max_set_size=args.sets,
@@ -129,7 +127,7 @@ def _cmd_self_test(_args) -> int:
 def _cmd_enumerate(args) -> int:
     if not 1 <= args.atoms <= 3:
         raise RevforgeError("enumerate supports 1 to 3 atoms")
-    lang = Language(_ATOM_POOL[: args.atoms])
+    lang = language(args.atoms)
     show = args.list or lang.num_worlds <= 4
     count = 0
     for t in enumerate_tpos(lang.num_worlds):
@@ -160,12 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=None)
     p_check.add_argument("--sets", type=int, default=2,
                          help="largest input-set size to draw")
-    p_check.add_argument("--op", "--revision", dest="revision", default="natural",
+    p_check.add_argument("--op", "--revision", dest="revision",
                          help="serial revision operator")
-    p_check.add_argument("--contraction", default="natural-contract")
-    p_check.add_argument("--base", default="natural")
-    p_check.add_argument("--finisher", default="natural")
-    p_check.add_argument("--agg", default="stq", help="aggregation strategy")
+    p_check.add_argument("--contraction")
+    p_check.add_argument("--base")
+    p_check.add_argument("--finisher")
+    p_check.add_argument("--agg", dest="strategy", help="aggregation strategy")
     p_check.add_argument("--expect", choices=("auto", "sound", "violation"),
                          default="auto")
     p_check.add_argument("--first", action="store_true",
@@ -173,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--cap", type=int, default=10,
                          help="most witnesses to keep in the report")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.set_defaults(handler=_cmd_check)
+    # the operator flags default to the ``OperatorConfig`` defaults
+    p_check.set_defaults(handler=_cmd_check, **vars(OperatorConfig()))
 
     p_self = sub.add_parser("self-test", help="run the bundled walkthrough scenario")
     p_self.set_defaults(handler=_cmd_self_test)

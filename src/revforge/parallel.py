@@ -19,21 +19,21 @@ otherwise there is nothing coherent to promote and the call is rejected
 with a minimal inconsistent subset as a diagnostic.  An empty input set
 is treated as the set containing only the tautology.
 
-Two belief-only routes are provided for comparison with the pipeline:
-``levi_parallel_beliefs`` contracts by the negations and then adds the
-inputs (which can come out inconsistent, and callers are expected to
-treat an empty result as exactly that), and ``harper_parallel_beliefs``
-keeps what survives both the current state and revision by the negations.
+``OperatorConfig`` is the one place that names an operator combination
+and its defaults: the serial revision and contraction, and the base,
+finisher and strategy of the pipeline.  Its ``describe()`` is the one
+serialized form: ``OperatorConfig(**described)`` reads it back, and
+``OperatorConfig.from_names`` does so with typed errors for names that
+come from outside the program.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Mapping, Sequence
 
-from .aggregation import Aggregator, make_strategy
-from .errors import InconsistentInputError, RevforgeError
+from .aggregation import Aggregator, SelectionStrategy, make_strategy
+from .errors import InconsistentInputError, UnknownOperatorError
 from .logic import FormulaSet
 from .serial import (
     SerialContractionOperator,
@@ -88,10 +88,6 @@ class ParallelRevisionOperator:
     def revise(self, t: TPO, s: FormulaSet) -> TPO:
         return self.revise_worlds(t, s.model_sets(), labels=[str(m) for m in s])
 
-    def config_string(self) -> str:
-        return (f"parallel(base={self.base.name}, finisher={self.finisher.name}, "
-                f"agg={self.aggregator.name})")
-
 
 @dataclass(frozen=True)
 class ParallelContractionOperator:
@@ -108,71 +104,64 @@ class ParallelContractionOperator:
     def contract(self, t: TPO, s: FormulaSet) -> TPO:
         return self.contract_worlds(t, s.model_sets())
 
-    def config_string(self) -> str:
-        return f"parallel(base={self.base.name}, agg={self.aggregator.name})"
+
+@dataclass
+class OperatorConfig:
+    """Which operators a check, a scenario or the default pipelines run.
+
+    Fields accept registry names or operator objects, so tests can slot
+    in deliberately broken operators to validate the checker itself.
+    """
+
+    revision: str | SerialRevisionOperator = "natural"
+    contraction: str | SerialContractionOperator = "natural-contract"
+    base: str | SerialRevisionOperator = "natural"
+    finisher: str | SerialRevisionOperator = "natural"
+    strategy: str | SelectionStrategy = "stq"
+
+    @classmethod
+    def from_names(cls, names: Mapping, roles: Mapping | None = None) -> "OperatorConfig":
+        """The configuration that ``names``, read from outside the program,
+        spells; unnamed fields keep their defaults.
+
+        ``roles`` maps each key ``names`` may use to the field it sets;
+        by default each field is its own key, as in ``describe()``.  An
+        unknown key or a name that is not a string raises
+        ``UnknownOperatorError``, and so does an unknown name, once its
+        field is resolved.
+        """
+        roles = roles or {role: role for role in _RESOLVERS}
+        unknown = set(names) - set(roles)
+        if unknown:
+            raise UnknownOperatorError(f"unknown keys {sorted(unknown)}")
+        for key, name in names.items():
+            if not isinstance(name, str):
+                raise UnknownOperatorError(f"{key!r} must be an operator name, got {name!r}")
+        return cls(**{roles[key]: name for key, name in names.items()})
+
+    def resolved(self, role: str):
+        """The operator object in field ``role``, with names looked up."""
+        value = getattr(self, role)
+        return _RESOLVERS[role](value) if isinstance(value, str) else value
+
+    def describe(self) -> dict:
+        def name(value) -> str:
+            return value if isinstance(value, str) else value.name
+        return {f.name: name(getattr(self, f.name)) for f in fields(self)}
+
+
+_RESOLVERS = {"revision": get_revision_operator, "contraction": get_contraction_operator,
+              "base": get_revision_operator, "finisher": get_revision_operator,
+              "strategy": make_strategy}
 
 
 def default_parallel_revision() -> ParallelRevisionOperator:
-    return ParallelRevisionOperator(
-        base=get_revision_operator("natural"),
-        finisher=get_revision_operator("natural"),
-        aggregator=Aggregator(make_strategy("stq")))
+    config = OperatorConfig()
+    return ParallelRevisionOperator(config.resolved("base"), config.resolved("finisher"),
+                                    Aggregator(config.resolved("strategy")))
 
 
 def default_parallel_contraction() -> ParallelContractionOperator:
-    return ParallelContractionOperator(
-        base=get_contraction_operator("natural-contract"),
-        aggregator=Aggregator(make_strategy("stq")))
-
-
-_CONFIG = re.compile(
-    r"parallel\(\s*base=([A-Za-z-]+)\s*,\s*finisher=([A-Za-z-]+)\s*,\s*agg=([A-Za-z-]+)\s*\)\Z")
-
-
-def parse_operator_config(text: str) -> ParallelRevisionOperator:
-    """Parse ``parallel(base=..., finisher=..., agg=...)``."""
-    match = _CONFIG.match(text.strip())
-    if not match:
-        raise RevforgeError(
-            f"bad operator config {text!r}; expected parallel(base=NAME, finisher=NAME, agg=NAME)")
-    base, finisher, agg = match.groups()
-    return ParallelRevisionOperator(
-        base=get_revision_operator(base),
-        finisher=get_revision_operator(finisher),
-        aggregator=Aggregator(make_strategy(agg)))
-
-
-def levi_worlds(op: ParallelContractionOperator, t: TPO,
-                member_sets: Sequence[frozenset[int]]) -> frozenset[int]:
-    """Belief worlds from contracting the negations then adding the inputs.
-
-    May be empty: the contraction is not forced to make room for every
-    member at once, and an empty result marks the route as having
-    produced an inconsistent belief state.
-    """
-    full = _full_set(t)
-    members = tuple(member_sets) or (full,)
-    negated = tuple(full - member for member in members)
-    withdrawn = op.contract_worlds(t, negated)
-    return withdrawn.belief_worlds().intersection(*members)
-
-
-def levi_parallel_beliefs(op: ParallelContractionOperator, t: TPO, s: FormulaSet) -> frozenset[int]:
-    return levi_worlds(op, t, s.model_sets())
-
-
-def harper_worlds(op: ParallelRevisionOperator, t: TPO,
-                  member_sets: Sequence[frozenset[int]]) -> frozenset[int]:
-    """Belief worlds for withdrawing a set: keep what survives both the
-    current state and revision by the member-wise negations.
-
-    Requires the conjunction of the negations to be consistent.
-    """
-    full = _full_set(t)
-    members = tuple(member_sets) or (full,)
-    negated = tuple(full - member for member in members)
-    return t.belief_worlds() | op.revise_worlds(t, negated).belief_worlds()
-
-
-def harper_parallel_beliefs(op: ParallelRevisionOperator, t: TPO, s: FormulaSet) -> frozenset[int]:
-    return harper_worlds(op, t, s.model_sets())
+    config = OperatorConfig()
+    return ParallelContractionOperator(config.resolved("contraction"),
+                                       Aggregator(config.resolved("strategy")))

@@ -1,5 +1,6 @@
 """Postulate catalog, instance spaces, and the checking engine."""
 
+from ..parallel import OperatorConfig
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, SYNTACTIC_FORMS, Postulate
 from .engine import (
     CheckContext,
@@ -13,7 +14,6 @@ from .engine import (
 from .spaces import (
     DEFAULT_SEED,
     InstanceSpace,
-    OperatorConfig,
     all_propositions,
     enumerate_tpos,
     formula_set_tuples,

@@ -524,9 +524,9 @@ def _ind_star(ctx, t, s):
 
 
 def _negation_plan(num_worlds: int, s) -> tuple:
-    """GR-star's prior-independent part: the member-wise negations of
-    ``s`` and the conjunction mask of ``s``, or () when the negations
-    are jointly inconsistent."""
+    """GR-star's and HI-star's prior-independent part: the member-wise
+    negations of ``s`` and the conjunction mask of ``s``, or () when the
+    negations are jointly inconsistent."""
     negations = _negations(num_worlds, s)
     if not _conjunction(num_worlds, negations):
         return ()
@@ -544,6 +544,17 @@ def _gr_star(ctx, t, s):
     before = t.min_mask(target)
     if after != before:
         return [{"before": ctx.subsets[before], "after": ctx.subsets[after]}]
+    return []
+
+
+@_register("LI-star", "pset",
+           "revising by a set equals retracting the member-wise negations then adding the set,"
+           " at the belief level", expected="exploratory")
+def _li_star(ctx, t, s):
+    direct = ctx.previse(t, s).masks[0]
+    via = ctx.pcontract(t, ctx.derived(_negations, s)).masks[0] & ctx.derived(_conjunction, s)
+    if direct != via:
+        return [{"revision_beliefs": ctx.subsets[direct], "contract_then_add": ctx.subsets[via]}]
     return []
 
 
@@ -614,6 +625,22 @@ def _dip(ctx, t, s):
     disjunction = frozenset().union(*s)
     if beliefs <= disjunction:
         return [{"beliefs": beliefs, "disjunction": disjunction}]
+    return []
+
+
+@_register("HI-star", "cset",
+           "retracting a set equals keeping what survives revision by the member-wise"
+           " negations, at the belief level", expected="exploratory")
+def _hi_star(ctx, t, s):
+    plan = ctx.derived(_negation_plan, s)
+    if not plan:
+        return None
+    negations, _ = plan
+    direct = ctx.pcontract(t, s).masks[0]
+    via = t.masks[0] | ctx.previse(t, negations).masks[0]
+    if direct != via:
+        return [{"contraction_beliefs": ctx.subsets[direct],
+                 "meet_of_revisions": ctx.subsets[via]}]
     return []
 
 

@@ -35,13 +35,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from ..aggregation import Aggregator
-from ..errors import UnknownPostulateError, lookup
+from ..errors import SpaceError, UnknownPostulateError, lookup
 from ..logic import Formula, Language, canonical_formula
-from ..parallel import ParallelContractionOperator, ParallelRevisionOperator
+from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from ..tpo import TPO, conditional_set
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
-from .spaces import (_ATOM_POOL, InstanceSpace, OperatorConfig, all_propositions,
-                     all_subsets, decode_instance, encode_instance, proposition_masks)
+from .spaces import (InstanceSpace, all_propositions, all_subsets, decode_instance,
+                     encode_instance, language, proposition_masks)
 
 
 _MISS = object()
@@ -255,9 +255,15 @@ def _postulate(postulate_id: str) -> Postulate:
 
 def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
           ctx: Optional[CheckContext] = None) -> CheckReport:
-    """Sweep one postulate over ``space`` and report."""
+    """Sweep one postulate over ``space`` and report.
+
+    A given ``ctx`` must have the space's atoms and operator names.
+    """
     postulate = _postulate(postulate_id)
     ctx = ctx or CheckContext.from_space(space)
+    made_for = (ctx.lang.atoms, ctx.config.describe())
+    if made_for != (space.lang.atoms, space.operators.describe()):
+        raise SpaceError(f"a context for atoms and operators {made_for} does not match the space")
     start = time.perf_counter()
     generated = 0
     checked = 0
@@ -330,11 +336,12 @@ def replay_witness(postulate_id: str, witness: dict, atoms: int) -> list:
     """Rebuild a witness's instance and re-evaluate it.
 
     Returns the rendered hits; a faithful violation witness reproduces at
-    least the hit it was reported with.
+    least the hit it was reported with.  Unknown operator roles or names,
+    and atom counts no space supports, raise typed errors.
     """
     postulate = _postulate(postulate_id)
-    lang = Language(_ATOM_POOL[:atoms])
-    ctx = CheckContext(lang, OperatorConfig(**witness["operators"]))
+    lang = language(atoms)
+    ctx = CheckContext(lang, OperatorConfig.from_names(witness["operators"]))
     instance = decode_instance(postulate.shape, witness["instance"], lang)
     hits = postulate.evaluate(ctx, *instance)
     if hits is None:

@@ -1,9 +1,10 @@
 """Instance spaces: what the postulate checker quantifies over.
 
 An instance space fixes a language (by atom count, with atoms named A,
-B, C, ...), a source of total preorders, a family of input sets drawn
-from the consistent propositions of the language, and the operator
-configuration under test.  Exhaustive spaces enumerate everything and
+B, C, ...; ``language`` builds it), a source of total preorders, a
+family of input sets drawn from the consistent propositions of the
+language, and the operator configuration under test, an
+``OperatorConfig`` from ``parallel``.  Exhaustive spaces enumerate everything and
 are confined to at most 2 atoms, where the 16 worlds-squared scale keeps
 full sweeps cheap; sampled spaces draw seeded pseudo-random instances
 and must state their seed so every report is reproducible.
@@ -30,20 +31,21 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
-from ..aggregation import SelectionStrategy, make_strategy
 from ..errors import SpaceError, lookup
 from ..logic import Language
-from ..serial import (
-    SerialContractionOperator,
-    SerialRevisionOperator,
-    get_contraction_operator,
-    get_revision_operator,
-)
+from ..parallel import OperatorConfig
 from ..tpo import TPO, worlds_of
 
 DEFAULT_SEED = 1729
 MAX_ENUM_WORLDS = 8
 _ATOM_POOL = ("A", "B", "C", "D")
+
+
+def language(atoms: int) -> Language:
+    """The language of the first ``atoms`` of the names A, B, C, D."""
+    if not (type(atoms) is int and 1 <= atoms <= len(_ATOM_POOL)):
+        raise SpaceError(f"spaces support 1..{len(_ATOM_POOL)} atoms, got {atoms!r}")
+    return Language(_ATOM_POOL[:atoms])
 
 
 def enumerate_tpos(num_worlds: int) -> Iterator[TPO]:
@@ -135,42 +137,6 @@ def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,
             continue
         return tuple(members)
     raise SpaceError("could not sample a jointly consistent input set")
-
-
-@dataclass
-class OperatorConfig:
-    """Which operators a check runs against.
-
-    Fields accept registry names or operator objects, so tests can slot
-    in deliberately broken operators to validate the checker itself.
-    """
-
-    revision: str | SerialRevisionOperator = "natural"
-    contraction: str | SerialContractionOperator = "natural-contract"
-    base: str | SerialRevisionOperator = "natural"
-    finisher: str | SerialRevisionOperator = "natural"
-    strategy: str | SelectionStrategy = "stq"
-
-    def resolved(self, role: str):
-        """The operator object in field ``role``, with names looked up."""
-        value = getattr(self, role)
-        return _RESOLVERS[role](value) if isinstance(value, str) else value
-
-    def describe(self) -> dict:
-        def name(value) -> str:
-            return value if isinstance(value, str) else value.name
-        return {
-            "revision": name(self.revision),
-            "contraction": name(self.contraction),
-            "base": name(self.base),
-            "finisher": name(self.finisher),
-            "strategy": name(self.strategy),
-        }
-
-
-_RESOLVERS = {"revision": get_revision_operator, "base": get_revision_operator,
-              "finisher": get_revision_operator, "contraction": get_contraction_operator,
-              "strategy": make_strategy}
 
 
 # --- the shape table ---
@@ -290,7 +256,7 @@ class InstanceSpace:
 
     @property
     def lang(self) -> Language:
-        return Language(_ATOM_POOL[:self.atoms])
+        return language(self.atoms)
 
     @property
     def num_worlds(self) -> int:

@@ -15,8 +15,7 @@ Schema, version 1::
       "version": 1,
       "atoms": ["A", "B"],
       "initial": "uniform" | [["11"], ["01", "10"], ["00"]],
-      "operators": {"base": "natural", "finisher": "natural",
-                    "agg": "stq", "contraction": "natural-contract"},
+      "operators": {"base": NAME, "finisher": NAME, "agg": NAME, "contraction": NAME},
       "initial_queries": [ ...queries... ],
       "steps": [
         {"op": "revise-set", "sentences": ["A", "B"], "queries": [...]},
@@ -25,6 +24,12 @@ Schema, version 1::
         {"op": "serial-contract", "sentence": "A"}
       ]
     }
+
+Each ``operators`` key sets one ``OperatorConfig`` field, whose default
+fills in for a missing key: ``agg`` sets ``strategy`` and the others
+their namesakes.  Set steps run the parallel operators, a
+``serial-revise`` step the ``base`` operator and a ``serial-contract``
+step the ``contraction`` operator.
 
 Queries::
 
@@ -40,12 +45,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .aggregation import Aggregator, make_strategy
-from .errors import InconsistentInputError, ScenarioError
+from .aggregation import Aggregator
+from .errors import InconsistentInputError, RevforgeError, ScenarioError
 from .logic import Formula, Language, models, parse_formula
-from .parallel import ParallelContractionOperator, ParallelRevisionOperator
-from .serial import (SerialContractionOperator, SerialRevisionOperator,
-                     get_contraction_operator, get_revision_operator)
+from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
+from .serial import SerialContractionOperator, SerialRevisionOperator
 from .tpo import TPO
 
 SCHEMA_VERSION = 1
@@ -54,13 +58,9 @@ _SET_OPS = ("revise-set", "contract-set")
 _SERIAL_OPS = ("serial-revise", "serial-contract")
 _QUERY_TYPES = ("believes", "conditional", "compare", "show-tpo")
 
-_OPERATOR_KEYS = ("base", "finisher", "agg", "contraction")
-_OPERATOR_DEFAULTS = {
-    "base": "natural",
-    "finisher": "natural",
-    "agg": "stq",
-    "contraction": "natural-contract",
-}
+# the ``operators`` keys and the ``OperatorConfig`` fields they set
+_OPERATOR_ROLES = {"base": "base", "finisher": "finisher", "contraction": "contraction",
+                   "agg": "strategy"}
 
 
 def _expect(condition: bool, where: str, message: str) -> None:
@@ -169,15 +169,10 @@ class Scenario:
 
         ops = data.get("operators", {})
         _expect(isinstance(ops, dict), "operators", "must be an object")
-        unknown = set(ops) - set(_OPERATOR_KEYS)
-        _expect(not unknown, "operators", f"unknown keys {sorted(unknown)}")
-        names = {**_OPERATOR_DEFAULTS, **ops}
         try:
-            base = get_revision_operator(names["base"])
-            finisher = get_revision_operator(names["finisher"])
-            contraction = get_contraction_operator(names["contraction"])
-            aggregator = Aggregator(make_strategy(names["agg"]))
-        except Exception as exc:
+            config = OperatorConfig.from_names(ops, _OPERATOR_ROLES)
+            base, finisher, contraction, strategy = map(config.resolved, _OPERATOR_ROLES.values())
+        except RevforgeError as exc:
             raise ScenarioError(f"operators: {exc}") from exc
 
         initial_queries = tuple(
@@ -210,7 +205,7 @@ class Scenario:
             steps.append(Step(op=op, texts=texts, formulas=formulas, queries=queries))
 
         return cls(lang=lang, initial=start, base=base, finisher=finisher,
-                   contraction=contraction, aggregator=aggregator,
+                   contraction=contraction, aggregator=Aggregator(strategy),
                    initial_queries=initial_queries, steps=tuple(steps), raw=data)
 
 

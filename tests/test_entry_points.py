@@ -7,6 +7,7 @@ here.
 """
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -15,7 +16,8 @@ import revforge
 from revforge import (TPO, Aggregator, CheckContext, InstanceSpace, Language, OperatorConfig,
                       PartitionError, check, conditional_set, default_parallel_contraction,
                       default_parallel_revision, get_contraction_operator,
-                      get_revision_operator, make_strategy, rational_closure)
+                      get_revision_operator, loads_scenario, make_strategy,
+                      rational_closure, run_scenario)
 from revforge.postulates import enumerate_tpos, random_tpo
 
 from conftest import tpo
@@ -35,6 +37,7 @@ def test_package_exports_what_the_benchmark_calls():
     for name in BENCH_NAMES:
         assert callable(getattr(revforge, name)), name
     assert callable(revforge.TPO.min_of)
+    assert revforge.OperatorConfig is revforge.postulates.OperatorConfig
 
 
 def test_registry_lookups_and_default_pipelines():
@@ -75,6 +78,42 @@ def test_serial_operators_stay_replaceable_dataclasses():
         assert hooked.name == op.name
         assert getattr(hooked, method)(t, A) == getattr(op, method)(t, A)
     assert calls == [A, A]
+
+
+def test_a_parsed_scenario_runs_the_operators_swapped_into_it():
+    """The traced run replaces a parsed scenario's operator fields with
+    timed stand-ins; ``run_scenario`` must call those, not rebuild its own."""
+    doc = {"version": 1, "atoms": ["A", "B"],
+           "operators": {"base": "lex", "agg": "round-robin"},
+           "steps": [{"op": "revise-set", "sentences": ["A", "B"]},
+                     {"op": "contract-set", "sentences": ["A"]},
+                     {"op": "serial-revise", "sentence": "~B"},
+                     {"op": "serial-contract", "sentence": "A"}]}
+    scenario = loads_scenario(json.dumps(doc))
+    calls = []
+
+    def counted(role, fn):
+        def wrapper(*args):
+            calls.append(role)
+            return fn(*args)
+        return wrapper
+
+    strategy = scenario.aggregator.strategy
+    swapped = dataclasses.replace(
+        scenario,
+        base=dataclasses.replace(scenario.base, transform=counted("base", scenario.base.transform)),
+        finisher=dataclasses.replace(scenario.finisher,
+                                     transform=counted("finisher", scenario.finisher.transform)),
+        contraction=dataclasses.replace(
+            scenario.contraction, transform=counted("contraction", scenario.contraction.transform)),
+        aggregator=dataclasses.replace(
+            scenario.aggregator,
+            strategy=dataclasses.replace(strategy, team=counted("team", strategy.team))))
+    assert (swapped.base.name, swapped.finisher.name) == ("lex", "natural")
+    assert run_scenario(swapped).to_json() == run_scenario(scenario).to_json()
+    # two members and one serial step; one finish; one member and one serial step
+    assert [calls.count(role) for role in ("base", "finisher", "contraction")] == [3, 1, 2]
+    assert calls.count("team") >= 2  # at least one round per aggregation
 
 
 def test_an_instance_space_subclass_drives_check():

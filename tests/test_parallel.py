@@ -2,13 +2,12 @@
 
 import pytest
 
-from revforge import (Aggregator, FIRST_THEN_FULL_STRATEGY, FormulaSet,
-                      InconsistentInputError, LEX, NATURAL, NATURAL_CONTRACT,
-                      ParallelContractionOperator, ParallelRevisionOperator,
-                      RESTRAINED, STQ_STRATEGY, TPO,
+from revforge import (Aggregator, CheckContext, FIRST_THEN_FULL_STRATEGY, FormulaSet,
+                      InconsistentInputError, InstanceSpace, NATURAL, NATURAL_CONTRACT,
+                      OperatorConfig, ParallelContractionOperator, STQ_STRATEGY, check,
                       default_parallel_contraction, default_parallel_revision,
-                      parse_operator_config)
-from revforge.parallel import harper_worlds, levi_worlds, minimal_inconsistent_indices
+                      replay_witness)
+from revforge.parallel import minimal_inconsistent_indices
 from revforge.postulates import enumerate_tpos, all_propositions, formula_set_tuples
 
 from conftest import tpo
@@ -74,24 +73,6 @@ def test_minimal_inconsistent_indices_shrinks():
         assert frozenset.intersection(full, *rest) if rest else full
 
 
-def test_config_string_round_trip():
-    op = ParallelRevisionOperator(LEX, RESTRAINED, Aggregator(FIRST_THEN_FULL_STRATEGY))
-    text = op.config_string()
-    assert text == "parallel(base=lex, finisher=restrained, agg=first-then-full)"
-    again = parse_operator_config(text)
-    assert again.base is LEX
-    assert again.finisher is RESTRAINED
-    assert again.aggregator.name == "first-then-full"
-
-
-def test_parse_operator_config_rejects_malformed_text():
-    from revforge import RevforgeError, UnknownOperatorError
-    with pytest.raises(RevforgeError):
-        parse_operator_config("parallel(base=lex)")
-    with pytest.raises(UnknownOperatorError):
-        parse_operator_config("parallel(base=lex, finisher=zzz, agg=stq)")
-
-
 # --- contraction ---
 
 def test_reference_contraction(lang2):
@@ -104,7 +85,6 @@ def test_reference_contraction(lang2):
         | NATURAL_CONTRACT.contract(t, B).belief_worlds())
     s = FormulaSet.parse(["A", "B"], lang2)
     assert op.contract(t, s) == out
-    assert op.config_string() == "parallel(base=natural-contract, agg=stq)"
 
 
 def test_contraction_empty_family_is_identity():
@@ -127,29 +107,61 @@ def test_contraction_belief_sets_are_intersective(strategy):
             assert got == want
 
 
+# --- the Levi and Harper routes, as the LI-star and HI-star catalog entries ---
+
+def _sweep_one(pid: str, t, s):
+    """``check`` over the one instance (t, s), under the default operators."""
+    class OneInstance(InstanceSpace):
+        def instances(self, shape: str):
+            return iter([(t, s)])
+    return check(pid, OneInstance(atoms=2))
+
+
 def test_levi_route_can_go_inconsistent():
-    op = default_parallel_contraction()
-    t = tpo({0}, {2}, {1}, {3})
-    assert levi_worlds(op, t, (A, B)) == frozenset()
+    """Retracting the negations and then adding the set can leave no world
+    at all, where revising by the set believes the conjunction."""
+    report = _sweep_one("LI-star", tpo({0}, {2}, {1}, {3}), (A, B))
+    (witness,) = report.violations
+    assert witness["detail"] == {"revision_beliefs": ["11"], "contract_then_add": []}
+    assert replay_witness("LI-star", witness, atoms=2) == [witness["detail"]]
     # on friendlier instances it lands on the conjunction
-    t2 = tpo({3}, {0, 1, 2})
-    assert levi_worlds(op, t2, (A, B)) == frozenset({3})
+    friendly = _sweep_one("LI-star", tpo({3}, {0, 1, 2}), (A, B))
+    assert (friendly.checked, friendly.total_hits) == (1, 0)
 
 
 def test_harper_route_differs_from_direct_contraction():
-    prev = default_parallel_revision()
-    pcon = default_parallel_contraction()
-    t = tpo({3}, {1}, {2}, {0})
-    harper = harper_worlds(prev, t, (A, B))
-    direct = pcon.contract_worlds(t, (A, B)).belief_worlds()
-    assert harper == frozenset({0, 3})
-    assert direct == frozenset({1, 2, 3})
-    assert harper != direct
+    report = _sweep_one("HI-star", tpo({3}, {1}, {2}, {0}), (A, B))
+    (witness,) = report.violations
+    assert witness["detail"] == {"contraction_beliefs": ["01", "10", "11"],
+                                 "meet_of_revisions": ["00", "11"]}
+    assert replay_witness("HI-star", witness, atoms=2) == [witness["detail"]]
+    # revising by jointly inconsistent negations is undefined: skipped
+    skipped = _sweep_one("HI-star", tpo({3}, {1}, {2}, {0}), (A, frozenset({0, 1})))
+    assert (skipped.generated, skipped.checked) == (1, 0)
+
+
+@pytest.mark.parametrize("strategy, levi_hits, harper_hits", [
+    ("stq", 582, 1326), ("first-then-full", 582, 1326), ("round-robin", 906, 2380)])
+def test_levi_and_harper_route_counts_at_two_atoms(strategy, levi_hits, harper_hits):
+    space = InstanceSpace(atoms=2, operators=OperatorConfig(strategy=strategy))
+    ctx = CheckContext.from_space(space)
+    levi = check("LI-star", space, ctx=ctx)
+    assert (levi.generated, levi.checked, levi.total_hits) == (7125, 7125, levi_hits)
+    harper = check("HI-star", space, ctx=ctx)
+    assert (harper.generated, harper.checked, harper.total_hits) == (9000, 6000, harper_hits)
+    assert levi.expected == harper.expected == "exploratory"
+    for report in (levi, harper):
+        for witness in report.violations:
+            assert witness["detail"] in replay_witness(report.postulate, witness, atoms=2)
 
 
 def test_default_operator_configs():
+    """The default pipelines run the operators ``OperatorConfig`` names by default."""
+    config = OperatorConfig()
     prev = default_parallel_revision()
-    assert prev.config_string() == "parallel(base=natural, finisher=natural, agg=stq)"
+    assert prev.base is prev.finisher is NATURAL is config.resolved("base")
+    assert config.resolved("finisher") is NATURAL
+    assert prev.aggregator.strategy is STQ_STRATEGY is config.resolved("strategy")
     pcon = default_parallel_contraction()
-    assert pcon.base is NATURAL_CONTRACT
-    assert pcon.aggregator.name == "stq"
+    assert pcon.base is NATURAL_CONTRACT is config.resolved("contraction")
+    assert pcon.aggregator.strategy is STQ_STRATEGY

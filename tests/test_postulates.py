@@ -11,8 +11,9 @@ from revforge import (CATALOG, Aggregator, CheckContext, CheckReport,
                       EQUIVALENCE_PAIRS, InconsistentInputError, InstanceSpace,
                       Language, NATURAL_CONTRACT, OperatorConfig,
                       ParallelContractionOperator, ParallelRevisionOperator,
-                      REVISION_OPERATORS, SerialRevisionOperator, SpaceError, TPO,
-                      UnknownPostulateError, check, check_equivalence_pair,
+                      REVISION_OPERATORS, RevforgeError, SerialRevisionOperator,
+                      SpaceError, TPO, UnknownOperatorError, UnknownPostulateError,
+                      check, check_equivalence_pair,
                       default_parallel_revision, find_countermodel,
                       get_revision_operator, make_strategy, replay_witness,
                       verify_rc_identity)
@@ -33,9 +34,9 @@ SERCON_IDS = {"CC1", "CC2", "CC3", "CC4"}
 PACKAGE_IDS = {"Conj-star", "K-star-1", "K-star-2", "K-star-3", "K-star-4",
                "K-star-5", "K-star-6", "K-star-6-minus",
                "C-star-1", "C-star-2", "C-star-2-plus", "C-star-3", "C-star-4",
-               "PC3", "PC4", "Ind-star", "GR-star"}
+               "PC3", "PC4", "Ind-star", "GR-star", "LI-star"}
 PSET2_IDS = {"K-star-7", "K-star-8", "S-star", "P-star"}
-CSET_IDS = {"C-con-1", "C-con-2", "C-con-3", "C-con-4", "DiP"}
+CSET_IDS = {"C-con-1", "C-con-2", "C-con-3", "C-con-4", "DiP", "HI-star"}
 PROFILE_IDS = {"UB", "LB", "SPU", "WPU", "Factoring", "Parity"}
 
 ALL_IDS = (SERIAL_IDS | SERIAL2_IDS | SERCON_IDS | PACKAGE_IDS | PSET2_IDS
@@ -46,7 +47,7 @@ ALL_IDS = (SERIAL_IDS | SERIAL2_IDS | SERCON_IDS | PACKAGE_IDS | PSET2_IDS
 
 def test_catalog_is_exactly_the_documented_family():
     assert set(CATALOG) == ALL_IDS
-    assert len(CATALOG) == 51
+    assert len(CATALOG) == 53
 
 
 def test_catalog_shapes_and_kinds():
@@ -313,6 +314,28 @@ def test_memoized_context_matches_fresh_operators(base, finisher, strategy):
     assert str(memoized.value) == str(shipped.value)
 
 
+@pytest.mark.parametrize("ctx_lang, ctx_config", [
+    (("A", "B"), OperatorConfig(revision="lex")),
+    (("A", "B", "C"), OperatorConfig()),
+], ids=["operators", "atoms"])
+def test_check_rejects_a_context_for_another_space(ctx_lang, ctx_config):
+    """A context answers with its own operators over its own worlds, so a
+    sweep through a context built for another space would report on it."""
+    ctx = CheckContext(Language(ctx_lang), ctx_config)
+    with pytest.raises(SpaceError, match="does not match the space"):
+        check("K2", InstanceSpace(atoms=2), ctx=ctx)
+
+
+def test_check_accepts_a_context_with_the_same_operator_names():
+    """Contexts are matched by operator names, so a stand-in operator that
+    keeps its registry name (a timed wrapper, say) is accepted."""
+    lex = get_revision_operator("lex")
+    stand_in = SerialRevisionOperator(lex.name, lex.transform)
+    space = InstanceSpace(atoms=2, operators=OperatorConfig(revision="lex"))
+    ctx = CheckContext(space.lang, OperatorConfig(revision=stand_in))
+    assert check("Ind", space, ctx=ctx).holds
+
+
 def test_dropped_context_is_freed_without_the_cycle_collector():
     """Nothing a context builds refers back to it, so its memo tables go
     as soon as the last reference does, not at the next cyclic collection."""
@@ -432,6 +455,27 @@ def test_rc_identity_witnesses_record_stq_and_replay(lang2, monkeypatch):
         assert bad["operators"] == {"strategy": "stq"}
         assert list(bad["detail"]) == ["aggregated", "closure_of_intersection"]
         assert replay_witness("rc-identity", bad, atoms=2) == [bad["detail"]]
+
+
+def _ind_witness() -> dict:
+    return json.loads(json.dumps(find_countermodel("Ind", InstanceSpace(atoms=2))))
+
+
+@pytest.mark.parametrize("bad, error, fragment", [
+    ({"operators": {"revision": "natural", "blender": "stq"}}, UnknownOperatorError,
+     "unknown keys ['blender']"),
+    ({"operators": {"revision": 3}}, UnknownOperatorError,
+     "'revision' must be an operator name, got 3"),
+    ({"atoms": 5}, SpaceError, "spaces support 1..4 atoms, got 5"),
+], ids=["unknown-role", "non-string-name", "atoms"])
+def test_replay_rejects_witnesses_from_outside_the_program(bad, error, fragment):
+    witness = _ind_witness()
+    atoms = bad.get("atoms", 2)
+    witness.update({k: v for k, v in bad.items() if k != "atoms"})
+    with pytest.raises(error) as err:
+        replay_witness("Ind", witness, atoms=atoms)
+    assert fragment in str(err.value)
+    assert isinstance(err.value, RevforgeError)
 
 
 def test_default_seed_value():

@@ -213,6 +213,7 @@ def test_compare_query_all_three_relations():
         ({"steps": [{"op": "serial-revise", "sentence": "A", "queries": 3}]},
          "steps[0]: 'queries' must be a list"),
         ({"initial": [["00"], ["01"]]}, "initial: the order places 2 worlds"),
+        ({"operators": {"agg": ["stq"]}}, "operators: 'agg' must be an operator name"),
     ],
 )
 def test_invalid_documents_are_rejected(mutation, fragment):
