@@ -10,9 +10,13 @@ Parallel revision of a TPO by a set S runs a three-stage pipeline:
 Parallel contraction runs the member-wise contractions and aggregates,
 with no finishing step.
 
-These two operators are the only implementation of the pipeline: the
-postulate checker's ``CheckContext`` builds them from its configuration
-and memoizes their results instead of re-implementing the stages.
+These two operators are the only implementation of the pipeline.  Its
+one entry works on world masks, ``revise_masks`` and ``contract_masks``;
+``revise_worlds`` and ``contract_worlds`` convert their sets and call it.
+Each stage calls a serial operator's ``revise_mask`` or
+``contract_mask``.  The postulate checker's ``CheckContext`` builds the
+two operators over its per-prior rows, which answer those stage calls,
+instead of re-implementing the stages.
 
 Revision requires the conjunction of the inputs to be consistent;
 otherwise there is nothing coherent to promote and the call is rejected
@@ -41,11 +45,7 @@ from .serial import (
     get_contraction_operator,
     get_revision_operator,
 )
-from .tpo import TPO
-
-
-def _full_set(t: TPO) -> frozenset[int]:
-    return frozenset(range(t.num_worlds))
+from .tpo import TPO, mask_of, worlds_of
 
 
 def minimal_inconsistent_indices(member_sets: Sequence[frozenset[int]],
@@ -71,19 +71,32 @@ class ParallelRevisionOperator:
     finisher: SerialRevisionOperator
     aggregator: Aggregator
 
-    def revise_worlds(self, t: TPO, member_sets: Sequence[frozenset[int]],
-                      labels: Sequence[str] | None = None) -> TPO:
-        full = _full_set(t)
-        members = tuple(member_sets) or (full,)
-        target = full.intersection(*members)
+    def revise_masks(self, t: TPO, masks: Sequence[int],
+                     labels: Sequence[str] | None = None) -> TPO:
+        """Revise ``t`` by the family whose members have world masks ``masks``.
+
+        The one implementation of the pipeline: each stage calls the
+        serial operators' ``revise_mask``.
+        """
+        full = (1 << t.num_worlds) - 1
+        masks = tuple(masks) or (full,)
+        target = full
+        for mask in masks:
+            target &= mask
         if not target:
-            culprits = minimal_inconsistent_indices(members, full)
+            culprits = minimal_inconsistent_indices([worlds_of(m) for m in masks],
+                                                    worlds_of(full))
             names = tuple(labels[i] if labels else f"member {i}" for i in culprits)
             raise InconsistentInputError(
                 "cannot revise by a set whose conjunction is inconsistent", names)
-        profile = tuple(self.base.revise(t, member) for member in members)
-        merged = self.aggregator.aggregate(profile)
-        return self.finisher.revise(merged, target)
+        revise = self.base.revise_mask
+        merged = self.aggregator.aggregate(tuple([revise(t, mask) for mask in masks]))
+        return self.finisher.revise_mask(merged, target)
+
+    def revise_worlds(self, t: TPO, member_sets: Sequence[frozenset[int]],
+                      labels: Sequence[str] | None = None) -> TPO:
+        n = t.num_worlds
+        return self.revise_masks(t, [mask_of(member, n) for member in member_sets], labels)
 
     def revise(self, t: TPO, s: FormulaSet) -> TPO:
         return self.revise_worlds(t, s.model_sets(), labels=[str(m) for m in s])
@@ -96,10 +109,15 @@ class ParallelContractionOperator:
     base: SerialContractionOperator
     aggregator: Aggregator
 
+    def contract_masks(self, t: TPO, masks: Sequence[int]) -> TPO:
+        """Contract ``t`` by the family whose members have world masks ``masks``."""
+        masks = tuple(masks) or ((1 << t.num_worlds) - 1,)
+        contract = self.base.contract_mask
+        return self.aggregator.aggregate(tuple([contract(t, mask) for mask in masks]))
+
     def contract_worlds(self, t: TPO, member_sets: Sequence[frozenset[int]]) -> TPO:
-        members = tuple(member_sets) or (_full_set(t),)
-        profile = tuple(self.base.contract(t, member) for member in members)
-        return self.aggregator.aggregate(profile)
+        n = t.num_worlds
+        return self.contract_masks(t, [mask_of(member, n) for member in member_sets])
 
     def contract(self, t: TPO, s: FormulaSet) -> TPO:
         return self.contract_worlds(t, s.model_sets())

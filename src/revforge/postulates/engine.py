@@ -15,15 +15,22 @@ rational closure.  ``find_countermodel``, ``check_equivalence_pair`` and
 ``verify_rc_identity`` are calls to it.
 
 A ``CheckContext`` holds the configured operators and drives the
-shipped ``ParallelRevisionOperator`` and ``ParallelContractionOperator``;
-its memo tables wrap those operators (serial transforms, aggregation and
-whole pipeline results) rather than copying their stages, so every
-verdict tests the operator the package ships.  It also holds the shared
-proposition tables, with each proposition's mask, and the ``derived``
-memo for the evaluators' plans: the work that depends on the input
-families but not on the prior order.  Sweeps that share
-operators should share one context.  Witness payloads are encoded and
-decoded through the shape table in ``spaces``.
+shipped ``ParallelRevisionOperator`` and ``ParallelContractionOperator``
+through their mask entries rather than copying their stages, so every
+verdict tests the operator the package ships.  It keeps their results in
+per-prior rows: one small dict per order, holding a serial operator's
+results keyed by proposition mask and the pipeline's results keyed by
+input family.  Sweeps are prior-major, so the current row is found by an
+identity check, and a hit costs no hashed lookup of an order.  The
+context also holds the shared proposition tables, with each
+proposition's mask, and the ``derived`` memo for the evaluators' plans:
+the work that depends on the input families but not on the prior order.
+Sweeps that share operators should share one context.  ``previse``,
+``pcontract``, ``aggregate``, ``revise`` and ``contract`` are the seams
+a tracer may replace on a context; every call an evaluator makes into
+the operators, the follow-up revisions included, goes through them.
+Witness payloads are encoded and decoded through the shape table in
+``spaces``.
 """
 
 from __future__ import annotations
@@ -31,39 +38,48 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..aggregation import Aggregator
 from ..errors import SpaceError, UnknownPostulateError, lookup
 from ..logic import Formula, Language, canonical_formula
 from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
-from ..tpo import TPO, conditional_set
+from ..tpo import TPO, conditional_set, mask_of
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
 from .spaces import (InstanceSpace, all_propositions, all_subsets, decode_instance,
                      encode_instance, language, proposition_masks)
 
 
 _MISS = object()
+_MEMO = 150_000
+# rows kept per row table: all 75 two-atom orders fit, and sampled
+# sweeps, whose orders rarely repeat, stay bounded
+_ROWS = 4096
 
 
-def _memoized(fn: Callable, cap: int = 150_000) -> Callable:
-    """``fn`` with its results remembered per argument tuple.
+def _shed(table: dict) -> None:
+    """Drop the oldest eighth of ``table``, which a caller keeps bounded.
 
-    The table sheds its oldest eighth at ``cap`` entries.  Sweeps visit
-    one prior order at a time, so stale keys belong to orders the sweep
-    will never revisit; plain FIFO eviction keeps the working set intact
+    Sweeps visit one prior order at a time, so the oldest keys belong to
+    orders the sweep will not revisit: FIFO eviction keeps the working set
     while bounding memory on sampled spaces, where random preorders never
     repeat.
     """
+    for stale in list(itertools.islice(table, len(table) // 8)):
+        del table[stale]
+
+
+def _memoized(fn: Callable) -> Callable:
+    """``fn`` with its results remembered per argument tuple, in a table
+    of at most ``_MEMO`` entries."""
     memo: dict = {}
 
     def cached(*args):
         hit = memo.get(args, _MISS)
         if hit is _MISS:
-            if len(memo) >= cap:
-                for stale in list(itertools.islice(memo, cap // 8)):
-                    del memo[stale]
+            if len(memo) >= _MEMO:
+                _shed(memo)
             hit = memo[args] = fn(*args)
         return hit
     return cached
@@ -79,16 +95,100 @@ class _MemoAggregator:
         self.aggregate = _memoized(aggregator.aggregate)
 
 
+class _Rows:
+    """One serial operator's results, kept in a row per order.
+
+    A row is one small dict: the operator's result on that order for a
+    proposition, keyed by the proposition's mask, and, when a pipeline
+    keeps its results here too, the pipeline's result for an input family,
+    keyed by the family tuple.  Sweeps are prior-major, so the row last
+    used is found by an identity check; the others wait in a table keyed
+    by the order's masks, bounded at ``_ROWS`` rows.  A row costs one
+    dict, so a prior seen once costs no more than its entries.
+
+    A miss passes the shared table's set ``subsets[mask]`` to the
+    operator's ``transform`` and interns the result by its masks, in a
+    table bounded the same way, so equal results are one object and the
+    aggregator's memo compares profiles by identity.  The pipeline calls
+    ``revise_mask`` or ``contract_mask`` as it would on the operator.
+    """
+
+    __slots__ = ("transform", "subsets", "table", "interned", "t", "row")
+
+    def __init__(self, op, subsets: tuple):
+        self.transform = op.transform
+        self.subsets = subsets
+        self.table: dict = {}
+        self.interned: dict = {}
+        self.t = self.row = None
+
+    def row_of(self, t: TPO) -> dict:
+        """The row of ``t``, made current; a new row if ``t`` has none."""
+        table = self.table
+        row = table.get(t.masks)
+        if row is None:
+            if len(table) >= _ROWS:
+                _shed(table)
+            row = table[t.masks] = {}
+        self.t, self.row = t, row
+        return row
+
+    def serial(self, t: TPO, mask: int) -> TPO:
+        row = self.row if t is self.t else self.row_of(t)
+        hit = row.get(mask)
+        if hit is None:
+            hit = self.transform(t, self.subsets[mask])
+            interned = self.interned
+            if len(interned) >= _ROWS:
+                _shed(interned)
+            hit = row[mask] = interned.setdefault(hit.masks, hit)
+        return hit
+
+    revise_mask = contract_mask = serial
+
+
+def _family_lookup(rows: _Rows, pipeline: Callable, shipped: Callable, mask: dict) -> Callable:
+    """``pipeline(t, masks)`` for ``(t, sets)``, kept in the row of ``t``.
+
+    ``sets`` is a tuple of world sets.  A miss converts it to member masks
+    through ``mask``; a member outside that table goes to ``shipped``, the
+    operator's frozenset entry, which raises the operator's typed error.
+    """
+    def lookup(t: TPO, sets: tuple) -> TPO:
+        row = rows.row if t is rows.t else rows.row_of(t)
+        hit = row.get(sets)
+        if hit is None:
+            try:
+                masks = [mask[member] for member in sets]
+            except KeyError:
+                return shipped(t, sets)
+            hit = row[sets] = pipeline(t, masks)
+        return hit
+    return lookup
+
+
 class CheckContext:
     """The configured operators, memoized, for one sweep configuration.
 
-    ``previse`` and ``pcontract`` are ``revise_worlds`` and
-    ``contract_worlds`` of the shipped parallel operators, remembered per
-    (preorder, input family); ``conditionals`` is ``conditional_set``,
-    remembered per preorder.  Those operators run on copies of the
-    configured serial operators whose ``transform`` is memoized, and on
-    a memoizing aggregator; each configured operator gets one copy, so
-    roles that share an operator share its results.
+    ``previse(t, sets)`` and ``pcontract(t, sets)`` are ``revise_worlds``
+    and ``contract_worlds`` of the shipped parallel operators, for a
+    tuple of world sets.  Each configured serial operator gets one
+    ``_Rows``, so roles that share an operator share its results.  The
+    pipeline's results sit in the rows of its base (or contraction)
+    operator, keyed by the input family.  ``previse`` and ``pcontract``
+    are instance attributes bound straight to the row lookup.  A miss
+    runs the operator's mask entry, ``revise_masks`` or
+    ``contract_masks``, whose stages read the same rows and aggregate
+    through a memoizing aggregator.  ``revise`` and ``contract`` read the
+    rows of the serial revision and contraction, ``aggregate`` the
+    aggregator's memo, and ``conditionals`` is ``conditional_set``,
+    remembered per preorder.
+
+    A tracer may replace any of ``previse``, ``pcontract``,
+    ``aggregate``, ``revise`` and ``contract`` on an instance.
+    ``follow_ups(t)`` is the belief mask of ``previse(t, (x,))`` for
+    every x in ``props``, in order, remembered per order; it calls
+    ``self.previse``, so a stand-in sees those revisions too.
 
     ``subsets`` is the shared table of world sets indexed by mask,
     ``props`` its consistent part, ``mask`` maps each of those sets back
@@ -98,10 +198,8 @@ class CheckContext:
     argument tuple: evaluators keep there the part of their work that
     does not depend on the prior order (the families they revise by and
     the conjunction masks they compare), so a sweep computes it once per
-    input family rather than once per instance.  ``follow_ups(t)`` is the
-    belief mask of ``previse(t, (x,))`` for every x in ``props``, in
-    order, remembered per preorder.  Nothing built here refers back to
-    the context.
+    input family rather than once per instance.  Nothing built here refers
+    back to the context.
     """
 
     def __init__(self, lang: Language, config: OperatorConfig):
@@ -114,29 +212,27 @@ class CheckContext:
         self.subsets = all_subsets(num_worlds)
         self.mask = proposition_masks(num_worlds)
         self.derived = _memoized(lambda fn, *args: fn(num_worlds, *args))
-        copies: dict = {}
+        rows: dict = {}
 
-        def memoized_copy(role: str):
+        def rows_of(role: str) -> _Rows:
             op = config.resolved(role)
-            if id(op) not in copies:
-                copies[id(op)] = replace(op, transform=_memoized(op.transform))
-            return copies[id(op)]
+            if id(op) not in rows:
+                rows[id(op)] = _Rows(op, self.subsets)
+            return rows[id(op)]
 
-        self.revision = memoized_copy("revision")
-        self.contraction = memoized_copy("contraction")
+        self._revision = rows_of("revision")
+        self._contraction = rows_of("contraction")
         self.aggregator = Aggregator(config.resolved("strategy"))
         merge = _MemoAggregator(self.aggregator)
-        base, finisher = memoized_copy("base"), memoized_copy("finisher")
-        self.parallel_rev = ParallelRevisionOperator(base, finisher, merge)
-        self.parallel_con = ParallelContractionOperator(self.contraction, merge)
+        base = rows_of("base")
+        self.parallel_rev = ParallelRevisionOperator(base, rows_of("finisher"), merge)
+        self.parallel_con = ParallelContractionOperator(self._contraction, merge)
         self._aggregate = merge.aggregate
-        self._previse = _memoized(self.parallel_rev.revise_worlds)
-        previse, props = self._previse, self.props
-        # one entry per order: the cap keeps all 75 two-atom orders, and
-        # bounds sampled sweeps, whose orders rarely repeat
-        self.follow_ups = _memoized(
-            lambda t: tuple(previse(t, (x,)).masks[0] for x in props), cap=4096)
-        self._pcontract = _memoized(self.parallel_con.contract_worlds)
+        self.previse = _family_lookup(base, self.parallel_rev.revise_masks,
+                                      self.parallel_rev.revise_worlds, self.mask)
+        self.pcontract = _family_lookup(self._contraction, self.parallel_con.contract_masks,
+                                        self.parallel_con.contract_worlds, self.mask)
+        self._follow_ups: dict = {}
         self._canonical = _memoized(lambda worlds: canonical_formula(worlds, lang))
         self.conditionals = _memoized(conditional_set)
 
@@ -148,19 +244,25 @@ class CheckContext:
         return self._canonical(worlds)
 
     def revise(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self.revision.revise(t, sat)
+        return self._revision.serial(t, mask_of(sat, t.num_worlds))
 
     def contract(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self.contraction.contract(t, sat)
+        return self._contraction.serial(t, mask_of(sat, t.num_worlds))
 
     def aggregate(self, profile: tuple[TPO, ...]) -> TPO:
         return self._aggregate(tuple(profile))
 
-    def previse(self, t: TPO, sets: tuple[frozenset[int], ...]) -> TPO:
-        return self._previse(t, tuple(sets))
-
-    def pcontract(self, t: TPO, sets: tuple[frozenset[int], ...]) -> TPO:
-        return self._pcontract(t, tuple(sets))
+    def follow_ups(self, t: TPO) -> tuple[int, ...]:
+        """The belief mask of ``previse(t, (x,))`` for every x in ``props``,
+        in order, kept per order in a table of at most ``_ROWS`` entries."""
+        table = self._follow_ups
+        hit = table.get(t.masks)
+        if hit is None:
+            previse = self.previse
+            if len(table) >= _ROWS:
+                _shed(table)
+            hit = table[t.masks] = tuple([previse(t, (x,)).masks[0] for x in self.props])
+        return hit
 
 
 def render_value(value, lang: Language):
@@ -337,7 +439,8 @@ def replay_witness(postulate_id: str, witness: dict, atoms: int) -> list:
 
     Returns the rendered hits; a faithful violation witness reproduces at
     least the hit it was reported with.  Unknown operator roles or names,
-    and atom counts no space supports, raise typed errors.
+    atom counts no space supports, and instances that lack a key of their
+    shape or a world of the language, raise typed errors.
     """
     postulate = _postulate(postulate_id)
     lang = language(atoms)

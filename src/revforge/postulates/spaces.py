@@ -164,11 +164,19 @@ class Part:
     decode: Callable = field(repr=False)
 
 
+def _decode_preorder(blocks, lang: Language) -> TPO:
+    t = TPO(tuple(_worlds(block, lang) for block in blocks))
+    if t.num_worlds != lang.num_worlds:
+        raise SpaceError(f"a preorder must place all {lang.num_worlds} worlds of the language, "
+                         f"this one places {t.num_worlds}")
+    return t
+
+
 _PREORDER = Part(
     lambda space: tuple(enumerate_tpos(space.num_worlds)),
     lambda rng, space: random_tpo(rng, space.num_worlds),
     lambda t, lang: [_names(block, lang) for block in t.blocks],
-    lambda blocks, lang: TPO(tuple(_worlds(block, lang) for block in blocks)))
+    _decode_preorder)
 _PROPOSITION = Part(
     lambda space: all_propositions(space.num_worlds),
     lambda rng, space: _random_proposition(rng, space.num_worlds),
@@ -220,8 +228,16 @@ def encode_instance(shape: str, instance: tuple, lang: Language) -> dict:
 
 
 def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
-    """The instance ``encode_instance`` made ``payload`` from."""
-    return tuple(part.decode(payload[key], lang) for key, part in _parts(shape))
+    """The instance ``encode_instance`` made ``payload`` from.
+
+    A payload that lacks a key of the shape, or holds a preorder that
+    does not place every world of ``lang``, raises ``SpaceError``.
+    """
+    parts = _parts(shape)
+    missing = [key for key, _ in parts if key not in payload]
+    if missing:
+        raise SpaceError(f"a {shape!r} instance needs the keys {missing}")
+    return tuple(part.decode(payload[key], lang) for key, part in parts)
 
 
 @dataclass

@@ -32,7 +32,7 @@ from typing import Callable
 
 from .errors import InconsistentInputError, lookup
 from .logic import Formula, Language, models
-from .tpo import TPO, mask_of
+from .tpo import TPO, mask_of, worlds_of
 
 
 def _consistent_mask(t: TPO, sat: frozenset[int]) -> int:
@@ -105,6 +105,10 @@ class SerialRevisionOperator:
     def revise(self, t: TPO, sat: frozenset[int]) -> TPO:
         return self.transform(t, frozenset(sat))
 
+    def revise_mask(self, t: TPO, mask: int) -> TPO:
+        """``revise`` by the worlds of ``mask``: the pipeline's stage call."""
+        return self.transform(t, worlds_of(mask))
+
     def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
         return self.revise(t, models(a, lang))
 
@@ -118,6 +122,10 @@ class SerialContractionOperator:
 
     def contract(self, t: TPO, sat: frozenset[int]) -> TPO:
         return self.transform(t, frozenset(sat))
+
+    def contract_mask(self, t: TPO, mask: int) -> TPO:
+        """``contract`` by the worlds of ``mask``: the pipeline's stage call."""
+        return self.transform(t, worlds_of(mask))
 
     def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
         return self.contract(t, models(a, lang))

@@ -17,9 +17,9 @@ from revforge import (CATALOG, Aggregator, CheckContext, CheckReport,
                       default_parallel_revision, find_countermodel,
                       get_revision_operator, make_strategy, replay_witness,
                       verify_rc_identity)
-from revforge.postulates import (all_propositions, catalog, enumerate_tpos,
+from revforge.postulates import (all_propositions, catalog, engine, enumerate_tpos,
                                  formula_set_tuples, random_tpo, spaces)
-from revforge.postulates.catalog import SYNTACTIC_FORMS
+from revforge.postulates.catalog import PAIR_CHECKS, SYNTACTIC_FORMS
 from revforge.postulates.engine import _memoized, render_value
 from revforge.postulates.spaces import (DEFAULT_SEED, SHAPES, decode_instance,
                                         encode_instance)
@@ -314,6 +314,61 @@ def test_memoized_context_matches_fresh_operators(base, finisher, strategy):
     assert str(memoized.value) == str(shipped.value)
 
 
+@pytest.mark.parametrize("base, finisher, strategy", [
+    ("natural", "natural", "stq"),
+    ("lex", "restrained", "round-robin"),
+])
+def test_rows_match_the_shipped_operators(monkeypatch, base, finisher, strategy):
+    """The per-prior rows are transparent, including for a prior whose row
+    was evicted: a context with room for eight rows per table answers every
+    2-atom (prior, family) as the shipped operators do, first prior-major,
+    then family-major, which revisits every evicted prior."""
+    monkeypatch.setattr(engine, "_ROWS", 8)
+    config = OperatorConfig(base=base, finisher=finisher, strategy=strategy)
+    space = InstanceSpace(atoms=2, operators=config)
+    ctx = CheckContext.from_space(space)
+    prev = ParallelRevisionOperator(get_revision_operator(base), get_revision_operator(finisher),
+                                    Aggregator(make_strategy(strategy)))
+    pcon = ParallelContractionOperator(NATURAL_CONTRACT, Aggregator(make_strategy(strategy)))
+    psets = list(space.instances("pset"))
+    csets = list(space.instances("cset"))
+    for order in (lambda pairs: pairs, lambda pairs: sorted(pairs, key=lambda p: p[1])):
+        for t, s in order(psets):
+            assert ctx.previse(t, s) == prev.revise_worlds(t, s)
+        for t, s in order(csets):
+            assert ctx.pcontract(t, s) == pcon.contract_worlds(t, s)
+    rows = ctx.parallel_rev.base
+    assert 0 < len(rows.table) <= 8 and len(rows.interned) <= 8
+
+    clash = (frozenset({2, 3}), frozenset({1, 3}), frozenset({0}))
+    for t in (psets[0][0], psets[-1][0]):
+        with pytest.raises(InconsistentInputError) as shipped:
+            prev.revise_worlds(t, clash)
+        with pytest.raises(InconsistentInputError) as rowed:
+            ctx.previse(t, clash)
+        assert rowed.value.culprits == shipped.value.culprits == ("member 1", "member 2")
+        assert str(rowed.value) == str(shipped.value)
+
+
+def test_follow_ups_go_through_the_previse_seam():
+    """A stand-in ``previse`` set on a context, as a tracer sets one, sees
+    the follow-up revisions the syntactic forms make."""
+    space = InstanceSpace(atoms=2)
+    ctx = CheckContext.from_space(space)
+    shipped, calls = ctx.previse, []
+
+    def counting(t, sets):
+        calls.append((t, sets))
+        return shipped(t, sets)
+
+    ctx.previse = counting
+    t, s = next(iter(space.instances("pset")))
+    assert PAIR_CHECKS["PC3-pair"].evaluate(ctx, t, s) == []
+    after = shipped(t, s)
+    for x in ctx.props:
+        assert (t, (x,)) in calls and (after, (x,)) in calls
+
+
 @pytest.mark.parametrize("ctx_lang, ctx_config", [
     (("A", "B"), OperatorConfig(revision="lex")),
     (("A", "B", "C"), OperatorConfig()),
@@ -467,7 +522,10 @@ def _ind_witness() -> dict:
     ({"operators": {"revision": 3}}, UnknownOperatorError,
      "'revision' must be an operator name, got 3"),
     ({"atoms": 5}, SpaceError, "spaces support 1..4 atoms, got 5"),
-], ids=["unknown-role", "non-string-name", "atoms"])
+    ({"instance": {"input": ["11"]}}, SpaceError, "a 'serial' instance needs the keys ['tpo']"),
+    ({"instance": {"tpo": [["00"]], "input": ["11"]}}, SpaceError,
+     "a preorder must place all 4 worlds of the language, this one places 1"),
+], ids=["unknown-role", "non-string-name", "atoms", "missing-key", "partial-preorder"])
 def test_replay_rejects_witnesses_from_outside_the_program(bad, error, fragment):
     witness = _ind_witness()
     atoms = bad.get("atoms", 2)

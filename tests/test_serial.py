@@ -11,13 +11,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revforge import (InconsistentInputError, LEX, NATURAL, NATURAL_CONTRACT,
-                      PartitionError, RESTRAINED, SerialRevisionOperator, TPO,
+from revforge import (CheckContext, InconsistentInputError, LEX, NATURAL, NATURAL_CONTRACT,
+                      OperatorConfig, PartitionError, RESTRAINED, SerialRevisionOperator, TPO,
                       UnknownOperatorError, default_parallel_contraction,
                       default_parallel_revision, get_contraction_operator,
                       get_revision_operator, lex_revise, natural_contract,
                       natural_revise, parse_formula, restrained_revise)
 from revforge.postulates import enumerate_tpos, all_propositions, random_tpo
+from revforge.postulates.spaces import language
 
 from conftest import tpo
 
@@ -246,8 +247,10 @@ def test_lex_is_a_refinement_merge(seed):
     natural_contract,
     lambda t, worlds: default_parallel_revision().revise_worlds(t, (worlds,)),
     lambda t, worlds: default_parallel_contraction().contract_worlds(t, (worlds,)),
+    lambda t, worlds: CheckContext(language(2), OperatorConfig()).previse(t, (worlds,)),
+    lambda t, worlds: CheckContext(language(2), OperatorConfig()).pcontract(t, (worlds,)),
 ], ids=["min_of", "natural", "lex", "restrained", "natural-contract", "revise_worlds",
-        "contract_worlds"])
+        "contract_worlds", "context-previse", "context-pcontract"])
 def test_worlds_outside_the_order_raise_partition_error(call, worlds):
     with pytest.raises(PartitionError, match=r"not in range\(4\)"):
         call(tpo({0}, {1, 2, 3}), worlds)
