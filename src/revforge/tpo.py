@@ -39,8 +39,19 @@ MAX_CONDITIONAL_WORLDS = 8
 _set = object.__setattr__
 
 
+# the worlds of each low byte and each high byte of a 16-world mask
+_LOW_BYTE = tuple(tuple(w for w in range(8) if byte >> w & 1) for byte in range(256))
+_HIGH_BYTE = tuple(tuple(w + 8 for w in low) for low in _LOW_BYTE)
+
+
 def worlds_of(mask: int) -> frozenset[int]:
-    """The worlds whose bits are set in ``mask``."""
+    """The worlds whose bits are set in ``mask``.
+
+    Masks of up to 16 worlds, all that spaces reach, read two tables;
+    wider ones are walked bit by bit.
+    """
+    if mask < 0x10000:
+        return frozenset(_LOW_BYTE[mask & 0xFF] + _HIGH_BYTE[mask >> 8])
     worlds = []
     while mask:
         low = mask & -mask
