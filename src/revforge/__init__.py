@@ -19,7 +19,7 @@ from .errors import (InconsistentInputError, LanguageError, ParseError,
                      UnsatisfiableConditionalsError)
 from .logic import (BOTTOM, TOP, Formula, FormulaSet, Language, atoms_of,
                     canonical_formula, cn_equal, conj, entails, evaluate,
-                    format_formula, is_consistent, models, neg_set,
+                    format_formula, is_consistent, model_mask, models, neg_set,
                     parse_formula, sat_subset)
 from .parallel import (OperatorConfig, ParallelContractionOperator,
                        ParallelRevisionOperator, default_parallel_contraction,
@@ -57,7 +57,7 @@ __all__ = [
     "entails", "evaluate", "export_dot", "find_countermodel", "format_formula",
     "get_contraction_operator", "get_revision_operator", "intersect_conditionals",
     "is_consistent", "lex_revise", "load_scenario", "loads_scenario",
-    "make_strategy", "minimal_inconsistent_indices", "models",
+    "make_strategy", "minimal_inconsistent_indices", "model_mask", "models",
     "natural_contract", "natural_revise", "neg_set", "parse_formula",
     "rational_closure", "replay_witness", "restrained_revise", "run_scenario",
     "sat_subset", "stq", "verify_rc_identity",

@@ -5,7 +5,12 @@ assignment to those atoms, encoded as an integer index in
 ``range(2 ** len(atoms))``; the first atom corresponds to the most
 significant bit, so the bit-string rendering of a world reads off the
 atoms left to right (``"10"`` over atoms ``(A, B)`` makes A true and B
-false).  Propositions are sets of worlds (``frozenset[int]``).
+false).  Names are fixed-width, so ascending world order is sorted name
+order; ``Language.world_names`` holds them all, built on first use.
+
+A proposition is a set of worlds.  Inside the package it is an ``int``
+mask with bit w set for world w; at the public edge it is a
+``frozenset[int]``, and ``worlds_of`` converts a mask to one.
 
 Formulas are immutable trees built from atoms, negation, conjunction,
 disjunction, implication, biconditional, and the constants verum and
@@ -13,15 +18,19 @@ falsum.  ``parse_formula`` reads the ASCII syntax ``~ & | -> <->`` with
 ``T``/``F`` for the constants; ``str()`` pretty-prints with minimal
 parentheses, and parse -> print -> parse is a fixpoint.
 
-``models`` computes a formula's proposition by structural set algebra;
-``evaluate`` decides a single world truth-functionally.  The two routes
-are independent on purpose so tests can cross-validate them.
+``model_mask`` is the one structural route from a formula to its
+proposition: bitwise algebra on masks, starting from the atom masks
+each ``Language`` keeps.  ``models``, ``entails``, ``is_consistent`` and
+``cn_equal`` read it.  ``evaluate`` decides a single world
+truth-functionally and shares no code with it, so tests can
+cross-validate the two.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import LanguageError, ParseError
@@ -30,6 +39,34 @@ MAX_ATOMS = 16
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RESERVED_NAMES = frozenset({"T", "F"})
+
+
+# --- world masks ---
+
+# the worlds of each low byte and each high byte of a 16-world mask, ascending
+_LOW_BYTE = tuple(tuple(w for w in range(8) if byte >> w & 1) for byte in range(256))
+_HIGH_BYTE = tuple(tuple(w + 8 for w in low) for low in _LOW_BYTE)
+
+
+def _ascending_worlds(mask: int) -> tuple[int, ...]:
+    """The worlds whose bits are set in ``mask``, in ascending order.
+
+    Masks of up to 16 worlds, all that spaces and scenarios reach, read
+    two tables; wider ones are walked bit by bit.
+    """
+    if mask < 0x10000:
+        return _LOW_BYTE[mask & 0xFF] + _HIGH_BYTE[mask >> 8]
+    worlds = []
+    while mask:
+        low = mask & -mask
+        worlds.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(worlds)
+
+
+def worlds_of(mask: int) -> frozenset[int]:
+    """The worlds whose bits are set in ``mask``."""
+    return frozenset(_ascending_worlds(mask))
 
 
 class Language:
@@ -50,6 +87,18 @@ class Language:
             seen.add(name)
         self.atoms = names
         self._index = {name: i for i, name in enumerate(names)}
+        width = 1 << len(names)
+        self._full_mask = (1 << width) - 1
+        # atom i is bit len(names) - 1 - i of a world: its mask repeats a run
+        # of that many 0s then as many 1s across the worlds
+        self._atom_masks = {}
+        for i, name in enumerate(names):
+            run = 1 << (len(names) - 1 - i)
+            mask, period = ((1 << run) - 1) << run, 2 * run
+            while period < width:
+                mask |= mask << period
+                period *= 2
+            self._atom_masks[name] = mask
 
     @property
     def num_worlds(self) -> int:
@@ -68,6 +117,13 @@ class Language:
         except KeyError:
             raise LanguageError(f"unknown atom {name!r}") from None
 
+    def atom_mask(self, name: str) -> int:
+        """The worlds where ``name`` is true, as a mask."""
+        try:
+            return self._atom_masks[name]
+        except KeyError:
+            raise LanguageError(f"unknown atom {name!r}") from None
+
     def holds_at(self, world: int, atom: str) -> bool:
         """Truth value of ``atom`` at ``world``."""
         if not 0 <= world < self.num_worlds:
@@ -75,11 +131,22 @@ class Language:
         shift = len(self.atoms) - 1 - self.atom_index(atom)
         return bool((world >> shift) & 1)
 
+    @cached_property
+    def world_names(self) -> tuple[str, ...]:
+        """Every world's bit-string name, indexed by world."""
+        spec = f"0{len(self.atoms)}b"
+        return tuple(format(w, spec) for w in range(self.num_worlds))
+
     def world_name(self, world: int) -> str:
         """Bit-string rendering, first atom leftmost."""
         if not 0 <= world < self.num_worlds:
             raise LanguageError(f"world {world} outside range({self.num_worlds})")
-        return format(world, f"0{len(self.atoms)}b")
+        return self.world_names[world]
+
+    def names_of(self, mask: int) -> list[str]:
+        """The names of the worlds of ``mask``, in sorted order."""
+        names = self.world_names
+        return [names[w] for w in _ascending_worlds(mask)]
 
     def world_from_name(self, name: str) -> int:
         if len(name) != len(self.atoms) or any(c not in "01" for c in name):
@@ -341,38 +408,44 @@ def evaluate(formula: Formula, world: int, lang: Language) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def models(formula: Formula, lang: Language) -> frozenset[int]:
-    """The proposition expressed by ``formula``: its set of worlds.
+def model_mask(formula: Formula, lang: Language) -> int:
+    """The proposition expressed by ``formula``, as a world mask.
 
-    Computed by structural set algebra rather than per-world evaluation.
+    Computed by structural bitwise algebra on the language's atom masks
+    rather than per-world evaluation.
     """
     if isinstance(formula, Atom):
-        shift = len(lang.atoms) - 1 - lang.atom_index(formula.name)
-        return frozenset(w for w in lang.worlds() if (w >> shift) & 1)
+        return lang.atom_mask(formula.name)
     if isinstance(formula, Not):
-        return lang.all_worlds - models(formula.operand, lang)
+        return lang._full_mask & ~model_mask(formula.operand, lang)
     if isinstance(formula, And):
-        return models(formula.left, lang) & models(formula.right, lang)
+        return model_mask(formula.left, lang) & model_mask(formula.right, lang)
     if isinstance(formula, Or):
-        return models(formula.left, lang) | models(formula.right, lang)
+        return model_mask(formula.left, lang) | model_mask(formula.right, lang)
     if isinstance(formula, Implies):
-        return (lang.all_worlds - models(formula.left, lang)) | models(formula.right, lang)
+        left, right = model_mask(formula.left, lang), model_mask(formula.right, lang)
+        return (lang._full_mask & ~left) | right
     if isinstance(formula, Iff):
-        left, right = models(formula.left, lang), models(formula.right, lang)
-        return (left & right) | (lang.all_worlds - left - right)
+        left, right = model_mask(formula.left, lang), model_mask(formula.right, lang)
+        return lang._full_mask & ~(left ^ right)
     if isinstance(formula, Verum):
-        return lang.all_worlds
+        return lang._full_mask
     if isinstance(formula, Falsum):
-        return frozenset()
+        return 0
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def models(formula: Formula, lang: Language) -> frozenset[int]:
+    """The proposition expressed by ``formula``: its set of worlds."""
+    return worlds_of(model_mask(formula, lang))
+
+
 def is_consistent(formula: Formula, lang: Language) -> bool:
-    return bool(models(formula, lang))
+    return bool(model_mask(formula, lang))
 
 
 def entails(premise: Formula, conclusion: Formula, lang: Language) -> bool:
-    return models(premise, lang) <= models(conclusion, lang)
+    return not model_mask(premise, lang) & ~model_mask(conclusion, lang)
 
 
 def canonical_formula(worlds: frozenset[int] | set[int], lang: Language) -> Formula:
@@ -454,6 +527,10 @@ class FormulaSet:
         """Per-member propositions, in member order."""
         return tuple(models(member, self.lang) for member in self.members)
 
+    def model_masks(self) -> tuple[int, ...]:
+        """Per-member propositions as world masks, in member order."""
+        return tuple(model_mask(member, self.lang) for member in self.members)
+
 
 def conj(s: FormulaSet) -> Formula:
     """Conjunction of all members; T for the empty set."""
@@ -477,4 +554,4 @@ def sat_subset(s: FormulaSet, world: int) -> FormulaSet:
 
 def cn_equal(s1: FormulaSet, s2: FormulaSet) -> bool:
     """Whether two formula sets have the same deductive closure."""
-    return models(conj(s1), s1.lang) == models(conj(s2), s2.lang)
+    return model_mask(conj(s1), s1.lang) == model_mask(conj(s2), s2.lang)

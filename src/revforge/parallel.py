@@ -12,7 +12,9 @@ with no finishing step.
 
 These two operators are the only implementation of the pipeline.  Its
 one entry works on world masks, ``revise_masks`` and ``contract_masks``;
-``revise_worlds`` and ``contract_worlds`` convert their sets and call it.
+``revise_worlds`` and ``contract_worlds`` convert their sets and call it,
+and ``revise`` and ``contract`` read their formulas' masks with
+``model_mask``.
 Each stage calls a serial operator's ``revise_mask`` or
 ``contract_mask``.  The postulate checker's ``CheckContext`` builds the
 two operators over its per-prior rows, which answer those stage calls,
@@ -45,7 +47,7 @@ from .serial import (
     get_contraction_operator,
     get_revision_operator,
 )
-from .tpo import TPO, mask_of, worlds_of
+from .tpo import TPO, check_mask, mask_of, worlds_of
 
 
 def minimal_inconsistent_indices(member_sets: Sequence[frozenset[int]],
@@ -99,7 +101,9 @@ class ParallelRevisionOperator:
         return self.revise_masks(t, [mask_of(member, n) for member in member_sets], labels)
 
     def revise(self, t: TPO, s: FormulaSet) -> TPO:
-        return self.revise_worlds(t, s.model_sets(), labels=[str(m) for m in s])
+        n = t.num_worlds
+        return self.revise_masks(t, [check_mask(mask, n) for mask in s.model_masks()],
+                                 labels=[str(m) for m in s])
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,8 @@ class ParallelContractionOperator:
         return self.contract_masks(t, [mask_of(member, n) for member in member_sets])
 
     def contract(self, t: TPO, s: FormulaSet) -> TPO:
-        return self.contract_worlds(t, s.model_sets())
+        n = t.num_worlds
+        return self.contract_masks(t, [check_mask(mask, n) for mask in s.model_masks()])
 
 
 @dataclass

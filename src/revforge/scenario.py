@@ -9,6 +9,18 @@ answers after every step.  Traces serialize deterministically and can
 be rendered as plain text or as a Graphviz document with one cluster
 per stage.
 
+A run works on world masks throughout: each sentence's ``model_mask``
+goes to the pipeline's mask entry (``revise_masks``/``contract_masks``)
+or to a serial operator's ``revise_mask``/``contract_mask``, queries
+are answered with mask arithmetic on the order's blocks, and worlds
+are named from ``Language.world_names``.  ``RunTrace.to_json`` writes
+its document in one pass, with the bytes of ``json.dumps(..., indent=2)``.
+
+Under ``round-robin`` and ``first-then-full`` a set step takes its
+sentences in file order, and another order can give another posterior
+order (the beliefs do not change).  ``to_text`` notes this under every
+set step with two or more sentences; the JSON form carries no note.
+
 Schema, version 1::
 
     {
@@ -47,7 +59,7 @@ from pathlib import Path
 
 from .aggregation import Aggregator
 from .errors import InconsistentInputError, RevforgeError, ScenarioError
-from .logic import Formula, Language, models, parse_formula
+from .logic import Formula, Language, model_mask, parse_formula
 from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from .serial import SerialContractionOperator, SerialRevisionOperator
 from .tpo import TPO
@@ -57,6 +69,9 @@ SCHEMA_VERSION = 1
 _SET_OPS = ("revise-set", "contract-set")
 _SERIAL_OPS = ("serial-revise", "serial-contract")
 _QUERY_TYPES = ("believes", "conditional", "compare", "show-tpo")
+
+# strategies whose posterior order can depend on the order of a set's members
+_ORDER_SENSITIVE = ("round-robin", "first-then-full")
 
 # the ``operators`` keys and the ``OperatorConfig`` fields they set
 _OPERATOR_ROLES = {"base": "base", "finisher": "finisher", "contraction": "contraction",
@@ -227,14 +242,12 @@ def loads_scenario(text: str) -> Scenario:
 def _answer(query: dict, t: TPO, lang: Language) -> dict:
     kind = query["type"]
     if kind == "believes":
-        ws = models(query["_formula"], lang)
-        return {"type": kind, "sentence": query["sentence"],
-                "answer": t.believes(ws)}
+        believed = not t.masks[0] & ~model_mask(query["_formula"], lang)
+        return {"type": kind, "sentence": query["sentence"], "answer": believed}
     if kind == "conditional":
-        given = models(query["_given"], lang)
-        then = models(query["_then"], lang)
+        best = t.min_mask(model_mask(query["_given"], lang))
         return {"type": kind, "given": query["given"], "then": query["then"],
-                "answer": t.min_of(given) <= then}
+                "answer": not best & ~model_mask(query["_then"], lang)}
     if kind == "compare":
         diff = t.compare(query["left"], query["right"])
         relation = "<" if diff < 0 else (">" if diff > 0 else "~")
@@ -245,9 +258,13 @@ def _answer(query: dict, t: TPO, lang: Language) -> dict:
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One stage of a run.  ``note`` is a caveat that ``to_text`` prints
+    and the JSON form leaves out; empty when there is none."""
+
     label: str
     tpo: TPO
     answers: tuple[dict, ...]
+    note: str = ""
 
     def beliefs(self) -> frozenset[int]:
         return self.tpo.belief_worlds()
@@ -270,14 +287,14 @@ class RunTrace:
         return self.entries[-1]
 
     def to_json_dict(self) -> dict:
+        names = self.lang.names_of
         return {
             "scenario": self.scenario,
             "entries": [
                 {
                     "label": e.label,
-                    "tpo": [sorted(self.lang.world_name(w) for w in block)
-                            for block in e.tpo.blocks],
-                    "beliefs": sorted(self.lang.world_name(w) for w in e.beliefs()),
+                    "tpo": [names(mask) for mask in e.tpo.masks],
+                    "beliefs": names(e.tpo.masks[0]),
                     "queries": list(e.answers),
                 }
                 for e in self.entries
@@ -285,13 +302,16 @@ class RunTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
+        """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte."""
+        return _dumps_indented(self.to_json_dict())
 
     def to_text(self) -> str:
         lines = []
         for e in self.entries:
             lines.append(f"{e.label}: {e.tpo.render(self.lang)}")
-            beliefs = ", ".join(sorted(self.lang.world_name(w) for w in e.beliefs()))
+            if e.note:
+                lines.append(f"  note: {e.note}")
+            beliefs = ", ".join(self.lang.names_of(e.tpo.masks[0]))
             lines.append(f"  beliefs: {{{beliefs}}}")
             for ans in e.answers:
                 lines.append(f"  {_format_answer(ans)}")
@@ -299,6 +319,68 @@ class RunTrace:
 
     def replay(self) -> "RunTrace":
         return run_scenario(Scenario.from_dict(self.scenario))
+
+
+class _Unwritable(Exception):
+    """A value ``_write`` leaves to ``json.dumps``."""
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps_indented(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder; this one
+    pass is faster on the str, bool, None, int, list and str-keyed dict
+    values a trace holds.  Any other value, subclasses included, hands
+    the whole document to ``json.dumps``, as does nesting too deep to
+    recurse, so that a circular document raises json's own error.
+    """
+    out: list[str] = []
+    try:
+        _write(obj, out, "\n")
+    except (_Unwritable, RecursionError):
+        return json.dumps(obj, indent=2)
+    return "".join(out)
+
+
+def _write(value, out: list[str], newline: str) -> None:
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _Unwritable
+            out.append(opener + _escape(key) + ": ")
+            _write(item, out, inner)
+            opener = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            out.append(opener)
+            _write(item, out, inner)
+            opener = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    else:
+        raise _Unwritable
 
 
 def _format_answer(ans: dict) -> str:
@@ -324,22 +406,27 @@ def run_scenario(scenario: Scenario) -> RunTrace:
         label="initial", tpo=t,
         answers=tuple(_answer(q, t, lang) for q in scenario.initial_queries))]
 
+    order_sensitive = scenario.aggregator.name in _ORDER_SENSITIVE
     for i, step in enumerate(scenario.steps, start=1):
-        sets = tuple(models(f, lang) for f in step.formulas)
+        masks = [model_mask(f, lang) for f in step.formulas]
         try:
             if step.op == "revise-set":
-                t = prev.revise_worlds(t, sets, labels=step.texts)
+                t = prev.revise_masks(t, masks, labels=step.texts)
             elif step.op == "contract-set":
-                t = pcon.contract_worlds(t, sets)
+                t = pcon.contract_masks(t, masks)
             elif step.op == "serial-revise":
-                t = scenario.base.revise(t, sets[0])
+                t = scenario.base.revise_mask(t, masks[0])
             else:
-                t = scenario.contraction.contract(t, sets[0])
+                t = scenario.contraction.contract_mask(t, masks[0])
         except InconsistentInputError as exc:
             raise InconsistentInputError(f"step {i} ({step.label()}): {exc}") from exc
+        note = ""
+        if order_sensitive and step.op in _SET_OPS and len(masks) > 1:
+            note = (f"{scenario.aggregator.name} takes the sentences in file order; "
+                    f"another order can give another posterior order")
         entries.append(TraceEntry(
             label=f"step {i}: {step.label()}", tpo=t,
-            answers=tuple(_answer(q, t, lang) for q in step.queries)))
+            answers=tuple(_answer(q, t, lang) for q in step.queries), note=note))
 
     return RunTrace(scenario=scenario.raw, lang=lang, entries=tuple(entries))
 
@@ -355,7 +442,7 @@ def export_dot(trace: RunTrace, graph_name: str = "trace") -> str:
     out = [f"digraph {graph_name} {{", "  rankdir=BT;",
            "  node [shape=box, fontname=\"monospace\"];"]
     for i, e in enumerate(trace.entries):
-        names = [sorted(lang.world_name(w) for w in block) for block in e.tpo.blocks]
+        names = [lang.names_of(mask) for mask in e.tpo.masks]
         out.append(f"  subgraph cluster_{i} {{")
         out.append(f"    label=\"{e.label}\";")
         for j, block in enumerate(names):

@@ -4,7 +4,8 @@ Each operator maps a TPO and one input proposition to a new TPO over the
 same worlds.  The core transforms take the input's set of models
 directly, as a frozenset that each converts to a world mask once, and
 build the result from the prior's block masks; ``apply`` is a
-convenience wrapper that takes a formula.  All three revision operators
+convenience wrapper that takes a formula, reads its ``model_mask`` and
+calls the mask entry.  All three revision operators
 put the most plausible input-worlds at the bottom (so the revised
 beliefs are exactly those worlds) and differ in how they rearrange
 everything else:
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InconsistentInputError, lookup
-from .logic import Formula, Language, models
+from .logic import Formula, Language, model_mask
 from .tpo import TPO, mask_of, worlds_of
 
 
@@ -110,7 +111,7 @@ class SerialRevisionOperator:
         return self.transform(t, worlds_of(mask))
 
     def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
-        return self.revise(t, models(a, lang))
+        return self.revise_mask(t, model_mask(a, lang))
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ class SerialContractionOperator:
         return self.transform(t, worlds_of(mask))
 
     def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
-        return self.contract(t, models(a, lang))
+        return self.contract_mask(t, model_mask(a, lang))
 
 
 NATURAL = SerialRevisionOperator("natural", natural_revise)

@@ -32,32 +32,19 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PartitionError, SpaceError, UnsatisfiableConditionalsError
-from .logic import Language
+from .logic import Language, worlds_of
 
 MAX_CONDITIONAL_WORLDS = 8
 
 _set = object.__setattr__
 
 
-# the worlds of each low byte and each high byte of a 16-world mask
-_LOW_BYTE = tuple(tuple(w for w in range(8) if byte >> w & 1) for byte in range(256))
-_HIGH_BYTE = tuple(tuple(w + 8 for w in low) for low in _LOW_BYTE)
-
-
-def worlds_of(mask: int) -> frozenset[int]:
-    """The worlds whose bits are set in ``mask``.
-
-    Masks of up to 16 worlds, all that spaces reach, read two tables;
-    wider ones are walked bit by bit.
-    """
-    if mask < 0x10000:
-        return frozenset(_LOW_BYTE[mask & 0xFF] + _HIGH_BYTE[mask >> 8])
-    worlds = []
-    while mask:
-        low = mask & -mask
-        worlds.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(worlds)
+def check_mask(mask: int, num_worlds: int) -> int:
+    """``mask``; PartitionError unless its worlds all lie in ``range(num_worlds)``."""
+    if mask >> num_worlds:
+        outside = sorted(worlds_of(mask >> num_worlds << num_worlds))
+        raise PartitionError(f"worlds {outside} are not in range({num_worlds})")
+    return mask
 
 
 def mask_of(worlds: Iterable[int], num_worlds: int) -> int:
@@ -68,10 +55,7 @@ def mask_of(worlds: Iterable[int], num_worlds: int) -> int:
             mask |= 1 << world
         except (TypeError, ValueError):
             raise PartitionError(f"world {world!r} is not in range({num_worlds})") from None
-    if mask >> num_worlds:
-        outside = sorted(worlds_of(mask >> num_worlds << num_worlds))
-        raise PartitionError(f"worlds {outside} are not in range({num_worlds})")
-    return mask
+    return check_mask(mask, num_worlds)
 
 
 class TPO:
@@ -225,8 +209,7 @@ class TPO:
         if lang.num_worlds != self.num_worlds:
             raise PartitionError(
                 f"language has {lang.num_worlds} worlds, preorder has {self.num_worlds}")
-        parts = ["{" + ",".join(lang.world_name(w) for w in sorted(block)) + "}"
-                 for block in self.blocks]
+        parts = ["{" + ",".join(lang.names_of(mask)) + "}" for mask in self.masks]
         return "[" + " < ".join(parts) + "]"
 
     def __repr__(self) -> str:

@@ -9,7 +9,14 @@ instance (S-star, P-star, GR-star, C-star-3-b, C-star-4-b, PC3-b and
 PC4-b).  ``test_core_differential.py`` checks
 that the shipped code computes the same orders, hits and verdicts on
 every exhaustive two-atom instance, and the same orders on a seeded
-three-atom sample.  Nothing outside the tests imports it.
+three-atom sample.
+
+It also keeps the frozenset route of formulas and scenario runs:
+``models`` by set algebra, and a scenario run that steps through
+``revise_worlds``/``contract_worlds`` and the serial ``revise``/
+``contract``, answers queries on frozensets and names worlds one by one.
+``test_mask_differential.py`` checks ``model_mask`` and ``run_scenario``
+against them.  Nothing outside the tests imports it.
 """
 
 from __future__ import annotations
@@ -363,3 +370,86 @@ def pc4_b(ctx, t, s):
         if not any(beliefs <= two_step for beliefs in _subset_beliefs(ctx, t, s, x)):
             return False
     return True
+
+
+# --- formulas and scenario runs on frozensets ---
+
+def models(formula, lang) -> frozenset[int]:
+    """A formula's set of worlds by structural set algebra."""
+    from revforge.logic import And, Atom, Falsum, Iff, Implies, Not, Or, Verum
+    if isinstance(formula, Atom):
+        shift = len(lang.atoms) - 1 - lang.atom_index(formula.name)
+        return frozenset(w for w in lang.worlds() if (w >> shift) & 1)
+    if isinstance(formula, Not):
+        return lang.all_worlds - models(formula.operand, lang)
+    if isinstance(formula, And):
+        return models(formula.left, lang) & models(formula.right, lang)
+    if isinstance(formula, Or):
+        return models(formula.left, lang) | models(formula.right, lang)
+    if isinstance(formula, Implies):
+        return (lang.all_worlds - models(formula.left, lang)) | models(formula.right, lang)
+    if isinstance(formula, Iff):
+        left, right = models(formula.left, lang), models(formula.right, lang)
+        return (left & right) | (lang.all_worlds - left - right)
+    if isinstance(formula, Verum):
+        return lang.all_worlds
+    if isinstance(formula, Falsum):
+        return frozenset()
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def _world_names(lang, worlds) -> list[str]:
+    return sorted(format(w, f"0{len(lang.atoms)}b") for w in worlds)
+
+
+def _answer(query: dict, t, lang) -> dict:
+    kind = query["type"]
+    if kind == "believes":
+        return {"type": kind, "sentence": query["sentence"],
+                "answer": t.believes(models(query["_formula"], lang))}
+    if kind == "conditional":
+        given, then = models(query["_given"], lang), models(query["_then"], lang)
+        return {"type": kind, "given": query["given"], "then": query["then"],
+                "answer": t.min_of(given) <= then}
+    if kind == "compare":
+        diff = t.compare(query["left"], query["right"])
+        relation = "<" if diff < 0 else (">" if diff > 0 else "~")
+        return {"type": kind, "left": query["left_name"],
+                "right": query["right_name"], "answer": relation}
+    parts = ["{" + ",".join(_world_names(lang, block)) + "}" for block in t.blocks]
+    return {"type": kind, "answer": "[" + " < ".join(parts) + "]"}
+
+
+def scenario_entries(scenario) -> list[dict]:
+    """The ``entries`` of a parsed scenario's trace, run on frozensets.
+
+    An inconsistent step raises ``InconsistentInputError`` with the
+    message ``run_scenario`` gives it.
+    """
+    from revforge import ParallelContractionOperator, ParallelRevisionOperator
+    lang = scenario.lang
+    prev = ParallelRevisionOperator(scenario.base, scenario.finisher, scenario.aggregator)
+    pcon = ParallelContractionOperator(scenario.contraction, scenario.aggregator)
+
+    def entry(label, t, queries):
+        return {"label": label, "tpo": [_world_names(lang, b) for b in t.blocks],
+                "beliefs": _world_names(lang, t.blocks[0]),
+                "queries": [_answer(q, t, lang) for q in queries]}
+
+    t = scenario.initial
+    entries = [entry("initial", t, scenario.initial_queries)]
+    for i, step in enumerate(scenario.steps, start=1):
+        sets = tuple(models(f, lang) for f in step.formulas)
+        try:
+            if step.op == "revise-set":
+                t = prev.revise_worlds(t, sets, labels=step.texts)
+            elif step.op == "contract-set":
+                t = pcon.contract_worlds(t, sets)
+            elif step.op == "serial-revise":
+                t = scenario.base.revise(t, sets[0])
+            else:
+                t = scenario.contraction.contract(t, sets[0])
+        except InconsistentInputError as exc:
+            raise InconsistentInputError(f"step {i} ({step.label()}): {exc}") from exc
+        entries.append(entry(f"step {i}: {step.label()}", t, step.queries))
+    return entries

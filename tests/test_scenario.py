@@ -275,3 +275,70 @@ def test_export_dot_ties_share_a_rank():
     assert '{ rank=same; "s0_00" "s0_11" }' in dot
     assert '{ rank=same; "s0_01" "s0_10" }' in dot
     assert dot.count("->") == 4
+
+
+# -- the trace writer ---------------------------------------------------------
+
+
+def _dumped(trace) -> str:
+    return json.dumps(trace.to_json_dict(), indent=2)
+
+
+EXTRA_KEYS = {
+    "title": "Zoë's “parallel” revision — ünïcödé, \U0001f600",
+    "quotes": 'say "A" and \\B\\ / done',
+    "controls": "tab\there, newline\nthere, bell\x07, nul\x00, del\x7f",
+    "empty": {"list": [], "dict": {}, "null": None},
+    "nested": [1, [2, [-3, {"deep": [True, False, None, ""]}]], {}],
+    "big": 10 ** 40,
+}
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    EXTRA_KEYS,
+    {"weight": 0.5, "scale": [1e300, -2.0]},
+    {"bad": float("nan"), "worse": [float("inf")]},
+    {"tags": ("x", "y"), "pair": ({"a": 1},)},
+    {"numbers": {1: "one", None: "none"}},
+])
+def test_to_json_is_json_dumps_with_indent_two(extra):
+    doc = {**BASE, **extra, "initial": [["11"], ["01", "10"], ["00"]],
+           "steps": [{"op": "revise-set", "sentences": ["A", "~B"],
+                      "queries": [{"type": "believes", "sentence": "A"},
+                                  {"type": "show-tpo"}]},
+                     {"op": "serial-contract", "sentence": "A"}]}
+    trace = make(doc)
+    assert trace.to_json() == _dumped(trace)
+
+
+def test_to_json_of_the_bundled_scenario_is_json_dumps():
+    trace = run_scenario(loads_scenario(bundled_text()))
+    assert trace.to_json() == _dumped(trace)
+
+
+def test_to_json_of_a_circular_document_raises_like_json_dumps():
+    doc = {**BASE}
+    doc["self"] = doc
+    trace = make(doc)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        trace.to_json()
+
+
+# -- the member-order note ----------------------------------------------------
+
+
+@pytest.mark.parametrize("agg, noted", [("round-robin", True), ("first-then-full", True),
+                                        ("stq", False)])
+def test_to_text_notes_member_order_on_multi_sentence_set_steps(agg, noted):
+    doc = {**BASE, "operators": {"agg": agg},
+           "steps": [{"op": "revise-set", "sentences": ["A", "B"]},
+                     {"op": "contract-set", "sentences": ["A", "B"]},
+                     {"op": "revise-set", "sentences": ["A"]},
+                     {"op": "serial-revise", "sentence": "B"}]}
+    trace = make(doc)
+    notes = [line for line in trace.to_text().splitlines() if line.startswith("  note: ")]
+    assert notes == [f"  note: {agg} takes the sentences in file order; "
+                     f"another order can give another posterior order"] * 2 * noted
+    assert [bool(e.note) for e in trace.entries] == [False, noted, noted, False, False]
+    assert "note" not in trace.to_json()
