@@ -15,10 +15,10 @@ one entry works on world masks, ``revise_masks`` and ``contract_masks``;
 ``revise_worlds`` and ``contract_worlds`` convert their sets and call it,
 and ``revise`` and ``contract`` read their formulas' masks with
 ``model_mask``.
-Each stage calls a serial operator's ``revise_mask`` or
-``contract_mask``.  The postulate checker's ``CheckContext`` builds the
-two operators over its per-prior rows, which answer those stage calls,
-instead of re-implementing the stages.
+Each stage calls a serial operator's ``transform`` on a mask.  The
+postulate checker's ``CheckContext`` builds the two operators over its
+per-prior rows, which answer those stage calls, instead of
+re-implementing the stages.
 
 Revision requires the conjunction of the inputs to be consistent;
 otherwise there is nothing coherent to promote and the call is rejected
@@ -36,6 +36,8 @@ come from outside the program.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import and_
 from typing import Mapping, Sequence
 
 from .aggregation import Aggregator, SelectionStrategy, make_strategy
@@ -47,20 +49,20 @@ from .serial import (
     get_contraction_operator,
     get_revision_operator,
 )
-from .tpo import TPO, check_mask, mask_of, worlds_of
+from .tpo import TPO, check_mask, mask_of
 
 
-def minimal_inconsistent_indices(member_sets: Sequence[frozenset[int]],
-                                 full: frozenset[int]) -> tuple[int, ...]:
-    """Indices of an inclusion-minimal subfamily with empty intersection.
+def minimal_inconsistent_indices(masks: Sequence[int], full: int) -> tuple[int, ...]:
+    """Indices of an inclusion-minimal subfamily of ``masks`` with empty
+    intersection; ``full`` is the mask of every world.
 
     Greedy shrink: drop any member whose removal keeps the family
     inconsistent.  Only meaningful when the whole family is inconsistent.
     """
-    kept = list(range(len(member_sets)))
+    kept = list(range(len(masks)))
     for index in list(kept):
         trial = [i for i in kept if i != index]
-        if not full.intersection(*(member_sets[i] for i in trial)):
+        if not reduce(and_, (masks[i] for i in trial), full):
             kept = trial
     return tuple(kept)
 
@@ -78,22 +80,19 @@ class ParallelRevisionOperator:
         """Revise ``t`` by the family whose members have world masks ``masks``.
 
         The one implementation of the pipeline: each stage calls the
-        serial operators' ``revise_mask``.
+        serial operators' ``transform``.
         """
         full = (1 << t.num_worlds) - 1
         masks = tuple(masks) or (full,)
-        target = full
-        for mask in masks:
-            target &= mask
+        target = reduce(and_, masks, full)
         if not target:
-            culprits = minimal_inconsistent_indices([worlds_of(m) for m in masks],
-                                                    worlds_of(full))
+            culprits = minimal_inconsistent_indices(masks, full)
             names = tuple(labels[i] if labels else f"member {i}" for i in culprits)
             raise InconsistentInputError(
                 "cannot revise by a set whose conjunction is inconsistent", names)
-        revise = self.base.revise_mask
+        revise = self.base.transform
         merged = self.aggregator.aggregate(tuple([revise(t, mask) for mask in masks]))
-        return self.finisher.revise_mask(merged, target)
+        return self.finisher.transform(merged, target)
 
     def revise_worlds(self, t: TPO, member_sets: Sequence[frozenset[int]],
                       labels: Sequence[str] | None = None) -> TPO:
@@ -116,7 +115,7 @@ class ParallelContractionOperator:
     def contract_masks(self, t: TPO, masks: Sequence[int]) -> TPO:
         """Contract ``t`` by the family whose members have world masks ``masks``."""
         masks = tuple(masks) or ((1 << t.num_worlds) - 1,)
-        contract = self.base.contract_mask
+        contract = self.base.transform
         return self.aggregator.aggregate(tuple([contract(t, mask) for mask in masks]))
 
     def contract_worlds(self, t: TPO, member_sets: Sequence[frozenset[int]]) -> TPO:

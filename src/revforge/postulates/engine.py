@@ -106,18 +106,17 @@ class _Rows:
     by the order's masks, bounded at ``_ROWS`` rows.  A row costs one
     dict, so a prior seen once costs no more than its entries.
 
-    A miss passes the shared table's set ``subsets[mask]`` to the
-    operator's ``transform`` and interns the result by its masks, in a
-    table bounded the same way, so equal results are one object and the
-    aggregator's memo compares profiles by identity.  The pipeline calls
-    ``revise_mask`` or ``contract_mask`` as it would on the operator.
+    A miss passes the mask straight to the operator's ``transform`` and
+    interns the result by its masks, in a table bounded the same way, so
+    equal results are one object and the aggregator's memo compares
+    profiles by identity.  The row lookup is ``transform(t, mask)``, so
+    the pipeline calls it as it would call the operator.
     """
 
-    __slots__ = ("transform", "subsets", "table", "interned", "t", "row")
+    __slots__ = ("compute", "table", "interned", "t", "row")
 
-    def __init__(self, op, subsets: tuple):
-        self.transform = op.transform
-        self.subsets = subsets
+    def __init__(self, op):
+        self.compute = op.transform
         self.table: dict = {}
         self.interned: dict = {}
         self.t = self.row = None
@@ -133,18 +132,16 @@ class _Rows:
         self.t, self.row = t, row
         return row
 
-    def serial(self, t: TPO, mask: int) -> TPO:
+    def transform(self, t: TPO, mask: int) -> TPO:
         row = self.row if t is self.t else self.row_of(t)
         hit = row.get(mask)
         if hit is None:
-            hit = self.transform(t, self.subsets[mask])
+            hit = self.compute(t, mask)
             interned = self.interned
             if len(interned) >= _ROWS:
                 _shed(interned)
             hit = row[mask] = interned.setdefault(hit.masks, hit)
         return hit
-
-    revise_mask = contract_mask = serial
 
 
 def _family_lookup(rows: _Rows, pipeline: Callable, shipped: Callable, mask: dict) -> Callable:
@@ -217,7 +214,7 @@ class CheckContext:
         def rows_of(role: str) -> _Rows:
             op = config.resolved(role)
             if id(op) not in rows:
-                rows[id(op)] = _Rows(op, self.subsets)
+                rows[id(op)] = _Rows(op)
             return rows[id(op)]
 
         self._revision = rows_of("revision")
@@ -244,10 +241,10 @@ class CheckContext:
         return self._canonical(worlds)
 
     def revise(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self._revision.serial(t, mask_of(sat, t.num_worlds))
+        return self._revision.transform(t, mask_of(sat, t.num_worlds))
 
     def contract(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self._contraction.serial(t, mask_of(sat, t.num_worlds))
+        return self._contraction.transform(t, mask_of(sat, t.num_worlds))
 
     def aggregate(self, profile: tuple[TPO, ...]) -> TPO:
         return self._aggregate(tuple(profile))
@@ -438,14 +435,17 @@ def replay_witness(postulate_id: str, witness: dict, atoms: int) -> list:
     """Rebuild a witness's instance and re-evaluate it.
 
     Returns the rendered hits; a faithful violation witness reproduces at
-    least the hit it was reported with.  Unknown operator roles or names,
-    atom counts no space supports, and instances that lack a key of their
-    shape or a world of the language, raise typed errors.
+    least the hit it was reported with.  A witness that is not an object
+    holding an ``operators`` object, unknown operator roles or names, atom
+    counts no space supports, and instances that lack a key of their shape
+    or a world of the language, raise typed errors.
     """
     postulate = _postulate(postulate_id)
     lang = language(atoms)
+    if not (isinstance(witness, dict) and isinstance(witness.get("operators"), dict)):
+        raise SpaceError("a witness must be an object holding an 'operators' object")
     ctx = CheckContext(lang, OperatorConfig.from_names(witness["operators"]))
-    instance = decode_instance(postulate.shape, witness["instance"], lang)
+    instance = decode_instance(postulate.shape, witness.get("instance"), lang)
     hits = postulate.evaluate(ctx, *instance)
     if hits is None:
         return []

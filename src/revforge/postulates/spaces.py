@@ -230,14 +230,18 @@ def encode_instance(shape: str, instance: tuple, lang: Language) -> dict:
 def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
     """The instance ``encode_instance`` made ``payload`` from.
 
-    A payload that lacks a key of the shape, or holds a preorder that
-    does not place every world of ``lang``, raises ``SpaceError``.
+    A payload that is not an object holding every key of the shape, that
+    holds a value of another JSON type than the shape's, or a preorder
+    that does not place every world of ``lang``, raises ``SpaceError``.
     """
     parts = _parts(shape)
-    missing = [key for key, _ in parts if key not in payload]
+    missing = [key for key, _ in parts if not isinstance(payload, dict) or key not in payload]
     if missing:
         raise SpaceError(f"a {shape!r} instance needs the keys {missing}")
-    return tuple(part.decode(payload[key], lang) for key, part in parts)
+    try:
+        return tuple(part.decode(payload[key], lang) for key, part in parts)
+    except TypeError as exc:
+        raise SpaceError(f"a {shape!r} instance holds a value of the wrong type: {exc}") from None
 
 
 @dataclass
@@ -253,6 +257,9 @@ class InstanceSpace:
     violation_cap: int = 10
 
     def __post_init__(self):
+        for name in ("atoms", "sample_count", "max_set_size", "violation_cap"):
+            if type(getattr(self, name)) is not int:
+                raise SpaceError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.mode not in ("exhaustive", "sampled"):
             raise SpaceError(f"unknown space mode {self.mode!r}")
         if self.mode == "exhaustive":

@@ -11,9 +11,9 @@ per stage.
 
 A run works on world masks throughout: each sentence's ``model_mask``
 goes to the pipeline's mask entry (``revise_masks``/``contract_masks``)
-or to a serial operator's ``revise_mask``/``contract_mask``, queries
-are answered with mask arithmetic on the order's blocks, and worlds
-are named from ``Language.world_names``.  ``RunTrace.to_json`` writes
+or to a serial operator's ``transform``, queries are answered with mask
+arithmetic on the order's blocks, and worlds are named from
+``Language.world_names``.  ``RunTrace.to_json`` writes
 its document in one pass, with the bytes of ``json.dumps(..., indent=2)``.
 
 Under ``round-robin`` and ``first-then-full`` a set step takes its
@@ -415,9 +415,9 @@ def run_scenario(scenario: Scenario) -> RunTrace:
             elif step.op == "contract-set":
                 t = pcon.contract_masks(t, masks)
             elif step.op == "serial-revise":
-                t = scenario.base.revise_mask(t, masks[0])
+                t = scenario.base.transform(t, masks[0])
             else:
-                t = scenario.contraction.contract_mask(t, masks[0])
+                t = scenario.contraction.transform(t, masks[0])
         except InconsistentInputError as exc:
             raise InconsistentInputError(f"step {i} ({step.label()}): {exc}") from exc
         note = ""

@@ -1,14 +1,14 @@
 """Single-sentence revision and contraction on total preorders.
 
 Each operator maps a TPO and one input proposition to a new TPO over the
-same worlds.  The core transforms take the input's set of models
-directly, as a frozenset that each converts to a world mask once, and
-build the result from the prior's block masks; ``apply`` is a
-convenience wrapper that takes a formula, reads its ``model_mask`` and
-calls the mask entry.  All three revision operators
-put the most plausible input-worlds at the bottom (so the revised
-beliefs are exactly those worlds) and differ in how they rearrange
-everything else:
+same worlds.  Its ``transform(t, mask)``, called by the pipeline, the
+checker's rows and scenario steps, takes the input's models as a world
+mask and trusts it, as ``TPO._from_masks`` trusts its blocks;
+``revise``/``contract`` convert a world set once with ``mask_of`` and
+``apply`` checks a formula's ``model_mask`` against the order.  All
+three revision operators put the most plausible input-worlds at the
+bottom (so the revised beliefs are exactly those worlds) and differ in
+how they rearrange everything else:
 
 * natural: moves ``min(t, [a])`` down, leaves every other comparison alone.
 * lexicographic: drops all a-worlds below all non-a-worlds, preserving
@@ -33,19 +33,18 @@ from typing import Callable
 
 from .errors import InconsistentInputError, lookup
 from .logic import Formula, Language, model_mask
-from .tpo import TPO, mask_of, worlds_of
+from .tpo import TPO, check_mask, mask_of
 
 
-def _consistent_mask(t: TPO, sat: frozenset[int]) -> int:
-    mask = mask_of(sat, t.num_worlds)
+def _consistent_mask(mask: int) -> int:
     if not mask:
         raise InconsistentInputError("cannot revise by an inconsistent input (no models)")
     return mask
 
 
-def natural_revise(t: TPO, sat: frozenset[int]) -> TPO:
-    """New bottom block ``min(t, sat)``; the rest keeps its relative order."""
-    promoted = t.min_mask(_consistent_mask(t, sat))
+def natural_revise(t: TPO, mask: int) -> TPO:
+    """New bottom block ``min(t, mask)``; the rest keeps its relative order."""
+    promoted = t.min_mask(_consistent_mask(mask))
     masks = [promoted]
     for block in t.masks:
         rest = block & ~promoted
@@ -54,19 +53,18 @@ def natural_revise(t: TPO, sat: frozenset[int]) -> TPO:
     return TPO._from_masks(tuple(masks), t.num_worlds)
 
 
-def lex_revise(t: TPO, sat: frozenset[int]) -> TPO:
-    """All sat-worlds below all others, prior order kept within each side."""
-    mask = _consistent_mask(t, sat)
+def lex_revise(t: TPO, mask: int) -> TPO:
+    """All mask-worlds below all others, prior order kept within each side."""
+    _consistent_mask(mask)
     inside = [block & mask for block in t.masks]
     outside = [block & ~mask for block in t.masks]
     return TPO._from_masks(tuple(block for block in inside + outside if block), t.num_worlds)
 
 
-def restrained_revise(t: TPO, sat: frozenset[int]) -> TPO:
-    """``min(t, sat)`` to the bottom; prior strict comparisons survive,
-    and within surviving ties sat-worlds come first."""
-    mask = _consistent_mask(t, sat)
-    promoted = t.min_mask(mask)
+def restrained_revise(t: TPO, mask: int) -> TPO:
+    """``min(t, mask)`` to the bottom; prior strict comparisons survive,
+    and within surviving ties mask-worlds come first."""
+    promoted = t.min_mask(_consistent_mask(mask))
     masks = [promoted]
     for block in t.masks:
         rest = block & ~promoted
@@ -76,10 +74,10 @@ def restrained_revise(t: TPO, sat: frozenset[int]) -> TPO:
     return TPO._from_masks(tuple(masks), t.num_worlds)
 
 
-def natural_contract(t: TPO, sat: frozenset[int]) -> TPO:
-    """Merge the most plausible worlds outside ``sat`` into the bottom block.
+def natural_contract(t: TPO, mask: int) -> TPO:
+    """Merge the most plausible worlds outside ``mask`` into the bottom block.
 
-    ``sat`` is the model set of the retracted input; its most plausible
+    ``mask`` holds the models of the retracted input; its most plausible
     counter-worlds become maximally plausible too, which is exactly what
     stops the input being believed.  A tautologous input (no
     counter-worlds) and a contradictory one (whose counter-worlds are
@@ -87,7 +85,7 @@ def natural_contract(t: TPO, sat: frozenset[int]) -> TPO:
     the preorder unchanged.
     """
     full = (1 << t.num_worlds) - 1
-    bottom = t.masks[0] | t.min_mask(full & ~mask_of(sat, t.num_worlds))
+    bottom = t.masks[0] | t.min_mask(full & ~mask)
     masks = [bottom]
     for block in t.masks[1:]:
         rest = block & ~bottom
@@ -101,17 +99,13 @@ class SerialRevisionOperator:
     """A named single-sentence revision operator."""
 
     name: str
-    transform: Callable[[TPO, frozenset[int]], TPO] = field(repr=False)
+    transform: Callable[[TPO, int], TPO] = field(repr=False)
 
     def revise(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self.transform(t, frozenset(sat))
-
-    def revise_mask(self, t: TPO, mask: int) -> TPO:
-        """``revise`` by the worlds of ``mask``: the pipeline's stage call."""
-        return self.transform(t, worlds_of(mask))
+        return self.transform(t, mask_of(sat, t.num_worlds))
 
     def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
-        return self.revise_mask(t, model_mask(a, lang))
+        return self.transform(t, check_mask(model_mask(a, lang), t.num_worlds))
 
 
 @dataclass(frozen=True)
@@ -119,17 +113,13 @@ class SerialContractionOperator:
     """A named single-sentence contraction operator."""
 
     name: str
-    transform: Callable[[TPO, frozenset[int]], TPO] = field(repr=False)
+    transform: Callable[[TPO, int], TPO] = field(repr=False)
 
     def contract(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self.transform(t, frozenset(sat))
-
-    def contract_mask(self, t: TPO, mask: int) -> TPO:
-        """``contract`` by the worlds of ``mask``: the pipeline's stage call."""
-        return self.transform(t, worlds_of(mask))
+        return self.transform(t, mask_of(sat, t.num_worlds))
 
     def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
-        return self.contract_mask(t, model_mask(a, lang))
+        return self.transform(t, check_mask(model_mask(a, lang), t.num_worlds))
 
 
 NATURAL = SerialRevisionOperator("natural", natural_revise)

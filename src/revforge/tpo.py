@@ -10,10 +10,10 @@ Inside the package a set of worlds is an ``int`` mask with bit w set for
 world w.  A ``TPO`` stores its blocks as the tuple ``masks``, and
 ``min_mask`` is the first non-zero ``block & mask``.  Frozensets stay at
 the edge: the frozenset ``blocks`` and the per-world ``ranks`` are built
-from the masks on first use and then kept, and ``min_of`` and the
-operators' ``sat`` arguments take frozensets, converted once by
-``mask_of``, which rejects worlds outside the order with
-``PartitionError``, as do ``rank`` and the comparisons built on it.  Equality and the hash, computed once, use the masks.
+from the masks on first use and then kept.  ``min_of`` and the serial
+operators' ``revise``/``contract`` take frozensets, converted once by
+``mask_of``; it, ``rank`` and the comparisons reject worlds outside the
+order with ``PartitionError``.  Equality and the hash use the masks.
 ``TPO(blocks)`` validates its argument; orders that operators build are
 valid by construction and skip the check through ``TPO._from_masks``.
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from revforge import (Aggregator, FIRST_THEN_FULL_STRATEGY, PartitionError,
+from revforge import (Aggregator, FIRST_THEN_FULL_STRATEGY, NATURAL, PartitionError,
                       ROUND_ROBIN_STRATEGY, STQ_STRATEGY, SelectionStrategy,
-                      TPO, make_strategy, natural_revise, stq)
+                      TPO, make_strategy, stq)
 from revforge.aggregation import STRATEGIES
 from revforge.postulates import enumerate_tpos
 
@@ -15,8 +15,8 @@ def test_reference_two_member_aggregate():
     """The two serial revisions of the one-then-rest preorder merge with
     a three-world bottom block, not the conjunction's single world."""
     t0 = tpo({0}, {1, 2, 3})
-    ta = natural_revise(t0, frozenset({2, 3}))
-    tb = natural_revise(t0, frozenset({1, 3}))
+    ta = NATURAL.revise(t0, frozenset({2, 3}))
+    tb = NATURAL.revise(t0, frozenset({1, 3}))
     merged = stq((ta, tb))
     assert merged == tpo({1, 2, 3}, {0})
     assert merged.blocks[0] == frozenset({1, 2, 3})

@@ -43,8 +43,9 @@ SAMPLE = InstanceSpace(atoms=3, mode="sampled", sample_count=150, seed=4242, max
 SAMPLED_PSETS = tuple(SAMPLE.instances("pset"))
 SAMPLED_CSETS = tuple(SAMPLE.instances("cset"))
 SAMPLED_PROFILES = tuple(profile for (profile,) in SAMPLE.instances("profile2"))
-SERIAL = {**{name: op.transform for name, op in REVISION_OPERATORS.items()},
-          NATURAL_CONTRACT.name: NATURAL_CONTRACT.transform}
+# each operator's mask transform, driven by the mask of the reference's world set
+SERIAL = {op.name: lambda t, sat, op=op: op.transform(t, sum(1 << w for w in sat))
+          for op in (*REVISION_OPERATORS.values(), NATURAL_CONTRACT)}
 REF_SERIAL = {**ref.REVISIONS, NATURAL_CONTRACT.name: ref.natural_contract}
 COMBOS = tuple(itertools.product(REVISION_OPERATORS, REVISION_OPERATORS, STRATEGIES))
 

@@ -1,5 +1,8 @@
 """Parallel (package) revision and contraction pipelines."""
 
+import functools
+import operator
+
 import pytest
 
 from revforge import (Aggregator, CheckContext, FIRST_THEN_FULL_STRATEGY, FormulaSet,
@@ -9,6 +12,7 @@ from revforge import (Aggregator, CheckContext, FIRST_THEN_FULL_STRATEGY, Formul
                       replay_witness)
 from revforge.parallel import minimal_inconsistent_indices
 from revforge.postulates import enumerate_tpos, all_propositions, formula_set_tuples
+from revforge.tpo import mask_of
 
 from conftest import tpo
 
@@ -61,16 +65,16 @@ def test_inconsistent_family_raises_with_minimal_culprits(lang2):
 
 
 def test_minimal_inconsistent_indices_shrinks():
-    full = frozenset(range(4))
-    sets = (A, B, frozenset({0}))
-    assert minimal_inconsistent_indices(sets, full) in ((1, 2), (2,), (0, 2))
+    full = 0b1111
+    masks = tuple(mask_of(s, 4) for s in (A, B, frozenset({0})))
+    assert minimal_inconsistent_indices(masks, full) in ((1, 2), (2,), (0, 2))
     # the found family must itself be inconsistent and inclusion-minimal
-    kept = minimal_inconsistent_indices(sets, full)
-    family = [sets[i] for i in kept]
-    assert not frozenset.intersection(full, *family)
+    kept = minimal_inconsistent_indices(masks, full)
+    family = [masks[i] for i in kept]
+    assert not functools.reduce(operator.and_, family, full)
     for skip in range(len(family)):
         rest = [m for j, m in enumerate(family) if j != skip]
-        assert frozenset.intersection(full, *rest) if rest else full
+        assert functools.reduce(operator.and_, rest, full)
 
 
 # --- contraction ---

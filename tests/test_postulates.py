@@ -168,6 +168,13 @@ def test_instance_space_validation():
         InstanceSpace(atoms=2, mode="guess")
     with pytest.raises(SpaceError):
         InstanceSpace(atoms=2, violation_cap=-3)
+    # counts must be real ints: a float or a bool would pass the range
+    # checks and fail, or be echoed into the report, later
+    for field, value in (("max_set_size", 2.5), ("max_set_size", True), ("violation_cap", 1.5),
+                         ("atoms", True), ("sample_count", 2.5)):
+        fields = {"atoms": 2, "mode": "sampled", "sample_count": 10, "seed": 1, field: value}
+        with pytest.raises(SpaceError, match=f"{field} must be an int, got {value!r}"):
+            InstanceSpace(**fields)
 
 
 def test_instance_space_describe():
@@ -512,6 +519,9 @@ def test_rc_identity_witnesses_record_stq_and_replay(lang2, monkeypatch):
         assert replay_witness("rc-identity", bad, atoms=2) == [bad["detail"]]
 
 
+_DROP = object()
+
+
 def _ind_witness() -> dict:
     return json.loads(json.dumps(find_countermodel("Ind", InstanceSpace(atoms=2))))
 
@@ -525,11 +535,29 @@ def _ind_witness() -> dict:
     ({"instance": {"input": ["11"]}}, SpaceError, "a 'serial' instance needs the keys ['tpo']"),
     ({"instance": {"tpo": [["00"]], "input": ["11"]}}, SpaceError,
      "a preorder must place all 4 worlds of the language, this one places 1"),
-], ids=["unknown-role", "non-string-name", "atoms", "missing-key", "partial-preorder"])
+    ({"operators": _DROP}, SpaceError, "a witness must be an object holding an 'operators'"),
+    ({"instance": _DROP}, SpaceError, "a 'serial' instance needs the keys ['tpo', 'input']"),
+    ([], SpaceError, "a witness must be an object holding an 'operators'"),
+    ({"operators": None}, SpaceError, "a witness must be an object holding an 'operators'"),
+    ({"instance": {"tpo": [["00", "01", "10", "11"]], "input": 3}}, SpaceError,
+     "a 'serial' instance holds a value of the wrong type"),
+    ({"instance": None}, SpaceError, "a 'serial' instance needs the keys ['tpo', 'input']"),
+    ({"instance": {"tpo": [["00", "01", "10", "11"]], "input": [3]}}, SpaceError,
+     "a 'serial' instance holds a value of the wrong type"),
+], ids=["unknown-role", "non-string-name", "atoms", "missing-key", "partial-preorder",
+        "no-operators", "no-instance", "list-witness", "null-operators", "input-not-a-list",
+        "null-instance", "non-string-world"])
 def test_replay_rejects_witnesses_from_outside_the_program(bad, error, fragment):
+    """``bad`` updates a real witness (``_DROP`` deletes a key), or, when
+    it is not a dict, is the witness itself."""
     witness = _ind_witness()
-    atoms = bad.get("atoms", 2)
-    witness.update({k: v for k, v in bad.items() if k != "atoms"})
+    atoms = 2
+    if isinstance(bad, dict):
+        atoms = bad.get("atoms", 2)
+        witness.update({k: v for k, v in bad.items() if k != "atoms"})
+        witness = {k: v for k, v in witness.items() if v is not _DROP}
+    else:
+        witness = bad + [witness]
     with pytest.raises(error) as err:
         replay_witness("Ind", witness, atoms=atoms)
     assert fragment in str(err.value)

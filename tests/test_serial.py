@@ -15,8 +15,8 @@ from revforge import (CheckContext, InconsistentInputError, LEX, NATURAL, NATURA
                       OperatorConfig, PartitionError, RESTRAINED, SerialRevisionOperator, TPO,
                       UnknownOperatorError, default_parallel_contraction,
                       default_parallel_revision, get_contraction_operator,
-                      get_revision_operator, lex_revise, natural_contract,
-                      natural_revise, parse_formula, restrained_revise)
+                      get_revision_operator, lex_revise, natural_revise, parse_formula,
+                      restrained_revise)
 from revforge.postulates import enumerate_tpos, all_propositions, random_tpo
 from revforge.postulates.spaces import language
 
@@ -48,15 +48,15 @@ def natural_oracle(t: TPO, sat):
 def test_natural_matches_pairwise_oracle_exhaustively():
     for t in enumerate_tpos(4):
         for sat in PROPS4:
-            assert agrees_with_oracle(t, natural_revise(t, sat), natural_oracle(t, sat))
+            assert agrees_with_oracle(t, NATURAL.revise(t, sat), natural_oracle(t, sat))
 
 
 def test_natural_frozen_examples():
     t0 = tpo({0}, {1, 2, 3})
-    assert natural_revise(t0, frozenset({2, 3})) == tpo({2, 3}, {0}, {1})
-    assert natural_revise(t0, frozenset({1, 3})) == tpo({1, 3}, {0}, {2})
+    assert NATURAL.revise(t0, frozenset({2, 3})) == tpo({2, 3}, {0}, {1})
+    assert NATURAL.revise(t0, frozenset({1, 3})) == tpo({1, 3}, {0}, {2})
     # already-believed input changes nothing
-    assert natural_revise(t0, frozenset({0})) == t0
+    assert NATURAL.revise(t0, frozenset({0})) == t0
 
 
 # --- lexicographic revision ---
@@ -72,12 +72,12 @@ def lex_oracle(t: TPO, sat):
 def test_lex_matches_pairwise_oracle_exhaustively():
     for t in enumerate_tpos(4):
         for sat in PROPS4:
-            assert agrees_with_oracle(t, lex_revise(t, sat), lex_oracle(t, sat))
+            assert agrees_with_oracle(t, LEX.revise(t, sat), lex_oracle(t, sat))
 
 
 def test_lex_frozen_example():
     t = tpo({0, 1}, {2, 3})
-    assert lex_revise(t, frozenset({1, 2})) == tpo({1}, {2}, {0}, {3})
+    assert LEX.revise(t, frozenset({1, 2})) == tpo({1}, {2}, {0}, {3})
 
 
 # --- restrained revision ---
@@ -104,12 +104,12 @@ def test_restrained_matches_pairwise_oracle_exhaustively():
     for t in enumerate_tpos(4):
         for sat in PROPS4:
             assert agrees_with_oracle(
-                t, restrained_revise(t, sat), restrained_oracle(t, sat))
+                t, RESTRAINED.revise(t, sat), restrained_oracle(t, sat))
 
 
 def test_restrained_frozen_example():
     t = tpo({0, 1}, {2, 3})
-    assert restrained_revise(t, frozenset({1, 2})) == tpo({1}, {0}, {2}, {3})
+    assert RESTRAINED.revise(t, frozenset({1, 2})) == tpo({1}, {0}, {2}, {3})
 
 
 def test_restrained_keeps_prior_strict_order_outside_minimum():
@@ -117,8 +117,8 @@ def test_restrained_keeps_prior_strict_order_outside_minimum():
     # revision keeps that strict comparison, where lex would not
     t = tpo({0}, {2}, {3}, {1})
     sat = frozenset({1, 2, 3})
-    assert restrained_revise(t, sat) == tpo({2}, {0}, {3}, {1})
-    assert lex_revise(t, sat) == tpo({2}, {3}, {1}, {0})
+    assert RESTRAINED.revise(t, sat) == tpo({2}, {0}, {3}, {1})
+    assert LEX.revise(t, sat) == tpo({2}, {3}, {1}, {0})
 
 
 # --- success and failure modes shared by all revisions ---
@@ -133,7 +133,7 @@ def test_revision_success_exhaustively(op):
 @pytest.mark.parametrize("revise", [natural_revise, lex_revise, restrained_revise])
 def test_revision_by_inconsistent_input_raises(revise):
     with pytest.raises(InconsistentInputError):
-        revise(TPO.uniform(4), frozenset())
+        revise(TPO.uniform(4), 0)
 
 
 # --- natural contraction ---
@@ -155,24 +155,24 @@ def test_contraction_matches_pairwise_oracle_exhaustively():
     for t in enumerate_tpos(4):
         for sat in PROPS4:
             assert agrees_with_oracle(
-                t, natural_contract(t, sat), contraction_oracle(t, sat))
+                t, NATURAL_CONTRACT.contract(t, sat), contraction_oracle(t, sat))
 
 
 def test_contraction_frozen_example():
     t = tpo({2, 3}, {0}, {1})
-    assert natural_contract(t, frozenset({2, 3})) == tpo({0, 2, 3}, {1})
+    assert NATURAL_CONTRACT.contract(t, frozenset({2, 3})) == tpo({0, 2, 3}, {1})
 
 
 def test_contraction_by_tautology_and_contradiction_is_identity():
     for t in enumerate_tpos(4):
-        assert natural_contract(t, frozenset(range(4))) == t
-        assert natural_contract(t, frozenset()) == t
+        assert NATURAL_CONTRACT.contract(t, frozenset(range(4))) == t
+        assert NATURAL_CONTRACT.contract(t, frozenset()) == t
 
 
 def test_contraction_never_gives_up_unrelated_beliefs():
     for t in enumerate_tpos(4):
         for sat in PROPS4:
-            out = natural_contract(t, sat)
+            out = NATURAL_CONTRACT.contract(t, sat)
             assert t.blocks[0] <= out.belief_worlds()
 
 
@@ -215,7 +215,7 @@ def test_three_atom_success_and_validity(seed, mask):
         out = op.revise(t, sat)
         assert out.belief_worlds() == t.min_of(sat)
         assert out.num_worlds == 8
-    withdrawn = natural_contract(t, sat)
+    withdrawn = NATURAL_CONTRACT.contract(t, sat)
     assert t.blocks[0] <= withdrawn.belief_worlds()
 
 
@@ -226,7 +226,7 @@ def test_lex_is_a_refinement_merge(seed):
     rng = random.Random(seed)
     t = random_tpo(rng, 8)
     sat = frozenset(rng.sample(range(8), rng.randint(1, 7)))
-    out = lex_revise(t, sat)
+    out = LEX.revise(t, sat)
     for x in range(8):
         for y in range(8):
             if (x in sat) == (y in sat):
@@ -241,16 +241,18 @@ def test_lex_is_a_refinement_merge(seed):
                          ids=["above-range", "negative"])
 @pytest.mark.parametrize("call", [
     TPO.min_of,
-    natural_revise,
-    lex_revise,
-    restrained_revise,
-    natural_contract,
+    NATURAL.revise,
+    LEX.revise,
+    RESTRAINED.revise,
+    NATURAL_CONTRACT.contract,
     lambda t, worlds: default_parallel_revision().revise_worlds(t, (worlds,)),
     lambda t, worlds: default_parallel_contraction().contract_worlds(t, (worlds,)),
     lambda t, worlds: CheckContext(language(2), OperatorConfig()).previse(t, (worlds,)),
     lambda t, worlds: CheckContext(language(2), OperatorConfig()).pcontract(t, (worlds,)),
+    # a formula over a wider language: the 3-atom ``A`` has worlds past 3
+    lambda t, worlds: NATURAL.apply(t, parse_formula("A", language(3)), language(3)),
 ], ids=["min_of", "natural", "lex", "restrained", "natural-contract", "revise_worlds",
-        "contract_worlds", "context-previse", "context-pcontract"])
+        "contract_worlds", "context-previse", "context-pcontract", "apply"])
 def test_worlds_outside_the_order_raise_partition_error(call, worlds):
     with pytest.raises(PartitionError, match=r"not in range\(4\)"):
         call(tpo({0}, {1, 2, 3}), worlds)
