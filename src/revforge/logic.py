@@ -340,8 +340,16 @@ class _Parser:
 
 
 def parse_formula(text: str, lang: Language) -> Formula:
-    """Parse formula text against ``lang``, rejecting unknown atoms."""
-    return _Parser(text, lang).parse()
+    """Parse formula text against ``lang``, rejecting unknown atoms.
+
+    Text nested deeper than the interpreter's recursion limit allows
+    raises ``ParseError`` at the token the parser had reached.
+    """
+    parser = _Parser(text, lang)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", parser.peek()[2]) from None
 
 
 # --- pretty printing ---

@@ -35,12 +35,12 @@ Witness payloads are encoded and decoded through the shape table in
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .._fifo import shed
 from ..aggregation import Aggregator
 from ..errors import SpaceError, UnknownPostulateError, lookup
 from ..logic import Formula, Language, canonical_formula
@@ -58,18 +58,6 @@ _MEMO = 150_000
 _ROWS = 4096
 
 
-def _shed(table: dict) -> None:
-    """Drop the oldest eighth of ``table``, which a caller keeps bounded.
-
-    Sweeps visit one prior order at a time, so the oldest keys belong to
-    orders the sweep will not revisit: FIFO eviction keeps the working set
-    while bounding memory on sampled spaces, where random preorders never
-    repeat.
-    """
-    for stale in list(itertools.islice(table, len(table) // 8)):
-        del table[stale]
-
-
 def _memoized(fn: Callable) -> Callable:
     """``fn`` with its results remembered per argument tuple, in a table
     of at most ``_MEMO`` entries."""
@@ -79,7 +67,7 @@ def _memoized(fn: Callable) -> Callable:
         hit = memo.get(args, _MISS)
         if hit is _MISS:
             if len(memo) >= _MEMO:
-                _shed(memo)
+                shed(memo)
             hit = memo[args] = fn(*args)
         return hit
     return cached
@@ -127,7 +115,7 @@ class _Rows:
         row = table.get(t.masks)
         if row is None:
             if len(table) >= _ROWS:
-                _shed(table)
+                shed(table)
             row = table[t.masks] = {}
         self.t, self.row = t, row
         return row
@@ -139,7 +127,7 @@ class _Rows:
             hit = self.compute(t, mask)
             interned = self.interned
             if len(interned) >= _ROWS:
-                _shed(interned)
+                shed(interned)
             hit = row[mask] = interned.setdefault(hit.masks, hit)
         return hit
 
@@ -257,7 +245,7 @@ class CheckContext:
         if hit is None:
             previse = self.previse
             if len(table) >= _ROWS:
-                _shed(table)
+                shed(table)
             hit = table[t.masks] = tuple([previse(t, (x,)).masks[0] for x in self.props])
         return hit
 

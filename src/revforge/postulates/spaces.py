@@ -260,6 +260,8 @@ class InstanceSpace:
         for name in ("atoms", "sample_count", "max_set_size", "violation_cap"):
             if type(getattr(self, name)) is not int:
                 raise SpaceError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise SpaceError(f"seed must be an int or None, got {self.seed!r}")
         if self.mode not in ("exhaustive", "sampled"):
             raise SpaceError(f"unknown space mode {self.mode!r}")
         if self.mode == "exhaustive":

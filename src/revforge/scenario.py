@@ -16,6 +16,13 @@ arithmetic on the order's blocks, and worlds are named from
 ``Language.world_names``.  ``RunTrace.to_json`` writes
 its document in one pass, with the bytes of ``json.dumps(..., indent=2)``.
 
+Sentences are read through one table of parsed formulas, keyed by text
+and atoms and bounded at ``_SENTENCES`` entries with FIFO eviction.
+Loading a document and replaying its trace both read through it, so a
+replay, and a sentence repeated across documents, costs a lookup rather
+than a parse.  A replay still re-reads and re-validates the whole
+document.
+
 Under ``round-robin`` and ``first-then-full`` a set step takes its
 sentences in file order, and another order can give another posterior
 order (the beliefs do not change).  ``to_text`` notes this under every
@@ -57,8 +64,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._fifo import shed
 from .aggregation import Aggregator
-from .errors import InconsistentInputError, RevforgeError, ScenarioError
+from .errors import InconsistentInputError, ParseError, RevforgeError, ScenarioError
 from .logic import Formula, Language, model_mask, parse_formula
 from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from .serial import SerialContractionOperator, SerialRevisionOperator
@@ -77,6 +85,13 @@ _ORDER_SENSITIVE = ("round-robin", "first-then-full")
 _OPERATOR_ROLES = {"base": "base", "finisher": "finisher", "contraction": "contraction",
                    "agg": "strategy"}
 
+# parsed sentences, keyed by text and atoms, since a text's validity
+# depends on the language; formula trees are immutable, so loads and
+# replays share them.  Only parses that succeed are kept, so a bad
+# sentence is parsed, and reported, wherever it is read.
+_SENTENCES = 1024
+_parsed: dict[tuple[str, tuple[str, ...]], Formula] = {}
+
 
 def _expect(condition: bool, where: str, message: str) -> None:
     if not condition:
@@ -90,11 +105,20 @@ def _list(data: dict, key: str, where: str) -> list:
 
 
 def _parse_sentence(text, lang: Language, where: str) -> Formula:
+    """``parse_formula(text, lang)``, read through ``_parsed`` when the
+    text has parsed over these atoms before."""
     _expect(isinstance(text, str), where, f"expected a sentence string, got {text!r}")
-    try:
-        return parse_formula(text, lang)
-    except Exception as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    key = (text, lang.atoms)
+    formula = _parsed.get(key)
+    if formula is None:
+        try:
+            formula = parse_formula(text, lang)
+        except ParseError as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
+        if len(_parsed) >= _SENTENCES:
+            shed(_parsed)
+        _parsed[key] = formula
+    return formula
 
 
 def _validate_query(query, lang: Language, where: str) -> dict:
@@ -318,6 +342,13 @@ class RunTrace:
         return "\n".join(lines)
 
     def replay(self) -> "RunTrace":
+        """Load the embedded document afresh and run it again.
+
+        The whole document is re-read and re-validated, so a trace whose
+        ``scenario`` was edited replays the edited document; its sentences
+        come from the parse table when their text and atoms were read
+        before.
+        """
         return run_scenario(Scenario.from_dict(self.scenario))
 
 

@@ -103,6 +103,17 @@ def test_parse_error_reports_position(lang2):
         parse_formula("A B", lang2)
 
 
+@pytest.mark.parametrize("text", ["(" * 170 + "A" + ")" * 170, "~" * 3000 + "A"],
+                         ids=["170-parens", "3000-negations"])
+def test_nesting_too_deep_to_parse_raises_parse_error(lang2, text):
+    with pytest.raises(ParseError, match="formula nested too deeply"):
+        parse_formula(text, lang2)
+
+
+def test_deep_but_parseable_nesting_still_parses(lang2):
+    assert parse_formula("(" * 150 + "A" + ")" * 150, lang2) == Atom("A")
+
+
 def test_atoms_of(lang3):
     assert atoms_of(parse_formula("A -> (B <-> ~A)", lang3)) == {"A", "B"}
     assert atoms_of(TOP) == frozenset()

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import re
 import weakref
 
 import pytest
@@ -175,6 +176,10 @@ def test_instance_space_validation():
         fields = {"atoms": 2, "mode": "sampled", "sample_count": 10, "seed": 1, field: value}
         with pytest.raises(SpaceError, match=f"{field} must be an int, got {value!r}"):
             InstanceSpace(**fields)
+    # a seed other than an int draws another stream than the int it names
+    for value in ("7", True, 7.0):
+        with pytest.raises(SpaceError, match=re.escape(f"seed must be an int or None, got {value!r}")):
+            InstanceSpace(atoms=2, mode="sampled", sample_count=10, seed=value)
 
 
 def test_instance_space_describe():

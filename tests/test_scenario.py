@@ -1,6 +1,7 @@
 """Scenario loading, execution, serialization, and the bundled example."""
 
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -12,8 +13,11 @@ from revforge import (
     export_dot,
     load_scenario,
     loads_scenario,
+    parse_formula,
     run_scenario,
+    scenario as scenario_module,
 )
+from test_mask_differential import random_document
 
 
 def bundled_text() -> str:
@@ -342,3 +346,93 @@ def test_to_text_notes_member_order_on_multi_sentence_set_steps(agg, noted):
                      f"another order can give another posterior order"] * 2 * noted
     assert [bool(e.note) for e in trace.entries] == [False, noted, noted, False, False]
     assert "note" not in trace.to_json()
+
+
+# -- the parse table ------------------------------------------------------------
+
+
+def _outcome(doc: dict):
+    """The trace JSON of a run, or the type and text of its error."""
+    try:
+        return run_scenario(loads_scenario(json.dumps(doc))).to_json()
+    except InconsistentInputError as exc:
+        return type(exc), str(exc)
+
+
+def test_table_reads_equal_fresh_parses_on_four_atom_documents():
+    rng = random.Random(821)
+    for _ in range(150):
+        doc = random_document(rng)
+        first = loads_scenario(json.dumps(doc))
+        lang = first.lang
+        for step in first.steps:
+            assert step.formulas == tuple(parse_formula(t, lang) for t in step.texts)
+        for query in first.initial_queries + sum((s.queries for s in first.steps), ()):
+            if query["type"] == "believes":
+                assert query["_formula"] == parse_formula(query["sentence"], lang)
+            elif query["type"] == "conditional":
+                assert query["_given"] == parse_formula(query["given"], lang)
+                assert query["_then"] == parse_formula(query["then"], lang)
+        second = loads_scenario(json.dumps(doc))
+        assert second.steps == first.steps
+        assert _outcome(doc) == _outcome(doc)
+
+
+def test_a_sentence_read_over_more_atoms_is_still_rejected_over_fewer():
+    Scenario.from_dict({"version": 1, "atoms": ["A", "B", "C"],
+                        "steps": [{"op": "revise-set", "sentences": ["C"]}]})
+    assert ("C", ("A", "B", "C")) in scenario_module._parsed
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({**BASE, "steps": [{"op": "revise-set", "sentences": ["C"]}]})
+    assert "steps[0].sentences[0]: unknown atom 'C'" in str(err.value)
+
+
+def test_a_bad_sentence_is_reported_at_each_place_it_is_read():
+    bad = "A & | B"
+    places = [
+        ({"steps": [{"op": "revise-set", "sentences": ["A", bad]}]}, "steps[0].sentences[1]: "),
+        ({"steps": [{"op": "serial-revise", "sentence": "A"},
+                    {"op": "serial-contract", "sentence": bad}]}, "steps[1].sentence: "),
+        ({"initial_queries": [{"type": "believes", "sentence": bad}]}, "initial_queries[0]: "),
+        ({"initial_queries": [{"type": "conditional", "given": "A", "then": bad}]},
+         "initial_queries[0] (then): "),
+    ]
+    for mutation, where in places * 2:
+        with pytest.raises(ScenarioError) as err:
+            Scenario.from_dict({**BASE, **mutation})
+        assert str(err.value) == where + "expected a formula, found '|' (at position 4)"
+    assert (bad, ("A", "B")) not in scenario_module._parsed
+
+
+def test_the_table_stays_within_its_bound():
+    atoms = [f"A{i}" for i in range(11)]
+    bound = scenario_module._SENTENCES
+    sentences = [" & ".join(a if i >> k & 1 else f"~{a}" for k, a in enumerate(atoms))
+                 for i in range(bound + 100)]
+    scenario = Scenario.from_dict({"version": 1, "atoms": atoms,
+                                   "steps": [{"op": "revise-set", "sentences": sentences}]})
+    assert len(scenario.steps[0].formulas) == bound + 100
+    assert len(scenario_module._parsed) <= bound
+
+
+def test_replay_reads_its_sentences_from_the_table(monkeypatch):
+    trace = run_scenario(loads_scenario(bundled_text()))
+    calls = []
+    monkeypatch.setattr(scenario_module, "parse_formula",
+                        lambda text, lang: calls.append(text) or parse_formula(text, lang))
+    assert trace.replay().to_json() == trace.to_json()
+    assert calls == []
+
+
+def test_replay_rereads_an_edited_document():
+    doc = {**BASE, "steps": [{"op": "revise-set", "sentences": ["A", "B"],
+                              "queries": [{"type": "believes", "sentence": "A & B"}]}]}
+    trace = make(doc)
+    assert trace.final().answers[0]["answer"] is True
+    trace.scenario["steps"] = [{"op": "revise-set", "sentences": ["~A"],
+                                "queries": [{"type": "believes", "sentence": "A & B"}]}]
+    replayed = trace.replay()
+    assert replayed.final().label == "step 1: revise-set {~A}"
+    assert replayed.final().answers[0]["answer"] is False
+    assert replayed.to_json() == make(trace.scenario).to_json()
+
