@@ -32,8 +32,9 @@ class SelectionStrategy:
     """Names which profile positions get to contribute in each round.
 
     ``team(n, i)`` returns the 0-based positions selected at round i
-    (1-based) from a profile of size n; it must be a non-empty subset of
-    ``range(n)``.
+    (1-based) from a profile of size n; it must be a non-empty set or
+    frozenset within ``range(n)``, and any other team raises
+    ``PartitionError`` naming the strategy and the round.
     """
 
     name: str
@@ -85,9 +86,11 @@ class Aggregator:
         while remaining:
             round_no += 1
             team = self.strategy.team(n, round_no)
-            if not team or not team <= positions:
+            is_set = isinstance(team, (set, frozenset))
+            if not (is_set and team and team <= positions):
+                shown = sorted(team) if is_set else f"{team!r} (not a set)"
                 raise PartitionError(
-                    f"strategy {self.strategy.name!r} selected invalid team {sorted(team)} "
+                    f"strategy {self.strategy.name!r} selected invalid team {shown} "
                     f"at round {round_no} for a profile of size {n}")
             block = 0
             for j in team:

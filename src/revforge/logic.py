@@ -10,7 +10,8 @@ order; ``Language.world_names`` holds them all, built on first use.
 
 A proposition is a set of worlds.  Inside the package it is an ``int``
 mask with bit w set for world w; at the public edge it is a
-``frozenset[int]``, and ``worlds_of`` converts a mask to one.
+``frozenset[int]``, and ``worlds_of`` converts a mask to one;
+``ascending_worlds`` lists a mask's worlds in order.
 
 Formulas are immutable trees built from atoms, negation, conjunction,
 disjunction, implication, biconditional, and the constants verum and
@@ -30,12 +31,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import LanguageError, ParseError
 
 MAX_ATOMS = 16
+# nodes on the longest path of a tree ``parse_formula`` returns: walks that
+# recurse once per level (printing, models) stay inside the recursion limit
+MAX_FORMULA_DEPTH = 200
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RESERVED_NAMES = frozenset({"T", "F"})
@@ -48,7 +52,7 @@ _LOW_BYTE = tuple(tuple(w for w in range(8) if byte >> w & 1) for byte in range(
 _HIGH_BYTE = tuple(tuple(w + 8 for w in low) for low in _LOW_BYTE)
 
 
-def _ascending_worlds(mask: int) -> tuple[int, ...]:
+def ascending_worlds(mask: int) -> tuple[int, ...]:
     """The worlds whose bits are set in ``mask``, in ascending order.
 
     Masks of up to 16 worlds, all that spaces and scenarios reach, read
@@ -64,9 +68,12 @@ def _ascending_worlds(mask: int) -> tuple[int, ...]:
     return tuple(worlds)
 
 
+@lru_cache(maxsize=256)
 def worlds_of(mask: int) -> frozenset[int]:
-    """The worlds whose bits are set in ``mask``."""
-    return frozenset(_ascending_worlds(mask))
+    """The worlds whose bits are set in ``mask``.  The last 256 answers
+    (every set over up to 8 worlds) are kept, so a set met again is the
+    same object and tables keyed by it compare by identity."""
+    return frozenset(ascending_worlds(mask))
 
 
 class Language:
@@ -146,7 +153,7 @@ class Language:
     def names_of(self, mask: int) -> list[str]:
         """The names of the worlds of ``mask``, in sorted order."""
         names = self.world_names
-        return [names[w] for w in _ascending_worlds(mask)]
+        return [names[w] for w in ascending_worlds(mask)]
 
     def world_from_name(self, name: str) -> int:
         if len(name) != len(self.atoms) or any(c not in "01" for c in name):
@@ -339,17 +346,34 @@ class _Parser:
         raise ParseError(f"expected a formula, found {tok!r}" if tok else "unexpected end of input", at)
 
 
+def _depth(formula: Formula) -> int:
+    """Nodes on the longest root-to-leaf path of ``formula``, counted level
+    by level without recursion; a node's children are its formula fields."""
+    depth, level = 0, [formula]
+    while level:
+        depth += 1
+        level = [child for node in level for child in vars(node).values()
+                 if isinstance(child, Formula)]
+    return depth
+
+
 def parse_formula(text: str, lang: Language) -> Formula:
     """Parse formula text against ``lang``, rejecting unknown atoms.
 
     Text nested deeper than the interpreter's recursion limit allows
-    raises ``ParseError`` at the token the parser had reached.
+    raises ``ParseError`` at the token the parser had reached, and so
+    does a tree deeper than ``MAX_FORMULA_DEPTH``, such as a long chain
+    of ``&``, which the parser builds in a loop.
     """
     parser = _Parser(text, lang)
     try:
-        return parser.parse()
+        formula = parser.parse()
     except RecursionError:
         raise ParseError("formula nested too deeply", parser.peek()[2]) from None
+    # a tree has fewer nodes on a path than the text has tokens
+    if len(parser.tokens) > MAX_FORMULA_DEPTH and _depth(formula) > MAX_FORMULA_DEPTH:
+        raise ParseError(f"formula nested too deeply (more than {MAX_FORMULA_DEPTH} levels)", 0)
+    return formula
 
 
 # --- pretty printing ---

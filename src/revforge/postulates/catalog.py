@@ -27,19 +27,19 @@ domain of definition and is skipped.  For the one existential entry the
 hits are witnesses rather than violations, and the property holds over
 a space when at least one witness turns up.
 
-Evaluators work on world masks where a sweep is hot.  A ``CheckContext``
-hands every consistent proposition out as one shared object, indexed by
-mask in ``ctx.subsets``, with ``ctx.mask`` mapping it back; belief sets
-are read as ``masks[0]`` of an order and best worlds as ``min_mask``.
-What an evaluator derives from its input families alone (merged and
-negated families, conjunction masks, subfamilies, dominated world
+Evaluators work on world masks.  Instances arrive as the frozensets
+the instance streams yield; what an evaluator derives from them alone
+(an input's mask and its negation's, the conjunction and refuting masks
+of a family, merged and negated families, subfamilies, dominated world
 pairs) does not depend on the prior order, so it is a *plan*: a function
-of the world count and the families, looked up through
-``ctx.derived(plan, *families)`` and computed once per distinct family
-rather than once per instance.  Syntactic forms read the beliefs after
-every single follow-up input from ``ctx.follow_ups(order)``, once per
-order.  Hits keep frozensets, taken from ``ctx.subsets``, so witnesses
-render as before.
+of the context's member masks and the instance's sets, looked up through
+``ctx.derived(plan, *sets)`` and computed once per distinct input rather
+than once per instance.  Belief sets are read as ``masks[0]`` of an
+order and best worlds as ``min_mask``, and the order helpers walk the
+worlds of a mask.  Syntactic forms read the beliefs after every single
+follow-up input from ``ctx.follow_ups(order)``, once per order.  A hit
+turns its masks into frozensets with ``worlds_of`` when it is built, so
+hits and witnesses keep their frozenset form.
 
 Two further kinds of check share that evaluator signature and live
 outside ``CATALOG``: ``PAIR_CHECKS`` holds one ``<id>-pair`` entry per
@@ -49,16 +49,14 @@ agreement pair, and ``RC_IDENTITY`` is the rational-closure identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
-from typing import Callable, Iterable
+from operator import or_
+from typing import Callable
 
 from ..aggregation import stq
-from ..logic import And, Not, models
-from ..tpo import TPO, rational_closure
-from .spaces import all_subsets, proposition_masks
-
-Hits = "list[dict] | None"
-
+from ..logic import And, Not, ascending_worlds, model_mask
+from ..tpo import TPO, rational_closure, worlds_of
 
 @dataclass(frozen=True)
 class Postulate:
@@ -89,54 +87,51 @@ def _register(id: str, shape: str, summary: str, *, kind: str = "universal",
     return wrap
 
 
+def _serial(id: str, shape: str, summary: str, **options):
+    """``_register`` for a serial entry written over the masks of its
+    input and of the input's negation, ``fn(ctx, t, a, not_a)``: the
+    regions of the family that holds the input alone."""
+    def wrap(fn):
+        _register(id, shape, summary, **options)(
+            lambda ctx, t, a: fn(ctx, t, *ctx.derived(_regions, (a,))))
+        return fn
+    return wrap
+
+
 def _sym(diff: int) -> str:
     return "<" if diff < 0 else (">" if diff > 0 else "~")
 
 
-# The order helpers below read ``ranks`` directly: their worlds all come
-# from the context's world sets, so the range check of ``TPO.rank`` would
-# only cost time.
+# The order helpers below take world masks and read ``ranks`` directly:
+# their worlds all come from masks of the context's worlds, so the range
+# check of ``TPO.rank`` would only cost time.
 
-def _order_flips(t: TPO, t2: TPO, region: Iterable[int]) -> list[dict]:
+def _order_flips(t: TPO, t2: TPO, region: int) -> list[dict]:
     """Pairs in ``region`` whose comparison changes between t and t2."""
-    worlds = sorted(region)
     r, r2 = t.ranks, t2.ranks
-    hits = []
-    for i, x in enumerate(worlds):
-        for y in worlds[i + 1:]:
-            before = _sym(r[x] - r[y])
-            after = _sym(r2[x] - r2[y])
-            if before != after:
-                hits.append({"x": x, "y": y, "prior": before, "posterior": after})
-    return hits
+    return [{"x": x, "y": y, "prior": _sym(r[x] - r[y]), "posterior": _sym(r2[x] - r2[y])}
+            for x, y in combinations(ascending_worlds(region), 2)
+            if _sym(r[x] - r[y]) != _sym(r2[x] - r2[y])]
 
 
-def _kept_below(t: TPO, t2: TPO, inside: Iterable[int], outside: Iterable[int],
-                weak: bool) -> list[dict]:
+def _kept_below(t: TPO, t2: TPO, inside: int, outside: int, weak: bool) -> list[dict]:
     """Inside-worlds weakly/strictly below outside-worlds must stay so."""
     r, r2 = t.ranks, t2.ranks
-    hits = []
-    for x in sorted(inside):
-        for y in sorted(outside):
-            if weak:
-                if r[x] <= r[y] and not r2[x] <= r2[y]:
-                    hits.append({"x": x, "y": y, "prior": "<=", "posterior": ">"})
-            else:
-                if r[x] < r[y] and not r2[x] < r2[y]:
-                    hits.append({"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])})
-    return hits
+    inside, outside = ascending_worlds(inside), ascending_worlds(outside)
+    if weak:
+        return [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
+                for x in inside for y in outside if r[x] <= r[y] and not r2[x] <= r2[y]]
+    return [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])}
+            for x in inside for y in outside if r[x] < r[y] and not r2[x] < r2[y]]
 
 
-def _promoted(t: TPO, t2: TPO, inside: Iterable[int], outside: Iterable[int]) -> list[dict]:
+def _promoted(t: TPO, t2: TPO, inside: int, outside: int) -> list[dict]:
     """Weakly-below inside-worlds must end up strictly below."""
     r, r2 = t.ranks, t2.ranks
-    hits = []
-    for x in sorted(inside):
-        for y in sorted(outside):
-            if r[x] <= r[y] and not r2[x] < r2[y]:
-                hits.append({"x": x, "y": y, "prior": _sym(r[x] - r[y]),
-                             "posterior": _sym(r2[x] - r2[y])})
-    return hits
+    outside = ascending_worlds(outside)
+    return [{"x": x, "y": y, "prior": _sym(r[x] - r[y]), "posterior": _sym(r2[x] - r2[y])}
+            for x in ascending_worlds(inside) for y in outside
+            if r[x] <= r[y] and not r2[x] < r2[y]]
 
 
 def _merge(s1: tuple[frozenset[int], ...], s2: tuple[frozenset[int], ...]) -> tuple:
@@ -147,141 +142,145 @@ def _merge(s1: tuple[frozenset[int], ...], s2: tuple[frozenset[int], ...]) -> tu
     return tuple(merged)
 
 
-def _negation(ctx, a: frozenset[int]) -> frozenset[int]:
-    """The complement of proposition ``a``, as the shared table's set."""
-    return ctx.subsets[ctx.full_mask ^ ctx.mask[a]]
+# Plans take the context's table of member masks first: ``masks[x]`` is
+# the mask of world set x, and ``masks.full`` the mask of every world.
 
-
-def _conjunction(num_worlds: int, s) -> int:
-    """The mask of the worlds satisfying every member of ``s``."""
-    masks = proposition_masks(num_worlds)
-    conj = (1 << num_worlds) - 1
+def _regions(masks, s) -> tuple[int, int]:
+    """The masks of the worlds satisfying every member of ``s`` and of
+    the worlds refuting every member."""
+    conj, union = masks.full, 0
     for member in s:
-        conj &= masks[member]
-    return conj
+        mask = masks[member]
+        conj &= mask
+        union |= mask
+    return conj, masks.full ^ union
 
 
-def _negations(num_worlds: int, s) -> tuple[frozenset[int], ...]:
-    """The member-wise negations of ``s``, as the shared table's sets."""
-    masks, subsets = proposition_masks(num_worlds), all_subsets(num_worlds)
-    full = (1 << num_worlds) - 1
-    return tuple(subsets[full ^ masks[member]] for member in s)
+def _conjunction(masks, s) -> int:
+    """The mask of the worlds satisfying every member of ``s``."""
+    return _regions(masks, s)[0]
 
 
-def _pair_plan(num_worlds: int, s1, s2) -> tuple:
+def _negations(masks, s) -> tuple[frozenset[int], ...]:
+    """The member-wise negations of ``s``."""
+    return tuple(worlds_of(masks.full ^ masks[member]) for member in s)
+
+
+def _pair_plan(masks, s1, s2) -> tuple:
     """The prior-independent part of the ``pset2`` entries.
 
     ``(merged, mixed, first, second)``: the union family of s1 and s2;
     s1 joined with the negations of s2's members, or None when that
     family is inconsistent; and the conjunction masks of s1 and of s2.
     """
-    mixed = _merge(s1, _negations(num_worlds, s2))
-    if not _conjunction(num_worlds, mixed):
-        mixed = None
-    return (_merge(s1, s2), mixed, _conjunction(num_worlds, s1),
-            _conjunction(num_worlds, s2))
+    first, _ = _regions(masks, s1)
+    second, refuting = _regions(masks, s2)
+    mixed = _merge(s1, _negations(masks, s2)) if first & refuting else None
+    return _merge(s1, s2), mixed, first, second
 
 
 # --- serial revision ---
 
-@_register("K1", "serial", "revised belief sets are deductively closed")
-def _k1(ctx, t, a):
+@_serial("K1", "serial", "revised belief sets are deductively closed")
+def _k1(ctx, t, a, not_a):
     # Beliefs are represented by their worlds, so closure cannot fail;
     # kept executable so the catalog stays total.
     ctx.revise(t, a)
     return []
 
 
-@_register("K2", "serial", "the input is believed after revising by it")
-def _k2(ctx, t, a):
-    beliefs = ctx.revise(t, a).belief_worlds()
-    if not beliefs <= a:
-        return [{"beliefs": beliefs, "input": a}]
+@_serial("K2", "serial", "the input is believed after revising by it")
+def _k2(ctx, t, a, not_a):
+    beliefs = ctx.revise(t, a).masks[0]
+    if beliefs & ~a:
+        return [{"beliefs": worlds_of(beliefs), "input": worlds_of(a)}]
     return []
 
 
-@_register("K3", "serial", "revision keeps any prior beliefs consistent with the input")
-def _k3(ctx, t, a):
-    expansion = t.belief_worlds() & a
-    beliefs = ctx.revise(t, a).belief_worlds()
-    if not expansion <= beliefs:
-        return [{"expansion": expansion, "beliefs": beliefs}]
+@_serial("K3", "serial", "revision keeps any prior beliefs consistent with the input")
+def _k3(ctx, t, a, not_a):
+    expansion = t.masks[0] & a
+    beliefs = ctx.revise(t, a).masks[0]
+    if expansion & ~beliefs:
+        return [{"expansion": worlds_of(expansion), "beliefs": worlds_of(beliefs)}]
     return []
 
 
-@_register("K4", "serial", "revision adds nothing beyond expansion when the input is compatible")
-def _k4(ctx, t, a):
-    expansion = t.belief_worlds() & a
+@_serial("K4", "serial", "revision adds nothing beyond expansion when the input is compatible")
+def _k4(ctx, t, a, not_a):
+    expansion = t.masks[0] & a
     if not expansion:
         return []
-    beliefs = ctx.revise(t, a).belief_worlds()
-    if not beliefs <= expansion:
-        return [{"expansion": expansion, "beliefs": beliefs}]
+    beliefs = ctx.revise(t, a).masks[0]
+    if beliefs & ~expansion:
+        return [{"expansion": worlds_of(expansion), "beliefs": worlds_of(beliefs)}]
     return []
 
 
-@_register("K5", "serial", "revising by a consistent input yields consistent beliefs")
-def _k5(ctx, t, a):
-    beliefs = ctx.revise(t, a).belief_worlds()
-    if not beliefs:
-        return [{"input": a}]
+@_serial("K5", "serial", "revising by a consistent input yields consistent beliefs")
+def _k5(ctx, t, a, not_a):
+    if not ctx.revise(t, a).masks[0]:
+        return [{"input": worlds_of(a)}]
     return []
 
 
-@_register("K6", "serial", "syntactically different but equivalent inputs revise alike")
-def _k6(ctx, t, a):
+@_serial("K6", "serial", "syntactically different but equivalent inputs revise alike")
+def _k6(ctx, t, a, not_a):
     # Operators act on model sets, so this is structural; exercised
     # through the formula layer to guard the parsing/models plumbing.
-    formula = ctx.canonical(a)
-    reference = ctx.revise(t, a).belief_worlds()
+    formula = ctx.canonical(worlds_of(a))
+    reference = ctx.revise(t, a).masks[0]
     for variant in (Not(Not(formula)), And(formula, formula)):
-        beliefs = ctx.revise(t, models(variant, ctx.lang)).belief_worlds()
+        beliefs = ctx.revise(t, model_mask(variant, ctx.lang)).masks[0]
         if beliefs != reference:
-            return [{"input": a, "variant_beliefs": beliefs, "beliefs": reference}]
+            return [{"input": worlds_of(a), "variant_beliefs": worlds_of(beliefs),
+                     "beliefs": worlds_of(reference)}]
     return []
 
 
 @_register("K7", "serial2", "revising by a conjunction keeps everything expansion would add")
 def _k7(ctx, t, a, b):
-    both = a & b
+    (first, _), (second, _) = ctx.derived(_regions, (a,)), ctx.derived(_regions, (b,))
+    both = first & second
     if not both:
         return None
-    lhs = ctx.revise(t, a).belief_worlds() & b
-    rhs = ctx.revise(t, both).belief_worlds()
-    if not lhs <= rhs:
-        return [{"expansion": lhs, "conjunction_beliefs": rhs}]
+    lhs = ctx.revise(t, first).masks[0] & second
+    rhs = ctx.revise(t, both).masks[0]
+    if lhs & ~rhs:
+        return [{"expansion": worlds_of(lhs), "conjunction_beliefs": worlds_of(rhs)}]
     return []
 
 
 @_register("K8", "serial2", "expansion of a revision is conservative when consistent")
 def _k8(ctx, t, a, b):
-    lhs = ctx.revise(t, a).belief_worlds() & b
+    (first, _), (second, _) = ctx.derived(_regions, (a,)), ctx.derived(_regions, (b,))
+    lhs = ctx.revise(t, first).masks[0] & second
     if not lhs:
         return []
-    rhs = ctx.revise(t, a & b).belief_worlds()
-    if not rhs <= lhs:
-        return [{"expansion": lhs, "conjunction_beliefs": rhs}]
+    rhs = ctx.revise(t, first & second).masks[0]
+    if rhs & ~lhs:
+        return [{"expansion": worlds_of(lhs), "conjunction_beliefs": worlds_of(rhs)}]
     return []
 
 
-@_register("CR1", "serial", "revision preserves the order among worlds satisfying the input")
-def _cr1(ctx, t, a):
+@_serial("CR1", "serial", "revision preserves the order among worlds satisfying the input")
+def _cr1(ctx, t, a, not_a):
     return _order_flips(t, ctx.revise(t, a), a)
 
 
-@_register("CR2", "serial", "revision preserves the order among worlds refuting the input")
-def _cr2(ctx, t, a):
-    return _order_flips(t, ctx.revise(t, a), _negation(ctx, a))
+@_serial("CR2", "serial", "revision preserves the order among worlds refuting the input")
+def _cr2(ctx, t, a, not_a):
+    return _order_flips(t, ctx.revise(t, a), not_a)
 
 
-@_register("CR3", "serial", "a satisfying world strictly below a refuting one stays strictly below")
-def _cr3(ctx, t, a):
-    return _kept_below(t, ctx.revise(t, a), a, _negation(ctx, a), weak=False)
+@_serial("CR3", "serial", "a satisfying world strictly below a refuting one stays strictly below")
+def _cr3(ctx, t, a, not_a):
+    return _kept_below(t, ctx.revise(t, a), a, not_a, weak=False)
 
 
-@_register("CR4", "serial", "a satisfying world weakly below a refuting one stays weakly below")
-def _cr4(ctx, t, a):
-    return _kept_below(t, ctx.revise(t, a), a, _negation(ctx, a), weak=True)
+@_serial("CR4", "serial", "a satisfying world weakly below a refuting one stays weakly below")
+def _cr4(ctx, t, a, not_a):
+    return _kept_below(t, ctx.revise(t, a), a, not_a, weak=True)
 
 
 def _ind_expected(config) -> str:
@@ -289,56 +288,55 @@ def _ind_expected(config) -> str:
     return "sound" if name in ("lex", "restrained") else "violated"
 
 
-@_register("Ind", "serial",
-           "a satisfying world weakly below a refuting one ends up strictly below",
-           expected=_ind_expected)
-def _ind(ctx, t, a):
-    return _promoted(t, ctx.revise(t, a), a, _negation(ctx, a))
+@_serial("Ind", "serial",
+         "a satisfying world weakly below a refuting one ends up strictly below",
+         expected=_ind_expected)
+def _ind(ctx, t, a, not_a):
+    return _promoted(t, ctx.revise(t, a), a, not_a)
 
 
-@_register("LI-serial", "serial",
-           "revising equals retracting the negation then adding the input, at the belief level")
-def _li_serial(ctx, t, a):
-    direct = ctx.revise(t, a).belief_worlds()
-    via = ctx.contract(t, _negation(ctx, a)).belief_worlds() & a
+@_serial("LI-serial", "serial",
+         "revising equals retracting the negation then adding the input, at the belief level")
+def _li_serial(ctx, t, a, not_a):
+    direct = ctx.revise(t, a).masks[0]
+    via = ctx.contract(t, not_a).masks[0] & a
     if direct != via:
-        return [{"revision_beliefs": direct, "contract_then_add": via}]
+        return [{"revision_beliefs": worlds_of(direct), "contract_then_add": worlds_of(via)}]
     return []
 
 
-@_register("HI-serial", "serial",
-           "retracting equals keeping what survives revision by the negation, at the belief level")
-def _hi_serial(ctx, t, a):
-    negation = _negation(ctx, a)
-    if not negation:
+@_serial("HI-serial", "serial",
+         "retracting equals keeping what survives revision by the negation, at the belief level")
+def _hi_serial(ctx, t, a, not_a):
+    if not not_a:
         return None
-    direct = ctx.contract(t, a).belief_worlds()
-    via = t.belief_worlds() | ctx.revise(t, negation).belief_worlds()
+    direct = ctx.contract(t, a).masks[0]
+    via = t.masks[0] | ctx.revise(t, not_a).masks[0]
     if direct != via:
-        return [{"contraction_beliefs": direct, "meet_of_revisions": via}]
+        return [{"contraction_beliefs": worlds_of(direct), "meet_of_revisions": worlds_of(via)}]
     return []
 
 
 # --- serial contraction ---
 
-@_register("CC1", "sercon", "contraction preserves the order among worlds refuting the input")
-def _cc1(ctx, t, a):
-    return _order_flips(t, ctx.contract(t, a), _negation(ctx, a))
+@_serial("CC1", "sercon", "contraction preserves the order among worlds refuting the input")
+def _cc1(ctx, t, a, not_a):
+    return _order_flips(t, ctx.contract(t, a), not_a)
 
 
-@_register("CC2", "sercon", "contraction preserves the order among worlds satisfying the input")
-def _cc2(ctx, t, a):
+@_serial("CC2", "sercon", "contraction preserves the order among worlds satisfying the input")
+def _cc2(ctx, t, a, not_a):
     return _order_flips(t, ctx.contract(t, a), a)
 
 
-@_register("CC3", "sercon", "a refuting world strictly below a satisfying one stays strictly below")
-def _cc3(ctx, t, a):
-    return _kept_below(t, ctx.contract(t, a), _negation(ctx, a), a, weak=False)
+@_serial("CC3", "sercon", "a refuting world strictly below a satisfying one stays strictly below")
+def _cc3(ctx, t, a, not_a):
+    return _kept_below(t, ctx.contract(t, a), not_a, a, weak=False)
 
 
-@_register("CC4", "sercon", "a refuting world weakly below a satisfying one stays weakly below")
-def _cc4(ctx, t, a):
-    return _kept_below(t, ctx.contract(t, a), _negation(ctx, a), a, weak=True)
+@_serial("CC4", "sercon", "a refuting world weakly below a satisfying one stays weakly below")
+def _cc4(ctx, t, a, not_a):
+    return _kept_below(t, ctx.contract(t, a), not_a, a, weak=True)
 
 
 # --- parallel revision ---
@@ -346,10 +344,10 @@ def _cc4(ctx, t, a):
 @_register("Conj-star", "pset",
            "beliefs after revising by a set are the most plausible worlds of its conjunction")
 def _conj_star(ctx, t, s):
-    beliefs = ctx.previse(t, s).belief_worlds()
-    expected = t.min_of(ctx.full.intersection(*s))
+    beliefs = ctx.previse(t, s).masks[0]
+    expected = t.min_mask(ctx.derived(_regions, s)[0])
     if beliefs != expected:
-        return [{"beliefs": beliefs, "most_plausible": expected}]
+        return [{"beliefs": worlds_of(beliefs), "most_plausible": worlds_of(expected)}]
     return []
 
 
@@ -361,65 +359,66 @@ def _ks1(ctx, t, s):
 
 @_register("K-star-2", "pset", "every member of the input set is believed afterwards")
 def _ks2(ctx, t, s):
-    beliefs = ctx.previse(t, s).belief_worlds()
-    target = ctx.full.intersection(*s)
-    if not beliefs <= target:
-        return [{"beliefs": beliefs, "conjunction": target}]
+    beliefs = ctx.previse(t, s).masks[0]
+    target, _ = ctx.derived(_regions, s)
+    if beliefs & ~target:
+        return [{"beliefs": worlds_of(beliefs), "conjunction": worlds_of(target)}]
     return []
 
 
 @_register("K-star-3", "pset", "set revision keeps prior beliefs consistent with the set")
 def _ks3(ctx, t, s):
-    expansion = t.belief_worlds() & ctx.full.intersection(*s)
-    beliefs = ctx.previse(t, s).belief_worlds()
-    if not expansion <= beliefs:
-        return [{"expansion": expansion, "beliefs": beliefs}]
+    expansion = t.masks[0] & ctx.derived(_regions, s)[0]
+    beliefs = ctx.previse(t, s).masks[0]
+    if expansion & ~beliefs:
+        return [{"expansion": worlds_of(expansion), "beliefs": worlds_of(beliefs)}]
     return []
 
 
 @_register("K-star-4", "pset", "set revision adds nothing beyond expansion when compatible")
 def _ks4(ctx, t, s):
-    expansion = t.belief_worlds() & ctx.full.intersection(*s)
+    expansion = t.masks[0] & ctx.derived(_regions, s)[0]
     if not expansion:
         return []
-    beliefs = ctx.previse(t, s).belief_worlds()
-    if not beliefs <= expansion:
-        return [{"expansion": expansion, "beliefs": beliefs}]
+    beliefs = ctx.previse(t, s).masks[0]
+    if beliefs & ~expansion:
+        return [{"expansion": worlds_of(expansion), "beliefs": worlds_of(beliefs)}]
     return []
 
 
 @_register("K-star-5", "pset", "revising by a jointly consistent set yields consistent beliefs")
 def _ks5(ctx, t, s):
-    beliefs = ctx.previse(t, s).belief_worlds()
-    if not beliefs:
+    if not ctx.previse(t, s).masks[0]:
         return [{"inputs": list(s)}]
+    return []
+
+
+def _closure_variants(masks, s) -> tuple:
+    """Families with the same closure as ``s``: its conjunction alone, and
+    ``s`` listed backwards."""
+    return (worlds_of(_conjunction(masks, s)),), tuple(reversed(s))
+
+
+def _variant_hits(ctx, t, s, variants) -> list[dict]:
+    """A hit for the first of ``variants`` that revises t to other beliefs than s."""
+    reference = ctx.previse(t, s).masks[0]
+    for variant in variants:
+        beliefs = ctx.previse(t, variant).masks[0]
+        if beliefs != reference:
+            return [{"inputs": list(s), "variant": list(variant),
+                     "beliefs": worlds_of(reference), "variant_beliefs": worlds_of(beliefs)}]
     return []
 
 
 @_register("K-star-6", "pset", "input sets with the same closure revise to the same beliefs")
 def _ks6(ctx, t, s):
-    reference = ctx.previse(t, s).belief_worlds()
-    target = ctx.full.intersection(*s)
-    variants = [(target,), tuple(reversed(s))]
-    for variant in variants:
-        beliefs = ctx.previse(t, variant).belief_worlds()
-        if beliefs != reference:
-            return [{"inputs": list(s), "variant": list(variant),
-                     "beliefs": reference, "variant_beliefs": beliefs}]
-    return []
+    return _variant_hits(ctx, t, s, ctx.derived(_closure_variants, s))
 
 
 @_register("K-star-6-minus", "pset",
            "member-wise equivalent input sets revise to the same beliefs")
 def _ks6_minus(ctx, t, s):
-    reference = ctx.previse(t, s).belief_worlds()
-    variants = [s + (s[0],), tuple(reversed(s)) + (s[-1],)]
-    for variant in variants:
-        beliefs = ctx.previse(t, variant).belief_worlds()
-        if beliefs != reference:
-            return [{"inputs": list(s), "variant": list(variant),
-                     "beliefs": reference, "variant_beliefs": beliefs}]
-    return []
+    return _variant_hits(ctx, t, s, [s + (s[0],), tuple(reversed(s)) + (s[-1],)])
 
 
 @_register("K-star-7", "pset2", "revising by a union keeps everything expansion would add")
@@ -430,7 +429,7 @@ def _ks7(ctx, t, s1, s2):
     lhs = ctx.previse(t, s1).masks[0] & second
     rhs = ctx.previse(t, merged).masks[0]
     if lhs & ~rhs:
-        return [{"expansion": ctx.subsets[lhs], "union_beliefs": ctx.subsets[rhs]}]
+        return [{"expansion": worlds_of(lhs), "union_beliefs": worlds_of(rhs)}]
     return []
 
 
@@ -442,47 +441,47 @@ def _ks8(ctx, t, s1, s2):
         return []
     rhs = ctx.previse(t, merged).masks[0]
     if rhs & ~lhs:
-        return [{"expansion": ctx.subsets[lhs], "union_beliefs": ctx.subsets[rhs]}]
+        return [{"expansion": worlds_of(lhs), "union_beliefs": worlds_of(rhs)}]
     return []
 
 
 @_register("C-star-1", "pset",
            "set revision preserves the order among worlds satisfying the whole set")
 def _cs1(ctx, t, s):
-    return _order_flips(t, ctx.previse(t, s), ctx.full.intersection(*s))
+    return _order_flips(t, ctx.previse(t, s), ctx.derived(_regions, s)[0])
 
 
 @_register("C-star-2", "pset",
            "set revision preserves the order among worlds refuting every member")
 def _cs2(ctx, t, s):
-    return _order_flips(t, ctx.previse(t, s), ctx.full.difference(*s))
+    return _order_flips(t, ctx.previse(t, s), ctx.derived(_regions, s)[1])
 
 
 @_register("C-star-2-plus", "pset",
            "set revision preserves the order among all worlds outside the conjunction",
            expected="violated")
 def _cs2_plus(ctx, t, s):
-    return _order_flips(t, ctx.previse(t, s), ctx.full - ctx.full.intersection(*s))
+    return _order_flips(t, ctx.previse(t, s), ctx.full_mask ^ ctx.derived(_regions, s)[0])
 
 
 @_register("C-star-3", "pset",
            "a set-satisfying world strictly below an outside one stays strictly below")
 def _cs3(ctx, t, s):
-    target = ctx.full.intersection(*s)
-    return _kept_below(t, ctx.previse(t, s), target, ctx.full - target, weak=False)
+    target, _ = ctx.derived(_regions, s)
+    return _kept_below(t, ctx.previse(t, s), target, ctx.full_mask ^ target, weak=False)
 
 
 @_register("C-star-4", "pset",
            "a set-satisfying world weakly below an outside one stays weakly below")
 def _cs4(ctx, t, s):
-    target = ctx.full.intersection(*s)
-    return _kept_below(t, ctx.previse(t, s), target, ctx.full - target, weak=True)
+    target, _ = ctx.derived(_regions, s)
+    return _kept_below(t, ctx.previse(t, s), target, ctx.full_mask ^ target, weak=True)
 
 
-def _dominated_pairs(num_worlds: int, s) -> tuple[tuple[int, int], ...]:
+def _dominated_pairs(masks, s) -> tuple[tuple[int, int], ...]:
     """The world pairs (x, y), x != y, where x satisfies every member of
     ``s`` that y satisfies."""
-    profiles = [0] * num_worlds
+    profiles = [0] * masks.num_worlds
     for i, member in enumerate(s):
         for world in member:
             profiles[world] |= 1 << i
@@ -519,18 +518,16 @@ def _ind_star_expected(config) -> str:
            "a set-satisfying world weakly below an outside one ends up strictly below",
            expected=_ind_star_expected)
 def _ind_star(ctx, t, s):
-    target = ctx.full.intersection(*s)
-    return _promoted(t, ctx.previse(t, s), target, ctx.full - target)
+    target, _ = ctx.derived(_regions, s)
+    return _promoted(t, ctx.previse(t, s), target, ctx.full_mask ^ target)
 
 
-def _negation_plan(num_worlds: int, s) -> tuple:
+def _negation_plan(masks, s) -> tuple:
     """GR-star's and HI-star's prior-independent part: the member-wise
     negations of ``s`` and the conjunction mask of ``s``, or () when the
     negations are jointly inconsistent."""
-    negations = _negations(num_worlds, s)
-    if not _conjunction(num_worlds, negations):
-        return ()
-    return negations, _conjunction(num_worlds, s)
+    target, refuting = _regions(masks, s)
+    return (_negations(masks, s), target) if refuting else ()
 
 
 @_register("GR-star", "pset",
@@ -543,7 +540,7 @@ def _gr_star(ctx, t, s):
     after = ctx.previse(t, negations).min_mask(target)
     before = t.min_mask(target)
     if after != before:
-        return [{"before": ctx.subsets[before], "after": ctx.subsets[after]}]
+        return [{"before": worlds_of(before), "after": worlds_of(after)}]
     return []
 
 
@@ -554,7 +551,7 @@ def _li_star(ctx, t, s):
     direct = ctx.previse(t, s).masks[0]
     via = ctx.pcontract(t, ctx.derived(_negations, s)).masks[0] & ctx.derived(_conjunction, s)
     if direct != via:
-        return [{"revision_beliefs": ctx.subsets[direct], "contract_then_add": ctx.subsets[via]}]
+        return [{"revision_beliefs": worlds_of(direct), "contract_then_add": worlds_of(via)}]
     return []
 
 
@@ -568,7 +565,7 @@ def _s_star(ctx, t, s1, s2):
     before = t.min_mask(joint)
     after = ctx.previse(t, mixed).min_mask(joint)
     if before != after:
-        return [{"before": ctx.subsets[before], "after": ctx.subsets[after]}]
+        return [{"before": worlds_of(before), "after": worlds_of(after)}]
     return []
 
 
@@ -583,7 +580,7 @@ def _p_star(ctx, t, s1, s2):
         return None
     best = ctx.previse(t, mixed).min_mask(second)
     if best & ~first:
-        return [{"best_of_second": ctx.subsets[best], "first_conjunction": ctx.subsets[first]}]
+        return [{"best_of_second": worlds_of(best), "first_conjunction": worlds_of(first)}]
     return []
 
 
@@ -592,39 +589,40 @@ def _p_star(ctx, t, s1, s2):
 @_register("C-con-1", "cset",
            "set contraction preserves the order among worlds refuting every member")
 def _ccon1(ctx, t, s):
-    return _order_flips(t, ctx.pcontract(t, s), ctx.full.difference(*s))
+    return _order_flips(t, ctx.pcontract(t, s), ctx.derived(_regions, s)[1])
 
 
 @_register("C-con-2", "cset",
            "set contraction preserves the order among worlds satisfying the whole set")
 def _ccon2(ctx, t, s):
-    return _order_flips(t, ctx.pcontract(t, s), ctx.full.intersection(*s))
+    return _order_flips(t, ctx.pcontract(t, s), ctx.derived(_regions, s)[0])
 
 
 @_register("C-con-3", "cset",
            "an all-refuting world strictly below any other stays strictly below")
 def _ccon3(ctx, t, s):
-    refuting = ctx.full.difference(*s)
-    return _kept_below(t, ctx.pcontract(t, s), refuting, ctx.full - refuting, weak=False)
+    _, refuting = ctx.derived(_regions, s)
+    return _kept_below(t, ctx.pcontract(t, s), refuting, ctx.full_mask ^ refuting, weak=False)
 
 
 @_register("C-con-4", "cset",
            "an all-refuting world weakly below any other stays weakly below")
 def _ccon4(ctx, t, s):
-    refuting = ctx.full.difference(*s)
-    return _kept_below(t, ctx.pcontract(t, s), refuting, ctx.full - refuting, weak=True)
+    _, refuting = ctx.derived(_regions, s)
+    return _kept_below(t, ctx.pcontract(t, s), refuting, ctx.full_mask ^ refuting, weak=True)
 
 
 @_register("DiP", "cset",
            "some contraction by a consistent set still believes the set's disjunction",
            kind="existential")
 def _dip(ctx, t, s):
-    if not ctx.full.intersection(*s):
+    conj, refuting = ctx.derived(_regions, s)
+    if not conj:
         return None
-    beliefs = ctx.pcontract(t, s).belief_worlds()
-    disjunction = frozenset().union(*s)
-    if beliefs <= disjunction:
-        return [{"beliefs": beliefs, "disjunction": disjunction}]
+    beliefs = ctx.pcontract(t, s).masks[0]
+    if not beliefs & refuting:
+        return [{"beliefs": worlds_of(beliefs),
+                 "disjunction": worlds_of(ctx.full_mask ^ refuting)}]
     return []
 
 
@@ -639,8 +637,8 @@ def _hi_star(ctx, t, s):
     direct = ctx.pcontract(t, s).masks[0]
     via = t.masks[0] | ctx.previse(t, negations).masks[0]
     if direct != via:
-        return [{"contraction_beliefs": ctx.subsets[direct],
-                 "meet_of_revisions": ctx.subsets[via]}]
+        return [{"contraction_beliefs": worlds_of(direct),
+                 "meet_of_revisions": worlds_of(via)}]
     return []
 
 
@@ -651,13 +649,12 @@ def _hi_star(ctx, t, s):
 def _ub(ctx, profile):
     merged = ctx.aggregate(profile)
     hits = []
-    for subset in ctx.subsets:
-        combined = frozenset()
-        for t in profile:
-            combined |= t.min_of(subset)
-        chosen = merged.min_of(subset)
-        if not chosen <= combined:
-            hits.append({"over": subset, "aggregate_best": chosen, "member_best_union": combined})
+    for subset in range(ctx.full_mask + 1):
+        combined = reduce(or_, [t.min_mask(subset) for t in profile])
+        chosen = merged.min_mask(subset)
+        if chosen & ~combined:
+            hits.append({"over": worlds_of(subset), "aggregate_best": worlds_of(chosen),
+                         "member_best_union": worlds_of(combined)})
     return hits
 
 
@@ -666,10 +663,10 @@ def _ub(ctx, profile):
 def _lb(ctx, profile):
     merged = ctx.aggregate(profile)
     hits = []
-    for subset in ctx.subsets:
-        chosen = merged.min_of(subset)
-        if not any(t.min_of(subset) <= chosen for t in profile):
-            hits.append({"over": subset, "aggregate_best": chosen})
+    for subset in range(ctx.full_mask + 1):
+        chosen = merged.min_mask(subset)
+        if all(t.min_mask(subset) & ~chosen for t in profile):
+            hits.append({"over": worlds_of(subset), "aggregate_best": worlds_of(chosen)})
     return hits
 
 
@@ -701,24 +698,13 @@ def _wpu(ctx, profile):
            "aggregate best worlds are a union of whole member best-world sets")
 def _factoring(ctx, profile):
     merged = ctx.aggregate(profile)
-    indices = range(len(profile))
     hits = []
-    for subset in ctx.subsets:
-        chosen = merged.min_of(subset)
-        mins = [t.min_of(subset) for t in profile]
-        matched = False
-        for size in range(len(profile) + 1):
-            for group in combinations(indices, size):
-                combined = frozenset()
-                for j in group:
-                    combined |= mins[j]
-                if combined == chosen:
-                    matched = True
-                    break
-            if matched:
-                break
-        if not matched:
-            hits.append({"over": subset, "aggregate_best": chosen})
+    for subset in range(ctx.full_mask + 1):
+        chosen = merged.min_mask(subset)
+        mins = [t.min_mask(subset) for t in profile]
+        if not any(reduce(or_, group, 0) == chosen
+                   for size in range(len(profile) + 1) for group in combinations(mins, size)):
+            hits.append({"over": worlds_of(subset), "aggregate_best": worlds_of(chosen)})
     return hits
 
 
@@ -777,30 +763,27 @@ def _syntactic(id: str, summary: str):
     return wrap
 
 
-def _follow_up(ctx, t: TPO, x: frozenset[int]) -> frozenset[int]:
-    return ctx.previse(t, (x,)).belief_worlds()
+def _irrelevant_step(ctx, t: TPO, s, region: int) -> bool:
+    """Whether every follow-up x inside ``region`` leaves the same beliefs
+    after revising ``t`` by ``s`` and then by x as after x alone."""
+    previse = ctx.previse
+    t2 = previse(t, s)
+    for x_mask, x in enumerate(ctx.props, 1):
+        if not x_mask & ~region and previse(t2, (x,)).masks[0] != previse(t, (x,)).masks[0]:
+            return False
+    return True
 
 
 @_syntactic("C-star-1-b",
             "follow-ups entailing the set make the revision step irrelevant")
 def _syn_cs1(ctx, t, s):
-    t2 = ctx.previse(t, s)
-    target = ctx.full.intersection(*s)
-    for x in ctx.props:
-        if x <= target and _follow_up(ctx, t2, x) != _follow_up(ctx, t, x):
-            return False
-    return True
+    return _irrelevant_step(ctx, t, s, ctx.derived(_regions, s)[0])
 
 
 @_syntactic("C-star-2-b",
             "follow-ups entailing every negation make the revision step irrelevant")
 def _syn_cs2(ctx, t, s):
-    t2 = ctx.previse(t, s)
-    refuting = ctx.full.difference(*s)
-    for x in ctx.props:
-        if x <= refuting and _follow_up(ctx, t2, x) != _follow_up(ctx, t, x):
-            return False
-    return True
+    return _irrelevant_step(ctx, t, s, ctx.derived(_regions, s)[1])
 
 
 @_syntactic("C-star-3-b",
@@ -821,14 +804,14 @@ def _syn_cs4(ctx, t, s):
                    for alone, two_step in zip(ctx.follow_ups(t), after))
 
 
-def _subfamilies(num_worlds: int, s) -> tuple:
+def _subfamilies(masks, s) -> tuple:
     """Every non-empty subfamily of ``s``, smallest first, with its
     conjunction mask."""
     groups = []
     for size in range(1, len(s) + 1):
         for group in combinations(range(len(s)), size):
             members = tuple(s[i] for i in group)
-            groups.append((members, _conjunction(num_worlds, members)))
+            groups.append((members, _conjunction(masks, members)))
     return tuple(groups)
 
 

@@ -22,13 +22,14 @@ per-prior rows: one small dict per order, holding a serial operator's
 results keyed by proposition mask and the pipeline's results keyed by
 input family.  Sweeps are prior-major, so the current row is found by an
 identity check, and a hit costs no hashed lookup of an order.  The
-context also holds the shared proposition tables, with each
-proposition's mask, and the ``derived`` memo for the evaluators' plans:
-the work that depends on the input families but not on the prior order.
-Sweeps that share operators should share one context.  ``previse``,
-``pcontract``, ``aggregate``, ``revise`` and ``contract`` are the seams
-a tracer may replace on a context; every call an evaluator makes into
-the operators, the follow-up revisions included, goes through them.
+context also holds the ``derived`` memo for the evaluators' plans: the
+work that depends on the input families but not on the prior order.
+The streams' world sets become masks through one bounded table of the
+sets the context met; no table of all 2^n sets is built.  Sweeps that
+share operators should share one context.  ``previse``, ``pcontract``,
+``aggregate``, ``revise`` and ``contract`` are the seams a tracer may
+replace on a context; every call an evaluator makes into the
+operators, the follow-up revisions included, goes through them.
 Witness payloads are encoded and decoded through the shape table in
 ``spaces``.
 """
@@ -43,12 +44,11 @@ from typing import Callable, Optional
 from .._fifo import shed
 from ..aggregation import Aggregator
 from ..errors import SpaceError, UnknownPostulateError, lookup
-from ..logic import Formula, Language, canonical_formula
+from ..logic import Language, canonical_formula
 from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from ..tpo import TPO, conditional_set, mask_of
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
-from .spaces import (InstanceSpace, all_propositions, all_subsets, decode_instance,
-                     encode_instance, language, proposition_masks)
+from .spaces import InstanceSpace, all_propositions, decode_instance, encode_instance, language
 
 
 _MISS = object()
@@ -132,22 +132,36 @@ class _Rows:
         return hit
 
 
-def _family_lookup(rows: _Rows, pipeline: Callable, shipped: Callable, mask: dict) -> Callable:
+class _MemberMasks(dict):
+    """The mask of each world set a context met, at most ``_ROWS`` of them;
+    a new set goes through ``mask_of``, which raises ``PartitionError``
+    for a world outside the order.  ``full`` is the mask of every world."""
+
+    __slots__ = ("num_worlds", "full")
+
+    def __init__(self, num_worlds: int):
+        super().__init__()
+        self.num_worlds = num_worlds
+        self.full = (1 << num_worlds) - 1
+
+    def __missing__(self, worlds: frozenset[int]) -> int:
+        if len(self) >= _ROWS:
+            shed(self)
+        mask = self[worlds] = mask_of(worlds, self.num_worlds)
+        return mask
+
+
+def _family_lookup(rows: _Rows, pipeline: Callable, member_masks: _MemberMasks) -> Callable:
     """``pipeline(t, masks)`` for ``(t, sets)``, kept in the row of ``t``.
 
-    ``sets`` is a tuple of world sets.  A miss converts it to member masks
-    through ``mask``; a member outside that table goes to ``shipped``, the
-    operator's frozenset entry, which raises the operator's typed error.
+    ``sets`` is a tuple of world sets; a miss reads their masks from
+    ``member_masks``.
     """
     def lookup(t: TPO, sets: tuple) -> TPO:
         row = rows.row if t is rows.t else rows.row_of(t)
         hit = row.get(sets)
         if hit is None:
-            try:
-                masks = [mask[member] for member in sets]
-            except KeyError:
-                return shipped(t, sets)
-            hit = row[sets] = pipeline(t, masks)
+            hit = row[sets] = pipeline(t, [member_masks[member] for member in sets])
         return hit
     return lookup
 
@@ -164,10 +178,11 @@ class CheckContext:
     are instance attributes bound straight to the row lookup.  A miss
     runs the operator's mask entry, ``revise_masks`` or
     ``contract_masks``, whose stages read the same rows and aggregate
-    through a memoizing aggregator.  ``revise`` and ``contract`` read the
-    rows of the serial revision and contraction, ``aggregate`` the
-    aggregator's memo, and ``conditionals`` is ``conditional_set``,
-    remembered per preorder.
+    through a memoizing aggregator.  ``revise(t, mask)`` and
+    ``contract(t, mask)`` are the row lookups of the serial revision and
+    contraction, which take the input's world mask as every serial
+    ``transform`` does; ``aggregate`` reads the aggregator's memo, and
+    ``conditionals`` is ``conditional_set``, remembered per preorder.
 
     A tracer may replace any of ``previse``, ``pcontract``,
     ``aggregate``, ``revise`` and ``contract`` on an instance.
@@ -175,16 +190,16 @@ class CheckContext:
     every x in ``props``, in order, remembered per order; it calls
     ``self.previse``, so a stand-in sees those revisions too.
 
-    ``subsets`` is the shared table of world sets indexed by mask,
-    ``props`` its consistent part, ``mask`` maps each of those sets back
-    to its mask, and ``full_mask`` is the mask of every world.  The
-    negation of a proposition with mask m is ``subsets[full_mask ^ m]``.
-    ``derived(fn, *args)`` is ``fn(num_worlds, *args)``, remembered per
-    argument tuple: evaluators keep there the part of their work that
-    does not depend on the prior order (the families they revise by and
-    the conjunction masks they compare), so a sweep computes it once per
-    input family rather than once per instance.  Nothing built here refers
-    back to the context.
+    ``full`` is the set of every world and ``full_mask`` its mask.
+    ``props`` is ``all_propositions`` for the context's worlds, built on
+    first read: only the syntactic forms iterate it.
+    ``derived(fn, *args)`` is ``fn(members, *args)``, remembered per
+    argument tuple, where ``members`` is the context's ``_MemberMasks``,
+    which the pipeline misses read too.  Evaluators keep there the part of
+    their work that does not depend on the prior order (the families they
+    revise by and the conjunction masks they compare), so a sweep computes
+    it once per input family rather than once per instance.  Nothing built
+    here refers back to the context.
     """
 
     def __init__(self, lang: Language, config: OperatorConfig):
@@ -193,10 +208,8 @@ class CheckContext:
         num_worlds = lang.num_worlds
         self.full = lang.all_worlds
         self.full_mask = (1 << num_worlds) - 1
-        self.props = all_propositions(num_worlds)
-        self.subsets = all_subsets(num_worlds)
-        self.mask = proposition_masks(num_worlds)
-        self.derived = _memoized(lambda fn, *args: fn(num_worlds, *args))
+        members = _MemberMasks(num_worlds)
+        self.derived = _memoized(lambda fn, *args: fn(members, *args))
         rows: dict = {}
 
         def rows_of(role: str) -> _Rows:
@@ -205,34 +218,28 @@ class CheckContext:
                 rows[id(op)] = _Rows(op)
             return rows[id(op)]
 
-        self._revision = rows_of("revision")
-        self._contraction = rows_of("contraction")
+        self.revise = rows_of("revision").transform
+        contraction = rows_of("contraction")
+        self.contract = contraction.transform
         self.aggregator = Aggregator(config.resolved("strategy"))
         merge = _MemoAggregator(self.aggregator)
         base = rows_of("base")
         self.parallel_rev = ParallelRevisionOperator(base, rows_of("finisher"), merge)
-        self.parallel_con = ParallelContractionOperator(self._contraction, merge)
+        self.parallel_con = ParallelContractionOperator(contraction, merge)
         self._aggregate = merge.aggregate
-        self.previse = _family_lookup(base, self.parallel_rev.revise_masks,
-                                      self.parallel_rev.revise_worlds, self.mask)
-        self.pcontract = _family_lookup(self._contraction, self.parallel_con.contract_masks,
-                                        self.parallel_con.contract_worlds, self.mask)
+        self.previse = _family_lookup(base, self.parallel_rev.revise_masks, members)
+        self.pcontract = _family_lookup(contraction, self.parallel_con.contract_masks, members)
         self._follow_ups: dict = {}
-        self._canonical = _memoized(lambda worlds: canonical_formula(worlds, lang))
+        self.canonical = _memoized(lambda worlds: canonical_formula(worlds, lang))
         self.conditionals = _memoized(conditional_set)
 
     @classmethod
     def from_space(cls, space: InstanceSpace) -> "CheckContext":
         return cls(space.lang, space.operators)
 
-    def canonical(self, worlds: frozenset[int]) -> Formula:
-        return self._canonical(worlds)
-
-    def revise(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self._revision.transform(t, mask_of(sat, t.num_worlds))
-
-    def contract(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self._contraction.transform(t, mask_of(sat, t.num_worlds))
+    @property
+    def props(self) -> tuple[frozenset[int], ...]:
+        return all_propositions(self.lang.num_worlds)
 
     def aggregate(self, profile: tuple[TPO, ...]) -> TPO:
         return self._aggregate(tuple(profile))

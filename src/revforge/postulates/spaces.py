@@ -13,7 +13,10 @@ Input-set families quantify over propositions up to semantic
 equivalence: each member is a distinct non-empty set of worlds.  Pair
 shapes draw both sets from the jointly-consistent family, because a set
 whose own conjunction is inconsistent only ever yields undefined or
-trivially-satisfied pair instances.
+trivially-satisfied pair instances.  Streams yield propositions as
+frozensets: exhaustive ones from ``all_propositions``, sampled ones by
+drawing a mask and converting it with ``worlds_of``.  The checker's
+context turns them into masks; no table of all 2^n world sets is built.
 
 ``SHAPES`` is the one table of instance shapes.  It gives each shape
 name its sequence of (payload key, ``Part``) pairs, and each part knows
@@ -75,26 +78,10 @@ def enumerate_tpos(num_worlds: int) -> Iterator[TPO]:
 
 
 @cache
-def all_subsets(num_worlds: int) -> tuple[frozenset[int], ...]:
-    """Every set of worlds, indexed by its mask: entry m is ``worlds_of(m)``.
-
-    One table per world count, built once and shared by every space and
-    context, so a proposition is the same object wherever it turns up.
-    """
-    return tuple(worlds_of(mask) for mask in range(1 << num_worlds))
-
-
-@cache
 def all_propositions(num_worlds: int) -> tuple[frozenset[int], ...]:
     """Every consistent proposition, in ascending bitmask order: entry i
-    has mask i + 1, and is the object ``all_subsets`` holds for it."""
-    return all_subsets(num_worlds)[1:]
-
-
-@cache
-def proposition_masks(num_worlds: int) -> dict[frozenset[int], int]:
-    """The mask of every set of worlds, the inverse of ``all_subsets``."""
-    return {worlds: mask for mask, worlds in enumerate(all_subsets(num_worlds))}
+    is ``worlds_of(i + 1)``.  Built once per world count and shared."""
+    return tuple(worlds_of(mask) for mask in range(1, 1 << num_worlds))
 
 
 def formula_set_tuples(props: Sequence[frozenset[int]], max_size: int,
@@ -121,7 +108,7 @@ def random_tpo(rng: random.Random, num_worlds: int) -> TPO:
 
 
 def _random_proposition(rng: random.Random, num_worlds: int) -> frozenset[int]:
-    return all_subsets(num_worlds)[rng.randrange(1, 1 << num_worlds)]
+    return worlds_of(rng.randrange(1, 1 << num_worlds))
 
 
 def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,

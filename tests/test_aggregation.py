@@ -79,6 +79,17 @@ def test_invalid_team_selections_raise():
         wild.aggregate((TPO.uniform(4),))
 
 
+@pytest.mark.parametrize("team, shown", [([0], "[0] (not a set)"), (0, "0 (not a set)"),
+                                         (1, "1 (not a set)")],
+                         ids=["list", "int-0", "int-1"])
+def test_teams_that_are_not_sets_raise_partition_error(team, shown):
+    malformed = Aggregator(SelectionStrategy("malformed", lambda n, i: team))
+    with pytest.raises(PartitionError) as err:
+        malformed.aggregate((TPO.uniform(4), TPO.uniform(4)))
+    assert str(err.value) == (f"strategy 'malformed' selected invalid team {shown} "
+                              "at round 1 for a profile of size 2")
+
+
 def test_profile_validation_flows_through():
     with pytest.raises(PartitionError):
         stq(())

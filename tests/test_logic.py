@@ -12,7 +12,7 @@ from revforge import (BOTTOM, TOP, FormulaSet, Language, LanguageError,
                       ParseError, atoms_of, canonical_formula, cn_equal, conj,
                       entails, evaluate, format_formula, is_consistent, models,
                       neg_set, parse_formula, sat_subset)
-from revforge.logic import And, Atom, Iff, Implies, Not, Or
+from revforge.logic import MAX_FORMULA_DEPTH, And, Atom, Iff, Implies, Not, Or
 
 
 # --- language ---
@@ -112,6 +112,19 @@ def test_nesting_too_deep_to_parse_raises_parse_error(lang2, text):
 
 def test_deep_but_parseable_nesting_still_parses(lang2):
     assert parse_formula("(" * 150 + "A" + ")" * 150, lang2) == Atom("A")
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_chains_are_walkable_up_to_the_depth_bound_and_rejected_past_it(lang2, op):
+    """``&`` and ``|`` chains are parsed in a loop, not by recursion, so
+    the depth bound is what keeps the recursive walks over them safe."""
+    at_bound = f" {op} ".join(["A"] * MAX_FORMULA_DEPTH)
+    formula = parse_formula(at_bound, lang2)
+    assert parse_formula(format_formula(formula), lang2) == formula
+    assert models(formula, lang2) == {w for w in lang2.worlds() if evaluate(formula, w, lang2)}
+    assert models(formula, lang2) == {2, 3}
+    with pytest.raises(ParseError, match="formula nested too deeply"):
+        parse_formula(f"{at_bound} {op} A", lang2)
 
 
 def test_atoms_of(lang3):

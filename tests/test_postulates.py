@@ -1,9 +1,11 @@
 """Catalog, instance spaces, and the checking engine."""
 
 import gc
+import hashlib
 import json
 import random
 import re
+import tracemalloc
 import weakref
 
 import pytest
@@ -19,7 +21,7 @@ from revforge import (CATALOG, Aggregator, CheckContext, CheckReport,
                       get_revision_operator, make_strategy, replay_witness,
                       verify_rc_identity)
 from revforge.postulates import (all_propositions, catalog, engine, enumerate_tpos,
-                                 formula_set_tuples, random_tpo, spaces)
+                                 formula_set_tuples, random_tpo)
 from revforge.postulates.catalog import PAIR_CHECKS, SYNTACTIC_FORMS
 from revforge.postulates.engine import _memoized, render_value
 from revforge.postulates.spaces import (DEFAULT_SEED, SHAPES, decode_instance,
@@ -106,22 +108,32 @@ def test_propositions_are_one_shared_table():
     assert all_propositions(8) is props
     assert [mask_of(p, 8) for p in props] == list(range(1, 256))
     ctx = CheckContext(Language(("A", "B", "C")), OperatorConfig())
-    assert ctx.props is props and ctx.subsets[1:] == props and ctx.subsets[0] == frozenset()
-    assert all(ctx.mask[p] == m for m, p in enumerate(ctx.subsets))
-    assert ctx.full_mask == 255 and ctx.subsets[ctx.full_mask] == ctx.full
+    assert ctx.props is props
+    assert ctx.full_mask == 255 and worlds_of(ctx.full_mask) == ctx.full
 
 
-def test_sampled_stream_draws_the_same_sets_from_the_table(monkeypatch):
-    """Indexing the shared table consumes the generator exactly as building
-    each proposition with ``worlds_of`` did, and hands out the table's own
-    objects."""
+def test_sampled_stream_is_pinned():
+    """The sampled stream draws the same instances, in the same order, as
+    when each proposition was read from a table of every world set."""
     space = InstanceSpace(atoms=3, mode="sampled", sample_count=400, seed=5, max_set_size=3)
-    stream = list(space.instances("pset2"))
-    monkeypatch.setattr(spaces, "_random_proposition",
-                        lambda rng, n: worlds_of(rng.randrange(1, 1 << n)))
-    assert list(space.instances("pset2")) == stream
-    table = set(map(id, all_propositions(8)))
-    assert all(id(member) in table for _, s1, s2 in stream for member in s1 + s2)
+    stream = repr(list(space.instances("pset2")))
+    assert hashlib.sha256(stream.encode()).hexdigest() == (
+        "dbb31c1489471ecb9ba4250569d081f700abe50d4b4d6ad611bf87be6bae1c42")
+
+
+def test_a_four_atom_sweep_builds_no_table_of_world_sets():
+    """A context and a sampled sweep hold only the world sets they meet:
+    a 4-atom context and 200 C-star-3 instances stay under 5 MB, where a
+    table of all 65,536 world sets took about 52 MB."""
+    space = InstanceSpace(atoms=4, mode="sampled", sample_count=200, seed=5, max_set_size=3)
+    tracemalloc.start()
+    try:
+        report = check("C-star-3", space, ctx=CheckContext.from_space(space))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.checked == 200 and report.holds
+    assert peak < 5_000_000
 
 
 def test_memo_remembers_none_results():

@@ -17,6 +17,7 @@ from revforge import (
     run_scenario,
     scenario as scenario_module,
 )
+from revforge.logic import MAX_FORMULA_DEPTH
 from test_mask_differential import random_document
 
 
@@ -402,6 +403,29 @@ def test_a_bad_sentence_is_reported_at_each_place_it_is_read():
             Scenario.from_dict({**BASE, **mutation})
         assert str(err.value) == where + "expected a formula, found '|' (at position 4)"
     assert (bad, ("A", "B")) not in scenario_module._parsed
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_a_chain_too_deep_to_walk_is_rejected_at_load(op):
+    """A sentence the parser builds in a loop but the recursive walks
+    could not follow is rejected where it is read, with a typed error."""
+    sentence = f" {op} ".join(["A"] * 1200)
+    text = json.dumps({**BASE, "steps": [{"op": "serial-revise", "sentence": sentence}]})
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(text)
+    assert str(err.value).startswith("steps[0].sentence: formula nested too deeply")
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_a_chain_at_the_depth_bound_runs_through_every_stage(op):
+    sentence = f" {op} ".join(["A"] * MAX_FORMULA_DEPTH)
+    doc = {**BASE, "steps": [{"op": "serial-revise", "sentence": sentence,
+                              "queries": [{"type": "believes", "sentence": sentence}]}]}
+    trace = run_scenario(loads_scenario(json.dumps(doc)))
+    assert trace.entries[-1].answers[0]["answer"] is True
+    assert "step 1" in trace.to_text() and export_dot(trace).startswith("digraph")
+    assert json.loads(trace.to_json())["scenario"] == doc
+    assert trace.replay().to_json() == trace.to_json()
 
 
 def test_the_table_stays_within_its_bound():
