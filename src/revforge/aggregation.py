@@ -5,11 +5,13 @@ single TPO.  It runs in rounds: at round i a selection strategy picks a
 non-empty team of profile positions, and the round's output block is the
 union, over the team, of each member's most plausible still-unplaced
 worlds.  Rounds work on world masks: the unplaced worlds are one
-``remaining`` mask, and each member contributes its ``min_mask`` of it.
-Rounds continue until every world is placed.  Because every member ranks
-every world, a round with worlds remaining always yields a non-empty
-block; should a strategy-supplied team ever produce an empty one anyway,
-the round is skipped and emits no block.
+``remaining`` mask, and each member contributes its first block that
+meets it, intersected with it.  Worlds only ever leave ``remaining``, so
+each member keeps a cursor on that block and moves it forward, rather
+than searching its order from the top every round.  Rounds continue
+until every world is placed.  Because every member ranks every world
+and a team is never empty, a round with worlds remaining always yields a
+non-empty block.
 
 The synchronous strategy (``stq``) picks the whole profile every round.
 ``round-robin`` cycles through single positions.  ``first-then-full``
@@ -81,6 +83,8 @@ class Aggregator:
         positions = frozenset(range(n))
         num_worlds = profile[0].num_worlds
         remaining = (1 << num_worlds) - 1
+        orders = [t.masks for t in profile]
+        cursors = [0] * n
         blocks: list[int] = []
         round_no = 0
         while remaining:
@@ -94,9 +98,11 @@ class Aggregator:
                     f"at round {round_no} for a profile of size {n}")
             block = 0
             for j in team:
-                block |= profile[j].min_mask(remaining)
-            if not block:
-                continue
+                order, at = orders[j], cursors[j]
+                while not order[at] & remaining:
+                    at += 1
+                cursors[j] = at
+                block |= order[at] & remaining
             blocks.append(block)
             remaining &= ~block
         return TPO._from_masks(tuple(blocks), num_worlds)

@@ -6,7 +6,8 @@ assignment to those atoms, encoded as an integer index in
 significant bit, so the bit-string rendering of a world reads off the
 atoms left to right (``"10"`` over atoms ``(A, B)`` makes A true and B
 false).  Names are fixed-width, so ascending world order is sorted name
-order; ``Language.world_names`` holds them all, built on first use.
+order; ``Language.world_names`` holds them all, built on first use, and
+``world_from_name`` reads them back through a dict.
 
 A proposition is a set of worlds.  Inside the package it is an ``int``
 mask with bit w set for world w; at the public edge it is a
@@ -17,7 +18,9 @@ Formulas are immutable trees built from atoms, negation, conjunction,
 disjunction, implication, biconditional, and the constants verum and
 falsum.  ``parse_formula`` reads the ASCII syntax ``~ & | -> <->`` with
 ``T``/``F`` for the constants; ``str()`` pretty-prints with minimal
-parentheses, and parse -> print -> parse is a fixpoint.
+parentheses, and parse -> print -> parse is a fixpoint.  The tokenizer
+scans the text in one ``findall``; character positions are worked out
+only for the message of a ``ParseError``.
 
 ``model_mask`` is the one structural route from a formula to its
 proposition: bitwise algebra on masks, starting from the atom masks
@@ -155,10 +158,19 @@ class Language:
         names = self.world_names
         return [names[w] for w in ascending_worlds(mask)]
 
+    @cached_property
+    def _worlds_by_name(self) -> dict[str, int]:
+        return {name: w for w, name in enumerate(self.world_names)}
+
     def world_from_name(self, name: str) -> int:
-        if len(name) != len(self.atoms) or any(c not in "01" for c in name):
-            raise LanguageError(f"world name {name!r} is not a {len(self.atoms)}-bit string")
-        return int(name, 2)
+        """The world named ``name``; LanguageError for anything that is not
+        one of ``world_names``, strings of the wrong width and non-strings
+        alike."""
+        try:
+            return self._worlds_by_name[name]
+        except (KeyError, TypeError):
+            raise LanguageError(
+                f"world name {name!r} is not a {len(self.atoms)}-bit string") from None
 
     def __repr__(self) -> str:
         return f"Language({', '.join(self.atoms)})"
@@ -236,29 +248,25 @@ def atoms_of(formula: Formula) -> frozenset[str]:
 
 # --- parsing ---
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<op><->|->|~|&|\|)"
-    r"|(?P<lparen>\()"
-    r"|(?P<rparen>\)))"
-)
+_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|<->|->|~|&|\||\(|\))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        kind = match.lastgroup
-        value = match.group(kind)
-        tokens.append((kind, value, match.start(kind)))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, then ``""`` for its end.
+
+    One ``findall`` scans the text; it skips what it cannot match, so the
+    tokens must account for every character outside whitespace.  Only when
+    they do not is the text walked token by token, to find the offending
+    character's position.
+    """
+    tokens = _TOKEN.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        pos = 0
+        while match := _TOKEN.match(text, pos):
+            pos = match.end()
+        stripped = text[pos:].lstrip()
+        raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
+    tokens.append("")
     return tokens
 
 
@@ -270,30 +278,37 @@ class _Parser:
     """
 
     def __init__(self, text: str, lang: Language):
+        self.text = text
         self.tokens = _tokenize(text)
         self.lang = lang
         self.pos = 0
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def take(self) -> tuple[str, str, int]:
+    def take(self) -> str:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
+    def error(self, message: str, index: int) -> ParseError:
+        """``ParseError`` at token ``index``, the only place offsets are found."""
+        starts = [match.start(1) for match in _TOKEN.finditer(self.text)]
+        return ParseError(message, (starts + [len(self.text)])[index])
+
     def expect_op(self, value: str) -> bool:
-        kind, tok, _ = self.peek()
-        if kind == "op" and tok == value:
-            self.take()
+        # never the deepest call at its level, so inlining the token reads
+        # leaves where the recursion limit stops the parser unchanged
+        if self.tokens[self.pos] == value:
+            self.pos += 1
             return True
         return False
 
     def parse(self) -> Formula:
         formula = self.iff()
-        kind, tok, at = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {tok!r}", at)
+        tok = self.peek()
+        if tok:
+            raise self.error(f"unexpected {tok!r}", self.pos)
         return formula
 
     def iff(self) -> Formula:
@@ -321,29 +336,28 @@ class _Parser:
         return formula
 
     def unary(self) -> Formula:
-        kind, tok, at = self.peek()
-        if kind == "op" and tok == "~":
+        if self.peek() == "~":
             self.take()
             return Not(self.unary())
         return self.primary()
 
     def primary(self) -> Formula:
-        kind, tok, at = self.take()
-        if kind == "name":
+        tok = self.take()
+        if tok[:1].isalpha():
             if tok == "T":
                 return TOP
             if tok == "F":
                 return BOTTOM
             if tok not in self.lang._index:
-                raise ParseError(f"unknown atom {tok!r}", at)
+                raise self.error(f"unknown atom {tok!r}", self.pos - 1)
             return Atom(tok)
-        if kind == "lparen":
+        if tok == "(":
             formula = self.iff()
-            kind, tok, at = self.take()
-            if kind != "rparen":
-                raise ParseError("expected ')'", at)
+            if self.take() != ")":
+                raise self.error("expected ')'", self.pos - 1)
             return formula
-        raise ParseError(f"expected a formula, found {tok!r}" if tok else "unexpected end of input", at)
+        raise self.error(f"expected a formula, found {tok!r}" if tok else "unexpected end of input",
+                         self.pos - 1)
 
 
 def _depth(formula: Formula) -> int:
@@ -369,7 +383,7 @@ def parse_formula(text: str, lang: Language) -> Formula:
     try:
         formula = parser.parse()
     except RecursionError:
-        raise ParseError("formula nested too deeply", parser.peek()[2]) from None
+        raise parser.error("formula nested too deeply", parser.pos) from None
     # a tree has fewer nodes on a path than the text has tokens
     if len(parser.tokens) > MAX_FORMULA_DEPTH and _depth(formula) > MAX_FORMULA_DEPTH:
         raise ParseError(f"formula nested too deeply (more than {MAX_FORMULA_DEPTH} levels)", 0)

@@ -133,6 +133,9 @@ def _names(worlds, lang: Language) -> list[str]:
 
 
 def _worlds(names, lang: Language) -> frozenset[int]:
+    # a name that is not a string is a value of the wrong JSON type
+    if not all(isinstance(name, str) for name in names):
+        raise TypeError("world names must be strings")
     return frozenset(lang.world_from_name(n) for n in names)
 
 

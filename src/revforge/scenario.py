@@ -9,24 +9,30 @@ answers after every step.  Traces serialize deterministically and can
 be rendered as plain text or as a Graphviz document with one cluster
 per stage.
 
-A run works on world masks throughout: each sentence's ``model_mask``
-goes to the pipeline's mask entry (``revise_masks``/``contract_masks``)
-or to a serial operator's ``transform``, queries are answered with mask
-arithmetic on the order's blocks, and worlds are named from
-``Language.world_names``.  ``RunTrace.to_json`` writes
-its document in one pass, with the bytes of ``json.dumps(..., indent=2)``.
+Each sentence becomes a formula and a world mask once, when the document
+loads: ``Step.masks`` and the believes/conditional queries keep them.  A
+run works on those masks throughout: they go to the pipeline's mask
+entry (``revise_masks``/``contract_masks``) or to a serial operator's
+``transform``, and queries are answered with mask arithmetic on the
+order's blocks.  ``RunTrace.to_json`` writes its document in one pass,
+with the bytes of ``json.dumps(..., indent=2)``: each entry's order and
+beliefs come straight from its block masks, through a table of rendered
+world-name lists keyed by atom count, mask and depth.
 
-Sentences are read through one table of parsed formulas, keyed by text
-and atoms and bounded at ``_SENTENCES`` entries with FIFO eviction.
-Loading a document and replaying its trace both read through it, so a
-replay, and a sentence repeated across documents, costs a lookup rather
-than a parse.  A replay still re-reads and re-validates the whole
-document.
+Sentences are read through one table of parsed formulas and their masks,
+keyed by text and atoms.  Loading a document and replaying its trace
+both read through it, so a replay, and a sentence repeated across
+documents, costs a lookup rather than a parse.  A replay still re-reads
+and re-validates the whole document.  Both tables hold at most 1,024
+entries (``_SENTENCES``, ``_NAME_LISTS``) and shed their oldest with
+``_fifo.shed``.
 
 Under ``round-robin`` and ``first-then-full`` a set step takes its
 sentences in file order, and another order can give another posterior
 order (the beliefs do not change).  ``to_text`` notes this under every
-set step with two or more sentences; the JSON form carries no note.
+set step whose sentences have two or more distinct masks; sentences
+with one mask, such as ``A`` and ``(A)``, cannot be reordered into
+anything new.  The JSON form carries no note.
 
 Schema, version 1::
 
@@ -67,7 +73,7 @@ from pathlib import Path
 from ._fifo import shed
 from .aggregation import Aggregator
 from .errors import InconsistentInputError, ParseError, RevforgeError, ScenarioError
-from .logic import Formula, Language, model_mask, parse_formula
+from .logic import Formula, Language, ascending_worlds, model_mask, parse_formula
 from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from .serial import SerialContractionOperator, SerialRevisionOperator
 from .tpo import TPO
@@ -85,60 +91,78 @@ _ORDER_SENSITIVE = ("round-robin", "first-then-full")
 _OPERATOR_ROLES = {"base": "base", "finisher": "finisher", "contraction": "contraction",
                    "agg": "strategy"}
 
-# parsed sentences, keyed by text and atoms, since a text's validity
-# depends on the language; formula trees are immutable, so loads and
-# replays share them.  Only parses that succeed are kept, so a bad
-# sentence is parsed, and reported, wherever it is read.
+# parsed sentences and their world masks, keyed by text and atoms, since
+# a text's validity and mask depend on the language; formula trees are
+# immutable, so loads and replays share them.  Only parses that succeed
+# are kept, so a bad sentence is parsed, and reported, wherever it is read.
 _SENTENCES = 1024
-_parsed: dict[tuple[str, tuple[str, ...]], Formula] = {}
+_parsed: dict[tuple[str, tuple[str, ...]], tuple[Formula, int]] = {}
+
+# a trace's lists of world names as ``json.dumps(..., indent=2)`` writes
+# them, keyed by atom count, world mask and nesting depth
+_NAME_LISTS = 1024
+_name_lists: dict[tuple[int, int, int], str] = {}
 
 
-def _expect(condition: bool, where: str, message: str) -> None:
+def _expect(condition: bool, where: str, message: str, *args) -> None:
+    """``ScenarioError`` unless ``condition``; ``message`` is a format
+    string for ``args``, filled in only when the check fails."""
     if not condition:
-        raise ScenarioError(f"{where}: {message}")
+        raise ScenarioError(f"{where}: {message.format(*args)}")
 
 
 def _list(data: dict, key: str, where: str) -> list:
     value = data.get(key, [])
-    _expect(isinstance(value, list), where, f"{key!r} must be a list")
+    _expect(isinstance(value, list), where, "{!r} must be a list", key)
     return value
 
 
-def _parse_sentence(text, lang: Language, where: str) -> Formula:
-    """``parse_formula(text, lang)``, read through ``_parsed`` when the
-    text has parsed over these atoms before."""
-    _expect(isinstance(text, str), where, f"expected a sentence string, got {text!r}")
+def _parse_sentence(text, lang: Language, where: str) -> tuple[Formula, int]:
+    """``parse_formula(text, lang)`` and its ``model_mask``, read through
+    ``_parsed`` when the text has parsed over these atoms before."""
+    _expect(isinstance(text, str), where, "expected a sentence string, got {!r}", text)
     key = (text, lang.atoms)
-    formula = _parsed.get(key)
-    if formula is None:
+    parsed = _parsed.get(key)
+    if parsed is None:
         try:
             formula = parse_formula(text, lang)
         except ParseError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
         if len(_parsed) >= _SENTENCES:
             shed(_parsed)
-        _parsed[key] = formula
-    return formula
+        parsed = _parsed[key] = (formula, model_mask(formula, lang))
+    return parsed
+
+
+def _initial_block(names, lang: Language) -> frozenset[int]:
+    """The worlds of one ``initial`` block; a world named twice in it is an error."""
+    worlds = set()
+    for name in names:
+        world = lang.world_from_name(name)
+        _expect(world not in worlds, "initial", "world {!r} is listed twice in one block", name)
+        worlds.add(world)
+    return frozenset(worlds)
 
 
 def _validate_query(query, lang: Language, where: str) -> dict:
     _expect(isinstance(query, dict), where, "each query must be an object")
     kind = query.get("type")
-    _expect(kind in _QUERY_TYPES, where,
-            f"unknown query type {kind!r} (expected one of {', '.join(_QUERY_TYPES)})")
+    _expect(kind in _QUERY_TYPES, where, "unknown query type {!r} (expected one of {})",
+            kind, ", ".join(_QUERY_TYPES))
     out = {"type": kind}
     if kind == "believes":
         out["sentence"] = query.get("sentence")
-        out["_formula"] = _parse_sentence(out["sentence"], lang, where)
+        out["_formula"], out["_mask"] = _parse_sentence(out["sentence"], lang, where)
     elif kind == "conditional":
         out["given"] = query.get("given")
         out["then"] = query.get("then")
-        out["_given"] = _parse_sentence(out["given"], lang, f"{where} (given)")
-        out["_then"] = _parse_sentence(out["then"], lang, f"{where} (then)")
+        out["_given"], out["_given_mask"] = _parse_sentence(
+            out["given"], lang, f"{where} (given)")
+        out["_then"], out["_then_mask"] = _parse_sentence(out["then"], lang, f"{where} (then)")
     elif kind == "compare":
         for side in ("left", "right"):
             name = query.get(side)
-            _expect(isinstance(name, str), where, f"compare query needs a {side!r} world name")
+            _expect(isinstance(name, str), where, "compare query needs a {!r} world name", side)
             try:
                 out[side] = lang.world_from_name(name)
             except Exception as exc:
@@ -149,9 +173,12 @@ def _validate_query(query, lang: Language, where: str) -> dict:
 
 @dataclass(frozen=True)
 class Step:
+    """One step, its sentences parsed and their world masks read at load."""
+
     op: str
     texts: tuple[str, ...]
     formulas: tuple[Formula, ...]
+    masks: tuple[int, ...]
     queries: tuple[dict, ...]
 
     def label(self) -> str:
@@ -179,7 +206,7 @@ class Scenario:
         _expect(isinstance(data, dict), "scenario", "document root must be an object")
         version = data.get("version")
         _expect(type(version) is int and version == SCHEMA_VERSION, "scenario",
-                f"unsupported version {version!r} (expected {SCHEMA_VERSION})")
+                "unsupported version {!r} (expected {})", version, SCHEMA_VERSION)
 
         atoms = data.get("atoms")
         _expect(isinstance(atoms, list) and atoms, "scenario", "'atoms' must be a non-empty list")
@@ -195,16 +222,14 @@ class Scenario:
             _expect(isinstance(initial, list), "initial",
                     "must be \"uniform\" or a list of world-name blocks")
             try:
-                blocks = tuple(
-                    frozenset(lang.world_from_name(n) for n in block) for block in initial)
-                start = TPO(blocks)
+                start = TPO(tuple(_initial_block(block, lang) for block in initial))
             except ScenarioError:
                 raise
             except Exception as exc:
                 raise ScenarioError(f"initial: {exc}") from exc
             _expect(start.num_worlds == lang.num_worlds, "initial",
-                    f"the order places {start.num_worlds} worlds, "
-                    f"the language has {lang.num_worlds}")
+                    "the order places {} worlds, the language has {}",
+                    start.num_worlds, lang.num_worlds)
 
         ops = data.get("operators", {})
         _expect(isinstance(ops, dict), "operators", "must be an object")
@@ -223,25 +248,26 @@ class Scenario:
             where = f"steps[{i}]"
             _expect(isinstance(raw, dict), where, "each step must be an object")
             op = raw.get("op")
-            _expect(op in _SET_OPS + _SERIAL_OPS, where,
-                    f"unknown op {op!r} (expected one of "
-                    f"{', '.join(_SET_OPS + _SERIAL_OPS)})")
+            _expect(op in _SET_OPS + _SERIAL_OPS, where, "unknown op {!r} (expected one of {})",
+                    op, ", ".join(_SET_OPS + _SERIAL_OPS))
             if op in _SET_OPS:
                 sentences = raw.get("sentences")
                 _expect(isinstance(sentences, list) and sentences, where,
                         "'sentences' must be a non-empty list")
                 texts = tuple(sentences)
-                formulas = tuple(
+                formulas, masks = zip(*(
                     _parse_sentence(s, lang, f"{where}.sentences[{j}]")
-                    for j, s in enumerate(sentences))
+                    for j, s in enumerate(sentences)))
             else:
                 text = raw.get("sentence")
                 texts = (text,)
-                formulas = (_parse_sentence(text, lang, f"{where}.sentence"),)
+                formula, mask = _parse_sentence(text, lang, f"{where}.sentence")
+                formulas, masks = (formula,), (mask,)
             queries = tuple(
                 _validate_query(q, lang, f"{where}.queries[{j}]")
                 for j, q in enumerate(_list(raw, "queries", where)))
-            steps.append(Step(op=op, texts=texts, formulas=formulas, queries=queries))
+            steps.append(Step(op=op, texts=texts, formulas=formulas, masks=masks,
+                              queries=queries))
 
         return cls(lang=lang, initial=start, base=base, finisher=finisher,
                    contraction=contraction, aggregator=Aggregator(strategy),
@@ -266,12 +292,12 @@ def loads_scenario(text: str) -> Scenario:
 def _answer(query: dict, t: TPO, lang: Language) -> dict:
     kind = query["type"]
     if kind == "believes":
-        believed = not t.masks[0] & ~model_mask(query["_formula"], lang)
+        believed = not t.masks[0] & ~query["_mask"]
         return {"type": kind, "sentence": query["sentence"], "answer": believed}
     if kind == "conditional":
-        best = t.min_mask(model_mask(query["_given"], lang))
+        best = t.min_mask(query["_given_mask"])
         return {"type": kind, "given": query["given"], "then": query["then"],
-                "answer": not best & ~model_mask(query["_then"], lang)}
+                "answer": not best & ~query["_then_mask"]}
     if kind == "compare":
         diff = t.compare(query["left"], query["right"])
         relation = "<" if diff < 0 else (">" if diff > 0 else "~")
@@ -326,8 +352,32 @@ class RunTrace:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte."""
-        return _dumps_indented(self.to_json_dict())
+        """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte.
+
+        With ``indent`` set, ``json`` runs its pure-Python encoder; this one
+        pass is faster.  Each entry's ``tpo`` and ``beliefs`` are written
+        from the order's masks through ``_name_list``, and ``_write`` writes
+        the embedded document and the answers.  A value ``_write`` leaves
+        alone, subclasses included, hands the whole trace to ``json.dumps``,
+        as does nesting too deep to recurse, so that a circular document
+        raises json's own error.
+        """
+        lang = self.lang
+        out = ['{\n  "scenario": ']
+        try:
+            _write(self.scenario, out, "\n  ")
+            opener = ',\n  "entries": [\n    {'
+            for e in self.entries:
+                blocks = ",\n        ".join([_name_list(lang, mask, 4) for mask in e.tpo.masks])
+                out.append(f'{opener}\n      "label": {_escape(e.label)},\n      "tpo": [\n'
+                           f'        {blocks}\n      ],\n      "beliefs": '
+                           f'{_name_list(lang, e.tpo.masks[0], 3)},\n      "queries": ')
+                _write(list(e.answers), out, "\n      ")
+                opener = "\n    },\n    {"
+        except (_Unwritable, RecursionError):
+            return json.dumps(self.to_json_dict(), indent=2)
+        out.append("\n    }\n  ]\n}")
+        return "".join(out)
 
     def to_text(self) -> str:
         lines = []
@@ -359,28 +409,27 @@ class _Unwritable(Exception):
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _dumps_indented(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte.
-
-    With ``indent`` set, ``json`` runs its pure-Python encoder; this one
-    pass is faster on the str, bool, None, int, list and str-keyed dict
-    values a trace holds.  Any other value, subclasses included, hands
-    the whole document to ``json.dumps``, as does nesting too deep to
-    recurse, so that a circular document raises json's own error.
-    """
-    out: list[str] = []
-    try:
-        _write(obj, out, "\n")
-    except (_Unwritable, RecursionError):
-        return json.dumps(obj, indent=2)
-    return "".join(out)
+def _name_list(lang: Language, mask: int, depth: int) -> str:
+    """The names of ``mask``'s worlds, as the JSON list that
+    ``json.dumps(..., indent=2)`` writes ``depth`` levels in; read through
+    ``_name_lists`` when it was written before."""
+    key = (len(lang.atoms), mask, depth)
+    text = _name_lists.get(key)
+    if text is None:
+        names = lang.world_names
+        inner = "\n" + "  " * (depth + 1)
+        items = ("," + inner).join([_escape(names[w]) for w in ascending_worlds(mask)])
+        if len(_name_lists) >= _NAME_LISTS:
+            shed(_name_lists)
+        text = _name_lists[key] = f"[{inner}{items}\n{'  ' * depth}]"
+    return text
 
 
 def _write(value, out: list[str], newline: str) -> None:
+    """Append the JSON of a dict or list that sits ``newline`` in; its
+    strings are written in the loops, without a call each."""
     kind = type(value)
-    if kind is str:
-        out.append(_escape(value))
-    elif kind is dict:
+    if kind is dict:
         if not value:
             out.append("{}")
             return
@@ -389,8 +438,11 @@ def _write(value, out: list[str], newline: str) -> None:
         for key, item in value.items():
             if type(key) is not str:
                 raise _Unwritable
-            out.append(opener + _escape(key) + ": ")
-            _write(item, out, inner)
+            if type(item) is str:
+                out.append(opener + _escape(key) + ": " + _escape(item))
+            else:
+                out.append(opener + _escape(key) + ": ")
+                _write(item, out, inner)
             opener = "," + inner
         out.append(newline + "}")
     elif kind is list:
@@ -400,8 +452,11 @@ def _write(value, out: list[str], newline: str) -> None:
         inner = newline + "  "
         opener = "[" + inner
         for item in value:
-            out.append(opener)
-            _write(item, out, inner)
+            if type(item) is str:
+                out.append(opener + _escape(item))
+            else:
+                out.append(opener)
+                _write(item, out, inner)
             opener = "," + inner
         out.append(newline + "]")
     elif value is None:
@@ -439,7 +494,7 @@ def run_scenario(scenario: Scenario) -> RunTrace:
 
     order_sensitive = scenario.aggregator.name in _ORDER_SENSITIVE
     for i, step in enumerate(scenario.steps, start=1):
-        masks = [model_mask(f, lang) for f in step.formulas]
+        masks = step.masks
         try:
             if step.op == "revise-set":
                 t = prev.revise_masks(t, masks, labels=step.texts)
@@ -452,7 +507,7 @@ def run_scenario(scenario: Scenario) -> RunTrace:
         except InconsistentInputError as exc:
             raise InconsistentInputError(f"step {i} ({step.label()}): {exc}") from exc
         note = ""
-        if order_sensitive and step.op in _SET_OPS and len(masks) > 1:
+        if order_sensitive and step.op in _SET_OPS and len(set(masks)) > 1:
             note = (f"{scenario.aggregator.name} takes the sentences in file order; "
                     f"another order can give another posterior order")
         entries.append(TraceEntry(

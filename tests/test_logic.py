@@ -51,6 +51,13 @@ def test_language_rejects_bad_world_names(lang2):
         lang2.world_from_name("2x")
 
 
+@pytest.mark.parametrize("name", [5, None, b"01", ["0", "1"], 1.0, "", "012", "0b1", " 01"])
+def test_world_names_that_are_not_bit_strings_raise_language_error(lang2, name):
+    with pytest.raises(LanguageError) as err:
+        lang2.world_from_name(name)
+    assert str(err.value) == f"world name {name!r} is not a 2-bit string"
+
+
 # --- parsing ---
 
 @pytest.mark.parametrize("text,worlds", [

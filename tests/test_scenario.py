@@ -13,6 +13,7 @@ from revforge import (
     export_dot,
     load_scenario,
     loads_scenario,
+    model_mask,
     parse_formula,
     run_scenario,
     scenario as scenario_module,
@@ -227,6 +228,19 @@ def test_invalid_documents_are_rejected(mutation, fragment):
     assert fragment in str(err.value)
 
 
+def test_a_world_named_twice_in_an_initial_block_is_rejected():
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({**BASE, "initial": [["00", "00", "01"], ["10", "11"]]})
+    assert str(err.value) == "initial: world '00' is listed twice in one block"
+
+
+@pytest.mark.parametrize("name", [3, None, b"10", ["1", "0"]])
+def test_an_initial_world_name_that_is_not_a_string_is_a_scenario_error(name):
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({**BASE, "initial": [["00", "01"], [name, "10", "11"]]})
+    assert str(err.value) == f"initial: world name {name!r} is not a 2-bit string"
+
+
 def test_non_dict_root_is_rejected():
     with pytest.raises(ScenarioError):
         Scenario.from_dict(["not", "an", "object"])
@@ -349,6 +363,17 @@ def test_to_text_notes_member_order_on_multi_sentence_set_steps(agg, noted):
     assert "note" not in trace.to_json()
 
 
+@pytest.mark.parametrize("agg", ["round-robin", "first-then-full"])
+@pytest.mark.parametrize("sentences", [["A", "A"], ["A", "(A)"]])
+def test_no_order_note_when_the_members_share_one_mask(agg, sentences):
+    doc = {**BASE, "operators": {"agg": agg},
+           "steps": [{"op": "revise-set", "sentences": sentences},
+                     {"op": "contract-set", "sentences": sentences}]}
+    trace = make(doc)
+    assert [e.note for e in trace.entries] == ["", "", ""]
+    assert "note" not in trace.to_text()
+
+
 # -- the parse table ------------------------------------------------------------
 
 
@@ -460,3 +485,40 @@ def test_replay_rereads_an_edited_document():
     assert replayed.final().answers[0]["answer"] is False
     assert replayed.to_json() == make(trace.scenario).to_json()
 
+
+
+# -- work done once -------------------------------------------------------------
+
+
+def test_a_loaded_document_runs_and_replays_without_reading_masks(monkeypatch):
+    """Masks are read once, at load; a replay finds them in the parse
+    table, which starts empty here so that it sheds nothing meanwhile."""
+    monkeypatch.setattr(scenario_module, "_parsed", {})
+    calls = []
+    monkeypatch.setattr(scenario_module, "model_mask",
+                        lambda formula, lang: calls.append(formula) or model_mask(formula, lang))
+    rng = random.Random(829)
+    texts = [bundled_text()] + [json.dumps(random_document(rng)) for _ in range(100)]
+    runs = 0
+    for text in texts:
+        scenario = loads_scenario(text)
+        loaded = len(calls)
+        try:
+            trace = run_scenario(scenario)
+        except InconsistentInputError:
+            continue
+        assert trace.replay().to_json() == trace.to_json()
+        assert len(calls) == loaded
+        runs += 1
+    assert calls and runs > 50
+
+
+def test_the_name_list_table_stays_within_its_bound():
+    bound = scenario_module._NAME_LISTS
+    names = [format(w, "04b") for w in range(16)]
+    for mask in range(1, bound + 100):
+        first = [n for w, n in enumerate(names) if mask >> w & 1]
+        rest = [n for w, n in enumerate(names) if not mask >> w & 1]
+        trace = make({"version": 1, "atoms": ["A", "B", "C", "D"], "initial": [first, rest]})
+        assert trace.to_json() == _dumped(trace)
+        assert len(scenario_module._name_lists) <= bound
