@@ -147,8 +147,9 @@ def _initial_block(names, lang: Language) -> frozenset[int]:
 def _validate_query(query, lang: Language, where: str) -> dict:
     _expect(isinstance(query, dict), where, "each query must be an object")
     kind = query.get("type")
-    _expect(kind in _QUERY_TYPES, where, "unknown query type {!r} (expected one of {})",
-            kind, ", ".join(_QUERY_TYPES))
+    if kind not in _QUERY_TYPES:
+        raise ScenarioError(f"{where}: unknown query type {kind!r} "
+                            f"(expected one of {', '.join(_QUERY_TYPES)})")
     out = {"type": kind}
     if kind == "believes":
         out["sentence"] = query.get("sentence")
@@ -248,8 +249,9 @@ class Scenario:
             where = f"steps[{i}]"
             _expect(isinstance(raw, dict), where, "each step must be an object")
             op = raw.get("op")
-            _expect(op in _SET_OPS + _SERIAL_OPS, where, "unknown op {!r} (expected one of {})",
-                    op, ", ".join(_SET_OPS + _SERIAL_OPS))
+            if op not in _SET_OPS + _SERIAL_OPS:
+                raise ScenarioError(f"{where}: unknown op {op!r} "
+                                    f"(expected one of {', '.join(_SET_OPS + _SERIAL_OPS)})")
             if op in _SET_OPS:
                 sentences = raw.get("sentences")
                 _expect(isinstance(sentences, list) and sentences, where,
