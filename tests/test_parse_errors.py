@@ -194,10 +194,13 @@ PINNED = {
                    "steps[0].sentences[1]: formula nested too deeply (at position 164)"),
     "3000-negations": ("formula nested too deeply (at position 988)", 988,
                        "steps[0].sentences[1]: formula nested too deeply (at position 985)"),
-    "and-chain-past-bound": ("formula nested too deeply (more than 200 levels) (at position 0)", 0,
-                             "steps[0].sentences[1]: formula nested too deeply (more than 200 levels) (at position 0)"),
+    "and-chain-past-bound": ("formula nested too deeply (more than 200 levels) (at position 0)",
+                             0,
+                             "steps[0].sentences[1]: "
+                             "formula nested too deeply (more than 200 levels) (at position 0)"),
     "or-chain-1200": ("formula nested too deeply (more than 200 levels) (at position 0)", 0,
-                      "steps[0].sentences[1]: formula nested too deeply (more than 200 levels) (at position 0)"),
+                      "steps[0].sentences[1]: "
+                      "formula nested too deeply (more than 200 levels) (at position 0)"),
 }
 
 

@@ -486,7 +486,6 @@ def test_replay_rereads_an_edited_document():
     assert replayed.to_json() == make(trace.scenario).to_json()
 
 
-
 # -- work done once -------------------------------------------------------------
 
 
