@@ -297,8 +297,6 @@ class _Parser:
         return ParseError(message, (starts + [len(self.text)])[index])
 
     def expect_op(self, value: str) -> bool:
-        # never the deepest call at its level, so inlining the token reads
-        # leaves where the recursion limit stops the parser unchanged
         if self.tokens[self.pos] == value:
             self.pos += 1
             return True
@@ -375,15 +373,15 @@ def parse_formula(text: str, lang: Language) -> Formula:
     """Parse formula text against ``lang``, rejecting unknown atoms.
 
     Text nested deeper than the interpreter's recursion limit allows
-    raises ``ParseError`` at the token the parser had reached, and so
-    does a tree deeper than ``MAX_FORMULA_DEPTH``, such as a long chain
-    of ``&``, which the parser builds in a loop.
+    raises ``ParseError`` at position 0, whatever the depth of the
+    caller's stack, and so does a tree deeper than ``MAX_FORMULA_DEPTH``,
+    such as a long chain of ``&``, which the parser builds in a loop.
     """
     parser = _Parser(text, lang)
     try:
         formula = parser.parse()
     except RecursionError:
-        raise parser.error("formula nested too deeply", parser.pos) from None
+        raise ParseError("formula nested too deeply", 0) from None
     # a tree has fewer nodes on a path than the text has tokens
     if len(parser.tokens) > MAX_FORMULA_DEPTH and _depth(formula) > MAX_FORMULA_DEPTH:
         raise ParseError(f"formula nested too deeply (more than {MAX_FORMULA_DEPTH} levels)", 0)

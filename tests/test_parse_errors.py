@@ -6,10 +6,13 @@ step, fail to load with exactly the pinned ``ScenarioError`` text.  The
 pins are what the parser produced before its tokenizer was rewritten,
 so they hold any later tokenizer to the same errors.
 
-Texts nested too deeply to parse fail where the recursion limit stops
-the parser, which depends on how many frames sit below it.  Every case
-therefore runs on a new thread, whose stack starts empty, under the
-default recursion limit of 1000; the deep pins hold for CPython 3.11.
+Texts nested too deeply to parse fail at position 0, like a tree deeper
+than ``MAX_FORMULA_DEPTH``: where the recursion limit stops the parser
+depends on how many frames sit below it, so that token is not reported.
+Every case runs on a new thread, whose stack starts empty, under the
+default recursion limit of 1000, and
+``test_deep_text_fails_alike_from_every_caller`` runs the deep texts from
+a caller 300 frames deep as well.
 """
 
 import sys
@@ -190,10 +193,10 @@ PINNED = {
                "steps[0].sentences[1]: unexpected end of input (at position 3)"),
     "tab-newline": ("unexpected end of input (at position 2)", 2,
                     "steps[0].sentences[1]: unexpected end of input (at position 2)"),
-    "170-parens": ("formula nested too deeply (at position 165)", 165,
-                   "steps[0].sentences[1]: formula nested too deeply (at position 164)"),
-    "3000-negations": ("formula nested too deeply (at position 988)", 988,
-                       "steps[0].sentences[1]: formula nested too deeply (at position 985)"),
+    "170-parens": ("formula nested too deeply (at position 0)", 0,
+                   "steps[0].sentences[1]: formula nested too deeply (at position 0)"),
+    "3000-negations": ("formula nested too deeply (at position 0)", 0,
+                       "steps[0].sentences[1]: formula nested too deeply (at position 0)"),
     "and-chain-past-bound": ("formula nested too deeply (more than 200 levels) (at position 0)",
                              0,
                              "steps[0].sentences[1]: "
@@ -224,3 +227,27 @@ def test_malformed_text_raises_the_pinned_parse_error(name):
 def test_the_corpus_is_pinned_in_full():
     assert PINNED.keys() == MALFORMED.keys()
     assert len(MALFORMED) >= 30
+
+
+def _from_depth(frames: int, call):
+    """``call()`` from a caller ``frames`` frames deeper than this one."""
+    return _from_depth(frames - 1, call) if frames else call()
+
+
+@pytest.mark.parametrize("name", ["170-parens", "3000-negations"])
+def test_deep_text_fails_alike_from_every_caller(name):
+    """Where the recursion limit stops the parser depends on the stack
+    below it; the error does not."""
+    lang = Language(("A", "B"))
+    text = MALFORMED[name]
+    doc = {"version": 1, "atoms": ["A", "B"],
+           "steps": [{"op": "revise-set", "sentences": ["A", text]}]}
+    direct = in_fresh_thread(lambda: parse_formula(text, lang))
+    deep = in_fresh_thread(lambda: _from_depth(300, lambda: parse_formula(text, lang)))
+    loaded = in_fresh_thread(lambda: Scenario.from_dict(doc))
+    for err in (direct, deep):
+        assert type(err) is ParseError
+        assert (str(err), err.position) == ("formula nested too deeply (at position 0)", 0)
+    assert type(loaded) is ScenarioError
+    assert isinstance(loaded.__cause__, ParseError)
+    assert (str(loaded.__cause__), loaded.__cause__.position) == (str(direct), 0)
