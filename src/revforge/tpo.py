@@ -232,6 +232,12 @@ def validate_profile(profile: Sequence[TPO]) -> Profile:
     return profile
 
 
+def _check_conditional_width(num_worlds: int) -> None:
+    if num_worlds > MAX_CONDITIONAL_WORLDS:
+        raise SpaceError(f"conditional tables materialize all antecedents; "
+                         f"supported up to {MAX_CONDITIONAL_WORLDS} worlds, got {num_worlds}")
+
+
 class ConditionalSet:
     """The conditionals accepted by a TPO, or an intersection of such.
 
@@ -239,12 +245,18 @@ class ConditionalSet:
     strongest accepted consequent; the pair (X, Y) is accepted exactly
     when ``table[X] <= Y``.  The empty antecedent maps to the empty set,
     so it accepts every consequent.  The table is kept with world masks
-    for keys and values.
+    for keys and values.  The constructor raises ``PartitionError`` unless
+    ``table`` holds each antecedent once, and ``SpaceError`` above
+    ``MAX_CONDITIONAL_WORLDS`` worlds.
     """
 
     def __init__(self, num_worlds: int, table: Mapping[frozenset[int], frozenset[int]]):
+        _check_conditional_width(num_worlds)
         self.num_worlds = num_worlds
         self._table = {mask_of(x, num_worlds): mask_of(y, num_worlds) for x, y in table.items()}
+        if not len(table) == len(self._table) == 1 << num_worlds:
+            raise PartitionError(f"a conditional table needs one entry for each of the "
+                                 f"{1 << num_worlds} antecedents, got {len(table)}")
 
     @classmethod
     def _from_masks(cls, num_worlds: int, table: dict[int, int]) -> "ConditionalSet":
@@ -255,10 +267,7 @@ class ConditionalSet:
 
     @classmethod
     def from_tpo(cls, t: TPO) -> "ConditionalSet":
-        if t.num_worlds > MAX_CONDITIONAL_WORLDS:
-            raise SpaceError(
-                f"conditional tables materialize all antecedents; "
-                f"supported up to {MAX_CONDITIONAL_WORLDS} worlds, got {t.num_worlds}")
+        _check_conditional_width(t.num_worlds)
         return cls._from_masks(
             t.num_worlds, {mask: t.min_mask(mask) for mask in range(1 << t.num_worlds)})
 

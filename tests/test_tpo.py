@@ -171,6 +171,25 @@ def test_unsatisfiable_conditionals_raise():
         rational_closure(ConditionalSet(2, table))
 
 
+def test_a_conditional_table_needs_every_antecedent_once():
+    """A table given to the constructor is checked when it is built, so
+    reading it never meets a missing antecedent."""
+    from revforge import SpaceError
+    fz = frozenset
+    with pytest.raises(PartitionError, match="each of the 16 antecedents, got 1"):
+        ConditionalSet(4, {fz({1}): fz({1})})
+    full = {fz(): fz(), fz({0}): fz({0}), fz({1}): fz({1}), fz({0, 1}): fz()}
+    assert len(ConditionalSet(2, full).antecedents()) == 4
+    with pytest.raises(PartitionError, match="got 3"):
+        ConditionalSet(2, {x: y for x, y in full.items() if x != fz({1})})
+    with pytest.raises(PartitionError, match="got 5"):
+        ConditionalSet(2, {**full, (0,): fz({0})})
+    with pytest.raises(PartitionError):
+        ConditionalSet(2, {**full, fz({0, 1}): fz({2})})
+    with pytest.raises(SpaceError, match="supported up to 8 worlds, got 16"):
+        ConditionalSet(16, {})
+
+
 def test_conditional_table_guard_on_world_count():
     from revforge import SpaceError
     with pytest.raises(SpaceError):
