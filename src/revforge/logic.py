@@ -283,14 +283,6 @@ class _Parser:
         self.lang = lang
         self.pos = 0
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def take(self) -> str:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
     def error(self, message: str, index: int) -> ParseError:
         """``ParseError`` at token ``index``, the only place offsets are found."""
         starts = [match.start(1) for match in _TOKEN.finditer(self.text)]
@@ -304,7 +296,7 @@ class _Parser:
 
     def parse(self) -> Formula:
         formula = self.iff()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok:
             raise self.error(f"unexpected {tok!r}", self.pos)
         return formula
@@ -334,13 +326,14 @@ class _Parser:
         return formula
 
     def unary(self) -> Formula:
-        if self.peek() == "~":
-            self.take()
+        if self.tokens[self.pos] == "~":
+            self.pos += 1
             return Not(self.unary())
         return self.primary()
 
     def primary(self) -> Formula:
-        tok = self.take()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         if tok[:1].isalpha():
             if tok == "T":
                 return TOP
@@ -351,8 +344,9 @@ class _Parser:
             return Atom(tok)
         if tok == "(":
             formula = self.iff()
-            if self.take() != ")":
-                raise self.error("expected ')'", self.pos - 1)
+            if self.tokens[self.pos] != ")":
+                raise self.error("expected ')'", self.pos)
+            self.pos += 1
             return formula
         raise self.error(f"expected a formula, found {tok!r}" if tok else "unexpected end of input",
                          self.pos - 1)

@@ -32,9 +32,9 @@ the instance streams yield; what an evaluator derives from them alone
 (an input's mask and its negation's, the conjunction and refuting masks
 of a family, merged and negated families, subfamilies, dominated world
 pairs) does not depend on the prior order, so it is a *plan*: a function
-of the context's member masks and the instance's sets, looked up through
-``ctx.derived(plan, *sets)`` and computed once per distinct input rather
-than once per instance.  Belief sets are read as ``masks[0]`` of an
+of the context's remembered ``mask_of``, its full mask and the instance's
+sets, looked up through ``ctx.derived(plan, *sets)`` and computed once
+per distinct input rather than once per instance.  Belief sets are read as ``masks[0]`` of an
 order and best worlds as ``min_mask``, and the order helpers walk the
 worlds of a mask.  Syntactic forms read the beliefs after every single
 follow-up input from ``ctx.follow_ups(order)``, once per order.  A hit
@@ -142,40 +142,41 @@ def _merge(s1: tuple[frozenset[int], ...], s2: tuple[frozenset[int], ...]) -> tu
     return tuple(merged)
 
 
-# Plans take the context's table of member masks first: ``masks[x]`` is
-# the mask of world set x, and ``masks.full`` the mask of every world.
+# Plans take the context's ``mask_of`` and full mask first:
+# ``mask_of(x)`` is the mask of world set x, and ``full`` the mask of
+# every world.
 
-def _regions(masks, s) -> tuple[int, int]:
+def _regions(mask_of, full, s) -> tuple[int, int]:
     """The masks of the worlds satisfying every member of ``s`` and of
     the worlds refuting every member."""
-    conj, union = masks.full, 0
+    conj, union = full, 0
     for member in s:
-        mask = masks[member]
+        mask = mask_of(member)
         conj &= mask
         union |= mask
-    return conj, masks.full ^ union
+    return conj, full ^ union
 
 
-def _conjunction(masks, s) -> int:
+def _conjunction(mask_of, full, s) -> int:
     """The mask of the worlds satisfying every member of ``s``."""
-    return _regions(masks, s)[0]
+    return _regions(mask_of, full, s)[0]
 
 
-def _negations(masks, s) -> tuple[frozenset[int], ...]:
+def _negations(mask_of, full, s) -> tuple[frozenset[int], ...]:
     """The member-wise negations of ``s``."""
-    return tuple(worlds_of(masks.full ^ masks[member]) for member in s)
+    return tuple(worlds_of(full ^ mask_of(member)) for member in s)
 
 
-def _pair_plan(masks, s1, s2) -> tuple:
+def _pair_plan(mask_of, full, s1, s2) -> tuple:
     """The prior-independent part of the ``pset2`` entries.
 
     ``(merged, mixed, first, second)``: the union family of s1 and s2;
     s1 joined with the negations of s2's members, or None when that
     family is inconsistent; and the conjunction masks of s1 and of s2.
     """
-    first, _ = _regions(masks, s1)
-    second, refuting = _regions(masks, s2)
-    mixed = _merge(s1, _negations(masks, s2)) if first & refuting else None
+    first, _ = _regions(mask_of, full, s1)
+    second, refuting = _regions(mask_of, full, s2)
+    mixed = _merge(s1, _negations(mask_of, full, s2)) if first & refuting else None
     return _merge(s1, s2), mixed, first, second
 
 
@@ -393,10 +394,10 @@ def _ks5(ctx, t, s):
     return []
 
 
-def _closure_variants(masks, s) -> tuple:
+def _closure_variants(mask_of, full, s) -> tuple:
     """Families with the same closure as ``s``: its conjunction alone, and
     ``s`` listed backwards."""
-    return (worlds_of(_conjunction(masks, s)),), tuple(reversed(s))
+    return (worlds_of(_conjunction(mask_of, full, s)),), tuple(reversed(s))
 
 
 def _variant_hits(ctx, t, s, variants) -> list[dict]:
@@ -478,10 +479,10 @@ def _cs4(ctx, t, s):
     return _kept_below(t, ctx.previse(t, s), target, ctx.full_mask ^ target, weak=True)
 
 
-def _dominated_pairs(masks, s) -> tuple[tuple[int, int], ...]:
+def _dominated_pairs(mask_of, full, s) -> tuple[tuple[int, int], ...]:
     """The world pairs (x, y), x != y, where x satisfies every member of
     ``s`` that y satisfies."""
-    profiles = [0] * masks.num_worlds
+    profiles = [0] * full.bit_length()
     for i, member in enumerate(s):
         for world in member:
             profiles[world] |= 1 << i
@@ -522,12 +523,12 @@ def _ind_star(ctx, t, s):
     return _promoted(t, ctx.previse(t, s), target, ctx.full_mask ^ target)
 
 
-def _negation_plan(masks, s) -> tuple:
+def _negation_plan(mask_of, full, s) -> tuple:
     """GR-star's and HI-star's prior-independent part: the member-wise
     negations of ``s`` and the conjunction mask of ``s``, or () when the
     negations are jointly inconsistent."""
-    target, refuting = _regions(masks, s)
-    return (_negations(masks, s), target) if refuting else ()
+    target, refuting = _regions(mask_of, full, s)
+    return (_negations(mask_of, full, s), target) if refuting else ()
 
 
 @_register("GR-star", "pset",
@@ -804,14 +805,14 @@ def _syn_cs4(ctx, t, s):
                    for alone, two_step in zip(ctx.follow_ups(t), after))
 
 
-def _subfamilies(masks, s) -> tuple:
+def _subfamilies(mask_of, full, s) -> tuple:
     """Every non-empty subfamily of ``s``, smallest first, with its
     conjunction mask."""
     groups = []
     for size in range(1, len(s) + 1):
         for group in combinations(range(len(s)), size):
             members = tuple(s[i] for i in group)
-            groups.append((members, _conjunction(masks, members)))
+            groups.append((members, _conjunction(mask_of, full, members)))
     return tuple(groups)
 
 

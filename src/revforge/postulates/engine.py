@@ -25,8 +25,10 @@ identity check, and a hit costs no hashed lookup of an order.  The
 context also holds the ``derived`` memo for the evaluators' plans: the
 work that depends on the input families but not on the prior order.
 The streams' world sets become masks through one bounded table of the
-sets the context met; no table of all 2^n sets is built.  Sweeps that
-share operators should share one context.  ``previse``, ``pcontract``,
+sets the context met; no table of all 2^n sets is built.  Every such
+table is a bounded ``functools.lru_cache``, so each reports its hits
+and misses through ``cache_info()`` and a hit keeps its entry.  Sweeps
+that share operators should share one context.  ``previse``, ``pcontract``,
 ``aggregate``, ``revise`` and ``contract`` are the seams a tracer may
 replace on a context; every call an evaluator makes into the
 operators, the follow-up revisions included, goes through them.
@@ -39,9 +41,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Optional
 
-from .._fifo import shed
 from ..aggregation import Aggregator
 from ..errors import SpaceError, UnknownPostulateError, lookup
 from ..logic import Language, canonical_formula
@@ -51,36 +54,10 @@ from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postu
 from .spaces import InstanceSpace, all_propositions, decode_instance, encode_instance, language
 
 
-_MISS = object()
 _MEMO = 150_000
 # rows kept per row table: all 75 two-atom orders fit, and sampled
 # sweeps, whose orders rarely repeat, stay bounded
 _ROWS = 4096
-
-
-def _memoized(fn: Callable) -> Callable:
-    """``fn`` with its results remembered per argument tuple, in a table
-    of at most ``_MEMO`` entries."""
-    memo: dict = {}
-
-    def cached(*args):
-        hit = memo.get(args, _MISS)
-        if hit is _MISS:
-            if len(memo) >= _MEMO:
-                shed(memo)
-            hit = memo[args] = fn(*args)
-        return hit
-    return cached
-
-
-class _MemoAggregator:
-    """An aggregator that remembers its result for every profile."""
-
-    __slots__ = ("name", "aggregate")
-
-    def __init__(self, aggregator: Aggregator):
-        self.name = aggregator.name
-        self.aggregate = _memoized(aggregator.aggregate)
 
 
 class _Rows:
@@ -90,80 +67,54 @@ class _Rows:
     proposition, keyed by the proposition's mask, and, when a pipeline
     keeps its results here too, the pipeline's result for an input family,
     keyed by the family tuple.  Sweeps are prior-major, so the row last
-    used is found by an identity check; the others wait in a table keyed
-    by the order's masks, bounded at ``_ROWS`` rows.  A row costs one
-    dict, so a prior seen once costs no more than its entries.
+    used is found by an identity check, the others through ``find``,
+    keyed by the order's masks.  A row costs one dict, so a prior seen
+    once costs no more than its entries.
 
     A miss passes the mask straight to the operator's ``transform`` and
-    interns the result by its masks, in a table bounded the same way, so
-    equal results are one object and the aggregator's memo compares
-    profiles by identity.  The row lookup is ``transform(t, mask)``, so
-    the pipeline calls it as it would call the operator.
+    interns the result through ``intern``, keyed by the order, which
+    returns the first equal order it met; so equal results are one object
+    and the aggregator's memo compares profiles by identity.  Both keep
+    at most ``_ROWS`` entries.  The row lookup is ``transform(t, mask)``,
+    so the pipeline calls it as it would call the operator.
     """
 
-    __slots__ = ("compute", "table", "interned", "t", "row")
+    __slots__ = ("compute", "find", "intern", "t", "row")
 
     def __init__(self, op):
         self.compute = op.transform
-        self.table: dict = {}
-        self.interned: dict = {}
+        self.find = lru_cache(maxsize=_ROWS)(lambda masks: {})
+        self.intern = lru_cache(maxsize=_ROWS)(lambda t: t)
         self.t = self.row = None
 
     def row_of(self, t: TPO) -> dict:
         """The row of ``t``, made current; a new row if ``t`` has none."""
-        table = self.table
-        row = table.get(t.masks)
-        if row is None:
-            if len(table) >= _ROWS:
-                shed(table)
-            row = table[t.masks] = {}
-        self.t, self.row = t, row
-        return row
+        self.t, self.row = t, self.find(t.masks)
+        return self.row
 
     def transform(self, t: TPO, mask: int) -> TPO:
         row = self.row if t is self.t else self.row_of(t)
         hit = row.get(mask)
         if hit is None:
-            hit = self.compute(t, mask)
-            interned = self.interned
-            if len(interned) >= _ROWS:
-                shed(interned)
-            hit = row[mask] = interned.setdefault(hit.masks, hit)
+            hit = row[mask] = self.intern(self.compute(t, mask))
         return hit
 
 
-class _MemberMasks(dict):
-    """The mask of each world set a context met, at most ``_ROWS`` of them;
-    a new set goes through ``mask_of``, which raises ``PartitionError``
-    for a world outside the order.  ``full`` is the mask of every world."""
-
-    __slots__ = ("num_worlds", "full")
-
-    def __init__(self, num_worlds: int):
-        super().__init__()
-        self.num_worlds = num_worlds
-        self.full = (1 << num_worlds) - 1
-
-    def __missing__(self, worlds: frozenset[int]) -> int:
-        if len(self) >= _ROWS:
-            shed(self)
-        mask = self[worlds] = mask_of(worlds, self.num_worlds)
-        return mask
-
-
-def _family_lookup(rows: _Rows, pipeline: Callable, member_masks: _MemberMasks) -> Callable:
-    """``pipeline(t, masks)`` for ``(t, sets)``, kept in the row of ``t``.
-
-    ``sets`` is a tuple of world sets; a miss reads their masks from
-    ``member_masks``.
-    """
+def _family_lookup(rows: _Rows, pipeline: Callable, member_mask: Callable) -> Callable:
+    """``pipeline(t, masks)`` for a tuple of world sets, kept in the row of
+    ``t``; a miss reads the sets' masks through ``member_mask``."""
     def lookup(t: TPO, sets: tuple) -> TPO:
         row = rows.row if t is rows.t else rows.row_of(t)
         hit = row.get(sets)
         if hit is None:
-            hit = row[sets] = pipeline(t, [member_masks[member] for member in sets])
+            hit = row[sets] = pipeline(t, [member_mask(member) for member in sets])
         return hit
     return lookup
+
+
+def _follow_up_masks(t: TPO, previse: Callable) -> tuple[int, ...]:
+    """The belief mask of ``previse(t, (x,))`` for every consistent x, in order."""
+    return tuple([previse(t, (x,)).masks[0] for x in all_propositions(t.num_worlds)])
 
 
 class CheckContext:
@@ -178,28 +129,33 @@ class CheckContext:
     are instance attributes bound straight to the row lookup.  A miss
     runs the operator's mask entry, ``revise_masks`` or
     ``contract_masks``, whose stages read the same rows and aggregate
-    through a memoizing aggregator.  ``revise(t, mask)`` and
-    ``contract(t, mask)`` are the row lookups of the serial revision and
-    contraction, which take the input's world mask as every serial
-    ``transform`` does; ``aggregate`` reads the aggregator's memo, and
-    ``conditionals`` is ``conditional_set``, remembered per preorder.
+    through a memoizing aggregator, whose ``aggregate`` is remembered per
+    profile.  ``revise(t, mask)`` and ``contract(t, mask)`` are the row
+    lookups of the serial revision and contraction, which take the input's
+    world mask as every serial ``transform`` does; ``aggregate`` reads the
+    aggregator's memo, and ``conditionals`` is ``conditional_set``,
+    remembered per preorder.
 
     A tracer may replace any of ``previse``, ``pcontract``,
     ``aggregate``, ``revise`` and ``contract`` on an instance.
     ``follow_ups(t)`` is the belief mask of ``previse(t, (x,))`` for
-    every x in ``props``, in order, remembered per order; it calls
-    ``self.previse``, so a stand-in sees those revisions too.
+    every x in ``props``, in order, remembered per order and per
+    ``previse``; it calls ``self.previse``, so a stand-in sees those
+    revisions too.
 
     ``full`` is the set of every world and ``full_mask`` its mask.
     ``props`` is ``all_propositions`` for the context's worlds, built on
     first read: only the syntactic forms iterate it.
-    ``derived(fn, *args)`` is ``fn(members, *args)``, remembered per
-    argument tuple, where ``members`` is the context's ``_MemberMasks``,
-    which the pipeline misses read too.  Evaluators keep there the part of
-    their work that does not depend on the prior order (the families they
+    ``derived(fn, *args)`` is ``fn(member_mask, full_mask, *args)``,
+    remembered per argument tuple, where ``member_mask`` is ``mask_of``
+    over the context's worlds, remembered per world set, which the
+    pipeline misses read too.  Evaluators keep there the part of their
+    work that does not depend on the prior order (the families they
     revise by and the conjunction masks they compare), so a sweep computes
-    it once per input family rather than once per instance.  Nothing built
-    here refers back to the context.
+    it once per input family rather than once per instance.  The memos
+    hold at most ``_MEMO`` entries and the tables keyed by an order or a
+    world set at most ``_ROWS``.  Nothing built here refers back to the
+    context.
     """
 
     def __init__(self, lang: Language, config: OperatorConfig):
@@ -207,9 +163,9 @@ class CheckContext:
         self.config = config
         num_worlds = lang.num_worlds
         self.full = lang.all_worlds
-        self.full_mask = (1 << num_worlds) - 1
-        members = _MemberMasks(num_worlds)
-        self.derived = _memoized(lambda fn, *args: fn(members, *args))
+        full = self.full_mask = (1 << num_worlds) - 1
+        member_mask = lru_cache(maxsize=_ROWS)(lambda worlds: mask_of(worlds, num_worlds))
+        self.derived = lru_cache(maxsize=_MEMO)(lambda fn, *args: fn(member_mask, full, *args))
         rows: dict = {}
 
         def rows_of(role: str) -> _Rows:
@@ -222,16 +178,16 @@ class CheckContext:
         contraction = rows_of("contraction")
         self.contract = contraction.transform
         self.aggregator = Aggregator(config.resolved("strategy"))
-        merge = _MemoAggregator(self.aggregator)
+        merge = SimpleNamespace(aggregate=lru_cache(maxsize=_MEMO)(self.aggregator.aggregate))
         base = rows_of("base")
         self.parallel_rev = ParallelRevisionOperator(base, rows_of("finisher"), merge)
         self.parallel_con = ParallelContractionOperator(contraction, merge)
         self._aggregate = merge.aggregate
-        self.previse = _family_lookup(base, self.parallel_rev.revise_masks, members)
-        self.pcontract = _family_lookup(contraction, self.parallel_con.contract_masks, members)
-        self._follow_ups: dict = {}
-        self.canonical = _memoized(lambda worlds: canonical_formula(worlds, lang))
-        self.conditionals = _memoized(conditional_set)
+        self.previse = _family_lookup(base, self.parallel_rev.revise_masks, member_mask)
+        self.pcontract = _family_lookup(contraction, self.parallel_con.contract_masks, member_mask)
+        self._follow_ups = lru_cache(maxsize=_ROWS)(_follow_up_masks)
+        self.canonical = lru_cache(maxsize=_MEMO)(lambda worlds: canonical_formula(worlds, lang))
+        self.conditionals = lru_cache(maxsize=_MEMO)(conditional_set)
 
     @classmethod
     def from_space(cls, space: InstanceSpace) -> "CheckContext":
@@ -245,16 +201,8 @@ class CheckContext:
         return self._aggregate(tuple(profile))
 
     def follow_ups(self, t: TPO) -> tuple[int, ...]:
-        """The belief mask of ``previse(t, (x,))`` for every x in ``props``,
-        in order, kept per order in a table of at most ``_ROWS`` entries."""
-        table = self._follow_ups
-        hit = table.get(t.masks)
-        if hit is None:
-            previse = self.previse
-            if len(table) >= _ROWS:
-                shed(table)
-            hit = table[t.masks] = tuple([previse(t, (x,)).masks[0] for x in self.props])
-        return hit
+        """``_follow_up_masks(t, self.previse)``, kept per order and ``previse``."""
+        return self._follow_ups(t, self.previse)
 
 
 def render_value(value, lang: Language):

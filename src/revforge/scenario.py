@@ -23,9 +23,10 @@ Sentences are read through one table of parsed formulas and their masks,
 keyed by text and atoms.  Loading a document and replaying its trace
 both read through it, so a replay, and a sentence repeated across
 documents, costs a lookup rather than a parse.  A replay still re-reads
-and re-validates the whole document.  Both tables hold at most 1,024
-entries (``_SENTENCES``, ``_NAME_LISTS``) and shed their oldest with
-``_fifo.shed``.
+and re-validates the whole document.  Both tables are
+``functools.lru_cache`` tables of at most 1,024 entries (``_SENTENCES``,
+``_NAME_LISTS``): a full table sheds the entry read least recently, so
+the sentences a document has just read stay for its replay.
 
 Under ``round-robin`` and ``first-then-full`` a set step takes its
 sentences in file order, and another order can give another posterior
@@ -68,9 +69,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
-from ._fifo import shed
 from .aggregation import Aggregator
 from .errors import InconsistentInputError, ParseError, RevforgeError, ScenarioError
 from .logic import Formula, Language, ascending_worlds, model_mask, parse_formula
@@ -91,17 +92,20 @@ _ORDER_SENSITIVE = ("round-robin", "first-then-full")
 _OPERATOR_ROLES = {"base": "base", "finisher": "finisher", "contraction": "contraction",
                    "agg": "strategy"}
 
-# parsed sentences and their world masks, keyed by text and atoms, since
-# a text's validity and mask depend on the language; formula trees are
-# immutable, so loads and replays share them.  Only parses that succeed
-# are kept, so a bad sentence is parsed, and reported, wherever it is read.
 _SENTENCES = 1024
-_parsed: dict[tuple[str, tuple[str, ...]], tuple[Formula, int]] = {}
-
-# a trace's lists of world names as ``json.dumps(..., indent=2)`` writes
-# them, keyed by atom count, world mask and nesting depth
 _NAME_LISTS = 1024
-_name_lists: dict[tuple[int, int, int], str] = {}
+# the parse table's languages, so that a miss rarely builds one
+_language = lru_cache(maxsize=16)(Language)
+
+
+@lru_cache(maxsize=_SENTENCES)
+def _parsed(text: str, atoms: tuple[str, ...]) -> tuple[Formula, int]:
+    """``text`` parsed over ``atoms``, and its ``model_mask``; the trees
+    are immutable, so loads and replays share them.  A failed parse is not
+    kept, so a bad sentence is parsed, and reported, wherever it is read."""
+    lang = _language(atoms)
+    formula = parse_formula(text, lang)
+    return formula, model_mask(formula, lang)
 
 
 def _expect(condition: bool, where: str, message: str, *args) -> None:
@@ -118,20 +122,12 @@ def _list(data: dict, key: str, where: str) -> list:
 
 
 def _parse_sentence(text, lang: Language, where: str) -> tuple[Formula, int]:
-    """``parse_formula(text, lang)`` and its ``model_mask``, read through
-    ``_parsed`` when the text has parsed over these atoms before."""
+    """``parse_formula(text, lang)`` and its ``model_mask``, from ``_parsed``."""
     _expect(isinstance(text, str), where, "expected a sentence string, got {!r}", text)
-    key = (text, lang.atoms)
-    parsed = _parsed.get(key)
-    if parsed is None:
-        try:
-            formula = parse_formula(text, lang)
-        except ParseError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-        if len(_parsed) >= _SENTENCES:
-            shed(_parsed)
-        parsed = _parsed[key] = (formula, model_mask(formula, lang))
-    return parsed
+    try:
+        return _parsed(text, lang.atoms)
+    except ParseError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _initial_block(names, lang: Language) -> frozenset[int]:
@@ -364,16 +360,16 @@ class RunTrace:
         as does nesting too deep to recurse, so that a circular document
         raises json's own error.
         """
-        lang = self.lang
+        count = len(self.lang.atoms)
         out = ['{\n  "scenario": ']
         try:
             _write(self.scenario, out, "\n  ")
             opener = ',\n  "entries": [\n    {'
             for e in self.entries:
-                blocks = ",\n        ".join([_name_list(lang, mask, 4) for mask in e.tpo.masks])
+                blocks = ",\n        ".join([_name_list(count, mask, 4) for mask in e.tpo.masks])
                 out.append(f'{opener}\n      "label": {_escape(e.label)},\n      "tpo": [\n'
                            f'        {blocks}\n      ],\n      "beliefs": '
-                           f'{_name_list(lang, e.tpo.masks[0], 3)},\n      "queries": ')
+                           f'{_name_list(count, e.tpo.masks[0], 3)},\n      "queries": ')
                 _write(list(e.answers), out, "\n      ")
                 opener = "\n    },\n    {"
         except (_Unwritable, RecursionError):
@@ -411,20 +407,14 @@ class _Unwritable(Exception):
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _name_list(lang: Language, mask: int, depth: int) -> str:
-    """The names of ``mask``'s worlds, as the JSON list that
-    ``json.dumps(..., indent=2)`` writes ``depth`` levels in; read through
-    ``_name_lists`` when it was written before."""
-    key = (len(lang.atoms), mask, depth)
-    text = _name_lists.get(key)
-    if text is None:
-        names = lang.world_names
-        inner = "\n" + "  " * (depth + 1)
-        items = ("," + inner).join([_escape(names[w]) for w in ascending_worlds(mask)])
-        if len(_name_lists) >= _NAME_LISTS:
-            shed(_name_lists)
-        text = _name_lists[key] = f"[{inner}{items}\n{'  ' * depth}]"
-    return text
+@lru_cache(maxsize=_NAME_LISTS)
+def _name_list(atom_count: int, mask: int, depth: int) -> str:
+    """The names of ``mask``'s worlds over ``atom_count`` atoms, as the
+    JSON list that ``json.dumps(..., indent=2)`` writes ``depth`` levels in."""
+    spec = f"0{atom_count}b"
+    inner = "\n" + "  " * (depth + 1)
+    items = ("," + inner).join([_escape(format(w, spec)) for w in ascending_worlds(mask)])
+    return f"[{inner}{items}\n{'  ' * depth}]"
 
 
 def _write(value, out: list[str], newline: str) -> None:

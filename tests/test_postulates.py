@@ -23,7 +23,7 @@ from revforge import (CATALOG, Aggregator, CheckContext, CheckReport,
 from revforge.postulates import (all_propositions, catalog, engine, enumerate_tpos,
                                  formula_set_tuples, random_tpo)
 from revforge.postulates.catalog import PAIR_CHECKS, SYNTACTIC_FORMS
-from revforge.postulates.engine import _memoized, render_value
+from revforge.postulates.engine import render_value
 from revforge.postulates.spaces import (DEFAULT_SEED, SHAPES, decode_instance,
                                         encode_instance)
 from revforge.tpo import mask_of, worlds_of
@@ -137,16 +137,17 @@ def test_a_four_atom_sweep_builds_no_table_of_world_sets():
 
 
 def test_memo_remembers_none_results():
+    ctx = CheckContext.from_space(InstanceSpace(atoms=2))
     calls = []
 
-    def probe(key):
-        calls.append(key)
+    def plan(mask_of, full, s):
+        calls.append(s)
         return None
 
-    cached = _memoized(probe)
-    for key in (1, 2, 1, 2, 1):
-        assert cached(key) is None
-    assert calls == [1, 2]
+    family = (frozenset({0, 1}),)
+    for _ in range(3):
+        assert ctx.derived(plan, family) is None
+    assert calls == [family]
 
 
 def test_formula_set_tuples_sizes_and_consistency():
@@ -362,7 +363,7 @@ def test_rows_match_the_shipped_operators(monkeypatch, base, finisher, strategy)
         for t, s in order(csets):
             assert ctx.pcontract(t, s) == pcon.contract_worlds(t, s)
     rows = ctx.parallel_rev.base
-    assert 0 < len(rows.table) <= 8 and len(rows.interned) <= 8
+    assert 0 < rows.find.cache_info().currsize <= 8 and rows.intern.cache_info().currsize <= 8
 
     clash = (frozenset({2, 3}), frozenset({1, 3}), frozenset({0}))
     for t in (psets[0][0], psets[-1][0]):

@@ -404,16 +404,30 @@ def test_table_reads_equal_fresh_parses_on_four_atom_documents():
         assert _outcome(doc) == _outcome(doc)
 
 
-def test_a_sentence_read_over_more_atoms_is_still_rejected_over_fewer():
-    Scenario.from_dict({"version": 1, "atoms": ["A", "B", "C"],
-                        "steps": [{"op": "revise-set", "sentences": ["C"]}]})
-    assert ("C", ("A", "B", "C")) in scenario_module._parsed
+def _count_parses(monkeypatch) -> list:
+    """The ``(text, atoms)`` of each sentence the parse table parses from now on."""
+    calls = []
+    monkeypatch.setattr(scenario_module, "parse_formula",
+                        lambda text, lang: calls.append((text, lang.atoms))
+                        or parse_formula(text, lang))
+    return calls
+
+
+def test_a_sentence_read_over_more_atoms_is_still_rejected_over_fewer(monkeypatch):
+    wider = {"version": 1, "atoms": ["A", "B", "C"],
+             "steps": [{"op": "revise-set", "sentences": ["C"]}]}
+    Scenario.from_dict(wider)
+    calls = _count_parses(monkeypatch)
+    Scenario.from_dict(wider)
+    assert calls == []
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict({**BASE, "steps": [{"op": "revise-set", "sentences": ["C"]}]})
     assert "steps[0].sentences[0]: unknown atom 'C'" in str(err.value)
+    assert calls == [("C", ("A", "B"))]
 
 
-def test_a_bad_sentence_is_reported_at_each_place_it_is_read():
+def test_a_bad_sentence_is_reported_at_each_place_it_is_read(monkeypatch):
+    calls = _count_parses(monkeypatch)
     bad = "A & | B"
     places = [
         ({"steps": [{"op": "revise-set", "sentences": ["A", bad]}]}, "steps[0].sentences[1]: "),
@@ -427,7 +441,7 @@ def test_a_bad_sentence_is_reported_at_each_place_it_is_read():
         with pytest.raises(ScenarioError) as err:
             Scenario.from_dict({**BASE, **mutation})
         assert str(err.value) == where + "expected a formula, found '|' (at position 4)"
-    assert (bad, ("A", "B")) not in scenario_module._parsed
+    assert calls.count((bad, ("A", "B"))) == len(places) * 2
 
 
 @pytest.mark.parametrize("op", ["&", "|"])
@@ -461,7 +475,7 @@ def test_the_table_stays_within_its_bound():
     scenario = Scenario.from_dict({"version": 1, "atoms": atoms,
                                    "steps": [{"op": "revise-set", "sentences": sentences}]})
     assert len(scenario.steps[0].formulas) == bound + 100
-    assert len(scenario_module._parsed) <= bound
+    assert scenario_module._parsed.cache_info().currsize <= bound
 
 
 def test_replay_reads_its_sentences_from_the_table(monkeypatch):
@@ -491,8 +505,7 @@ def test_replay_rereads_an_edited_document():
 
 def test_a_loaded_document_runs_and_replays_without_reading_masks(monkeypatch):
     """Masks are read once, at load; a replay finds them in the parse
-    table, which starts empty here so that it sheds nothing meanwhile."""
-    monkeypatch.setattr(scenario_module, "_parsed", {})
+    table, although the table is full and sheds entries meanwhile."""
     calls = []
     monkeypatch.setattr(scenario_module, "model_mask",
                         lambda formula, lang: calls.append(formula) or model_mask(formula, lang))
@@ -512,6 +525,26 @@ def test_a_loaded_document_runs_and_replays_without_reading_masks(monkeypatch):
     assert calls and runs > 50
 
 
+def test_a_full_table_keeps_the_sentences_a_document_just_read(monkeypatch):
+    """A hit refreshes an entry, so loading a document that reads the
+    oldest sentence of a full table, then two new ones, sheds other
+    sentences and the replay parses nothing."""
+    atoms = ["A0", "A1", "A2", "A3"]
+    old = "A0 | A1"
+    Scenario.from_dict({"version": 1, "atoms": atoms,
+                        "steps": [{"op": "serial-revise", "sentence": old}]})
+    filler = [f"A2{' ' * k}& A3" for k in range(1, scenario_module._SENTENCES)]
+    Scenario.from_dict({"version": 1, "atoms": atoms,
+                        "steps": [{"op": "revise-set", "sentences": filler}]})
+    assert scenario_module._parsed.cache_info().currsize == scenario_module._SENTENCES
+    doc = {"version": 1, "atoms": atoms,
+           "steps": [{"op": "revise-set", "sentences": [old, "A2 ->  A0 ", " ~A3 |  A1"]}]}
+    trace = run_scenario(Scenario.from_dict(doc))
+    calls = _count_parses(monkeypatch)
+    assert trace.replay().to_json() == trace.to_json()
+    assert calls == []
+
+
 def test_the_name_list_table_stays_within_its_bound():
     bound = scenario_module._NAME_LISTS
     names = [format(w, "04b") for w in range(16)]
@@ -520,4 +553,4 @@ def test_the_name_list_table_stays_within_its_bound():
         rest = [n for w, n in enumerate(names) if not mask >> w & 1]
         trace = make({"version": 1, "atoms": ["A", "B", "C", "D"], "initial": [first, rest]})
         assert trace.to_json() == _dumped(trace)
-        assert len(scenario_module._name_lists) <= bound
+        assert scenario_module._name_list.cache_info().currsize <= bound
