@@ -34,12 +34,13 @@ of a family, merged and negated families, subfamilies, dominated world
 pairs) does not depend on the prior order, so it is a *plan*: a function
 of the context's remembered ``mask_of``, its full mask and the instance's
 sets, looked up through ``ctx.derived(plan, *sets)`` and computed once
-per distinct input rather than once per instance.  Belief sets are read as ``masks[0]`` of an
-order and best worlds as ``min_mask``, and the order helpers walk the
-worlds of a mask.  Syntactic forms read the beliefs after every single
-follow-up input from ``ctx.follow_ups(order)``, once per order.  A hit
-turns its masks into frozensets with ``worlds_of`` when it is built, so
-hits and witnesses keep their frozenset form.
+per distinct input rather than once per instance.  Belief sets are read
+as ``masks[0]`` of an order and best worlds as ``min_mask``, and the
+order helpers walk the worlds of a mask.  Syntactic forms read the
+beliefs after every single follow-up input from
+``ctx.follow_ups(order)``, once per order.  A hit turns its masks into
+frozensets with ``worlds_of`` when it is built, so hits and witnesses
+keep their frozenset form.
 
 Two further kinds of check share that evaluator signature and live
 outside ``CATALOG``: ``PAIR_CHECKS`` holds one ``<id>-pair`` entry per
