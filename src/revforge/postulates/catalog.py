@@ -29,13 +29,15 @@ a space when at least one witness turns up.
 
 Evaluators work on world masks.  Instances arrive as the frozensets
 the instance streams yield; what an evaluator derives from them alone
-(an input's mask and its negation's, the conjunction and refuting masks
-of a family, merged and negated families, subfamilies, dominated world
-pairs) does not depend on the prior order, so it is a *plan*: a function
-of the context's remembered ``mask_of``, its full mask and the instance's
-sets, looked up through ``ctx.derived(plan, *sets)`` and computed once
-per distinct input rather than once per instance.  Belief sets are read
-as ``masks[0]`` of an order and best worlds as ``min_mask``, and the
+does not depend on the prior order, so it is a *plan*: a function of the
+context's remembered ``mask_of``, its full mask and the instance's sets,
+looked up through ``ctx.derived(plan, *sets)`` and computed once per
+distinct input rather than once per instance.  Entries that read the
+same facts of a family share one plan, so the memo holds each fact once:
+``_regions`` (conjunction and refuting masks), ``_negation_plan`` (those
+and the member-wise negations) and ``_pair_plan`` (two sets merged and
+mixed).  Belief sets are read as ``masks[0]`` of an order and best
+worlds as ``min_mask``, and the
 order helpers walk the worlds of a mask.  Syntactic forms read the
 beliefs after every single follow-up input from
 ``ctx.follow_ups(order)``, once per order.  A hit turns its masks into
@@ -53,11 +55,11 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..aggregation import stq
 from ..logic import And, Not, ascending_worlds, model_mask
-from ..tpo import TPO, rational_closure, worlds_of
+from ..tpo import TPO, intersect_conditionals, rational_closure, worlds_of
 
 @dataclass(frozen=True)
 class Postulate:
@@ -135,7 +137,7 @@ def _promoted(t: TPO, t2: TPO, inside: int, outside: int) -> list[dict]:
             if r[x] <= r[y] and not r2[x] < r2[y]]
 
 
-def _merge(s1: tuple[frozenset[int], ...], s2: tuple[frozenset[int], ...]) -> tuple:
+def _merge(s1: Sequence[frozenset[int]], s2: Sequence[frozenset[int]]) -> tuple:
     merged = list(s1)
     for member in s2:
         if member not in merged:
@@ -158,26 +160,14 @@ def _regions(mask_of, full, s) -> tuple[int, int]:
     return conj, full ^ union
 
 
-def _conjunction(mask_of, full, s) -> int:
-    """The mask of the worlds satisfying every member of ``s``."""
-    return _regions(mask_of, full, s)[0]
-
-
-def _negations(mask_of, full, s) -> tuple[frozenset[int], ...]:
-    """The member-wise negations of ``s``."""
-    return tuple(worlds_of(full ^ mask_of(member)) for member in s)
-
-
 def _pair_plan(mask_of, full, s1, s2) -> tuple:
-    """The prior-independent part of the ``pset2`` entries.
-
-    ``(merged, mixed, first, second)``: the union family of s1 and s2;
-    s1 joined with the negations of s2's members, or None when that
-    family is inconsistent; and the conjunction masks of s1 and of s2.
-    """
+    """The prior-independent part of the ``pset2`` entries:
+    ``(merged, mixed, first, second)``, the union family of s1 and s2, s1
+    joined with the negations of s2's members (None when that family is
+    inconsistent), and the conjunction masks of s1 and of s2."""
     first, _ = _regions(mask_of, full, s1)
     second, refuting = _regions(mask_of, full, s2)
-    mixed = _merge(s1, _negations(mask_of, full, s2)) if first & refuting else None
+    mixed = _merge(s1, [worlds_of(full ^ mask_of(m)) for m in s2]) if first & refuting else None
     return _merge(s1, s2), mixed, first, second
 
 
@@ -199,13 +189,17 @@ def _k2(ctx, t, a, not_a):
     return []
 
 
-@_serial("K3", "serial", "revision keeps any prior beliefs consistent with the input")
-def _k3(ctx, t, a, not_a):
-    expansion = t.masks[0] & a
-    beliefs = ctx.revise(t, a).masks[0]
+def _expansion_kept(t: TPO, beliefs: int, target: int) -> list[dict]:
+    """K3 and K-star-3: each prior belief world inside ``target`` is among ``beliefs``."""
+    expansion = t.masks[0] & target
     if expansion & ~beliefs:
         return [{"expansion": worlds_of(expansion), "beliefs": worlds_of(beliefs)}]
     return []
+
+
+@_serial("K3", "serial", "revision keeps any prior beliefs consistent with the input")
+def _k3(ctx, t, a, not_a):
+    return _expansion_kept(t, ctx.revise(t, a).masks[0], a)
 
 
 @_serial("K4", "serial", "revision adds nothing beyond expansion when the input is compatible")
@@ -297,14 +291,24 @@ def _ind(ctx, t, a, not_a):
     return _promoted(t, ctx.revise(t, a), a, not_a)
 
 
-@_serial("LI-serial", "serial",
-         "revising equals retracting the negation then adding the input, at the belief level")
-def _li_serial(ctx, t, a, not_a):
-    direct = ctx.revise(t, a).masks[0]
-    via = ctx.contract(t, not_a).masks[0] & a
+def _levi(direct: int, via: int) -> list[dict]:
+    """The Levi identity: the revision's beliefs ``direct`` equal contract-then-add's ``via``."""
     if direct != via:
         return [{"revision_beliefs": worlds_of(direct), "contract_then_add": worlds_of(via)}]
     return []
+
+
+def _harper(direct: int, via: int) -> list[dict]:
+    """The Harper identity: the contraction's beliefs ``direct`` equal the meet ``via``."""
+    if direct != via:
+        return [{"contraction_beliefs": worlds_of(direct), "meet_of_revisions": worlds_of(via)}]
+    return []
+
+
+@_serial("LI-serial", "serial",
+         "revising equals retracting the negation then adding the input, at the belief level")
+def _li_serial(ctx, t, a, not_a):
+    return _levi(ctx.revise(t, a).masks[0], ctx.contract(t, not_a).masks[0] & a)
 
 
 @_serial("HI-serial", "serial",
@@ -312,11 +316,7 @@ def _li_serial(ctx, t, a, not_a):
 def _hi_serial(ctx, t, a, not_a):
     if not not_a:
         return None
-    direct = ctx.contract(t, a).masks[0]
-    via = t.masks[0] | ctx.revise(t, not_a).masks[0]
-    if direct != via:
-        return [{"contraction_beliefs": worlds_of(direct), "meet_of_revisions": worlds_of(via)}]
-    return []
+    return _harper(ctx.contract(t, a).masks[0], t.masks[0] | ctx.revise(t, not_a).masks[0])
 
 
 # --- serial contraction ---
@@ -370,11 +370,7 @@ def _ks2(ctx, t, s):
 
 @_register("K-star-3", "pset", "set revision keeps prior beliefs consistent with the set")
 def _ks3(ctx, t, s):
-    expansion = t.masks[0] & ctx.derived(_regions, s)[0]
-    beliefs = ctx.previse(t, s).masks[0]
-    if expansion & ~beliefs:
-        return [{"expansion": worlds_of(expansion), "beliefs": worlds_of(beliefs)}]
-    return []
+    return _expansion_kept(t, ctx.previse(t, s).masks[0], ctx.derived(_regions, s)[0])
 
 
 @_register("K-star-4", "pset", "set revision adds nothing beyond expansion when compatible")
@@ -398,7 +394,7 @@ def _ks5(ctx, t, s):
 def _closure_variants(mask_of, full, s) -> tuple:
     """Families with the same closure as ``s``: its conjunction alone, and
     ``s`` listed backwards."""
-    return (worlds_of(_conjunction(mask_of, full, s)),), tuple(reversed(s))
+    return (worlds_of(_regions(mask_of, full, s)[0]),), tuple(reversed(s))
 
 
 def _variant_hits(ctx, t, s, variants) -> list[dict]:
@@ -525,20 +521,18 @@ def _ind_star(ctx, t, s):
 
 
 def _negation_plan(mask_of, full, s) -> tuple:
-    """GR-star's and HI-star's prior-independent part: the member-wise
-    negations of ``s`` and the conjunction mask of ``s``, or () when the
-    negations are jointly inconsistent."""
+    """``(negations, target, refuting)``: the member-wise negations of ``s``,
+    jointly consistent iff ``refuting``, and the masks of ``_regions``."""
     target, refuting = _regions(mask_of, full, s)
-    return (_negations(mask_of, full, s), target) if refuting else ()
+    return tuple(worlds_of(full ^ mask_of(member)) for member in s), target, refuting
 
 
 @_register("GR-star", "pset",
            "revising by the member-wise negations leaves the set's best worlds untouched")
 def _gr_star(ctx, t, s):
-    plan = ctx.derived(_negation_plan, s)
-    if not plan:
+    negations, target, refuting = ctx.derived(_negation_plan, s)
+    if not refuting:
         return None
-    negations, target = plan
     after = ctx.previse(t, negations).min_mask(target)
     before = t.min_mask(target)
     if after != before:
@@ -550,11 +544,8 @@ def _gr_star(ctx, t, s):
            "revising by a set equals retracting the member-wise negations then adding the set,"
            " at the belief level", expected="exploratory")
 def _li_star(ctx, t, s):
-    direct = ctx.previse(t, s).masks[0]
-    via = ctx.pcontract(t, ctx.derived(_negations, s)).masks[0] & ctx.derived(_conjunction, s)
-    if direct != via:
-        return [{"revision_beliefs": worlds_of(direct), "contract_then_add": worlds_of(via)}]
-    return []
+    negations, target, _ = ctx.derived(_negation_plan, s)
+    return _levi(ctx.previse(t, s).masks[0], ctx.pcontract(t, negations).masks[0] & target)
 
 
 @_register("S-star", "pset2",
@@ -632,16 +623,10 @@ def _dip(ctx, t, s):
            "retracting a set equals keeping what survives revision by the member-wise"
            " negations, at the belief level", expected="exploratory")
 def _hi_star(ctx, t, s):
-    plan = ctx.derived(_negation_plan, s)
-    if not plan:
+    negations, _, refuting = ctx.derived(_negation_plan, s)
+    if not refuting:
         return None
-    negations, _ = plan
-    direct = ctx.pcontract(t, s).masks[0]
-    via = t.masks[0] | ctx.previse(t, negations).masks[0]
-    if direct != via:
-        return [{"contraction_beliefs": worlds_of(direct),
-                 "meet_of_revisions": worlds_of(via)}]
-    return []
+    return _harper(ctx.pcontract(t, s).masks[0], t.masks[0] | ctx.previse(t, negations).masks[0])
 
 
 # --- aggregation ---
@@ -672,28 +657,22 @@ def _lb(ctx, profile):
     return hits
 
 
+def _unanimity_lost(ctx, profile, below: Callable) -> list[dict]:
+    """The pairs every member puts ``below`` (a ``TPO`` method) and the aggregate does not."""
+    merged = ctx.aggregate(profile)
+    worlds = range(merged.num_worlds)
+    return [{"x": x, "y": y} for x in worlds for y in worlds
+            if x != y and all(below(t, x, y) for t in profile) and not below(merged, x, y)]
+
+
 @_register("SPU", "profile2", "unanimous strict preference survives aggregation")
 def _spu(ctx, profile):
-    merged = ctx.aggregate(profile)
-    hits = []
-    for x in range(merged.num_worlds):
-        for y in range(merged.num_worlds):
-            if x != y and all(t.strictly_below(x, y) for t in profile) \
-                    and not merged.strictly_below(x, y):
-                hits.append({"x": x, "y": y})
-    return hits
+    return _unanimity_lost(ctx, profile, TPO.strictly_below)
 
 
 @_register("WPU", "profile2", "unanimous weak preference survives aggregation")
 def _wpu(ctx, profile):
-    merged = ctx.aggregate(profile)
-    hits = []
-    for x in range(merged.num_worlds):
-        for y in range(merged.num_worlds):
-            if x != y and all(t.weakly_below(x, y) for t in profile) \
-                    and not merged.weakly_below(x, y):
-                hits.append({"x": x, "y": y})
-    return hits
+    return _unanimity_lost(ctx, profile, TPO.weakly_below)
 
 
 @_register("Factoring", "profile2",
@@ -791,7 +770,7 @@ def _syn_cs2(ctx, t, s):
 @_syntactic("C-star-3-b",
             "follow-ups that would leave the set believed still do after revising by it")
 def _syn_cs3(ctx, t, s):
-    target = ctx.derived(_conjunction, s)
+    target = ctx.derived(_regions, s)[0]
     after = ctx.follow_ups(ctx.previse(t, s))
     return not any(not alone & ~target and two_step & ~target
                    for alone, two_step in zip(ctx.follow_ups(t), after))
@@ -800,7 +779,7 @@ def _syn_cs3(ctx, t, s):
 @_syntactic("C-star-4-b",
             "follow-ups that would leave the set consistent with beliefs still do")
 def _syn_cs4(ctx, t, s):
-    target = ctx.derived(_conjunction, s)
+    target = ctx.derived(_regions, s)[0]
     after = ctx.follow_ups(ctx.previse(t, s))
     return not any(alone & target and not two_step & target
                    for alone, two_step in zip(ctx.follow_ups(t), after))
@@ -813,7 +792,7 @@ def _subfamilies(mask_of, full, s) -> tuple:
     for size in range(1, len(s) + 1):
         for group in combinations(range(len(s)), size):
             members = tuple(s[i] for i in group)
-            groups.append((members, _conjunction(mask_of, full, members)))
+            groups.append((members, _regions(mask_of, full, members)[0]))
     return tuple(groups)
 
 
@@ -881,10 +860,7 @@ def _rc_identity(ctx, profile):
     # The left route aggregates synchronously; the right route intersects
     # the members' conditional beliefs and rebuilds the least committal
     # preorder supporting them, without ever aggregating.
-    merged = ctx.conditionals(profile[0])
-    for t in profile[1:]:
-        merged = merged.intersect(ctx.conditionals(t))
-    closed = rational_closure(merged)
+    closed = rational_closure(intersect_conditionals([ctx.conditionals(t) for t in profile]))
     direct = stq(profile)
     if ctx.conditionals(direct) != ctx.conditionals(closed):
         return [{"aggregated": direct, "closure_of_intersection": closed}]

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -347,8 +347,9 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
 def find_countermodel(postulate_id: str, space: InstanceSpace,
                       ctx: Optional[CheckContext] = None) -> Optional[dict]:
     """First witness violating (or, for existential entries, satisfying)
-    the postulate over ``space``; None if the sweep finds nothing."""
-    report = check(postulate_id, space, first=True, ctx=ctx)
+    the postulate over ``space``, whatever its ``violation_cap``; None if
+    the sweep finds nothing."""
+    report = check(postulate_id, replace(space, violation_cap=1), first=True, ctx=ctx)
     return report.violations[0] if report.violations else None
 
 

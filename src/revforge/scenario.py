@@ -9,8 +9,8 @@ answers after every step.  Traces serialize deterministically and can
 be rendered as plain text or as a Graphviz document with one cluster
 per stage.
 
-Each sentence becomes a formula and a world mask once, when the document
-loads: ``Step.masks`` and the believes/conditional queries keep them.  A
+Each sentence becomes a world mask once, when the document loads, and
+``Step.masks`` and the believes/conditional queries keep only the mask.  A
 run works on those masks throughout: they go to the pipeline's mask
 entry (``revise_masks``/``contract_masks``) or to a serial operator's
 ``transform``, and queries are answered with mask arithmetic on the
@@ -19,11 +19,11 @@ with the bytes of ``json.dumps(..., indent=2)``: each entry's order and
 beliefs come straight from its block masks, through a table of rendered
 world-name lists keyed by atom count, mask and depth.
 
-Sentences are read through one table of parsed formulas and their masks,
-keyed by text and atoms.  Loading a document and replaying its trace
-both read through it, so a replay, and a sentence repeated across
-documents, costs a lookup rather than a parse.  A replay still re-reads
-and re-validates the whole document.  Both tables are
+Sentences are read through one table of sentence masks, keyed by text
+and atoms.  Loading a document and replaying its trace both read
+through it, so a replay, and a sentence repeated across documents,
+costs a lookup rather than a parse.  A replay still re-reads and
+re-validates the whole document.  Both tables are
 ``functools.lru_cache`` tables of at most 1,024 entries (``_SENTENCES``,
 ``_NAME_LISTS``): a full table sheds the entry read least recently, so
 the sentences a document has just read stay for its replay.
@@ -74,7 +74,7 @@ from pathlib import Path
 
 from .aggregation import Aggregator
 from .errors import InconsistentInputError, ParseError, RevforgeError, ScenarioError
-from .logic import Formula, Language, ascending_worlds, model_mask, parse_formula
+from .logic import Language, ascending_worlds, model_mask, parse_formula
 from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from .serial import SerialContractionOperator, SerialRevisionOperator
 from .tpo import TPO
@@ -99,13 +99,11 @@ _language = lru_cache(maxsize=16)(Language)
 
 
 @lru_cache(maxsize=_SENTENCES)
-def _parsed(text: str, atoms: tuple[str, ...]) -> tuple[Formula, int]:
-    """``text`` parsed over ``atoms``, and its ``model_mask``; the trees
-    are immutable, so loads and replays share them.  A failed parse is not
-    kept, so a bad sentence is parsed, and reported, wherever it is read."""
+def _parsed(text: str, atoms: tuple[str, ...]) -> int:
+    """The ``model_mask`` of ``text`` parsed over ``atoms``.  A failed parse
+    is not kept, so a bad sentence is parsed, and reported, wherever it is read."""
     lang = _language(atoms)
-    formula = parse_formula(text, lang)
-    return formula, model_mask(formula, lang)
+    return model_mask(parse_formula(text, lang), lang)
 
 
 def _expect(condition: bool, where: str, message: str, *args) -> None:
@@ -121,8 +119,8 @@ def _list(data: dict, key: str, where: str) -> list:
     return value
 
 
-def _parse_sentence(text, lang: Language, where: str) -> tuple[Formula, int]:
-    """``parse_formula(text, lang)`` and its ``model_mask``, from ``_parsed``."""
+def _parse_sentence(text, lang: Language, where: str) -> int:
+    """The ``model_mask`` of ``parse_formula(text, lang)``, from ``_parsed``."""
     _expect(isinstance(text, str), where, "expected a sentence string, got {!r}", text)
     try:
         return _parsed(text, lang.atoms)
@@ -149,13 +147,12 @@ def _validate_query(query, lang: Language, where: str) -> dict:
     out = {"type": kind}
     if kind == "believes":
         out["sentence"] = query.get("sentence")
-        out["_formula"], out["_mask"] = _parse_sentence(out["sentence"], lang, where)
+        out["_mask"] = _parse_sentence(out["sentence"], lang, where)
     elif kind == "conditional":
         out["given"] = query.get("given")
         out["then"] = query.get("then")
-        out["_given"], out["_given_mask"] = _parse_sentence(
-            out["given"], lang, f"{where} (given)")
-        out["_then"], out["_then_mask"] = _parse_sentence(out["then"], lang, f"{where} (then)")
+        out["_given_mask"] = _parse_sentence(out["given"], lang, f"{where} (given)")
+        out["_then_mask"] = _parse_sentence(out["then"], lang, f"{where} (then)")
     elif kind == "compare":
         for side in ("left", "right"):
             name = query.get(side)
@@ -170,11 +167,10 @@ def _validate_query(query, lang: Language, where: str) -> dict:
 
 @dataclass(frozen=True)
 class Step:
-    """One step, its sentences parsed and their world masks read at load."""
+    """One step, its sentences' world masks read at load."""
 
     op: str
     texts: tuple[str, ...]
-    formulas: tuple[Formula, ...]
     masks: tuple[int, ...]
     queries: tuple[dict, ...]
 
@@ -253,19 +249,15 @@ class Scenario:
                 _expect(isinstance(sentences, list) and sentences, where,
                         "'sentences' must be a non-empty list")
                 texts = tuple(sentences)
-                formulas, masks = zip(*(
-                    _parse_sentence(s, lang, f"{where}.sentences[{j}]")
-                    for j, s in enumerate(sentences)))
+                masks = tuple(_parse_sentence(s, lang, f"{where}.sentences[{j}]")
+                              for j, s in enumerate(sentences))
             else:
-                text = raw.get("sentence")
-                texts = (text,)
-                formula, mask = _parse_sentence(text, lang, f"{where}.sentence")
-                formulas, masks = (formula,), (mask,)
+                texts = (raw.get("sentence"),)
+                masks = (_parse_sentence(texts[0], lang, f"{where}.sentence"),)
             queries = tuple(
                 _validate_query(q, lang, f"{where}.queries[{j}]")
                 for j, q in enumerate(_list(raw, "queries", where)))
-            steps.append(Step(op=op, texts=texts, formulas=formulas, masks=masks,
-                              queries=queries))
+            steps.append(Step(op=op, texts=texts, masks=masks, queries=queries))
 
         return cls(lang=lang, initial=start, base=base, finisher=finisher,
                    contraction=contraction, aggregator=Aggregator(strategy),

@@ -241,12 +241,13 @@ def _check_conditional_width(num_worlds: int) -> None:
 class ConditionalSet:
     """The conditionals accepted by a TPO, or an intersection of such.
 
-    ``table`` maps every antecedent (as a frozenset of worlds) to the
-    strongest accepted consequent; the pair (X, Y) is accepted exactly
-    when ``table[X] <= Y``.  The empty antecedent maps to the empty set,
-    so it accepts every consequent.  The table is kept with world masks
-    for keys and values.  The constructor raises ``PartitionError`` unless
-    ``table`` holds each antecedent once, and ``SpaceError`` above
+    ``table`` maps every antecedent X (a frozenset of worlds) to the
+    strongest accepted consequent, a subset of X; the pair (X, Y) is
+    accepted exactly when ``table[X] <= Y``.  The empty antecedent thus
+    maps to the empty set and accepts every consequent.  The table is kept
+    with world masks for keys and values.  The constructor raises
+    ``PartitionError`` unless ``table`` holds each antecedent once, with
+    a consequent inside it, and ``SpaceError`` above
     ``MAX_CONDITIONAL_WORLDS`` worlds.
     """
 
@@ -257,6 +258,8 @@ class ConditionalSet:
         if not len(table) == len(self._table) == 1 << num_worlds:
             raise PartitionError(f"a conditional table needs one entry for each of the "
                                  f"{1 << num_worlds} antecedents, got {len(table)}")
+        if any(y & ~x for x, y in self._table.items()):
+            raise PartitionError("every consequent must lie inside its antecedent")
 
     @classmethod
     def _from_masks(cls, num_worlds: int, table: dict[int, int]) -> "ConditionalSet":

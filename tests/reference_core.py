@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 from revforge.aggregation import SelectionStrategy
 from revforge.errors import (InconsistentInputError, PartitionError,
                              UnsatisfiableConditionalsError)
+from revforge.logic import parse_formula
 
 
 @dataclass(frozen=True)
@@ -406,9 +407,9 @@ def _answer(query: dict, t, lang) -> dict:
     kind = query["type"]
     if kind == "believes":
         return {"type": kind, "sentence": query["sentence"],
-                "answer": t.believes(models(query["_formula"], lang))}
+                "answer": t.believes(models(parse_formula(query["sentence"], lang), lang))}
     if kind == "conditional":
-        given, then = models(query["_given"], lang), models(query["_then"], lang)
+        given, then = (models(parse_formula(query[key], lang), lang) for key in ("given", "then"))
         return {"type": kind, "given": query["given"], "then": query["then"],
                 "answer": t.min_of(given) <= then}
     if kind == "compare":
@@ -439,7 +440,7 @@ def scenario_entries(scenario) -> list[dict]:
     t = scenario.initial
     entries = [entry("initial", t, scenario.initial_queries)]
     for i, step in enumerate(scenario.steps, start=1):
-        sets = tuple(models(f, lang) for f in step.formulas)
+        sets = tuple(models(parse_formula(text, lang), lang) for text in step.texts)
         try:
             if step.op == "revise-set":
                 t = prev.revise_worlds(t, sets, labels=step.texts)

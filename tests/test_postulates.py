@@ -150,6 +150,20 @@ def test_memo_remembers_none_results():
     assert calls == [family]
 
 
+def test_each_family_fact_is_one_memo_entry():
+    """Entries that read the same facts of a family share one plan: the
+    95 two-atom input families make 95 entries, however many of those
+    entries sweep them."""
+    space = InstanceSpace(atoms=2)
+    ctx = CheckContext.from_space(space)
+    check("C-star-3-pair", space, ctx=ctx)
+    assert ctx.derived.cache_info().currsize == 95
+    ctx = CheckContext.from_space(space)
+    check("LI-star", space, ctx=ctx)
+    check("GR-star", space, ctx=ctx)
+    assert ctx.derived.cache_info().currsize == 95
+
+
 def test_formula_set_tuples_sizes_and_consistency():
     props = all_propositions(4)
     joint = list(formula_set_tuples(props, 2, jointly_consistent=True))
@@ -273,6 +287,15 @@ def test_ind_countermodel_found_and_replayable():
     assert witness["operators"]["revision"] == "natural"
     hits = replay_witness("Ind", witness, atoms=2)
     assert hits and hits[0] == witness["detail"]
+
+
+def test_find_countermodel_returns_the_witness_whatever_the_cap():
+    space = InstanceSpace(atoms=2, violation_cap=0)
+    report = check("P-star", space, first=True)
+    assert report.total_hits == 1 and report.violations == []
+    witness = find_countermodel("P-star", space)
+    assert witness == find_countermodel("P-star", InstanceSpace(atoms=2))
+    assert witness is not None and replay_witness("P-star", witness, atoms=2)
 
 
 def test_violation_cap_and_total_count():

@@ -391,14 +391,16 @@ def test_table_reads_equal_fresh_parses_on_four_atom_documents():
         doc = random_document(rng)
         first = loads_scenario(json.dumps(doc))
         lang = first.lang
+        def fresh(text):
+            return model_mask(parse_formula(text, lang), lang)
         for step in first.steps:
-            assert step.formulas == tuple(parse_formula(t, lang) for t in step.texts)
+            assert step.masks == tuple(fresh(t) for t in step.texts)
         for query in first.initial_queries + sum((s.queries for s in first.steps), ()):
             if query["type"] == "believes":
-                assert query["_formula"] == parse_formula(query["sentence"], lang)
+                assert query["_mask"] == fresh(query["sentence"])
             elif query["type"] == "conditional":
-                assert query["_given"] == parse_formula(query["given"], lang)
-                assert query["_then"] == parse_formula(query["then"], lang)
+                assert query["_given_mask"] == fresh(query["given"])
+                assert query["_then_mask"] == fresh(query["then"])
         second = loads_scenario(json.dumps(doc))
         assert second.steps == first.steps
         assert _outcome(doc) == _outcome(doc)
@@ -474,7 +476,7 @@ def test_the_table_stays_within_its_bound():
                  for i in range(bound + 100)]
     scenario = Scenario.from_dict({"version": 1, "atoms": atoms,
                                    "steps": [{"op": "revise-set", "sentences": sentences}]})
-    assert len(scenario.steps[0].formulas) == bound + 100
+    assert len(scenario.steps[0].masks) == bound + 100
     assert scenario_module._parsed.cache_info().currsize <= bound
 
 

@@ -190,6 +190,18 @@ def test_a_conditional_table_needs_every_antecedent_once():
         ConditionalSet(16, {})
 
 
+def test_a_conditional_consequent_lies_inside_its_antecedent():
+    fz = frozenset
+    outside = {fz(): fz({0}), fz({0}): fz({1}), fz({1}): fz({1}), fz({0, 1}): fz({1})}
+    with pytest.raises(PartitionError, match="inside"):
+        ConditionalSet(2, outside)
+    with pytest.raises(PartitionError, match="inside"):
+        ConditionalSet(2, {**outside, fz(): fz()})
+    # an empty consequent is allowed under any antecedent
+    empty = {fz(): fz(), fz({0}): fz(), fz({1}): fz({1}), fz({0, 1}): fz({1})}
+    assert ConditionalSet(2, empty).strongest(fz({0})) == fz()
+
+
 def test_conditional_table_guard_on_world_count():
     from revforge import SpaceError
     with pytest.raises(SpaceError):
