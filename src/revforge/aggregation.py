@@ -18,15 +18,26 @@ The synchronous strategy (``stq``) picks the whole profile every round.
 picks the whole profile in round 1, then cycles.  The family is open:
 a new strategy registers by being assigned into ``STRATEGIES`` under its
 name.
+
+A strategy checks each team once, when a profile size and round first
+need it, and keeps it as a tuple in a table per profile size; a team
+that fails its check is not kept, so it raises again on every call.
+The tables live on the strategy, so every ``Aggregator`` over it, such
+as the one each loaded scenario builds, shares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import PartitionError, lookup
 from .tpo import TPO, Profile, validate_profile
+
+# profile sizes whose team tables a strategy keeps; a table holds at most
+# one team per world, since every round places a world
+_SIZES = 64
 
 
 @dataclass(frozen=True)
@@ -36,11 +47,28 @@ class SelectionStrategy:
     ``team(n, i)`` returns the 0-based positions selected at round i
     (1-based) from a profile of size n; it must be a non-empty set or
     frozenset within ``range(n)``, and any other team raises
-    ``PartitionError`` naming the strategy and the round.
+    ``PartitionError`` naming the strategy and the round.  ``team(n, i)``
+    must be a pure function of ``n`` and ``i``: the strategy asks for each
+    team once and keeps it in ``teams(n)``, keyed by round.
     """
 
     name: str
     team: Callable[[int, int], frozenset[int]] = field(repr=False)
+    teams: Callable[[int], dict] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "teams", lru_cache(maxsize=_SIZES)(lambda n: {}))
+
+    def checked_team(self, n: int, i: int) -> tuple[int, ...]:
+        """``team(n, i)`` as a sorted tuple, once it is checked."""
+        team = self.team(n, i)
+        is_set = isinstance(team, (set, frozenset))
+        if not (is_set and team and team <= frozenset(range(n))):
+            shown = sorted(team) if is_set else f"{team!r} (not a set)"
+            raise PartitionError(
+                f"strategy {self.name!r} selected invalid team {shown} "
+                f"at round {i} for a profile of size {n}")
+        return tuple(sorted(team))
 
 
 def _team_full(n: int, i: int) -> frozenset[int]:
@@ -80,7 +108,7 @@ class Aggregator:
         """Run the round-by-round team construction over ``profile``."""
         profile = validate_profile(profile)
         n = len(profile)
-        positions = frozenset(range(n))
+        teams = self.strategy.teams(n)
         num_worlds = profile[0].num_worlds
         remaining = (1 << num_worlds) - 1
         orders = [t.masks for t in profile]
@@ -89,13 +117,9 @@ class Aggregator:
         round_no = 0
         while remaining:
             round_no += 1
-            team = self.strategy.team(n, round_no)
-            is_set = isinstance(team, (set, frozenset))
-            if not (is_set and team and team <= positions):
-                shown = sorted(team) if is_set else f"{team!r} (not a set)"
-                raise PartitionError(
-                    f"strategy {self.strategy.name!r} selected invalid team {shown} "
-                    f"at round {round_no} for a profile of size {n}")
+            team = teams.get(round_no)
+            if team is None:
+                team = teams[round_no] = self.strategy.checked_team(n, round_no)
             block = 0
             for j in team:
                 order, at = orders[j], cursors[j]

@@ -555,6 +555,9 @@ def _s_star(ctx, t, s1, s2):
     if mixed is None:
         return None
     joint = first & second
+    if not joint:
+        # no worlds to compare: the posterior's best of nothing is nothing
+        return []
     before = t.min_mask(joint)
     after = ctx.previse(t, mixed).min_mask(joint)
     if before != after:

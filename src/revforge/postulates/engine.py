@@ -20,7 +20,11 @@ through their mask entries rather than copying their stages, so every
 verdict tests the operator the package ships.  It keeps their results in
 per-prior rows: one small dict per order, holding a serial operator's
 results keyed by proposition mask and the pipeline's results keyed by
-input family.  Sweeps are prior-major, so the current row is found by an
+input family.  Under ``STQ_STRATEGY`` itself, not merely a strategy of
+that name, every member joins every round and the finisher revises by
+the conjunction, so a pipeline result depends only on the family's set
+of members, and its rows key it by that set: a family listed in another
+order hits.  Sweeps are prior-major, so the current row is found by an
 identity check, and a hit costs no hashed lookup of an order.  The
 context also holds the ``derived`` memo for the evaluators' plans: the
 work that depends on the input families but not on the prior order.
@@ -28,10 +32,14 @@ The streams' world sets become masks through one bounded table of the
 sets the context met; no table of all 2^n sets is built.  Every such
 table is a bounded ``functools.lru_cache``, so each reports its hits
 and misses through ``cache_info()`` and a hit keeps its entry.  Sweeps
-that share operators should share one context.  ``previse``, ``pcontract``,
-``aggregate``, ``revise`` and ``contract`` are the seams a tracer may
-replace on a context; every call an evaluator makes into the
-operators, the follow-up revisions included, goes through them.
+that share operators should share one context.  An evaluator asks for no
+pipeline result whose answer the instance already fixes: S-star and
+P-star hold at once on a pair of families whose conjunctions share no
+world, so such an instance counts as checked without a ``previse`` call.
+``previse``, ``pcontract``, ``aggregate``, ``revise`` and ``contract``
+are the seams a tracer may replace on a context; every call an
+evaluator makes into the operators, the follow-up revisions included,
+goes through them.
 Witness payloads are encoded and decoded through the shape table in
 ``spaces``.
 """
@@ -45,7 +53,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional
 
-from ..aggregation import Aggregator
+from ..aggregation import STQ_STRATEGY, Aggregator
 from ..errors import SpaceError, UnknownPostulateError, lookup
 from ..logic import Language, canonical_formula
 from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
@@ -66,9 +74,9 @@ class _Rows:
     A row is one small dict: the operator's result on that order for a
     proposition, keyed by the proposition's mask, and, when a pipeline
     keeps its results here too, the pipeline's result for an input family,
-    keyed by the family tuple.  Sweeps are prior-major, so the row last
-    used is found by an identity check, the others through ``find``,
-    keyed by the order's masks.  A row costs one dict, so a prior seen
+    keyed by the family tuple or, under ``stq``, by its set.  Sweeps are
+    prior-major, so the row last used is found by an identity check, the
+    others through ``find``, keyed by the order's masks.  A row costs one dict, so a prior seen
     once costs no more than its entries.
 
     A miss passes the mask straight to the operator's ``transform`` and
@@ -100,14 +108,23 @@ class _Rows:
         return hit
 
 
-def _family_lookup(rows: _Rows, pipeline: Callable, member_mask: Callable) -> Callable:
-    """``pipeline(t, masks)`` for a tuple of world sets, kept in the row of
-    ``t``; a miss reads the sets' masks through ``member_mask``."""
+def _family_lookup(rows: _Rows, pipeline: Callable, member_mask: Callable,
+                   by_set: bool) -> Callable:
+    """``pipeline(t, masks)`` for a family of world sets, kept in the row of
+    ``t``, keyed by the family tuple, or by the family's set when
+    ``by_set``: for a pipeline whose result does not depend on the
+    members' order or repeats.  A miss reads the sets' masks through
+    ``member_mask`` and runs the pipeline on the members in their listed
+    order, so an inconsistent family names its culprits by their listed
+    positions."""
+    key_of = frozenset if by_set else tuple
+
     def lookup(t: TPO, sets: tuple) -> TPO:
         row = rows.row if t is rows.t else rows.row_of(t)
-        hit = row.get(sets)
+        key = key_of(sets)
+        hit = row.get(key)
         if hit is None:
-            hit = row[sets] = pipeline(t, [member_mask(member) for member in sets])
+            hit = row[key] = pipeline(t, [member_mask(member) for member in sets])
         return hit
     return lookup
 
@@ -123,14 +140,19 @@ class CheckContext:
     ``previse(t, sets)`` and ``pcontract(t, sets)`` are ``revise_worlds``
     and ``contract_worlds`` of the shipped parallel operators, for a
     tuple of world sets.  Each configured serial operator gets one
-    ``_Rows``, so roles that share an operator share its results.  The
-    pipeline's results sit in the rows of its base (or contraction)
-    operator, keyed by the input family.  ``previse`` and ``pcontract``
-    are instance attributes bound straight to the row lookup.  A miss
-    runs the operator's mask entry, ``revise_masks`` or
-    ``contract_masks``, whose stages read the same rows and aggregate
-    through a memoizing aggregator, whose ``aggregate`` is remembered per
-    profile.  ``revise(t, mask)`` and ``contract(t, mask)`` are the row
+    ``_Rows``, so the revision roles that share an operator share its
+    results; the contraction role gets rows of its own, so the two
+    pipelines never read each other's results, even when one operator
+    object fills ``base`` and ``contraction``.  The pipeline's results sit
+    in the rows of its base (or contraction) operator, keyed by the input
+    family, or under ``STQ_STRATEGY`` by the family's set.  ``previse``
+    and ``pcontract`` are instance attributes bound straight to the row
+    lookup.  A miss runs the operator's mask entry, ``revise_masks`` or
+    ``contract_masks``, on the members in their listed order, so an
+    inconsistent family names its culprits by their listed positions;
+    its stages read the same rows and aggregate through a memoizing
+    aggregator, whose ``aggregate`` is remembered per profile.
+    ``revise(t, mask)`` and ``contract(t, mask)`` are the row
     lookups of the serial revision and contraction, which take the input's
     world mask as every serial ``transform`` does; ``aggregate`` reads the
     aggregator's memo, and ``conditionals`` is ``conditional_set``,
@@ -170,21 +192,29 @@ class CheckContext:
 
         def rows_of(role: str) -> _Rows:
             op = config.resolved(role)
-            if id(op) not in rows:
-                rows[id(op)] = _Rows(op)
-            return rows[id(op)]
+            # the contraction role keeps rows apart from the revision roles,
+            # so the two pipelines never key their results into one row
+            key = (role == "contraction", id(op))
+            if key not in rows:
+                rows[key] = _Rows(op)
+            return rows[key]
 
         self.revise = rows_of("revision").transform
         contraction = rows_of("contraction")
         self.contract = contraction.transform
-        self.aggregator = Aggregator(config.resolved("strategy"))
+        strategy = config.resolved("strategy")
+        self.aggregator = Aggregator(strategy)
         merge = SimpleNamespace(aggregate=lru_cache(maxsize=_MEMO)(self.aggregator.aggregate))
         base = rows_of("base")
         self.parallel_rev = ParallelRevisionOperator(base, rows_of("finisher"), merge)
         self.parallel_con = ParallelContractionOperator(contraction, merge)
         self._aggregate = merge.aggregate
-        self.previse = _family_lookup(base, self.parallel_rev.revise_masks, member_mask)
-        self.pcontract = _family_lookup(contraction, self.parallel_con.contract_masks, member_mask)
+        # under stq every member joins every round and the finisher revises
+        # by the conjunction, so a result depends on the members' set only
+        by_set = strategy is STQ_STRATEGY
+        self.previse = _family_lookup(base, self.parallel_rev.revise_masks, member_mask, by_set)
+        self.pcontract = _family_lookup(contraction, self.parallel_con.contract_masks, member_mask,
+                                        by_set)
         self._follow_ups = lru_cache(maxsize=_ROWS)(_follow_up_masks)
         self.canonical = lru_cache(maxsize=_MEMO)(lambda worlds: canonical_formula(worlds, lang))
         self.conditionals = lru_cache(maxsize=_MEMO)(conditional_set)

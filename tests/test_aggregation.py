@@ -117,3 +117,45 @@ def test_output_is_always_a_valid_partition():
         for b in tpos[::11]:
             out = agg.aggregate((a, b))
             assert out.num_worlds == 4
+
+
+@pytest.mark.parametrize("team, round_no", [
+    (lambda n, i: frozenset(), 1),
+    (lambda n, i: frozenset({0}) if i == 1 else [1], 2),
+    (lambda n, i: frozenset({0}) if i < 3 else frozenset({n}), 3),
+], ids=["empty", "malformed-later", "out-of-range-later"])
+def test_a_failed_team_is_never_kept(team, round_no):
+    """A team that fails its check raises the same error, at the same
+    round, however often the strategy is asked; the valid teams of the
+    earlier rounds are kept."""
+    agg = Aggregator(SelectionStrategy("flaky", team))
+    profile = (tpo({0}, {1}, {2}, {3}), tpo({3}, {2}, {1}, {0}))
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(PartitionError) as err:
+            agg.aggregate(profile)
+        messages.add(str(err.value))
+    (message,) = messages
+    assert f"at round {round_no} for a profile of size 2" in message
+    assert sorted(agg.strategy.teams(2)) == list(range(1, round_no))
+
+
+def test_aggregators_over_one_strategy_share_its_teams():
+    """Two aggregators over one strategy agree, and the second asks the
+    strategy for no team the first has met."""
+    calls = []
+
+    def team(n, i):
+        calls.append((n, i))
+        return ROUND_ROBIN_STRATEGY.team(n, i)
+
+    strategy = SelectionStrategy("counted", team)
+    first, second = Aggregator(strategy), Aggregator(strategy)
+    tpos = list(enumerate_tpos(4))[::9]
+    profiles = [(a, b) for a in tpos for b in tpos]
+    merged = [first.aggregate(p) for p in profiles]
+    asked = len(calls)
+    assert asked == len(set(calls)) <= 4
+    assert [second.aggregate(p) for p in profiles] == merged
+    assert len(calls) == asked
+    assert merged == [Aggregator(ROUND_ROBIN_STRATEGY).aggregate(p) for p in profiles]

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -14,18 +15,20 @@ from revforge import (CATALOG, Aggregator, CheckContext, CheckReport,
                       EQUIVALENCE_PAIRS, InconsistentInputError, InstanceSpace,
                       Language, NATURAL_CONTRACT, OperatorConfig,
                       ParallelContractionOperator, ParallelRevisionOperator,
-                      REVISION_OPERATORS, RevforgeError, SerialRevisionOperator,
-                      SpaceError, TPO, UnknownOperatorError, UnknownPostulateError,
-                      check, check_equivalence_pair,
+                      REVISION_OPERATORS, RevforgeError, STQ_STRATEGY, SelectionStrategy,
+                      SerialRevisionOperator, SpaceError, TPO, UnknownOperatorError,
+                      UnknownPostulateError, check, check_equivalence_pair,
                       default_parallel_revision, find_countermodel,
                       get_revision_operator, make_strategy, replay_witness,
                       verify_rc_identity)
+from revforge.aggregation import _team_round_robin
 from revforge.postulates import (all_propositions, catalog, engine, enumerate_tpos,
                                  formula_set_tuples, random_tpo)
 from revforge.postulates.catalog import PAIR_CHECKS, SYNTACTIC_FORMS
 from revforge.postulates.engine import render_value
 from revforge.postulates.spaces import (DEFAULT_SEED, SHAPES, decode_instance,
-                                        encode_instance)
+                                        encode_instance, language)
+from revforge.serial import natural_revise
 from revforge.tpo import mask_of, worlds_of
 
 from conftest import tpo
@@ -362,40 +365,115 @@ def test_memoized_context_matches_fresh_operators(base, finisher, strategy):
     assert str(memoized.value) == str(shipped.value)
 
 
+# a strategy named like stq but ordered like round-robin: not set-keyed
+IMPOSTOR = SelectionStrategy("stq", _team_round_robin)
+
+
 @pytest.mark.parametrize("base, finisher, strategy", [
     ("natural", "natural", "stq"),
     ("lex", "restrained", "round-robin"),
+    pytest.param("natural", "lex", IMPOSTOR, id="natural-lex-stq-impostor"),
 ])
 def test_rows_match_the_shipped_operators(monkeypatch, base, finisher, strategy):
     """The per-prior rows are transparent, including for a prior whose row
     was evicted: a context with room for eight rows per table answers every
     2-atom (prior, family) as the shipped operators do, first prior-major,
-    then family-major, which revisits every evicted prior."""
+    then family-major, which revisits every evicted prior, then with each
+    family followed by its members reversed, which under stq reads the
+    result its set just filled.  Only ``STQ_STRATEGY`` itself keys by set: a strategy that
+    merely shares its name is keyed by the listed family."""
     monkeypatch.setattr(engine, "_ROWS", 8)
     config = OperatorConfig(base=base, finisher=finisher, strategy=strategy)
     space = InstanceSpace(atoms=2, operators=config)
     ctx = CheckContext.from_space(space)
+    merge = Aggregator(config.resolved("strategy"))
     prev = ParallelRevisionOperator(get_revision_operator(base), get_revision_operator(finisher),
-                                    Aggregator(make_strategy(strategy)))
-    pcon = ParallelContractionOperator(NATURAL_CONTRACT, Aggregator(make_strategy(strategy)))
+                                    merge)
+    pcon = ParallelContractionOperator(NATURAL_CONTRACT, merge)
     psets = list(space.instances("pset"))
     csets = list(space.instances("cset"))
-    for order in (lambda pairs: pairs, lambda pairs: sorted(pairs, key=lambda p: p[1])):
+    reversing = lambda pairs: [(t, f) for t, s in pairs for f in (s, s[::-1])]
+    for order in (lambda pairs: pairs, lambda pairs: sorted(pairs, key=lambda p: p[1]), reversing):
         for t, s in order(psets):
             assert ctx.previse(t, s) == prev.revise_worlds(t, s)
         for t, s in order(csets):
             assert ctx.pcontract(t, s) == pcon.contract_worlds(t, s)
     rows = ctx.parallel_rev.base
     assert 0 < rows.find.cache_info().currsize <= 8 and rows.intern.cache_info().currsize <= 8
+    if strategy is IMPOSTOR:
+        # reversing matters to this strategy, so set keys would have failed above
+        assert any(prev.revise_worlds(t, s) != prev.revise_worlds(t, s[::-1]) for t, s in psets)
 
     clash = (frozenset({2, 3}), frozenset({1, 3}), frozenset({0}))
     for t in (psets[0][0], psets[-1][0]):
-        with pytest.raises(InconsistentInputError) as shipped:
-            prev.revise_worlds(t, clash)
-        with pytest.raises(InconsistentInputError) as rowed:
-            ctx.previse(t, clash)
-        assert rowed.value.culprits == shipped.value.culprits == ("member 1", "member 2")
-        assert str(rowed.value) == str(shipped.value)
+        for family, culprits in ((clash[::-1], ("member 0", "member 2")),
+                                 (clash, ("member 1", "member 2"))):
+            with pytest.raises(InconsistentInputError) as shipped:
+                prev.revise_worlds(t, family)
+            with pytest.raises(InconsistentInputError) as rowed:
+                ctx.previse(t, family)
+            assert rowed.value.culprits == shipped.value.culprits == culprits
+            assert str(rowed.value) == str(shipped.value)
+
+
+def test_revision_and_contraction_by_one_operator_keep_their_rows_apart():
+    """One operator object may fill both ``base`` and ``contraction``; a
+    family's set contraction is still its contraction after the context
+    has revised by the same family."""
+    op = SerialRevisionOperator("x", natural_revise)
+    ctx = CheckContext(language(2), OperatorConfig(base=op, contraction=op))
+    pcon = ParallelContractionOperator(op, Aggregator(STQ_STRATEGY))
+    for t, s in InstanceSpace(atoms=2).instances("pset"):
+        ctx.previse(t, s)
+        assert ctx.pcontract(t, s) == pcon.contract_worlds(t, s)
+
+
+@pytest.mark.parametrize("strategy, misses", [
+    ("stq", 1_566), ("round-robin", 2_922), ("first-then-full", 2_922),
+])
+def test_s_star_pipeline_work_is_pinned(monkeypatch, strategy, misses):
+    """S-star runs the pipeline only for a family whose joint conjunction
+    has worlds, and under stq once per member set: over the first three
+    2-atom priors (27,075 pset2 instances) a fresh restrained/natural
+    context makes exactly these pipeline misses, against 5,286 under each
+    strategy when every listed family ran."""
+    calls = []
+    shipped = ParallelRevisionOperator.revise_masks
+
+    def counting(self, t, masks, labels=None):
+        calls.append(1)
+        return shipped(self, t, masks, labels)
+
+    monkeypatch.setattr(ParallelRevisionOperator, "revise_masks", counting)
+    space = InstanceSpace(atoms=2, operators=OperatorConfig(
+        base="restrained", finisher="natural", strategy=strategy))
+    ctx = CheckContext.from_space(space)
+    instances = list(itertools.islice(space.instances("pset2"), 27_075))
+    assert len({inst[0] for inst in instances}) == 3
+    for instance in instances:
+        CATALOG["S-star"].evaluate(ctx, *instance)
+    assert len(calls) == misses
+
+
+def test_s_star_with_an_empty_joint_revises_nothing():
+    """An S-star instance in the domain whose two conjunctions share no
+    world holds whatever the posterior is, so it makes no ``previse`` call,
+    and still counts as checked."""
+    space = InstanceSpace(atoms=2)
+    ctx = CheckContext.from_space(space)
+    shipped, calls = ctx.previse, []
+
+    def counting(t, sets):
+        calls.append((t, sets))
+        return shipped(t, sets)
+
+    ctx.previse = counting
+    t = next(iter(space.instances("pset")))[0]
+    s1, s2 = (frozenset({0, 1}),), (frozenset({2}),)
+    assert CATALOG["S-star"].evaluate(ctx, t, s1, s2) == []
+    assert calls == []
+    assert CATALOG["S-star"].evaluate(ctx, t, s1, (frozenset({0}),)) == []
+    assert len(calls) == 1
 
 
 def test_follow_ups_go_through_the_previse_seam():
