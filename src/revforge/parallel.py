@@ -16,9 +16,9 @@ one entry works on world masks, ``revise_masks`` and ``contract_masks``;
 and ``revise`` and ``contract`` read their formulas' masks with
 ``model_mask``.
 Each stage calls a serial operator's ``transform`` on a mask.  The
-postulate checker's ``CheckContext`` builds the two operators over its
-per-prior rows, which answer those stage calls, instead of
-re-implementing the stages.
+postulate checker's ``CheckContext`` builds the two operators, over its
+per-prior rows where priors repeat and over the serial operators
+themselves elsewhere, instead of re-implementing the stages.
 
 Revision requires the conjunction of the inputs to be consistent;
 otherwise there is nothing coherent to promote and the call is rejected

@@ -17,7 +17,12 @@ rational closure.  ``find_countermodel``, ``check_equivalence_pair`` and
 A ``CheckContext`` holds the configured operators and drives the
 shipped ``ParallelRevisionOperator`` and ``ParallelContractionOperator``
 through their mask entries rather than copying their stages, so every
-verdict tests the operator the package ships.  It keeps their results in
+verdict tests the operator the package ships.  Only where priors repeat
+does it remember their results: over the worlds an exhaustive space
+enumerates, every prior meets every input family.  A sampled space over
+more worlds draws priors that almost never repeat, so there a memo would
+only hold entries that never hit, and the context calls the operators
+on every request.  Over the few worlds it keeps their results in
 per-prior rows: one small dict per order, holding a serial operator's
 results keyed by proposition mask and the pipeline's results keyed by
 input family.  Under ``STQ_STRATEGY`` itself, not merely a strategy of
@@ -26,8 +31,9 @@ the conjunction, so a pipeline result depends only on the family's set
 of members, and its rows key it by that set: a family listed in another
 order hits.  Sweeps are prior-major, so the current row is found by an
 identity check, and a hit costs no hashed lookup of an order.  The
-context also holds the ``derived`` memo for the evaluators' plans: the
-work that depends on the input families but not on the prior order.
+context also holds, at every size, the ``derived`` memo for the
+evaluators' plans: the work that depends on the input families but not
+on the prior order.
 The streams' world sets become masks through one bounded table of the
 sets the context met; no table of all 2^n sets is built.  Every such
 table is a bounded ``functools.lru_cache``, so each reports its hits
@@ -59,7 +65,8 @@ from ..logic import Language, canonical_formula
 from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from ..tpo import TPO, conditional_set, mask_of
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
-from .spaces import InstanceSpace, all_propositions, decode_instance, encode_instance, language
+from .spaces import (MAX_EXHAUSTIVE_ATOMS, InstanceSpace, all_propositions, decode_instance,
+                     encode_instance, language)
 
 
 _MEMO = 150_000
@@ -129,6 +136,13 @@ def _family_lookup(rows: _Rows, pipeline: Callable, member_mask: Callable,
     return lookup
 
 
+def _family_call(pipeline: Callable, member_mask: Callable) -> Callable:
+    """``pipeline(t, masks)`` for a family of world sets, run on every call."""
+    def call(t: TPO, sets: tuple) -> TPO:
+        return pipeline(t, [member_mask(member) for member in sets])
+    return call
+
+
 def _follow_up_masks(t: TPO, previse: Callable) -> tuple[int, ...]:
     """The belief mask of ``previse(t, (x,))`` for every consistent x, in order."""
     return tuple([previse(t, (x,)).masks[0] for x in all_propositions(t.num_worlds)])
@@ -139,7 +153,17 @@ class CheckContext:
 
     ``previse(t, sets)`` and ``pcontract(t, sets)`` are ``revise_worlds``
     and ``contract_worlds`` of the shipped parallel operators, for a
-    tuple of world sets.  Each configured serial operator gets one
+    tuple of world sets.
+
+    Over more worlds than an exhaustive space enumerates (more than
+    ``1 << MAX_EXHAUSTIVE_ATOMS``), priors are sampled and almost never
+    repeat, so the context keeps no rows, interns nothing and has no
+    aggregator memo: ``previse`` and ``pcontract`` call the operators'
+    ``revise_masks`` and ``contract_masks`` on the members' masks,
+    ``revise`` and ``contract`` are the serial operators' ``transform``,
+    and ``aggregate`` is the aggregator's.
+
+    Over fewer worlds, each configured serial operator gets one
     ``_Rows``, so the revision roles that share an operator share its
     results; the contraction role gets rows of its own, so the two
     pipelines never read each other's results, even when one operator
@@ -154,16 +178,16 @@ class CheckContext:
     aggregator, whose ``aggregate`` is remembered per profile.
     ``revise(t, mask)`` and ``contract(t, mask)`` are the row
     lookups of the serial revision and contraction, which take the input's
-    world mask as every serial ``transform`` does; ``aggregate`` reads the
-    aggregator's memo, and ``conditionals`` is ``conditional_set``,
-    remembered per preorder.
+    world mask as every serial ``transform`` does, and ``aggregate``
+    reads the aggregator's memo.
 
-    A tracer may replace any of ``previse``, ``pcontract``,
-    ``aggregate``, ``revise`` and ``contract`` on an instance.
-    ``follow_ups(t)`` is the belief mask of ``previse(t, (x,))`` for
-    every x in ``props``, in order, remembered per order and per
-    ``previse``; it calls ``self.previse``, so a stand-in sees those
-    revisions too.
+    The rest holds at every size.  A tracer may replace any of
+    ``previse``, ``pcontract``, ``aggregate``, ``revise`` and ``contract``
+    on an instance.  ``conditionals`` is ``conditional_set``, remembered
+    per preorder.  ``follow_ups(t)`` is the belief mask of
+    ``previse(t, (x,))`` for every x in ``props``, in order, remembered per
+    order and per ``previse``; it calls ``self.previse``, so a stand-in
+    sees those revisions too.
 
     ``full`` is the set of every world and ``full_mask`` its mask.
     ``props`` is ``all_propositions`` for the context's worlds, built on
@@ -171,7 +195,7 @@ class CheckContext:
     ``derived(fn, *args)`` is ``fn(member_mask, full_mask, *args)``,
     remembered per argument tuple, where ``member_mask`` is ``mask_of``
     over the context's worlds, remembered per world set, which the
-    pipeline misses read too.  Evaluators keep there the part of their
+    pipeline calls read too.  Evaluators keep there the part of their
     work that does not depend on the prior order (the families they
     revise by and the conjunction masks they compare), so a sweep computes
     it once per input family rather than once per instance.  The memos
@@ -188,10 +212,15 @@ class CheckContext:
         full = self.full_mask = (1 << num_worlds) - 1
         member_mask = lru_cache(maxsize=_ROWS)(lambda worlds: mask_of(worlds, num_worlds))
         self.derived = lru_cache(maxsize=_MEMO)(lambda fn, *args: fn(member_mask, full, *args))
+        # priors repeat only where an exhaustive space enumerates them all;
+        # above that, rows and memos would hold entries that never hit
+        rowed = num_worlds <= 1 << MAX_EXHAUSTIVE_ATOMS
         rows: dict = {}
 
-        def rows_of(role: str) -> _Rows:
+        def serial_op(role: str):
             op = config.resolved(role)
+            if not rowed:
+                return op
             # the contraction role keeps rows apart from the revision roles,
             # so the two pipelines never key their results into one row
             key = (role == "contraction", id(op))
@@ -199,22 +228,28 @@ class CheckContext:
                 rows[key] = _Rows(op)
             return rows[key]
 
-        self.revise = rows_of("revision").transform
-        contraction = rows_of("contraction")
-        self.contract = contraction.transform
+        revision, contraction = serial_op("revision"), serial_op("contraction")
+        base = serial_op("base")
         strategy = config.resolved("strategy")
         self.aggregator = Aggregator(strategy)
-        merge = SimpleNamespace(aggregate=lru_cache(maxsize=_MEMO)(self.aggregator.aggregate))
-        base = rows_of("base")
-        self.parallel_rev = ParallelRevisionOperator(base, rows_of("finisher"), merge)
+        merge = (SimpleNamespace(aggregate=lru_cache(maxsize=_MEMO)(self.aggregator.aggregate))
+                 if rowed else self.aggregator)
+        self.parallel_rev = ParallelRevisionOperator(base, serial_op("finisher"), merge)
         self.parallel_con = ParallelContractionOperator(contraction, merge)
+        self.revise = revision.transform
+        self.contract = contraction.transform
         self._aggregate = merge.aggregate
-        # under stq every member joins every round and the finisher revises
-        # by the conjunction, so a result depends on the members' set only
-        by_set = strategy is STQ_STRATEGY
-        self.previse = _family_lookup(base, self.parallel_rev.revise_masks, member_mask, by_set)
-        self.pcontract = _family_lookup(contraction, self.parallel_con.contract_masks, member_mask,
-                                        by_set)
+        if rowed:
+            # under stq every member joins every round and the finisher revises
+            # by the conjunction, so a result depends on the members' set only
+            by_set = strategy is STQ_STRATEGY
+            self.previse = _family_lookup(base, self.parallel_rev.revise_masks, member_mask,
+                                          by_set)
+            self.pcontract = _family_lookup(contraction, self.parallel_con.contract_masks,
+                                            member_mask, by_set)
+        else:
+            self.previse = _family_call(self.parallel_rev.revise_masks, member_mask)
+            self.pcontract = _family_call(self.parallel_con.contract_masks, member_mask)
         self._follow_ups = lru_cache(maxsize=_ROWS)(_follow_up_masks)
         self.canonical = lru_cache(maxsize=_MEMO)(lambda worlds: canonical_formula(worlds, lang))
         self.conditionals = lru_cache(maxsize=_MEMO)(conditional_set)

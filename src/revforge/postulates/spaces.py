@@ -4,10 +4,11 @@ An instance space fixes a language (by atom count, with atoms named A,
 B, C, ...; ``language`` builds it), a source of total preorders, a
 family of input sets drawn from the consistent propositions of the
 language, and the operator configuration under test, an
-``OperatorConfig`` from ``parallel``.  Exhaustive spaces enumerate everything and
-are confined to at most 2 atoms, where the 16 worlds-squared scale keeps
-full sweeps cheap; sampled spaces draw seeded pseudo-random instances
-and must state their seed so every report is reproducible.
+``OperatorConfig`` from ``parallel``.  Exhaustive spaces enumerate
+everything and are confined to at most ``MAX_EXHAUSTIVE_ATOMS`` atoms,
+where the 16 worlds-squared scale keeps full sweeps cheap; sampled
+spaces draw seeded pseudo-random instances and must state their seed so
+every report is reproducible.
 
 Input-set families quantify over propositions up to semantic
 equivalence: each member is a distinct non-empty set of worlds.  Pair
@@ -31,7 +32,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
+from operator import and_
 from typing import Callable, Iterator, Sequence
 
 from ..errors import SpaceError, lookup
@@ -40,6 +42,7 @@ from ..parallel import OperatorConfig
 from ..tpo import TPO, worlds_of
 
 DEFAULT_SEED = 1729
+MAX_EXHAUSTIVE_ATOMS = 2
 MAX_ENUM_WORLDS = 8
 _ATOM_POOL = ("A", "B", "C", "D")
 
@@ -98,12 +101,15 @@ def random_tpo(rng: random.Random, num_worlds: int) -> TPO:
     """A seeded pseudo-random TPO; coverage-oriented, not uniform."""
     worlds = list(range(num_worlds))
     rng.shuffle(worlds)
-    masks = [1 << worlds[0]]
+    masks = []
+    block = 1 << worlds[0]
     for world in worlds[1:]:
         if rng.random() < 0.5:
-            masks.append(1 << world)
+            masks.append(block)
+            block = 1 << world
         else:
-            masks[-1] |= 1 << world
+            block |= 1 << world
+    masks.append(block)
     return TPO._from_masks(tuple(masks), num_worlds)
 
 
@@ -113,16 +119,16 @@ def _random_proposition(rng: random.Random, num_worlds: int) -> frozenset[int]:
 
 def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,
                       jointly_consistent: bool) -> tuple[frozenset[int], ...]:
+    randint, randrange, bound = rng.randint, rng.randrange, 1 << num_worlds
     for _ in range(1000):
-        size = rng.randint(1, max_size)
-        members: list[frozenset[int]] = []
-        for _ in range(size):
-            member = _random_proposition(rng, num_worlds)
-            if member not in members:
-                members.append(member)
-        if jointly_consistent and not frozenset(range(num_worlds)).intersection(*members):
+        masks: list[int] = []
+        for _ in range(randint(1, max_size)):
+            mask = randrange(1, bound)
+            if mask not in masks:
+                masks.append(mask)
+        if jointly_consistent and not reduce(and_, masks):
             continue
-        return tuple(members)
+        return tuple([worlds_of(mask) for mask in masks])
     raise SpaceError("could not sample a jointly consistent input set")
 
 
@@ -255,8 +261,8 @@ class InstanceSpace:
         if self.mode not in ("exhaustive", "sampled"):
             raise SpaceError(f"unknown space mode {self.mode!r}")
         if self.mode == "exhaustive":
-            if not 1 <= self.atoms <= 2:
-                raise SpaceError("exhaustive spaces support 1 or 2 atoms only")
+            if not 1 <= self.atoms <= MAX_EXHAUSTIVE_ATOMS:
+                raise SpaceError(f"exhaustive spaces support 1..{MAX_EXHAUSTIVE_ATOMS} atoms only")
         else:
             if not 1 <= self.atoms <= len(_ATOM_POOL):
                 raise SpaceError(f"sampled spaces support 1..{len(_ATOM_POOL)} atoms")

@@ -26,8 +26,8 @@ from revforge.postulates import (all_propositions, catalog, engine, enumerate_tp
                                  formula_set_tuples, random_tpo)
 from revforge.postulates.catalog import PAIR_CHECKS, SYNTACTIC_FORMS
 from revforge.postulates.engine import render_value
-from revforge.postulates.spaces import (DEFAULT_SEED, SHAPES, decode_instance,
-                                        encode_instance, language)
+from revforge.postulates.spaces import (DEFAULT_SEED, MAX_EXHAUSTIVE_ATOMS, SHAPES,
+                                        decode_instance, encode_instance, language)
 from revforge.serial import natural_revise
 from revforge.tpo import mask_of, worlds_of
 
@@ -416,6 +416,69 @@ def test_rows_match_the_shipped_operators(monkeypatch, base, finisher, strategy)
             assert str(rowed.value) == str(shipped.value)
 
 
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+def test_only_contexts_whose_priors_repeat_keep_rows(atoms):
+    """Rows and the aggregator memo exist only up to the worlds an
+    exhaustive space enumerates; a larger context calls the shipped
+    operators themselves."""
+    ctx = CheckContext(language(atoms), OperatorConfig())
+    rowed = atoms <= MAX_EXHAUSTIVE_ATOMS
+    assert isinstance(ctx.parallel_rev.base, engine._Rows) is rowed
+    assert hasattr(ctx._aggregate, "cache_info") is rowed
+    if not rowed:
+        assert ctx.parallel_rev.aggregator is ctx.aggregator
+        assert ctx.revise is get_revision_operator("natural").transform
+        assert ctx.contract is NATURAL_CONTRACT.transform
+
+
+@pytest.mark.parametrize("atoms", [3, 4])
+@pytest.mark.parametrize("base, finisher, strategy", [
+    ("natural", "natural", "stq"),
+    ("lex", "restrained", "round-robin"),
+    ("restrained", "lex", "first-then-full"),
+])
+def test_direct_context_matches_the_shipped_operators(atoms, base, finisher, strategy):
+    """A context over more worlds than an exhaustive space enumerates runs
+    the shipped operators on every call: on a seeded sample it answers
+    ``previse``, ``pcontract``, ``revise``, ``contract`` and ``aggregate``
+    as fresh operators do, twice over, and an inconsistent family names
+    the same culprits."""
+    config = OperatorConfig(revision=finisher, base=base, finisher=finisher, strategy=strategy)
+    space = InstanceSpace(atoms=atoms, mode="sampled", sample_count=120, seed=18,
+                          max_set_size=3, operators=config)
+    ctx = CheckContext.from_space(space)
+    merge = Aggregator(make_strategy(strategy))
+    serial = get_revision_operator(finisher)
+    prev = ParallelRevisionOperator(get_revision_operator(base), serial, merge)
+    pcon = ParallelContractionOperator(NATURAL_CONTRACT, merge)
+    n = space.num_worlds
+    psets = list(space.instances("pset"))
+    csets = list(space.instances("cset"))
+    profiles = [profile + (t,) for (profile,), (t, _) in zip(space.instances("profile2"), psets)]
+    for _ in range(2):
+        for t, s in psets:
+            assert ctx.previse(t, s) == prev.revise_worlds(t, s)
+            for mask in (mask_of(x, n) for x in s):
+                assert ctx.revise(t, mask) == serial.transform(t, mask)
+                assert ctx.contract(t, mask) == NATURAL_CONTRACT.transform(t, mask)
+        for t, s in csets:
+            assert ctx.pcontract(t, s) == pcon.contract_worlds(t, s)
+        for profile in profiles:
+            assert ctx.aggregate(profile) == merge.aggregate(profile)
+            assert ctx.aggregate(profile[:2]) == merge.aggregate(profile[:2])
+
+    clash = (frozenset({2, 3}), frozenset({1, 3}), frozenset({0}))
+    for t in (psets[0][0], psets[-1][0]):
+        for family, culprits in ((clash[::-1], ("member 0", "member 2")),
+                                 (clash, ("member 1", "member 2"))):
+            with pytest.raises(InconsistentInputError) as shipped:
+                prev.revise_worlds(t, family)
+            with pytest.raises(InconsistentInputError) as direct:
+                ctx.previse(t, family)
+            assert direct.value.culprits == shipped.value.culprits == culprits
+            assert str(direct.value) == str(shipped.value)
+
+
 def test_revision_and_contraction_by_one_operator_keep_their_rows_apart():
     """One operator object may fill both ``base`` and ``contraction``; a
     family's set contraction is still its contraction after the context
@@ -517,10 +580,13 @@ def test_check_accepts_a_context_with_the_same_operator_names():
     assert check("Ind", space, ctx=ctx).holds
 
 
-def test_dropped_context_is_freed_without_the_cycle_collector():
+@pytest.mark.parametrize("space", [
+    InstanceSpace(atoms=2),
+    InstanceSpace(atoms=3, mode="sampled", sample_count=300, seed=18),
+], ids=["rows", "direct"])
+def test_dropped_context_is_freed_without_the_cycle_collector(space):
     """Nothing a context builds refers back to it, so its memo tables go
     as soon as the last reference does, not at the next cyclic collection."""
-    space = InstanceSpace(atoms=2)
     gc.disable()
     try:
         ctx = CheckContext.from_space(space)
