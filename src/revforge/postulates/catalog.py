@@ -30,19 +30,25 @@ a space when at least one witness turns up.
 Evaluators work on world masks.  Instances arrive as the frozensets
 the instance streams yield; what an evaluator derives from them alone
 does not depend on the prior order, so it is a *plan*: a function of the
-context's remembered ``mask_of``, its full mask and the instance's sets,
-looked up through ``ctx.derived(plan, *sets)`` and computed once per
-distinct input rather than once per instance.  Entries that read the
-same facts of a family share one plan, so the memo holds each fact once:
-``_regions`` (conjunction and refuting masks), ``_negation_plan`` (those
-and the member-wise negations) and ``_pair_plan`` (two sets merged and
-mixed).  Belief sets are read as ``masks[0]`` of an order and best
-worlds as ``min_mask``, and the
-order helpers walk the worlds of a mask.  Syntactic forms read the
-beliefs after every single follow-up input from
-``ctx.follow_ups(order)``, once per order.  A hit turns its masks into
-frozensets with ``worlds_of`` when it is built, so hits and witnesses
-keep their frozenset form.
+context's full mask and the instance's sets, ``(full, *sets)``, looked
+up through ``ctx.derived(plan, *sets)`` and computed once per distinct
+input rather than once per instance.  The plan an entry reads turns the
+family's members into masks, once per family, and every later step,
+``ctx.previse(t, masks)`` and ``ctx.pcontract(t, masks)`` included, sees
+only masks.  Entries that read the same facts of a family share one
+plan, so the memo holds each fact once: ``_regions`` (conjunction,
+refuting and member masks), which every other family plan extends,
+``_negation_plan`` (the member-wise negations), ``_dominated_pairs``,
+``_subfamilies`` and ``_pair_plan`` (two families merged and mixed).
+Entries that read a family's ``_regions`` alone register through
+``_family`` and take them as arguments, as serial entries take their
+input's through ``_serial``.
+Belief sets are read as ``masks[0]`` of an order and best worlds as
+``min_mask``, and the order helpers walk the worlds of a mask.
+Syntactic forms range over every consistent mask and read the beliefs
+after each single follow-up input from ``ctx.follow_ups(order)``, once
+per order.  A hit turns its masks into frozensets with ``worlds_of``
+when it is built, so hits and witnesses keep their frozenset form.
 
 Two further kinds of check share that evaluator signature and live
 outside ``CATALOG``: ``PAIR_CHECKS`` holds one ``<id>-pair`` entry per
@@ -54,12 +60,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Sequence
 
 from ..aggregation import stq
 from ..logic import And, Not, ascending_worlds, model_mask
-from ..tpo import TPO, intersect_conditionals, rational_closure, worlds_of
+from ..tpo import TPO, intersect_conditionals, mask_of, rational_closure, worlds_of
 
 @dataclass(frozen=True)
 class Postulate:
@@ -96,7 +102,17 @@ def _serial(id: str, shape: str, summary: str, **options):
     regions of the family that holds the input alone."""
     def wrap(fn):
         _register(id, shape, summary, **options)(
-            lambda ctx, t, a: fn(ctx, t, *ctx.derived(_regions, (a,))))
+            lambda ctx, t, a: fn(ctx, t, *ctx.derived(_regions, (a,))[:2]))
+        return fn
+    return wrap
+
+
+def _family(id: str, shape: str, summary: str, **options):
+    """``_register`` for a family entry written over the ``_regions`` of
+    its input family, ``fn(ctx, t, conj, refuting, masks)``."""
+    def wrap(fn):
+        _register(id, shape, summary, **options)(
+            lambda ctx, t, s: fn(ctx, t, *ctx.derived(_regions, s)))
         return fn
     return wrap
 
@@ -137,7 +153,8 @@ def _promoted(t: TPO, t2: TPO, inside: int, outside: int) -> list[dict]:
             if r[x] <= r[y] and not r2[x] < r2[y]]
 
 
-def _merge(s1: Sequence[frozenset[int]], s2: Sequence[frozenset[int]]) -> tuple:
+def _merge(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
+    """The member masks of s1, then those of s2 that s1 lacks."""
     merged = list(s1)
     for member in s2:
         if member not in merged:
@@ -145,30 +162,32 @@ def _merge(s1: Sequence[frozenset[int]], s2: Sequence[frozenset[int]]) -> tuple:
     return tuple(merged)
 
 
-# Plans take the context's ``mask_of`` and full mask first:
-# ``mask_of(x)`` is the mask of world set x, and ``full`` the mask of
-# every world.
+# Plans take the mask of every world, ``full``, and then the instance's
+# families as the streams yield them.
 
-def _regions(mask_of, full, s) -> tuple[int, int]:
-    """The masks of the worlds satisfying every member of ``s`` and of
-    the worlds refuting every member."""
+def _regions(full, s) -> tuple[int, int, tuple[int, ...]]:
+    """``(conj, refuting, masks)``: the masks of the worlds satisfying
+    every member of ``s`` and of the worlds refuting every member, and
+    the members' own masks, in their listed order."""
+    num_worlds = full.bit_length()
+    masks = tuple([mask_of(member, num_worlds) for member in s])
     conj, union = full, 0
-    for member in s:
-        mask = mask_of(member)
+    for mask in masks:
         conj &= mask
         union |= mask
-    return conj, full ^ union
+    return conj, full ^ union, masks
 
 
-def _pair_plan(mask_of, full, s1, s2) -> tuple:
+def _pair_plan(full, s1, s2) -> tuple:
     """The prior-independent part of the ``pset2`` entries:
-    ``(merged, mixed, first, second)``, the union family of s1 and s2, s1
-    joined with the negations of s2's members (None when that family is
-    inconsistent), and the conjunction masks of s1 and of s2."""
-    first, _ = _regions(mask_of, full, s1)
-    second, refuting = _regions(mask_of, full, s2)
-    mixed = _merge(s1, [worlds_of(full ^ mask_of(m)) for m in s2]) if first & refuting else None
-    return _merge(s1, s2), mixed, first, second
+    ``(masks, merged, mixed, first, second)``, the member masks of s1, the
+    union family of s1 and s2, s1 joined with the negations of s2's
+    members (None when that family is inconsistent), and the conjunction
+    masks of s1 and of s2."""
+    first, _, masks = _regions(full, s1)
+    second, refuting, masks2 = _regions(full, s2)
+    mixed = _merge(masks, [full ^ m for m in masks2]) if first & refuting else None
+    return masks, _merge(masks, masks2), mixed, first, second
 
 
 # --- serial revision ---
@@ -224,7 +243,7 @@ def _k5(ctx, t, a, not_a):
 def _k6(ctx, t, a, not_a):
     # Operators act on model sets, so this is structural; exercised
     # through the formula layer to guard the parsing/models plumbing.
-    formula = ctx.canonical(worlds_of(a))
+    formula = ctx.canonical(a)
     reference = ctx.revise(t, a).masks[0]
     for variant in (Not(Not(formula)), And(formula, formula)):
         beliefs = ctx.revise(t, model_mask(variant, ctx.lang)).masks[0]
@@ -236,7 +255,7 @@ def _k6(ctx, t, a, not_a):
 
 @_register("K7", "serial2", "revising by a conjunction keeps everything expansion would add")
 def _k7(ctx, t, a, b):
-    (first, _), (second, _) = ctx.derived(_regions, (a,)), ctx.derived(_regions, (b,))
+    first, second = ctx.derived(_regions, (a,))[0], ctx.derived(_regions, (b,))[0]
     both = first & second
     if not both:
         return None
@@ -249,7 +268,7 @@ def _k7(ctx, t, a, b):
 
 @_register("K8", "serial2", "expansion of a revision is conservative when consistent")
 def _k8(ctx, t, a, b):
-    (first, _), (second, _) = ctx.derived(_regions, (a,)), ctx.derived(_regions, (b,))
+    first, second = ctx.derived(_regions, (a,))[0], ctx.derived(_regions, (b,))[0]
     lhs = ctx.revise(t, first).masks[0] & second
     if not lhs:
         return []
@@ -343,88 +362,83 @@ def _cc4(ctx, t, a, not_a):
 
 # --- parallel revision ---
 
-@_register("Conj-star", "pset",
-           "beliefs after revising by a set are the most plausible worlds of its conjunction")
-def _conj_star(ctx, t, s):
-    beliefs = ctx.previse(t, s).masks[0]
-    expected = t.min_mask(ctx.derived(_regions, s)[0])
+@_family("Conj-star", "pset",
+         "beliefs after revising by a set are the most plausible worlds of its conjunction")
+def _conj_star(ctx, t, conj, refuting, masks):
+    beliefs = ctx.previse(t, masks).masks[0]
+    expected = t.min_mask(conj)
     if beliefs != expected:
         return [{"beliefs": worlds_of(beliefs), "most_plausible": worlds_of(expected)}]
     return []
 
 
-@_register("K-star-1", "pset", "set revision yields deductively closed beliefs")
-def _ks1(ctx, t, s):
-    ctx.previse(t, s)
+@_family("K-star-1", "pset", "set revision yields deductively closed beliefs")
+def _ks1(ctx, t, conj, refuting, masks):
+    ctx.previse(t, masks)
     return []
 
 
-@_register("K-star-2", "pset", "every member of the input set is believed afterwards")
-def _ks2(ctx, t, s):
-    beliefs = ctx.previse(t, s).masks[0]
-    target, _ = ctx.derived(_regions, s)
-    if beliefs & ~target:
-        return [{"beliefs": worlds_of(beliefs), "conjunction": worlds_of(target)}]
+@_family("K-star-2", "pset", "every member of the input set is believed afterwards")
+def _ks2(ctx, t, conj, refuting, masks):
+    beliefs = ctx.previse(t, masks).masks[0]
+    if beliefs & ~conj:
+        return [{"beliefs": worlds_of(beliefs), "conjunction": worlds_of(conj)}]
     return []
 
 
-@_register("K-star-3", "pset", "set revision keeps prior beliefs consistent with the set")
-def _ks3(ctx, t, s):
-    return _expansion_kept(t, ctx.previse(t, s).masks[0], ctx.derived(_regions, s)[0])
+@_family("K-star-3", "pset", "set revision keeps prior beliefs consistent with the set")
+def _ks3(ctx, t, conj, refuting, masks):
+    return _expansion_kept(t, ctx.previse(t, masks).masks[0], conj)
 
 
-@_register("K-star-4", "pset", "set revision adds nothing beyond expansion when compatible")
-def _ks4(ctx, t, s):
-    expansion = t.masks[0] & ctx.derived(_regions, s)[0]
+@_family("K-star-4", "pset", "set revision adds nothing beyond expansion when compatible")
+def _ks4(ctx, t, conj, refuting, masks):
+    expansion = t.masks[0] & conj
     if not expansion:
         return []
-    beliefs = ctx.previse(t, s).masks[0]
+    beliefs = ctx.previse(t, masks).masks[0]
     if beliefs & ~expansion:
         return [{"expansion": worlds_of(expansion), "beliefs": worlds_of(beliefs)}]
     return []
 
 
-@_register("K-star-5", "pset", "revising by a jointly consistent set yields consistent beliefs")
-def _ks5(ctx, t, s):
-    if not ctx.previse(t, s).masks[0]:
-        return [{"inputs": list(s)}]
+@_family("K-star-5", "pset", "revising by a jointly consistent set yields consistent beliefs")
+def _ks5(ctx, t, conj, refuting, masks):
+    if not ctx.previse(t, masks).masks[0]:
+        return [{"inputs": [worlds_of(m) for m in masks]}]
     return []
 
 
-def _closure_variants(mask_of, full, s) -> tuple:
-    """Families with the same closure as ``s``: its conjunction alone, and
-    ``s`` listed backwards."""
-    return (worlds_of(_regions(mask_of, full, s)[0]),), tuple(reversed(s))
-
-
-def _variant_hits(ctx, t, s, variants) -> list[dict]:
-    """A hit for the first of ``variants`` that revises t to other beliefs than s."""
-    reference = ctx.previse(t, s).masks[0]
+def _variant_hits(ctx, t, masks, variants) -> list[dict]:
+    """A hit for the first of ``variants`` that revises t to other beliefs
+    than ``masks``; families are tuples of member masks."""
+    reference = ctx.previse(t, masks).masks[0]
     for variant in variants:
         beliefs = ctx.previse(t, variant).masks[0]
         if beliefs != reference:
-            return [{"inputs": list(s), "variant": list(variant),
+            return [{"inputs": [worlds_of(m) for m in masks],
+                     "variant": [worlds_of(m) for m in variant],
                      "beliefs": worlds_of(reference), "variant_beliefs": worlds_of(beliefs)}]
     return []
 
 
-@_register("K-star-6", "pset", "input sets with the same closure revise to the same beliefs")
-def _ks6(ctx, t, s):
-    return _variant_hits(ctx, t, s, ctx.derived(_closure_variants, s))
+@_family("K-star-6", "pset", "input sets with the same closure revise to the same beliefs")
+def _ks6(ctx, t, conj, refuting, masks):
+    # the same closure: the conjunction alone, and the family listed backwards
+    return _variant_hits(ctx, t, masks, ((conj,), masks[::-1]))
 
 
-@_register("K-star-6-minus", "pset",
-           "member-wise equivalent input sets revise to the same beliefs")
-def _ks6_minus(ctx, t, s):
-    return _variant_hits(ctx, t, s, [s + (s[0],), tuple(reversed(s)) + (s[-1],)])
+@_family("K-star-6-minus", "pset", "member-wise equivalent input sets revise to the same beliefs")
+def _ks6_minus(ctx, t, conj, refuting, masks):
+    return _variant_hits(ctx, t, masks, (masks + masks[:1], masks[::-1] + masks[-1:]))
 
 
 @_register("K-star-7", "pset2", "revising by a union keeps everything expansion would add")
 def _ks7(ctx, t, s1, s2):
-    merged, _, first, second = ctx.derived(_pair_plan, s1, s2)
+    masks, merged, _, first, second = ctx.derived(_pair_plan, s1, s2)
     if not first & second:
         return None
-    lhs = ctx.previse(t, s1).masks[0] & second
+    lhs = ctx.previse(t, masks).masks[0] & second
     rhs = ctx.previse(t, merged).masks[0]
     if lhs & ~rhs:
         return [{"expansion": worlds_of(lhs), "union_beliefs": worlds_of(rhs)}]
@@ -433,8 +447,8 @@ def _ks7(ctx, t, s1, s2):
 
 @_register("K-star-8", "pset2", "expansion of a set revision is conservative when consistent")
 def _ks8(ctx, t, s1, s2):
-    merged, _, _, second = ctx.derived(_pair_plan, s1, s2)
-    lhs = ctx.previse(t, s1).masks[0] & second
+    masks, merged, _, _, second = ctx.derived(_pair_plan, s1, s2)
+    lhs = ctx.previse(t, masks).masks[0] & second
     if not lhs:
         return []
     rhs = ctx.previse(t, merged).masks[0]
@@ -443,66 +457,66 @@ def _ks8(ctx, t, s1, s2):
     return []
 
 
-@_register("C-star-1", "pset",
-           "set revision preserves the order among worlds satisfying the whole set")
-def _cs1(ctx, t, s):
-    return _order_flips(t, ctx.previse(t, s), ctx.derived(_regions, s)[0])
+@_family("C-star-1", "pset",
+         "set revision preserves the order among worlds satisfying the whole set")
+def _cs1(ctx, t, conj, refuting, masks):
+    return _order_flips(t, ctx.previse(t, masks), conj)
 
 
-@_register("C-star-2", "pset",
-           "set revision preserves the order among worlds refuting every member")
-def _cs2(ctx, t, s):
-    return _order_flips(t, ctx.previse(t, s), ctx.derived(_regions, s)[1])
+@_family("C-star-2", "pset",
+         "set revision preserves the order among worlds refuting every member")
+def _cs2(ctx, t, conj, refuting, masks):
+    return _order_flips(t, ctx.previse(t, masks), refuting)
 
 
-@_register("C-star-2-plus", "pset",
-           "set revision preserves the order among all worlds outside the conjunction",
-           expected="violated")
-def _cs2_plus(ctx, t, s):
-    return _order_flips(t, ctx.previse(t, s), ctx.full_mask ^ ctx.derived(_regions, s)[0])
+@_family("C-star-2-plus", "pset",
+         "set revision preserves the order among all worlds outside the conjunction",
+         expected="violated")
+def _cs2_plus(ctx, t, conj, refuting, masks):
+    return _order_flips(t, ctx.previse(t, masks), ctx.full_mask ^ conj)
 
 
-@_register("C-star-3", "pset",
-           "a set-satisfying world strictly below an outside one stays strictly below")
-def _cs3(ctx, t, s):
-    target, _ = ctx.derived(_regions, s)
-    return _kept_below(t, ctx.previse(t, s), target, ctx.full_mask ^ target, weak=False)
+@_family("C-star-3", "pset",
+         "a set-satisfying world strictly below an outside one stays strictly below")
+def _cs3(ctx, t, conj, refuting, masks):
+    return _kept_below(t, ctx.previse(t, masks), conj, ctx.full_mask ^ conj, weak=False)
 
 
-@_register("C-star-4", "pset",
-           "a set-satisfying world weakly below an outside one stays weakly below")
-def _cs4(ctx, t, s):
-    target, _ = ctx.derived(_regions, s)
-    return _kept_below(t, ctx.previse(t, s), target, ctx.full_mask ^ target, weak=True)
+@_family("C-star-4", "pset",
+         "a set-satisfying world weakly below an outside one stays weakly below")
+def _cs4(ctx, t, conj, refuting, masks):
+    return _kept_below(t, ctx.previse(t, masks), conj, ctx.full_mask ^ conj, weak=True)
 
 
-def _dominated_pairs(mask_of, full, s) -> tuple[tuple[int, int], ...]:
-    """The world pairs (x, y), x != y, where x satisfies every member of
-    ``s`` that y satisfies."""
+def _dominated_pairs(full, s) -> tuple:
+    """``_regions`` of ``s`` and the world pairs (x, y), x != y, where x
+    satisfies every member of ``s`` that y satisfies."""
+    regions = _regions(full, s)
     profiles = [0] * full.bit_length()
-    for i, member in enumerate(s):
-        for world in member:
+    for i, mask in enumerate(regions[2]):
+        for world in ascending_worlds(mask):
             profiles[world] |= 1 << i
-    return tuple((x, y) for x, sat_x in enumerate(profiles)
-                 for y, sat_y in enumerate(profiles) if x != y and not sat_y & ~sat_x)
+    return regions + (tuple((x, y) for x, sat_x in enumerate(profiles)
+                            for y, sat_y in enumerate(profiles)
+                            if x != y and not sat_y & ~sat_x),)
 
 
 @_register("PC3", "pset",
            "strictness survives when the lower world satisfies at least as much of the set")
 def _pc3(ctx, t, s):
-    r, r2 = t.ranks, ctx.previse(t, s).ranks
+    _, _, masks, pairs = ctx.derived(_dominated_pairs, s)
+    r, r2 = t.ranks, ctx.previse(t, masks).ranks
     return [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])}
-            for x, y in ctx.derived(_dominated_pairs, s)
-            if r[x] < r[y] and not r2[x] < r2[y]]
+            for x, y in pairs if r[x] < r[y] and not r2[x] < r2[y]]
 
 
 @_register("PC4", "pset",
            "weak order survives when the lower world satisfies at least as much of the set")
 def _pc4(ctx, t, s):
-    r, r2 = t.ranks, ctx.previse(t, s).ranks
+    _, _, masks, pairs = ctx.derived(_dominated_pairs, s)
+    r, r2 = t.ranks, ctx.previse(t, masks).ranks
     return [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
-            for x, y in ctx.derived(_dominated_pairs, s)
-            if r[x] <= r[y] and not r2[x] <= r2[y]]
+            for x, y in pairs if r[x] <= r[y] and not r2[x] <= r2[y]]
 
 
 def _ind_star_expected(config) -> str:
@@ -512,25 +526,24 @@ def _ind_star_expected(config) -> str:
     return "exploratory"
 
 
-@_register("Ind-star", "pset",
-           "a set-satisfying world weakly below an outside one ends up strictly below",
-           expected=_ind_star_expected)
-def _ind_star(ctx, t, s):
-    target, _ = ctx.derived(_regions, s)
-    return _promoted(t, ctx.previse(t, s), target, ctx.full_mask ^ target)
+@_family("Ind-star", "pset",
+         "a set-satisfying world weakly below an outside one ends up strictly below",
+         expected=_ind_star_expected)
+def _ind_star(ctx, t, conj, refuting, masks):
+    return _promoted(t, ctx.previse(t, masks), conj, ctx.full_mask ^ conj)
 
 
-def _negation_plan(mask_of, full, s) -> tuple:
-    """``(negations, target, refuting)``: the member-wise negations of ``s``,
-    jointly consistent iff ``refuting``, and the masks of ``_regions``."""
-    target, refuting = _regions(mask_of, full, s)
-    return tuple(worlds_of(full ^ mask_of(member)) for member in s), target, refuting
+def _negation_plan(full, s) -> tuple:
+    """``_regions`` of ``s`` and the masks of its member-wise negations,
+    which are jointly consistent iff ``refuting`` is not 0."""
+    regions = _regions(full, s)
+    return regions + (tuple([full ^ mask for mask in regions[2]]),)
 
 
 @_register("GR-star", "pset",
            "revising by the member-wise negations leaves the set's best worlds untouched")
 def _gr_star(ctx, t, s):
-    negations, target, refuting = ctx.derived(_negation_plan, s)
+    target, refuting, _, negations = ctx.derived(_negation_plan, s)
     if not refuting:
         return None
     after = ctx.previse(t, negations).min_mask(target)
@@ -544,14 +557,14 @@ def _gr_star(ctx, t, s):
            "revising by a set equals retracting the member-wise negations then adding the set,"
            " at the belief level", expected="exploratory")
 def _li_star(ctx, t, s):
-    negations, target, _ = ctx.derived(_negation_plan, s)
-    return _levi(ctx.previse(t, s).masks[0], ctx.pcontract(t, negations).masks[0] & target)
+    target, _, masks, negations = ctx.derived(_negation_plan, s)
+    return _levi(ctx.previse(t, masks).masks[0], ctx.pcontract(t, negations).masks[0] & target)
 
 
 @_register("S-star", "pset2",
            "discarding one set while adopting another keeps the joint best worlds fixed")
 def _s_star(ctx, t, s1, s2):
-    _, mixed, first, second = ctx.derived(_pair_plan, s1, s2)
+    _, _, mixed, first, second = ctx.derived(_pair_plan, s1, s2)
     if mixed is None:
         return None
     joint = first & second
@@ -569,7 +582,7 @@ def _s_star(ctx, t, s1, s2):
            "after adopting one set against another, the other's best worlds satisfy the first",
            expected="violated")
 def _p_star(ctx, t, s1, s2):
-    _, mixed, first, second = ctx.derived(_pair_plan, s1, s2)
+    _, _, mixed, first, second = ctx.derived(_pair_plan, s1, s2)
     if not first & second:
         return []
     if mixed is None:
@@ -582,40 +595,37 @@ def _p_star(ctx, t, s1, s2):
 
 # --- parallel contraction ---
 
-@_register("C-con-1", "cset",
-           "set contraction preserves the order among worlds refuting every member")
-def _ccon1(ctx, t, s):
-    return _order_flips(t, ctx.pcontract(t, s), ctx.derived(_regions, s)[1])
+@_family("C-con-1", "cset",
+         "set contraction preserves the order among worlds refuting every member")
+def _ccon1(ctx, t, conj, refuting, masks):
+    return _order_flips(t, ctx.pcontract(t, masks), refuting)
 
 
-@_register("C-con-2", "cset",
-           "set contraction preserves the order among worlds satisfying the whole set")
-def _ccon2(ctx, t, s):
-    return _order_flips(t, ctx.pcontract(t, s), ctx.derived(_regions, s)[0])
+@_family("C-con-2", "cset",
+         "set contraction preserves the order among worlds satisfying the whole set")
+def _ccon2(ctx, t, conj, refuting, masks):
+    return _order_flips(t, ctx.pcontract(t, masks), conj)
 
 
-@_register("C-con-3", "cset",
-           "an all-refuting world strictly below any other stays strictly below")
-def _ccon3(ctx, t, s):
-    _, refuting = ctx.derived(_regions, s)
-    return _kept_below(t, ctx.pcontract(t, s), refuting, ctx.full_mask ^ refuting, weak=False)
+@_family("C-con-3", "cset",
+         "an all-refuting world strictly below any other stays strictly below")
+def _ccon3(ctx, t, conj, refuting, masks):
+    return _kept_below(t, ctx.pcontract(t, masks), refuting, ctx.full_mask ^ refuting, weak=False)
 
 
-@_register("C-con-4", "cset",
-           "an all-refuting world weakly below any other stays weakly below")
-def _ccon4(ctx, t, s):
-    _, refuting = ctx.derived(_regions, s)
-    return _kept_below(t, ctx.pcontract(t, s), refuting, ctx.full_mask ^ refuting, weak=True)
+@_family("C-con-4", "cset",
+         "an all-refuting world weakly below any other stays weakly below")
+def _ccon4(ctx, t, conj, refuting, masks):
+    return _kept_below(t, ctx.pcontract(t, masks), refuting, ctx.full_mask ^ refuting, weak=True)
 
 
-@_register("DiP", "cset",
-           "some contraction by a consistent set still believes the set's disjunction",
-           kind="existential")
-def _dip(ctx, t, s):
-    conj, refuting = ctx.derived(_regions, s)
+@_family("DiP", "cset",
+         "some contraction by a consistent set still believes the set's disjunction",
+         kind="existential")
+def _dip(ctx, t, conj, refuting, masks):
     if not conj:
         return None
-    beliefs = ctx.pcontract(t, s).masks[0]
+    beliefs = ctx.pcontract(t, masks).masks[0]
     if not beliefs & refuting:
         return [{"beliefs": worlds_of(beliefs),
                  "disjunction": worlds_of(ctx.full_mask ^ refuting)}]
@@ -626,10 +636,11 @@ def _dip(ctx, t, s):
            "retracting a set equals keeping what survives revision by the member-wise"
            " negations, at the belief level", expected="exploratory")
 def _hi_star(ctx, t, s):
-    negations, _, refuting = ctx.derived(_negation_plan, s)
+    _, refuting, masks, negations = ctx.derived(_negation_plan, s)
     if not refuting:
         return None
-    return _harper(ctx.pcontract(t, s).masks[0], t.masks[0] | ctx.previse(t, negations).masks[0])
+    return _harper(ctx.pcontract(t, masks).masks[0],
+                   t.masks[0] | ctx.previse(t, negations).masks[0])
 
 
 # --- aggregation ---
@@ -747,13 +758,14 @@ def _syntactic(id: str, summary: str):
     return wrap
 
 
-def _irrelevant_step(ctx, t: TPO, s, region: int) -> bool:
+def _irrelevant_step(ctx, t: TPO, masks: tuple, region: int) -> bool:
     """Whether every follow-up x inside ``region`` leaves the same beliefs
-    after revising ``t`` by ``s`` and then by x as after x alone."""
+    after revising ``t`` by the family ``masks`` and then by x as after x
+    alone."""
     previse = ctx.previse
-    t2 = previse(t, s)
-    for x_mask, x in enumerate(ctx.props, 1):
-        if not x_mask & ~region and previse(t2, (x,)).masks[0] != previse(t, (x,)).masks[0]:
+    t2 = previse(t, masks)
+    for x in range(1, ctx.full_mask + 1):
+        if not x & ~region and previse(t2, (x,)).masks[0] != previse(t, (x,)).masks[0]:
             return False
     return True
 
@@ -761,20 +773,22 @@ def _irrelevant_step(ctx, t: TPO, s, region: int) -> bool:
 @_syntactic("C-star-1-b",
             "follow-ups entailing the set make the revision step irrelevant")
 def _syn_cs1(ctx, t, s):
-    return _irrelevant_step(ctx, t, s, ctx.derived(_regions, s)[0])
+    conj, _, masks = ctx.derived(_regions, s)
+    return _irrelevant_step(ctx, t, masks, conj)
 
 
 @_syntactic("C-star-2-b",
             "follow-ups entailing every negation make the revision step irrelevant")
 def _syn_cs2(ctx, t, s):
-    return _irrelevant_step(ctx, t, s, ctx.derived(_regions, s)[1])
+    _, refuting, masks = ctx.derived(_regions, s)
+    return _irrelevant_step(ctx, t, masks, refuting)
 
 
 @_syntactic("C-star-3-b",
             "follow-ups that would leave the set believed still do after revising by it")
 def _syn_cs3(ctx, t, s):
-    target = ctx.derived(_regions, s)[0]
-    after = ctx.follow_ups(ctx.previse(t, s))
+    target, _, masks = ctx.derived(_regions, s)
+    after = ctx.follow_ups(ctx.previse(t, masks))
     return not any(not alone & ~target and two_step & ~target
                    for alone, two_step in zip(ctx.follow_ups(t), after))
 
@@ -782,39 +796,37 @@ def _syn_cs3(ctx, t, s):
 @_syntactic("C-star-4-b",
             "follow-ups that would leave the set consistent with beliefs still do")
 def _syn_cs4(ctx, t, s):
-    target = ctx.derived(_regions, s)[0]
-    after = ctx.follow_ups(ctx.previse(t, s))
+    target, _, masks = ctx.derived(_regions, s)
+    after = ctx.follow_ups(ctx.previse(t, masks))
     return not any(alone & target and not two_step & target
                    for alone, two_step in zip(ctx.follow_ups(t), after))
 
 
-def _subfamilies(mask_of, full, s) -> tuple:
-    """Every non-empty subfamily of ``s``, smallest first, with its
-    conjunction mask."""
-    groups = []
-    for size in range(1, len(s) + 1):
-        for group in combinations(range(len(s)), size):
-            members = tuple(s[i] for i in group)
-            groups.append((members, _regions(mask_of, full, members)[0]))
-    return tuple(groups)
+def _subfamilies(full, s) -> tuple:
+    """``_regions`` of ``s`` and every non-empty subfamily of its member
+    masks, smallest first, with its conjunction mask."""
+    regions = _regions(full, s)
+    masks = regions[2]
+    return regions + (tuple((group, reduce(and_, group))
+                            for size in range(1, len(masks) + 1)
+                            for group in combinations(masks, size)),)
 
 
-def _joined(groups: tuple, x: frozenset[int], x_mask: int) -> list:
-    """Each of the ``_subfamilies`` joined with x, where consistent.  The
-    empty subfamily joined with x is x alone, a follow-up."""
-    return [members if x in members else members + (x,)
-            for members, conj in groups if conj & x_mask]
+def _joined(groups: tuple, x: int) -> list:
+    """Each of the ``_subfamilies`` joined with the follow-up mask x, where
+    consistent.  The empty subfamily joined with x is x alone, a follow-up."""
+    return [members if x in members else members + (x,) for members, conj in groups if conj & x]
 
 
 @_syntactic("PC3-b",
             "anything believed under every compatible subfamily survives the two-step route")
 def _syn_pc3(ctx, t, s):
     previse = ctx.previse
-    after = ctx.follow_ups(previse(t, s))
-    groups = ctx.derived(_subfamilies, s)
-    for x_mask, (x, alone, two_step) in enumerate(zip(ctx.props, ctx.follow_ups(t), after), 1):
+    _, _, masks, groups = ctx.derived(_subfamilies, s)
+    after = ctx.follow_ups(previse(t, masks))
+    for x, (alone, two_step) in enumerate(zip(ctx.follow_ups(t), after), 1):
         support = alone
-        for route in _joined(groups, x, x_mask):
+        for route in _joined(groups, x):
             support |= previse(t, route).masks[0]
         if two_step & ~support:
             return False
@@ -825,11 +837,11 @@ def _syn_pc3(ctx, t, s):
             "nothing refuted under every compatible subfamily appears on the two-step route")
 def _syn_pc4(ctx, t, s):
     previse = ctx.previse
-    after = ctx.follow_ups(previse(t, s))
-    groups = ctx.derived(_subfamilies, s)
-    for x_mask, (x, alone, two_step) in enumerate(zip(ctx.props, ctx.follow_ups(t), after), 1):
+    _, _, masks, groups = ctx.derived(_subfamilies, s)
+    after = ctx.follow_ups(previse(t, masks))
+    for x, (alone, two_step) in enumerate(zip(ctx.follow_ups(t), after), 1):
         if alone & ~two_step and all(previse(t, route).masks[0] & ~two_step
-                                     for route in _joined(groups, x, x_mask)):
+                                     for route in _joined(groups, x)):
             return False
     return True
 

@@ -25,7 +25,7 @@ only hold entries that never hit, and the context calls the operators
 on every request.  Over the few worlds it keeps their results in
 per-prior rows: one small dict per order, holding a serial operator's
 results keyed by proposition mask and the pipeline's results keyed by
-input family.  Under ``STQ_STRATEGY`` itself, not merely a strategy of
+the tuple of member masks.  Under ``STQ_STRATEGY`` itself, not merely a strategy of
 that name, every member joins every round and the finisher revises by
 the conjunction, so a pipeline result depends only on the family's set
 of members, and its rows key it by that set: a family listed in another
@@ -34,10 +34,12 @@ identity check, and a hit costs no hashed lookup of an order.  The
 context also holds, at every size, the ``derived`` memo for the
 evaluators' plans: the work that depends on the input families but not
 on the prior order.
-The streams' world sets become masks through one bounded table of the
-sets the context met; no table of all 2^n sets is built.  Every such
-table is a bounded ``functools.lru_cache``, so each reports its hits
-and misses through ``cache_info()`` and a hit keeps its entry.  Sweeps
+The context sees world sets only as masks: an instance's frozensets
+become masks once per input family, in the ``derived`` plan that reads
+the family, and ``previse`` and ``pcontract`` take a tuple of member
+masks.  No table of world sets is built.  Every memo is a bounded
+``functools.lru_cache``, so each reports its hits and misses through
+``cache_info()`` and a hit keeps its entry.  Sweeps
 that share operators should share one context.  An evaluator asks for no
 pipeline result whose answer the instance already fixes: S-star and
 P-star hold at once on a pair of families whose conjunctions share no
@@ -63,10 +65,10 @@ from ..aggregation import STQ_STRATEGY, Aggregator
 from ..errors import SpaceError, UnknownPostulateError, lookup
 from ..logic import Language, canonical_formula
 from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
-from ..tpo import TPO, conditional_set, mask_of
+from ..tpo import TPO, conditional_set, worlds_of
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
-from .spaces import (MAX_EXHAUSTIVE_ATOMS, InstanceSpace, all_propositions, decode_instance,
-                     encode_instance, language)
+from .spaces import (MAX_EXHAUSTIVE_ATOMS, InstanceSpace, decode_instance, encode_instance,
+                     language)
 
 
 _MEMO = 150_000
@@ -115,68 +117,56 @@ class _Rows:
         return hit
 
 
-def _family_lookup(rows: _Rows, pipeline: Callable, member_mask: Callable,
-                   by_set: bool) -> Callable:
-    """``pipeline(t, masks)`` for a family of world sets, kept in the row of
-    ``t``, keyed by the family tuple, or by the family's set when
-    ``by_set``: for a pipeline whose result does not depend on the
-    members' order or repeats.  A miss reads the sets' masks through
-    ``member_mask`` and runs the pipeline on the members in their listed
+def _family_lookup(rows: _Rows, pipeline: Callable, by_set: bool) -> Callable:
+    """``pipeline(t, masks)`` for a tuple of member masks, kept in the row
+    of ``t``, keyed by the tuple, or by its set when ``by_set``: for a
+    pipeline whose result does not depend on the members' order or
+    repeats.  A miss runs the pipeline on the members in their listed
     order, so an inconsistent family names its culprits by their listed
     positions."""
-    key_of = frozenset if by_set else tuple
-
-    def lookup(t: TPO, sets: tuple) -> TPO:
+    def lookup(t: TPO, masks: tuple) -> TPO:
         row = rows.row if t is rows.t else rows.row_of(t)
-        key = key_of(sets)
+        key = frozenset(masks) if by_set else masks
         hit = row.get(key)
         if hit is None:
-            hit = row[key] = pipeline(t, [member_mask(member) for member in sets])
+            hit = row[key] = pipeline(t, masks)
         return hit
     return lookup
 
 
-def _family_call(pipeline: Callable, member_mask: Callable) -> Callable:
-    """``pipeline(t, masks)`` for a family of world sets, run on every call."""
-    def call(t: TPO, sets: tuple) -> TPO:
-        return pipeline(t, [member_mask(member) for member in sets])
-    return call
-
-
 def _follow_up_masks(t: TPO, previse: Callable) -> tuple[int, ...]:
-    """The belief mask of ``previse(t, (x,))`` for every consistent x, in order."""
-    return tuple([previse(t, (x,)).masks[0] for x in all_propositions(t.num_worlds)])
+    """The belief mask of ``previse(t, (x,))`` for every consistent mask x, in order."""
+    return tuple([previse(t, (x,)).masks[0] for x in range(1, 1 << t.num_worlds)])
 
 
 class CheckContext:
     """The configured operators, memoized, for one sweep configuration.
 
-    ``previse(t, sets)`` and ``pcontract(t, sets)`` are ``revise_worlds``
-    and ``contract_worlds`` of the shipped parallel operators, for a
-    tuple of world sets.
+    ``previse(t, masks)`` and ``pcontract(t, masks)`` are ``revise_masks``
+    and ``contract_masks`` of the shipped parallel operators, for a tuple
+    of member masks.
 
     Over more worlds than an exhaustive space enumerates (more than
     ``1 << MAX_EXHAUSTIVE_ATOMS``), priors are sampled and almost never
     repeat, so the context keeps no rows, interns nothing and has no
-    aggregator memo: ``previse`` and ``pcontract`` call the operators'
-    ``revise_masks`` and ``contract_masks`` on the members' masks,
-    ``revise`` and ``contract`` are the serial operators' ``transform``,
-    and ``aggregate`` is the aggregator's.
+    aggregator memo: ``previse`` and ``pcontract`` are the operators'
+    ``revise_masks`` and ``contract_masks`` themselves, ``revise`` and
+    ``contract`` the serial operators' ``transform``, and ``aggregate``
+    the aggregator's.
 
     Over fewer worlds, each configured serial operator gets one
     ``_Rows``, so the revision roles that share an operator share its
     results; the contraction role gets rows of its own, so the two
     pipelines never read each other's results, even when one operator
     object fills ``base`` and ``contraction``.  The pipeline's results sit
-    in the rows of its base (or contraction) operator, keyed by the input
-    family, or under ``STQ_STRATEGY`` by the family's set.  ``previse``
-    and ``pcontract`` are instance attributes bound straight to the row
-    lookup.  A miss runs the operator's mask entry, ``revise_masks`` or
-    ``contract_masks``, on the members in their listed order, so an
-    inconsistent family names its culprits by their listed positions;
-    its stages read the same rows and aggregate through a memoizing
-    aggregator, whose ``aggregate`` is remembered per profile.
-    ``revise(t, mask)`` and ``contract(t, mask)`` are the row
+    in the rows of its base (or contraction) operator, keyed by the mask
+    tuple, or under ``STQ_STRATEGY`` by its set.  ``previse`` and
+    ``pcontract`` are instance attributes bound straight to the row
+    lookup.  A miss runs the operator's mask entry on the members in
+    their listed order, so an inconsistent family names its culprits by
+    their listed positions; its stages read the same rows and aggregate
+    through a memoizing aggregator, whose ``aggregate`` is remembered per
+    profile.  ``revise(t, mask)`` and ``contract(t, mask)`` are the row
     lookups of the serial revision and contraction, which take the input's
     world mask as every serial ``transform`` does, and ``aggregate``
     reads the aggregator's memo.
@@ -184,34 +174,28 @@ class CheckContext:
     The rest holds at every size.  A tracer may replace any of
     ``previse``, ``pcontract``, ``aggregate``, ``revise`` and ``contract``
     on an instance.  ``conditionals`` is ``conditional_set``, remembered
-    per preorder.  ``follow_ups(t)`` is the belief mask of
-    ``previse(t, (x,))`` for every x in ``props``, in order, remembered per
-    order and per ``previse``; it calls ``self.previse``, so a stand-in
-    sees those revisions too.
+    per preorder, and ``canonical(mask)`` the canonical formula of a mask,
+    remembered per mask.  ``follow_ups(t)`` is the belief mask of
+    ``previse(t, (x,))`` for every consistent mask x, in order, remembered
+    per order and per ``previse``; it calls ``self.previse``, so a
+    stand-in sees those revisions too.
 
-    ``full`` is the set of every world and ``full_mask`` its mask.
-    ``props`` is ``all_propositions`` for the context's worlds, built on
-    first read: only the syntactic forms iterate it.
-    ``derived(fn, *args)`` is ``fn(member_mask, full_mask, *args)``,
-    remembered per argument tuple, where ``member_mask`` is ``mask_of``
-    over the context's worlds, remembered per world set, which the
-    pipeline calls read too.  Evaluators keep there the part of their
-    work that does not depend on the prior order (the families they
-    revise by and the conjunction masks they compare), so a sweep computes
-    it once per input family rather than once per instance.  The memos
-    hold at most ``_MEMO`` entries and the tables keyed by an order or a
-    world set at most ``_ROWS``.  Nothing built here refers back to the
-    context.
+    ``full_mask`` is the mask of every world.  ``derived(fn, *args)`` is
+    ``fn(full_mask, *args)``, remembered per argument tuple.  Evaluators
+    keep there the part of their work that does not depend on the prior
+    order (a family's member masks, the families they revise by and the
+    conjunction masks they compare), so a sweep computes it once per
+    input family rather than once per instance.  The memos hold at most
+    ``_MEMO`` entries and the tables keyed by an order at most ``_ROWS``.
+    Nothing built here refers back to the context.
     """
 
     def __init__(self, lang: Language, config: OperatorConfig):
         self.lang = lang
         self.config = config
         num_worlds = lang.num_worlds
-        self.full = lang.all_worlds
         full = self.full_mask = (1 << num_worlds) - 1
-        member_mask = lru_cache(maxsize=_ROWS)(lambda worlds: mask_of(worlds, num_worlds))
-        self.derived = lru_cache(maxsize=_MEMO)(lambda fn, *args: fn(member_mask, full, *args))
+        self.derived = lru_cache(maxsize=_MEMO)(lambda fn, *args: fn(full, *args))
         # priors repeat only where an exhaustive space enumerates them all;
         # above that, rows and memos would hold entries that never hit
         rowed = num_worlds <= 1 << MAX_EXHAUSTIVE_ATOMS
@@ -239,28 +223,21 @@ class CheckContext:
         self.revise = revision.transform
         self.contract = contraction.transform
         self._aggregate = merge.aggregate
+        self.previse = self.parallel_rev.revise_masks
+        self.pcontract = self.parallel_con.contract_masks
         if rowed:
             # under stq every member joins every round and the finisher revises
             # by the conjunction, so a result depends on the members' set only
             by_set = strategy is STQ_STRATEGY
-            self.previse = _family_lookup(base, self.parallel_rev.revise_masks, member_mask,
-                                          by_set)
-            self.pcontract = _family_lookup(contraction, self.parallel_con.contract_masks,
-                                            member_mask, by_set)
-        else:
-            self.previse = _family_call(self.parallel_rev.revise_masks, member_mask)
-            self.pcontract = _family_call(self.parallel_con.contract_masks, member_mask)
+            self.previse = _family_lookup(base, self.previse, by_set)
+            self.pcontract = _family_lookup(contraction, self.pcontract, by_set)
         self._follow_ups = lru_cache(maxsize=_ROWS)(_follow_up_masks)
-        self.canonical = lru_cache(maxsize=_MEMO)(lambda worlds: canonical_formula(worlds, lang))
+        self.canonical = lru_cache(maxsize=_MEMO)(lambda m: canonical_formula(worlds_of(m), lang))
         self.conditionals = lru_cache(maxsize=_MEMO)(conditional_set)
 
     @classmethod
     def from_space(cls, space: InstanceSpace) -> "CheckContext":
         return cls(space.lang, space.operators)
-
-    @property
-    def props(self) -> tuple[frozenset[int], ...]:
-        return all_propositions(self.lang.num_worlds)
 
     def aggregate(self, profile: tuple[TPO, ...]) -> TPO:
         return self._aggregate(tuple(profile))

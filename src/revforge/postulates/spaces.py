@@ -16,8 +16,9 @@ shapes draw both sets from the jointly-consistent family, because a set
 whose own conjunction is inconsistent only ever yields undefined or
 trivially-satisfied pair instances.  Streams yield propositions as
 frozensets: exhaustive ones from ``all_propositions``, sampled ones by
-drawing a mask and converting it with ``worlds_of``.  The checker's
-context turns them into masks; no table of all 2^n world sets is built.
+drawing a mask and converting it with ``worlds_of``.  A family holds at
+most ``2^n - 1`` distinct members, so ``max_set_size`` may not exceed
+that.
 
 ``SHAPES`` is the one table of instance shapes.  It gives each shape
 name its sequence of (payload key, ``Part``) pairs, and each part knows
@@ -272,6 +273,10 @@ class InstanceSpace:
                 raise SpaceError("sampled spaces need an explicit seed for reproducibility")
         if self.max_set_size < 1:
             raise SpaceError("max_set_size must be at least 1")
+        propositions = (1 << self.num_worlds) - 1
+        if self.max_set_size > propositions:
+            raise SpaceError(f"max_set_size must be at most {propositions}, the number of "
+                             f"consistent propositions, got {self.max_set_size}")
         if self.violation_cap < 0:
             raise SpaceError("violation_cap must be at least 0")
 

@@ -34,6 +34,7 @@ from revforge.postulates.spaces import (
     formula_set_tuples,
 )
 from revforge.serial import NATURAL, NATURAL_CONTRACT
+from revforge.tpo import mask_of
 
 OPS = ("natural", "lex", "restrained")
 STRATEGIES = ("stq", "round-robin", "first-then-full")
@@ -97,7 +98,7 @@ def test_criterion_2_two_member_merge_overshoots_the_conjunction(scorecard):
     # the finishing step is what pulls the belief set back to the conjunction
     space = InstanceSpace(atoms=2)
     ctx = CheckContext.from_space(space)
-    final = ctx.previse(prior, (first, second))
+    final = ctx.previse(prior, tuple(mask_of(m, 4) for m in (first, second)))
     if final != tpo({3}, {1, 2}, {0}) or final.belief_worlds() != frozenset({3}):
         problems.append(f"pipeline result {final.blocks}")
     report(scorecard, 2, problems, "aggregate bottom {1,2,3} exceeds conjunction {3},"
@@ -185,12 +186,12 @@ def test_criterion_4_failure_suite_finds_both_witnesses(scorecard):
         s2 = tuple(frozenset(lang.world_from_name(n) for n in member)
                    for member in inst["inputs2"])
         ctx = CheckContext.from_space(space)
-        mixed = s1 + tuple(ctx.full - member for member in s2)
-        revised = ctx.previse(prior, mixed)
-        second_conj = frozenset(ctx.full)
+        mixed = s1 + tuple(lang.all_worlds - member for member in s2)
+        revised = ctx.previse(prior, tuple(mask_of(m, 4) for m in mixed))
+        second_conj = frozenset(lang.all_worlds)
         for member in s2:
             second_conj &= member
-        first_conj = frozenset(ctx.full)
+        first_conj = frozenset(lang.all_worlds)
         for member in s1:
             first_conj &= member
         best = revised.min_of(second_conj)
@@ -206,7 +207,8 @@ def test_criterion_4_failure_suite_finds_both_witnesses(scorecard):
                                       (frozenset({0, 2}),))
     if not hits or hits[0]["best_of_second"] != frozenset({0}):
         problems.append("classic instance not reproduced")
-    revised = ctx.previse(prior, (frozenset({2, 3}), frozenset({1, 3})))
+    revised = ctx.previse(prior, tuple(mask_of(m, 4) for m in (frozenset({2, 3}),
+                                                                frozenset({1, 3}))))
     if revised.min_of(frozenset({0, 2})) <= frozenset({2, 3}):
         problems.append("classic instance best worlds did not escape")
     elapsed = time.perf_counter() - t0

@@ -99,6 +99,11 @@ def test_check_unknown_id(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_rejects_an_oversized_family(capsys):
+    assert main(["check", "--id", "K-star-2", "--atoms", "1", "--sets", "1000000"]) == 2
+    assert "max_set_size must be at most 3" in capsys.readouterr().err
+
+
 def test_check_equivalence_pair(capsys):
     assert main(["check", "--id", "PC3-pair"]) == 0
     out = capsys.readouterr().out

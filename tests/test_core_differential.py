@@ -26,6 +26,7 @@ algebra differs.
 
 import itertools
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +36,7 @@ from revforge import (CATALOG, NATURAL_CONTRACT, REVISION_OPERATORS, STRATEGIES,
                       ParallelContractionOperator, ParallelRevisionOperator,
                       SerialRevisionOperator, conditional_set, rational_closure)
 from revforge.postulates import SYNTACTIC_FORMS, all_propositions, enumerate_tpos
+from revforge.tpo import mask_of
 
 ORDERS = tuple(enumerate_tpos(4))
 PSETS = tuple(InstanceSpace(atoms=2).instances("pset"))
@@ -147,6 +149,16 @@ REF_EVALUATORS = {"S-star": ref.s_star, "P-star": ref.p_star, "GR-star": ref.gr_
                   "PC3-b": ref.pc3_b, "PC4-b": ref.pc4_b}
 
 
+def frozenset_view(ctx):
+    """``ctx`` as the frozenset evaluators read it: ``full`` and ``props``
+    as world sets, and a ``previse`` that takes a family of world sets and
+    maps it through ``mask_of`` onto the shared ``ctx.previse``."""
+    n = ctx.lang.num_worlds
+    return SimpleNamespace(
+        full=ctx.lang.all_worlds, props=all_propositions(n),
+        previse=lambda t, sets: ctx.previse(t, tuple(mask_of(m, n) for m in sets)))
+
+
 @pytest.mark.parametrize("config_name", EVALUATOR_CONFIGS)
 @pytest.mark.parametrize("pid", REF_EVALUATORS)
 def test_catalog_evaluators(pid, config_name):
@@ -157,10 +169,10 @@ def test_catalog_evaluators(pid, config_name):
         shape, shipped = "pset", SYNTACTIC_FORMS[pid].holds
     else:
         shape, shipped = CATALOG[pid].shape, CATALOG[pid].evaluate
-    reference = REF_EVALUATORS[pid]
+    reference, view = REF_EVALUATORS[pid], frozenset_view(ctx)
     failing = 0
     for instance in InstanceSpace(atoms=2).instances(shape):
-        expected = reference(ctx, *instance)
+        expected = reference(view, *instance)
         assert shipped(ctx, *instance) == expected, instance
         # a form fails where it does not hold, an entry where it has hits
         failing += expected is False if pid in SYNTACTIC_FORMS else bool(expected)

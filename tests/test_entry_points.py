@@ -19,6 +19,7 @@ from revforge import (TPO, Aggregator, CheckContext, InstanceSpace, Language, Op
                       get_revision_operator, loads_scenario, make_strategy,
                       rational_closure, run_scenario)
 from revforge.postulates import enumerate_tpos, random_tpo
+from revforge.tpo import mask_of
 
 from conftest import tpo
 
@@ -58,7 +59,8 @@ def test_config_and_context_signatures():
     for name in ("previse", "pcontract", "aggregate", "revise", "contract"):
         assert callable(getattr(ctx, name)), name
     assert ctx.aggregator.name == "round-robin"
-    assert ctx.previse(tpo({0}, {1, 2, 3}), (A, B)).belief_worlds() == frozenset({3})
+    masks = tuple(mask_of(m, 4) for m in (A, B))
+    assert ctx.previse(tpo({0}, {1, 2, 3}), masks).belief_worlds() == frozenset({3})
 
 
 def test_serial_operators_stay_replaceable_dataclasses():

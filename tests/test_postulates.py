@@ -29,9 +29,16 @@ from revforge.postulates.engine import render_value
 from revforge.postulates.spaces import (DEFAULT_SEED, MAX_EXHAUSTIVE_ATOMS, SHAPES,
                                         decode_instance, encode_instance, language)
 from revforge.serial import natural_revise
+from revforge.logic import models
 from revforge.tpo import mask_of, worlds_of
 
 from conftest import tpo
+
+
+def member_masks(s, n=4):
+    """The member masks of the family ``s`` over ``n`` worlds, as
+    ``ctx.previse`` and ``ctx.pcontract`` take them."""
+    return tuple(mask_of(m, n) for m in s)
 
 SERIAL_IDS = {"K1", "K2", "K3", "K4", "K5", "K6",
               "CR1", "CR2", "CR3", "CR4", "Ind", "LI-serial", "HI-serial"}
@@ -110,9 +117,6 @@ def test_propositions_are_one_shared_table():
     props = all_propositions(8)
     assert all_propositions(8) is props
     assert [mask_of(p, 8) for p in props] == list(range(1, 256))
-    ctx = CheckContext(Language(("A", "B", "C")), OperatorConfig())
-    assert ctx.props is props
-    assert ctx.full_mask == 255 and worlds_of(ctx.full_mask) == ctx.full
 
 
 def test_sampled_stream_is_pinned():
@@ -139,11 +143,32 @@ def test_a_four_atom_sweep_builds_no_table_of_world_sets():
     assert peak < 5_000_000
 
 
+def test_the_checker_builds_no_table_of_world_sets():
+    """Plans turn a family into masks and the syntactic forms range over
+    masks, so a sampled sweep never fills ``all_propositions``."""
+    all_propositions.cache_clear()
+    space = InstanceSpace(atoms=3, mode="sampled", sample_count=5, seed=19, max_set_size=3)
+    ctx = CheckContext.from_space(space)
+    for pid in ("PC3-pair", "C-star-3-pair"):
+        assert check(pid, space, ctx=ctx).checked == 5
+    assert all_propositions.cache_info().currsize == 0
+
+
+def test_canonical_formulas_are_kept_per_mask():
+    space = InstanceSpace(atoms=2)
+    ctx = CheckContext.from_space(space)
+    assert check("K6", space, ctx=ctx).holds
+    info = ctx.canonical.cache_info()
+    assert info.currsize == info.misses == 15
+    for mask in range(1, 16):
+        assert models(ctx.canonical(mask), space.lang) == worlds_of(mask)
+
+
 def test_memo_remembers_none_results():
     ctx = CheckContext.from_space(InstanceSpace(atoms=2))
     calls = []
 
-    def plan(mask_of, full, s):
+    def plan(full, s):
         calls.append(s)
         return None
 
@@ -210,6 +235,17 @@ def test_instance_space_validation():
     for value in ("7", True, 7.0):
         with pytest.raises(SpaceError, match=re.escape(f"seed must be an int or None, got {value!r}")):
             InstanceSpace(atoms=2, mode="sampled", sample_count=10, seed=value)
+
+
+def test_max_set_size_is_at_most_the_consistent_propositions():
+    """A family holds distinct consistent propositions, so a larger
+    ``max_set_size`` only makes the exhaustive stream try empty sizes and
+    the sampled stream draw more than it can keep."""
+    assert InstanceSpace(atoms=1, max_set_size=3).max_set_size == 3
+    with pytest.raises(SpaceError, match="max_set_size must be at most 3"):
+        InstanceSpace(atoms=1, max_set_size=4)
+    with pytest.raises(SpaceError, match="max_set_size must be at most 255"):
+        InstanceSpace(atoms=3, mode="sampled", sample_count=1, seed=1, max_set_size=256)
 
 
 def test_instance_space_describe():
@@ -328,8 +364,8 @@ def test_shared_context_reuses_operators():
     # before, equal to what a fresh shipped operator computes now
     fresh = default_parallel_revision()
     for t, s in space.instances("pset"):
-        first = ctx.previse(t, s)
-        assert ctx.previse(t, s) is first
+        first = ctx.previse(t, member_masks(s))
+        assert ctx.previse(t, member_masks(s)) is first
         assert first == fresh.revise_worlds(t, s)
 
 
@@ -351,16 +387,16 @@ def test_memoized_context_matches_fresh_operators(base, finisher, strategy):
     csets = list(space.instances("cset"))
     for _ in range(2):  # cold, then warm
         for t, s in psets:
-            assert ctx.previse(t, s) == prev.revise_worlds(t, s)
+            assert ctx.previse(t, member_masks(s)) == prev.revise_worlds(t, s)
         for t, s in csets:
-            assert ctx.pcontract(t, s) == pcon.contract_worlds(t, s)
+            assert ctx.pcontract(t, member_masks(s)) == pcon.contract_worlds(t, s)
 
     clash = (frozenset({2, 3}), frozenset({1, 3}), frozenset({0}))
     t = psets[0][0]
     with pytest.raises(InconsistentInputError) as shipped:
         prev.revise_worlds(t, clash)
     with pytest.raises(InconsistentInputError) as memoized:
-        ctx.previse(t, clash)
+        ctx.previse(t, member_masks(clash))
     assert memoized.value.culprits == shipped.value.culprits == ("member 1", "member 2")
     assert str(memoized.value) == str(shipped.value)
 
@@ -395,9 +431,9 @@ def test_rows_match_the_shipped_operators(monkeypatch, base, finisher, strategy)
     reversing = lambda pairs: [(t, f) for t, s in pairs for f in (s, s[::-1])]
     for order in (lambda pairs: pairs, lambda pairs: sorted(pairs, key=lambda p: p[1]), reversing):
         for t, s in order(psets):
-            assert ctx.previse(t, s) == prev.revise_worlds(t, s)
+            assert ctx.previse(t, member_masks(s)) == prev.revise_worlds(t, s)
         for t, s in order(csets):
-            assert ctx.pcontract(t, s) == pcon.contract_worlds(t, s)
+            assert ctx.pcontract(t, member_masks(s)) == pcon.contract_worlds(t, s)
     rows = ctx.parallel_rev.base
     assert 0 < rows.find.cache_info().currsize <= 8 and rows.intern.cache_info().currsize <= 8
     if strategy is IMPOSTOR:
@@ -411,7 +447,7 @@ def test_rows_match_the_shipped_operators(monkeypatch, base, finisher, strategy)
             with pytest.raises(InconsistentInputError) as shipped:
                 prev.revise_worlds(t, family)
             with pytest.raises(InconsistentInputError) as rowed:
-                ctx.previse(t, family)
+                ctx.previse(t, member_masks(family))
             assert rowed.value.culprits == shipped.value.culprits == culprits
             assert str(rowed.value) == str(shipped.value)
 
@@ -457,12 +493,12 @@ def test_direct_context_matches_the_shipped_operators(atoms, base, finisher, str
     profiles = [profile + (t,) for (profile,), (t, _) in zip(space.instances("profile2"), psets)]
     for _ in range(2):
         for t, s in psets:
-            assert ctx.previse(t, s) == prev.revise_worlds(t, s)
-            for mask in (mask_of(x, n) for x in s):
+            assert ctx.previse(t, member_masks(s, n)) == prev.revise_worlds(t, s)
+            for mask in member_masks(s, n):
                 assert ctx.revise(t, mask) == serial.transform(t, mask)
                 assert ctx.contract(t, mask) == NATURAL_CONTRACT.transform(t, mask)
         for t, s in csets:
-            assert ctx.pcontract(t, s) == pcon.contract_worlds(t, s)
+            assert ctx.pcontract(t, member_masks(s, n)) == pcon.contract_worlds(t, s)
         for profile in profiles:
             assert ctx.aggregate(profile) == merge.aggregate(profile)
             assert ctx.aggregate(profile[:2]) == merge.aggregate(profile[:2])
@@ -474,7 +510,7 @@ def test_direct_context_matches_the_shipped_operators(atoms, base, finisher, str
             with pytest.raises(InconsistentInputError) as shipped:
                 prev.revise_worlds(t, family)
             with pytest.raises(InconsistentInputError) as direct:
-                ctx.previse(t, family)
+                ctx.previse(t, member_masks(family, n))
             assert direct.value.culprits == shipped.value.culprits == culprits
             assert str(direct.value) == str(shipped.value)
 
@@ -487,8 +523,8 @@ def test_revision_and_contraction_by_one_operator_keep_their_rows_apart():
     ctx = CheckContext(language(2), OperatorConfig(base=op, contraction=op))
     pcon = ParallelContractionOperator(op, Aggregator(STQ_STRATEGY))
     for t, s in InstanceSpace(atoms=2).instances("pset"):
-        ctx.previse(t, s)
-        assert ctx.pcontract(t, s) == pcon.contract_worlds(t, s)
+        ctx.previse(t, member_masks(s))
+        assert ctx.pcontract(t, member_masks(s)) == pcon.contract_worlds(t, s)
 
 
 @pytest.mark.parametrize("strategy, misses", [
@@ -526,9 +562,9 @@ def test_s_star_with_an_empty_joint_revises_nothing():
     ctx = CheckContext.from_space(space)
     shipped, calls = ctx.previse, []
 
-    def counting(t, sets):
-        calls.append((t, sets))
-        return shipped(t, sets)
+    def counting(t, masks):
+        calls.append((t, masks))
+        return shipped(t, masks)
 
     ctx.previse = counting
     t = next(iter(space.instances("pset")))[0]
@@ -546,15 +582,15 @@ def test_follow_ups_go_through_the_previse_seam():
     ctx = CheckContext.from_space(space)
     shipped, calls = ctx.previse, []
 
-    def counting(t, sets):
-        calls.append((t, sets))
-        return shipped(t, sets)
+    def counting(t, masks):
+        calls.append((t, masks))
+        return shipped(t, masks)
 
     ctx.previse = counting
     t, s = next(iter(space.instances("pset")))
     assert PAIR_CHECKS["PC3-pair"].evaluate(ctx, t, s) == []
-    after = shipped(t, s)
-    for x in ctx.props:
+    after = shipped(t, member_masks(s))
+    for x in range(1, 16):
         assert (t, (x,)) in calls and (after, (x,)) in calls
 
 

@@ -19,6 +19,7 @@ from revforge import (CheckContext, InconsistentInputError, LEX, NATURAL, NATURA
                       restrained_revise)
 from revforge.postulates import enumerate_tpos, all_propositions, random_tpo
 from revforge.postulates.spaces import language
+from revforge.tpo import mask_of
 
 from conftest import tpo
 
@@ -247,8 +248,10 @@ def test_lex_is_a_refinement_merge(seed):
     NATURAL_CONTRACT.contract,
     lambda t, worlds: default_parallel_revision().revise_worlds(t, (worlds,)),
     lambda t, worlds: default_parallel_contraction().contract_worlds(t, (worlds,)),
-    lambda t, worlds: CheckContext(language(2), OperatorConfig()).previse(t, (worlds,)),
-    lambda t, worlds: CheckContext(language(2), OperatorConfig()).pcontract(t, (worlds,)),
+    lambda t, worlds: CheckContext(language(2), OperatorConfig()).previse(
+        t, tuple(mask_of(m, 4) for m in (worlds,))),
+    lambda t, worlds: CheckContext(language(2), OperatorConfig()).pcontract(
+        t, tuple(mask_of(m, 4) for m in (worlds,))),
     # a formula over a wider language: the 3-atom ``A`` has worlds past 3
     lambda t, worlds: NATURAL.apply(t, parse_formula("A", language(3)), language(3)),
 ], ids=["min_of", "natural", "lex", "restrained", "natural-contract", "revise_worlds",
