@@ -17,7 +17,9 @@ The synchronous strategy (``stq``) picks the whole profile every round.
 ``round-robin`` cycles through single positions.  ``first-then-full``
 picks the whole profile in round 1, then cycles.  The family is open:
 a new strategy registers by being assigned into ``STRATEGIES`` under its
-name.
+name.  A strategy whose teams are stq's, whatever its name, is
+``synchronous``: its aggregate depends on the set of members alone, and
+the checker's set keys, the scenario order note and Parity read that.
 
 A strategy checks each team once, when a profile size and round first
 need it, and keeps it as a tuple in a table per profile size; a team
@@ -29,7 +31,7 @@ as the one each loaded scenario builds, shares them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .errors import PartitionError, lookup
@@ -69,6 +71,14 @@ class SelectionStrategy:
                 f"strategy {self.name!r} selected invalid team {shown} "
                 f"at round {i} for a profile of size {n}")
         return tuple(sorted(team))
+
+    @cached_property
+    def synchronous(self) -> bool:
+        """Whether ``team(n, i)`` is the whole profile for every n and i up to
+        16: more members than a family over the 4 worlds that keep rows
+        holds, and the most rounds over 16 worlds.  False for an invalid team."""
+        return all(self.team(n, i) == frozenset(range(n))
+                   for n in range(1, 17) for i in range(1, 17))
 
 
 def _team_full(n: int, i: int) -> frozenset[int]:

@@ -132,7 +132,11 @@ class OperatorConfig:
     """Which operators a check, a scenario or the default pipelines run.
 
     Fields accept registry names or operator objects, so tests can slot
-    in deliberately broken operators to validate the checker itself.
+    in deliberately broken operators to validate the checker itself.  An
+    object must be one of its field's kind: a ``SelectionStrategy`` for
+    ``strategy``, and for the serial roles an object with a ``transform``
+    and a ``name``; any other value raises ``UnknownOperatorError`` here,
+    and an unknown name when its field is resolved.
     """
 
     revision: str | SerialRevisionOperator = "natural"
@@ -140,6 +144,15 @@ class OperatorConfig:
     base: str | SerialRevisionOperator = "natural"
     finisher: str | SerialRevisionOperator = "natural"
     strategy: str | SelectionStrategy = "stq"
+
+    def __post_init__(self):
+        for role, value in vars(self).items():
+            if isinstance(value, str):
+                continue
+            if not (isinstance(value, SelectionStrategy) if role == "strategy"
+                    else hasattr(value, "transform") and hasattr(value, "name")):
+                raise UnknownOperatorError(
+                    f"{role!r} must be an operator name or object, got {value!r}")
 
     @classmethod
     def from_names(cls, names: Mapping, roles: Mapping | None = None) -> "OperatorConfig":

@@ -58,7 +58,7 @@ agreement pair, and ``RC_IDENTITY`` is the rational-closure identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Sequence
@@ -178,14 +178,19 @@ def _regions(full, s) -> tuple[int, int, tuple[int, ...]]:
     return conj, full ^ union, masks
 
 
+# ``_pair_plan`` meets each family in many pairs, so it reads their regions
+# through a bounded table of its own, sized like ``worlds_of``'s
+_pair_regions = lru_cache(maxsize=256)(_regions)
+
+
 def _pair_plan(full, s1, s2) -> tuple:
     """The prior-independent part of the ``pset2`` entries:
     ``(masks, merged, mixed, first, second)``, the member masks of s1, the
     union family of s1 and s2, s1 joined with the negations of s2's
     members (None when that family is inconsistent), and the conjunction
     masks of s1 and of s2."""
-    first, _, masks = _regions(full, s1)
-    second, refuting, masks2 = _regions(full, s2)
+    first, _, masks = _pair_regions(full, s1)
+    second, refuting, masks2 = _pair_regions(full, s2)
     mixed = _merge(masks, [full ^ m for m in masks2]) if first & refuting else None
     return masks, _merge(masks, masks2), mixed, first, second
 
@@ -704,7 +709,7 @@ def _factoring(ctx, profile):
 
 
 def _parity_expected(config) -> str:
-    return "sound" if config.describe()["strategy"] == "stq" else "exploratory"
+    return "sound" if config.resolved("strategy").synchronous else "exploratory"
 
 
 @_register("Parity", "profile2",

@@ -25,12 +25,12 @@ only hold entries that never hit, and the context calls the operators
 on every request.  Over the few worlds it keeps their results in
 per-prior rows: one small dict per order, holding a serial operator's
 results keyed by proposition mask and the pipeline's results keyed by
-the tuple of member masks.  Under ``STQ_STRATEGY`` itself, not merely a strategy of
-that name, every member joins every round and the finisher revises by
-the conjunction, so a pipeline result depends only on the family's set
-of members, and its rows key it by that set: a family listed in another
-order hits.  Sweeps are prior-major, so the current row is found by an
-identity check, and a hit costs no hashed lookup of an order.  The
+the tuple of member masks.  Under a ``synchronous`` strategy every
+member joins every round and the finisher revises by the conjunction,
+so a pipeline result depends only on the family's set of members, and
+its rows key it by that set: a family listed in another order hits.
+Sweeps are prior-major, so the current row is found by an identity
+check, and a hit costs no hashed lookup of an order.  The
 context also holds, at every size, the ``derived`` memo for the
 evaluators' plans: the work that depends on the input families but not
 on the prior order.
@@ -61,7 +61,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional
 
-from ..aggregation import STQ_STRATEGY, Aggregator
+from ..aggregation import Aggregator
 from ..errors import SpaceError, UnknownPostulateError, lookup
 from ..logic import Language, canonical_formula
 from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
@@ -83,7 +83,7 @@ class _Rows:
     A row is one small dict: the operator's result on that order for a
     proposition, keyed by the proposition's mask, and, when a pipeline
     keeps its results here too, the pipeline's result for an input family,
-    keyed by the family tuple or, under ``stq``, by its set.  Sweeps are
+    keyed by the family tuple or, under a synchronous strategy, by its set.  Sweeps are
     prior-major, so the row last used is found by an identity check, the
     others through ``find``, keyed by the order's masks.  A row costs one dict, so a prior seen
     once costs no more than its entries.
@@ -160,7 +160,7 @@ class CheckContext:
     pipelines never read each other's results, even when one operator
     object fills ``base`` and ``contraction``.  The pipeline's results sit
     in the rows of its base (or contraction) operator, keyed by the mask
-    tuple, or under ``STQ_STRATEGY`` by its set.  ``previse`` and
+    tuple, or under a ``synchronous`` strategy by its set.  ``previse`` and
     ``pcontract`` are instance attributes bound straight to the row
     lookup.  A miss runs the operator's mask entry on the members in
     their listed order, so an inconsistent family names its culprits by
@@ -226,11 +226,8 @@ class CheckContext:
         self.previse = self.parallel_rev.revise_masks
         self.pcontract = self.parallel_con.contract_masks
         if rowed:
-            # under stq every member joins every round and the finisher revises
-            # by the conjunction, so a result depends on the members' set only
-            by_set = strategy is STQ_STRATEGY
-            self.previse = _family_lookup(base, self.previse, by_set)
-            self.pcontract = _family_lookup(contraction, self.pcontract, by_set)
+            self.previse = _family_lookup(base, self.previse, strategy.synchronous)
+            self.pcontract = _family_lookup(contraction, self.pcontract, strategy.synchronous)
         self._follow_ups = lru_cache(maxsize=_ROWS)(_follow_up_masks)
         self.canonical = lru_cache(maxsize=_MEMO)(lambda m: canonical_formula(worlds_of(m), lang))
         self.conditionals = lru_cache(maxsize=_MEMO)(conditional_set)

@@ -273,6 +273,8 @@ class InstanceSpace:
                 raise SpaceError("sampled spaces need an explicit seed for reproducibility")
         if self.max_set_size < 1:
             raise SpaceError("max_set_size must be at least 1")
+        if not isinstance(self.operators, OperatorConfig):
+            raise SpaceError(f"operators must be an OperatorConfig, got {self.operators!r}")
         propositions = (1 << self.num_worlds) - 1
         if self.max_set_size > propositions:
             raise SpaceError(f"max_set_size must be at most {propositions}, the number of "

@@ -28,7 +28,7 @@ re-validates the whole document.  Both tables are
 ``_NAME_LISTS``): a full table sheds the entry read least recently, so
 the sentences a document has just read stay for its replay.
 
-Under ``round-robin`` and ``first-then-full`` a set step takes its
+Under a strategy that is not ``synchronous`` a set step takes its
 sentences in file order, and another order can give another posterior
 order (the beliefs do not change).  ``to_text`` notes this under every
 set step whose sentences have two or more distinct masks; sentences
@@ -84,9 +84,6 @@ SCHEMA_VERSION = 1
 _SET_OPS = ("revise-set", "contract-set")
 _SERIAL_OPS = ("serial-revise", "serial-contract")
 _QUERY_TYPES = ("believes", "conditional", "compare", "show-tpo")
-
-# strategies whose posterior order can depend on the order of a set's members
-_ORDER_SENSITIVE = ("round-robin", "first-then-full")
 
 # the ``operators`` keys and the ``OperatorConfig`` fields they set
 _OPERATOR_ROLES = {"base": "base", "finisher": "finisher", "contraction": "contraction",
@@ -476,7 +473,7 @@ def run_scenario(scenario: Scenario) -> RunTrace:
         label="initial", tpo=t,
         answers=tuple(_answer(q, t, lang) for q in scenario.initial_queries))]
 
-    order_sensitive = scenario.aggregator.name in _ORDER_SENSITIVE
+    order_sensitive = not scenario.aggregator.strategy.synchronous
     for i, step in enumerate(scenario.steps, start=1):
         masks = step.masks
         try:

@@ -95,31 +95,27 @@ def natural_contract(t: TPO, mask: int) -> TPO:
 
 
 @dataclass(frozen=True)
-class SerialRevisionOperator:
+class _SerialOperator:
+    name: str
+    transform: Callable[[TPO, int], TPO] = field(repr=False)
+
+    def _on_worlds(self, t: TPO, sat: frozenset[int]) -> TPO:
+        return self.transform(t, mask_of(sat, t.num_worlds))
+
+    def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
+        return self.transform(t, check_mask(model_mask(a, lang), t.num_worlds))
+
+
+class SerialRevisionOperator(_SerialOperator):
     """A named single-sentence revision operator."""
 
-    name: str
-    transform: Callable[[TPO, int], TPO] = field(repr=False)
-
-    def revise(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self.transform(t, mask_of(sat, t.num_worlds))
-
-    def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
-        return self.transform(t, check_mask(model_mask(a, lang), t.num_worlds))
+    revise = _SerialOperator._on_worlds
 
 
-@dataclass(frozen=True)
-class SerialContractionOperator:
+class SerialContractionOperator(_SerialOperator):
     """A named single-sentence contraction operator."""
 
-    name: str
-    transform: Callable[[TPO, int], TPO] = field(repr=False)
-
-    def contract(self, t: TPO, sat: frozenset[int]) -> TPO:
-        return self.transform(t, mask_of(sat, t.num_worlds))
-
-    def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
-        return self.transform(t, check_mask(model_mask(a, lang), t.num_worlds))
+    contract = _SerialOperator._on_worlds
 
 
 NATURAL = SerialRevisionOperator("natural", natural_revise)

@@ -1,11 +1,13 @@
 """Team-queue aggregation of preorder profiles."""
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 
 from revforge import (Aggregator, FIRST_THEN_FULL_STRATEGY, NATURAL, PartitionError,
                       ROUND_ROBIN_STRATEGY, STQ_STRATEGY, SelectionStrategy,
                       TPO, make_strategy, stq)
-from revforge.aggregation import STRATEGIES
+from revforge.aggregation import STRATEGIES, _team_round_robin
 from revforge.postulates import enumerate_tpos
 
 from conftest import tpo
@@ -159,3 +161,36 @@ def test_aggregators_over_one_strategy_share_its_teams():
     assert [second.aggregate(p) for p in profiles] == merged
     assert len(calls) == asked
     assert merged == [Aggregator(ROUND_ROBIN_STRATEGY).aggregate(p) for p in profiles]
+
+
+@pytest.mark.parametrize("strategy, synchronous", [
+    (STQ_STRATEGY, True),
+    (replace(STQ_STRATEGY, name="sync"), True),
+    # a pass-through wrapper, as a tracer times a strategy's teams
+    (replace(STQ_STRATEGY, team=lambda n, i: STQ_STRATEGY.team(n, i)), True),
+    (ROUND_ROBIN_STRATEGY, False),
+    (FIRST_THEN_FULL_STRATEGY, False),
+    (SelectionStrategy("stq", _team_round_robin), False),
+    (SelectionStrategy("lists", lambda n, i: list(range(n))), False),
+], ids=["stq", "renamed-stq", "wrapped-stq", "round-robin", "first-then-full",
+        "stq-named-round-robin", "lists"])
+def test_synchronous_goes_by_the_teams_not_the_name(strategy, synchronous):
+    assert strategy.synchronous is synchronous
+
+
+def test_synchronous_is_derived_once_and_cannot_be_set():
+    calls = []
+
+    def team(n, i):
+        calls.append((n, i))
+        return frozenset(range(n))
+
+    strategy = SelectionStrategy("counted", team)
+    assert strategy.synchronous and strategy.synchronous
+    assert len(calls) == 16 * 16
+    assert "synchronous" not in {f.name for f in fields(SelectionStrategy)}
+    with pytest.raises(TypeError):
+        SelectionStrategy("stq", _team_round_robin, synchronous=True)
+    with pytest.raises(FrozenInstanceError):
+        strategy.synchronous = False
+    assert strategy == SelectionStrategy("counted", team)

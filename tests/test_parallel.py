@@ -7,7 +7,8 @@ import pytest
 
 from revforge import (Aggregator, CheckContext, FIRST_THEN_FULL_STRATEGY, FormulaSet,
                       InconsistentInputError, InstanceSpace, NATURAL, NATURAL_CONTRACT,
-                      OperatorConfig, ParallelContractionOperator, STQ_STRATEGY, check,
+                      OperatorConfig, ParallelContractionOperator, STQ_STRATEGY,
+                      UnknownOperatorError, check,
                       default_parallel_contraction, default_parallel_revision,
                       replay_witness)
 from revforge.parallel import minimal_inconsistent_indices
@@ -157,6 +158,19 @@ def test_levi_and_harper_route_counts_at_two_atoms(strategy, levi_hits, harper_h
     for report in (levi, harper):
         for witness in report.violations:
             assert witness["detail"] in replay_witness(report.postulate, witness, atoms=2)
+
+
+@pytest.mark.parametrize("role, value", [
+    ("base", 3), ("finisher", None), ("revision", STQ_STRATEGY),
+    ("contraction", frozenset({0})), ("strategy", NATURAL), ("strategy", lambda n, i: {0}),
+], ids=["int-base", "none-finisher", "strategy-as-revision", "set-contraction",
+        "operator-as-strategy", "team-function-as-strategy"])
+def test_operator_config_rejects_a_value_of_no_operator_kind(role, value):
+    """A field holds a name or an operator of its kind; anything else
+    would fail later, inside a pipeline or ``describe()``."""
+    with pytest.raises(UnknownOperatorError, match=f"'{role}' must be an operator name or object"):
+        OperatorConfig(**{role: value})
+    OperatorConfig(**{role: "unregistered"})  # a name is looked up only when resolved
 
 
 def test_default_operator_configs():

@@ -8,6 +8,7 @@ import random
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -100,6 +101,9 @@ def test_expected_statuses():
     assert CATALOG["Parity"].expected_for(natural) == "sound"
     rr = OperatorConfig(strategy="round-robin")
     assert CATALOG["Parity"].expected_for(rr) == "exploratory"
+    # Parity's expectation goes by the teams, not the strategy's name
+    assert CATALOG["Parity"].expected_for(OperatorConfig(strategy=IMPOSTOR)) == "exploratory"
+    assert CATALOG["Parity"].expected_for(OperatorConfig(strategy=RENAMED_STQ)) == "sound"
     assert CATALOG["K2"].expected_for(natural) == "sound"
 
 
@@ -235,6 +239,13 @@ def test_instance_space_validation():
     for value in ("7", True, 7.0):
         with pytest.raises(SpaceError, match=re.escape(f"seed must be an int or None, got {value!r}")):
             InstanceSpace(atoms=2, mode="sampled", sample_count=10, seed=value)
+
+
+def test_operators_must_be_an_operator_config():
+    """A mapping of names is what ``OperatorConfig.from_names`` reads; as
+    a space's ``operators`` it would fail inside the sweep."""
+    with pytest.raises(SpaceError, match="operators must be an OperatorConfig, got"):
+        InstanceSpace(atoms=1, operators={"base": "lex"})
 
 
 def test_max_set_size_is_at_most_the_consistent_propositions():
@@ -403,6 +414,8 @@ def test_memoized_context_matches_fresh_operators(base, finisher, strategy):
 
 # a strategy named like stq but ordered like round-robin: not set-keyed
 IMPOSTOR = SelectionStrategy("stq", _team_round_robin)
+# stq's teams under another name: set-keyed
+RENAMED_STQ = replace(STQ_STRATEGY, name="sync")
 
 
 @pytest.mark.parametrize("base, finisher, strategy", [
@@ -416,8 +429,8 @@ def test_rows_match_the_shipped_operators(monkeypatch, base, finisher, strategy)
     2-atom (prior, family) as the shipped operators do, first prior-major,
     then family-major, which revisits every evicted prior, then with each
     family followed by its members reversed, which under stq reads the
-    result its set just filled.  Only ``STQ_STRATEGY`` itself keys by set: a strategy that
-    merely shares its name is keyed by the listed family."""
+    result its set just filled.  Only a synchronous strategy keys by set: a strategy that
+    merely shares stq's name is keyed by the listed family."""
     monkeypatch.setattr(engine, "_ROWS", 8)
     config = OperatorConfig(base=base, finisher=finisher, strategy=strategy)
     space = InstanceSpace(atoms=2, operators=config)
@@ -450,6 +463,35 @@ def test_rows_match_the_shipped_operators(monkeypatch, base, finisher, strategy)
                 ctx.previse(t, member_masks(family))
             assert rowed.value.culprits == shipped.value.culprits == culprits
             assert str(rowed.value) == str(shipped.value)
+
+
+@pytest.mark.parametrize("strategy, runs", [
+    (STQ_STRATEGY, 95), (RENAMED_STQ, 95),
+    (replace(STQ_STRATEGY, team=lambda n, i: STQ_STRATEGY.team(n, i)), 95),
+    (IMPOSTOR, 175),
+], ids=["stq", "renamed-stq", "wrapped-stq", "stq-named-round-robin"])
+def test_rows_key_by_set_under_any_synchronous_strategy(monkeypatch, strategy, runs):
+    """A copy of stq, renamed or with its team wrapped as a tracer wraps
+    it, keys its rows by member set as stq does: the 95 families of the
+    first 2-atom prior, each listed both ways, make 95 pipeline runs.  A
+    strategy that only shares stq's name makes one per listed family."""
+    calls = []
+    shipped = ParallelRevisionOperator.revise_masks
+
+    def counting(self, t, masks, labels=None):
+        calls.append(1)
+        return shipped(self, t, masks, labels)
+
+    monkeypatch.setattr(ParallelRevisionOperator, "revise_masks", counting)
+    space = InstanceSpace(atoms=2, operators=OperatorConfig(strategy=strategy))
+    ctx = CheckContext.from_space(space)
+    psets = list(space.instances("pset"))
+    families = [s for t, s in psets if t is psets[0][0]]
+    assert len(families) == 95
+    for s in families:
+        ctx.previse(psets[0][0], member_masks(s))
+        ctx.previse(psets[0][0], member_masks(s[::-1]))
+    assert len(calls) == runs
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 3, 4])

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -18,6 +19,7 @@ from revforge import (
     run_scenario,
     scenario as scenario_module,
 )
+from revforge.aggregation import STQ_STRATEGY, STRATEGIES, SelectionStrategy
 from revforge.logic import MAX_FORMULA_DEPTH
 from test_mask_differential import random_document
 
@@ -348,8 +350,14 @@ def test_to_json_of_a_circular_document_raises_like_json_dumps():
 
 
 @pytest.mark.parametrize("agg, noted", [("round-robin", True), ("first-then-full", True),
-                                        ("stq", False)])
-def test_to_text_notes_member_order_on_multi_sentence_set_steps(agg, noted):
+                                        ("stq", False), ("reverse-robin", True),
+                                        ("sync", False)])
+def test_to_text_notes_member_order_on_multi_sentence_set_steps(monkeypatch, agg, noted):
+    """The note goes by whether the strategy is synchronous, so a newly
+    registered strategy gets it, or not, whatever its name."""
+    monkeypatch.setitem(STRATEGIES, "reverse-robin",
+                        SelectionStrategy("reverse-robin", lambda n, i: frozenset({-i % n})))
+    monkeypatch.setitem(STRATEGIES, "sync", replace(STQ_STRATEGY, name="sync"))
     doc = {**BASE, "operators": {"agg": agg},
            "steps": [{"op": "revise-set", "sentences": ["A", "B"]},
                      {"op": "contract-set", "sentences": ["A", "B"]},
