@@ -24,6 +24,10 @@ the checker's set keys, the scenario order note and Parity read that.
 A strategy checks each team once, when a profile size and round first
 need it, and keeps it as a tuple in a table per profile size; a team
 that fails its check is not kept, so it raises again on every call.
+A profile of one member aggregates to that member: the only valid team
+is the member itself, so round i emits its block i.  ``aggregate``
+returns it without running the rounds, once the teams of the rounds its
+blocks need are checked, so an invalid team raises as it would.
 The tables live on the strategy, so every ``Aggregator`` over it, such
 as the one each loaded scenario builds, shares them.
 """
@@ -115,10 +119,19 @@ class Aggregator:
     strategy: SelectionStrategy
 
     def aggregate(self, profile: Sequence[TPO]) -> TPO:
-        """Run the round-by-round team construction over ``profile``."""
+        """Run the round-by-round team construction over ``profile``; a
+        one-member profile is its member, once its rounds' teams are checked."""
         profile = validate_profile(profile)
         n = len(profile)
         teams = self.strategy.teams(n)
+        if n == 1:
+            # a lone member's only valid team is itself, so round i emits its
+            # block i; the rounds its blocks need are still checked, and the
+            # checked teams are a prefix of the rounds, so ``len`` counts them
+            member = profile[0]
+            for round_no in range(len(teams) + 1, len(member.masks) + 1):
+                teams[round_no] = self.strategy.checked_team(1, round_no)
+            return member
         num_worlds = profile[0].num_worlds
         remaining = (1 << num_worlds) - 1
         orders = [t.masks for t in profile]

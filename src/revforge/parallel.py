@@ -127,7 +127,7 @@ class ParallelContractionOperator:
         return self.contract_masks(t, [check_mask(mask, n) for mask in s.model_masks()])
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorConfig:
     """Which operators a check, a scenario or the default pipelines run.
 
@@ -136,7 +136,10 @@ class OperatorConfig:
     object must be one of its field's kind: a ``SelectionStrategy`` for
     ``strategy``, and for the serial roles an object with a ``transform``
     and a ``name``; any other value raises ``UnknownOperatorError`` here,
-    and an unknown name when its field is resolved.
+    and an unknown name when its field is resolved.  A configuration is
+    frozen, so no value gets past that check by assignment; another
+    combination is a new one, made with ``dataclasses.replace``, which
+    checks it again.
     """
 
     revision: str | SerialRevisionOperator = "natural"

@@ -31,24 +31,28 @@ Evaluators work on world masks.  Instances arrive as the frozensets
 the instance streams yield; what an evaluator derives from them alone
 does not depend on the prior order, so it is a *plan*: a function of the
 context's full mask and the instance's sets, ``(full, *sets)``, looked
-up through ``ctx.derived(plan, *sets)`` and computed once per distinct
-input rather than once per instance.  The plan an entry reads turns the
-family's members into masks, once per family, and every later step,
-``ctx.previse(t, masks)`` and ``ctx.pcontract(t, masks)`` included, sees
-only masks.  Entries that read the same facts of a family share one
-plan, so the memo holds each fact once: ``_regions`` (conjunction,
-refuting and member masks), which every other family plan extends,
-``_negation_plan`` (the member-wise negations), ``_dominated_pairs``,
-``_subfamilies`` and ``_pair_plan`` (two families merged and mixed).
+up through ``ctx.derived(plan, *sets)``: over the few worlds where inputs
+repeat, the context computes it once per distinct input, and above that
+once per instance.  The plan an entry reads turns the family's members
+into masks, and every later step, ``ctx.previse(t, masks)`` and
+``ctx.pcontract(t, masks)`` included, sees only masks.  Entries that
+read the same facts of a family share one plan, so a memo holds each
+fact once: ``_regions`` (conjunction, refuting and member masks), which
+every other family plan extends, ``_negation_plan`` (the member-wise
+negations), ``_dominance`` (a mask per world of the worlds it
+dominates), ``_subfamilies`` and ``_pair_plan`` (two families merged and
+mixed).
 Entries that read a family's ``_regions`` alone register through
 ``_family`` and take them as arguments, as serial entries take their
 input's through ``_serial``.
 Belief sets are read as ``masks[0]`` of an order and best worlds as
-``min_mask``, and the order helpers walk the worlds of a mask.
-Syntactic forms range over every consistent mask and read the beliefs
-after each single follow-up input from ``ctx.follow_ups(order)``, once
-per order.  A hit turns its masks into frozensets with ``worlds_of``
-when it is built, so hits and witnesses keep their frozenset form.
+``min_mask``.  The order checks test each world with one mask expression
+over the orders' ``below`` and ``block_of`` masks, and list pairs of
+worlds only when some world fails.  Syntactic forms range over every
+consistent mask and read the beliefs after each single follow-up input
+from ``ctx.follow_ups(order)``.  A hit turns its masks into frozensets
+with ``worlds_of`` when it is built, so hits and witnesses keep their
+frozenset form.
 
 Two further kinds of check share that evaluator signature and live
 outside ``CATALOG``: ``PAIR_CHECKS`` holds one ``<id>-pair`` entry per
@@ -121,12 +125,24 @@ def _sym(diff: int) -> str:
     return "<" if diff < 0 else (">" if diff > 0 else "~")
 
 
-# The order helpers below take world masks and read ``ranks`` directly:
-# their worlds all come from masks of the context's worlds, so the range
-# check of ``TPO.rank`` would only cost time.
+# The order helpers below take world masks.  Each first tests for a
+# violation with one mask expression per world, over the per-world masks
+# ``below`` (the worlds strictly more plausible) and ``block_of`` (the
+# world's own block); y is strictly above x exactly when it is in neither
+# of x's.  Only when some world fails do they list the offending pairs,
+# reading ``ranks`` directly: their worlds all come from masks of the
+# context's worlds, so the range check of ``TPO.rank`` would only cost time.
 
 def _order_flips(t: TPO, t2: TPO, region: int) -> list[dict]:
     """Pairs in ``region`` whose comparison changes between t and t2."""
+    b, b2 = t.below, t2.below
+    for x in ascending_worlds(region):
+        # the order on the region is kept where each of its worlds has the
+        # same worlds of it below: y ties x where neither is below the other
+        if (b[x] ^ b2[x]) & region:
+            break
+    else:
+        return []
     r, r2 = t.ranks, t2.ranks
     return [{"x": x, "y": y, "prior": _sym(r[x] - r[y]), "posterior": _sym(r2[x] - r2[y])}
             for x, y in combinations(ascending_worlds(region), 2)
@@ -135,6 +151,18 @@ def _order_flips(t: TPO, t2: TPO, region: int) -> list[dict]:
 
 def _kept_below(t: TPO, t2: TPO, inside: int, outside: int, weak: bool) -> list[dict]:
     """Inside-worlds weakly/strictly below outside-worlds must stay so."""
+    b, k, b2, k2 = t.below, t.block_of, t2.below, t2.block_of
+    for x in ascending_worlds(inside):
+        if weak:
+            # y not below x before, and below it after
+            lost = outside & b2[x] & ~b[x]
+        else:
+            # y strictly above x before, and not after
+            lost = outside & (b2[x] | k2[x]) & ~(b[x] | k[x])
+        if lost:
+            break
+    else:
+        return []
     r, r2 = t.ranks, t2.ranks
     inside, outside = ascending_worlds(inside), ascending_worlds(outside)
     if weak:
@@ -146,6 +174,13 @@ def _kept_below(t: TPO, t2: TPO, inside: int, outside: int, weak: bool) -> list[
 
 def _promoted(t: TPO, t2: TPO, inside: int, outside: int) -> list[dict]:
     """Weakly-below inside-worlds must end up strictly below."""
+    b, b2, k2 = t.below, t2.below, t2.block_of
+    for x in ascending_worlds(inside):
+        # y not below x before, and not strictly above it after
+        if outside & (b2[x] | k2[x]) & ~b[x]:
+            break
+    else:
+        return []
     r, r2 = t.ranks, t2.ranks
     outside = ascending_worlds(outside)
     return [{"x": x, "y": y, "prior": _sym(r[x] - r[y]), "posterior": _sym(r2[x] - r2[y])}
@@ -493,35 +528,56 @@ def _cs4(ctx, t, conj, refuting, masks):
     return _kept_below(t, ctx.previse(t, masks), conj, ctx.full_mask ^ conj, weak=True)
 
 
-def _dominated_pairs(full, s) -> tuple:
-    """``_regions`` of ``s`` and the world pairs (x, y), x != y, where x
-    satisfies every member of ``s`` that y satisfies."""
+def _dominance(full, s) -> tuple:
+    """``_regions`` of ``s`` and, for each world x, the mask of the worlds
+    y != x that x dominates: y satisfies no member of ``s`` that x refutes."""
     regions = _regions(full, s)
-    profiles = [0] * full.bit_length()
-    for i, mask in enumerate(regions[2]):
-        for world in ascending_worlds(mask):
-            profiles[world] |= 1 << i
-    return regions + (tuple((x, y) for x, sat_x in enumerate(profiles)
-                            for y, sat_y in enumerate(profiles)
-                            if x != y and not sat_y & ~sat_x),)
+    masks = regions[2]
+    dominated = []
+    for x in range(full.bit_length()):
+        bit = 1 << x
+        refuted = bit
+        for mask in masks:
+            if not mask & bit:
+                refuted |= mask
+        dominated.append(full & ~refuted)
+    return regions + (tuple(dominated),)
 
 
 @_register("PC3", "pset",
            "strictness survives when the lower world satisfies at least as much of the set")
 def _pc3(ctx, t, s):
-    _, _, masks, pairs = ctx.derived(_dominated_pairs, s)
-    r, r2 = t.ranks, ctx.previse(t, masks).ranks
+    _, _, masks, dominated = ctx.derived(_dominance, s)
+    t2 = ctx.previse(t, masks)
+    b, k, b2, k2 = t.below, t.block_of, t2.below, t2.block_of
+    for x, under in enumerate(dominated):
+        # a dominated world strictly above x before, and not after
+        if under & (b2[x] | k2[x]) & ~(b[x] | k[x]):
+            break
+    else:
+        return []
+    r, r2 = t.ranks, t2.ranks
     return [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])}
-            for x, y in pairs if r[x] < r[y] and not r2[x] < r2[y]]
+            for x, under in enumerate(dominated) for y in ascending_worlds(under)
+            if r[x] < r[y] and not r2[x] < r2[y]]
 
 
 @_register("PC4", "pset",
            "weak order survives when the lower world satisfies at least as much of the set")
 def _pc4(ctx, t, s):
-    _, _, masks, pairs = ctx.derived(_dominated_pairs, s)
-    r, r2 = t.ranks, ctx.previse(t, masks).ranks
+    _, _, masks, dominated = ctx.derived(_dominance, s)
+    t2 = ctx.previse(t, masks)
+    b, b2 = t.below, t2.below
+    for x, under in enumerate(dominated):
+        # a dominated world not below x before, and below it after
+        if under & b2[x] & ~b[x]:
+            break
+    else:
+        return []
+    r, r2 = t.ranks, t2.ranks
     return [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
-            for x, y in pairs if r[x] <= r[y] and not r2[x] <= r2[y]]
+            for x, under in enumerate(dominated) for y in ascending_worlds(under)
+            if r[x] <= r[y] and not r2[x] <= r2[y]]
 
 
 def _ind_star_expected(config) -> str:

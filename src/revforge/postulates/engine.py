@@ -30,20 +30,24 @@ member joins every round and the finisher revises by the conjunction,
 so a pipeline result depends only on the family's set of members, and
 its rows key it by that set: a family listed in another order hits.
 Sweeps are prior-major, so the current row is found by an identity
-check, and a hit costs no hashed lookup of an order.  The
-context also holds, at every size, the ``derived`` memo for the
-evaluators' plans: the work that depends on the input families but not
-on the prior order.
+check, and a hit costs no hashed lookup of an order.  The same rule
+holds for the memos keyed by a family or an order: over the few worlds
+the context remembers each family's ``derived`` plan (the work that
+depends on the input families but not on the prior order) and each
+order's ``follow_ups``; over more, a draw pays only for itself, and
+both are computed on every call.  Only ``canonical``, keyed by a mask,
+and ``conditionals``, which rc-identity asks twice of equal orders in
+every instance, are kept at every size.
 The context sees world sets only as masks: an instance's frozensets
-become masks once per input family, in the ``derived`` plan that reads
-the family, and ``previse`` and ``pcontract`` take a tuple of member
-masks.  No table of world sets is built.  Every memo is a bounded
-``functools.lru_cache``, so each reports its hits and misses through
-``cache_info()`` and a hit keeps its entry.  Sweeps
-that share operators should share one context.  An evaluator asks for no
-pipeline result whose answer the instance already fixes: S-star and
-P-star hold at once on a pair of families whose conjunctions share no
-world, so such an instance counts as checked without a ``previse`` call.
+become masks in the ``derived`` plan that reads the family, and
+``previse`` and ``pcontract`` take a tuple of member masks.  No table of
+world sets is built.  Every memo is a bounded ``functools.lru_cache``,
+so each reports its hits and misses through ``cache_info()`` and a hit
+keeps its entry.  Sweeps that share operators should share one context.
+An evaluator asks for no pipeline result whose answer the instance
+already fixes: S-star and P-star hold at once on a pair of families
+whose conjunctions share no world, so such an instance counts as
+checked without a ``previse`` call.
 ``previse``, ``pcontract``, ``aggregate``, ``revise`` and ``contract``
 are the seams a tracer may replace on a context; every call an
 evaluator makes into the operators, the follow-up revisions included,
@@ -152,7 +156,9 @@ class CheckContext:
     aggregator memo: ``previse`` and ``pcontract`` are the operators'
     ``revise_masks`` and ``contract_masks`` themselves, ``revise`` and
     ``contract`` the serial operators' ``transform``, and ``aggregate``
-    the aggregator's.
+    the aggregator's.  Nor does it remember plans or follow-ups there:
+    ``derived`` calls the plan and ``follow_ups`` calls
+    ``_follow_up_masks`` on every request.
 
     Over fewer worlds, each configured serial operator gets one
     ``_Rows``, so the revision roles that share an operator share its
@@ -176,18 +182,19 @@ class CheckContext:
     on an instance.  ``conditionals`` is ``conditional_set``, remembered
     per preorder, and ``canonical(mask)`` the canonical formula of a mask,
     remembered per mask.  ``follow_ups(t)`` is the belief mask of
-    ``previse(t, (x,))`` for every consistent mask x, in order, remembered
-    per order and per ``previse``; it calls ``self.previse``, so a
-    stand-in sees those revisions too.
+    ``previse(t, (x,))`` for every consistent mask x, in order, over the
+    few worlds remembered per order and per ``previse``; it calls
+    ``self.previse``, so a stand-in sees those revisions too.
 
     ``full_mask`` is the mask of every world.  ``derived(fn, *args)`` is
-    ``fn(full_mask, *args)``, remembered per argument tuple.  Evaluators
-    keep there the part of their work that does not depend on the prior
-    order (a family's member masks, the families they revise by and the
-    conjunction masks they compare), so a sweep computes it once per
-    input family rather than once per instance.  The memos hold at most
-    ``_MEMO`` entries and the tables keyed by an order at most ``_ROWS``.
-    Nothing built here refers back to the context.
+    ``fn(full_mask, *args)``, over the few worlds remembered per argument
+    tuple.  Evaluators keep there the part of their work that does not
+    depend on the prior order (a family's member masks, the families they
+    revise by and the conjunction masks they compare), so an exhaustive
+    sweep computes it once per input family rather than once per
+    instance.  The memos hold at most ``_MEMO`` entries and the tables
+    keyed by an order at most ``_ROWS``.  Nothing built here refers back
+    to the context.
     """
 
     def __init__(self, lang: Language, config: OperatorConfig):
@@ -195,10 +202,12 @@ class CheckContext:
         self.config = config
         num_worlds = lang.num_worlds
         full = self.full_mask = (1 << num_worlds) - 1
-        self.derived = lru_cache(maxsize=_MEMO)(lambda fn, *args: fn(full, *args))
         # priors repeat only where an exhaustive space enumerates them all;
-        # above that, rows and memos would hold entries that never hit
+        # above that, rows and the memos keyed by a family or an order
+        # would mostly hold entries that never hit
         rowed = num_worlds <= 1 << MAX_EXHAUSTIVE_ATOMS
+        derived = lambda fn, *args: fn(full, *args)
+        self.derived = lru_cache(maxsize=_MEMO)(derived) if rowed else derived
         rows: dict = {}
 
         def serial_op(role: str):
@@ -228,7 +237,8 @@ class CheckContext:
         if rowed:
             self.previse = _family_lookup(base, self.previse, strategy.synchronous)
             self.pcontract = _family_lookup(contraction, self.pcontract, strategy.synchronous)
-        self._follow_ups = lru_cache(maxsize=_ROWS)(_follow_up_masks)
+        self._follow_ups = (lru_cache(maxsize=_ROWS)(_follow_up_masks) if rowed
+                            else _follow_up_masks)
         self.canonical = lru_cache(maxsize=_MEMO)(lambda m: canonical_formula(worlds_of(m), lang))
         self.conditionals = lru_cache(maxsize=_MEMO)(conditional_set)
 
@@ -240,7 +250,8 @@ class CheckContext:
         return self._aggregate(tuple(profile))
 
     def follow_ups(self, t: TPO) -> tuple[int, ...]:
-        """``_follow_up_masks(t, self.previse)``, kept per order and ``previse``."""
+        """``_follow_up_masks(t, self.previse)``, over the few worlds kept
+        per order and ``previse``."""
         return self._follow_ups(t, self.previse)
 
 

@@ -91,7 +91,8 @@ _OPERATOR_ROLES = {"base": "base", "finisher": "finisher", "contraction": "contr
 
 _SENTENCES = 1024
 _NAME_LISTS = 1024
-# the parse table's languages, so that a miss rarely builds one
+# the languages of the parse table and of loaded documents, so that a
+# parse miss or a load rarely builds one
 _language = lru_cache(maxsize=16)(Language)
 
 
@@ -201,7 +202,11 @@ class Scenario:
         atoms = data.get("atoms")
         _expect(isinstance(atoms, list) and atoms, "scenario", "'atoms' must be a non-empty list")
         try:
-            lang = Language(tuple(atoms))
+            # atom lists of strings share the parse table's languages; any
+            # other list is left to ``Language`` to reject, in its own words
+            atoms = tuple(atoms)
+            strings = all(type(atom) is str for atom in atoms)
+            lang = _language(atoms) if strings else Language(atoms)
         except Exception as exc:
             raise ScenarioError(f"scenario: {exc}") from exc
 

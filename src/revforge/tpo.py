@@ -10,12 +10,15 @@ Inside the package a set of worlds is an ``int`` mask with bit w set for
 world w.  A ``TPO`` stores its blocks as the tuple ``masks``, and
 ``min_mask`` is the first non-zero ``block & mask``.  Frozensets stay at
 the edge: the frozenset ``blocks`` and the per-world ``ranks`` are built
-from the masks on first use and then kept.  ``min_of`` and the serial
-operators' ``revise``/``contract`` take frozensets, converted once by
-``mask_of``; it, ``rank`` and the comparisons reject worlds outside the
-order with ``PartitionError``.  Equality and the hash use the masks.
-``TPO(blocks)`` validates its argument; orders that operators build are
-valid by construction and skip the check through ``TPO._from_masks``.
+from the masks on first use and then kept, and so are the per-world
+masks ``below`` and ``block_of``, over which a comparison of two orders
+is one mask expression per world rather than one test per pair.
+``min_of`` and the serial operators' ``revise``/``contract`` take
+frozensets, converted once by ``mask_of``; it, ``rank`` and the
+comparisons reject worlds outside the order with ``PartitionError``.
+Equality and the hash use the masks.  ``TPO(blocks)`` validates its
+argument; orders that operators build are valid by construction and
+skip the check through ``TPO._from_masks``.
 
 A ``ConditionalSet`` captures the conditional beliefs a TPO supports: it
 accepts the pair (antecedent X, consequent Y) exactly when the most
@@ -32,7 +35,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PartitionError, SpaceError, UnsatisfiableConditionalsError
-from .logic import Language, worlds_of
+from .logic import Language, ascending_worlds, worlds_of
 
 MAX_CONDITIONAL_WORLDS = 8
 
@@ -61,12 +64,14 @@ def mask_of(worlds: Iterable[int], num_worlds: int) -> int:
 class TPO:
     """An ordered partition of ``range(num_worlds)``; block 0 is lowest.
 
-    ``masks[i]`` is block i as a world mask.  ``blocks`` (frozensets) and
-    ``ranks`` (1-based block index per world) are derived on first use.
+    ``masks[i]`` is block i as a world mask.  ``blocks`` (frozensets),
+    ``ranks`` (1-based block index per world), and the per-world masks
+    ``below`` (the worlds strictly more plausible than each world) and
+    ``block_of`` (each world's own block) are derived on first use.
     Equality and hashing look at ``masks`` only.  Instances are immutable.
     """
 
-    __slots__ = ("masks", "num_worlds", "blocks", "ranks", "_hash")
+    __slots__ = ("masks", "num_worlds", "blocks", "ranks", "below", "block_of", "_hash")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         blocks = tuple(frozenset(b) for b in blocks)
@@ -106,7 +111,8 @@ class TPO:
         return t
 
     def __getattr__(self, name: str):
-        # fills the derived slots ``blocks`` and ``ranks`` on first use
+        # fills the derived slots on first use; ``below`` and ``block_of``
+        # come from one walk of the blocks, so both are filled at once
         if name == "blocks":
             value = tuple(worlds_of(mask) for mask in self.masks)
         elif name == "ranks":
@@ -117,6 +123,16 @@ class TPO:
                     ranks[low.bit_length() - 1] = depth
                     mask ^= low
             value = tuple(ranks)
+        elif name in ("below", "block_of"):
+            below, block_of = [0] * self.num_worlds, [0] * self.num_worlds
+            lower = 0
+            for mask in self.masks:
+                for world in ascending_worlds(mask):
+                    below[world], block_of[world] = lower, mask
+                lower |= mask
+            _set(self, "below", tuple(below))
+            _set(self, "block_of", tuple(block_of))
+            return self.below if name == "below" else self.block_of
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         _set(self, name, value)

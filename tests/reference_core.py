@@ -16,11 +16,18 @@ It also keeps the frozenset route of formulas and scenario runs:
 ``revise_worlds``/``contract_worlds`` and the serial ``revise``/
 ``contract``, answers queries on frozensets and names worlds one by one.
 ``test_mask_differential.py`` checks ``model_mask`` and ``run_scenario``
-against them.  Nothing outside the tests imports it.
+against them.
+
+Last, it keeps the order checks as the pair loops they were (the
+catalog's order helpers, PC3 and PC4) and the sampled stream as it was
+drawn through ``shuffle``, ``randrange`` and ``randint``;
+``test_kernel_differential.py`` checks the mask checks and the inlined
+samplers against them.  Nothing outside the tests imports it.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -371,6 +378,131 @@ def pc4_b(ctx, t, s):
         if not any(beliefs <= two_step for beliefs in _subset_beliefs(ctx, t, s, x)):
             return False
     return True
+
+
+# --- order checks by pair enumeration ---
+#
+# The pair loops the catalog's order helpers and PC3/PC4 ran on every
+# instance before they tested each world with one mask expression.  They
+# take shipped orders and read them through ``rank`` alone.
+
+def _sym(diff: int) -> str:
+    return "<" if diff < 0 else (">" if diff > 0 else "~")
+
+
+def order_flips(t, t2, region: frozenset[int]) -> list[dict]:
+    r, r2 = t.rank, t2.rank
+    return [{"x": x, "y": y, "prior": _sym(r(x) - r(y)), "posterior": _sym(r2(x) - r2(y))}
+            for x, y in combinations(sorted(region), 2)
+            if _sym(r(x) - r(y)) != _sym(r2(x) - r2(y))]
+
+
+def kept_below(t, t2, inside: frozenset[int], outside: frozenset[int], weak: bool) -> list[dict]:
+    r, r2 = t.rank, t2.rank
+    if weak:
+        return [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
+                for x in sorted(inside) for y in sorted(outside)
+                if r(x) <= r(y) and not r2(x) <= r2(y)]
+    return [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2(x) - r2(y))}
+            for x in sorted(inside) for y in sorted(outside) if r(x) < r(y) and not r2(x) < r2(y)]
+
+
+def promoted(t, t2, inside: frozenset[int], outside: frozenset[int]) -> list[dict]:
+    r, r2 = t.rank, t2.rank
+    return [{"x": x, "y": y, "prior": _sym(r(x) - r(y)), "posterior": _sym(r2(x) - r2(y))}
+            for x in sorted(inside) for y in sorted(outside) if r(x) <= r(y) and not r2(x) < r2(y)]
+
+
+def _dominated_pairs(s, num_worlds: int) -> list[tuple[int, int]]:
+    """(x, y), x != y, where x satisfies every member of ``s`` that y satisfies."""
+    sat = [frozenset(i for i, member in enumerate(s) if w in member) for w in range(num_worlds)]
+    return [(x, y) for x in range(num_worlds) for y in range(num_worlds)
+            if x != y and sat[y] <= sat[x]]
+
+
+def pc3(ctx, t, s):
+    t2 = ctx.previse(t, s)
+    r, r2 = t.rank, t2.rank
+    return [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2(x) - r2(y))}
+            for x, y in _dominated_pairs(s, t.num_worlds) if r(x) < r(y) and not r2(x) < r2(y)]
+
+
+def pc4(ctx, t, s):
+    t2 = ctx.previse(t, s)
+    r, r2 = t.rank, t2.rank
+    return [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
+            for x, y in _dominated_pairs(s, t.num_worlds) if r(x) <= r(y) and not r2(x) <= r2(y)]
+
+
+# --- the sampled stream through ``shuffle``, ``randrange`` and ``randint`` ---
+#
+# The samplers as they drew before they read ``getrandbits`` and ``random``
+# themselves.  Orders come out as their tuples of block masks, propositions
+# as frozensets.
+
+def random_tpo(rng: random.Random, num_worlds: int) -> tuple[int, ...]:
+    worlds = list(range(num_worlds))
+    rng.shuffle(worlds)
+    masks = []
+    block = 1 << worlds[0]
+    for world in worlds[1:]:
+        if rng.random() < 0.5:
+            masks.append(block)
+            block = 1 << world
+        else:
+            block |= 1 << world
+    masks.append(block)
+    return tuple(masks)
+
+
+def _worlds(mask: int) -> frozenset[int]:
+    return frozenset(w for w in range(mask.bit_length()) if mask >> w & 1)
+
+
+def random_proposition(rng: random.Random, num_worlds: int) -> frozenset[int]:
+    return _worlds(rng.randrange(1, 1 << num_worlds))
+
+
+def random_family(rng: random.Random, num_worlds: int, max_size: int,
+                  jointly_consistent: bool) -> tuple[frozenset[int], ...]:
+    for _ in range(1000):
+        masks: list[int] = []
+        for _ in range(rng.randint(1, max_size)):
+            mask = rng.randrange(1, 1 << num_worlds)
+            if mask not in masks:
+                masks.append(mask)
+        conj = (1 << num_worlds) - 1
+        for mask in masks:
+            conj &= mask
+        if jointly_consistent and not conj:
+            continue
+        return tuple(_worlds(mask) for mask in masks)
+    raise AssertionError("no jointly consistent family in 1000 draws")
+
+
+_SAMPLERS = {
+    "preorder": lambda rng, n, k: random_tpo(rng, n),
+    "proposition": lambda rng, n, k: random_proposition(rng, n),
+    "family": lambda rng, n, k: random_family(rng, n, k, True),
+    "loose-family": lambda rng, n, k: random_family(rng, n, k, False),
+    "profile": lambda rng, n, k: (random_tpo(rng, n), random_tpo(rng, n)),
+}
+SAMPLED_PARTS = {
+    "serial": ("preorder", "proposition"),
+    "sercon": ("preorder", "proposition"),
+    "serial2": ("preorder", "proposition", "proposition"),
+    "pset": ("preorder", "family"),
+    "cset": ("preorder", "loose-family"),
+    "pset2": ("preorder", "family", "family"),
+    "profile2": ("profile",),
+}
+
+
+def sampled_stream(shape: str, atoms: int, count: int, seed: int, max_set_size: int) -> list:
+    """The first ``count`` instances of a sampled space's ``shape`` stream."""
+    rng = random.Random(seed)
+    draws = [_SAMPLERS[part] for part in SAMPLED_PARTS[shape]]
+    return [tuple(draw(rng, 1 << atoms, max_set_size) for draw in draws) for _ in range(count)]
 
 
 # --- formulas and scenario runs on frozensets ---

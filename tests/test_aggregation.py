@@ -1,5 +1,6 @@
 """Team-queue aggregation of preorder profiles."""
 
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -8,7 +9,7 @@ from revforge import (Aggregator, FIRST_THEN_FULL_STRATEGY, NATURAL, PartitionEr
                       ROUND_ROBIN_STRATEGY, STQ_STRATEGY, SelectionStrategy,
                       TPO, make_strategy, stq)
 from revforge.aggregation import STRATEGIES, _team_round_robin
-from revforge.postulates import enumerate_tpos
+from revforge.postulates import enumerate_tpos, random_tpo
 
 from conftest import tpo
 
@@ -38,9 +39,29 @@ def test_aggregation_is_idempotent_on_duplicates():
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_singleton_profile_is_identity(name):
-    agg = Aggregator(make_strategy(name))
-    for t in enumerate_tpos(4):
-        assert agg.aggregate((t,)) == t
+    """A one-member profile aggregates to the member itself: the rounds are
+    not run, but the teams of the rounds its blocks need are checked and kept."""
+    strategy = make_strategy(name)
+    agg = Aggregator(strategy)
+    draws = random.Random(3)
+    sampled = [random_tpo(draws, 8) for _ in range(100)]
+    for t in (*enumerate_tpos(4), *sampled, TPO.from_ranks(range(8))):
+        assert agg.aggregate((t,)) is t
+    assert set(range(1, 9)) <= set(strategy.teams(1))
+
+
+def test_a_one_member_profile_still_meets_an_invalid_later_team():
+    """A team that fails at round 3 raises for a member of three or more
+    blocks, every time, and is never kept; a member of two blocks never
+    reaches round 3, with or without the rounds."""
+    agg = Aggregator(SelectionStrategy("flaky", lambda n, i: frozenset({0}) if i < 3
+                                       else frozenset({n})))
+    deep, shallow = tpo({0}, {1}, {2}, {3}), tpo({0, 1}, {2, 3})
+    for _ in range(2):
+        with pytest.raises(PartitionError, match="at round 3 for a profile of size 1"):
+            agg.aggregate((deep,))
+        assert sorted(agg.strategy.teams(1)) == [1, 2]
+        assert agg.aggregate((shallow,)) is shallow
 
 
 def test_round_robin_tracks_one_member_per_round():

@@ -2,6 +2,7 @@
 
 import functools
 import operator
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -171,6 +172,28 @@ def test_operator_config_rejects_a_value_of_no_operator_kind(role, value):
     with pytest.raises(UnknownOperatorError, match=f"'{role}' must be an operator name or object"):
         OperatorConfig(**{role: value})
     OperatorConfig(**{role: "unregistered"})  # a name is looked up only when resolved
+
+
+def test_operator_config_is_frozen():
+    """A field cannot be set after the check: assignment raises at once,
+    where it used to pass and fail inside the pipeline."""
+    config = OperatorConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.base = 3
+    with pytest.raises(FrozenInstanceError):
+        config.strategy = "round-robin"
+    assert config == OperatorConfig() and config.describe() == OperatorConfig().describe()
+
+
+def test_operator_config_replace_checks_again():
+    """``dataclasses.replace`` makes a new configuration through the same check."""
+    config = OperatorConfig(base="lex")
+    with pytest.raises(UnknownOperatorError, match="'base' must be an operator name or object"):
+        replace(config, base=3)
+    swapped = replace(config, finisher="restrained", strategy=STQ_STRATEGY)
+    assert swapped.describe() == {"revision": "natural", "contraction": "natural-contract",
+                                  "base": "lex", "finisher": "restrained", "strategy": "stq"}
+    assert config.finisher == "natural"
 
 
 def test_default_operator_configs():

@@ -20,7 +20,7 @@ from revforge import (
     scenario as scenario_module,
 )
 from revforge.aggregation import STQ_STRATEGY, STRATEGIES, SelectionStrategy
-from revforge.logic import MAX_FORMULA_DEPTH
+from revforge.logic import MAX_FORMULA_DEPTH, Language
 from test_mask_differential import random_document
 
 
@@ -228,6 +228,30 @@ def test_invalid_documents_are_rejected(mutation, fragment):
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict({**BASE, **mutation})
     assert fragment in str(err.value)
+
+
+def test_documents_over_one_atom_list_share_its_language():
+    """Loads and replays read their ``Language`` from the parse table's
+    languages, so the world-name tables are built once per atom list."""
+    first = Scenario.from_dict(BASE)
+    names = first.lang.world_names
+    again = loads_scenario(json.dumps(BASE))
+    assert again.lang is first.lang and again.lang.world_names is names
+    assert Scenario.from_dict({**BASE, "atoms": ["B", "A"]}).lang.atoms == ("B", "A")
+
+
+@pytest.mark.parametrize("atoms", [
+    [["A"]], ["A", {"B": 1}], ["A", 1], ["A", "A"], ["a b"], ["T"], ["A"] * 17,
+], ids=["unhashable-list", "unhashable-dict", "int", "duplicate", "bad-name", "reserved",
+        "too-many"])
+def test_a_bad_atom_list_is_rejected_in_the_words_of_language(atoms):
+    """Whether or not its atoms can key the table of languages, a bad atom
+    list raises the ``ScenarioError`` that wraps ``Language``'s own error."""
+    with pytest.raises(Exception) as direct:
+        Language(tuple(atoms))
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({**BASE, "atoms": atoms})
+    assert str(err.value) == f"scenario: {direct.value}"
 
 
 def test_a_world_named_twice_in_an_initial_block_is_rejected():
