@@ -46,9 +46,10 @@ Entries that read a family's ``_regions`` alone register through
 ``_family`` and take them as arguments, as serial entries take their
 input's through ``_serial``.
 Belief sets are read as ``masks[0]`` of an order and best worlds as
-``min_mask``.  The order checks test each world with one mask expression
-over the orders' ``below`` and ``block_of`` masks, and list pairs of
-worlds only when some world fails.  Syntactic forms range over every
+``min_mask``.  The order checks read the orders' ``world_masks``: one
+mask expression per world names the worlds that break the postulate
+with it, so a check lists its pairs from masks and builds nothing where
+none breaks.  Syntactic forms range over every
 consistent mask and read the beliefs after each single follow-up input
 from ``ctx.follow_ups(order)``.  A hit turns its masks into frozensets
 with ``worlds_of`` when it is built, so hits and witnesses keep their
@@ -125,67 +126,66 @@ def _sym(diff: int) -> str:
     return "<" if diff < 0 else (">" if diff > 0 else "~")
 
 
-# The order helpers below take world masks.  Each first tests for a
-# violation with one mask expression per world, over the per-world masks
-# ``below`` (the worlds strictly more plausible) and ``block_of`` (the
-# world's own block); y is strictly above x exactly when it is in neither
-# of x's.  Only when some world fails do they list the offending pairs,
-# reading ``ranks`` directly: their worlds all come from masks of the
-# context's worlds, so the range check of ``TPO.rank`` would only cost time.
+# The order helpers below take world masks and read each order's
+# ``world_masks``, the pair (below, block) of per-world masks: for a world
+# x, y is more plausible when in ``below[x]``, tied when in ``block[x]`` and
+# less plausible otherwise.  One mask expression per x names the worlds y
+# that break the postulate with it, so each helper lists exactly its pairs,
+# in ascending x then y, and builds nothing where no pair breaks.  The
+# symbols of a pair read ``ranks`` directly: their worlds all come from
+# masks of the context's worlds, so the range check of ``TPO.rank`` would
+# only cost time.
 
 def _order_flips(t: TPO, t2: TPO, region: int) -> list[dict]:
     """Pairs in ``region`` whose comparison changes between t and t2."""
-    b, b2 = t.below, t2.below
+    (b, k), (b2, k2) = t.world_masks, t2.world_masks
+    hits = []
     for x in ascending_worlds(region):
-        # the order on the region is kept where each of its worlds has the
-        # same worlds of it below: y ties x where neither is below the other
-        if (b[x] ^ b2[x]) & region:
-            break
-    else:
-        return []
-    r, r2 = t.ranks, t2.ranks
-    return [{"x": x, "y": y, "prior": _sym(r[x] - r[y]), "posterior": _sym(r2[x] - r2[y])}
-            for x, y in combinations(ascending_worlds(region), 2)
-            if _sym(r[x] - r[y]) != _sym(r2[x] - r2[y])]
+        # y's side of x changes where y leaves or joins the worlds below x
+        # or those weakly below it; each pair counts once, as y > x
+        changed = (b[x] ^ b2[x]) | ((b[x] | k[x]) ^ (b2[x] | k2[x]))
+        changed &= region >> x + 1 << x + 1
+        if changed:
+            r, r2 = t.ranks, t2.ranks
+            hits += [{"x": x, "y": y, "prior": _sym(r[x] - r[y]), "posterior": _sym(r2[x] - r2[y])}
+                     for y in ascending_worlds(changed)]
+    return hits
 
 
 def _kept_below(t: TPO, t2: TPO, inside: int, outside: int, weak: bool) -> list[dict]:
     """Inside-worlds weakly/strictly below outside-worlds must stay so."""
-    b, k, b2, k2 = t.below, t.block_of, t2.below, t2.block_of
+    (b, k), (b2, k2) = t.world_masks, t2.world_masks
+    hits = []
     for x in ascending_worlds(inside):
         if weak:
             # y not below x before, and below it after
             lost = outside & b2[x] & ~b[x]
+            if lost:
+                hits += [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
+                         for y in ascending_worlds(lost)]
         else:
             # y strictly above x before, and not after
             lost = outside & (b2[x] | k2[x]) & ~(b[x] | k[x])
-        if lost:
-            break
-    else:
-        return []
-    r, r2 = t.ranks, t2.ranks
-    inside, outside = ascending_worlds(inside), ascending_worlds(outside)
-    if weak:
-        return [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
-                for x in inside for y in outside if r[x] <= r[y] and not r2[x] <= r2[y]]
-    return [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])}
-            for x in inside for y in outside if r[x] < r[y] and not r2[x] < r2[y]]
+            if lost:
+                r2 = t2.ranks
+                hits += [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])}
+                         for y in ascending_worlds(lost)]
+    return hits
 
 
 def _promoted(t: TPO, t2: TPO, inside: int, outside: int) -> list[dict]:
     """Weakly-below inside-worlds must end up strictly below."""
-    b, b2, k2 = t.below, t2.below, t2.block_of
+    b = t.world_masks[0]
+    b2, k2 = t2.world_masks
+    hits = []
     for x in ascending_worlds(inside):
         # y not below x before, and not strictly above it after
-        if outside & (b2[x] | k2[x]) & ~b[x]:
-            break
-    else:
-        return []
-    r, r2 = t.ranks, t2.ranks
-    outside = ascending_worlds(outside)
-    return [{"x": x, "y": y, "prior": _sym(r[x] - r[y]), "posterior": _sym(r2[x] - r2[y])}
-            for x in ascending_worlds(inside) for y in outside
-            if r[x] <= r[y] and not r2[x] < r2[y]]
+        kept = outside & (b2[x] | k2[x]) & ~b[x]
+        if kept:
+            r, r2 = t.ranks, t2.ranks
+            hits += [{"x": x, "y": y, "prior": _sym(r[x] - r[y]), "posterior": _sym(r2[x] - r2[y])}
+                     for y in ascending_worlds(kept)]
+    return hits
 
 
 def _merge(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
@@ -549,35 +549,31 @@ def _dominance(full, s) -> tuple:
 def _pc3(ctx, t, s):
     _, _, masks, dominated = ctx.derived(_dominance, s)
     t2 = ctx.previse(t, masks)
-    b, k, b2, k2 = t.below, t.block_of, t2.below, t2.block_of
+    (b, k), (b2, k2) = t.world_masks, t2.world_masks
+    hits = []
     for x, under in enumerate(dominated):
         # a dominated world strictly above x before, and not after
-        if under & (b2[x] | k2[x]) & ~(b[x] | k[x]):
-            break
-    else:
-        return []
-    r, r2 = t.ranks, t2.ranks
-    return [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])}
-            for x, under in enumerate(dominated) for y in ascending_worlds(under)
-            if r[x] < r[y] and not r2[x] < r2[y]]
+        lost = under & (b2[x] | k2[x]) & ~(b[x] | k[x])
+        if lost:
+            r2 = t2.ranks
+            hits += [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])}
+                     for y in ascending_worlds(lost)]
+    return hits
 
 
 @_register("PC4", "pset",
            "weak order survives when the lower world satisfies at least as much of the set")
 def _pc4(ctx, t, s):
     _, _, masks, dominated = ctx.derived(_dominance, s)
-    t2 = ctx.previse(t, masks)
-    b, b2 = t.below, t2.below
+    b, b2 = t.world_masks[0], ctx.previse(t, masks).world_masks[0]
+    hits = []
     for x, under in enumerate(dominated):
         # a dominated world not below x before, and below it after
-        if under & b2[x] & ~b[x]:
-            break
-    else:
-        return []
-    r, r2 = t.ranks, t2.ranks
-    return [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
-            for x, under in enumerate(dominated) for y in ascending_worlds(under)
-            if r[x] <= r[y] and not r2[x] <= r2[y]]
+        lost = under & b2[x] & ~b[x]
+        if lost:
+            hits += [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
+                     for y in ascending_worlds(lost)]
+    return hits
 
 
 def _ind_star_expected(config) -> str:

@@ -31,13 +31,14 @@ so a pipeline result depends only on the family's set of members, and
 its rows key it by that set: a family listed in another order hits.
 Sweeps are prior-major, so the current row is found by an identity
 check, and a hit costs no hashed lookup of an order.  The same rule
-holds for the memos keyed by a family or an order: over the few worlds
-the context remembers each family's ``derived`` plan (the work that
-depends on the input families but not on the prior order) and each
-order's ``follow_ups``; over more, a draw pays only for itself, and
-both are computed on every call.  Only ``canonical``, keyed by a mask,
-and ``conditionals``, which rc-identity asks twice of equal orders in
-every instance, are kept at every size.
+holds for the ``derived`` plans (the work that depends on the input
+families but not on the prior order): over the few worlds the context
+remembers each family's, over more a draw pays for its own.  The other
+memos are kept at every size: ``canonical``, keyed by a mask;
+``conditionals``, which rc-identity asks twice of equal orders in every
+instance; and ``follow_ups``, keyed by an order, because sampled
+orders of few blocks recur: a 3-atom pair sweep answers about one
+lookup in six from it.
 The context sees world sets only as masks: an instance's frozensets
 become masks in the ``derived`` plan that reads the family, and
 ``previse`` and ``pcontract`` take a tuple of member masks.  No table of
@@ -156,9 +157,8 @@ class CheckContext:
     aggregator memo: ``previse`` and ``pcontract`` are the operators'
     ``revise_masks`` and ``contract_masks`` themselves, ``revise`` and
     ``contract`` the serial operators' ``transform``, and ``aggregate``
-    the aggregator's.  Nor does it remember plans or follow-ups there:
-    ``derived`` calls the plan and ``follow_ups`` calls
-    ``_follow_up_masks`` on every request.
+    the aggregator's.  Nor does it remember plans there: ``derived``
+    calls the plan on every request.
 
     Over fewer worlds, each configured serial operator gets one
     ``_Rows``, so the revision roles that share an operator share its
@@ -182,9 +182,9 @@ class CheckContext:
     on an instance.  ``conditionals`` is ``conditional_set``, remembered
     per preorder, and ``canonical(mask)`` the canonical formula of a mask,
     remembered per mask.  ``follow_ups(t)`` is the belief mask of
-    ``previse(t, (x,))`` for every consistent mask x, in order, over the
-    few worlds remembered per order and per ``previse``; it calls
-    ``self.previse``, so a stand-in sees those revisions too.
+    ``previse(t, (x,))`` for every consistent mask x, in order,
+    remembered per order and per ``previse``; it calls ``self.previse``,
+    so a stand-in sees those revisions too.
 
     ``full_mask`` is the mask of every world.  ``derived(fn, *args)`` is
     ``fn(full_mask, *args)``, over the few worlds remembered per argument
@@ -203,8 +203,8 @@ class CheckContext:
         num_worlds = lang.num_worlds
         full = self.full_mask = (1 << num_worlds) - 1
         # priors repeat only where an exhaustive space enumerates them all;
-        # above that, rows and the memos keyed by a family or an order
-        # would mostly hold entries that never hit
+        # above that, rows and the plan memo would mostly hold entries
+        # that never hit
         rowed = num_worlds <= 1 << MAX_EXHAUSTIVE_ATOMS
         derived = lambda fn, *args: fn(full, *args)
         self.derived = lru_cache(maxsize=_MEMO)(derived) if rowed else derived
@@ -237,8 +237,7 @@ class CheckContext:
         if rowed:
             self.previse = _family_lookup(base, self.previse, strategy.synchronous)
             self.pcontract = _family_lookup(contraction, self.pcontract, strategy.synchronous)
-        self._follow_ups = (lru_cache(maxsize=_ROWS)(_follow_up_masks) if rowed
-                            else _follow_up_masks)
+        self._follow_ups = lru_cache(maxsize=_ROWS)(_follow_up_masks)
         self.canonical = lru_cache(maxsize=_MEMO)(lambda m: canonical_formula(worlds_of(m), lang))
         self.conditionals = lru_cache(maxsize=_MEMO)(conditional_set)
 
@@ -250,8 +249,7 @@ class CheckContext:
         return self._aggregate(tuple(profile))
 
     def follow_ups(self, t: TPO) -> tuple[int, ...]:
-        """``_follow_up_masks(t, self.previse)``, over the few worlds kept
-        per order and ``previse``."""
+        """``_follow_up_masks(t, self.previse)``, kept per order and ``previse``."""
         return self._follow_ups(t, self.previse)
 
 

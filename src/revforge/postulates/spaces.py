@@ -17,19 +17,18 @@ whose own conjunction is inconsistent only ever yields undefined or
 trivially-satisfied pair instances.  Streams yield propositions as
 frozensets: exhaustive ones from ``all_propositions``, sampled ones by
 drawing a mask and converting it with ``worlds_of``.  The samplers read
-only ``rng.getrandbits`` and ``rng.random``: they make, inline, the draws
+only ``rng.getrandbits`` and ``rng.random``: ``_randbelow`` makes the draw
 that ``shuffle``, ``randrange`` and ``randint`` would make, so a seed
-draws the stream it always drew, at a fraction of the calls.  A family
+draws the stream it always drew, with fewer calls per draw.  A family
 holds at most ``2^n - 1`` distinct members, so ``max_set_size`` may not
 exceed that.
 
 ``SHAPES`` is the one table of instance shapes.  It gives each shape
 name its sequence of (payload key, ``Part``) pairs, and each part knows
 how to enumerate, sample, encode and decode its value.  Exhaustive
-streams are the product of the parts' values, sampled streams bind each
-part's sampler to the space once and then draw the parts in order, and
-witnesses encode an instance part by part, so ``decode_instance``
-inverts ``encode_instance`` by construction.
+streams are the product of the parts' values, sampled streams draw the
+parts in order, and witnesses encode an instance part by part, so
+``decode_instance`` inverts ``encode_instance`` by construction.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, reduce
 from operator import and_
 from typing import Callable, Iterator, Sequence
 
@@ -102,18 +101,16 @@ def formula_set_tuples(props: Sequence[frozenset[int]], max_size: int,
             yield combo
 
 
-# The samplers draw from ``rng.getrandbits`` and ``rng.random`` alone.  Where
-# the stream once called ``shuffle``, ``randrange`` or ``randint``, they make
-# the draws those make: ``randrange(start, start + n)`` is ``start + r`` for the
-# first ``r = getrandbits(n.bit_length())`` below ``n``, and ``randint(a, b)``
-# is ``randrange(a, b + 1)``.  So a seed gives the stream it always gave.
-
-@lru_cache(maxsize=16)
-def _shuffle_steps(num_worlds: int) -> tuple[tuple[int, int], ...]:
-    """``(i, bits)`` for each swap ``rng.shuffle`` makes over ``num_worlds``
-    items, in its order: position i swaps with a draw of ``bits`` bits at
-    most i."""
-    return tuple((i, (i + 1).bit_length()) for i in reversed(range(1, num_worlds)))
+def _randbelow(getrandbits: Callable, n: int) -> int:
+    """The draw ``rng.randrange(n)`` makes, for ``getrandbits = rng.getrandbits``:
+    the first value of ``n.bit_length()`` bits that is below ``n``.  The
+    samplers call it where they called ``shuffle``, ``randrange`` and
+    ``randint``, so a seed gives the stream it always gave."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
 
 
 def random_tpo(rng: random.Random, num_worlds: int) -> TPO:
@@ -124,16 +121,13 @@ def random_tpo(rng: random.Random, num_worlds: int) -> TPO:
     """
     getrandbits = rng.getrandbits
     worlds = list(range(num_worlds))
-    for i, bits in _shuffle_steps(num_worlds):
-        j = getrandbits(bits)
-        while j > i:
-            j = getrandbits(bits)
+    for i in reversed(range(1, num_worlds)):
+        j = _randbelow(getrandbits, i + 1)
         worlds[i], worlds[j] = worlds[j], worlds[i]
-    coin = rng.random
     masks = []
     block = 1 << worlds[0]
     for world in worlds[1:]:
-        if coin() < 0.5:
+        if rng.random() < 0.5:
             masks.append(block)
             block = 1 << world
         else:
@@ -142,17 +136,9 @@ def random_tpo(rng: random.Random, num_worlds: int) -> TPO:
     return TPO._from_masks(tuple(masks), num_worlds)
 
 
-def _random_profile(rng: random.Random, num_worlds: int) -> tuple[TPO, TPO]:
-    return random_tpo(rng, num_worlds), random_tpo(rng, num_worlds)
-
-
 def _random_proposition(rng: random.Random, num_worlds: int) -> frozenset[int]:
     """``worlds_of(rng.randrange(1, 1 << num_worlds))``."""
-    getrandbits, top = rng.getrandbits, (1 << num_worlds) - 1
-    r = getrandbits(num_worlds)
-    while r >= top:
-        r = getrandbits(num_worlds)
-    return worlds_of(r + 1)
+    return worlds_of(_randbelow(rng.getrandbits, (1 << num_worlds) - 1) + 1)
 
 
 def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,
@@ -161,18 +147,12 @@ def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,
     ``rng.randrange(1, 1 << num_worlds)``, repeats dropped; drawn again, up
     to 1000 times, while ``jointly_consistent`` and its conjunction is empty."""
     getrandbits, top = rng.getrandbits, (1 << num_worlds) - 1
-    size_bits = max_size.bit_length()
     for _ in range(1000):
-        size = getrandbits(size_bits)
-        while size >= max_size:
-            size = getrandbits(size_bits)
         masks: list[int] = []
-        for _ in range(size + 1):
-            r = getrandbits(num_worlds)
-            while r >= top:
-                r = getrandbits(num_worlds)
-            if r + 1 not in masks:
-                masks.append(r + 1)
+        for _ in range(_randbelow(getrandbits, max_size) + 1):
+            mask = _randbelow(getrandbits, top) + 1
+            if mask not in masks:
+                masks.append(mask)
         if jointly_consistent and not reduce(and_, masks):
             continue
         return tuple([worlds_of(mask) for mask in masks])
@@ -197,13 +177,12 @@ class Part:
     """One component of an instance.
 
     ``values(space)`` lists every value in exhaustive order,
-    ``sampler(space)`` is the function that draws one from an ``rng``, and
-    ``encode``/``decode`` map a value to and from its JSON form, with
-    worlds as atom bit-strings.
+    ``sample(rng, space)`` draws one, and ``encode``/``decode`` map a
+    value to and from its JSON form, with worlds as atom bit-strings.
     """
 
     values: Callable = field(repr=False)
-    sampler: Callable = field(repr=False)
+    sample: Callable = field(repr=False)
     encode: Callable = field(repr=False)
     decode: Callable = field(repr=False)
 
@@ -218,18 +197,18 @@ def _decode_preorder(blocks, lang: Language) -> TPO:
 
 _PREORDER = Part(
     lambda space: tuple(enumerate_tpos(space.num_worlds)),
-    lambda space: partial(random_tpo, num_worlds=space.num_worlds),
+    lambda rng, space: random_tpo(rng, space.num_worlds),
     lambda t, lang: [_names(block, lang) for block in t.blocks],
     _decode_preorder)
 _PROPOSITION = Part(
     lambda space: all_propositions(space.num_worlds),
-    lambda space: partial(_random_proposition, num_worlds=space.num_worlds),
+    lambda rng, space: _random_proposition(rng, space.num_worlds),
     _names, _worlds)
 
 
-def _tuple_of(part: Part, values: Callable, sampler: Callable) -> Part:
+def _tuple_of(part: Part, values: Callable, sample: Callable) -> Part:
     """A part whose value is a tuple of ``part`` values."""
-    return Part(values, sampler,
+    return Part(values, sample,
                 lambda items, lang: [part.encode(x, lang) for x in items],
                 lambda data, lang: tuple(part.decode(x, lang) for x in data))
 
@@ -239,16 +218,15 @@ def _family(jointly_consistent: bool) -> Part:
         _PROPOSITION,
         lambda space: tuple(formula_set_tuples(all_propositions(space.num_worlds),
                                                space.max_set_size, jointly_consistent)),
-        lambda space: partial(_random_set_tuple, num_worlds=space.num_worlds,
-                              max_size=space.max_set_size,
-                              jointly_consistent=jointly_consistent))
+        lambda rng, space: _random_set_tuple(rng, space.num_worlds, space.max_set_size,
+                                             jointly_consistent))
 
 
 _CONSISTENT_FAMILY = _family(True)
 _PROFILE = _tuple_of(
     _PREORDER,
     lambda space: tuple(itertools.product(_PREORDER.values(space), repeat=2)),
-    lambda space: partial(_random_profile, num_worlds=space.num_worlds))
+    lambda rng, space: (_PREORDER.sample(rng, space), _PREORDER.sample(rng, space)))
 
 SHAPES: dict[str, tuple[tuple[str, Part], ...]] = {
     "serial": (("tpo", _PREORDER), ("input", _PROPOSITION)),
@@ -351,5 +329,5 @@ class InstanceSpace:
         if self.mode == "exhaustive":
             return itertools.product(*(part.values(self) for part in parts))
         rng = random.Random(self.seed)
-        draws = [part.sampler(self) for part in parts]
-        return (tuple([draw(rng) for draw in draws]) for _ in range(self.sample_count))
+        return (tuple(part.sample(rng, self) for part in parts)
+                for _ in range(self.sample_count))

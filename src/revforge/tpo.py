@@ -10,9 +10,9 @@ Inside the package a set of worlds is an ``int`` mask with bit w set for
 world w.  A ``TPO`` stores its blocks as the tuple ``masks``, and
 ``min_mask`` is the first non-zero ``block & mask``.  Frozensets stay at
 the edge: the frozenset ``blocks`` and the per-world ``ranks`` are built
-from the masks on first use and then kept, and so are the per-world
-masks ``below`` and ``block_of``, over which a comparison of two orders
-is one mask expression per world rather than one test per pair.
+from the masks on first use and then kept, and so is ``world_masks``,
+the per-world masks over which a comparison of two orders is one mask
+expression per world rather than one test per pair.
 ``min_of`` and the serial operators' ``revise``/``contract`` take
 frozensets, converted once by ``mask_of``; it, ``rank`` and the
 comparisons reject worlds outside the order with ``PartitionError``.
@@ -65,13 +65,15 @@ class TPO:
     """An ordered partition of ``range(num_worlds)``; block 0 is lowest.
 
     ``masks[i]`` is block i as a world mask.  ``blocks`` (frozensets),
-    ``ranks`` (1-based block index per world), and the per-world masks
-    ``below`` (the worlds strictly more plausible than each world) and
-    ``block_of`` (each world's own block) are derived on first use.
+    ``ranks`` (1-based block index per world) and ``world_masks`` are
+    derived on first use.  ``world_masks`` is the pair ``(below, block)``
+    of per-world tuples: ``below[w]`` masks the worlds strictly more
+    plausible than w and ``block[w]`` masks w's own block, so y is
+    strictly less plausible than w exactly when it is in neither.
     Equality and hashing look at ``masks`` only.  Instances are immutable.
     """
 
-    __slots__ = ("masks", "num_worlds", "blocks", "ranks", "below", "block_of", "_hash")
+    __slots__ = ("masks", "num_worlds", "blocks", "ranks", "world_masks", "_hash")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         blocks = tuple(frozenset(b) for b in blocks)
@@ -111,8 +113,7 @@ class TPO:
         return t
 
     def __getattr__(self, name: str):
-        # fills the derived slots on first use; ``below`` and ``block_of``
-        # come from one walk of the blocks, so both are filled at once
+        # fills the derived slots on first use
         if name == "blocks":
             value = tuple(worlds_of(mask) for mask in self.masks)
         elif name == "ranks":
@@ -123,16 +124,14 @@ class TPO:
                     ranks[low.bit_length() - 1] = depth
                     mask ^= low
             value = tuple(ranks)
-        elif name in ("below", "block_of"):
-            below, block_of = [0] * self.num_worlds, [0] * self.num_worlds
+        elif name == "world_masks":
+            below, block = [0] * self.num_worlds, [0] * self.num_worlds
             lower = 0
             for mask in self.masks:
                 for world in ascending_worlds(mask):
-                    below[world], block_of[world] = lower, mask
+                    below[world], block[world] = lower, mask
                 lower |= mask
-            _set(self, "below", tuple(below))
-            _set(self, "block_of", tuple(block_of))
-            return self.below if name == "below" else self.block_of
+            value = (tuple(below), tuple(block))
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         _set(self, name, value)

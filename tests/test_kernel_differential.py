@@ -9,8 +9,7 @@ pair loops they were.  Here the shipped code must give:
   same state after a preorder draw at every width up to 16 worlds;
 * the same hits from ``_order_flips``, ``_kept_below`` (weak and strict)
   and ``_promoted`` for every pair of the 75 two-atom orders and every
-  region, though it lists pairs only after a mask check per world finds
-  a violation;
+  region, though it names them with one mask expression per world;
 * the same PC3 and PC4 hits on every exhaustive two-atom instance and on
   a seeded three-atom sample, under the default operators and under base
   operators that reverse or forget the prior, which make them fail.

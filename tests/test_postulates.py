@@ -498,20 +498,20 @@ def test_rows_key_by_set_under_any_synchronous_strategy(monkeypatch, strategy, r
 def test_only_contexts_whose_priors_repeat_keep_rows(atoms):
     """Rows and the aggregator memo exist only up to the worlds an
     exhaustive space enumerates; a larger context calls the shipped
-    operators themselves.  So do the plan and follow-up memos, keyed by a
-    family or an order; ``canonical``, keyed by a mask, stays at every size."""
+    operators themselves.  So does the plan memo, keyed by a family;
+    ``canonical``, ``conditionals`` and the follow-up memo, which sampled
+    sweeps hit, stay at every size."""
     ctx = CheckContext(language(atoms), OperatorConfig())
     rowed = atoms <= MAX_EXHAUSTIVE_ATOMS
     assert isinstance(ctx.parallel_rev.base, engine._Rows) is rowed
     assert hasattr(ctx._aggregate, "cache_info") is rowed
     assert hasattr(ctx.derived, "cache_info") is rowed
-    assert hasattr(ctx._follow_ups, "cache_info") is rowed
-    assert hasattr(ctx.canonical, "cache_info") and hasattr(ctx.conditionals, "cache_info")
+    for memo in (ctx.canonical, ctx.conditionals, ctx._follow_ups):
+        assert hasattr(memo, "cache_info")
     if not rowed:
         assert ctx.parallel_rev.aggregator is ctx.aggregator
         assert ctx.revise is get_revision_operator("natural").transform
         assert ctx.contract is NATURAL_CONTRACT.transform
-        assert ctx._follow_ups is engine._follow_up_masks
         calls = []
 
         def plan(full, s):
