@@ -41,7 +41,8 @@ fact once: ``_regions`` (conjunction, refuting and member masks), which
 every other family plan extends, ``_negation_plan`` (the member-wise
 negations), ``_dominance`` (a mask per world of the worlds it
 dominates), ``_subfamilies`` and ``_pair_plan`` (two families merged and
-mixed).
+mixed).  S-star reads ``_s_star_plan``, the part of ``_pair_plan`` it
+needs, which is None outside its domain.
 Entries that read a family's ``_regions`` alone register through
 ``_family`` and take them as arguments, as serial entries take their
 input's through ``_serial``.
@@ -228,6 +229,19 @@ def _pair_plan(full, s1, s2) -> tuple:
     second, refuting, masks2 = _pair_regions(full, s2)
     mixed = _merge(masks, [full ^ m for m in masks2]) if first & refuting else None
     return masks, _merge(masks, masks2), mixed, first, second
+
+
+def _s_star_plan(full, s1, s2):
+    """S-star's part of ``_pair_plan``: None outside its domain, where s1
+    joined with the negations of s2's members is inconsistent, else
+    ``(mixed, joint)``, that family's member masks and the mask of the
+    worlds satisfying both families.  Two in three two-atom pairs fall
+    outside, so their memo entries hold no masks."""
+    first, _, masks = _pair_regions(full, s1)
+    second, refuting, masks2 = _pair_regions(full, s2)
+    if not first & refuting:
+        return None
+    return _merge(masks, [full ^ m for m in masks2]), first & second
 
 
 # --- serial revision ---
@@ -621,10 +635,10 @@ def _li_star(ctx, t, s):
 @_register("S-star", "pset2",
            "discarding one set while adopting another keeps the joint best worlds fixed")
 def _s_star(ctx, t, s1, s2):
-    _, _, mixed, first, second = ctx.derived(_pair_plan, s1, s2)
-    if mixed is None:
+    plan = ctx.derived(_s_star_plan, s1, s2)
+    if plan is None:
         return None
-    joint = first & second
+    mixed, joint = plan
     if not joint:
         # no worlds to compare: the posterior's best of nothing is nothing
         return []

@@ -28,23 +28,28 @@ results keyed by proposition mask and the pipeline's results keyed by
 the tuple of member masks.  Under a ``synchronous`` strategy every
 member joins every round and the finisher revises by the conjunction,
 so a pipeline result depends only on the family's set of members, and
-its rows key it by that set: a family listed in another order hits.
+its rows key it by that set: a family listed in another order hits, and
+the rows of every prior share one object per set.
 Sweeps are prior-major, so the current row is found by an identity
-check, and a hit costs no hashed lookup of an order.  The same rule
-holds for the ``derived`` plans (the work that depends on the input
-families but not on the prior order): over the few worlds the context
-remembers each family's, over more a draw pays for its own.  The other
+check, and a hit costs no hashed lookup of an order.  For the same
+reason a profile's repeats come soon after it, so the aggregator memo
+keeps only the profiles used last.  The ``derived`` plans (the work
+that depends on the input families but not on the prior order) follow
+the rows: over the few worlds the context remembers each family's, over
+more a draw pays for its own.  The other
 memos are kept at every size: ``canonical``, keyed by a mask;
 ``conditionals``, which rc-identity asks twice of equal orders in every
 instance; and ``follow_ups``, keyed by an order, because sampled
 orders of few blocks recur: a 3-atom pair sweep answers about one
-lookup in six from it.
+lookup in six from it.  Its entries hold a mask per consistent mask, so
+the more worlds, the fewer orders it keeps.
 The context sees world sets only as masks: an instance's frozensets
 become masks in the ``derived`` plan that reads the family, and
 ``previse`` and ``pcontract`` take a tuple of member masks.  No table of
 world sets is built.  Every memo is a bounded ``functools.lru_cache``,
-so each reports its hits and misses through ``cache_info()`` and a hit
-keeps its entry.  Sweeps that share operators should share one context.
+so each reports its hits and misses through ``cache_info()``, which
+``CheckContext.memo_info`` collects, and a hit keeps its entry.  Sweeps
+that share operators should share one context.
 An evaluator asks for no pipeline result whose answer the instance
 already fixes: S-star and P-star hold at once on a pair of families
 whose conjunctions share no world, so such an instance counts as
@@ -80,6 +85,9 @@ _MEMO = 150_000
 # rows kept per row table: all 75 two-atom orders fit, and sampled
 # sweeps, whose orders rarely repeat, stay bounded
 _ROWS = 4096
+# masks the follow-up memo holds at most: an entry holds one per
+# consistent mask, so the more worlds, the fewer orders it keeps
+_FOLLOW_UP_MASKS = 1 << 18
 
 
 class _Rows:
@@ -122,19 +130,22 @@ class _Rows:
         return hit
 
 
-def _family_lookup(rows: _Rows, pipeline: Callable, by_set: bool) -> Callable:
+def _family_lookup(rows: _Rows, pipeline: Callable, set_keys: Optional[Callable]) -> Callable:
     """``pipeline(t, masks)`` for a tuple of member masks, kept in the row
-    of ``t``, keyed by the tuple, or by its set when ``by_set``: for a
+    of ``t``, keyed by the tuple, or, given ``set_keys``, by its set: for a
     pipeline whose result does not depend on the members' order or
-    repeats.  A miss runs the pipeline on the members in their listed
-    order, so an inconsistent family names its culprits by their listed
-    positions."""
+    repeats.  A miss stores a set key through ``set_keys``, which returns
+    the first equal set it met, so the rows of every prior share one
+    object per set.  A miss runs the pipeline on the members in their
+    listed order, so an inconsistent family names its culprits by their
+    listed positions."""
     def lookup(t: TPO, masks: tuple) -> TPO:
         row = rows.row if t is rows.t else rows.row_of(t)
-        key = frozenset(masks) if by_set else masks
+        key = masks if set_keys is None else frozenset(masks)
         hit = row.get(key)
         if hit is None:
-            hit = row[key] = pipeline(t, masks)
+            hit = pipeline(t, masks)
+            row[key if set_keys is None else set_keys(key)] = hit
         return hit
     return lookup
 
@@ -166,16 +177,19 @@ class CheckContext:
     pipelines never read each other's results, even when one operator
     object fills ``base`` and ``contraction``.  The pipeline's results sit
     in the rows of its base (or contraction) operator, keyed by the mask
-    tuple, or under a ``synchronous`` strategy by its set.  ``previse`` and
-    ``pcontract`` are instance attributes bound straight to the row
-    lookup.  A miss runs the operator's mask entry on the members in
-    their listed order, so an inconsistent family names its culprits by
-    their listed positions; its stages read the same rows and aggregate
-    through a memoizing aggregator, whose ``aggregate`` is remembered per
-    profile.  ``revise(t, mask)`` and ``contract(t, mask)`` are the row
-    lookups of the serial revision and contraction, which take the input's
-    world mask as every serial ``transform`` does, and ``aggregate``
-    reads the aggregator's memo.
+    tuple, or under a ``synchronous`` strategy by its set, which a miss
+    stores through the ``set_keys`` table, so that every row holds one
+    object per set.  ``previse`` and ``pcontract`` are instance attributes
+    bound straight to the row lookup.  A miss runs the operator's mask
+    entry on the members in their listed order, so an inconsistent family
+    names its culprits by their listed positions; its stages read the
+    same rows and aggregate through a memoizing aggregator, whose
+    ``aggregate`` is remembered for the ``_ROWS`` profiles used last:
+    sweeps are prior-major, so that window keeps most of the hits without
+    holding every profile of a sweep.  ``revise(t, mask)`` and
+    ``contract(t, mask)`` are the row lookups of the serial revision and
+    contraction, which take the input's world mask as every serial
+    ``transform`` does, and ``aggregate`` reads the aggregator's memo.
 
     The rest holds at every size.  A tracer may replace any of
     ``previse``, ``pcontract``, ``aggregate``, ``revise`` and ``contract``
@@ -183,8 +197,9 @@ class CheckContext:
     per preorder, and ``canonical(mask)`` the canonical formula of a mask,
     remembered per mask.  ``follow_ups(t)`` is the belief mask of
     ``previse(t, (x,))`` for every consistent mask x, in order,
-    remembered per order and per ``previse``; it calls ``self.previse``,
-    so a stand-in sees those revisions too.
+    remembered per order and per ``previse`` for at most ``_ROWS`` orders
+    and ``_FOLLOW_UP_MASKS`` masks in all; it calls ``self.previse``, so a
+    stand-in sees those revisions too.
 
     ``full_mask`` is the mask of every world.  ``derived(fn, *args)`` is
     ``fn(full_mask, *args)``, over the few worlds remembered per argument
@@ -192,9 +207,11 @@ class CheckContext:
     depend on the prior order (a family's member masks, the families they
     revise by and the conjunction masks they compare), so an exhaustive
     sweep computes it once per input family rather than once per
-    instance.  The memos hold at most ``_MEMO`` entries and the tables
-    keyed by an order at most ``_ROWS``.  Nothing built here refers back
-    to the context.
+    instance.  ``derived``, ``canonical`` and ``conditionals`` hold at most
+    ``_MEMO`` entries; the aggregator memo, the set keys and the tables
+    keyed by an order at most ``_ROWS``.  ``memo_info()`` reports the
+    ``cache_info()`` of each.  Nothing built here refers back to the
+    context.
     """
 
     def __init__(self, lang: Language, config: OperatorConfig):
@@ -208,6 +225,7 @@ class CheckContext:
         rowed = num_worlds <= 1 << MAX_EXHAUSTIVE_ATOMS
         derived = lambda fn, *args: fn(full, *args)
         self.derived = lru_cache(maxsize=_MEMO)(derived) if rowed else derived
+        # (roles served, _Rows) per row table; the roles name it in ``memo_info``
         rows: dict = {}
 
         def serial_op(role: str):
@@ -218,14 +236,16 @@ class CheckContext:
             # so the two pipelines never key their results into one row
             key = (role == "contraction", id(op))
             if key not in rows:
-                rows[key] = _Rows(op)
-            return rows[key]
+                rows[key] = ([], _Rows(op))
+            rows[key][0].append(role)
+            return rows[key][1]
 
         revision, contraction = serial_op("revision"), serial_op("contraction")
         base = serial_op("base")
         strategy = config.resolved("strategy")
         self.aggregator = Aggregator(strategy)
-        merge = (SimpleNamespace(aggregate=lru_cache(maxsize=_MEMO)(self.aggregator.aggregate))
+        # sweeps are prior-major, so a profile's repeats come soon after it
+        merge = (SimpleNamespace(aggregate=lru_cache(maxsize=_ROWS)(self.aggregator.aggregate))
                  if rowed else self.aggregator)
         self.parallel_rev = ParallelRevisionOperator(base, serial_op("finisher"), merge)
         self.parallel_con = ParallelContractionOperator(contraction, merge)
@@ -234,10 +254,14 @@ class CheckContext:
         self._aggregate = merge.aggregate
         self.previse = self.parallel_rev.revise_masks
         self.pcontract = self.parallel_con.contract_masks
+        self._rows = [(f"{'+'.join(roles)}.", table) for roles, table in rows.values()]
+        self._set_keys = (lru_cache(maxsize=_ROWS)(lambda key: key)
+                          if rowed and strategy.synchronous else None)
         if rowed:
-            self.previse = _family_lookup(base, self.previse, strategy.synchronous)
-            self.pcontract = _family_lookup(contraction, self.pcontract, strategy.synchronous)
-        self._follow_ups = lru_cache(maxsize=_ROWS)(_follow_up_masks)
+            self.previse = _family_lookup(base, self.previse, self._set_keys)
+            self.pcontract = _family_lookup(contraction, self.pcontract, self._set_keys)
+        self._follow_ups = lru_cache(maxsize=min(_ROWS, _FOLLOW_UP_MASKS >> num_worlds))(
+            _follow_up_masks)
         self.canonical = lru_cache(maxsize=_MEMO)(lambda m: canonical_formula(worlds_of(m), lang))
         self.conditionals = lru_cache(maxsize=_MEMO)(conditional_set)
 
@@ -251,6 +275,21 @@ class CheckContext:
     def follow_ups(self, t: TPO) -> tuple[int, ...]:
         """``_follow_up_masks(t, self.previse)``, kept per order and ``previse``."""
         return self._follow_ups(t, self.previse)
+
+    def memo_info(self) -> dict:
+        """``cache_info()`` of every memo table the context keeps, by name:
+        ``aggregate``, ``derived``, ``follow_ups``, ``canonical``,
+        ``conditionals`` and ``set_keys`` where the context has them, and
+        ``<roles>.find`` and ``<roles>.intern`` for each row table, named
+        by the roles it serves (``revision+base+finisher`` when one
+        operator fills the three)."""
+        tables = {"aggregate": self._aggregate, "derived": self.derived,
+                  "follow_ups": self._follow_ups, "canonical": self.canonical,
+                  "conditionals": self.conditionals, "set_keys": self._set_keys}
+        for prefix, rows in self._rows:
+            tables[prefix + "find"], tables[prefix + "intern"] = rows.find, rows.intern
+        return {name: table.cache_info() for name, table in tables.items()
+                if hasattr(table, "cache_info")}
 
 
 def render_value(value, lang: Language):

@@ -523,6 +523,155 @@ def test_only_contexts_whose_priors_repeat_keep_rows(atoms):
         assert calls == [family, family]
 
 
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+@pytest.mark.parametrize("strategy", ["stq", "round-robin"])
+def test_no_context_memo_is_unbounded(monkeypatch, atoms, strategy):
+    """Every ``lru_cache`` a context builds keeps at most ``_MEMO`` entries,
+    and ``memo_info`` reports each of them: a table added later cannot
+    grow without limit, or unseen."""
+    made = []
+    real = engine.lru_cache
+
+    def recording(*args, **kwargs):
+        if args and callable(args[0]):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+        decorate = real(*args, **kwargs)
+
+        def wrap(fn):
+            made.append(decorate(fn))
+            return made[-1]
+        return wrap
+
+    monkeypatch.setattr(engine, "lru_cache", recording)
+    config = OperatorConfig(base="lex", finisher="restrained", strategy=strategy)
+    ctx = CheckContext(language(atoms), config)
+    sizes = sorted(table.cache_info().maxsize for table in made)
+    assert sizes and all(size is not None and 0 < size <= engine._MEMO for size in sizes)
+    assert sorted(info.maxsize for info in ctx.memo_info().values()) == sizes
+
+
+@pytest.mark.parametrize("atoms, names", [
+    (2, {"aggregate", "derived", "follow_ups", "canonical", "conditionals", "set_keys",
+         "revision+base+finisher.find", "revision+base+finisher.intern",
+         "contraction.find", "contraction.intern"}),
+    (3, {"follow_ups", "canonical", "conditionals"}),
+])
+def test_memo_info_names_every_table(atoms, names):
+    """``memo_info`` reports each table's ``cache_info()`` by name; one row
+    table serves every role one operator fills.  Above 4 worlds only the
+    tables kept at every size remain."""
+    ctx = CheckContext(language(atoms), OperatorConfig())
+    info = ctx.memo_info()
+    assert set(info) == names
+    assert info["canonical"] == ctx.canonical.cache_info()
+    space = (InstanceSpace(atoms=2) if atoms == 2
+             else InstanceSpace(atoms=atoms, mode="sampled", sample_count=50, seed=1))
+    check("C-star-3-pair", space, ctx=ctx)
+    after = ctx.memo_info()
+    assert after["follow_ups"].misses > 0
+    if atoms == 2:
+        assert after["set_keys"].currsize == 95
+        assert after["revision+base+finisher.find"].currsize == 75
+
+
+def test_aggregator_memo_is_a_window_of_rows(monkeypatch):
+    """The aggregator memo keeps the ``_ROWS`` profiles used last."""
+    assert CheckContext(language(2), OperatorConfig()).memo_info()["aggregate"].maxsize == 4096
+    monkeypatch.setattr(engine, "_ROWS", 8)
+    assert CheckContext(language(2), OperatorConfig()).memo_info()["aggregate"].maxsize == 8
+
+
+def test_a_bounded_aggregator_memo_keeps_most_hits(monkeypatch):
+    """Sweeps are prior-major, so a profile's repeats come soon after it:
+    over a default 2-atom S-star sweep the window of ``_ROWS`` profiles
+    keeps at least 90% of the hits an unbounded memo makes, while holding
+    fewer profiles than that memo does."""
+    space = InstanceSpace(atoms=2)
+    ctx = CheckContext.from_space(space)
+    assert check("S-star", space, ctx=ctx).holds
+    bounded = ctx.memo_info()["aggregate"]
+    monkeypatch.setattr(engine, "_ROWS", engine._MEMO)
+    ctx = CheckContext.from_space(space)
+    check("S-star", space, ctx=ctx)
+    unbounded = ctx.memo_info()["aggregate"]
+    assert unbounded.maxsize == engine._MEMO
+    assert bounded.currsize == 4096 < unbounded.currsize
+    assert bounded.hits >= 0.9 * unbounded.hits
+
+
+def test_s_star_plan_is_none_outside_its_domain():
+    """S-star's plan is None for each of the 6,145 two-atom pairs outside
+    its domain, and for the 2,880 inside it holds ``_pair_plan``'s mixed
+    family and the families' joint conjunction."""
+    families = [s for t, s in InstanceSpace(atoms=2).instances("pset") if t == tpo({0, 1, 2, 3})]
+    assert len(families) == 95
+    assert catalog._s_star_plan(15, (frozenset({0, 1}),), (frozenset({0, 1, 2, 3}),)) is None
+    inside = 0
+    for s1 in families:
+        for s2 in families:
+            _, _, mixed, first, second = catalog._pair_plan(15, s1, s2)
+            plan = catalog._s_star_plan(15, s1, s2)
+            if mixed is None:
+                assert plan is None
+            else:
+                inside += 1
+                assert plan == (mixed, first & second)
+    assert inside == 2_880
+
+
+@pytest.mark.parametrize("strategy", ["stq", "round-robin"])
+def test_rows_share_one_key_per_member_set(strategy):
+    """Under a synchronous strategy the rows of every prior hold one
+    object per member set, however the family was listed; other
+    strategies key by the family tuple the plan made."""
+    space = InstanceSpace(atoms=2, operators=OperatorConfig(strategy=strategy))
+    ctx = CheckContext.from_space(space)
+    families = [member_masks(s) for t, s in space.instances("pset") if t == tpo({0, 1, 2, 3})]
+    priors = (tpo({0}, {1}, {2}, {3}), tpo({3}, {0, 1, 2}))
+    for t in priors:
+        for masks in families:
+            ctx.previse(t, masks)
+            ctx.previse(t, masks[::-1])
+    rows = ctx.parallel_rev.base
+    first, second = ({key: key for key in rows.find(t.masks) if not isinstance(key, int)}
+                     for t in priors)
+    assert first.keys() == second.keys()
+    if strategy == "stq":
+        assert len(first) == 95 and all(isinstance(key, frozenset) for key in first)
+        assert all(second[key] is key for key in first)
+    else:
+        assert len(first) == 175 and ctx.memo_info().keys().isdisjoint({"set_keys"})
+
+
+@pytest.mark.parametrize("atoms, bound", [(1, 4096), (2, 4096), (3, 1024), (4, 4)])
+def test_follow_up_memo_holds_at_most_2_18_masks(atoms, bound):
+    """Each follow-up entry holds one mask per consistent mask, so the
+    memo keeps fewer orders the more worlds there are: at most ``_ROWS``,
+    and at most about 2^18 masks in all."""
+    ctx = CheckContext(language(atoms), OperatorConfig())
+    assert ctx.memo_info()["follow_ups"].maxsize == bound
+    assert bound * ((1 << (1 << atoms)) - 1) < 1 << 18
+
+
+def test_a_context_after_an_s_star_sweep_holds_little():
+    """A fresh context holds about 5.1 MB after a full default 2-atom
+    S-star sweep (16.1 MB when its aggregator memo kept every profile,
+    every pair of families held a ``_pair_plan`` and each prior's row its
+    own copy of each member set)."""
+    space = InstanceSpace(atoms=2)
+    check("K2", space)
+    tracemalloc.start()
+    try:
+        ctx = CheckContext.from_space(space)
+        report = check("S-star", space, ctx=ctx)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.checked == 216_000 and report.holds
+    assert held < 6_000_000
+
+
 @pytest.mark.parametrize("atoms", [3, 4])
 @pytest.mark.parametrize("base, finisher, strategy", [
     ("natural", "natural", "stq"),
