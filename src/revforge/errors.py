@@ -67,10 +67,11 @@ def lookup(registry: Mapping, name: str, what: str,
     """``registry[name]``, or ``error`` naming every registered key.
 
     ``what`` names the kind of entry in the message, for example
-    ``"revision operator"``.
+    ``"revision operator"``.  A name that cannot key the registry, such
+    as a list, is as unknown as any other.
     """
     try:
         return registry[name]
-    except KeyError:
+    except (KeyError, TypeError):
         known = ", ".join(sorted(registry))
         raise error(f"unknown {what} {name!r} (known: {known})") from None

@@ -88,7 +88,7 @@ class Language:
             raise LanguageError(f"need between 1 and {MAX_ATOMS} atoms, got {len(names)}")
         seen = set()
         for name in names:
-            if not _ATOM_NAME.match(name):
+            if not (isinstance(name, str) and _ATOM_NAME.match(name)):
                 raise LanguageError(f"bad atom name {name!r}")
             if name in _RESERVED_NAMES:
                 raise LanguageError(f"atom name {name!r} is reserved for a constant")

@@ -35,10 +35,10 @@ come from outside the program.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import reduce
 from operator import and_
-from typing import Mapping, Sequence
 
 from .aggregation import Aggregator, SelectionStrategy, make_strategy
 from .errors import InconsistentInputError, UnknownOperatorError
@@ -163,11 +163,13 @@ class OperatorConfig:
         spells; unnamed fields keep their defaults.
 
         ``roles`` maps each key ``names`` may use to the field it sets;
-        by default each field is its own key, as in ``describe()``.  An
-        unknown key or a name that is not a string raises
-        ``UnknownOperatorError``, and so does an unknown name, once its
-        field is resolved.
+        by default each field is its own key, as in ``describe()``.
+        ``names`` that are not a mapping, an unknown key or a name that is
+        not a string raise ``UnknownOperatorError``, and so does an unknown
+        name, once its field is resolved.
         """
+        if not isinstance(names, Mapping):
+            raise UnknownOperatorError(f"operator names must be a mapping, got {names!r}")
         roles = roles or {role: role for role in _RESOLVERS}
         unknown = set(names) - set(roles)
         if unknown:

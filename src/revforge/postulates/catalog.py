@@ -27,34 +27,42 @@ domain of definition and is skipped.  For the one existential entry the
 hits are witnesses rather than violations, and the property holds over
 a space when at least one witness turns up.
 
+Every entry enters ``CATALOG`` through ``_register``, and every
+syntactic form enters ``SYNTACTIC_FORMS`` through ``_syntactic``, which
+also records the semantic entry it pairs with in ``EQUIVALENCE_PAIRS``.
+
 Evaluators work on world masks.  Instances arrive as the frozensets
 the instance streams yield; what an evaluator derives from them alone
 does not depend on the prior order, so it is a *plan*: a function of the
 context's full mask and the instance's sets, ``(full, *sets)``, looked
 up through ``ctx.derived(plan, *sets)``: over the few worlds where inputs
 repeat, the context computes it once per distinct input, and above that
-once per instance.  The plan an entry reads turns the family's members
-into masks, and every later step, ``ctx.previse(t, masks)`` and
-``ctx.pcontract(t, masks)`` included, sees only masks.  Entries that
-read the same facts of a family share one plan, so a memo holds each
-fact once: ``_regions`` (conjunction, refuting and member masks), which
-every other family plan extends, ``_negation_plan`` (the member-wise
-negations), ``_dominance`` (a mask per world of the worlds it
-dominates), ``_subfamilies`` and ``_pair_plan`` (two families merged and
-mixed).  S-star reads ``_s_star_plan``, the part of ``_pair_plan`` it
-needs, which is None outside its domain.
-Entries that read a family's ``_regions`` alone register through
-``_family`` and take them as arguments, as serial entries take their
-input's through ``_serial``.
+once per instance.  An entry over one input or one family names its plan
+as ``_register(..., plan=...)`` and takes the plan's fields as
+arguments after ``(ctx, t)``; entries over two inputs or two families
+(``serial2``, ``pset2``) and the syntactic forms call ``ctx.derived``
+themselves.  The plan turns the input into masks, and every later step,
+``ctx.previse(t, masks)`` and ``ctx.pcontract(t, masks)`` included, sees
+only masks.  Entries that read the same facts of an input share one
+plan, so a memo holds each fact once: ``_input`` (the input's mask and
+its negation's), ``_regions`` (a family's conjunction, refuting and
+member masks), which every other family plan extends,
+``_negation_plan`` (the member-wise negations), ``_dominance`` (a mask
+per world of the worlds it dominates), ``_subfamilies`` and
+``_pair_plan`` (two families merged and mixed).  S-star reads
+``_s_star_plan``, the part of ``_pair_plan`` it needs, which is None
+outside its domain.
 Belief sets are read as ``masks[0]`` of an order and best worlds as
 ``min_mask``.  The order checks read the orders' ``world_masks``: one
-mask expression per world names the worlds that break the postulate
-with it, so a check lists its pairs from masks and builds nothing where
-none breaks.  Syntactic forms range over every
-consistent mask and read the beliefs after each single follow-up input
-from ``ctx.follow_ups(order)``.  A hit turns its masks into frozensets
-with ``worlds_of`` when it is built, so hits and witnesses keep their
-frozenset form.
+mask expression per world x names the worlds y that break the postulate
+with it, and ``_listed`` turns that mask into the pairs' hits, so a
+check builds nothing where none breaks.  Syntactic forms range over
+every consistent mask and read the beliefs after each single follow-up
+input from ``ctx.follow_ups(order)``.  Every other hit of world sets is
+built by ``_hit``, which turns its masks into frozensets with
+``worlds_of``, so hits and witnesses keep their frozenset form.  Every
+hit is built behind the check that finds it, so an instance without one
+builds nothing.
 
 Two further kinds of check share that evaluator signature and live
 outside ``CATALOG``: ``PAIR_CHECKS`` holds one ``<id>-pair`` entry per
@@ -94,37 +102,40 @@ class Postulate:
 CATALOG: dict[str, Postulate] = {}
 
 
-def _register(id: str, shape: str, summary: str, *, kind: str = "universal",
-              expected: object = "sound"):
+def _register(id: str, shape: str, summary: str, *, plan: Callable | None = None,
+              kind: str = "universal", expected: object = "sound"):
+    """Enter ``fn`` into ``CATALOG`` as the evaluator of ``id``.  Given a
+    ``plan``, ``fn`` is written over its fields, ``fn(ctx, t, *fields)``,
+    for the one input or family ``s`` of the instance ``(t, s)``."""
     def wrap(fn):
-        CATALOG[id] = Postulate(id, shape, summary, fn, kind, expected)
+        evaluate = fn if plan is None else lambda ctx, t, s: fn(ctx, t, *ctx.derived(plan, s))
+        CATALOG[id] = Postulate(id, shape, summary, evaluate, kind, expected)
         return fn
     return wrap
 
 
-def _serial(id: str, shape: str, summary: str, **options):
-    """``_register`` for a serial entry written over the masks of its
-    input and of the input's negation, ``fn(ctx, t, a, not_a)``: the
-    regions of the family that holds the input alone."""
-    def wrap(fn):
-        _register(id, shape, summary, **options)(
-            lambda ctx, t, a: fn(ctx, t, *ctx.derived(_regions, (a,))[:2]))
-        return fn
-    return wrap
-
-
-def _family(id: str, shape: str, summary: str, **options):
-    """``_register`` for a family entry written over the ``_regions`` of
-    its input family, ``fn(ctx, t, conj, refuting, masks)``."""
-    def wrap(fn):
-        _register(id, shape, summary, **options)(
-            lambda ctx, t, s: fn(ctx, t, *ctx.derived(_regions, s)))
-        return fn
-    return wrap
+def _hit(**masks) -> dict:
+    """A hit of world sets: each mask becomes its frozenset, and a tuple of
+    masks a list of them, under its own key and in the order given."""
+    return {key: [worlds_of(m) for m in value] if type(value) is tuple else worlds_of(value)
+            for key, value in masks.items()}
 
 
 def _sym(diff: int) -> str:
     return "<" if diff < 0 else (">" if diff > 0 else "~")
+
+
+def _listed(x: int, ys: int, prior, posterior) -> list[dict]:
+    """The hits of the pairs (x, y), for y in the mask ``ys`` ascending.
+    ``prior`` and ``posterior`` are each a fixed symbol or an order, whose
+    ``ranks`` give each pair's symbol; their worlds all come from masks of
+    the context's worlds, so the range check of ``TPO.rank`` would only
+    cost time."""
+    r = None if type(prior) is str else prior.ranks
+    r2 = None if type(posterior) is str else posterior.ranks
+    return [{"x": x, "y": y, "prior": prior if r is None else _sym(r[x] - r[y]),
+             "posterior": posterior if r2 is None else _sym(r2[x] - r2[y])}
+            for y in ascending_worlds(ys)]
 
 
 # The order helpers below take world masks and read each order's
@@ -132,10 +143,7 @@ def _sym(diff: int) -> str:
 # x, y is more plausible when in ``below[x]``, tied when in ``block[x]`` and
 # less plausible otherwise.  One mask expression per x names the worlds y
 # that break the postulate with it, so each helper lists exactly its pairs,
-# in ascending x then y, and builds nothing where no pair breaks.  The
-# symbols of a pair read ``ranks`` directly: their worlds all come from
-# masks of the context's worlds, so the range check of ``TPO.rank`` would
-# only cost time.
+# in ascending x then y, and builds nothing where no pair breaks.
 
 def _order_flips(t: TPO, t2: TPO, region: int) -> list[dict]:
     """Pairs in ``region`` whose comparison changes between t and t2."""
@@ -147,9 +155,7 @@ def _order_flips(t: TPO, t2: TPO, region: int) -> list[dict]:
         changed = (b[x] ^ b2[x]) | ((b[x] | k[x]) ^ (b2[x] | k2[x]))
         changed &= region >> x + 1 << x + 1
         if changed:
-            r, r2 = t.ranks, t2.ranks
-            hits += [{"x": x, "y": y, "prior": _sym(r[x] - r[y]), "posterior": _sym(r2[x] - r2[y])}
-                     for y in ascending_worlds(changed)]
+            hits += _listed(x, changed, t, t2)
     return hits
 
 
@@ -162,15 +168,12 @@ def _kept_below(t: TPO, t2: TPO, inside: int, outside: int, weak: bool) -> list[
             # y not below x before, and below it after
             lost = outside & b2[x] & ~b[x]
             if lost:
-                hits += [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
-                         for y in ascending_worlds(lost)]
+                hits += _listed(x, lost, "<=", ">")
         else:
             # y strictly above x before, and not after
             lost = outside & (b2[x] | k2[x]) & ~(b[x] | k[x])
             if lost:
-                r2 = t2.ranks
-                hits += [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])}
-                         for y in ascending_worlds(lost)]
+                hits += _listed(x, lost, "<", t2)
     return hits
 
 
@@ -183,23 +186,25 @@ def _promoted(t: TPO, t2: TPO, inside: int, outside: int) -> list[dict]:
         # y not below x before, and not strictly above it after
         kept = outside & (b2[x] | k2[x]) & ~b[x]
         if kept:
-            r, r2 = t.ranks, t2.ranks
-            hits += [{"x": x, "y": y, "prior": _sym(r[x] - r[y]), "posterior": _sym(r2[x] - r2[y])}
-                     for y in ascending_worlds(kept)]
+            hits += _listed(x, kept, t, t2)
     return hits
 
 
 def _merge(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
-    """The member masks of s1, then those of s2 that s1 lacks."""
-    merged = list(s1)
-    for member in s2:
-        if member not in merged:
-            merged.append(member)
-    return tuple(merged)
+    """The member masks of s1, then those of s2 that s1 lacks; the members
+    of a family are distinct."""
+    return (*s1, *[member for member in s2 if member not in s1])
 
 
 # Plans take the mask of every world, ``full``, and then the instance's
-# families as the streams yield them.
+# inputs or families as the streams yield them.
+
+def _input(full, a) -> tuple[int, int]:
+    """``(mask, not_mask)``: the masks of the worlds satisfying the input
+    ``a`` and of those refuting it."""
+    mask = mask_of(a, full.bit_length())
+    return mask, full ^ mask
+
 
 def _regions(full, s) -> tuple[int, int, tuple[int, ...]]:
     """``(conj, refuting, masks)``: the masks of the worlds satisfying
@@ -246,7 +251,7 @@ def _s_star_plan(full, s1, s2):
 
 # --- serial revision ---
 
-@_serial("K1", "serial", "revised belief sets are deductively closed")
+@_register("K1", "serial", "revised belief sets are deductively closed", plan=_input)
 def _k1(ctx, t, a, not_a):
     # Beliefs are represented by their worlds, so closure cannot fail;
     # kept executable so the catalog stays total.
@@ -254,11 +259,11 @@ def _k1(ctx, t, a, not_a):
     return []
 
 
-@_serial("K2", "serial", "the input is believed after revising by it")
+@_register("K2", "serial", "the input is believed after revising by it", plan=_input)
 def _k2(ctx, t, a, not_a):
     beliefs = ctx.revise(t, a).masks[0]
     if beliefs & ~a:
-        return [{"beliefs": worlds_of(beliefs), "input": worlds_of(a)}]
+        return [_hit(beliefs=beliefs, input=a)]
     return []
 
 
@@ -266,34 +271,38 @@ def _expansion_kept(t: TPO, beliefs: int, target: int) -> list[dict]:
     """K3 and K-star-3: each prior belief world inside ``target`` is among ``beliefs``."""
     expansion = t.masks[0] & target
     if expansion & ~beliefs:
-        return [{"expansion": worlds_of(expansion), "beliefs": worlds_of(beliefs)}]
+        return [_hit(expansion=expansion, beliefs=beliefs)]
     return []
 
 
-@_serial("K3", "serial", "revision keeps any prior beliefs consistent with the input")
+@_register("K3", "serial", "revision keeps any prior beliefs consistent with the input",
+           plan=_input)
 def _k3(ctx, t, a, not_a):
     return _expansion_kept(t, ctx.revise(t, a).masks[0], a)
 
 
-@_serial("K4", "serial", "revision adds nothing beyond expansion when the input is compatible")
+@_register("K4", "serial", "revision adds nothing beyond expansion when the input is compatible",
+           plan=_input)
 def _k4(ctx, t, a, not_a):
     expansion = t.masks[0] & a
     if not expansion:
         return []
     beliefs = ctx.revise(t, a).masks[0]
     if beliefs & ~expansion:
-        return [{"expansion": worlds_of(expansion), "beliefs": worlds_of(beliefs)}]
+        return [_hit(expansion=expansion, beliefs=beliefs)]
     return []
 
 
-@_serial("K5", "serial", "revising by a consistent input yields consistent beliefs")
+@_register("K5", "serial", "revising by a consistent input yields consistent beliefs",
+           plan=_input)
 def _k5(ctx, t, a, not_a):
     if not ctx.revise(t, a).masks[0]:
-        return [{"input": worlds_of(a)}]
+        return [_hit(input=a)]
     return []
 
 
-@_serial("K6", "serial", "syntactically different but equivalent inputs revise alike")
+@_register("K6", "serial", "syntactically different but equivalent inputs revise alike",
+           plan=_input)
 def _k6(ctx, t, a, not_a):
     # Operators act on model sets, so this is structural; exercised
     # through the formula layer to guard the parsing/models plumbing.
@@ -302,52 +311,55 @@ def _k6(ctx, t, a, not_a):
     for variant in (Not(Not(formula)), And(formula, formula)):
         beliefs = ctx.revise(t, model_mask(variant, ctx.lang)).masks[0]
         if beliefs != reference:
-            return [{"input": worlds_of(a), "variant_beliefs": worlds_of(beliefs),
-                     "beliefs": worlds_of(reference)}]
+            return [_hit(input=a, variant_beliefs=beliefs, beliefs=reference)]
     return []
 
 
 @_register("K7", "serial2", "revising by a conjunction keeps everything expansion would add")
 def _k7(ctx, t, a, b):
-    first, second = ctx.derived(_regions, (a,))[0], ctx.derived(_regions, (b,))[0]
+    first, second = ctx.derived(_input, a)[0], ctx.derived(_input, b)[0]
     both = first & second
     if not both:
         return None
     lhs = ctx.revise(t, first).masks[0] & second
     rhs = ctx.revise(t, both).masks[0]
     if lhs & ~rhs:
-        return [{"expansion": worlds_of(lhs), "conjunction_beliefs": worlds_of(rhs)}]
+        return [_hit(expansion=lhs, conjunction_beliefs=rhs)]
     return []
 
 
 @_register("K8", "serial2", "expansion of a revision is conservative when consistent")
 def _k8(ctx, t, a, b):
-    first, second = ctx.derived(_regions, (a,))[0], ctx.derived(_regions, (b,))[0]
+    first, second = ctx.derived(_input, a)[0], ctx.derived(_input, b)[0]
     lhs = ctx.revise(t, first).masks[0] & second
     if not lhs:
         return []
     rhs = ctx.revise(t, first & second).masks[0]
     if rhs & ~lhs:
-        return [{"expansion": worlds_of(lhs), "conjunction_beliefs": worlds_of(rhs)}]
+        return [_hit(expansion=lhs, conjunction_beliefs=rhs)]
     return []
 
 
-@_serial("CR1", "serial", "revision preserves the order among worlds satisfying the input")
+@_register("CR1", "serial", "revision preserves the order among worlds satisfying the input",
+           plan=_input)
 def _cr1(ctx, t, a, not_a):
     return _order_flips(t, ctx.revise(t, a), a)
 
 
-@_serial("CR2", "serial", "revision preserves the order among worlds refuting the input")
+@_register("CR2", "serial", "revision preserves the order among worlds refuting the input",
+           plan=_input)
 def _cr2(ctx, t, a, not_a):
     return _order_flips(t, ctx.revise(t, a), not_a)
 
 
-@_serial("CR3", "serial", "a satisfying world strictly below a refuting one stays strictly below")
+@_register("CR3", "serial", "a satisfying world strictly below a refuting one stays strictly below",
+           plan=_input)
 def _cr3(ctx, t, a, not_a):
     return _kept_below(t, ctx.revise(t, a), a, not_a, weak=False)
 
 
-@_serial("CR4", "serial", "a satisfying world weakly below a refuting one stays weakly below")
+@_register("CR4", "serial", "a satisfying world weakly below a refuting one stays weakly below",
+           plan=_input)
 def _cr4(ctx, t, a, not_a):
     return _kept_below(t, ctx.revise(t, a), a, not_a, weak=True)
 
@@ -357,9 +369,9 @@ def _ind_expected(config) -> str:
     return "sound" if name in ("lex", "restrained") else "violated"
 
 
-@_serial("Ind", "serial",
-         "a satisfying world weakly below a refuting one ends up strictly below",
-         expected=_ind_expected)
+@_register("Ind", "serial",
+           "a satisfying world weakly below a refuting one ends up strictly below",
+           plan=_input, expected=_ind_expected)
 def _ind(ctx, t, a, not_a):
     return _promoted(t, ctx.revise(t, a), a, not_a)
 
@@ -367,25 +379,27 @@ def _ind(ctx, t, a, not_a):
 def _levi(direct: int, via: int) -> list[dict]:
     """The Levi identity: the revision's beliefs ``direct`` equal contract-then-add's ``via``."""
     if direct != via:
-        return [{"revision_beliefs": worlds_of(direct), "contract_then_add": worlds_of(via)}]
+        return [_hit(revision_beliefs=direct, contract_then_add=via)]
     return []
 
 
 def _harper(direct: int, via: int) -> list[dict]:
     """The Harper identity: the contraction's beliefs ``direct`` equal the meet ``via``."""
     if direct != via:
-        return [{"contraction_beliefs": worlds_of(direct), "meet_of_revisions": worlds_of(via)}]
+        return [_hit(contraction_beliefs=direct, meet_of_revisions=via)]
     return []
 
 
-@_serial("LI-serial", "serial",
-         "revising equals retracting the negation then adding the input, at the belief level")
+@_register("LI-serial", "serial",
+           "revising equals retracting the negation then adding the input, at the belief level",
+           plan=_input)
 def _li_serial(ctx, t, a, not_a):
     return _levi(ctx.revise(t, a).masks[0], ctx.contract(t, not_a).masks[0] & a)
 
 
-@_serial("HI-serial", "serial",
-         "retracting equals keeping what survives revision by the negation, at the belief level")
+@_register("HI-serial", "serial",
+           "retracting equals keeping what survives revision by the negation, at the belief level",
+           plan=_input)
 def _hi_serial(ctx, t, a, not_a):
     if not not_a:
         return None
@@ -394,72 +408,81 @@ def _hi_serial(ctx, t, a, not_a):
 
 # --- serial contraction ---
 
-@_serial("CC1", "sercon", "contraction preserves the order among worlds refuting the input")
+@_register("CC1", "sercon", "contraction preserves the order among worlds refuting the input",
+           plan=_input)
 def _cc1(ctx, t, a, not_a):
     return _order_flips(t, ctx.contract(t, a), not_a)
 
 
-@_serial("CC2", "sercon", "contraction preserves the order among worlds satisfying the input")
+@_register("CC2", "sercon", "contraction preserves the order among worlds satisfying the input",
+           plan=_input)
 def _cc2(ctx, t, a, not_a):
     return _order_flips(t, ctx.contract(t, a), a)
 
 
-@_serial("CC3", "sercon", "a refuting world strictly below a satisfying one stays strictly below")
+@_register("CC3", "sercon", "a refuting world strictly below a satisfying one stays strictly below",
+           plan=_input)
 def _cc3(ctx, t, a, not_a):
     return _kept_below(t, ctx.contract(t, a), not_a, a, weak=False)
 
 
-@_serial("CC4", "sercon", "a refuting world weakly below a satisfying one stays weakly below")
+@_register("CC4", "sercon", "a refuting world weakly below a satisfying one stays weakly below",
+           plan=_input)
 def _cc4(ctx, t, a, not_a):
     return _kept_below(t, ctx.contract(t, a), not_a, a, weak=True)
 
 
 # --- parallel revision ---
 
-@_family("Conj-star", "pset",
-         "beliefs after revising by a set are the most plausible worlds of its conjunction")
+@_register("Conj-star", "pset",
+           "beliefs after revising by a set are the most plausible worlds of its conjunction",
+           plan=_regions)
 def _conj_star(ctx, t, conj, refuting, masks):
     beliefs = ctx.previse(t, masks).masks[0]
     expected = t.min_mask(conj)
     if beliefs != expected:
-        return [{"beliefs": worlds_of(beliefs), "most_plausible": worlds_of(expected)}]
+        return [_hit(beliefs=beliefs, most_plausible=expected)]
     return []
 
 
-@_family("K-star-1", "pset", "set revision yields deductively closed beliefs")
+@_register("K-star-1", "pset", "set revision yields deductively closed beliefs", plan=_regions)
 def _ks1(ctx, t, conj, refuting, masks):
     ctx.previse(t, masks)
     return []
 
 
-@_family("K-star-2", "pset", "every member of the input set is believed afterwards")
+@_register("K-star-2", "pset", "every member of the input set is believed afterwards",
+           plan=_regions)
 def _ks2(ctx, t, conj, refuting, masks):
     beliefs = ctx.previse(t, masks).masks[0]
     if beliefs & ~conj:
-        return [{"beliefs": worlds_of(beliefs), "conjunction": worlds_of(conj)}]
+        return [_hit(beliefs=beliefs, conjunction=conj)]
     return []
 
 
-@_family("K-star-3", "pset", "set revision keeps prior beliefs consistent with the set")
+@_register("K-star-3", "pset", "set revision keeps prior beliefs consistent with the set",
+           plan=_regions)
 def _ks3(ctx, t, conj, refuting, masks):
     return _expansion_kept(t, ctx.previse(t, masks).masks[0], conj)
 
 
-@_family("K-star-4", "pset", "set revision adds nothing beyond expansion when compatible")
+@_register("K-star-4", "pset", "set revision adds nothing beyond expansion when compatible",
+           plan=_regions)
 def _ks4(ctx, t, conj, refuting, masks):
     expansion = t.masks[0] & conj
     if not expansion:
         return []
     beliefs = ctx.previse(t, masks).masks[0]
     if beliefs & ~expansion:
-        return [{"expansion": worlds_of(expansion), "beliefs": worlds_of(beliefs)}]
+        return [_hit(expansion=expansion, beliefs=beliefs)]
     return []
 
 
-@_family("K-star-5", "pset", "revising by a jointly consistent set yields consistent beliefs")
+@_register("K-star-5", "pset", "revising by a jointly consistent set yields consistent beliefs",
+           plan=_regions)
 def _ks5(ctx, t, conj, refuting, masks):
     if not ctx.previse(t, masks).masks[0]:
-        return [{"inputs": [worlds_of(m) for m in masks]}]
+        return [_hit(inputs=masks)]
     return []
 
 
@@ -470,19 +493,19 @@ def _variant_hits(ctx, t, masks, variants) -> list[dict]:
     for variant in variants:
         beliefs = ctx.previse(t, variant).masks[0]
         if beliefs != reference:
-            return [{"inputs": [worlds_of(m) for m in masks],
-                     "variant": [worlds_of(m) for m in variant],
-                     "beliefs": worlds_of(reference), "variant_beliefs": worlds_of(beliefs)}]
+            return [_hit(inputs=masks, variant=variant, beliefs=reference, variant_beliefs=beliefs)]
     return []
 
 
-@_family("K-star-6", "pset", "input sets with the same closure revise to the same beliefs")
+@_register("K-star-6", "pset", "input sets with the same closure revise to the same beliefs",
+           plan=_regions)
 def _ks6(ctx, t, conj, refuting, masks):
     # the same closure: the conjunction alone, and the family listed backwards
     return _variant_hits(ctx, t, masks, ((conj,), masks[::-1]))
 
 
-@_family("K-star-6-minus", "pset", "member-wise equivalent input sets revise to the same beliefs")
+@_register("K-star-6-minus", "pset", "member-wise equivalent input sets revise to the same beliefs",
+           plan=_regions)
 def _ks6_minus(ctx, t, conj, refuting, masks):
     return _variant_hits(ctx, t, masks, (masks + masks[:1], masks[::-1] + masks[-1:]))
 
@@ -495,7 +518,7 @@ def _ks7(ctx, t, s1, s2):
     lhs = ctx.previse(t, masks).masks[0] & second
     rhs = ctx.previse(t, merged).masks[0]
     if lhs & ~rhs:
-        return [{"expansion": worlds_of(lhs), "union_beliefs": worlds_of(rhs)}]
+        return [_hit(expansion=lhs, union_beliefs=rhs)]
     return []
 
 
@@ -507,37 +530,41 @@ def _ks8(ctx, t, s1, s2):
         return []
     rhs = ctx.previse(t, merged).masks[0]
     if rhs & ~lhs:
-        return [{"expansion": worlds_of(lhs), "union_beliefs": worlds_of(rhs)}]
+        return [_hit(expansion=lhs, union_beliefs=rhs)]
     return []
 
 
-@_family("C-star-1", "pset",
-         "set revision preserves the order among worlds satisfying the whole set")
+@_register("C-star-1", "pset",
+           "set revision preserves the order among worlds satisfying the whole set",
+           plan=_regions)
 def _cs1(ctx, t, conj, refuting, masks):
     return _order_flips(t, ctx.previse(t, masks), conj)
 
 
-@_family("C-star-2", "pset",
-         "set revision preserves the order among worlds refuting every member")
+@_register("C-star-2", "pset",
+           "set revision preserves the order among worlds refuting every member",
+           plan=_regions)
 def _cs2(ctx, t, conj, refuting, masks):
     return _order_flips(t, ctx.previse(t, masks), refuting)
 
 
-@_family("C-star-2-plus", "pset",
-         "set revision preserves the order among all worlds outside the conjunction",
-         expected="violated")
+@_register("C-star-2-plus", "pset",
+           "set revision preserves the order among all worlds outside the conjunction",
+           plan=_regions, expected="violated")
 def _cs2_plus(ctx, t, conj, refuting, masks):
     return _order_flips(t, ctx.previse(t, masks), ctx.full_mask ^ conj)
 
 
-@_family("C-star-3", "pset",
-         "a set-satisfying world strictly below an outside one stays strictly below")
+@_register("C-star-3", "pset",
+           "a set-satisfying world strictly below an outside one stays strictly below",
+           plan=_regions)
 def _cs3(ctx, t, conj, refuting, masks):
     return _kept_below(t, ctx.previse(t, masks), conj, ctx.full_mask ^ conj, weak=False)
 
 
-@_family("C-star-4", "pset",
-         "a set-satisfying world weakly below an outside one stays weakly below")
+@_register("C-star-4", "pset",
+           "a set-satisfying world weakly below an outside one stays weakly below",
+           plan=_regions)
 def _cs4(ctx, t, conj, refuting, masks):
     return _kept_below(t, ctx.previse(t, masks), conj, ctx.full_mask ^ conj, weak=True)
 
@@ -546,22 +573,20 @@ def _dominance(full, s) -> tuple:
     """``_regions`` of ``s`` and, for each world x, the mask of the worlds
     y != x that x dominates: y satisfies no member of ``s`` that x refutes."""
     regions = _regions(full, s)
-    masks = regions[2]
-    dominated = []
-    for x in range(full.bit_length()):
-        bit = 1 << x
-        refuted = bit
-        for mask in masks:
-            if not mask & bit:
-                refuted |= mask
-        dominated.append(full & ~refuted)
-    return regions + (tuple(dominated),)
+    worlds = range(full.bit_length())
+    # x refutes itself and every member it falls outside
+    refuted = [1 << x for x in worlds]
+    for mask in regions[2]:
+        for x in worlds:
+            if not mask >> x & 1:
+                refuted[x] |= mask
+    return regions + (tuple([full & ~mask for mask in refuted]),)
 
 
 @_register("PC3", "pset",
-           "strictness survives when the lower world satisfies at least as much of the set")
-def _pc3(ctx, t, s):
-    _, _, masks, dominated = ctx.derived(_dominance, s)
+           "strictness survives when the lower world satisfies at least as much of the set",
+           plan=_dominance)
+def _pc3(ctx, t, conj, refuting, masks, dominated):
     t2 = ctx.previse(t, masks)
     (b, k), (b2, k2) = t.world_masks, t2.world_masks
     hits = []
@@ -569,24 +594,21 @@ def _pc3(ctx, t, s):
         # a dominated world strictly above x before, and not after
         lost = under & (b2[x] | k2[x]) & ~(b[x] | k[x])
         if lost:
-            r2 = t2.ranks
-            hits += [{"x": x, "y": y, "prior": "<", "posterior": _sym(r2[x] - r2[y])}
-                     for y in ascending_worlds(lost)]
+            hits += _listed(x, lost, "<", t2)
     return hits
 
 
 @_register("PC4", "pset",
-           "weak order survives when the lower world satisfies at least as much of the set")
-def _pc4(ctx, t, s):
-    _, _, masks, dominated = ctx.derived(_dominance, s)
+           "weak order survives when the lower world satisfies at least as much of the set",
+           plan=_dominance)
+def _pc4(ctx, t, conj, refuting, masks, dominated):
     b, b2 = t.world_masks[0], ctx.previse(t, masks).world_masks[0]
     hits = []
     for x, under in enumerate(dominated):
         # a dominated world not below x before, and below it after
         lost = under & b2[x] & ~b[x]
         if lost:
-            hits += [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
-                     for y in ascending_worlds(lost)]
+            hits += _listed(x, lost, "<=", ">")
     return hits
 
 
@@ -597,9 +619,9 @@ def _ind_star_expected(config) -> str:
     return "exploratory"
 
 
-@_family("Ind-star", "pset",
-         "a set-satisfying world weakly below an outside one ends up strictly below",
-         expected=_ind_star_expected)
+@_register("Ind-star", "pset",
+           "a set-satisfying world weakly below an outside one ends up strictly below",
+           plan=_regions, expected=_ind_star_expected)
 def _ind_star(ctx, t, conj, refuting, masks):
     return _promoted(t, ctx.previse(t, masks), conj, ctx.full_mask ^ conj)
 
@@ -612,24 +634,23 @@ def _negation_plan(full, s) -> tuple:
 
 
 @_register("GR-star", "pset",
-           "revising by the member-wise negations leaves the set's best worlds untouched")
-def _gr_star(ctx, t, s):
-    target, refuting, _, negations = ctx.derived(_negation_plan, s)
+           "revising by the member-wise negations leaves the set's best worlds untouched",
+           plan=_negation_plan)
+def _gr_star(ctx, t, conj, refuting, masks, negations):
     if not refuting:
         return None
-    after = ctx.previse(t, negations).min_mask(target)
-    before = t.min_mask(target)
+    after = ctx.previse(t, negations).min_mask(conj)
+    before = t.min_mask(conj)
     if after != before:
-        return [{"before": worlds_of(before), "after": worlds_of(after)}]
+        return [_hit(before=before, after=after)]
     return []
 
 
 @_register("LI-star", "pset",
            "revising by a set equals retracting the member-wise negations then adding the set,"
-           " at the belief level", expected="exploratory")
-def _li_star(ctx, t, s):
-    target, _, masks, negations = ctx.derived(_negation_plan, s)
-    return _levi(ctx.previse(t, masks).masks[0], ctx.pcontract(t, negations).masks[0] & target)
+           " at the belief level", plan=_negation_plan, expected="exploratory")
+def _li_star(ctx, t, conj, refuting, masks, negations):
+    return _levi(ctx.previse(t, masks).masks[0], ctx.pcontract(t, negations).masks[0] & conj)
 
 
 @_register("S-star", "pset2",
@@ -645,7 +666,7 @@ def _s_star(ctx, t, s1, s2):
     before = t.min_mask(joint)
     after = ctx.previse(t, mixed).min_mask(joint)
     if before != after:
-        return [{"before": worlds_of(before), "after": worlds_of(after)}]
+        return [_hit(before=before, after=after)]
     return []
 
 
@@ -660,54 +681,56 @@ def _p_star(ctx, t, s1, s2):
         return None
     best = ctx.previse(t, mixed).min_mask(second)
     if best & ~first:
-        return [{"best_of_second": worlds_of(best), "first_conjunction": worlds_of(first)}]
+        return [_hit(best_of_second=best, first_conjunction=first)]
     return []
 
 
 # --- parallel contraction ---
 
-@_family("C-con-1", "cset",
-         "set contraction preserves the order among worlds refuting every member")
+@_register("C-con-1", "cset",
+           "set contraction preserves the order among worlds refuting every member",
+           plan=_regions)
 def _ccon1(ctx, t, conj, refuting, masks):
     return _order_flips(t, ctx.pcontract(t, masks), refuting)
 
 
-@_family("C-con-2", "cset",
-         "set contraction preserves the order among worlds satisfying the whole set")
+@_register("C-con-2", "cset",
+           "set contraction preserves the order among worlds satisfying the whole set",
+           plan=_regions)
 def _ccon2(ctx, t, conj, refuting, masks):
     return _order_flips(t, ctx.pcontract(t, masks), conj)
 
 
-@_family("C-con-3", "cset",
-         "an all-refuting world strictly below any other stays strictly below")
+@_register("C-con-3", "cset",
+           "an all-refuting world strictly below any other stays strictly below",
+           plan=_regions)
 def _ccon3(ctx, t, conj, refuting, masks):
     return _kept_below(t, ctx.pcontract(t, masks), refuting, ctx.full_mask ^ refuting, weak=False)
 
 
-@_family("C-con-4", "cset",
-         "an all-refuting world weakly below any other stays weakly below")
+@_register("C-con-4", "cset",
+           "an all-refuting world weakly below any other stays weakly below",
+           plan=_regions)
 def _ccon4(ctx, t, conj, refuting, masks):
     return _kept_below(t, ctx.pcontract(t, masks), refuting, ctx.full_mask ^ refuting, weak=True)
 
 
-@_family("DiP", "cset",
-         "some contraction by a consistent set still believes the set's disjunction",
-         kind="existential")
+@_register("DiP", "cset",
+           "some contraction by a consistent set still believes the set's disjunction",
+           plan=_regions, kind="existential")
 def _dip(ctx, t, conj, refuting, masks):
     if not conj:
         return None
     beliefs = ctx.pcontract(t, masks).masks[0]
     if not beliefs & refuting:
-        return [{"beliefs": worlds_of(beliefs),
-                 "disjunction": worlds_of(ctx.full_mask ^ refuting)}]
+        return [_hit(beliefs=beliefs, disjunction=ctx.full_mask ^ refuting)]
     return []
 
 
 @_register("HI-star", "cset",
            "retracting a set equals keeping what survives revision by the member-wise"
-           " negations, at the belief level", expected="exploratory")
-def _hi_star(ctx, t, s):
-    _, refuting, masks, negations = ctx.derived(_negation_plan, s)
+           " negations, at the belief level", plan=_negation_plan, expected="exploratory")
+def _hi_star(ctx, t, conj, refuting, masks, negations):
     if not refuting:
         return None
     return _harper(ctx.pcontract(t, masks).masks[0],
@@ -725,8 +748,7 @@ def _ub(ctx, profile):
         combined = reduce(or_, [t.min_mask(subset) for t in profile])
         chosen = merged.min_mask(subset)
         if chosen & ~combined:
-            hits.append({"over": worlds_of(subset), "aggregate_best": worlds_of(chosen),
-                         "member_best_union": worlds_of(combined)})
+            hits.append(_hit(over=subset, aggregate_best=chosen, member_best_union=combined))
     return hits
 
 
@@ -738,7 +760,7 @@ def _lb(ctx, profile):
     for subset in range(ctx.full_mask + 1):
         chosen = merged.min_mask(subset)
         if all(t.min_mask(subset) & ~chosen for t in profile):
-            hits.append({"over": worlds_of(subset), "aggregate_best": worlds_of(chosen)})
+            hits.append(_hit(over=subset, aggregate_best=chosen))
     return hits
 
 
@@ -770,7 +792,7 @@ def _factoring(ctx, profile):
         mins = [t.min_mask(subset) for t in profile]
         if not any(reduce(or_, group, 0) == chosen
                    for size in range(len(profile) + 1) for group in combinations(mins, size)):
-            hits.append({"over": worlds_of(subset), "aggregate_best": worlds_of(chosen)})
+            hits.append(_hit(over=subset, aggregate_best=chosen))
     return hits
 
 
@@ -812,19 +834,37 @@ class SyntacticForm:
 
 
 SYNTACTIC_FORMS: dict[str, SyntacticForm] = {}
-EQUIVALENCE_PAIRS: dict[str, str] = {
-    "C-star-1": "C-star-1-b",
-    "C-star-2": "C-star-2-b",
-    "C-star-3": "C-star-3-b",
-    "C-star-4": "C-star-4-b",
-    "PC3": "PC3-b",
-    "PC4": "PC4-b",
-}
+# semantic entry id -> the id of its syntactic form, in registration order
+EQUIVALENCE_PAIRS: dict[str, str] = {}
+PAIR_CHECKS: dict[str, Postulate] = {}
 
 
-def _syntactic(id: str, summary: str):
+def _agreement(semantic: Postulate, syntactic: SyntacticForm) -> Callable:
+    """One hit wherever the semantic and syntactic forms disagree."""
+    def evaluate(ctx, t, s):
+        hits = semantic.evaluate(ctx, t, s)
+        if hits is None:
+            return None
+        sem_holds = not hits
+        syn_holds = syntactic.holds(ctx, t, s)
+        if sem_holds != syn_holds:
+            return [{"semantic_holds": sem_holds, "syntactic_holds": syn_holds}]
+        return []
+    return evaluate
+
+
+def _syntactic(id: str, semantic: str, summary: str):
+    """Enter ``fn`` into ``SYNTACTIC_FORMS`` as the form ``id`` of the
+    catalog entry ``semantic``; ``holds`` is ``fn`` itself.  The pair goes
+    into ``EQUIVALENCE_PAIRS``, and its agreement check into
+    ``PAIR_CHECKS`` as ``<semantic>-pair``."""
     def wrap(fn):
-        SYNTACTIC_FORMS[id] = SyntacticForm(id, summary, fn)
+        form = SYNTACTIC_FORMS[id] = SyntacticForm(id, summary, fn)
+        EQUIVALENCE_PAIRS[semantic] = id
+        PAIR_CHECKS[f"{semantic}-pair"] = Postulate(
+            f"{semantic}~{id}", "pset",
+            f"{semantic} and its syntactic form {id} agree on every instance",
+            _agreement(CATALOG[semantic], form))
         return fn
     return wrap
 
@@ -841,21 +881,21 @@ def _irrelevant_step(ctx, t: TPO, masks: tuple, region: int) -> bool:
     return True
 
 
-@_syntactic("C-star-1-b",
+@_syntactic("C-star-1-b", "C-star-1",
             "follow-ups entailing the set make the revision step irrelevant")
 def _syn_cs1(ctx, t, s):
     conj, _, masks = ctx.derived(_regions, s)
     return _irrelevant_step(ctx, t, masks, conj)
 
 
-@_syntactic("C-star-2-b",
+@_syntactic("C-star-2-b", "C-star-2",
             "follow-ups entailing every negation make the revision step irrelevant")
 def _syn_cs2(ctx, t, s):
     _, refuting, masks = ctx.derived(_regions, s)
     return _irrelevant_step(ctx, t, masks, refuting)
 
 
-@_syntactic("C-star-3-b",
+@_syntactic("C-star-3-b", "C-star-3",
             "follow-ups that would leave the set believed still do after revising by it")
 def _syn_cs3(ctx, t, s):
     target, _, masks = ctx.derived(_regions, s)
@@ -864,7 +904,7 @@ def _syn_cs3(ctx, t, s):
                    for alone, two_step in zip(ctx.follow_ups(t), after))
 
 
-@_syntactic("C-star-4-b",
+@_syntactic("C-star-4-b", "C-star-4",
             "follow-ups that would leave the set consistent with beliefs still do")
 def _syn_cs4(ctx, t, s):
     target, _, masks = ctx.derived(_regions, s)
@@ -874,73 +914,47 @@ def _syn_cs4(ctx, t, s):
 
 
 def _subfamilies(full, s) -> tuple:
-    """``_regions`` of ``s`` and every non-empty subfamily of its member
-    masks, smallest first, with its conjunction mask."""
+    """``_regions`` of ``s`` and, for each consistent follow-up mask x in
+    order, its routes: every non-empty subfamily of the member masks
+    consistent with x, smallest first, joined with x.  The empty
+    subfamily joined with x is x alone, a follow-up."""
     regions = _regions(full, s)
     masks = regions[2]
-    return regions + (tuple((group, reduce(and_, group))
-                            for size in range(1, len(masks) + 1)
-                            for group in combinations(masks, size)),)
+    groups = [(group, reduce(and_, group))
+              for size in range(1, len(masks) + 1) for group in combinations(masks, size)]
+    return regions + (tuple([tuple([group if x in group else group + (x,)
+                                    for group, conj in groups if conj & x])
+                             for x in range(1, full + 1)]),)
 
 
-def _joined(groups: tuple, x: int) -> list:
-    """Each of the ``_subfamilies`` joined with the follow-up mask x, where
-    consistent.  The empty subfamily joined with x is x alone, a follow-up."""
-    return [members if x in members else members + (x,) for members, conj in groups if conj & x]
-
-
-@_syntactic("PC3-b",
+@_syntactic("PC3-b", "PC3",
             "anything believed under every compatible subfamily survives the two-step route")
 def _syn_pc3(ctx, t, s):
     previse = ctx.previse
-    _, _, masks, groups = ctx.derived(_subfamilies, s)
+    _, _, masks, joined = ctx.derived(_subfamilies, s)
     after = ctx.follow_ups(previse(t, masks))
-    for x, (alone, two_step) in enumerate(zip(ctx.follow_ups(t), after), 1):
+    for alone, two_step, routes in zip(ctx.follow_ups(t), after, joined):
         support = alone
-        for route in _joined(groups, x):
+        for route in routes:
             support |= previse(t, route).masks[0]
         if two_step & ~support:
             return False
     return True
 
 
-@_syntactic("PC4-b",
+@_syntactic("PC4-b", "PC4",
             "nothing refuted under every compatible subfamily appears on the two-step route")
 def _syn_pc4(ctx, t, s):
     previse = ctx.previse
-    _, _, masks, groups = ctx.derived(_subfamilies, s)
+    _, _, masks, joined = ctx.derived(_subfamilies, s)
     after = ctx.follow_ups(previse(t, masks))
-    for x, (alone, two_step) in enumerate(zip(ctx.follow_ups(t), after), 1):
-        if alone & ~two_step and all(previse(t, route).masks[0] & ~two_step
-                                     for route in _joined(groups, x)):
+    for alone, two_step, routes in zip(ctx.follow_ups(t), after, joined):
+        if alone & ~two_step and all(previse(t, route).masks[0] & ~two_step for route in routes):
             return False
     return True
 
 
-# --- agreement pairs and the closure identity ---
-
-def _agreement(semantic: Postulate, syntactic: SyntacticForm) -> Callable:
-    """One hit wherever the semantic and syntactic forms disagree."""
-    def evaluate(ctx, t, s):
-        hits = semantic.evaluate(ctx, t, s)
-        if hits is None:
-            return None
-        sem_holds = not hits
-        syn_holds = syntactic.holds(ctx, t, s)
-        if sem_holds != syn_holds:
-            return [{"semantic_holds": sem_holds, "syntactic_holds": syn_holds}]
-        return []
-    return evaluate
-
-
-PAIR_CHECKS: dict[str, Postulate] = {
-    f"{semantic}-pair": Postulate(
-        f"{semantic}~{syntactic}", "pset",
-        f"{semantic} and its syntactic form {syntactic} agree on every instance",
-        _agreement(CATALOG[semantic], SYNTACTIC_FORMS[syntactic]))
-    for semantic, syntactic in EQUIVALENCE_PAIRS.items()
-}
-
+# --- the closure identity ---
 
 def _rc_identity(ctx, profile):
     # The left route aggregates synchronously; the right route intersects

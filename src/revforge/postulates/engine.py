@@ -375,6 +375,8 @@ class CheckReport:
 
 
 def _postulate(postulate_id: str) -> Postulate:
+    if not isinstance(postulate_id, str):
+        raise UnknownPostulateError(f"a postulate id must be a string, got {postulate_id!r}")
     if postulate_id == RC_IDENTITY.id:
         return RC_IDENTITY
     if postulate_id.endswith("-pair"):
@@ -449,7 +451,7 @@ def check_equivalence_pair(semantic_id: str, syntactic_id: str, space: InstanceS
     world pairs, the syntactic form by quantifying follow-up inputs over
     every consistent proposition and re-applying the operator.
     """
-    if EQUIVALENCE_PAIRS.get(semantic_id) != syntactic_id:
+    if not (isinstance(semantic_id, str) and EQUIVALENCE_PAIRS.get(semantic_id) == syntactic_id):
         known = ", ".join(f"{a}~{b}" for a, b in sorted(EQUIVALENCE_PAIRS.items()))
         raise UnknownPostulateError(
             f"{semantic_id!r}/{syntactic_id!r} is not a recognized agreement pair (known: {known})")

@@ -165,9 +165,17 @@ def _names(worlds, lang: Language) -> list[str]:
     return sorted(lang.world_name(w) for w in worlds)
 
 
+def _items(data) -> list:
+    """``data``, a JSON list; any other value is one of the wrong JSON type,
+    a string or an object included, whose items would read as a list's."""
+    if not isinstance(data, list):
+        raise TypeError(f"expected a list, got {data!r}")
+    return data
+
+
 def _worlds(names, lang: Language) -> frozenset[int]:
     # a name that is not a string is a value of the wrong JSON type
-    if not all(isinstance(name, str) for name in names):
+    if not all(isinstance(name, str) for name in _items(names)):
         raise TypeError("world names must be strings")
     return frozenset(lang.world_from_name(n) for n in names)
 
@@ -188,7 +196,7 @@ class Part:
 
 
 def _decode_preorder(blocks, lang: Language) -> TPO:
-    t = TPO(tuple(_worlds(block, lang) for block in blocks))
+    t = TPO(tuple(_worlds(block, lang) for block in _items(blocks)))
     if t.num_worlds != lang.num_worlds:
         raise SpaceError(f"a preorder must place all {lang.num_worlds} worlds of the language, "
                          f"this one places {t.num_worlds}")
@@ -210,7 +218,7 @@ def _tuple_of(part: Part, values: Callable, sample: Callable) -> Part:
     """A part whose value is a tuple of ``part`` values."""
     return Part(values, sample,
                 lambda items, lang: [part.encode(x, lang) for x in items],
-                lambda data, lang: tuple(part.decode(x, lang) for x in data))
+                lambda data, lang: tuple(part.decode(x, lang) for x in _items(data)))
 
 
 def _family(jointly_consistent: bool) -> Part:
@@ -254,8 +262,9 @@ def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
     """The instance ``encode_instance`` made ``payload`` from.
 
     A payload that is not an object holding every key of the shape, that
-    holds a value of another JSON type than the shape's, or a preorder
-    that does not place every world of ``lang``, raises ``SpaceError``.
+    holds a value of another JSON type than the shape's (a string or an
+    object where a list belongs included), or a preorder that does not
+    place every world of ``lang``, raises ``SpaceError``.
     """
     parts = _parts(shape)
     missing = [key for key, _ in parts if not isinstance(payload, dict) or key not in payload]

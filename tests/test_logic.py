@@ -42,6 +42,9 @@ def test_language_rejects_duplicates_and_reserved_names():
         Language(("T", "A"))
     with pytest.raises(LanguageError):
         Language(())
+    # an atom name that is not a string is a bad name, not a bare TypeError
+    with pytest.raises(LanguageError, match="bad atom name 1"):
+        Language([1, 2])
 
 
 def test_language_rejects_bad_world_names(lang2):

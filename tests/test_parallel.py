@@ -174,6 +174,14 @@ def test_operator_config_rejects_a_value_of_no_operator_kind(role, value):
     OperatorConfig(**{role: "unregistered"})  # a name is looked up only when resolved
 
 
+@pytest.mark.parametrize("names", [None, ["base"], "lex"])
+def test_operator_names_must_be_a_mapping(names):
+    """``from_names`` reads names from outside the program, so a value that
+    is not a mapping of role to name raises a typed error."""
+    with pytest.raises(UnknownOperatorError, match="operator names must be a mapping, got"):
+        OperatorConfig.from_names(names)
+
+
 def test_operator_config_is_frozen():
     """A field cannot be set after the check: assignment raises at once,
     where it used to pass and fail inside the pipeline."""

@@ -17,8 +17,8 @@ from revforge import (CATALOG, Aggregator, CheckContext, CheckReport,
                       Language, NATURAL_CONTRACT, OperatorConfig,
                       ParallelContractionOperator, ParallelRevisionOperator,
                       REVISION_OPERATORS, RevforgeError, STQ_STRATEGY, SelectionStrategy,
-                      SerialRevisionOperator, SpaceError, TPO, UnknownOperatorError,
-                      UnknownPostulateError, check, check_equivalence_pair,
+                      SerialContractionOperator, SerialRevisionOperator, SpaceError, TPO,
+                      UnknownOperatorError, UnknownPostulateError, check, check_equivalence_pair,
                       default_parallel_revision, find_countermodel,
                       get_revision_operator, make_strategy, replay_witness,
                       verify_rc_identity)
@@ -324,6 +324,21 @@ def test_rc_identity_report_names_the_aggregator_that_ran():
 def test_unknown_postulate():
     with pytest.raises(UnknownPostulateError):
         check("K99", InstanceSpace(atoms=2))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda space: check(5, space), UnknownPostulateError),
+    (lambda space: replay_witness(None, _ind_witness(), 1), UnknownPostulateError),
+    (lambda space: check_equivalence_pair(["a"], "b", space), UnknownPostulateError),
+    (lambda space: make_strategy({}), UnknownOperatorError),
+    (lambda space: get_revision_operator(["x"]), UnknownOperatorError),
+], ids=["int-id", "none-id", "list-pair-id", "dict-strategy", "list-operator"])
+def test_ids_and_names_that_are_not_strings_are_unknown(call, error):
+    """An id or a registry name that is not a string, or cannot key a
+    registry, names nothing: it raises the typed error of an unknown one,
+    not a bare ``AttributeError`` or ``TypeError``."""
+    with pytest.raises(error, match="unknown|must be a string|not a recognized"):
+        call(InstanceSpace(atoms=2))
 
 
 def test_find_countermodel_none_for_sound_postulates():
@@ -970,22 +985,34 @@ def _ind_witness() -> dict:
     ({"instance": None}, SpaceError, "a 'serial' instance needs the keys ['tpo', 'input']"),
     ({"instance": {"tpo": [["00", "01", "10", "11"]], "input": [3]}}, SpaceError,
      "a 'serial' instance holds a value of the wrong type"),
+    # a string or an object where a list belongs would read as a list of
+    # its characters or keys
+    ({"postulate": "Conj-star", "atoms": 1, "instance": {"tpo": [["0", "1"]], "inputs": ["1"]}},
+     SpaceError, "a 'pset' instance holds a value of the wrong type: expected a list, got '1'"),
+    ({"atoms": 1, "instance": {"tpo": {"0": 1, "1": 2}, "input": ["1"]}}, SpaceError,
+     "a 'serial' instance holds a value of the wrong type: expected a list, got {'0': 1"),
+    ({"atoms": 1, "instance": {"tpo": ["0", "1"], "input": ["1"]}}, SpaceError,
+     "a 'serial' instance holds a value of the wrong type: expected a list, got '0'"),
+    ({"instance": {"tpo": [["00", "01", "10", "11"]], "input": "11"}}, SpaceError,
+     "a 'serial' instance holds a value of the wrong type: expected a list, got '11'"),
 ], ids=["unknown-role", "non-string-name", "atoms", "missing-key", "partial-preorder",
         "no-operators", "no-instance", "list-witness", "null-operators", "input-not-a-list",
-        "null-instance", "non-string-world"])
+        "null-instance", "non-string-world", "string-member", "object-preorder",
+        "string-block", "string-input"])
 def test_replay_rejects_witnesses_from_outside_the_program(bad, error, fragment):
-    """``bad`` updates a real witness (``_DROP`` deletes a key), or, when
-    it is not a dict, is the witness itself."""
+    """``bad`` updates a real witness (``_DROP`` deletes a key; ``atoms`` and
+    ``postulate`` set the replay's arguments), or, when it is not a dict,
+    is the witness itself."""
     witness = _ind_witness()
-    atoms = 2
+    atoms, postulate = 2, "Ind"
     if isinstance(bad, dict):
-        atoms = bad.get("atoms", 2)
-        witness.update({k: v for k, v in bad.items() if k != "atoms"})
+        atoms, postulate = bad.get("atoms", 2), bad.get("postulate", "Ind")
+        witness.update({k: v for k, v in bad.items() if k not in ("atoms", "postulate")})
         witness = {k: v for k, v in witness.items() if v is not _DROP}
     else:
         witness = bad + [witness]
     with pytest.raises(error) as err:
-        replay_witness("Ind", witness, atoms=atoms)
+        replay_witness(postulate, witness, atoms=atoms)
     assert fragment in str(err.value)
     assert isinstance(err.value, RevforgeError)
 
@@ -1045,9 +1072,53 @@ def test_set_witnesses_replay_their_detail():
             assert replay_witness(pid, json.loads(json.dumps(witness)), atoms=2) == details
 
 
+def _is_raw_hit_value(key: str, value) -> bool:
+    """The values an evaluator may put in a hit, as ``render_value`` and
+    replay read them: a world set, a list of world sets, a world under
+    ``x`` or ``y``, a comparison symbol, a flag or an order."""
+    if isinstance(value, list):
+        return all(type(member) is frozenset for member in value)
+    if type(value) is int:
+        return key in ("x", "y")
+    return type(value) in (frozenset, str, bool, TPO)
+
+
 def test_every_catalog_entry_executes_on_a_small_sample():
     space = InstanceSpace(atoms=2, mode="sampled", sample_count=25, seed=5)
     for pid in sorted(CATALOG):
         report = check(pid, space)
         assert isinstance(report, CheckReport)
         assert report.checked <= 25
+    # Sound entries never hit under the shipped operators, so their hits
+    # are built only under broken ones: serial stages that reverse the
+    # prior whatever the input, and an aggregate, through the context's
+    # seam, that reverses the first member.
+    reverse = SerialRevisionOperator("reverse", lambda t, mask: TPO(tuple(reversed(t.blocks))))
+    retract = SerialContractionOperator("reverse", lambda t, mask: TPO(tuple(reversed(t.blocks))))
+    broken = replace(space, operators=OperatorConfig(revision=reverse, base=reverse,
+                                                     contraction=retract,
+                                                     strategy="round-robin"))
+    ctx = CheckContext.from_space(broken)
+    ctx.aggregate = lambda profile: TPO(tuple(reversed(profile[0].blocks)))
+    entries = {**CATALOG, **PAIR_CHECKS, "rc-identity": engine.RC_IDENTITY}
+    silent = set(entries)
+    for pid, postulate in entries.items():
+        for instance in broken.instances(postulate.shape):
+            for hit in postulate.evaluate(ctx, *instance) or ():
+                silent.discard(pid)
+                assert all(_is_raw_hit_value(key, value) for key, value in hit.items()), (pid, hit)
+    # what stays silent: closure and consistency hold of any order, K6 is
+    # structural, rc-identity aggregates with stq itself, the C-star-1 and
+    # C-star-2 forms fail together, and the rest need a finisher that
+    # leaves the conjunction unbelieved
+    assert silent == {"K1", "K-star-1", "K5", "K-star-5", "K6", "K7", "K-star-2", "K-star-6",
+                      "K-star-6-minus", "K-star-7", "K-star-8", "S-star", "rc-identity",
+                      "C-star-1-pair", "C-star-2-pair"}
+
+
+def test_hits_turn_masks_into_world_sets():
+    """``_hit`` turns each mask into its world set and a tuple of masks into
+    a list of them, keeping the keys in order."""
+    hit = catalog._hit(inputs=(0b0011, 0b0100), beliefs=0b1001)
+    assert list(hit) == ["inputs", "beliefs"]
+    assert hit == {"inputs": [frozenset({0, 1}), frozenset({2})], "beliefs": frozenset({0, 3})}
