@@ -35,10 +35,10 @@ come from outside the program.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import reduce
 from operator import and_
+from typing import Mapping, Sequence
 
 from .aggregation import Aggregator, SelectionStrategy, make_strategy
 from .errors import InconsistentInputError, UnknownOperatorError
@@ -168,16 +168,17 @@ class OperatorConfig:
         not a string raise ``UnknownOperatorError``, and so does an unknown
         name, once its field is resolved.
         """
-        if not isinstance(names, Mapping):
-            raise UnknownOperatorError(f"operator names must be a mapping, got {names!r}")
         roles = roles or {role: role for role in _RESOLVERS}
-        unknown = set(names) - set(roles)
+        try:
+            unknown, items = set(names) - set(roles), names.items()
+        except (TypeError, AttributeError):
+            raise UnknownOperatorError(f"operator names must be a mapping, got {names!r}") from None
         if unknown:
             raise UnknownOperatorError(f"unknown keys {sorted(unknown)}")
-        for key, name in names.items():
+        for key, name in items:
             if not isinstance(name, str):
                 raise UnknownOperatorError(f"{key!r} must be an operator name, got {name!r}")
-        return cls(**{roles[key]: name for key, name in names.items()})
+        return cls(**{roles[key]: name for key, name in items})
 
     def resolved(self, role: str):
         """The operator object in field ``role``, with names looked up."""

@@ -211,11 +211,12 @@ def _regions(full, s) -> tuple[int, int, tuple[int, ...]]:
     every member of ``s`` and of the worlds refuting every member, and
     the members' own masks, in their listed order."""
     num_worlds = full.bit_length()
-    masks = tuple([mask_of(member, num_worlds) for member in s])
-    conj, union = full, 0
-    for mask in masks:
+    conj, union, masks = full, 0, ()
+    for member in s:
+        mask = mask_of(member, num_worlds)
         conj &= mask
         union |= mask
+        masks += (mask,)
     return conj, full ^ union, masks
 
 
