@@ -104,9 +104,11 @@ CATALOG: dict[str, Postulate] = {}
 
 def _register(id: str, shape: str, summary: str, *, plan: Callable | None = None,
               kind: str = "universal", expected: object = "sound"):
-    """Enter ``fn`` into ``CATALOG`` as the evaluator of ``id``.  Given a
-    ``plan``, ``fn`` is written over its fields, ``fn(ctx, t, *fields)``,
-    for the one input or family ``s`` of the instance ``(t, s)``."""
+    """The one way into ``CATALOG``: a decorator that enters the function
+    ``fn`` it decorates as the evaluator of ``id``.  Given a ``plan``, the
+    entry's instances are ``(t, s)`` for one input or family ``s``, and
+    ``fn`` is written over the plan's fields, ``fn(ctx, t, *fields)``;
+    without one, ``fn`` takes the instance as the stream yields it."""
     def wrap(fn):
         evaluate = fn if plan is None else lambda ctx, t, s: fn(ctx, t, *ctx.derived(plan, s))
         CATALOG[id] = Postulate(id, shape, summary, evaluate, kind, expected)
