@@ -29,7 +29,8 @@ a space when at least one witness turns up.
 
 Every entry enters ``CATALOG`` through ``_register``, and every
 syntactic form enters ``SYNTACTIC_FORMS`` through ``_syntactic``, which
-also records the semantic entry it pairs with in ``EQUIVALENCE_PAIRS``.
+also records the semantic entry it pairs with in ``EQUIVALENCE_PAIRS``
+and their agreement check in ``PAIR_CHECKS``.
 
 Evaluators work on world masks.  Instances arrive as the frozensets
 the instance streams yield; what an evaluator derives from them alone
@@ -59,10 +60,9 @@ with it, and ``_listed`` turns that mask into the pairs' hits, so a
 check builds nothing where none breaks.  Syntactic forms range over
 every consistent mask and read the beliefs after each single follow-up
 input from ``ctx.follow_ups(order)``.  Every other hit of world sets is
-built by ``_hit``, which turns its masks into frozensets with
-``worlds_of``, so hits and witnesses keep their frozenset form.  Every
-hit is built behind the check that finds it, so an instance without one
-builds nothing.
+built by ``_hit``, the one place that turns masks into frozensets, so
+hits and witnesses keep their frozenset form.  Every hit is built behind
+the check that finds it, so an instance without one builds nothing.
 
 Two further kinds of check share that evaluator signature and live
 outside ``CATALOG``: ``PAIR_CHECKS`` holds one ``<id>-pair`` entry per
@@ -223,7 +223,8 @@ def _regions(full, s) -> tuple[int, int, tuple[int, ...]]:
 
 
 # ``_pair_plan`` meets each family in many pairs, so it reads their regions
-# through a bounded table of its own, sized like ``worlds_of``'s
+# through a bounded table of its own, of as many entries as the logic
+# layer keeps world sets
 _pair_regions = lru_cache(maxsize=256)(_regions)
 
 
