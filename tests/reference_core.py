@@ -19,17 +19,19 @@ It also keeps the frozenset route of formulas and scenario runs:
 against them.
 
 Last, it keeps the order checks as the pair loops they were (the
-catalog's order helpers, PC3 and PC4) and the sampled stream as it was
-drawn through ``shuffle``, ``randrange`` and ``randint``;
+catalog's order helpers, PC3 and PC4), the profile entries (UB, LB,
+Factoring, SPU, WPU and Parity) over world sets, and the sampled stream
+as it was drawn through ``shuffle``, ``randrange`` and ``randint``;
 ``test_kernel_differential.py`` checks the mask checks and the inlined
-samplers against them.  Nothing outside the tests imports it.
+samplers against them, and ``test_core_differential.py`` the profile
+entries.  Nothing outside the tests imports it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 from revforge.aggregation import SelectionStrategy
@@ -432,6 +434,84 @@ def pc4(ctx, t, s):
     r, r2 = t.rank, t2.rank
     return [{"x": x, "y": y, "prior": "<=", "posterior": ">"}
             for x, y in _dominated_pairs(s, t.num_worlds) if r(x) <= r(y) and not r2(x) <= r2(y)]
+
+
+# --- the profile entries over world sets ---
+#
+# UB, LB, Factoring, SPU, WPU and Parity as they read before they shared
+# one walk over subsets: best worlds as world sets from ``min_of``, pairs
+# through ``rank``.  They take the shipped orders and ``ctx.aggregate``.
+
+def _subsets(num_worlds: int) -> list[frozenset[int]]:
+    """Every set of worlds, in the ascending order of its mask."""
+    return [frozenset(w for w in range(num_worlds) if m >> w & 1) for m in range(1 << num_worlds)]
+
+
+def ub(ctx, profile):
+    merged = ctx.aggregate(profile)
+    hits = []
+    for subset in _subsets(merged.num_worlds):
+        combined = frozenset().union(*(t.min_of(subset) for t in profile))
+        chosen = merged.min_of(subset)
+        if not chosen <= combined:
+            hits.append({"over": subset, "aggregate_best": chosen, "member_best_union": combined})
+    return hits
+
+
+def lb(ctx, profile):
+    merged = ctx.aggregate(profile)
+    hits = []
+    for subset in _subsets(merged.num_worlds):
+        chosen = merged.min_of(subset)
+        if all(not t.min_of(subset) <= chosen for t in profile):
+            hits.append({"over": subset, "aggregate_best": chosen})
+    return hits
+
+
+def factoring(ctx, profile):
+    merged = ctx.aggregate(profile)
+    hits = []
+    for subset in _subsets(merged.num_worlds):
+        chosen = merged.min_of(subset)
+        mins = [t.min_of(subset) for t in profile]
+        unions = {frozenset().union(*group)
+                  for size in range(len(mins) + 1) for group in combinations(mins, size)}
+        if chosen not in unions:
+            hits.append({"over": subset, "aggregate_best": chosen})
+    return hits
+
+
+def _unanimity_lost(ctx, profile, strict: bool) -> list[dict]:
+    merged = ctx.aggregate(profile)
+    below = (lambda t, x, y: t.rank(x) < t.rank(y)) if strict else \
+        (lambda t, x, y: t.rank(x) <= t.rank(y))
+    worlds = range(merged.num_worlds)
+    return [{"x": x, "y": y} for x in worlds for y in worlds
+            if x != y and all(below(t, x, y) for t in profile) and not below(merged, x, y)]
+
+
+def spu(ctx, profile):
+    return _unanimity_lost(ctx, profile, strict=True)
+
+
+def wpu(ctx, profile):
+    return _unanimity_lost(ctx, profile, strict=False)
+
+
+def parity(ctx, profile):
+    merged = ctx.aggregate(profile)
+    r = merged.rank
+    worlds = range(merged.num_worlds)
+    hits = []
+    for x, y in permutations(worlds, 2):
+        if not r(x) < r(y):
+            continue
+        peers = [z for z in worlds if r(z) == r(x)]
+        for t in profile:
+            if not any(t.rank(z) < t.rank(y) for z in peers):
+                hits.append({"x": x, "y": y, "member": t})
+                break
+    return hits
 
 
 # --- the sampled stream through ``shuffle``, ``randrange`` and ``randint`` ---

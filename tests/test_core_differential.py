@@ -11,6 +11,9 @@ compared block by block, on:
 * contraction over every two-atom ``cset`` family;
 * rational closure of every intersected pair of two-atom tables;
 * a seeded three-atom sample of all of the above;
+* the profile entries UB, LB, Factoring, SPU, WPU and Parity, against
+  their bodies over world sets, on every two-atom profile and the
+  three-atom sample, under the default aggregate and a reversing one;
 * the S-star, P-star, GR-star, C-star-3-b, C-star-4-b, PC3-b and PC4-b
   evaluators, which the shipped catalog runs on masks, with plans made
   once per input family and follow-up beliefs read once per order,
@@ -179,3 +182,27 @@ def test_catalog_evaluators(pid, config_name):
     # the comparison reaches the failure paths: P-star fails under any
     # operators, the others under the reversing base operator
     assert bool(failing) == (config_name == "reverse-base" or pid == "P-star")
+
+
+REF_PROFILE_ENTRIES = {"UB": ref.ub, "LB": ref.lb, "Factoring": ref.factoring,
+                       "SPU": ref.spu, "WPU": ref.wpu, "Parity": ref.parity}
+
+
+@pytest.mark.parametrize("atoms", [2, 3])
+@pytest.mark.parametrize("aggregate", ["shipped", "reversed"])
+@pytest.mark.parametrize("pid", REF_PROFILE_ENTRIES)
+def test_profile_entries(pid, aggregate, atoms):
+    """Hits, in order, equal the world-set bodies' on every two-atom profile
+    and a seeded three-atom sample, under the default strategy and under an
+    aggregate that reverses the first member, which breaks every entry."""
+    space = InstanceSpace(atoms=2) if atoms == 2 else SAMPLE
+    ctx = CheckContext.from_space(space)
+    if aggregate == "reversed":
+        ctx.aggregate = lambda profile: TPO(tuple(reversed(profile[0].blocks)))
+    reference = REF_PROFILE_ENTRIES[pid]
+    failing = 0
+    for (profile,) in space.instances("profile2"):
+        expected = reference(ctx, profile)
+        assert CATALOG[pid].evaluate(ctx, profile) == expected, profile
+        failing += bool(expected)
+    assert bool(failing) == (aggregate == "reversed")
