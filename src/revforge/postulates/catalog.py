@@ -57,9 +57,16 @@ Belief sets are read as ``masks[0]`` of an order and best worlds as
 ``min_mask``.  The order checks read the orders' ``world_masks``: one
 mask expression per world x names the worlds y that break the postulate
 with it, and ``_listed`` turns that mask into the pairs' hits, so a
-check builds nothing where none breaks.  Syntactic forms range over
-every consistent mask and read the beliefs after each single follow-up
-input from ``ctx.follow_ups(order)``.  Every other hit of world sets is
+check builds nothing where none breaks.  ``_kept`` is the one walk for
+"x stays weakly or strictly below y": it takes pairs ``(x, ys)``, which
+``_kept_below`` makes with one fixed mask of ys for every world of a
+region, and PC3 and PC4 take from ``_dominance``, a mask per world.
+UB, LB and Factoring read every subset's best worlds, the aggregate's
+and each member's, from one walk, ``_bests``.  Syntactic forms range
+over every consistent mask and read the beliefs after each single
+follow-up input from ``ctx.follow_ups(order)``; C-star-1-b and
+C-star-2-b revise by the follow-ups inside their region alone, where
+``follow_ups`` would revise by every one.  Every other hit of world sets is
 built by ``_hit``, the one place that turns masks into frozensets, so
 hits and witnesses keep their frozenset form.  Every hit is built behind
 the check that finds it, so an instance without one builds nothing.
@@ -73,9 +80,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import and_, or_
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..aggregation import stq
 from ..logic import And, Not, ascending_worlds, model_mask
@@ -161,22 +168,28 @@ def _order_flips(t: TPO, t2: TPO, region: int) -> list[dict]:
     return hits
 
 
-def _kept_below(t: TPO, t2: TPO, inside: int, outside: int, weak: bool) -> list[dict]:
-    """Inside-worlds weakly/strictly below outside-worlds must stay so."""
+def _kept(t: TPO, t2: TPO, tests: Iterable[tuple[int, int]], weak: bool) -> list[dict]:
+    """For each ``(x, ys)`` of ``tests``, x weakly/strictly below a world
+    of the mask ``ys`` must stay so."""
     (b, k), (b2, k2) = t.world_masks, t2.world_masks
     hits = []
-    for x in ascending_worlds(inside):
+    for x, ys in tests:
         if weak:
             # y not below x before, and below it after
-            lost = outside & b2[x] & ~b[x]
+            lost = ys & b2[x] & ~b[x]
             if lost:
                 hits += _listed(x, lost, "<=", ">")
         else:
             # y strictly above x before, and not after
-            lost = outside & (b2[x] | k2[x]) & ~(b[x] | k[x])
+            lost = ys & (b2[x] | k2[x]) & ~(b[x] | k[x])
             if lost:
                 hits += _listed(x, lost, "<", t2)
     return hits
+
+
+def _kept_below(t: TPO, t2: TPO, inside: int, outside: int, weak: bool) -> list[dict]:
+    """Inside-worlds weakly/strictly below outside-worlds must stay so."""
+    return _kept(t, t2, zip(ascending_worlds(inside), repeat(outside)), weak)
 
 
 def _promoted(t: TPO, t2: TPO, inside: int, outside: int) -> list[dict]:
@@ -338,6 +351,9 @@ def _k8(ctx, t, a, b):
     lhs = ctx.revise(t, first).masks[0] & second
     if not lhs:
         return []
+    if not first & second:
+        # revision by an inconsistent conjunction is undefined
+        return None
     rhs = ctx.revise(t, first & second).masks[0]
     if rhs & ~lhs:
         return [_hit(expansion=lhs, conjunction_beliefs=rhs)]
@@ -528,10 +544,13 @@ def _ks7(ctx, t, s1, s2):
 
 @_register("K-star-8", "pset2", "expansion of a set revision is conservative when consistent")
 def _ks8(ctx, t, s1, s2):
-    masks, merged, _, _, second = ctx.derived(_pair_plan, s1, s2)
+    masks, merged, _, first, second = ctx.derived(_pair_plan, s1, s2)
     lhs = ctx.previse(t, masks).masks[0] & second
     if not lhs:
         return []
+    if not first & second:
+        # revision by an inconsistent union is undefined
+        return None
     rhs = ctx.previse(t, merged).masks[0]
     if rhs & ~lhs:
         return [_hit(expansion=lhs, union_beliefs=rhs)]
@@ -591,29 +610,14 @@ def _dominance(full, s) -> tuple:
            "strictness survives when the lower world satisfies at least as much of the set",
            plan=_dominance)
 def _pc3(ctx, t, conj, refuting, masks, dominated):
-    t2 = ctx.previse(t, masks)
-    (b, k), (b2, k2) = t.world_masks, t2.world_masks
-    hits = []
-    for x, under in enumerate(dominated):
-        # a dominated world strictly above x before, and not after
-        lost = under & (b2[x] | k2[x]) & ~(b[x] | k[x])
-        if lost:
-            hits += _listed(x, lost, "<", t2)
-    return hits
+    return _kept(t, ctx.previse(t, masks), enumerate(dominated), weak=False)
 
 
 @_register("PC4", "pset",
            "weak order survives when the lower world satisfies at least as much of the set",
            plan=_dominance)
 def _pc4(ctx, t, conj, refuting, masks, dominated):
-    b, b2 = t.world_masks[0], ctx.previse(t, masks).world_masks[0]
-    hits = []
-    for x, under in enumerate(dominated):
-        # a dominated world not below x before, and below it after
-        lost = under & b2[x] & ~b[x]
-        if lost:
-            hits += _listed(x, lost, "<=", ">")
-    return hits
+    return _kept(t, ctx.previse(t, masks), enumerate(dominated), weak=True)
 
 
 def _ind_star_expected(config) -> str:
@@ -743,14 +747,21 @@ def _hi_star(ctx, t, conj, refuting, masks, negations):
 
 # --- aggregation ---
 
+def _bests(ctx, profile):
+    """``(subset, chosen, mins)`` for every mask ``subset`` of the context's
+    worlds, ascending: the aggregate's best worlds of it and the list of
+    each member's."""
+    merged = ctx.aggregate(profile)
+    for subset in range(ctx.full_mask + 1):
+        yield subset, merged.min_mask(subset), [t.min_mask(subset) for t in profile]
+
+
 @_register("UB", "profile2",
            "aggregate best worlds never leave the union of member best worlds")
 def _ub(ctx, profile):
-    merged = ctx.aggregate(profile)
     hits = []
-    for subset in range(ctx.full_mask + 1):
-        combined = reduce(or_, [t.min_mask(subset) for t in profile])
-        chosen = merged.min_mask(subset)
+    for subset, chosen, mins in _bests(ctx, profile):
+        combined = reduce(or_, mins)
         if chosen & ~combined:
             hits.append(_hit(over=subset, aggregate_best=chosen, member_best_union=combined))
     return hits
@@ -759,13 +770,8 @@ def _ub(ctx, profile):
 @_register("LB", "profile2",
            "some member's best worlds always make it into the aggregate's")
 def _lb(ctx, profile):
-    merged = ctx.aggregate(profile)
-    hits = []
-    for subset in range(ctx.full_mask + 1):
-        chosen = merged.min_mask(subset)
-        if all(t.min_mask(subset) & ~chosen for t in profile):
-            hits.append(_hit(over=subset, aggregate_best=chosen))
-    return hits
+    return [_hit(over=subset, aggregate_best=chosen)
+            for subset, chosen, mins in _bests(ctx, profile) if all(m & ~chosen for m in mins)]
 
 
 def _unanimity_lost(ctx, profile, below: Callable) -> list[dict]:
@@ -789,15 +795,10 @@ def _wpu(ctx, profile):
 @_register("Factoring", "profile2",
            "aggregate best worlds are a union of whole member best-world sets")
 def _factoring(ctx, profile):
-    merged = ctx.aggregate(profile)
-    hits = []
-    for subset in range(ctx.full_mask + 1):
-        chosen = merged.min_mask(subset)
-        mins = [t.min_mask(subset) for t in profile]
-        if not any(reduce(or_, group, 0) == chosen
-                   for size in range(len(profile) + 1) for group in combinations(mins, size)):
-            hits.append(_hit(over=subset, aggregate_best=chosen))
-    return hits
+    return [_hit(over=subset, aggregate_best=chosen)
+            for subset, chosen, mins in _bests(ctx, profile)
+            if not any(reduce(or_, group, 0) == chosen
+                       for size in range(len(mins) + 1) for group in combinations(mins, size))]
 
 
 def _parity_expected(config) -> str:

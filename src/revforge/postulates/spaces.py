@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from operator import and_
 from typing import Callable, Iterator, Sequence
@@ -177,7 +177,11 @@ def _worlds(names, lang: Language) -> frozenset[int]:
     # a name that is not a string is a value of the wrong JSON type
     if not all(isinstance(name, str) for name in _items(names)):
         raise TypeError("world names must be strings")
-    return frozenset(lang.world_from_name(n) for n in names)
+    worlds = frozenset(lang.world_from_name(n) for n in names)
+    if len(worlds) < len(names):
+        twice = next(n for i, n in enumerate(names) if n in names[:i])
+        raise SpaceError(f"world {twice!r} is listed twice in one block or input")
+    return worlds
 
 
 @dataclass(frozen=True)
@@ -221,13 +225,22 @@ def _tuple_of(part: Part, values: Callable, sample: Callable) -> Part:
                 lambda data, lang: tuple(part.decode(x, lang) for x in _items(data)))
 
 
+def _distinct(family: tuple, lang: Language) -> tuple:
+    """``family``, whose members the streams never repeat."""
+    for i, member in enumerate(family):
+        if member in family[:i]:
+            raise SpaceError(f"a family lists the member {_names(member, lang)} twice")
+    return family
+
+
 def _family(jointly_consistent: bool) -> Part:
-    return _tuple_of(
+    part = _tuple_of(
         _PROPOSITION,
         lambda space: tuple(formula_set_tuples(all_propositions(space.num_worlds),
                                                space.max_set_size, jointly_consistent)),
         lambda rng, space: _random_set_tuple(rng, space.num_worlds, space.max_set_size,
                                              jointly_consistent))
+    return replace(part, decode=lambda data, lang: _distinct(part.decode(data, lang), lang))
 
 
 _CONSISTENT_FAMILY = _family(True)
@@ -263,8 +276,10 @@ def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
 
     A payload that is not an object holding every key of the shape, that
     holds a value of another JSON type than the shape's (a string or an
-    object where a list belongs included), or a preorder that does not
-    place every world of ``lang``, raises ``SpaceError``.
+    object where a list belongs included), that names a world twice in one
+    block or input or lists a family member twice, which no stream yields,
+    or a preorder that does not place every world of ``lang``, raises
+    ``SpaceError``.
     """
     parts = _parts(shape)
     missing = [key for key, _ in parts if not isinstance(payload, dict) or key not in payload]

@@ -995,10 +995,23 @@ def _ind_witness() -> dict:
      "a 'serial' instance holds a value of the wrong type: expected a list, got '0'"),
     ({"instance": {"tpo": [["00", "01", "10", "11"]], "input": "11"}}, SpaceError,
      "a 'serial' instance holds a value of the wrong type: expected a list, got '11'"),
+    # no stream names a world twice in one block or input, or repeats a
+    # member of a family
+    ({"instance": {"tpo": [["00", "00", "01"], ["10", "11"]], "input": ["11"]}}, SpaceError,
+     "world '00' is listed twice in one block or input"),
+    ({"instance": {"tpo": [["00", "01", "10", "11"]], "input": ["11", "01", "11"]}}, SpaceError,
+     "world '11' is listed twice in one block or input"),
+    ({"postulate": "Conj-star", "instance": {"tpo": [["00", "01", "10", "11"]],
+                                             "inputs": [["00"], ["00"]]}},
+     SpaceError, "a family lists the member ['00'] twice"),
+    ({"postulate": "C-con-1", "instance": {"tpo": [["00", "01", "10", "11"]],
+                                           "inputs": [["01", "00"], ["11"], ["00", "01"]]}},
+     SpaceError, "a family lists the member ['00', '01'] twice"),
 ], ids=["unknown-role", "non-string-name", "atoms", "missing-key", "partial-preorder",
         "no-operators", "no-instance", "list-witness", "null-operators", "input-not-a-list",
         "null-instance", "non-string-world", "string-member", "object-preorder",
-        "string-block", "string-input"])
+        "string-block", "string-input", "world-twice-in-block", "world-twice-in-input",
+        "member-twice", "member-twice-in-other-order"])
 def test_replay_rejects_witnesses_from_outside_the_program(bad, error, fragment):
     """``bad`` updates a real witness (``_DROP`` deletes a key; ``atoms`` and
     ``postulate`` set the replay's arguments), or, when it is not a dict,
@@ -1015,6 +1028,28 @@ def test_replay_rejects_witnesses_from_outside_the_program(bad, error, fragment)
         replay_witness(postulate, witness, atoms=atoms)
     assert fragment in str(err.value)
     assert isinstance(err.value, RevforgeError)
+
+
+# operators that leave their input unbelieved: a finisher that returns the
+# aggregate, and a revision that revises by every world whatever the input
+NOOP_FINISHER = OperatorConfig(finisher=SerialRevisionOperator("noop", lambda t, m: t))
+STALE_REVISION = OperatorConfig(revision=SerialRevisionOperator(
+    "stale", lambda t, m: natural_revise(t, m if m == 0 else (1 << t.num_worlds) - 1)))
+
+
+@pytest.mark.parametrize("pid, operators", [("K-star-8", NOOP_FINISHER), ("K8", STALE_REVISION)],
+                         ids=["K-star-8", "K8"])
+def test_k8_skips_an_inconsistent_union_under_an_operator_that_disbelieves_its_input(
+        pid, operators):
+    """Beliefs outside the first input can meet the second where the two
+    share no world; revising by their inconsistent union is undefined, so
+    such an instance is skipped and the operator still gets a verdict."""
+    report = check(pid, InstanceSpace(atoms=2, operators=operators))
+    assert isinstance(report, CheckReport)
+    assert report.skipped and report.violations
+    # under the shipped operators the beliefs lie inside the first input,
+    # so nothing is skipped
+    assert check(pid, InstanceSpace(atoms=2)).skipped == 0
 
 
 def test_default_seed_value():
