@@ -28,7 +28,9 @@ name its sequence of (payload key, ``Part``) pairs, and each part knows
 how to enumerate, sample, encode and decode its value.  Exhaustive
 streams are the product of the parts' values, sampled streams draw the
 parts in order, and witnesses encode an instance part by part, so
-``decode_instance`` inverts ``encode_instance`` by construction.
+``decode_instance`` inverts ``encode_instance`` by construction.  The
+preorder and proposition parts read world names through ``tpo``'s
+``read_order`` and ``read_worlds``, the readers scenario documents use.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from functools import cache, reduce
 from operator import and_
 from typing import Callable, Iterator, Sequence
 
-from ..errors import SpaceError, lookup
+from ..errors import RevforgeError, SpaceError, lookup
 from ..logic import Language
 from ..parallel import OperatorConfig
-from ..tpo import TPO, worlds_of
+from ..tpo import TPO, _items, read_order, read_worlds, worlds_of
 
 DEFAULT_SEED = 1729
 MAX_EXHAUSTIVE_ATOMS = 2
@@ -165,25 +167,6 @@ def _names(worlds, lang: Language) -> list[str]:
     return sorted(lang.world_name(w) for w in worlds)
 
 
-def _items(data) -> list:
-    """``data``, a JSON list; any other value is one of the wrong JSON type,
-    a string or an object included, whose items would read as a list's."""
-    if not isinstance(data, list):
-        raise TypeError(f"expected a list, got {data!r}")
-    return data
-
-
-def _worlds(names, lang: Language) -> frozenset[int]:
-    # a name that is not a string is a value of the wrong JSON type
-    if not all(isinstance(name, str) for name in _items(names)):
-        raise TypeError("world names must be strings")
-    worlds = frozenset(lang.world_from_name(n) for n in names)
-    if len(worlds) < len(names):
-        twice = next(n for i, n in enumerate(names) if n in names[:i])
-        raise SpaceError(f"world {twice!r} is listed twice in one block or input")
-    return worlds
-
-
 @dataclass(frozen=True)
 class Part:
     """One component of an instance.
@@ -199,23 +182,15 @@ class Part:
     decode: Callable = field(repr=False)
 
 
-def _decode_preorder(blocks, lang: Language) -> TPO:
-    t = TPO(tuple(_worlds(block, lang) for block in _items(blocks)))
-    if t.num_worlds != lang.num_worlds:
-        raise SpaceError(f"a preorder must place all {lang.num_worlds} worlds of the language, "
-                         f"this one places {t.num_worlds}")
-    return t
-
-
 _PREORDER = Part(
     lambda space: tuple(enumerate_tpos(space.num_worlds)),
     lambda rng, space: random_tpo(rng, space.num_worlds),
     lambda t, lang: [_names(block, lang) for block in t.blocks],
-    _decode_preorder)
+    read_order)
 _PROPOSITION = Part(
     lambda space: all_propositions(space.num_worlds),
     lambda rng, space: _random_proposition(rng, space.num_worlds),
-    _names, _worlds)
+    _names, read_worlds)
 
 
 def _tuple_of(part: Part, values: Callable, sample: Callable) -> Part:
@@ -276,10 +251,11 @@ def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
 
     A payload that is not an object holding every key of the shape, that
     holds a value of another JSON type than the shape's (a string or an
-    object where a list belongs included), that names a world twice in one
-    block or input or lists a family member twice, which no stream yields,
-    or a preorder that does not place every world of ``lang``, raises
-    ``SpaceError``.
+    object where a list belongs included), that names something other than
+    a world of ``lang``, that names a world twice in one block or input or
+    lists a family member twice, which no stream yields, or a preorder
+    that does not partition the worlds of ``lang``, raises ``SpaceError``:
+    the readers' ``LanguageError`` and ``PartitionError`` are raised as it.
     """
     parts = _parts(shape)
     missing = [key for key, _ in parts if not isinstance(payload, dict) or key not in payload]
@@ -289,6 +265,8 @@ def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
         return tuple(part.decode(payload[key], lang) for key, part in parts)
     except TypeError as exc:
         raise SpaceError(f"a {shape!r} instance holds a value of the wrong type: {exc}") from None
+    except RevforgeError as exc:
+        raise SpaceError(str(exc)) from None
 
 
 @dataclass

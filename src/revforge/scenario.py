@@ -51,6 +51,11 @@ Schema, version 1::
       ]
     }
 
+``initial`` is read by ``tpo.read_order``, the reader witness payloads
+use: any value other than ``"uniform"`` must be a list of blocks, each a
+list of world names, that partitions the worlds of the language, and any
+failure is a ``ScenarioError`` that starts ``initial:``.
+
 Each ``operators`` key sets one ``OperatorConfig`` field, whose default
 fills in for a missing key: ``agg`` sets ``strategy`` and the others
 their namesakes.  Set steps run the parallel operators, a
@@ -77,7 +82,7 @@ from .errors import InconsistentInputError, ParseError, RevforgeError, ScenarioE
 from .logic import Language, ascending_worlds, model_mask, parse_formula
 from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from .serial import SerialContractionOperator, SerialRevisionOperator
-from .tpo import TPO
+from .tpo import TPO, read_order
 
 SCHEMA_VERSION = 1
 
@@ -124,16 +129,6 @@ def _parse_sentence(text, lang: Language, where: str) -> int:
         return _parsed(text, lang.atoms)
     except ParseError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
-
-
-def _initial_block(names, lang: Language) -> frozenset[int]:
-    """The worlds of one ``initial`` block; a world named twice in it is an error."""
-    worlds = set()
-    for name in names:
-        world = lang.world_from_name(name)
-        _expect(world not in worlds, "initial", "world {!r} is listed twice in one block", name)
-        worlds.add(world)
-    return frozenset(worlds)
 
 
 def _validate_query(query, lang: Language, where: str) -> dict:
@@ -211,20 +206,11 @@ class Scenario:
             raise ScenarioError(f"scenario: {exc}") from exc
 
         initial = data.get("initial", "uniform")
-        if initial == "uniform":
-            start = TPO.uniform(lang.num_worlds)
-        else:
-            _expect(isinstance(initial, list), "initial",
-                    "must be \"uniform\" or a list of world-name blocks")
-            try:
-                start = TPO(tuple(_initial_block(block, lang) for block in initial))
-            except ScenarioError:
-                raise
-            except Exception as exc:
-                raise ScenarioError(f"initial: {exc}") from exc
-            _expect(start.num_worlds == lang.num_worlds, "initial",
-                    "the order places {} worlds, the language has {}",
-                    start.num_worlds, lang.num_worlds)
+        try:
+            start = (TPO.uniform(lang.num_worlds) if initial == "uniform"
+                     else read_order(initial, lang))
+        except (RevforgeError, TypeError) as exc:
+            raise ScenarioError(f"initial: {exc}") from exc
 
         ops = data.get("operators", {})
         _expect(isinstance(ops, dict), "operators", "must be an object")

@@ -20,6 +20,14 @@ Equality and the hash use the masks.  ``TPO(blocks)`` validates its
 argument; orders that operators build are valid by construction and
 skip the check through ``TPO._from_masks``.
 
+Outside the package, in scenario documents and witness payloads, a set
+of worlds is a JSON list of world names and an order is a list of such
+lists, most plausible first.  ``read_worlds`` and ``read_order`` are the
+one reader of that format: TypeError for a value that is not a list,
+``LanguageError`` for a name that is not a world of the language or is
+listed twice, and ``PartitionError`` for blocks that do not partition
+every world of the language.  Each caller wraps these in its own error.
+
 A ``ConditionalSet`` captures the conditional beliefs a TPO supports: it
 accepts the pair (antecedent X, consequent Y) exactly when the most
 plausible X-worlds all lie in Y.  Internally it stores, for every
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .errors import PartitionError, SpaceError, UnsatisfiableConditionalsError
+from .errors import LanguageError, PartitionError, SpaceError, UnsatisfiableConditionalsError
 from .logic import Language, ascending_worlds, worlds_of
 
 MAX_CONDITIONAL_WORLDS = 8
@@ -230,6 +238,40 @@ class TPO:
     def __repr__(self) -> str:
         parts = ["{" + ",".join(str(w) for w in sorted(block)) + "}" for block in self.blocks]
         return "TPO[" + " < ".join(parts) + "]"
+
+
+def _items(data) -> list:
+    """``data``, a JSON list; TypeError for any other value, since a string
+    or an object would read as the list of its characters or keys."""
+    if not isinstance(data, list):
+        raise TypeError(f"expected a list, got {data!r}")
+    return data
+
+
+def read_worlds(names, lang: Language) -> frozenset[int]:
+    """The worlds of ``lang`` that the list ``names`` names.
+
+    TypeError for a value that is not a list (``_items``), LanguageError
+    for a name that is not one of ``lang.world_names`` or that is listed
+    twice.
+    """
+    worlds = frozenset(map(lang.world_from_name, _items(names)))
+    if len(worlds) < len(names):
+        twice = next(n for i, n in enumerate(names) if n in names[:i])
+        raise LanguageError(f"world {twice!r} is listed twice in one block or input")
+    return worlds
+
+
+def read_order(blocks, lang: Language) -> TPO:
+    """The order whose blocks, most plausible first, ``blocks`` lists by
+    world name: each block is read by ``read_worlds``, and PartitionError
+    is raised unless the blocks partition every world of ``lang``."""
+    worlds = [read_worlds(block, lang) for block in _items(blocks)]
+    placed = len(frozenset().union(*worlds))
+    if placed != lang.num_worlds:
+        raise PartitionError(f"a preorder must place all {lang.num_worlds} worlds of the "
+                             f"language, this one places {placed}")
+    return TPO(worlds)
 
 
 Profile = tuple[TPO, ...]

@@ -984,7 +984,7 @@ def _ind_witness() -> dict:
      "a 'serial' instance holds a value of the wrong type"),
     ({"instance": None}, SpaceError, "a 'serial' instance needs the keys ['tpo', 'input']"),
     ({"instance": {"tpo": [["00", "01", "10", "11"]], "input": [3]}}, SpaceError,
-     "a 'serial' instance holds a value of the wrong type"),
+     "world name 3 is not a 2-bit string"),
     # a string or an object where a list belongs would read as a list of
     # its characters or keys
     ({"postulate": "Conj-star", "atoms": 1, "instance": {"tpo": [["0", "1"]], "inputs": ["1"]}},

@@ -220,7 +220,8 @@ def test_compare_query_all_three_relations():
         ({"initial_queries": 3}, "scenario: 'initial_queries' must be a list"),
         ({"steps": [{"op": "serial-revise", "sentence": "A", "queries": 3}]},
          "steps[0]: 'queries' must be a list"),
-        ({"initial": [["00"], ["01"]]}, "initial: the order places 2 worlds"),
+        ({"initial": [["00"], ["01"]]},
+         "initial: a preorder must place all 4 worlds of the language, this one places 2"),
         ({"operators": {"agg": ["stq"]}}, "operators: 'agg' must be an operator name"),
     ],
 )
@@ -257,7 +258,7 @@ def test_a_bad_atom_list_is_rejected_in_the_words_of_language(atoms):
 def test_a_world_named_twice_in_an_initial_block_is_rejected():
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict({**BASE, "initial": [["00", "00", "01"], ["10", "11"]]})
-    assert str(err.value) == "initial: world '00' is listed twice in one block"
+    assert str(err.value) == "initial: world '00' is listed twice in one block or input"
 
 
 @pytest.mark.parametrize("name", [3, None, b"10", ["1", "0"]])
