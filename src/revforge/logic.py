@@ -176,6 +176,15 @@ class Language:
         return f"Language({', '.join(self.atoms)})"
 
 
+@lru_cache(maxsize=16)
+def shared_language(atoms: tuple[str, ...]) -> Language:
+    """``Language(atoms)`` from one table of at most 16 languages keyed by
+    atom tuple.  Instance spaces, witness replays, the sentence parse table
+    and loaded scenario documents all read it, so they share each
+    language and its world-name tables instead of building their own."""
+    return Language(atoms)
+
+
 # --- formula trees ---
 
 class Formula:

@@ -1,7 +1,8 @@
 """Instance spaces: what the postulate checker quantifies over.
 
 An instance space fixes a language (by atom count, with atoms named A,
-B, C, ...; ``language`` builds it), a source of total preorders, a
+B, C, ...; ``language`` reads it from ``logic.shared_language``, the
+table scenario documents read too), a source of total preorders, a
 family of input sets drawn from the consistent propositions of the
 language, and the operator configuration under test, an
 ``OperatorConfig`` from ``parallel``.  Exhaustive spaces enumerate
@@ -31,19 +32,23 @@ parts in order, and witnesses encode an instance part by part, so
 ``decode_instance`` inverts ``encode_instance`` by construction.  The
 preorder and proposition parts read world names through ``tpo``'s
 ``read_order`` and ``read_worlds``, the readers scenario documents use.
+Decoding rejects what no stream yields: an empty input or member, an
+empty family or one that repeats a member, a ``pset`` or ``pset2``
+family whose members share no world, and a profile of other than two
+orders.  ``cset`` families may be inconsistent, as their streams are.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import and_
 from typing import Callable, Iterator, Sequence
 
 from ..errors import RevforgeError, SpaceError, lookup
-from ..logic import Language
+from ..logic import Language, shared_language
 from ..parallel import OperatorConfig
 from ..tpo import TPO, _items, read_order, read_worlds, worlds_of
 
@@ -54,10 +59,11 @@ _ATOM_POOL = ("A", "B", "C", "D")
 
 
 def language(atoms: int) -> Language:
-    """The language of the first ``atoms`` of the names A, B, C, D."""
+    """The language of the first ``atoms`` of the names A, B, C, D, from
+    ``shared_language``'s table."""
     if not (type(atoms) is int and 1 <= atoms <= len(_ATOM_POOL)):
         raise SpaceError(f"spaces support 1..{len(_ATOM_POOL)} atoms, got {atoms!r}")
-    return Language(_ATOM_POOL[:atoms])
+    return shared_language(_ATOM_POOL[:atoms])
 
 
 def enumerate_tpos(num_worlds: int) -> Iterator[TPO]:
@@ -187,42 +193,66 @@ _PREORDER = Part(
     lambda rng, space: random_tpo(rng, space.num_worlds),
     lambda t, lang: [_names(block, lang) for block in t.blocks],
     read_order)
+
+
+def _read_proposition(names, lang: Language) -> frozenset[int]:
+    worlds = read_worlds(names, lang)
+    if not worlds:
+        raise SpaceError("an input or family member must hold at least one world")
+    return worlds
+
+
 _PROPOSITION = Part(
     lambda space: all_propositions(space.num_worlds),
     lambda rng, space: _random_proposition(rng, space.num_worlds),
-    _names, read_worlds)
+    _names, _read_proposition)
 
 
-def _tuple_of(part: Part, values: Callable, sample: Callable) -> Part:
-    """A part whose value is a tuple of ``part`` values."""
-    return Part(values, sample,
-                lambda items, lang: [part.encode(x, lang) for x in items],
-                lambda data, lang: tuple(part.decode(x, lang) for x in _items(data)))
+def _tuple_of(part: Part, values: Callable, sample: Callable, check: Callable) -> Part:
+    """A part whose value is a tuple of ``part`` values; ``check(value,
+    lang)`` raises SpaceError for a decoded tuple that no stream yields."""
+    def decode(data, lang: Language) -> tuple:
+        value = tuple(part.decode(x, lang) for x in _items(data))
+        check(value, lang)
+        return value
+
+    return Part(values, sample, lambda items, lang: [part.encode(x, lang) for x in items],
+                decode)
 
 
-def _distinct(family: tuple, lang: Language) -> tuple:
-    """``family``, whose members the streams never repeat."""
+def _check_family(family: tuple, lang: Language, jointly_consistent: bool) -> None:
+    """The streams yield no empty family, repeat no member, and, where
+    ``jointly_consistent``, yield only members that share a world."""
+    if not family:
+        raise SpaceError("a family needs at least one member")
     for i, member in enumerate(family):
         if member in family[:i]:
             raise SpaceError(f"a family lists the member {_names(member, lang)} twice")
-    return family
+    if jointly_consistent and not family[0].intersection(*family[1:]):
+        raise SpaceError("the members of a jointly consistent family share no world")
 
 
 def _family(jointly_consistent: bool) -> Part:
-    part = _tuple_of(
+    return _tuple_of(
         _PROPOSITION,
         lambda space: tuple(formula_set_tuples(all_propositions(space.num_worlds),
                                                space.max_set_size, jointly_consistent)),
         lambda rng, space: _random_set_tuple(rng, space.num_worlds, space.max_set_size,
-                                             jointly_consistent))
-    return replace(part, decode=lambda data, lang: _distinct(part.decode(data, lang), lang))
+                                             jointly_consistent),
+        lambda family, lang: _check_family(family, lang, jointly_consistent))
+
+
+def _check_profile(profile: tuple, lang: Language) -> None:
+    if len(profile) != 2:
+        raise SpaceError(f"a profile must hold 2 orders, this one holds {len(profile)}")
 
 
 _CONSISTENT_FAMILY = _family(True)
 _PROFILE = _tuple_of(
     _PREORDER,
     lambda space: tuple(itertools.product(_PREORDER.values(space), repeat=2)),
-    lambda rng, space: (_PREORDER.sample(rng, space), _PREORDER.sample(rng, space)))
+    lambda rng, space: (_PREORDER.sample(rng, space), _PREORDER.sample(rng, space)),
+    _check_profile)
 
 SHAPES: dict[str, tuple[tuple[str, Part], ...]] = {
     "serial": (("tpo", _PREORDER), ("input", _PROPOSITION)),
@@ -252,10 +282,10 @@ def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
     A payload that is not an object holding every key of the shape, that
     holds a value of another JSON type than the shape's (a string or an
     object where a list belongs included), that names something other than
-    a world of ``lang``, that names a world twice in one block or input or
-    lists a family member twice, which no stream yields, or a preorder
-    that does not partition the worlds of ``lang``, raises ``SpaceError``:
-    the readers' ``LanguageError`` and ``PartitionError`` are raised as it.
+    a world of ``lang``, that holds a preorder that does not partition the
+    worlds of ``lang``, or that holds a value no stream yields (see the
+    module docstring), raises ``SpaceError``: the readers'
+    ``LanguageError`` and ``PartitionError`` are raised as it.
     """
     parts = _parts(shape)
     missing = [key for key, _ in parts if not isinstance(payload, dict) or key not in payload]

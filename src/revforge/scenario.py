@@ -26,7 +26,9 @@ costs a lookup rather than a parse.  A replay still re-reads and
 re-validates the whole document.  Both tables are
 ``functools.lru_cache`` tables of at most 1,024 entries (``_SENTENCES``,
 ``_NAME_LISTS``): a full table sheds the entry read least recently, so
-the sentences a document has just read stay for its replay.
+the sentences a document has just read stay for its replay.  Languages
+come from ``logic.shared_language``, the table instance spaces read too,
+so a document shares its language with every space over the same atoms.
 
 Under a strategy that is not ``synchronous`` a set step takes its
 sentences in file order, and another order can give another posterior
@@ -79,7 +81,7 @@ from pathlib import Path
 
 from .aggregation import Aggregator
 from .errors import InconsistentInputError, ParseError, RevforgeError, ScenarioError
-from .logic import Language, ascending_worlds, model_mask, parse_formula
+from .logic import Language, ascending_worlds, model_mask, parse_formula, shared_language
 from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from .serial import SerialContractionOperator, SerialRevisionOperator
 from .tpo import TPO, read_order
@@ -96,16 +98,13 @@ _OPERATOR_ROLES = {"base": "base", "finisher": "finisher", "contraction": "contr
 
 _SENTENCES = 1024
 _NAME_LISTS = 1024
-# the languages of the parse table and of loaded documents, so that a
-# parse miss or a load rarely builds one
-_language = lru_cache(maxsize=16)(Language)
 
 
 @lru_cache(maxsize=_SENTENCES)
 def _parsed(text: str, atoms: tuple[str, ...]) -> int:
     """The ``model_mask`` of ``text`` parsed over ``atoms``.  A failed parse
     is not kept, so a bad sentence is parsed, and reported, wherever it is read."""
-    lang = _language(atoms)
+    lang = shared_language(atoms)
     return model_mask(parse_formula(text, lang), lang)
 
 
@@ -197,11 +196,11 @@ class Scenario:
         atoms = data.get("atoms")
         _expect(isinstance(atoms, list) and atoms, "scenario", "'atoms' must be a non-empty list")
         try:
-            # atom lists of strings share the parse table's languages; any
-            # other list is left to ``Language`` to reject, in its own words
+            # atom lists of strings share the table of languages; any other
+            # list is left to ``Language`` to reject, in its own words
             atoms = tuple(atoms)
             strings = all(type(atom) is str for atom in atoms)
-            lang = _language(atoms) if strings else Language(atoms)
+            lang = shared_language(atoms) if strings else Language(atoms)
         except Exception as exc:
             raise ScenarioError(f"scenario: {exc}") from exc
 

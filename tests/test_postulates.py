@@ -1007,11 +1007,32 @@ def _ind_witness() -> dict:
     ({"postulate": "C-con-1", "instance": {"tpo": [["00", "01", "10", "11"]],
                                            "inputs": [["01", "00"], ["11"], ["00", "01"]]}},
      SpaceError, "a family lists the member ['00', '01'] twice"),
+    # nor an empty input, family or member, a pset or pset2 family whose
+    # members share no world, or a profile of other than two orders
+    ({"instance": {"tpo": [["00", "01", "10", "11"]], "input": []}}, SpaceError,
+     "an input or family member must hold at least one world"),
+    ({"postulate": "Conj-star", "instance": {"tpo": [["00", "01", "10", "11"]], "inputs": []}},
+     SpaceError, "a family needs at least one member"),
+    ({"postulate": "P-star", "instance": {"tpo": [["00", "01", "10", "11"]],
+                                          "inputs": [["00"]], "inputs2": [[]]}},
+     SpaceError, "an input or family member must hold at least one world"),
+    ({"postulate": "Conj-star", "instance": {"tpo": [["00", "01", "10", "11"]],
+                                             "inputs": [["01"], ["10"]]}},
+     SpaceError, "the members of a jointly consistent family share no world"),
+    ({"postulate": "P-star", "instance": {"tpo": [["00", "01", "10", "11"]],
+                                          "inputs": [["00"]], "inputs2": [["01"], ["10"]]}},
+     SpaceError, "the members of a jointly consistent family share no world"),
+    ({"postulate": "UB", "instance": {"profile": [[["00", "01", "10", "11"]]]}},
+     SpaceError, "a profile must hold 2 orders, this one holds 1"),
+    ({"postulate": "UB", "instance": {"profile": [[["00", "01", "10", "11"]]] * 3}},
+     SpaceError, "a profile must hold 2 orders, this one holds 3"),
 ], ids=["unknown-role", "non-string-name", "atoms", "missing-key", "partial-preorder",
         "no-operators", "no-instance", "list-witness", "null-operators", "input-not-a-list",
         "null-instance", "non-string-world", "string-member", "object-preorder",
         "string-block", "string-input", "world-twice-in-block", "world-twice-in-input",
-        "member-twice", "member-twice-in-other-order"])
+        "member-twice", "member-twice-in-other-order", "empty-input", "empty-family",
+        "empty-member", "inconsistent-pset-family", "inconsistent-pset2-family",
+        "one-order-profile", "three-order-profile"])
 def test_replay_rejects_witnesses_from_outside_the_program(bad, error, fragment):
     """``bad`` updates a real witness (``_DROP`` deletes a key; ``atoms`` and
     ``postulate`` set the replay's arguments), or, when it is not a dict,

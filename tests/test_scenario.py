@@ -21,6 +21,8 @@ from revforge import (
 )
 from revforge.aggregation import STQ_STRATEGY, STRATEGIES, SelectionStrategy
 from revforge.logic import MAX_FORMULA_DEPTH, Language
+from revforge.postulates import InstanceSpace
+from revforge.postulates.spaces import language
 from test_mask_differential import random_document
 
 
@@ -241,6 +243,14 @@ def test_documents_over_one_atom_list_share_its_language():
     assert Scenario.from_dict({**BASE, "atoms": ["B", "A"]}).lang.atoms == ("B", "A")
 
 
+def test_spaces_replays_and_documents_share_one_table_of_languages():
+    """An instance space, a witness replay and a scenario over the same
+    atoms read one ``Language``, so its world-name tables are built once."""
+    lang = language(2)
+    assert InstanceSpace(atoms=2).lang is lang and language(2) is lang
+    assert Scenario.from_dict({**BASE, "atoms": ["A", "B"]}).lang is lang
+
+
 @pytest.mark.parametrize("atoms", [
     [["A"]], ["A", {"B": 1}], ["A", 1], ["A", "A"], ["a b"], ["T"], ["A"] * 17,
 ], ids=["unhashable-list", "unhashable-dict", "int", "duplicate", "bad-name", "reserved",
@@ -259,6 +269,18 @@ def test_a_world_named_twice_in_an_initial_block_is_rejected():
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict({**BASE, "initial": [["00", "00", "01"], ["10", "11"]]})
     assert str(err.value) == "initial: world '00' is listed twice in one block or input"
+
+
+@pytest.mark.parametrize("initial, message", [
+    ([{"00": 1, "01": 2}, ["10", "11"]], "initial: expected a list, got {'00': 1, '01': 2}"),
+    ([["01", "10", "11"], "00"], "initial: expected a list, got '00'"),
+], ids=["object-block", "string-block"])
+def test_an_initial_block_that_is_not_a_list_is_rejected(initial, message):
+    """A block read as the list of its keys or characters would load as
+    another order, or report a world the document does not name."""
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({**BASE, "initial": initial})
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("name", [3, None, b"10", ["1", "0"]])
