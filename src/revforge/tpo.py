@@ -269,8 +269,8 @@ def read_order(blocks, lang: Language) -> TPO:
     worlds = [read_worlds(block, lang) for block in _items(blocks)]
     placed = len(frozenset().union(*worlds))
     if placed != lang.num_worlds:
-        raise PartitionError(f"a preorder must place all {lang.num_worlds} worlds of the "
-                             f"language, this one places {placed}")
+        raise PartitionError(f"the order places {placed} worlds, the language has "
+                             f"{lang.num_worlds}")
     return TPO(worlds)
 
 

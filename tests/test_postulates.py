@@ -975,7 +975,7 @@ def _ind_witness() -> dict:
     ({"atoms": 5}, SpaceError, "spaces support 1..4 atoms, got 5"),
     ({"instance": {"input": ["11"]}}, SpaceError, "a 'serial' instance needs the keys ['tpo']"),
     ({"instance": {"tpo": [["00"]], "input": ["11"]}}, SpaceError,
-     "a preorder must place all 4 worlds of the language, this one places 1"),
+     "the order places 1 worlds, the language has 4"),
     ({"operators": _DROP}, SpaceError, "a witness must be an object holding an 'operators'"),
     ({"instance": _DROP}, SpaceError, "a 'serial' instance needs the keys ['tpo', 'input']"),
     ([], SpaceError, "a witness must be an object holding an 'operators'"),

@@ -222,8 +222,7 @@ def test_compare_query_all_three_relations():
         ({"initial_queries": 3}, "scenario: 'initial_queries' must be a list"),
         ({"steps": [{"op": "serial-revise", "sentence": "A", "queries": 3}]},
          "steps[0]: 'queries' must be a list"),
-        ({"initial": [["00"], ["01"]]},
-         "initial: a preorder must place all 4 worlds of the language, this one places 2"),
+        ({"initial": [["00"], ["01"]]}, "initial: the order places 2 worlds"),
         ({"operators": {"agg": ["stq"]}}, "operators: 'agg' must be an operator name"),
     ],
 )
@@ -244,8 +243,9 @@ def test_documents_over_one_atom_list_share_its_language():
 
 
 def test_spaces_replays_and_documents_share_one_table_of_languages():
-    """An instance space, a witness replay and a scenario over the same
-    atoms read one ``Language``, so its world-name tables are built once."""
+    """An instance space, a witness replay (both through ``language``) and a
+    scenario over the same atoms read one ``Language``, so its world-name
+    tables are built once."""
     lang = language(2)
     assert InstanceSpace(atoms=2).lang is lang and language(2) is lang
     assert Scenario.from_dict({**BASE, "atoms": ["A", "B"]}).lang is lang
