@@ -18,9 +18,11 @@ whose own conjunction is inconsistent only ever yields undefined or
 trivially-satisfied pair instances.  Streams yield propositions as
 frozensets: exhaustive ones from ``all_propositions``, sampled ones by
 drawing a mask and converting it with ``worlds_of``.  The samplers read
-only ``rng.getrandbits`` and ``rng.random``: ``_randbelow`` makes the draw
-that ``shuffle``, ``randrange`` and ``randint`` would make, so a seed
-draws the stream it always drew, with fewer calls per draw.  A family
+only ``rng.getrandbits`` and ``rng.random``, and make the draw that
+``shuffle``, ``randrange`` and ``randint`` would make (``_randbelow``), so
+a seed draws the stream it always drew.  The preorder and family
+samplers, which every sampled sweep runs on every draw, repeat
+``_randbelow``'s loop inline rather than call it per number.  A family
 holds at most ``2^n - 1`` distinct members, so ``max_set_size`` may not
 exceed that.
 
@@ -43,8 +45,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cache, reduce
-from operator import and_
+from functools import cache, lru_cache
 from typing import Callable, Iterator, Sequence
 
 from ..errors import RevforgeError, SpaceError, lookup
@@ -112,8 +113,8 @@ def formula_set_tuples(props: Sequence[frozenset[int]], max_size: int,
 def _randbelow(getrandbits: Callable, n: int) -> int:
     """The draw ``rng.randrange(n)`` makes, for ``getrandbits = rng.getrandbits``:
     the first value of ``n.bit_length()`` bits that is below ``n``.  The
-    samplers call it where they called ``shuffle``, ``randrange`` and
-    ``randint``, so a seed gives the stream it always gave."""
+    samplers make this draw where they called ``shuffle``, ``randrange``
+    and ``randint``, so a seed gives the stream it always gave."""
     bits = n.bit_length()
     r = getrandbits(bits)
     while r >= n:
@@ -121,25 +122,40 @@ def _randbelow(getrandbits: Callable, n: int) -> int:
     return r
 
 
+@lru_cache(maxsize=32)
+def _shuffle_plan(num_worlds: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The world bits in order, and the (index, bit width) of each swap
+    ``rng.shuffle`` makes over ``num_worlds`` items, last index first."""
+    return (tuple(1 << w for w in range(num_worlds)),
+            tuple((i, (i + 1).bit_length()) for i in reversed(range(1, num_worlds))))
+
+
 def random_tpo(rng: random.Random, num_worlds: int) -> TPO:
     """A seeded pseudo-random TPO; coverage-oriented, not uniform.
 
     The worlds are shuffled as ``rng.shuffle`` would shuffle them, then
     each later world starts a new block when ``rng.random() < 0.5``.
+    SpaceError unless ``num_worlds`` is an int of at least 1.
     """
-    getrandbits = rng.getrandbits
-    worlds = list(range(num_worlds))
-    for i in reversed(range(1, num_worlds)):
-        j = _randbelow(getrandbits, i + 1)
+    if type(num_worlds) is not int or num_worlds < 1:
+        raise SpaceError(f"the world count must be an int of at least 1, got {num_worlds!r}")
+    bits, swaps = _shuffle_plan(num_worlds)
+    getrandbits, random_ = rng.getrandbits, rng.random
+    worlds = list(bits)
+    for i, width in swaps:
+        # _randbelow(getrandbits, i + 1), inline
+        j = getrandbits(width)
+        while j > i:
+            j = getrandbits(width)
         worlds[i], worlds[j] = worlds[j], worlds[i]
     masks = []
-    block = 1 << worlds[0]
+    block = worlds[0]
     for world in worlds[1:]:
-        if rng.random() < 0.5:
+        if random_() < 0.5:
             masks.append(block)
-            block = 1 << world
+            block = world
         else:
-            block |= 1 << world
+            block |= world
     masks.append(block)
     return TPO._from_masks(tuple(masks), num_worlds)
 
@@ -155,15 +171,24 @@ def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,
     ``rng.randrange(1, 1 << num_worlds)``, repeats dropped; drawn again, up
     to 1000 times, while ``jointly_consistent`` and its conjunction is empty."""
     getrandbits, top = rng.getrandbits, (1 << num_worlds) - 1
+    size_width = max_size.bit_length()
     for _ in range(1000):
+        # _randbelow(getrandbits, max_size) and _randbelow(getrandbits, top), inline
+        size = getrandbits(size_width)
+        while size >= max_size:
+            size = getrandbits(size_width)
         masks: list[int] = []
-        for _ in range(_randbelow(getrandbits, max_size) + 1):
-            mask = _randbelow(getrandbits, top) + 1
+        conjunction = top
+        for _ in range(size + 1):
+            mask = getrandbits(num_worlds)
+            while mask >= top:
+                mask = getrandbits(num_worlds)
+            mask += 1
             if mask not in masks:
                 masks.append(mask)
-        if jointly_consistent and not reduce(and_, masks):
-            continue
-        return tuple([worlds_of(mask) for mask in masks])
+                conjunction &= mask
+        if conjunction or not jointly_consistent:
+            return tuple([worlds_of(mask) for mask in masks])
     raise SpaceError("could not sample a jointly consistent input set")
 
 
@@ -361,5 +386,6 @@ class InstanceSpace:
         if self.mode == "exhaustive":
             return itertools.product(*(part.values(self) for part in parts))
         rng = random.Random(self.seed)
-        return (tuple(part.sample(rng, self) for part in parts)
+        samplers = [part.sample for part in parts]
+        return (tuple([sample(rng, self) for sample in samplers])
                 for _ in range(self.sample_count))

@@ -16,9 +16,12 @@ expression per world rather than one test per pair.
 ``min_of`` and the serial operators' ``revise``/``contract`` take
 frozensets, converted once by ``mask_of``; it, ``rank`` and the
 comparisons reject worlds outside the order with ``PartitionError``.
-Equality and the hash use the masks.  ``TPO(blocks)`` validates its
-argument; orders that operators build are valid by construction and
-skip the check through ``TPO._from_masks``.
+Equality and the hash use the masks.  The hash too is computed on first
+use and then kept, so an order that never becomes a key, as almost none
+does in a sampled sweep, never pays for it.  ``TPO(blocks)`` validates
+its argument; orders that operators build are valid by construction and
+skip the check through ``TPO._from_masks``, which sets only ``masks``
+and ``num_worlds``.
 
 Outside the package, in scenario documents and witness payloads, a set
 of worlds is a JSON list of world names and an order is a list of such
@@ -78,7 +81,9 @@ class TPO:
     of per-world tuples: ``below[w]`` masks the worlds strictly more
     plausible than w and ``block[w]`` masks w's own block, so y is
     strictly less plausible than w exactly when it is in neither.
-    Equality and hashing look at ``masks`` only.  Instances are immutable.
+    Equality and hashing look at ``masks`` only; the hash, ``hash(masks)``,
+    is computed on first use and kept, like the derived fields.
+    Instances are immutable.
     """
 
     __slots__ = ("masks", "num_worlds", "blocks", "ranks", "world_masks", "_hash")
@@ -103,26 +108,28 @@ class TPO:
             masks.append(mask)
         # disjoint blocks of ``count`` worlds, all in range(count), cover it
         masks = tuple(masks)
-        _set(self, "masks", masks)
-        _set(self, "num_worlds", count)
-        _set(self, "_hash", hash(masks))
+        _set_masks(self, masks)
+        _set_num_worlds(self, count)
         _set(self, "blocks", blocks)
 
     @classmethod
     def _from_masks(cls, masks: tuple[int, ...], num_worlds: int) -> "TPO":
         """The order with block masks ``masks``, which must partition
-        ``range(num_worlds)``; only emptiness is checked."""
+        ``range(num_worlds)``; only emptiness is checked.  It writes the
+        two slots through their own setters and leaves the hash and the
+        derived fields for first use."""
         if not masks:
             raise PartitionError("a total preorder needs at least one block")
-        t = object.__new__(cls)
-        _set(t, "masks", masks)
-        _set(t, "num_worlds", num_worlds)
-        _set(t, "_hash", hash(masks))
+        t = _new(cls)
+        _set_masks(t, masks)
+        _set_num_worlds(t, num_worlds)
         return t
 
     def __getattr__(self, name: str):
         # fills the derived slots on first use
-        if name == "blocks":
+        if name == "_hash":
+            value = hash(self.masks)
+        elif name == "blocks":
             value = tuple(worlds_of(mask) for mask in self.masks)
         elif name == "ranks":
             ranks = [0] * self.num_worlds
@@ -238,6 +245,12 @@ class TPO:
     def __repr__(self) -> str:
         parts = ["{" + ",".join(str(w) for w in sorted(block)) + "}" for block in self.blocks]
         return "TPO[" + " < ".join(parts) + "]"
+
+
+_new = object.__new__
+# the slots' own setters, which ``__setattr__`` does not stand in front of
+_set_masks = TPO.masks.__set__
+_set_num_worlds = TPO.num_worlds.__set__
 
 
 def _items(data) -> list:

@@ -5,8 +5,9 @@
 pair loops they were.  Here the shipped code must give:
 
 * the same sampled stream, draw for draw, for every shape at 1-4 atoms,
-  several seeds and ``max_set_size`` 1-3, and leave a generator in the
-  same state after a preorder draw at every width up to 16 worlds;
+  several seeds and ``max_set_size`` 1-4 and the largest allowed, and
+  leave a generator in the same state after a preorder draw at every
+  width up to 16 worlds and after every family draw;
 * the same hits from ``_order_flips``, ``_kept_below`` (weak and strict)
   and ``_promoted`` for every pair of the 75 two-atom orders and every
   region, though it names them with one mask expression per world;
@@ -26,7 +27,7 @@ from revforge import (CATALOG, TPO, CheckContext, InstanceSpace, OperatorConfig,
                       SerialRevisionOperator)
 from revforge.postulates import enumerate_tpos, random_tpo
 from revforge.postulates.catalog import _kept_below, _order_flips, _promoted
-from revforge.postulates.spaces import SHAPES, language
+from revforge.postulates.spaces import SHAPES, _random_set_tuple, language
 from revforge.tpo import mask_of, worlds_of
 
 ORDERS = tuple(enumerate_tpos(4))
@@ -48,10 +49,21 @@ def test_the_reference_covers_every_shape():
     assert set(ref.SAMPLED_PARTS) == set(SHAPES)
 
 
+def set_sizes(atoms):
+    """``max_set_size`` 1-4 and the largest allowed, 2^n - 1 at n worlds,
+    where the family size is drawn with the most bits.  At 4 atoms the
+    largest, 65535, is left out: a family would take 32,768 member draws
+    on average, and a jointly consistent one would seldom come within the
+    sampler's 1000 tries."""
+    largest = (1 << (1 << atoms)) - 1
+    sizes = {1, 2, 3, 4, largest} if atoms < 4 else {1, 2, 3, 4}
+    return sorted(size for size in sizes if size <= largest)
+
+
 @pytest.mark.parametrize("atoms", [1, 2, 3, 4])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_sampled_streams_match_the_reference(shape, atoms):
-    for seed, size in itertools.product(SEEDS, (1, 2, 3)):
+    for seed, size in itertools.product(SEEDS, set_sizes(atoms)):
         space = InstanceSpace(atoms=atoms, mode="sampled", sample_count=60, seed=seed,
                               max_set_size=size)
         expected = ref.sampled_stream(shape, atoms, 60, seed, size)
@@ -68,6 +80,18 @@ def test_random_tpo_draws_what_shuffle_drew(num_worlds):
         for _ in range(20):
             assert random_tpo(shipped, num_worlds).masks == ref.random_tpo(reference, num_worlds)
         assert shipped.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("jointly_consistent", [True, False], ids=["pset", "cset"])
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+def test_random_families_draw_what_randint_and_randrange_drew(atoms, jointly_consistent):
+    num_worlds = 1 << atoms
+    for seed, size in itertools.product(SEEDS, set_sizes(atoms)):
+        shipped, reference = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            family = _random_set_tuple(shipped, num_worlds, size, jointly_consistent)
+            assert family == ref.random_family(reference, num_worlds, size, jointly_consistent)
+            assert shipped.getstate() == reference.getstate(), (seed, size)
 
 
 # --- order checks ---

@@ -215,6 +215,14 @@ def test_random_tpo_is_valid_and_seeded():
     assert [random_tpo(again, 8) for _ in range(25)] == draws
 
 
+@pytest.mark.parametrize("num_worlds", [0, -1, 2.0, True, "4", None])
+def test_random_tpo_needs_an_int_of_at_least_one_world(num_worlds):
+    rng = random.Random(7)
+    with pytest.raises(SpaceError, match=re.escape(f"an int of at least 1, got {num_worlds!r}")):
+        random_tpo(rng, num_worlds)
+    assert rng.getstate() == random.Random(7).getstate()
+
+
 def test_instance_space_validation():
     with pytest.raises(SpaceError):
         InstanceSpace(atoms=3)  # exhaustive beyond two atoms

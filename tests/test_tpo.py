@@ -6,10 +6,11 @@ give back t exactly, and distinct preorders must have distinct tables.
 """
 
 import math
+import pickle
 
 import pytest
 
-from revforge import (ConditionalSet, PartitionError, TPO,
+from revforge import (NATURAL, ConditionalSet, PartitionError, TPO,
                       UnsatisfiableConditionalsError, conditional_set,
                       intersect_conditionals, rational_closure)
 from revforge.tpo import validate_profile
@@ -49,6 +50,22 @@ def test_equality_and_hash_use_blocks_only():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    # the hash is computed on first use, so it must come out the same
+    # whichever way the order was built and whatever was read before it
+    makers = {
+        "TPO": lambda: TPO([{1}, {0, 2}, {3}]),
+        "_from_masks": lambda: TPO._from_masks((0b0010, 0b0101, 0b1000), 4),
+        "uniform": lambda: TPO.uniform(4),
+        "from_ranks": lambda: TPO.from_ranks([1, 0, 1, 2]),
+        "serial": lambda: NATURAL.revise(TPO.uniform(4), {1}),
+        "pickle": lambda: pickle.loads(pickle.dumps(TPO([{1}, {0, 2}, {3}]))),
+    }
+    for name, make in makers.items():
+        for first in (None, "world_masks", "ranks", "blocks"):
+            t = make()
+            if first:
+                getattr(t, first)
+            assert hash(t) == hash(t.masks) == hash(make()), (name, first)
 
 
 # --- order queries ---
