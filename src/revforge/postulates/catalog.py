@@ -21,38 +21,41 @@ belief worlds sit inside its models).  Syntactic companion forms, which
 quantify over follow-up inputs and apply the operator again, live in
 ``SYNTACTIC_FORMS`` and are exercised through the agreement-pair check.
 
-Evaluators return a list of hit dictionaries (empty when the instance
-is fine) or ``None`` when the instance falls outside the postulate's
-domain of definition and is skipped.  For the one existential entry the
-hits are witnesses rather than violations, and the property holds over
-a space when at least one witness turns up.
+Every check is a pair: a *plan* and a *body*.  The plan is the part
+of the check that depends on the instance's inputs alone, not on the
+prior order: a function of the context's full mask and the instance's
+inputs or families as the streams yield them, ``plan(full, *inputs)``.
+It turns the inputs into masks, and returns the body's fields, or None
+when the instance falls outside the check's domain, which skips it
+without a body call.  The body takes ``(ctx, t, *fields)``; every step
+it takes, ``ctx.previse(t, masks)`` and ``ctx.pcontract(t, masks)``
+included, sees only masks.  An entry without a plan (the profile
+entries) has a body that takes the instance as the stream yields it.
+``Postulate.evaluate(ctx, *instance)`` composes the two for one
+instance; the sweep in ``engine.check`` is the one place that keeps
+plans, so no plan outlives its sweep.  A body returns a list of hit
+dictionaries (empty when the instance is fine), or ``None`` when its
+domain depends on the prior.  For the one existential entry the hits
+are witnesses rather than violations, and the property holds over a
+space when at least one witness turns up.  A syntactic form's body
+returns whether the form holds.
 
-Every entry enters ``CATALOG`` through ``_register``, and every
-syntactic form enters ``SYNTACTIC_FORMS`` through ``_syntactic``, which
-also records the semantic entry it pairs with in ``EQUIVALENCE_PAIRS``
-and their agreement check in ``PAIR_CHECKS``.
+Every entry enters ``CATALOG`` through ``_register``, which names its
+plan, and every syntactic form enters ``SYNTACTIC_FORMS`` through
+``_syntactic``, which also records the semantic entry it pairs with in
+``EQUIVALENCE_PAIRS`` and their agreement check in ``PAIR_CHECKS``,
+whose plan pairs the two forms' plans.
 
-Evaluators work on world masks.  Instances arrive as the frozensets
-the instance streams yield; what an evaluator derives from them alone
-does not depend on the prior order, so it is a *plan*: a function of the
-context's full mask and the instance's sets, ``(full, *sets)``, looked
-up through ``ctx.derived(plan, *sets)``: over the few worlds where inputs
-repeat, the context computes it once per distinct input, and above that
-once per instance.  An entry over one input or one family names its plan
-as ``_register(..., plan=...)`` and takes the plan's fields as
-arguments after ``(ctx, t)``; entries over two inputs or two families
-(``serial2``, ``pset2``) and the syntactic forms call ``ctx.derived``
-themselves.  The plan turns the input into masks, and every later step,
-``ctx.previse(t, masks)`` and ``ctx.pcontract(t, masks)`` included, sees
-only masks.  Entries that read the same facts of an input share one
-plan, so a memo holds each fact once: ``_input`` (the input's mask and
-its negation's), ``_regions`` (a family's conjunction, refuting and
-member masks), which every other family plan extends,
+Entries that read the same facts of an input share one plan: ``_input``
+(the input's mask and its negation's), ``_inputs`` (the masks of the two
+inputs of ``serial2``), ``_regions`` (a family's conjunction, refuting
+and member masks), which every other family plan extends,
 ``_negation_plan`` (the member-wise negations), ``_dominance`` (a mask
 per world of the worlds it dominates), ``_subfamilies`` and
 ``_pair_plan`` (two families merged and mixed).  S-star reads
 ``_s_star_plan``, the part of ``_pair_plan`` it needs, which is None
 outside its domain.
+
 Belief sets are read as ``masks[0]`` of an order and best worlds as
 ``min_mask``.  The order checks read the orders' ``world_masks``: one
 mask expression per world x names the worlds y that break the postulate
@@ -71,9 +74,9 @@ built by ``_hit``, the one place that turns masks into frozensets, so
 hits and witnesses keep their frozenset form.  Every hit is built behind
 the check that finds it, so an instance without one builds nothing.
 
-Two further kinds of check share that evaluator signature and live
-outside ``CATALOG``: ``PAIR_CHECKS`` holds one ``<id>-pair`` entry per
-agreement pair, and ``RC_IDENTITY`` is the rational-closure identity.
+Two further kinds of check are ``Postulate``s too and live outside
+``CATALOG``: ``PAIR_CHECKS`` holds one ``<id>-pair`` entry per agreement
+pair, and ``RC_IDENTITY`` is the rational-closure identity.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from operator import and_, or_
 from typing import Callable, Iterable, Sequence
 
 from ..aggregation import stq
-from ..logic import And, Not, ascending_worlds, model_mask
+from ..logic import And, Not, ascending_worlds, canonical_formula, model_mask
 from ..tpo import TPO, intersect_conditionals, mask_of, rational_closure, worlds_of
 
 @dataclass(frozen=True)
@@ -93,10 +96,12 @@ class Postulate:
     id: str
     shape: str
     summary: str
-    evaluate: Callable = field(repr=False)
+    body: Callable = field(repr=False)
+    # ``(full, *inputs) -> fields or None``; None when the body takes the instance
+    plan: Callable | None = field(default=None, repr=False)
     kind: str = "universal"
     expected: object = "sound"
-    # (role, name) pairs the evaluator uses whatever the space configures;
+    # (role, name) pairs the check uses whatever the space configures;
     # witnesses record these instead of the space's operators when given
     operators: tuple = ()
 
@@ -105,6 +110,13 @@ class Postulate:
         'sound', 'violated', or 'exploratory'."""
         return self.expected(config) if callable(self.expected) else self.expected
 
+    def evaluate(self, ctx, *instance):
+        """The body's result on one instance, after its plan: None where
+        the plan puts the instance outside the domain."""
+        t, *inputs = instance
+        fields = inputs if self.plan is None else self.plan(ctx.full_mask, *inputs)
+        return None if fields is None else self.body(ctx, t, *fields)
+
 
 CATALOG: dict[str, Postulate] = {}
 
@@ -112,14 +124,13 @@ CATALOG: dict[str, Postulate] = {}
 def _register(id: str, shape: str, summary: str, *, plan: Callable | None = None,
               kind: str = "universal", expected: object = "sound"):
     """The one way into ``CATALOG``: a decorator that enters the function
-    ``fn`` it decorates as the evaluator of ``id``.  Given a ``plan``, the
-    entry's instances are ``(t, s)`` for one input or family ``s``, and
-    ``fn`` is written over the plan's fields, ``fn(ctx, t, *fields)``;
-    without one, ``fn`` takes the instance as the stream yields it."""
-    def wrap(fn):
-        evaluate = fn if plan is None else lambda ctx, t, s: fn(ctx, t, *ctx.derived(plan, s))
-        CATALOG[id] = Postulate(id, shape, summary, evaluate, kind, expected)
-        return fn
+    it decorates as the body of ``id``.  Given a ``plan``, the body is
+    written over the plan's fields, ``body(ctx, t, *fields)``, and a
+    sweep calls the plan once per distinct input where inputs repeat;
+    without one, the body takes the instance as the stream yields it."""
+    def wrap(body):
+        CATALOG[id] = Postulate(id, shape, summary, body, plan, kind, expected)
+        return body
     return wrap
 
 
@@ -221,6 +232,11 @@ def _input(full, a) -> tuple[int, int]:
     return mask, full ^ mask
 
 
+def _inputs(full, a, b) -> tuple[int, int]:
+    """``(first, second)``: the masks of the worlds satisfying ``a`` and ``b``."""
+    return mask_of(a, full.bit_length()), mask_of(b, full.bit_length())
+
+
 def _regions(full, s) -> tuple[int, int, tuple[int, ...]]:
     """``(conj, refuting, masks)``: the masks of the worlds satisfying
     every member of ``s`` and of the worlds refuting every member, and
@@ -258,7 +274,7 @@ def _s_star_plan(full, s1, s2):
     joined with the negations of s2's members is inconsistent, else
     ``(mixed, joint)``, that family's member masks and the mask of the
     worlds satisfying both families.  Two in three two-atom pairs fall
-    outside, so their memo entries hold no masks."""
+    outside, and their instances make no body call."""
     first, _, masks = _pair_regions(full, s1)
     second, refuting, masks2 = _pair_regions(full, s2)
     if not first & refuting:
@@ -323,7 +339,7 @@ def _k5(ctx, t, a, not_a):
 def _k6(ctx, t, a, not_a):
     # Operators act on model sets, so this is structural; exercised
     # through the formula layer to guard the parsing/models plumbing.
-    formula = ctx.canonical(a)
+    formula = canonical_formula(worlds_of(a), ctx.lang)
     reference = ctx.revise(t, a).masks[0]
     for variant in (Not(Not(formula)), And(formula, formula)):
         beliefs = ctx.revise(t, model_mask(variant, ctx.lang)).masks[0]
@@ -332,9 +348,9 @@ def _k6(ctx, t, a, not_a):
     return []
 
 
-@_register("K7", "serial2", "revising by a conjunction keeps everything expansion would add")
-def _k7(ctx, t, a, b):
-    first, second = ctx.derived(_input, a)[0], ctx.derived(_input, b)[0]
+@_register("K7", "serial2", "revising by a conjunction keeps everything expansion would add",
+           plan=_inputs)
+def _k7(ctx, t, first, second):
     both = first & second
     if not both:
         return None
@@ -345,9 +361,9 @@ def _k7(ctx, t, a, b):
     return []
 
 
-@_register("K8", "serial2", "expansion of a revision is conservative when consistent")
-def _k8(ctx, t, a, b):
-    first, second = ctx.derived(_input, a)[0], ctx.derived(_input, b)[0]
+@_register("K8", "serial2", "expansion of a revision is conservative when consistent",
+           plan=_inputs)
+def _k8(ctx, t, first, second):
     lhs = ctx.revise(t, first).masks[0] & second
     if not lhs:
         return []
@@ -530,9 +546,9 @@ def _ks6_minus(ctx, t, conj, refuting, masks):
     return _variant_hits(ctx, t, masks, (masks + masks[:1], masks[::-1] + masks[-1:]))
 
 
-@_register("K-star-7", "pset2", "revising by a union keeps everything expansion would add")
-def _ks7(ctx, t, s1, s2):
-    masks, merged, _, first, second = ctx.derived(_pair_plan, s1, s2)
+@_register("K-star-7", "pset2", "revising by a union keeps everything expansion would add",
+           plan=_pair_plan)
+def _ks7(ctx, t, masks, merged, mixed, first, second):
     if not first & second:
         return None
     lhs = ctx.previse(t, masks).masks[0] & second
@@ -542,9 +558,9 @@ def _ks7(ctx, t, s1, s2):
     return []
 
 
-@_register("K-star-8", "pset2", "expansion of a set revision is conservative when consistent")
-def _ks8(ctx, t, s1, s2):
-    masks, merged, _, first, second = ctx.derived(_pair_plan, s1, s2)
+@_register("K-star-8", "pset2", "expansion of a set revision is conservative when consistent",
+           plan=_pair_plan)
+def _ks8(ctx, t, masks, merged, mixed, first, second):
     lhs = ctx.previse(t, masks).masks[0] & second
     if not lhs:
         return []
@@ -662,12 +678,9 @@ def _li_star(ctx, t, conj, refuting, masks, negations):
 
 
 @_register("S-star", "pset2",
-           "discarding one set while adopting another keeps the joint best worlds fixed")
-def _s_star(ctx, t, s1, s2):
-    plan = ctx.derived(_s_star_plan, s1, s2)
-    if plan is None:
-        return None
-    mixed, joint = plan
+           "discarding one set while adopting another keeps the joint best worlds fixed",
+           plan=_s_star_plan)
+def _s_star(ctx, t, mixed, joint):
     if not joint:
         # no worlds to compare: the posterior's best of nothing is nothing
         return []
@@ -680,9 +693,8 @@ def _s_star(ctx, t, s1, s2):
 
 @_register("P-star", "pset2",
            "after adopting one set against another, the other's best worlds satisfy the first",
-           expected="violated")
-def _p_star(ctx, t, s1, s2):
-    _, _, mixed, first, second = ctx.derived(_pair_plan, s1, s2)
+           plan=_pair_plan, expected="violated")
+def _p_star(ctx, t, masks, merged, mixed, first, second):
     if not first & second:
         return []
     if mixed is None:
@@ -826,51 +838,46 @@ def _parity(ctx, profile):
 
 # --- syntactic companion forms, used by the agreement-pair check ---
 #
-# Each maps (ctx, t, s) to True/False: does the follow-up-quantified
-# form hold at this instance?  Follow-up inputs range over single
-# consistent propositions; belief-membership quantifiers over sentences
-# are evaluated exactly by working with belief-world sets.
+# Each is a Postulate over ``pset`` whose body maps (ctx, t, *fields) to
+# True/False: does the follow-up-quantified form hold at this instance?
+# Follow-up inputs range over single consistent propositions;
+# belief-membership quantifiers over sentences are evaluated exactly by
+# working with belief-world sets.
 
-@dataclass(frozen=True)
-class SyntacticForm:
-    id: str
-    summary: str
-    holds: Callable = field(repr=False)
-
-
-SYNTACTIC_FORMS: dict[str, SyntacticForm] = {}
+SYNTACTIC_FORMS: dict[str, Postulate] = {}
 # semantic entry id -> the id of its syntactic form, in registration order
 EQUIVALENCE_PAIRS: dict[str, str] = {}
 PAIR_CHECKS: dict[str, Postulate] = {}
 
 
-def _agreement(semantic: Postulate, syntactic: SyntacticForm) -> Callable:
-    """One hit wherever the semantic and syntactic forms disagree."""
-    def evaluate(ctx, t, s):
-        hits = semantic.evaluate(ctx, t, s)
+def _agreement(semantic: Postulate, syntactic: Postulate) -> tuple[Callable, Callable]:
+    """The body and plan of the check that hits wherever the semantic and
+    syntactic forms disagree: its plan pairs the two forms' plans."""
+    def body(ctx, t, semantic_fields, syntactic_fields):
+        hits = semantic.body(ctx, t, *semantic_fields)
         if hits is None:
             return None
         sem_holds = not hits
-        syn_holds = syntactic.holds(ctx, t, s)
+        syn_holds = syntactic.body(ctx, t, *syntactic_fields)
         if sem_holds != syn_holds:
             return [{"semantic_holds": sem_holds, "syntactic_holds": syn_holds}]
         return []
-    return evaluate
+    return body, lambda full, s: (semantic.plan(full, s), syntactic.plan(full, s))
 
 
-def _syntactic(id: str, semantic: str, summary: str):
-    """Enter ``fn`` into ``SYNTACTIC_FORMS`` as the form ``id`` of the
-    catalog entry ``semantic``; ``holds`` is ``fn`` itself.  The pair goes
-    into ``EQUIVALENCE_PAIRS``, and its agreement check into
-    ``PAIR_CHECKS`` as ``<semantic>-pair``."""
-    def wrap(fn):
-        form = SYNTACTIC_FORMS[id] = SyntacticForm(id, summary, fn)
+def _syntactic(id: str, semantic: str, plan: Callable, summary: str):
+    """Enter the function it decorates into ``SYNTACTIC_FORMS`` as the
+    body of the form ``id`` of the catalog entry ``semantic``, with
+    ``plan`` as its plan.  The pair goes into ``EQUIVALENCE_PAIRS``, and
+    its agreement check into ``PAIR_CHECKS`` as ``<semantic>-pair``."""
+    def wrap(body):
+        form = SYNTACTIC_FORMS[id] = Postulate(id, "pset", summary, body, plan)
         EQUIVALENCE_PAIRS[semantic] = id
         PAIR_CHECKS[f"{semantic}-pair"] = Postulate(
             f"{semantic}~{id}", "pset",
             f"{semantic} and its syntactic form {id} agree on every instance",
-            _agreement(CATALOG[semantic], form))
-        return fn
+            *_agreement(CATALOG[semantic], form))
+        return body
     return wrap
 
 
@@ -886,35 +893,31 @@ def _irrelevant_step(ctx, t: TPO, masks: tuple, region: int) -> bool:
     return True
 
 
-@_syntactic("C-star-1-b", "C-star-1",
+@_syntactic("C-star-1-b", "C-star-1", _regions,
             "follow-ups entailing the set make the revision step irrelevant")
-def _syn_cs1(ctx, t, s):
-    conj, _, masks = ctx.derived(_regions, s)
+def _syn_cs1(ctx, t, conj, refuting, masks):
     return _irrelevant_step(ctx, t, masks, conj)
 
 
-@_syntactic("C-star-2-b", "C-star-2",
+@_syntactic("C-star-2-b", "C-star-2", _regions,
             "follow-ups entailing every negation make the revision step irrelevant")
-def _syn_cs2(ctx, t, s):
-    _, refuting, masks = ctx.derived(_regions, s)
+def _syn_cs2(ctx, t, conj, refuting, masks):
     return _irrelevant_step(ctx, t, masks, refuting)
 
 
-@_syntactic("C-star-3-b", "C-star-3",
+@_syntactic("C-star-3-b", "C-star-3", _regions,
             "follow-ups that would leave the set believed still do after revising by it")
-def _syn_cs3(ctx, t, s):
-    target, _, masks = ctx.derived(_regions, s)
+def _syn_cs3(ctx, t, conj, refuting, masks):
     after = ctx.follow_ups(ctx.previse(t, masks))
-    return not any(not alone & ~target and two_step & ~target
+    return not any(not alone & ~conj and two_step & ~conj
                    for alone, two_step in zip(ctx.follow_ups(t), after))
 
 
-@_syntactic("C-star-4-b", "C-star-4",
+@_syntactic("C-star-4-b", "C-star-4", _regions,
             "follow-ups that would leave the set consistent with beliefs still do")
-def _syn_cs4(ctx, t, s):
-    target, _, masks = ctx.derived(_regions, s)
+def _syn_cs4(ctx, t, conj, refuting, masks):
     after = ctx.follow_ups(ctx.previse(t, masks))
-    return not any(alone & target and not two_step & target
+    return not any(alone & conj and not two_step & conj
                    for alone, two_step in zip(ctx.follow_ups(t), after))
 
 
@@ -932,11 +935,10 @@ def _subfamilies(full, s) -> tuple:
                              for x in range(1, full + 1)]),)
 
 
-@_syntactic("PC3-b", "PC3",
+@_syntactic("PC3-b", "PC3", _subfamilies,
             "anything believed under every compatible subfamily survives the two-step route")
-def _syn_pc3(ctx, t, s):
+def _syn_pc3(ctx, t, conj, refuting, masks, joined):
     previse = ctx.previse
-    _, _, masks, joined = ctx.derived(_subfamilies, s)
     after = ctx.follow_ups(previse(t, masks))
     for alone, two_step, routes in zip(ctx.follow_ups(t), after, joined):
         support = alone
@@ -947,11 +949,10 @@ def _syn_pc3(ctx, t, s):
     return True
 
 
-@_syntactic("PC4-b", "PC4",
+@_syntactic("PC4-b", "PC4", _subfamilies,
             "nothing refuted under every compatible subfamily appears on the two-step route")
-def _syn_pc4(ctx, t, s):
+def _syn_pc4(ctx, t, conj, refuting, masks, joined):
     previse = ctx.previse
-    _, _, masks, joined = ctx.derived(_subfamilies, s)
     after = ctx.follow_ups(previse(t, masks))
     for alone, two_step, routes in zip(ctx.follow_ups(t), after, joined):
         if alone & ~two_step and all(previse(t, route).masks[0] & ~two_step for route in routes):

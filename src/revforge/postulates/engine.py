@@ -7,7 +7,12 @@ and re-evaluate it bit-for-bit with ``replay_witness``.  Worlds are
 rendered as atom bit-strings throughout.
 
 ``check`` is the one sweep loop.  Its report counts the instances it
-generated and those it skipped as outside the postulate's domain.  Its id lookup resolves catalog ids,
+generated and those it skipped as outside the postulate's domain.  It is
+also the one place that keeps plans, the part of a check that depends on
+the instance's inputs alone (see ``catalog``): where the context keeps
+rows, every prior meets every input, so a dict local to the sweep holds
+each distinct input's plan, and is freed with the sweep; over more
+worlds each draw makes its own plan.  Its id lookup resolves catalog ids,
 ``<id>-pair`` for the agreement sweep of a semantic entry against its
 syntactic companion, and ``rc-identity`` for the check that synchronous
 aggregation commutes with conditional-belief intersection followed by
@@ -33,30 +38,27 @@ the rows of every prior share one object per set.
 Sweeps are prior-major, so the current row is found by an identity
 check, and a hit costs no hashed lookup of an order.  For the same
 reason a profile's repeats come soon after it, so the aggregator memo
-keeps only the profiles used last.  The ``derived`` plans (the work
-that depends on the input families but not on the prior order) follow
-the rows: over the few worlds the context remembers each family's, over
-more a draw pays for its own.  The other
-memos are kept at every size: ``canonical``, keyed by a mask;
-``conditionals``, which rc-identity asks twice of equal orders in every
+keeps only the profiles used last.  The other
+memos are kept at every size: ``conditionals``, which rc-identity asks twice of equal orders in every
 instance; and ``follow_ups``, keyed by an order, because sampled
 orders of few blocks recur: a 3-atom pair sweep answers about one
 lookup in six from it.  Its entries hold a mask per consistent mask, so
 the more worlds, the fewer orders it keeps.
-The context sees world sets only as masks: an instance's frozensets
-become masks in the ``derived`` plan that reads the family, and
+The context keeps only what the operators and orders compute, and sees
+world sets only as masks: an instance's frozensets become masks in the
+plan that reads them, and
 ``previse`` and ``pcontract`` take a tuple of member masks.  No table of
 world sets is built.  Every memo is a bounded ``functools.lru_cache``,
 so each reports its hits and misses through ``cache_info()``, which
 ``CheckContext.memo_info`` collects, and a hit keeps its entry.  Sweeps
 that share operators should share one context.
-An evaluator asks for no pipeline result whose answer the instance
-already fixes: S-star and P-star hold at once on a pair of families
-whose conjunctions share no world, so such an instance counts as
-checked without a ``previse`` call.
+A body asks for no pipeline result whose answer the instance already
+fixes: S-star and P-star hold at once on a pair of families whose
+conjunctions share no world, so such an instance counts as checked
+without a ``previse`` call.
 ``previse``, ``pcontract``, ``aggregate``, ``revise`` and ``contract``
-are the seams a tracer may replace on a context; every call an
-evaluator makes into the operators, the follow-up revisions included,
+are the seams a tracer may replace on a context; every call a body
+makes into the operators, the follow-up revisions included,
 goes through them.
 Witness payloads are encoded and decoded through the shape table in
 ``spaces``.
@@ -67,15 +69,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 from typing import Callable, Optional
 
 from ..aggregation import Aggregator
 from ..errors import SpaceError, UnknownPostulateError, lookup
-from ..logic import Language, canonical_formula
+from ..logic import Language
 from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
-from ..tpo import TPO, conditional_set, worlds_of
+from ..tpo import TPO, conditional_set
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
 from .spaces import (MAX_EXHAUSTIVE_ATOMS, InstanceSpace, decode_instance, encode_instance,
                      language)
@@ -168,8 +170,8 @@ class CheckContext:
     aggregator memo: ``previse`` and ``pcontract`` are the operators'
     ``revise_masks`` and ``contract_masks`` themselves, ``revise`` and
     ``contract`` the serial operators' ``transform``, and ``aggregate``
-    the aggregator's.  Nor does it remember plans there: ``derived``
-    calls the plan on every request.
+    the aggregator's.  ``rowed`` says which of the two holds: it is true
+    where the context keeps rows.
 
     Over fewer worlds, each configured serial operator gets one
     ``_Rows``, so the revision roles that share an operator share its
@@ -194,37 +196,28 @@ class CheckContext:
     The rest holds at every size.  A tracer may replace any of
     ``previse``, ``pcontract``, ``aggregate``, ``revise`` and ``contract``
     on an instance.  ``conditionals`` is ``conditional_set``, remembered
-    per preorder, and ``canonical(mask)`` the canonical formula of a mask,
-    remembered per mask.  ``follow_ups(t)`` is the belief mask of
+    per preorder.  ``follow_ups(t)`` is the belief mask of
     ``previse(t, (x,))`` for every consistent mask x, in order,
     remembered per order and per ``previse`` for at most ``_ROWS`` orders
     and ``_FOLLOW_UP_MASKS`` masks in all; it calls ``self.previse``, so a
     stand-in sees those revisions too.
 
-    ``full_mask`` is the mask of every world.  ``derived(fn, *args)`` is
-    ``fn(full_mask, *args)``, over the few worlds remembered per argument
-    tuple.  Evaluators keep there the part of their work that does not
-    depend on the prior order (a family's member masks, the families they
-    revise by and the conjunction masks they compare), so an exhaustive
-    sweep computes it once per input family rather than once per
-    instance.  ``derived``, ``canonical`` and ``conditionals`` hold at most
-    ``_MEMO`` entries; the aggregator memo, the set keys and the tables
-    keyed by an order at most ``_ROWS``.  ``memo_info()`` reports the
-    ``cache_info()`` of each.  Nothing built here refers back to the
-    context.
+    ``full_mask`` is the mask of every world, which plans take.  The
+    context keeps no plan: ``check`` does, for one sweep.
+    ``conditionals`` holds at most ``_MEMO`` entries; the aggregator
+    memo, the set keys and the tables keyed by an order at most
+    ``_ROWS``.  ``memo_info()`` reports the ``cache_info()`` of each.
+    Nothing built here refers back to the context.
     """
 
     def __init__(self, lang: Language, config: OperatorConfig):
         self.lang = lang
         self.config = config
         num_worlds = lang.num_worlds
-        full = self.full_mask = (1 << num_worlds) - 1
+        self.full_mask = (1 << num_worlds) - 1
         # priors repeat only where an exhaustive space enumerates them all;
-        # above that, rows and the plan memo would mostly hold entries
-        # that never hit
-        rowed = num_worlds <= 1 << MAX_EXHAUSTIVE_ATOMS
-        derived = lambda fn, *args: fn(full, *args)
-        self.derived = lru_cache(maxsize=_MEMO)(derived) if rowed else derived
+        # above that, rows would mostly hold entries that never hit
+        rowed = self.rowed = num_worlds <= 1 << MAX_EXHAUSTIVE_ATOMS
         # (roles served, _Rows) per row table; the roles name it in ``memo_info``
         rows: dict = {}
 
@@ -262,7 +255,6 @@ class CheckContext:
             self.pcontract = _family_lookup(contraction, self.pcontract, self._set_keys)
         self._follow_ups = lru_cache(maxsize=min(_ROWS, _FOLLOW_UP_MASKS >> num_worlds))(
             _follow_up_masks)
-        self.canonical = lru_cache(maxsize=_MEMO)(lambda m: canonical_formula(worlds_of(m), lang))
         self.conditionals = lru_cache(maxsize=_MEMO)(conditional_set)
 
     @classmethod
@@ -278,13 +270,12 @@ class CheckContext:
 
     def memo_info(self) -> dict:
         """``cache_info()`` of every memo table the context keeps, by name:
-        ``aggregate``, ``derived``, ``follow_ups``, ``canonical``,
-        ``conditionals`` and ``set_keys`` where the context has them, and
+        ``aggregate``, ``follow_ups``, ``conditionals`` and ``set_keys``
+        where the context has them, and
         ``<roles>.find`` and ``<roles>.intern`` for each row table, named
         by the roles it serves (``revision+base+finisher`` when one
         operator fills the three)."""
-        tables = {"aggregate": self._aggregate, "derived": self.derived,
-                  "follow_ups": self._follow_ups, "canonical": self.canonical,
+        tables = {"aggregate": self._aggregate, "follow_ups": self._follow_ups,
                   "conditionals": self.conditionals, "set_keys": self._set_keys}
         for prefix, rows in self._rows:
             tables[prefix + "find"], tables[prefix + "intern"] = rows.find, rows.intern
@@ -384,6 +375,25 @@ def _postulate(postulate_id: str) -> Postulate:
     return lookup(CATALOG, postulate_id, "postulate", UnknownPostulateError)
 
 
+def _sweep_evaluate(postulate: Postulate, ctx: CheckContext) -> Callable:
+    """``postulate.evaluate`` on ``ctx`` for one sweep.  Where the context
+    keeps rows, a dict that only this function's result holds keeps each
+    distinct input's plan, None included; elsewhere each instance makes
+    its own."""
+    plan, body = postulate.plan, postulate.body
+    if plan is None or not ctx.rowed:
+        return partial(postulate.evaluate, ctx)
+    full, plans = ctx.full_mask, {}
+
+    def evaluate(t, *inputs):
+        try:
+            fields = plans[inputs]
+        except KeyError:
+            fields = plans[inputs] = plan(full, *inputs)
+        return None if fields is None else body(ctx, t, *fields)
+    return evaluate
+
+
 def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
           ctx: Optional[CheckContext] = None) -> CheckReport:
     """Sweep one postulate over ``space`` and report.
@@ -401,9 +411,10 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
     total_hits = 0
     kept: list[dict] = []
     cap = space.violation_cap
+    evaluate = _sweep_evaluate(postulate, ctx)
     for instance in space.instances(postulate.shape):
         generated += 1
-        hits = postulate.evaluate(ctx, *instance)
+        hits = evaluate(*instance)
         if hits is None:
             continue
         checked += 1
@@ -416,7 +427,7 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
                 break
     elapsed = (time.perf_counter() - start) * 1000.0
     described = space.describe()
-    # roles the evaluator fixes ran with those operators, not the space's
+    # roles the check fixes ran with those operators, not the space's
     described["operators"].update(postulate.operators)
     return CheckReport(
         postulate=postulate.id,

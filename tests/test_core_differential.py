@@ -169,7 +169,7 @@ def test_catalog_evaluators(pid, config_name):
     ctx = CheckContext.from_space(InstanceSpace(atoms=2,
                                                 operators=EVALUATOR_CONFIGS[config_name]))
     if pid in SYNTACTIC_FORMS:
-        shape, shipped = "pset", SYNTACTIC_FORMS[pid].holds
+        shape, shipped = "pset", SYNTACTIC_FORMS[pid].evaluate
     else:
         shape, shipped = CATALOG[pid].shape, CATALOG[pid].evaluate
     reference, view = REF_EVALUATORS[pid], frozenset_view(ctx)

@@ -158,42 +158,114 @@ def test_the_checker_builds_no_table_of_world_sets():
     assert all_propositions.cache_info().currsize == 0
 
 
-def test_canonical_formulas_are_kept_per_mask():
+def test_k6_builds_the_canonical_formula_of_each_input(monkeypatch):
+    """K6 revises by variants of the canonical formula of its input's
+    mask, which it builds itself, once per instance: the context keeps no
+    table of formulas."""
     space = InstanceSpace(atoms=2)
     ctx = CheckContext.from_space(space)
+    built, shipped = [], catalog.canonical_formula
+
+    def recording(worlds, lang):
+        built.append(worlds)
+        formula = shipped(worlds, lang)
+        assert models(formula, lang) == worlds
+        return formula
+
+    monkeypatch.setattr(catalog, "canonical_formula", recording)
     assert check("K6", space, ctx=ctx).holds
-    info = ctx.canonical.cache_info()
-    assert info.currsize == info.misses == 15
-    for mask in range(1, 16):
-        assert models(ctx.canonical(mask), space.lang) == worlds_of(mask)
+    assert len(built) == 75 * 15 and set(built) == set(all_propositions(4))
+    assert not hasattr(ctx, "canonical")
 
 
-def test_memo_remembers_none_results():
-    ctx = CheckContext.from_space(InstanceSpace(atoms=2))
-    calls = []
-
-    def plan(full, s):
-        calls.append(s)
-        return None
-
-    family = (frozenset({0, 1}),)
-    for _ in range(3):
-        assert ctx.derived(plan, family) is None
-    assert calls == [family]
+class _Fields(list):
+    """A plan's fields in an object a weak reference can follow."""
 
 
-def test_each_family_fact_is_one_memo_entry():
-    """Entries that read the same facts of a family share one plan: the
-    95 two-atom input families make 95 entries, however many of those
-    entries sweep them."""
+def _counted(monkeypatch, pid: str, calls: dict, kept: list = None) -> None:
+    """Put in ``CATALOG`` a copy of entry ``pid`` whose plan and body count
+    their calls in ``calls``; given ``kept``, the plan hands the body its
+    fields in a ``_Fields`` and keeps a weak reference to each."""
+    entry = CATALOG[pid]
+    calls.update(plan=0, body=0)
+
+    def plan(full, *inputs):
+        calls["plan"] += 1
+        fields = entry.plan(full, *inputs)
+        if kept is None or fields is None:
+            return fields
+        kept.append(weakref.ref(fields := _Fields(fields)))
+        return fields
+
+    def body(ctx, t, *fields):
+        calls["body"] += 1
+        return entry.body(ctx, t, *fields)
+
+    monkeypatch.setitem(CATALOG, pid, replace(entry, plan=plan, body=body))
+
+
+def test_memo_remembers_none_results(monkeypatch):
+    """The sweep's plan table keeps a None plan too: a plan that puts
+    every two-atom family outside the domain runs once per family, and
+    no instance reaches the body, which is not callable here."""
+    planned = []
+    monkeypatch.setitem(CATALOG, "Conj-star", replace(
+        CATALOG["Conj-star"], plan=lambda full, s: planned.append(s), body=None))
+    report = check("Conj-star", InstanceSpace(atoms=2))
+    assert (report.generated, report.checked, report.skipped) == (7125, 0, 7125)
+    assert len(planned) == len(set(planned)) == 95
+
+
+def test_each_sweep_plans_each_family_once(monkeypatch):
+    """Entries that read the same facts of a family share one plan
+    function, and each sweep calls its plan once per two-atom family,
+    however many sweeps share the context, which keeps no plan."""
+    assert CATALOG["LI-star"].plan is CATALOG["GR-star"].plan is catalog._negation_plan
     space = InstanceSpace(atoms=2)
     ctx = CheckContext.from_space(space)
-    check("C-star-3-pair", space, ctx=ctx)
-    assert ctx.derived.cache_info().currsize == 95
+    for pid in ("LI-star", "GR-star", "LI-star"):
+        calls = {}
+        _counted(monkeypatch, pid, calls)
+        check(pid, space, ctx=ctx)
+        assert calls == {"plan": 95, "body": 7125}
+    planned = []
+    pair = PAIR_CHECKS["C-star-3-pair"]
+    monkeypatch.setitem(PAIR_CHECKS, "C-star-3-pair", replace(
+        pair, plan=lambda full, s: planned.append(s) or pair.plan(full, s)))
+    assert check("C-star-3-pair", space, ctx=ctx).checked == 7125
+    assert len(planned) == len(set(planned)) == 95
+
+
+@pytest.mark.parametrize("pid, plans, bodies, skipped", [
+    ("S-star", 9_025, 216_000, 460_875),
+    ("Conj-star", 95, 7_125, 0),
+    ("GR-star", 95, 7_125, 2_475),
+])
+def test_plans_belong_to_the_sweep(monkeypatch, pid, plans, bodies, skipped):
+    """Over 2 atoms a sweep calls a check's plan once per distinct input
+    and its body once per instance inside the plan's domain; the plans
+    it made are freed when it returns, with the context still alive, so
+    no table the context can reach holds one."""
+    space = InstanceSpace(atoms=2)
     ctx = CheckContext.from_space(space)
-    check("LI-star", space, ctx=ctx)
-    check("GR-star", space, ctx=ctx)
-    assert ctx.derived.cache_info().currsize == 95
+    calls, kept = {}, []
+    _counted(monkeypatch, pid, calls, kept)
+    report = check(pid, space, ctx=ctx)
+    assert report.holds and report.skipped == skipped
+    assert calls == {"plan": plans, "body": bodies}
+    assert kept and all(ref() is None for ref in kept)
+    assert not hasattr(ctx, "derived")
+
+
+def test_a_sampled_sweep_plans_every_draw(monkeypatch):
+    """Over more worlds than an exhaustive space enumerates, inputs almost
+    never repeat, so each draw makes its own plan."""
+    space = InstanceSpace(atoms=3, mode="sampled", sample_count=500, seed=27)
+    calls = {}
+    _counted(monkeypatch, "S-star", calls)
+    report = check("S-star", space)
+    assert report.generated == 500 and calls["plan"] == 500
+    assert calls["body"] == report.checked
 
 
 def test_formula_set_tuples_sizes_and_consistency():
@@ -520,30 +592,22 @@ def test_rows_key_by_set_under_any_synchronous_strategy(monkeypatch, strategy, r
 @pytest.mark.parametrize("atoms", [1, 2, 3, 4])
 def test_only_contexts_whose_priors_repeat_keep_rows(atoms):
     """Rows and the aggregator memo exist only up to the worlds an
-    exhaustive space enumerates; a larger context calls the shipped
-    operators themselves.  So does the plan memo, keyed by a family;
-    ``canonical``, ``conditionals`` and the follow-up memo, which sampled
-    sweeps hit, stay at every size."""
+    exhaustive space enumerates, and ``rowed`` says so, which the sweep
+    reads to keep plans; a larger context calls the shipped operators
+    themselves.  ``conditionals`` and the follow-up memo, which sampled
+    sweeps hit, stay at every size.  No context keeps a plan."""
     ctx = CheckContext(language(atoms), OperatorConfig())
     rowed = atoms <= MAX_EXHAUSTIVE_ATOMS
+    assert ctx.rowed is rowed
     assert isinstance(ctx.parallel_rev.base, engine._Rows) is rowed
     assert hasattr(ctx._aggregate, "cache_info") is rowed
-    assert hasattr(ctx.derived, "cache_info") is rowed
-    for memo in (ctx.canonical, ctx.conditionals, ctx._follow_ups):
+    for memo in (ctx.conditionals, ctx._follow_ups):
         assert hasattr(memo, "cache_info")
+    assert not hasattr(ctx, "derived") and not hasattr(ctx, "canonical")
     if not rowed:
         assert ctx.parallel_rev.aggregator is ctx.aggregator
         assert ctx.revise is get_revision_operator("natural").transform
         assert ctx.contract is NATURAL_CONTRACT.transform
-        calls = []
-
-        def plan(full, s):
-            calls.append(s)
-            return full
-
-        family = (frozenset({0, 1}),)
-        assert [ctx.derived(plan, family) for _ in range(2)] == [ctx.full_mask] * 2
-        assert calls == [family, family]
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 3, 4])
@@ -575,19 +639,19 @@ def test_no_context_memo_is_unbounded(monkeypatch, atoms, strategy):
 
 
 @pytest.mark.parametrize("atoms, names", [
-    (2, {"aggregate", "derived", "follow_ups", "canonical", "conditionals", "set_keys",
+    (2, {"aggregate", "follow_ups", "conditionals", "set_keys",
          "revision+base+finisher.find", "revision+base+finisher.intern",
          "contraction.find", "contraction.intern"}),
-    (3, {"follow_ups", "canonical", "conditionals"}),
+    (3, {"follow_ups", "conditionals"}),
 ])
 def test_memo_info_names_every_table(atoms, names):
     """``memo_info`` reports each table's ``cache_info()`` by name; one row
     table serves every role one operator fills.  Above 4 worlds only the
-    tables kept at every size remain."""
+    tables kept at every size remain.  No table holds plans or formulas."""
     ctx = CheckContext(language(atoms), OperatorConfig())
     info = ctx.memo_info()
     assert set(info) == names
-    assert info["canonical"] == ctx.canonical.cache_info()
+    assert info["conditionals"] == ctx.conditionals.cache_info()
     space = (InstanceSpace(atoms=2) if atoms == 2
              else InstanceSpace(atoms=atoms, mode="sampled", sample_count=50, seed=1))
     check("C-star-3-pair", space, ctx=ctx)
@@ -948,6 +1012,29 @@ def test_disagreeing_pairs_report_and_replay(reverse_base):
             assert detail["semantic_holds"] != detail["syntactic_holds"]
             replayed = replay_witness(f"{semantic}-pair", json.loads(json.dumps(witness)), atoms=2)
             assert replayed == [detail]
+
+
+@pytest.mark.parametrize("base", ["natural", "reverse"])
+def test_every_witness_replays(reverse_base, base):
+    """Every witness of every check, found by a sweep that keeps its plans
+    in its own table, replays through ``Postulate.evaluate`` after a JSON
+    round trip to a list holding its detail: under the default operators
+    and under a base operator that reverses the prior."""
+    space = InstanceSpace(atoms=2, operators=OperatorConfig(base=base), violation_cap=3)
+    ctx = CheckContext.from_space(space)
+    found = set()
+    for pid in (*CATALOG, *PAIR_CHECKS, "rc-identity"):
+        for witness in check(pid, space, first=True, ctx=ctx).violations:
+            replayed = replay_witness(pid, json.loads(json.dumps(witness)), atoms=2)
+            assert witness["detail"] in replayed, pid
+            found.add(pid)
+    # the paths that build witnesses run: 7 ids find some under the
+    # default operators, 22 under the reversed base, S-star, P-star and
+    # each pair whose forms can disagree among them
+    assert len(found) == {"natural": 7, "reverse": 22}[base]
+    if base == "reverse":
+        assert PSET2_IDS - found == {"K-star-7", "K-star-8"}
+        assert set(PAIR_CHECKS) - found == {"C-star-1-pair", "C-star-2-pair"}
 
 
 def test_rc_identity_witnesses_record_stq_and_replay(lang2, monkeypatch):
