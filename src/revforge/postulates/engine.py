@@ -159,6 +159,8 @@ def _follow_up_masks(t: TPO, previse: Callable) -> tuple[int, ...]:
 
 class CheckContext:
     """The configured operators, memoized, for one sweep configuration.
+    SpaceError unless ``lang`` is a ``Language`` and ``config`` an
+    ``OperatorConfig``.
 
     ``previse(t, masks)`` and ``pcontract(t, masks)`` are ``revise_masks``
     and ``contract_masks`` of the shipped parallel operators, for a tuple
@@ -211,6 +213,10 @@ class CheckContext:
     """
 
     def __init__(self, lang: Language, config: OperatorConfig):
+        if not isinstance(lang, Language):
+            raise SpaceError(f"lang must be a Language, got {lang!r}")
+        if not isinstance(config, OperatorConfig):
+            raise SpaceError(f"operators must be an OperatorConfig, got {config!r}")
         self.lang = lang
         self.config = config
         num_worlds = lang.num_worlds

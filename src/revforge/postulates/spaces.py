@@ -72,7 +72,11 @@ def enumerate_tpos(num_worlds: int) -> Iterator[TPO]:
 
     Generated as ordered set partitions: every non-empty subset of the
     unplaced worlds (in ascending bitmask order) can be the next block.
+    SpaceError, raised by the call itself, before any iteration, unless
+    ``num_worlds`` is an int in 1..MAX_ENUM_WORLDS.
     """
+    if type(num_worlds) is not int:
+        raise SpaceError(f"the world count must be an int of at least 1, got {num_worlds!r}")
     if not 1 <= num_worlds <= MAX_ENUM_WORLDS:
         raise SpaceError(f"exhaustive enumeration supports 1..{MAX_ENUM_WORLDS} worlds")
 
@@ -89,8 +93,7 @@ def enumerate_tpos(num_worlds: int) -> Iterator[TPO]:
             for tail in partitions(unplaced & ~block):
                 yield (block,) + tail
 
-    for masks in partitions((1 << num_worlds) - 1):
-        yield TPO._from_masks(masks, num_worlds)
+    return (TPO._from_masks(masks, num_worlds) for masks in partitions((1 << num_worlds) - 1))
 
 
 @cache

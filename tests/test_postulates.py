@@ -295,6 +295,35 @@ def test_random_tpo_needs_an_int_of_at_least_one_world(num_worlds):
     assert rng.getstate() == random.Random(7).getstate()
 
 
+@pytest.mark.parametrize("num_worlds, message", [
+    (0, "exhaustive enumeration supports 1..8 worlds"),
+    (9, "exhaustive enumeration supports 1..8 worlds"),
+    (2.0, "the world count must be an int of at least 1, got 2.0"),
+    (True, "the world count must be an int of at least 1, got True"),
+    ("4", "the world count must be an int of at least 1, got '4'"),
+    (None, "the world count must be an int of at least 1, got None"),
+])
+def test_enumerate_tpos_checks_its_world_count_when_called(num_worlds, message):
+    """The call itself raises, so a caller that never iterates still sees
+    a bad world count."""
+    with pytest.raises(SpaceError, match=re.escape(message)):
+        enumerate_tpos(num_worlds)
+    assert [len(tuple(enumerate_tpos(n))) for n in (1, 2, 4)] == [1, 3, 75]
+
+
+@pytest.mark.parametrize("lang, config, message", [
+    ({"atoms": 2}, OperatorConfig(), "lang must be a Language, got {'atoms': 2}"),
+    ("AB", OperatorConfig(), "lang must be a Language, got 'AB'"),
+    (None, OperatorConfig(), "lang must be a Language, got None"),
+    (language(2), {"base": "lex"}, "operators must be an OperatorConfig, got {'base': 'lex'}"),
+    (language(2), "lex", "operators must be an OperatorConfig, got 'lex'"),
+    (language(2), None, "operators must be an OperatorConfig, got None"),
+])
+def test_a_context_needs_a_language_and_an_operator_config(lang, config, message):
+    with pytest.raises(SpaceError, match=re.escape(message)):
+        CheckContext(lang, config)
+
+
 def test_instance_space_validation():
     with pytest.raises(SpaceError):
         InstanceSpace(atoms=3)  # exhaustive beyond two atoms
