@@ -38,17 +38,16 @@ the rows of every prior share one object per set.
 Sweeps are prior-major, so the current row is found by an identity
 check, and a hit costs no hashed lookup of an order.  For the same
 reason a profile's repeats come soon after it, so the aggregator memo
-keeps only the profiles used last.  The other
-memos are kept at every size: ``conditionals``, which rc-identity asks twice of equal orders in every
-instance; and ``follow_ups``, keyed by an order, because sampled
+keeps only the profiles used last.  The other memos are kept at every
+size: ``conditionals``, which rc-identity asks twice of equal orders in
+every instance; and ``follow_ups``, keyed by an order, because sampled
 orders of few blocks recur: a 3-atom pair sweep answers about one
 lookup in six from it.  Its entries hold a mask per consistent mask, so
 the more worlds, the fewer orders it keeps.
 The context keeps only what the operators and orders compute, and sees
 world sets only as masks: an instance's frozensets become masks in the
-plan that reads them, and
-``previse`` and ``pcontract`` take a tuple of member masks.  No table of
-world sets is built.  Every memo is a bounded ``functools.lru_cache``,
+plan that reads them, and ``previse`` and ``pcontract`` take a tuple of
+member masks.  No table of world sets is built.  Every memo is a bounded ``functools.lru_cache``,
 so each reports its hits and misses through ``cache_info()``, which
 ``CheckContext.memo_info`` collects, and a hit keeps its entry.  Sweeps
 that share operators should share one context.

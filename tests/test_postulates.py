@@ -31,7 +31,7 @@ from revforge.postulates.spaces import (DEFAULT_SEED, MAX_EXHAUSTIVE_ATOMS, SHAP
                                         decode_instance, encode_instance, language)
 from revforge.serial import natural_revise
 from revforge.logic import models
-from revforge.tpo import mask_of, worlds_of
+from revforge.tpo import mask_of
 
 from conftest import tpo
 
@@ -182,7 +182,7 @@ class _Fields(list):
     """A plan's fields in an object a weak reference can follow."""
 
 
-def _counted(monkeypatch, pid: str, calls: dict, kept: list = None) -> None:
+def _counted(monkeypatch, pid: str, calls: dict, kept: list | None = None) -> None:
     """Put in ``CATALOG`` a copy of entry ``pid`` whose plan and body count
     their calls in ``calls``; given ``kept``, the plan hands the body its
     fields in a ``_Fields`` and keeps a weak reference to each."""
@@ -194,7 +194,8 @@ def _counted(monkeypatch, pid: str, calls: dict, kept: list = None) -> None:
         fields = entry.plan(full, *inputs)
         if kept is None or fields is None:
             return fields
-        kept.append(weakref.ref(fields := _Fields(fields)))
+        fields = _Fields(fields)
+        kept.append(weakref.ref(fields))
         return fields
 
     def body(ctx, t, *fields):
