@@ -965,10 +965,12 @@ def _syn_pc4(ctx, t, conj, refuting, masks, joined):
 def _rc_identity(ctx, profile):
     # The left route aggregates synchronously; the right route intersects
     # the members' conditional beliefs and rebuilds the least committal
-    # preorder supporting them, without ever aggregating.
+    # preorder supporting them, without ever aggregating.  A table fixes
+    # its order, so the two routes' tables agree exactly when their
+    # orders do.
     closed = rational_closure(intersect_conditionals([ctx.conditionals(t) for t in profile]))
     direct = stq(profile)
-    if ctx.conditionals(direct) != ctx.conditionals(closed):
+    if direct != closed:
         return [{"aggregated": direct, "closure_of_intersection": closed}]
     return []
 

@@ -38,12 +38,12 @@ the rows of every prior share one object per set.
 Sweeps are prior-major, so the current row is found by an identity
 check, and a hit costs no hashed lookup of an order.  For the same
 reason a profile's repeats come soon after it, so the aggregator memo
-keeps only the profiles used last.  The other memos are kept at every
-size: ``conditionals``, which rc-identity asks twice of equal orders in
-every instance; and ``follow_ups``, keyed by an order, because sampled
-orders of few blocks recur: a 3-atom pair sweep answers about one
-lookup in six from it.  Its entries hold a mask per consistent mask, so
-the more worlds, the fewer orders it keeps.
+keeps only the profiles used last, and the conditional tables of the
+orders used last are kept too.  One table is kept at every size:
+``follow_ups``, keyed by an order, because sampled orders of few blocks
+recur: a 3-atom pair sweep answers about one lookup in six from it.  Its
+entries hold a mask per consistent mask, so the more worlds, the fewer
+orders it keeps.
 The context keeps only what the operators and orders compute, and sees
 world sets only as masks: an instance's frozensets become masks in the
 plan that reads them, and ``previse`` and ``pcontract`` take a tuple of
@@ -170,9 +170,9 @@ class CheckContext:
     repeat, so the context keeps no rows, interns nothing and has no
     aggregator memo: ``previse`` and ``pcontract`` are the operators'
     ``revise_masks`` and ``contract_masks`` themselves, ``revise`` and
-    ``contract`` the serial operators' ``transform``, and ``aggregate``
-    the aggregator's.  ``rowed`` says which of the two holds: it is true
-    where the context keeps rows.
+    ``contract`` the serial operators' ``transform``, ``aggregate`` the
+    aggregator's, and ``conditionals`` is ``conditional_set``.  ``rowed``
+    says which of the two holds: it is true where the context keeps rows.
 
     Over fewer worlds, each configured serial operator gets one
     ``_Rows``, so the revision roles that share an operator share its
@@ -192,22 +192,23 @@ class CheckContext:
     holding every profile of a sweep.  ``revise(t, mask)`` and
     ``contract(t, mask)`` are the row lookups of the serial revision and
     contraction, which take the input's world mask as every serial
-    ``transform`` does, and ``aggregate`` reads the aggregator's memo.
+    ``transform`` does, ``aggregate`` reads the aggregator's memo, and
+    ``conditionals`` is ``conditional_set`` remembered for the ``_ROWS``
+    orders used last.
 
     The rest holds at every size.  A tracer may replace any of
     ``previse``, ``pcontract``, ``aggregate``, ``revise`` and ``contract``
-    on an instance.  ``conditionals`` is ``conditional_set``, remembered
-    per preorder.  ``follow_ups(t)`` is the belief mask of
-    ``previse(t, (x,))`` for every consistent mask x, in order,
-    remembered per order and per ``previse`` for at most ``_ROWS`` orders
-    and ``_FOLLOW_UP_MASKS`` masks in all; it calls ``self.previse``, so a
-    stand-in sees those revisions too.
+    on an instance.  ``follow_ups(t)``, the one table kept at every
+    size, is the belief mask of ``previse(t, (x,))`` for every consistent
+    mask x, in order, remembered per order and per ``previse`` for at
+    most ``_ROWS`` orders and ``_FOLLOW_UP_MASKS`` masks in all; it calls
+    ``self.previse``, so a stand-in sees those revisions too.
 
     ``full_mask`` is the mask of every world, which plans take.  The
-    context keeps no plan: ``check`` does, for one sweep.
-    ``conditionals`` holds at most ``_MEMO`` entries; the aggregator
-    memo, the set keys and the tables keyed by an order at most
-    ``_ROWS``.  ``memo_info()`` reports the ``cache_info()`` of each.
+    context keeps no plan: ``check`` does, for one sweep.  The
+    aggregator memo, the set keys and the tables keyed by an order hold
+    at most ``_ROWS`` entries.  ``memo_info()`` reports the
+    ``cache_info()`` of each.
     Nothing built here refers back to the context.
     """
 
@@ -260,7 +261,7 @@ class CheckContext:
             self.pcontract = _family_lookup(contraction, self.pcontract, self._set_keys)
         self._follow_ups = lru_cache(maxsize=min(_ROWS, _FOLLOW_UP_MASKS >> num_worlds))(
             _follow_up_masks)
-        self.conditionals = lru_cache(maxsize=_MEMO)(conditional_set)
+        self.conditionals = lru_cache(maxsize=_ROWS)(conditional_set) if rowed else conditional_set
 
     @classmethod
     def from_space(cls, space: InstanceSpace) -> "CheckContext":
@@ -275,8 +276,8 @@ class CheckContext:
 
     def memo_info(self) -> dict:
         """``cache_info()`` of every memo table the context keeps, by name:
-        ``aggregate``, ``follow_ups``, ``conditionals`` and ``set_keys``
-        where the context has them, and
+        ``follow_ups``; ``aggregate``, ``conditionals`` and ``set_keys``
+        where the context has them; and
         ``<roles>.find`` and ``<roles>.intern`` for each row table, named
         by the roles it serves (``revision+base+finisher`` when one
         operator fills the three)."""

@@ -33,16 +33,22 @@ every world of the language.  Each caller wraps these in its own error.
 
 A ``ConditionalSet`` captures the conditional beliefs a TPO supports: it
 accepts the pair (antecedent X, consequent Y) exactly when the most
-plausible X-worlds all lie in Y.  Internally it stores, for every
-antecedent mask, the mask of the strongest accepted consequent, which
-doubles as a choice function.  Conditional sets of TPOs are closed under intersection, and
-``rational_closure`` maps any such intersection back to the unique least
-committal TPO that supports it, by iteratively peeling off the worlds
-that materially satisfy every conditional still in play.
+plausible X-worlds all lie in Y.  Internally it is a flat tuple indexed
+by antecedent mask, holding the mask of the strongest accepted
+consequent, which doubles as a choice function: a TPO's table is
+``t.min_mask`` over every mask, and an intersection is the entries'
+pointwise union.  The table fixes its order, since block i is the entry
+for the worlds outside blocks 0..i-1, so two orders have equal tables
+exactly when they are equal.  Conditional sets of TPOs are closed under
+intersection, and ``rational_closure`` maps any such intersection back
+to the unique least committal TPO that supports it, by iteratively
+peeling off the worlds that materially satisfy every conditional still
+in play.
 """
 
 from __future__ import annotations
 
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import LanguageError, PartitionError, SpaceError, UnsatisfiableConditionalsError
@@ -311,28 +317,30 @@ def _check_conditional_width(num_worlds: int) -> None:
 class ConditionalSet:
     """The conditionals accepted by a TPO, or an intersection of such.
 
-    ``table`` maps every antecedent X (a frozenset of worlds) to the
-    strongest accepted consequent, a subset of X; the pair (X, Y) is
-    accepted exactly when ``table[X] <= Y``.  The empty antecedent thus
-    maps to the empty set and accepts every consequent.  The table is kept
-    with world masks for keys and values.  The constructor raises
-    ``PartitionError`` unless ``table`` holds each antecedent once, with
-    a consequent inside it, and ``SpaceError`` above
-    ``MAX_CONDITIONAL_WORLDS`` worlds.
+    The constructor's ``table`` maps every antecedent X (a frozenset of
+    worlds) to the strongest accepted consequent, a subset of X; the pair
+    (X, Y) is accepted exactly when ``table[X] <= Y``.  The empty
+    antecedent thus maps to the empty set and accepts every consequent.
+    The table is kept as a tuple indexed by antecedent mask, holding the
+    consequent's mask.  The constructor raises ``PartitionError`` unless
+    ``table`` holds each antecedent once, with a consequent inside it, and
+    ``SpaceError`` above ``MAX_CONDITIONAL_WORLDS`` worlds.
     """
 
     def __init__(self, num_worlds: int, table: Mapping[frozenset[int], frozenset[int]]):
         _check_conditional_width(num_worlds)
         self.num_worlds = num_worlds
-        self._table = {mask_of(x, num_worlds): mask_of(y, num_worlds) for x, y in table.items()}
-        if not len(table) == len(self._table) == 1 << num_worlds:
+        masks = {mask_of(x, num_worlds): mask_of(y, num_worlds) for x, y in table.items()}
+        if not len(table) == len(masks) == 1 << num_worlds:
             raise PartitionError(f"a conditional table needs one entry for each of the "
                                  f"{1 << num_worlds} antecedents, got {len(table)}")
-        if any(y & ~x for x, y in self._table.items()):
+        # the masks are distinct and below 1 << num_worlds, so they are all of them
+        self._table = tuple(map(masks.__getitem__, range(1 << num_worlds)))
+        if any(y & ~x for x, y in enumerate(self._table)):
             raise PartitionError("every consequent must lie inside its antecedent")
 
     @classmethod
-    def _from_masks(cls, num_worlds: int, table: dict[int, int]) -> "ConditionalSet":
+    def _from_masks(cls, num_worlds: int, table: tuple[int, ...]) -> "ConditionalSet":
         c = object.__new__(cls)
         c.num_worlds = num_worlds
         c._table = table
@@ -341,8 +349,7 @@ class ConditionalSet:
     @classmethod
     def from_tpo(cls, t: TPO) -> "ConditionalSet":
         _check_conditional_width(t.num_worlds)
-        return cls._from_masks(
-            t.num_worlds, {mask: t.min_mask(mask) for mask in range(1 << t.num_worlds)})
+        return cls._from_masks(t.num_worlds, tuple(map(t.min_mask, range(1 << t.num_worlds))))
 
     def accepts(self, antecedent: frozenset[int], consequent: frozenset[int]) -> bool:
         n = self.num_worlds
@@ -352,7 +359,8 @@ class ConditionalSet:
         return worlds_of(self._table[mask_of(antecedent, self.num_worlds)])
 
     def antecedents(self) -> Iterable[frozenset[int]]:
-        return [worlds_of(mask) for mask in self._table]
+        """Every antecedent, in ascending mask order."""
+        return list(map(worlds_of, range(len(self._table))))
 
     def intersect(self, other: "ConditionalSet") -> "ConditionalSet":
         """Conditionals accepted by both sides.
@@ -362,9 +370,8 @@ class ConditionalSet:
         """
         if other.num_worlds != self.num_worlds:
             raise PartitionError("conditional sets must share the same worlds")
-        theirs = other._table
         return ConditionalSet._from_masks(
-            self.num_worlds, {x: y | theirs[x] for x, y in self._table.items()})
+            self.num_worlds, tuple(map(or_, self._table, other._table)))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ConditionalSet)
@@ -372,7 +379,7 @@ class ConditionalSet:
                 and self._table == other._table)
 
     def __hash__(self) -> int:
-        return hash((self.num_worlds, frozenset(self._table.items())))
+        return hash((self.num_worlds, self._table))
 
     def __repr__(self) -> str:
         return f"ConditionalSet({self.num_worlds} worlds, {len(self._table)} antecedents)"
@@ -399,12 +406,14 @@ def rational_closure(conditionals: ConditionalSet) -> TPO:
     conditional whose antecedent avoids all lower levels; a world x
     materially satisfies (X, Y) when x is outside X or inside Y.  Checking
     only the strongest consequent per antecedent suffices, so a level is
-    what remains outside every live ``X - Y``.  If some round strands
-    worlds that satisfy nothing, no TPO supports the input.
+    what remains outside every live ``X - Y``.  The antecedents are read
+    off the table as its indices.  If some round strands worlds that
+    satisfy nothing, no TPO supports the input.  On the table of a TPO
+    it returns that TPO.
     """
     n = conditionals.num_worlds
     # (antecedent, its worlds that break the conditional), for those with any
-    live = [(x, x & ~y) for x, y in conditionals._table.items() if x & ~y]
+    live = [(x, x & ~y) for x, y in enumerate(conditionals._table) if x & ~y]
     remaining = (1 << n) - 1
     masks: list[int] = []
     while remaining:

@@ -31,7 +31,7 @@ from revforge.postulates.spaces import (DEFAULT_SEED, MAX_EXHAUSTIVE_ATOMS, SHAP
                                         decode_instance, encode_instance, language)
 from revforge.serial import natural_revise
 from revforge.logic import models
-from revforge.tpo import mask_of
+from revforge.tpo import conditional_set, mask_of
 
 from conftest import tpo
 
@@ -624,17 +624,18 @@ def test_only_contexts_whose_priors_repeat_keep_rows(atoms):
     """Rows and the aggregator memo exist only up to the worlds an
     exhaustive space enumerates, and ``rowed`` says so, which the sweep
     reads to keep plans; a larger context calls the shipped operators
-    themselves.  ``conditionals`` and the follow-up memo, which sampled
-    sweeps hit, stay at every size.  No context keeps a plan."""
+    themselves, and ``conditional_set`` too.  The follow-up memo, which
+    sampled sweeps hit, stays at every size.  No context keeps a plan."""
     ctx = CheckContext(language(atoms), OperatorConfig())
     rowed = atoms <= MAX_EXHAUSTIVE_ATOMS
     assert ctx.rowed is rowed
     assert isinstance(ctx.parallel_rev.base, engine._Rows) is rowed
     assert hasattr(ctx._aggregate, "cache_info") is rowed
-    for memo in (ctx.conditionals, ctx._follow_ups):
-        assert hasattr(memo, "cache_info")
+    assert hasattr(ctx.conditionals, "cache_info") is rowed
+    assert hasattr(ctx._follow_ups, "cache_info")
     assert not hasattr(ctx, "derived") and not hasattr(ctx, "canonical")
     if not rowed:
+        assert ctx.conditionals is conditional_set
         assert ctx.parallel_rev.aggregator is ctx.aggregator
         assert ctx.revise is get_revision_operator("natural").transform
         assert ctx.contract is NATURAL_CONTRACT.transform
@@ -672,16 +673,18 @@ def test_no_context_memo_is_unbounded(monkeypatch, atoms, strategy):
     (2, {"aggregate", "follow_ups", "conditionals", "set_keys",
          "revision+base+finisher.find", "revision+base+finisher.intern",
          "contraction.find", "contraction.intern"}),
-    (3, {"follow_ups", "conditionals"}),
+    (3, {"follow_ups"}),
 ])
 def test_memo_info_names_every_table(atoms, names):
     """``memo_info`` reports each table's ``cache_info()`` by name; one row
     table serves every role one operator fills.  Above 4 worlds only the
-    tables kept at every size remain.  No table holds plans or formulas."""
+    follow-up memo, the one table kept at every size, remains.  No table
+    holds plans or formulas."""
     ctx = CheckContext(language(atoms), OperatorConfig())
     info = ctx.memo_info()
     assert set(info) == names
-    assert info["conditionals"] == ctx.conditionals.cache_info()
+    if atoms == 2:
+        assert info["conditionals"] == ctx.conditionals.cache_info()
     space = (InstanceSpace(atoms=2) if atoms == 2
              else InstanceSpace(atoms=atoms, mode="sampled", sample_count=50, seed=1))
     check("C-star-3-pair", space, ctx=ctx)
@@ -787,6 +790,24 @@ def test_a_context_after_an_s_star_sweep_holds_little():
         tracemalloc.stop()
     assert report.checked == 216_000 and report.holds
     assert held < 6_000_000
+
+
+def test_a_sampled_rc_identity_sweep_leaves_nothing_in_its_context():
+    """Sampled 3-atom orders almost never repeat, so a kept context holds
+    no conditional table after an rc-identity sweep: under 1 MB after
+    2,000 profiles, where a memo of every table held about 50 MB."""
+    space = InstanceSpace(atoms=3, mode="sampled", sample_count=2000, seed=1)
+    ctx = CheckContext.from_space(space)
+    check("rc-identity", replace(space, sample_count=1), ctx=ctx)
+    tracemalloc.start()
+    try:
+        report = check("rc-identity", space, ctx=ctx)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.checked == 2000 and report.holds
+    assert held < 1_000_000
 
 
 @pytest.mark.parametrize("atoms", [3, 4])

@@ -5,15 +5,17 @@ two-atom preorder t, rebuilding t from its own conditional table must
 give back t exactly, and distinct preorders must have distinct tables.
 """
 
+import itertools
 import math
 import pickle
 
 import pytest
 
-from revforge import (NATURAL, ConditionalSet, PartitionError, TPO,
+import reference_core as ref
+from revforge import (NATURAL, ConditionalSet, InstanceSpace, PartitionError, TPO,
                       UnsatisfiableConditionalsError, conditional_set,
                       intersect_conditionals, rational_closure)
-from revforge.tpo import validate_profile
+from revforge.tpo import validate_profile, worlds_of
 from revforge.postulates import enumerate_tpos
 
 from conftest import tpo
@@ -178,6 +180,39 @@ def test_closure_of_intersection_is_least_committal():
     b = conditional_set(tpo({3}, {1, 2}, {0}))
     merged = rational_closure(a.intersect(b))
     assert merged == tpo({0, 3}, {1, 2})
+
+
+def _tables_agree(new, old):
+    """``new`` answers ``strongest`` and ``accepts`` as the frozenset table
+    ``old`` does, for every antecedent; ``accepts`` is probed with the
+    strongest consequent, with it less one world, and with the worlds
+    outside the antecedent."""
+    n = new.num_worlds
+    antecedents = list(map(worlds_of, range(1 << n)))
+    assert new.antecedents() == antecedents
+    for x in antecedents:
+        strongest = old.strongest(x)
+        assert new.strongest(x) == strongest, x
+        probes = [strongest, frozenset(range(n)) - x, *(strongest - {w} for w in strongest)]
+        for y in probes:
+            assert new.accepts(x, y) is (strongest <= y), (x, y)
+
+
+def test_tuple_tables_answer_as_the_frozenset_tables():
+    """The tables of all 75 two-atom orders, every intersected pair of
+    them, and the members and intersections of the seeded three-atom
+    profiles the core differential uses, against ``reference_core``."""
+    orders = list(enumerate_tpos(4))
+    sample = InstanceSpace(atoms=3, mode="sampled", sample_count=150, seed=4242, max_set_size=3)
+    profiles = [profile for (profile,) in sample.instances("profile2")]
+    pairs = [*itertools.product(orders, repeat=2), *profiles]
+    tables = {t: (conditional_set(t), ref.ConditionalSet.from_tpo(ref.TPO(t.blocks)))
+              for t in {*orders, *itertools.chain(*profiles)}}
+    for new, old in tables.values():
+        _tables_agree(new, old)
+    for a, b in pairs:
+        (new_a, old_a), (new_b, old_b) = tables[a], tables[b]
+        _tables_agree(new_a.intersect(new_b), old_a.intersect(old_b))
 
 
 def test_unsatisfiable_conditionals_raise():
