@@ -11,8 +11,10 @@ generated and those it skipped as outside the postulate's domain.  It is
 also the one place that keeps plans, the part of a check that depends on
 the instance's inputs alone (see ``catalog``): where the context keeps
 rows, every prior meets every input, so a dict local to the sweep holds
-each distinct input's plan, and is freed with the sweep; over more
-worlds each draw makes its own plan.  Its id lookup resolves catalog ids,
+each distinct input's plan, and is freed with the sweep.  It holds at
+most ``_MEMO`` plans: a miss that finds it full clears it, which only a
+sampled sweep of large families reaches.  Over more worlds each draw
+makes its own plan.  Its id lookup resolves catalog ids,
 ``<id>-pair`` for the agreement sweep of a semantic entry against its
 syntactic companion, and ``rc-identity`` for the check that synchronous
 aggregation commutes with conditional-belief intersection followed by
@@ -82,6 +84,7 @@ from .spaces import (MAX_EXHAUSTIVE_ATOMS, InstanceSpace, decode_instance, encod
                      language)
 
 
+# plans a sweep keeps at most
 _MEMO = 150_000
 # rows kept per row table: all 75 two-atom orders fit, and sampled
 # sweeps, whose orders rarely repeat, stay bounded
@@ -205,10 +208,10 @@ class CheckContext:
     ``self.previse``, so a stand-in sees those revisions too.
 
     ``full_mask`` is the mask of every world, which plans take.  The
-    context keeps no plan: ``check`` does, for one sweep.  The
-    aggregator memo, the set keys and the tables keyed by an order hold
-    at most ``_ROWS`` entries.  ``memo_info()`` reports the
-    ``cache_info()`` of each.
+    context keeps no plan: ``check`` does, for one sweep, and at most
+    ``_MEMO`` of them.  The aggregator memo, the set keys and the tables
+    keyed by an order hold at most ``_ROWS`` entries.  ``memo_info()``
+    reports the ``cache_info()`` of each.
     Nothing built here refers back to the context.
     """
 
@@ -384,8 +387,8 @@ def _postulate(postulate_id: str) -> Postulate:
 def _sweep_evaluate(postulate: Postulate, ctx: CheckContext) -> Callable:
     """``postulate.evaluate`` on ``ctx`` for one sweep.  Where the context
     keeps rows, a dict that only this function's result holds keeps each
-    distinct input's plan, None included; elsewhere each instance makes
-    its own."""
+    distinct input's plan, None included, and is cleared when a miss
+    finds ``_MEMO`` plans in it; elsewhere each instance makes its own."""
     plan, body = postulate.plan, postulate.body
     if plan is None or not ctx.rowed:
         return partial(postulate.evaluate, ctx)
@@ -395,6 +398,8 @@ def _sweep_evaluate(postulate: Postulate, ctx: CheckContext) -> Callable:
         try:
             fields = plans[inputs]
         except KeyError:
+            if len(plans) >= _MEMO:
+                plans.clear()
             fields = plans[inputs] = plan(full, *inputs)
         return None if fields is None else body(ctx, t, *fields)
     return evaluate

@@ -350,6 +350,11 @@ class InstanceSpace:
         if self.mode == "exhaustive":
             if not 1 <= self.atoms <= MAX_EXHAUSTIVE_ATOMS:
                 raise SpaceError(f"exhaustive spaces support 1..{MAX_EXHAUSTIVE_ATOMS} atoms only")
+            # the report would echo a seed, and a count, that drew nothing
+            if self.seed is not None or self.sample_count:
+                raise SpaceError(f"exhaustive spaces draw nothing, so they take no seed or "
+                                 f"sample_count; got seed={self.seed!r}, "
+                                 f"sample_count={self.sample_count!r}")
         else:
             if not 1 <= self.atoms <= len(_ATOM_POOL):
                 raise SpaceError(f"sampled spaces support 1..{len(_ATOM_POOL)} atoms")

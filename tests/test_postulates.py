@@ -269,6 +269,25 @@ def test_a_sampled_sweep_plans_every_draw(monkeypatch):
     assert calls["body"] == report.checked
 
 
+def test_a_full_plan_table_is_cleared(monkeypatch):
+    """The sweep keeps at most ``_MEMO`` plans: with the bound at 500, a
+    sampled 2-atom S-star sweep over families of up to 15 members, which
+    meets more distinct pairs than that, plans some pair again after the
+    table was cleared, and reports what the unbounded sweep reports."""
+    space = InstanceSpace(atoms=2, mode="sampled", sample_count=5000, seed=1, max_set_size=15)
+    distinct = len({(s1, s2) for _, s1, s2 in space.instances("pset2")})
+    calls = {}
+    _counted(monkeypatch, "S-star", calls)
+    unbounded = check("S-star", space)
+    assert calls["plan"] == distinct > 500
+    monkeypatch.setattr(engine, "_MEMO", 500)
+    calls["plan"] = 0
+    bounded = check("S-star", space)
+    assert calls["plan"] > distinct
+    assert ([(r.generated, r.checked, r.skipped, r.total_hits) for r in (bounded, unbounded)]
+            == [(5000, unbounded.checked, unbounded.skipped, unbounded.total_hits)] * 2)
+
+
 def test_formula_set_tuples_sizes_and_consistency():
     props = all_propositions(4)
     joint = list(formula_set_tuples(props, 2, jointly_consistent=True))
@@ -349,6 +368,19 @@ def test_instance_space_validation():
     for value in ("7", True, 7.0):
         with pytest.raises(SpaceError, match=re.escape(f"seed must be an int or None, got {value!r}")):
             InstanceSpace(atoms=2, mode="sampled", sample_count=10, seed=value)
+
+
+@pytest.mark.parametrize("fields", [
+    {"seed": 5}, {"seed": 0}, {"sample_count": 3}, {"sample_count": -1},
+])
+def test_an_exhaustive_space_takes_no_seed_or_sample_count(fields):
+    """An exhaustive space draws nothing, so a seed or a sample count
+    given to it would only be echoed into its reports."""
+    given = {"seed": None, "sample_count": 0, **fields}
+    with pytest.raises(SpaceError, match=re.escape(
+            f"take no seed or sample_count; got seed={given['seed']!r}, "
+            f"sample_count={given['sample_count']!r}")):
+        InstanceSpace(atoms=1, **fields)
 
 
 def test_operators_must_be_an_operator_config():

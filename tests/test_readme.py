@@ -1,0 +1,43 @@
+"""The README's Python examples run and print what the README says.
+
+Each complete ```` ```python ```` block of README.md runs in a fresh
+interpreter with ``src`` on its path, so a block that registers an
+operator leaves the registries of the test process as they were.  A
+block whose first line is a comment starting ``# excerpt`` quotes a
+module and is skipped: its names are defined in that module.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"),
+                    re.MULTILINE | re.DOTALL)
+COMPLETE = [block for block in BLOCKS if not block.startswith("# excerpt")]
+# the start of each line each complete block prints, as the README states it
+PRINTED = [
+    ["[{11} < {01,10} < {00}]", "frozenset({3})"],
+    [],
+    ["Ind-star: holds over 7125 instances (0 violations", "{"],
+]
+
+
+def test_the_readme_has_three_complete_examples_and_one_excerpt():
+    assert len(BLOCKS) == 4 and len(COMPLETE) == len(PRINTED) == 3
+
+
+@pytest.mark.parametrize("index", range(len(PRINTED)))
+def test_each_complete_example_prints_what_the_readme_states(index):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", COMPLETE[index]], capture_output=True,
+                          text=True, env=env, cwd=ROOT, timeout=120)
+    assert done.returncode == 0, done.stderr
+    printed = done.stdout.splitlines()
+    assert len(printed) == len(PRINTED[index])
+    for line, start in zip(printed, PRINTED[index]):
+        assert line.startswith(start), (line, start)
