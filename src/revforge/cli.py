@@ -16,7 +16,9 @@ agreement sweep.  ``--first`` and ``--cap`` apply to all three, and
 Exit codes: 0 when the run succeeds and the outcome matches the
 expectation, 1 when a requested expectation is missed, 2 on usage or
 input errors.  ``REVFORGE_SEED`` overrides the default sampling seed;
-an explicit ``--seed`` flag wins over the environment.
+an explicit ``--seed`` flag wins over the environment.  ``--seed``
+without ``--sampled`` is a usage error, since an exhaustive sweep draws
+nothing.
 """
 
 from __future__ import annotations
@@ -63,13 +65,12 @@ def _cmd_run(args) -> int:
 
 
 def _make_space(args) -> InstanceSpace:
+    # REVFORGE_SEED feeds sampled runs only; an exhaustive space refuses a --seed
     config = OperatorConfig(**{role: getattr(args, role) for role in vars(OperatorConfig())})
-    if args.sampled:
-        return InstanceSpace(atoms=args.atoms, mode="sampled", sample_count=args.sampled,
-                             seed=_resolve_seed(args.seed), max_set_size=args.sets,
-                             operators=config, violation_cap=args.cap)
-    return InstanceSpace(atoms=args.atoms, max_set_size=args.sets,
-                         operators=config, violation_cap=args.cap)
+    return InstanceSpace(atoms=args.atoms, mode="sampled" if args.sampled else "exhaustive",
+                         sample_count=args.sampled,
+                         seed=_resolve_seed(args.seed) if args.sampled else args.seed,
+                         max_set_size=args.sets, operators=config, violation_cap=args.cap)
 
 
 def _cmd_check(args) -> int:

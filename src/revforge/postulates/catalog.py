@@ -40,16 +40,28 @@ are witnesses rather than violations, and the property holds over a
 space when at least one witness turns up.  A syntactic form's body
 returns whether the form holds.
 
-Every entry enters ``CATALOG`` through ``_register``, which names its
-plan, and every syntactic form enters ``SYNTACTIC_FORMS`` through
-``_syntactic``, which also records the semantic entry it pairs with in
-``EQUIVALENCE_PAIRS`` and their agreement check in ``PAIR_CHECKS``,
-whose plan pairs the two forms' plans.
+A serial input is a one-member family: its plan, ``_input``, is
+``_regions`` of ``(a,)``, so serial and set bodies read the same fields
+``(conj, refuting, masks)``.  ``_SHAPE_DEFAULTS`` gives each shape its
+default plan and, for the shapes whose entries test one operator, that
+operator as ``post(ctx, t, conj, masks)``: ``ctx.revise`` for
+``serial``, ``ctx.contract`` for ``sercon``, ``ctx.previse`` for
+``pset`` and ``ctx.pcontract`` for ``cset``.  A postulate and its set
+twin (K4 and K-star-4, CR3 and C-star-3, CC3 and C-con-3, ...) are one
+body over ``post``, which ``_lifted`` registers once per id, bound to
+that id's shape's operator.
+
+Every entry enters ``CATALOG`` through ``_register``, which names a plan
+only where the entry's differs from its shape's, and every syntactic
+form enters ``SYNTACTIC_FORMS`` through ``_syntactic``, which also
+records the semantic entry it pairs with in ``EQUIVALENCE_PAIRS`` and
+their agreement check in ``PAIR_CHECKS``, whose plan pairs the two
+forms' plans.
 
 Entries that read the same facts of an input share one plan: ``_input``
-(the input's mask and its negation's), ``_inputs`` (the masks of the two
-inputs of ``serial2``), ``_regions`` (a family's conjunction, refuting
-and member masks), which every other family plan extends,
+(a serial input as a one-member family), ``_inputs`` (the masks of the
+two inputs of ``serial2``), ``_regions`` (a family's conjunction,
+refuting and member masks), which every other family plan extends,
 ``_negation_plan`` (the member-wise negations), ``_dominance`` (a mask
 per world of the worlds it dominates), ``_subfamilies`` and
 ``_pair_plan`` (two families merged and mixed).  S-star reads
@@ -82,14 +94,15 @@ pair, and ``RC_IDENTITY`` is the rational-closure identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, repeat
 from operator import and_, or_
 from typing import Callable, Iterable, Sequence
 
 from ..aggregation import stq
 from ..logic import And, Not, ascending_worlds, canonical_formula, model_mask
-from ..tpo import TPO, intersect_conditionals, mask_of, rational_closure, worlds_of
+from ..tpo import (TPO, comparison_symbol, intersect_conditionals, mask_of, rational_closure,
+                   worlds_of)
 
 @dataclass(frozen=True)
 class Postulate:
@@ -124,12 +137,29 @@ CATALOG: dict[str, Postulate] = {}
 def _register(id: str, shape: str, summary: str, *, plan: Callable | None = None,
               kind: str = "universal", expected: object = "sound"):
     """The one way into ``CATALOG``: a decorator that enters the function
-    it decorates as the body of ``id``.  Given a ``plan``, the body is
+    it decorates as the body of ``id``, with ``plan``, or else the
+    shape's plan in ``_SHAPE_DEFAULTS``.  Given a plan, the body is
     written over the plan's fields, ``body(ctx, t, *fields)``, and a
     sweep calls the plan once per distinct input where inputs repeat;
-    without one, the body takes the instance as the stream yields it."""
+    without one (``profile2``), the body takes the instance as the stream
+    yields it."""
     def wrap(body):
-        CATALOG[id] = Postulate(id, shape, summary, body, plan, kind, expected)
+        CATALOG[id] = Postulate(id, shape, summary, body, plan or _SHAPE_DEFAULTS[shape][0],
+                                kind, expected)
+        return body
+    return wrap
+
+
+def _lifted(*entries):
+    """A decorator that registers the body it decorates once per entry
+    ``(id, shape, summary)``, or ``(id, shape, summary, expected)``,
+    bound to the shape's operator: the body is ``body(post, ctx, t,
+    conj, refuting, masks)``, and one body serves a serial postulate and
+    its set twin."""
+    def wrap(body):
+        for id, shape, summary, *expected in entries:
+            _register(id, shape, summary, expected=expected[0] if expected else "sound")(
+                partial(body, _SHAPE_DEFAULTS[shape][1]))
         return body
     return wrap
 
@@ -141,10 +171,6 @@ def _hit(**masks) -> dict:
             for key, value in masks.items()}
 
 
-def _sym(diff: int) -> str:
-    return "<" if diff < 0 else (">" if diff > 0 else "~")
-
-
 def _listed(x: int, ys: int, prior, posterior) -> list[dict]:
     """The hits of the pairs (x, y), for y in the mask ``ys`` ascending.
     ``prior`` and ``posterior`` are each a fixed symbol or an order, whose
@@ -153,8 +179,8 @@ def _listed(x: int, ys: int, prior, posterior) -> list[dict]:
     cost time."""
     r = None if type(prior) is str else prior.ranks
     r2 = None if type(posterior) is str else posterior.ranks
-    return [{"x": x, "y": y, "prior": prior if r is None else _sym(r[x] - r[y]),
-             "posterior": posterior if r2 is None else _sym(r2[x] - r2[y])}
+    return [{"x": x, "y": y, "prior": prior if r is None else comparison_symbol(r[x] - r[y]),
+             "posterior": posterior if r2 is None else comparison_symbol(r2[x] - r2[y])}
             for y in ascending_worlds(ys)]
 
 
@@ -225,13 +251,6 @@ def _merge(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
 # Plans take the mask of every world, ``full``, and then the instance's
 # inputs or families as the streams yield them.
 
-def _input(full, a) -> tuple[int, int]:
-    """``(mask, not_mask)``: the masks of the worlds satisfying the input
-    ``a`` and of those refuting it."""
-    mask = mask_of(a, full.bit_length())
-    return mask, full ^ mask
-
-
 def _inputs(full, a, b) -> tuple[int, int]:
     """``(first, second)``: the masks of the worlds satisfying ``a`` and ``b``."""
     return mask_of(a, full.bit_length()), mask_of(b, full.bit_length())
@@ -249,6 +268,12 @@ def _regions(full, s) -> tuple[int, int, tuple[int, ...]]:
         union |= mask
         masks += (mask,)
     return conj, full ^ union, masks
+
+
+def _input(full, a) -> tuple[int, int, tuple[int]]:
+    """``_regions`` of the one-member family ``(a,)``: ``(a, full ^ a,
+    (a,))`` as masks."""
+    return _regions(full, (a,))
 
 
 # ``_pair_plan`` meets each family in many pairs, so it reads their regions
@@ -282,61 +307,151 @@ def _s_star_plan(full, s1, s2):
     return _merge(masks, [full ^ m for m in masks2]), first & second
 
 
-# --- serial revision ---
+# Each shape's default plan and, where its entries test one operator,
+# that operator as ``post(ctx, t, conj, masks)``; it reads the seam from
+# the context at each call, so a stand-in for it is seen.
+_SHAPE_DEFAULTS: dict[str, tuple[Callable | None, Callable | None]] = {
+    "serial": (_input, lambda ctx, t, conj, masks: ctx.revise(t, conj)),
+    "sercon": (_input, lambda ctx, t, conj, masks: ctx.contract(t, conj)),
+    "serial2": (_inputs, None),
+    "pset": (_regions, lambda ctx, t, conj, masks: ctx.previse(t, masks)),
+    "cset": (_regions, lambda ctx, t, conj, masks: ctx.pcontract(t, masks)),
+    "pset2": (_pair_plan, None),
+    "profile2": (None, None),
+}
 
-@_register("K1", "serial", "revised belief sets are deductively closed", plan=_input)
-def _k1(ctx, t, a, not_a):
+
+# --- one body for a postulate and its set twin ---
+
+@_lifted(("K1", "serial", "revised belief sets are deductively closed"),
+         ("K-star-1", "pset", "set revision yields deductively closed beliefs"))
+def _closed(post, ctx, t, conj, refuting, masks):
     # Beliefs are represented by their worlds, so closure cannot fail;
     # kept executable so the catalog stays total.
-    ctx.revise(t, a)
+    post(ctx, t, conj, masks)
     return []
 
 
-@_register("K2", "serial", "the input is believed after revising by it", plan=_input)
-def _k2(ctx, t, a, not_a):
+@_lifted(("K3", "serial", "revision keeps any prior beliefs consistent with the input"),
+         ("K-star-3", "pset", "set revision keeps prior beliefs consistent with the set"))
+def _kept_beliefs(post, ctx, t, conj, refuting, masks):
+    beliefs = post(ctx, t, conj, masks).masks[0]
+    expansion = t.masks[0] & conj
+    if expansion & ~beliefs:
+        return [_hit(expansion=expansion, beliefs=beliefs)]
+    return []
+
+
+@_lifted(("K4", "serial",
+          "revision adds nothing beyond expansion when the input is compatible"),
+         ("K-star-4", "pset", "set revision adds nothing beyond expansion when compatible"))
+def _no_more_than_expansion(post, ctx, t, conj, refuting, masks):
+    expansion = t.masks[0] & conj
+    if not expansion:
+        return []
+    beliefs = post(ctx, t, conj, masks).masks[0]
+    if beliefs & ~expansion:
+        return [_hit(expansion=expansion, beliefs=beliefs)]
+    return []
+
+
+@_lifted(("CR1", "serial", "revision preserves the order among worlds satisfying the input"),
+         ("CC2", "sercon", "contraction preserves the order among worlds satisfying the input"),
+         ("C-star-1", "pset",
+          "set revision preserves the order among worlds satisfying the whole set"),
+         ("C-con-2", "cset",
+          "set contraction preserves the order among worlds satisfying the whole set"))
+def _satisfying_kept(post, ctx, t, conj, refuting, masks):
+    return _order_flips(t, post(ctx, t, conj, masks), conj)
+
+
+@_lifted(("CR2", "serial", "revision preserves the order among worlds refuting the input"),
+         ("CC1", "sercon", "contraction preserves the order among worlds refuting the input"),
+         ("C-star-2", "pset",
+          "set revision preserves the order among worlds refuting every member"),
+         ("C-con-1", "cset",
+          "set contraction preserves the order among worlds refuting every member"))
+def _refuting_kept(post, ctx, t, conj, refuting, masks):
+    return _order_flips(t, post(ctx, t, conj, masks), refuting)
+
+
+@_lifted(("C-star-2-plus", "pset",
+          "set revision preserves the order among all worlds outside the conjunction",
+          "violated"))
+def _outside_kept(post, ctx, t, conj, refuting, masks):
+    return _order_flips(t, post(ctx, t, conj, masks), ctx.full_mask ^ conj)
+
+
+@_lifted(("CR3", "serial",
+          "a satisfying world strictly below a refuting one stays strictly below"),
+         ("C-star-3", "pset",
+          "a set-satisfying world strictly below an outside one stays strictly below"))
+def _satisfying_strictly_below(post, ctx, t, conj, refuting, masks):
+    return _kept_below(t, post(ctx, t, conj, masks), conj, ctx.full_mask ^ conj, weak=False)
+
+
+@_lifted(("CR4", "serial", "a satisfying world weakly below a refuting one stays weakly below"),
+         ("C-star-4", "pset",
+          "a set-satisfying world weakly below an outside one stays weakly below"))
+def _satisfying_weakly_below(post, ctx, t, conj, refuting, masks):
+    return _kept_below(t, post(ctx, t, conj, masks), conj, ctx.full_mask ^ conj, weak=True)
+
+
+@_lifted(("CC3", "sercon",
+          "a refuting world strictly below a satisfying one stays strictly below"),
+         ("C-con-3", "cset", "an all-refuting world strictly below any other stays strictly below"))
+def _refuting_strictly_below(post, ctx, t, conj, refuting, masks):
+    return _kept_below(t, post(ctx, t, conj, masks), refuting, ctx.full_mask ^ refuting,
+                       weak=False)
+
+
+@_lifted(("CC4", "sercon", "a refuting world weakly below a satisfying one stays weakly below"),
+         ("C-con-4", "cset", "an all-refuting world weakly below any other stays weakly below"))
+def _refuting_weakly_below(post, ctx, t, conj, refuting, masks):
+    return _kept_below(t, post(ctx, t, conj, masks), refuting, ctx.full_mask ^ refuting,
+                       weak=True)
+
+
+def _ind_expected(config) -> str:
+    name = config.describe()["revision"]
+    return "sound" if name in ("lex", "restrained") else "violated"
+
+
+def _ind_star_expected(config) -> str:
+    names = config.describe()
+    if names["base"] in ("lex", "restrained") and names["finisher"] in ("lex", "restrained"):
+        return "sound"
+    return "exploratory"
+
+
+@_lifted(("Ind", "serial",
+          "a satisfying world weakly below a refuting one ends up strictly below", _ind_expected),
+         ("Ind-star", "pset",
+          "a set-satisfying world weakly below an outside one ends up strictly below",
+          _ind_star_expected))
+def _promotion(post, ctx, t, conj, refuting, masks):
+    return _promoted(t, post(ctx, t, conj, masks), conj, ctx.full_mask ^ conj)
+
+
+# --- serial revision ---
+
+@_register("K2", "serial", "the input is believed after revising by it")
+def _k2(ctx, t, a, not_a, _):
     beliefs = ctx.revise(t, a).masks[0]
     if beliefs & ~a:
         return [_hit(beliefs=beliefs, input=a)]
     return []
 
 
-def _expansion_kept(t: TPO, beliefs: int, target: int) -> list[dict]:
-    """K3 and K-star-3: each prior belief world inside ``target`` is among ``beliefs``."""
-    expansion = t.masks[0] & target
-    if expansion & ~beliefs:
-        return [_hit(expansion=expansion, beliefs=beliefs)]
-    return []
-
-
-@_register("K3", "serial", "revision keeps any prior beliefs consistent with the input",
-           plan=_input)
-def _k3(ctx, t, a, not_a):
-    return _expansion_kept(t, ctx.revise(t, a).masks[0], a)
-
-
-@_register("K4", "serial", "revision adds nothing beyond expansion when the input is compatible",
-           plan=_input)
-def _k4(ctx, t, a, not_a):
-    expansion = t.masks[0] & a
-    if not expansion:
-        return []
-    beliefs = ctx.revise(t, a).masks[0]
-    if beliefs & ~expansion:
-        return [_hit(expansion=expansion, beliefs=beliefs)]
-    return []
-
-
-@_register("K5", "serial", "revising by a consistent input yields consistent beliefs",
-           plan=_input)
-def _k5(ctx, t, a, not_a):
+@_register("K5", "serial", "revising by a consistent input yields consistent beliefs")
+def _k5(ctx, t, a, not_a, _):
     if not ctx.revise(t, a).masks[0]:
         return [_hit(input=a)]
     return []
 
 
-@_register("K6", "serial", "syntactically different but equivalent inputs revise alike",
-           plan=_input)
-def _k6(ctx, t, a, not_a):
+@_register("K6", "serial", "syntactically different but equivalent inputs revise alike")
+def _k6(ctx, t, a, not_a, _):
     # Operators act on model sets, so this is structural; exercised
     # through the formula layer to guard the parsing/models plumbing.
     formula = canonical_formula(worlds_of(a), ctx.lang)
@@ -348,8 +463,7 @@ def _k6(ctx, t, a, not_a):
     return []
 
 
-@_register("K7", "serial2", "revising by a conjunction keeps everything expansion would add",
-           plan=_inputs)
+@_register("K7", "serial2", "revising by a conjunction keeps everything expansion would add")
 def _k7(ctx, t, first, second):
     both = first & second
     if not both:
@@ -361,8 +475,7 @@ def _k7(ctx, t, first, second):
     return []
 
 
-@_register("K8", "serial2", "expansion of a revision is conservative when consistent",
-           plan=_inputs)
+@_register("K8", "serial2", "expansion of a revision is conservative when consistent")
 def _k8(ctx, t, first, second):
     lhs = ctx.revise(t, first).masks[0] & second
     if not lhs:
@@ -374,42 +487,6 @@ def _k8(ctx, t, first, second):
     if rhs & ~lhs:
         return [_hit(expansion=lhs, conjunction_beliefs=rhs)]
     return []
-
-
-@_register("CR1", "serial", "revision preserves the order among worlds satisfying the input",
-           plan=_input)
-def _cr1(ctx, t, a, not_a):
-    return _order_flips(t, ctx.revise(t, a), a)
-
-
-@_register("CR2", "serial", "revision preserves the order among worlds refuting the input",
-           plan=_input)
-def _cr2(ctx, t, a, not_a):
-    return _order_flips(t, ctx.revise(t, a), not_a)
-
-
-@_register("CR3", "serial", "a satisfying world strictly below a refuting one stays strictly below",
-           plan=_input)
-def _cr3(ctx, t, a, not_a):
-    return _kept_below(t, ctx.revise(t, a), a, not_a, weak=False)
-
-
-@_register("CR4", "serial", "a satisfying world weakly below a refuting one stays weakly below",
-           plan=_input)
-def _cr4(ctx, t, a, not_a):
-    return _kept_below(t, ctx.revise(t, a), a, not_a, weak=True)
-
-
-def _ind_expected(config) -> str:
-    name = config.describe()["revision"]
-    return "sound" if name in ("lex", "restrained") else "violated"
-
-
-@_register("Ind", "serial",
-           "a satisfying world weakly below a refuting one ends up strictly below",
-           plan=_input, expected=_ind_expected)
-def _ind(ctx, t, a, not_a):
-    return _promoted(t, ctx.revise(t, a), a, not_a)
 
 
 def _levi(direct: int, via: int) -> list[dict]:
@@ -427,52 +504,23 @@ def _harper(direct: int, via: int) -> list[dict]:
 
 
 @_register("LI-serial", "serial",
-           "revising equals retracting the negation then adding the input, at the belief level",
-           plan=_input)
-def _li_serial(ctx, t, a, not_a):
+           "revising equals retracting the negation then adding the input, at the belief level")
+def _li_serial(ctx, t, a, not_a, _):
     return _levi(ctx.revise(t, a).masks[0], ctx.contract(t, not_a).masks[0] & a)
 
 
 @_register("HI-serial", "serial",
-           "retracting equals keeping what survives revision by the negation, at the belief level",
-           plan=_input)
-def _hi_serial(ctx, t, a, not_a):
+           "retracting equals keeping what survives revision by the negation, at the belief level")
+def _hi_serial(ctx, t, a, not_a, _):
     if not not_a:
         return None
     return _harper(ctx.contract(t, a).masks[0], t.masks[0] | ctx.revise(t, not_a).masks[0])
 
 
-# --- serial contraction ---
-
-@_register("CC1", "sercon", "contraction preserves the order among worlds refuting the input",
-           plan=_input)
-def _cc1(ctx, t, a, not_a):
-    return _order_flips(t, ctx.contract(t, a), not_a)
-
-
-@_register("CC2", "sercon", "contraction preserves the order among worlds satisfying the input",
-           plan=_input)
-def _cc2(ctx, t, a, not_a):
-    return _order_flips(t, ctx.contract(t, a), a)
-
-
-@_register("CC3", "sercon", "a refuting world strictly below a satisfying one stays strictly below",
-           plan=_input)
-def _cc3(ctx, t, a, not_a):
-    return _kept_below(t, ctx.contract(t, a), not_a, a, weak=False)
-
-
-@_register("CC4", "sercon", "a refuting world weakly below a satisfying one stays weakly below",
-           plan=_input)
-def _cc4(ctx, t, a, not_a):
-    return _kept_below(t, ctx.contract(t, a), not_a, a, weak=True)
-
-
 # --- parallel revision ---
 
 @_register("Conj-star", "pset",
-           "beliefs after revising by a set are the most plausible worlds of its conjunction",
-           plan=_regions)
+           "beliefs after revising by a set are the most plausible worlds of its conjunction")
 def _conj_star(ctx, t, conj, refuting, masks):
     beliefs = ctx.previse(t, masks).masks[0]
     expected = t.min_mask(conj)
@@ -481,14 +529,7 @@ def _conj_star(ctx, t, conj, refuting, masks):
     return []
 
 
-@_register("K-star-1", "pset", "set revision yields deductively closed beliefs", plan=_regions)
-def _ks1(ctx, t, conj, refuting, masks):
-    ctx.previse(t, masks)
-    return []
-
-
-@_register("K-star-2", "pset", "every member of the input set is believed afterwards",
-           plan=_regions)
+@_register("K-star-2", "pset", "every member of the input set is believed afterwards")
 def _ks2(ctx, t, conj, refuting, masks):
     beliefs = ctx.previse(t, masks).masks[0]
     if beliefs & ~conj:
@@ -496,26 +537,7 @@ def _ks2(ctx, t, conj, refuting, masks):
     return []
 
 
-@_register("K-star-3", "pset", "set revision keeps prior beliefs consistent with the set",
-           plan=_regions)
-def _ks3(ctx, t, conj, refuting, masks):
-    return _expansion_kept(t, ctx.previse(t, masks).masks[0], conj)
-
-
-@_register("K-star-4", "pset", "set revision adds nothing beyond expansion when compatible",
-           plan=_regions)
-def _ks4(ctx, t, conj, refuting, masks):
-    expansion = t.masks[0] & conj
-    if not expansion:
-        return []
-    beliefs = ctx.previse(t, masks).masks[0]
-    if beliefs & ~expansion:
-        return [_hit(expansion=expansion, beliefs=beliefs)]
-    return []
-
-
-@_register("K-star-5", "pset", "revising by a jointly consistent set yields consistent beliefs",
-           plan=_regions)
+@_register("K-star-5", "pset", "revising by a jointly consistent set yields consistent beliefs")
 def _ks5(ctx, t, conj, refuting, masks):
     if not ctx.previse(t, masks).masks[0]:
         return [_hit(inputs=masks)]
@@ -533,21 +555,18 @@ def _variant_hits(ctx, t, masks, variants) -> list[dict]:
     return []
 
 
-@_register("K-star-6", "pset", "input sets with the same closure revise to the same beliefs",
-           plan=_regions)
+@_register("K-star-6", "pset", "input sets with the same closure revise to the same beliefs")
 def _ks6(ctx, t, conj, refuting, masks):
     # the same closure: the conjunction alone, and the family listed backwards
     return _variant_hits(ctx, t, masks, ((conj,), masks[::-1]))
 
 
-@_register("K-star-6-minus", "pset", "member-wise equivalent input sets revise to the same beliefs",
-           plan=_regions)
+@_register("K-star-6-minus", "pset", "member-wise equivalent input sets revise to the same beliefs")
 def _ks6_minus(ctx, t, conj, refuting, masks):
     return _variant_hits(ctx, t, masks, (masks + masks[:1], masks[::-1] + masks[-1:]))
 
 
-@_register("K-star-7", "pset2", "revising by a union keeps everything expansion would add",
-           plan=_pair_plan)
+@_register("K-star-7", "pset2", "revising by a union keeps everything expansion would add")
 def _ks7(ctx, t, masks, merged, mixed, first, second):
     if not first & second:
         return None
@@ -558,8 +577,7 @@ def _ks7(ctx, t, masks, merged, mixed, first, second):
     return []
 
 
-@_register("K-star-8", "pset2", "expansion of a set revision is conservative when consistent",
-           plan=_pair_plan)
+@_register("K-star-8", "pset2", "expansion of a set revision is conservative when consistent")
 def _ks8(ctx, t, masks, merged, mixed, first, second):
     lhs = ctx.previse(t, masks).masks[0] & second
     if not lhs:
@@ -571,41 +589,6 @@ def _ks8(ctx, t, masks, merged, mixed, first, second):
     if rhs & ~lhs:
         return [_hit(expansion=lhs, union_beliefs=rhs)]
     return []
-
-
-@_register("C-star-1", "pset",
-           "set revision preserves the order among worlds satisfying the whole set",
-           plan=_regions)
-def _cs1(ctx, t, conj, refuting, masks):
-    return _order_flips(t, ctx.previse(t, masks), conj)
-
-
-@_register("C-star-2", "pset",
-           "set revision preserves the order among worlds refuting every member",
-           plan=_regions)
-def _cs2(ctx, t, conj, refuting, masks):
-    return _order_flips(t, ctx.previse(t, masks), refuting)
-
-
-@_register("C-star-2-plus", "pset",
-           "set revision preserves the order among all worlds outside the conjunction",
-           plan=_regions, expected="violated")
-def _cs2_plus(ctx, t, conj, refuting, masks):
-    return _order_flips(t, ctx.previse(t, masks), ctx.full_mask ^ conj)
-
-
-@_register("C-star-3", "pset",
-           "a set-satisfying world strictly below an outside one stays strictly below",
-           plan=_regions)
-def _cs3(ctx, t, conj, refuting, masks):
-    return _kept_below(t, ctx.previse(t, masks), conj, ctx.full_mask ^ conj, weak=False)
-
-
-@_register("C-star-4", "pset",
-           "a set-satisfying world weakly below an outside one stays weakly below",
-           plan=_regions)
-def _cs4(ctx, t, conj, refuting, masks):
-    return _kept_below(t, ctx.previse(t, masks), conj, ctx.full_mask ^ conj, weak=True)
 
 
 def _dominance(full, s) -> tuple:
@@ -634,20 +617,6 @@ def _pc3(ctx, t, conj, refuting, masks, dominated):
            plan=_dominance)
 def _pc4(ctx, t, conj, refuting, masks, dominated):
     return _kept(t, ctx.previse(t, masks), enumerate(dominated), weak=True)
-
-
-def _ind_star_expected(config) -> str:
-    names = config.describe()
-    if names["base"] in ("lex", "restrained") and names["finisher"] in ("lex", "restrained"):
-        return "sound"
-    return "exploratory"
-
-
-@_register("Ind-star", "pset",
-           "a set-satisfying world weakly below an outside one ends up strictly below",
-           plan=_regions, expected=_ind_star_expected)
-def _ind_star(ctx, t, conj, refuting, masks):
-    return _promoted(t, ctx.previse(t, masks), conj, ctx.full_mask ^ conj)
 
 
 def _negation_plan(full, s) -> tuple:
@@ -693,7 +662,7 @@ def _s_star(ctx, t, mixed, joint):
 
 @_register("P-star", "pset2",
            "after adopting one set against another, the other's best worlds satisfy the first",
-           plan=_pair_plan, expected="violated")
+           expected="violated")
 def _p_star(ctx, t, masks, merged, mixed, first, second):
     if not first & second:
         return []
@@ -707,37 +676,9 @@ def _p_star(ctx, t, masks, merged, mixed, first, second):
 
 # --- parallel contraction ---
 
-@_register("C-con-1", "cset",
-           "set contraction preserves the order among worlds refuting every member",
-           plan=_regions)
-def _ccon1(ctx, t, conj, refuting, masks):
-    return _order_flips(t, ctx.pcontract(t, masks), refuting)
-
-
-@_register("C-con-2", "cset",
-           "set contraction preserves the order among worlds satisfying the whole set",
-           plan=_regions)
-def _ccon2(ctx, t, conj, refuting, masks):
-    return _order_flips(t, ctx.pcontract(t, masks), conj)
-
-
-@_register("C-con-3", "cset",
-           "an all-refuting world strictly below any other stays strictly below",
-           plan=_regions)
-def _ccon3(ctx, t, conj, refuting, masks):
-    return _kept_below(t, ctx.pcontract(t, masks), refuting, ctx.full_mask ^ refuting, weak=False)
-
-
-@_register("C-con-4", "cset",
-           "an all-refuting world weakly below any other stays weakly below",
-           plan=_regions)
-def _ccon4(ctx, t, conj, refuting, masks):
-    return _kept_below(t, ctx.pcontract(t, masks), refuting, ctx.full_mask ^ refuting, weak=True)
-
-
 @_register("DiP", "cset",
            "some contraction by a consistent set still believes the set's disjunction",
-           plan=_regions, kind="existential")
+           kind="existential")
 def _dip(ctx, t, conj, refuting, masks):
     if not conj:
         return None

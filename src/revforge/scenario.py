@@ -84,7 +84,7 @@ from .errors import InconsistentInputError, ParseError, RevforgeError, ScenarioE
 from .logic import Language, ascending_worlds, model_mask, parse_formula, shared_language
 from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from .serial import SerialContractionOperator, SerialRevisionOperator
-from .tpo import TPO, read_order
+from .tpo import TPO, comparison_symbol, read_order
 
 SCHEMA_VERSION = 1
 
@@ -276,10 +276,8 @@ def _answer(query: dict, t: TPO, lang: Language) -> dict:
         return {"type": kind, "given": query["given"], "then": query["then"],
                 "answer": not best & ~query["_then_mask"]}
     if kind == "compare":
-        diff = t.compare(query["left"], query["right"])
-        relation = "<" if diff < 0 else (">" if diff > 0 else "~")
-        return {"type": kind, "left": query["left_name"],
-                "right": query["right_name"], "answer": relation}
+        return {"type": kind, "left": query["left_name"], "right": query["right_name"],
+                "answer": comparison_symbol(t.compare(query["left"], query["right"]))}
     return {"type": kind, "answer": t.render(lang)}
 
 

@@ -259,6 +259,12 @@ _set_masks = TPO.masks.__set__
 _set_num_worlds = TPO.num_worlds.__set__
 
 
+def comparison_symbol(diff: int) -> str:
+    """The symbol of a rank difference such as ``t.compare(x, y)``: ``<``
+    when x is strictly more plausible, ``>`` when y is, ``~`` when tied."""
+    return "<" if diff < 0 else (">" if diff > 0 else "~")
+
+
 def _items(data) -> list:
     """``data``, a JSON list; TypeError for any other value, since a string
     or an object would read as the list of its characters or keys."""

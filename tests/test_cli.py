@@ -162,6 +162,23 @@ def test_explicit_seed_beats_environment(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 9
 
 
+def test_seed_without_sampled_is_a_usage_error(capsys):
+    """An exhaustive sweep draws nothing, so a seed given to one is
+    refused rather than dropped from the report."""
+    assert main(["check", "--id", "K2", "--seed", "5", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed=5" in captured.err
+
+
+def test_exhaustive_run_ignores_the_environment_seed(monkeypatch, capsys):
+    monkeypatch.setenv("REVFORGE_SEED", "4242")
+    assert main(["check", "--id", "K2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["seed"] is None
+    assert doc["space"]["mode"] == "exhaustive"
+
+
 def test_invalid_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("REVFORGE_SEED", "lots")
     assert main(["check", "--id", "Conj-star", "--sampled", "25"]) == 2

@@ -1356,3 +1356,41 @@ def test_hits_turn_masks_into_world_sets():
     hit = catalog._hit(inputs=(0b0011, 0b0100), beliefs=0b1001)
     assert list(hit) == ["inputs", "beliefs"]
     assert hit == {"inputs": [frozenset({0, 1}), frozenset({2})], "beliefs": frozenset({0, 3})}
+
+
+# (serial postulate, set twin): the set postulate restated for a family
+TWINS = (("K1", "K-star-1"), ("K3", "K-star-3"), ("K4", "K-star-4"),
+         ("CR1", "C-star-1"), ("CC2", "C-con-2"), ("CR2", "C-star-2"), ("CC1", "C-con-1"),
+         ("CR3", "C-star-3"), ("CC3", "C-con-3"), ("CR4", "C-star-4"), ("CC4", "C-con-4"),
+         ("Ind", "Ind-star"), ("CR2", "C-star-2-plus"))
+
+
+def _reversing(name: str) -> OperatorConfig:
+    def reverse(t, mask):
+        return TPO(tuple(reversed(t.blocks)))
+    return OperatorConfig(revision=SerialRevisionOperator(name, reverse),
+                          contraction=SerialContractionOperator(name, reverse))
+
+
+@pytest.mark.parametrize("operators", [OperatorConfig(), OperatorConfig(revision="lex"),
+                                       OperatorConfig(revision="restrained"),
+                                       _reversing("reverse")],
+                         ids=["natural", "lex", "restrained", "reverse"])
+def test_set_twins_agree_with_their_serial_postulates(operators):
+    """Under parallel operators that revise and contract by a one-member
+    family as the serial ones do by its member, each set twin finds
+    exactly the hits of its serial postulate on every two-atom serial
+    instance; under operators that reverse the prior, every pair but
+    K1's, which cannot fail, finds some."""
+    space = InstanceSpace(atoms=2, operators=operators)
+    ctx, view = CheckContext.from_space(space), CheckContext.from_space(space)
+    view.previse = lambda t, masks: view.revise(t, masks[0])
+    view.pcontract = lambda t, masks: view.contract(t, masks[0])
+    hits = dict.fromkeys(TWINS, 0)
+    for t, a in space.instances("serial"):
+        for serial, twin in TWINS:
+            expected = CATALOG[serial].evaluate(ctx, t, a)
+            assert CATALOG[twin].evaluate(view, t, (a,)) == expected, (serial, twin, t, a)
+            hits[serial, twin] += len(expected or ())
+    if operators.describe()["revision"] == "reverse":
+        assert [pair for pair, count in hits.items() if not count] == [("K1", "K-star-1")]
