@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .errors import PartitionError, lookup
-from .tpo import TPO, Profile, validate_profile
+from .tpo import TPO, Profile, tpo, validate_profile
 
 # profile sizes whose team tables a strategy keeps; a table holds at most
 # one team per world, since every round places a world
@@ -152,7 +152,7 @@ class Aggregator:
                 block |= order[at] & remaining
             blocks.append(block)
             remaining &= ~block
-        return TPO._from_masks(tuple(blocks), num_worlds)
+        return tpo(tuple(blocks), num_worlds)
 
     @property
     def name(self) -> str:

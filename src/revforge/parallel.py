@@ -49,7 +49,7 @@ from .serial import (
     get_contraction_operator,
     get_revision_operator,
 )
-from .tpo import TPO, check_mask, mask_of
+from .tpo import TPO, check_language, check_mask, mask_of
 
 
 def minimal_inconsistent_indices(masks: Sequence[int], full: int) -> tuple[int, ...]:
@@ -101,6 +101,7 @@ class ParallelRevisionOperator:
 
     def revise(self, t: TPO, s: FormulaSet) -> TPO:
         n = t.num_worlds
+        check_language(s.lang, n)
         return self.revise_masks(t, [check_mask(mask, n) for mask in s.model_masks()],
                                  labels=[str(m) for m in s])
 
@@ -124,6 +125,7 @@ class ParallelContractionOperator:
 
     def contract(self, t: TPO, s: FormulaSet) -> TPO:
         n = t.num_worlds
+        check_language(s.lang, n)
         return self.contract_masks(t, [check_mask(mask, n) for mask in s.model_masks()])
 
 

@@ -66,7 +66,11 @@ refuting and member masks), which every other family plan extends,
 per world of the worlds it dominates), ``_subfamilies`` and
 ``_pair_plan`` (two families merged and mixed).  S-star reads
 ``_s_star_plan``, the part of ``_pair_plan`` it needs, which is None
-outside its domain.
+outside its domain.  ``_regions`` and ``_inputs`` read each input's mask
+through ``_member_mask``, a bounded table keyed by the input: a sampled
+sweep makes a plan on every draw, and the streams' members are the
+shared ``worlds_of`` sets, so up to 8 worlds the table answers almost
+every read.
 
 Belief sets are read as ``masks[0]`` of an order and best worlds as
 ``min_mask``.  The order checks read the orders' ``world_masks``: one
@@ -251,9 +255,15 @@ def _merge(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
 # Plans take the mask of every world, ``full``, and then the instance's
 # inputs or families as the streams yield them.
 
+# the member masks the plans read, keyed by member and world count: the
+# streams' members are the shared ``worlds_of`` sets, so a sampled sweep's
+# draws hit it, and it keeps as many entries as the logic layer keeps sets
+_member_mask = lru_cache(maxsize=256)(mask_of)
+
+
 def _inputs(full, a, b) -> tuple[int, int]:
     """``(first, second)``: the masks of the worlds satisfying ``a`` and ``b``."""
-    return mask_of(a, full.bit_length()), mask_of(b, full.bit_length())
+    return _member_mask(a, full.bit_length()), _member_mask(b, full.bit_length())
 
 
 def _regions(full, s) -> tuple[int, int, tuple[int, ...]]:
@@ -263,7 +273,7 @@ def _regions(full, s) -> tuple[int, int, tuple[int, ...]]:
     num_worlds = full.bit_length()
     conj, union, masks = full, 0, ()
     for member in s:
-        mask = mask_of(member, num_worlds)
+        mask = _member_mask(member, num_worlds)
         conj &= mask
         union |= mask
         masks += (mask,)

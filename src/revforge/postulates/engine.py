@@ -14,7 +14,9 @@ rows, every prior meets every input, so a dict local to the sweep holds
 each distinct input's plan, and is freed with the sweep.  It holds at
 most ``_MEMO`` plans: a miss that finds it full clears it, which only a
 sampled sweep of large families reaches.  Over more worlds each draw
-makes its own plan.  Its id lookup resolves catalog ids,
+makes its own plan, in a closure that calls the plan and then the body
+with no table between them, and an entry without a plan runs as its
+body bound to the context.  Its id lookup resolves catalog ids,
 ``<id>-pair`` for the agreement sweep of a semantic entry against its
 syntactic companion, and ``rc-identity`` for the check that synchronous
 aggregation commutes with conditional-belief intersection followed by
@@ -388,11 +390,19 @@ def _sweep_evaluate(postulate: Postulate, ctx: CheckContext) -> Callable:
     """``postulate.evaluate`` on ``ctx`` for one sweep.  Where the context
     keeps rows, a dict that only this function's result holds keeps each
     distinct input's plan, None included, and is cleared when a miss
-    finds ``_MEMO`` plans in it; elsewhere each instance makes its own."""
+    finds ``_MEMO`` plans in it.  Elsewhere each instance makes its own,
+    in a closure that calls the plan and then the body, and an entry
+    without a plan is its body bound to ``ctx``."""
     plan, body = postulate.plan, postulate.body
-    if plan is None or not ctx.rowed:
-        return partial(postulate.evaluate, ctx)
-    full, plans = ctx.full_mask, {}
+    if plan is None:
+        return partial(body, ctx)
+    full = ctx.full_mask
+    if not ctx.rowed:
+        def evaluate(t, *inputs):
+            fields = plan(full, *inputs)
+            return None if fields is None else body(ctx, t, *fields)
+        return evaluate
+    plans = {}
 
     def evaluate(t, *inputs):
         try:

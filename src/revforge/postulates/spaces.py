@@ -22,9 +22,16 @@ only ``rng.getrandbits`` and ``rng.random``, and make the draw that
 ``shuffle``, ``randrange`` and ``randint`` would make (``_randbelow``), so
 a seed draws the stream it always drew.  The preorder and family
 samplers, which every sampled sweep runs on every draw, repeat
-``_randbelow``'s loop inline rather than call it per number.  A family
-holds at most ``2^n - 1`` distinct members, so ``max_set_size`` may not
-exceed that.
+``_randbelow``'s loop inline rather than call it per number.  A sampled
+stream binds each part's sampler to the space and its generator once,
+before the first draw: ``Part.sampler(space, rng)`` reads the world
+count, the set size and the generator's methods and returns a draw, so
+no draw reads a property of the space or goes through another call
+layer.  ``random_tpo`` and ``_random_set_tuple`` bind such a draw and
+make it once.  A family holds at most ``2^n - 1`` distinct members, so
+``max_set_size`` may not exceed that; the family sampler keeps its
+members in a dict, in the order first drawn, so a repeat is found by
+one hashed lookup even in a family of thousands.
 
 ``SHAPES`` is the one table of instance shapes.  It gives each shape
 name its sequence of (payload key, ``Part``) pairs, and each part knows
@@ -45,13 +52,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from ..errors import RevforgeError, SpaceError, lookup
 from ..logic import Language, shared_language
 from ..parallel import OperatorConfig
-from ..tpo import TPO, _items, read_order, read_worlds, worlds_of
+from ..tpo import TPO, _items, read_order, read_worlds, tpo, worlds_of
 
 DEFAULT_SEED = 1729
 MAX_EXHAUSTIVE_ATOMS = 2
@@ -93,7 +100,7 @@ def enumerate_tpos(num_worlds: int) -> Iterator[TPO]:
             for tail in partitions(unplaced & ~block):
                 yield (block,) + tail
 
-    return (TPO._from_masks(masks, num_worlds) for masks in partitions((1 << num_worlds) - 1))
+    return (tpo(masks, num_worlds) for masks in partitions((1 << num_worlds) - 1))
 
 
 @cache
@@ -125,12 +132,36 @@ def _randbelow(getrandbits: Callable, n: int) -> int:
     return r
 
 
-@lru_cache(maxsize=32)
-def _shuffle_plan(num_worlds: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The world bits in order, and the (index, bit width) of each swap
-    ``rng.shuffle`` makes over ``num_worlds`` items, last index first."""
-    return (tuple(1 << w for w in range(num_worlds)),
-            tuple((i, (i + 1).bit_length()) for i in reversed(range(1, num_worlds))))
+def _preorder_draw(rng: random.Random, num_worlds: int) -> Callable[[], TPO]:
+    """``random_tpo(rng, num_worlds)`` as a draw bound to ``rng`` and
+    ``num_worlds`` once: each call draws the next order."""
+    if type(num_worlds) is not int or num_worlds < 1:
+        raise SpaceError(f"the world count must be an int of at least 1, got {num_worlds!r}")
+    # the world bits in order, and the (index, bit width) of each swap
+    # ``rng.shuffle`` makes over ``num_worlds`` items, last index first
+    bits = [1 << w for w in range(num_worlds)]
+    swaps = tuple((i, (i + 1).bit_length()) for i in reversed(range(1, num_worlds)))
+    getrandbits, random_ = rng.getrandbits, rng.random
+
+    def draw() -> TPO:
+        worlds = bits[:]
+        for i, width in swaps:
+            # _randbelow(getrandbits, i + 1), inline
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
+            worlds[i], worlds[j] = worlds[j], worlds[i]
+        masks = []
+        block = worlds[0]
+        for world in worlds[1:]:
+            if random_() < 0.5:
+                masks.append(block)
+                block = world
+            else:
+                block |= world
+        masks.append(block)
+        return tpo(tuple(masks), num_worlds)
+    return draw
 
 
 def random_tpo(rng: random.Random, num_worlds: int) -> TPO:
@@ -140,32 +171,43 @@ def random_tpo(rng: random.Random, num_worlds: int) -> TPO:
     each later world starts a new block when ``rng.random() < 0.5``.
     SpaceError unless ``num_worlds`` is an int of at least 1.
     """
-    if type(num_worlds) is not int or num_worlds < 1:
-        raise SpaceError(f"the world count must be an int of at least 1, got {num_worlds!r}")
-    bits, swaps = _shuffle_plan(num_worlds)
-    getrandbits, random_ = rng.getrandbits, rng.random
-    worlds = list(bits)
-    for i, width in swaps:
-        # _randbelow(getrandbits, i + 1), inline
-        j = getrandbits(width)
-        while j > i:
-            j = getrandbits(width)
-        worlds[i], worlds[j] = worlds[j], worlds[i]
-    masks = []
-    block = worlds[0]
-    for world in worlds[1:]:
-        if random_() < 0.5:
-            masks.append(block)
-            block = world
-        else:
-            block |= world
-    masks.append(block)
-    return TPO._from_masks(tuple(masks), num_worlds)
+    return _preorder_draw(rng, num_worlds)()
 
 
-def _random_proposition(rng: random.Random, num_worlds: int) -> frozenset[int]:
-    """``worlds_of(rng.randrange(1, 1 << num_worlds))``."""
-    return worlds_of(_randbelow(rng.getrandbits, (1 << num_worlds) - 1) + 1)
+def _proposition_draw(rng: random.Random, num_worlds: int) -> Callable[[], frozenset[int]]:
+    """A draw of ``worlds_of(rng.randrange(1, 1 << num_worlds))``, bound once."""
+    getrandbits, top = rng.getrandbits, (1 << num_worlds) - 1
+    return lambda: worlds_of(_randbelow(getrandbits, top) + 1)
+
+
+def _family_draw(rng: random.Random, num_worlds: int, max_size: int,
+                 jointly_consistent: bool) -> Callable[[], tuple[frozenset[int], ...]]:
+    """``_random_set_tuple(rng, num_worlds, max_size, jointly_consistent)``
+    as a draw bound to its arguments once."""
+    getrandbits, top = rng.getrandbits, (1 << num_worlds) - 1
+    size_width = max_size.bit_length()
+
+    def draw() -> tuple[frozenset[int], ...]:
+        for _ in range(1000):
+            # _randbelow(getrandbits, max_size) and _randbelow(getrandbits, top), inline
+            size = getrandbits(size_width)
+            while size >= max_size:
+                size = getrandbits(size_width)
+            # the members in the order first drawn: a dict, so a repeat is
+            # found by a hashed lookup however large the family
+            members: dict[int, None] = {}
+            conjunction = top
+            for _ in range(size + 1):
+                mask = getrandbits(num_worlds)
+                while mask >= top:
+                    mask = getrandbits(num_worlds)
+                mask += 1
+                members[mask] = None
+                conjunction &= mask
+            if conjunction or not jointly_consistent:
+                return tuple([worlds_of(mask) for mask in members])
+        raise SpaceError("could not sample a jointly consistent input set")
+    return draw
 
 
 def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,
@@ -173,26 +215,7 @@ def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,
     """A family of ``rng.randint(1, max_size)`` draws of
     ``rng.randrange(1, 1 << num_worlds)``, repeats dropped; drawn again, up
     to 1000 times, while ``jointly_consistent`` and its conjunction is empty."""
-    getrandbits, top = rng.getrandbits, (1 << num_worlds) - 1
-    size_width = max_size.bit_length()
-    for _ in range(1000):
-        # _randbelow(getrandbits, max_size) and _randbelow(getrandbits, top), inline
-        size = getrandbits(size_width)
-        while size >= max_size:
-            size = getrandbits(size_width)
-        masks: list[int] = []
-        conjunction = top
-        for _ in range(size + 1):
-            mask = getrandbits(num_worlds)
-            while mask >= top:
-                mask = getrandbits(num_worlds)
-            mask += 1
-            if mask not in masks:
-                masks.append(mask)
-                conjunction &= mask
-        if conjunction or not jointly_consistent:
-            return tuple([worlds_of(mask) for mask in masks])
-    raise SpaceError("could not sample a jointly consistent input set")
+    return _family_draw(rng, num_worlds, max_size, jointly_consistent)()
 
 
 # --- the shape table ---
@@ -206,19 +229,20 @@ class Part:
     """One component of an instance.
 
     ``values(space)`` lists every value in exhaustive order,
-    ``sample(rng, space)`` draws one, and ``encode``/``decode`` map a
-    value to and from its JSON form, with worlds as atom bit-strings.
+    ``sampler(space, rng)`` binds a draw to the space and the generator,
+    which returns the next value at each call, and ``encode``/``decode``
+    map a value to and from its JSON form, with worlds as atom bit-strings.
     """
 
     values: Callable = field(repr=False)
-    sample: Callable = field(repr=False)
+    sampler: Callable = field(repr=False)
     encode: Callable = field(repr=False)
     decode: Callable = field(repr=False)
 
 
 _PREORDER = Part(
     lambda space: tuple(enumerate_tpos(space.num_worlds)),
-    lambda rng, space: random_tpo(rng, space.num_worlds),
+    lambda space, rng: _preorder_draw(rng, space.num_worlds),
     lambda t, lang: [_names(block, lang) for block in t.blocks],
     read_order)
 
@@ -232,11 +256,11 @@ def _read_proposition(names, lang: Language) -> frozenset[int]:
 
 _PROPOSITION = Part(
     lambda space: all_propositions(space.num_worlds),
-    lambda rng, space: _random_proposition(rng, space.num_worlds),
+    lambda space, rng: _proposition_draw(rng, space.num_worlds),
     _names, _read_proposition)
 
 
-def _tuple_of(part: Part, values: Callable, sample: Callable, check: Callable) -> Part:
+def _tuple_of(part: Part, values: Callable, sampler: Callable, check: Callable) -> Part:
     """A part whose value is a tuple of ``part`` values; ``check(value,
     lang)`` raises SpaceError for a decoded tuple that no stream yields."""
     def decode(data, lang: Language) -> tuple:
@@ -244,7 +268,7 @@ def _tuple_of(part: Part, values: Callable, sample: Callable, check: Callable) -
         check(value, lang)
         return value
 
-    return Part(values, sample, lambda items, lang: [part.encode(x, lang) for x in items],
+    return Part(values, sampler, lambda items, lang: [part.encode(x, lang) for x in items],
                 decode)
 
 
@@ -265,8 +289,8 @@ def _family(jointly_consistent: bool) -> Part:
         _PROPOSITION,
         lambda space: tuple(formula_set_tuples(all_propositions(space.num_worlds),
                                                space.max_set_size, jointly_consistent)),
-        lambda rng, space: _random_set_tuple(rng, space.num_worlds, space.max_set_size,
-                                             jointly_consistent),
+        lambda space, rng: _family_draw(rng, space.num_worlds, space.max_set_size,
+                                        jointly_consistent),
         lambda family, lang: _check_family(family, lang, jointly_consistent))
 
 
@@ -275,11 +299,16 @@ def _check_profile(profile: tuple, lang: Language) -> None:
         raise SpaceError(f"a profile must hold 2 orders, this one holds {len(profile)}")
 
 
+def _pair_draw(draw: Callable) -> Callable[[], tuple]:
+    """Two calls of ``draw``, in order, as one draw."""
+    return lambda: (draw(), draw())
+
+
 _CONSISTENT_FAMILY = _family(True)
 _PROFILE = _tuple_of(
     _PREORDER,
     lambda space: tuple(itertools.product(_PREORDER.values(space), repeat=2)),
-    lambda rng, space: (_PREORDER.sample(rng, space), _PREORDER.sample(rng, space)),
+    lambda space, rng: _pair_draw(_PREORDER.sampler(space, rng)),
     _check_profile)
 
 SHAPES: dict[str, tuple[tuple[str, Part], ...]] = {
@@ -394,6 +423,5 @@ class InstanceSpace:
         if self.mode == "exhaustive":
             return itertools.product(*(part.values(self) for part in parts))
         rng = random.Random(self.seed)
-        samplers = [part.sample for part in parts]
-        return (tuple([sample(rng, self) for sample in samplers])
-                for _ in range(self.sample_count))
+        draws = [part.sampler(self, rng) for part in parts]
+        return (tuple([draw() for draw in draws]) for _ in range(self.sample_count))

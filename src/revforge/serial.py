@@ -3,9 +3,16 @@
 Each operator maps a TPO and one input proposition to a new TPO over the
 same worlds.  Its ``transform(t, mask)``, called by the pipeline, the
 checker's rows and scenario steps, takes the input's models as a world
-mask and trusts it, as ``TPO._from_masks`` trusts its blocks;
+mask and trusts it, as ``tpo.tpo`` trusts its blocks;
 ``revise``/``contract`` convert a world set once with ``mask_of`` and
-``apply`` checks a formula's ``model_mask`` against the order.  All
+``apply`` checks a formula's ``model_mask`` against the order, and
+rejects a language with fewer worlds than the order, whose masks would
+name other worlds.  Each transform is one kernel that walks ``t.masks``
+once: it finds ``min(t, mask)``, the first block that meets the mask,
+on the way, keeps the blocks the change leaves alone as they are, and
+hands its blocks to ``tpo.tpo``, the one constructor of valid orders.  A
+revision by an empty mask finds no such block and raises
+``InconsistentInputError``.  All
 three revision operators put the most plausible input-worlds at the
 bottom (so the revised beliefs are exactly those worlds) and differ in
 how they rearrange everything else:
@@ -33,45 +40,68 @@ from typing import Callable
 
 from .errors import InconsistentInputError, lookup
 from .logic import Formula, Language, model_mask
-from .tpo import TPO, check_mask, mask_of
+from .tpo import TPO, check_language, check_mask, mask_of, tpo
 
 
-def _consistent_mask(mask: int) -> int:
-    if not mask:
-        raise InconsistentInputError("cannot revise by an inconsistent input (no models)")
-    return mask
+_NO_MODELS = "cannot revise by an inconsistent input (no models)"
 
 
 def natural_revise(t: TPO, mask: int) -> TPO:
     """New bottom block ``min(t, mask)``; the rest keeps its relative order."""
-    promoted = t.min_mask(_consistent_mask(mask))
-    masks = [promoted]
-    for block in t.masks:
-        rest = block & ~promoted
-        if rest:
-            masks.append(rest)
-    return TPO._from_masks(tuple(masks), t.num_worlds)
+    masks = t.masks
+    i = 0
+    for block in masks:
+        promoted = block & mask
+        if promoted:
+            rest = block ^ promoted
+            return tpo((promoted,) + masks[:i] + ((rest,) if rest else ()) + masks[i + 1:],
+                       t.num_worlds)
+        i += 1
+    raise InconsistentInputError(_NO_MODELS)
 
 
 def lex_revise(t: TPO, mask: int) -> TPO:
     """All mask-worlds below all others, prior order kept within each side."""
-    _consistent_mask(mask)
-    inside = [block & mask for block in t.masks]
-    outside = [block & ~mask for block in t.masks]
-    return TPO._from_masks(tuple(block for block in inside + outside if block), t.num_worlds)
+    if not mask:
+        raise InconsistentInputError(_NO_MODELS)
+    inside, outside = [], []
+    for block in t.masks:
+        part = block & mask
+        if part:
+            inside.append(part)
+            if part != block:
+                outside.append(block ^ part)
+        else:
+            outside.append(block)
+    inside += outside
+    return tpo(tuple(inside), t.num_worlds)
 
 
 def restrained_revise(t: TPO, mask: int) -> TPO:
     """``min(t, mask)`` to the bottom; prior strict comparisons survive,
     and within surviving ties mask-worlds come first."""
-    promoted = t.min_mask(_consistent_mask(mask))
-    masks = [promoted]
-    for block in t.masks:
-        rest = block & ~promoted
-        for part in (rest & mask, rest & ~mask):
-            if part:
-                masks.append(part)
-    return TPO._from_masks(tuple(masks), t.num_worlds)
+    masks = t.masks
+    i = 0
+    for block in masks:
+        promoted = block & mask
+        if promoted:
+            # the blocks before block i hold no mask-world, and block i
+            # keeps its other worlds; each later block splits into its
+            # mask-worlds, then the rest
+            out = [promoted, *masks[:i]]
+            if promoted != block:
+                out.append(block ^ promoted)
+            for block in masks[i + 1:]:
+                part = block & mask
+                if part:
+                    out.append(part)
+                    if part != block:
+                        out.append(block ^ part)
+                else:
+                    out.append(block)
+            return tpo(tuple(out), t.num_worlds)
+        i += 1
+    raise InconsistentInputError(_NO_MODELS)
 
 
 def natural_contract(t: TPO, mask: int) -> TPO:
@@ -84,14 +114,18 @@ def natural_contract(t: TPO, mask: int) -> TPO:
     everything, so their minimum is the bottom block already) both leave
     the preorder unchanged.
     """
-    full = (1 << t.num_worlds) - 1
-    bottom = t.masks[0] | t.min_mask(full & ~mask)
-    masks = [bottom]
-    for block in t.masks[1:]:
-        rest = block & ~bottom
-        if rest:
-            masks.append(rest)
-    return TPO._from_masks(tuple(masks), t.num_worlds)
+    masks = t.masks
+    i = 0
+    for block in masks:
+        demoted = block & ~mask
+        if demoted:
+            if not i:
+                break
+            rest = block ^ demoted
+            return tpo((masks[0] | demoted,) + masks[1:i] + ((rest,) if rest else ())
+                       + masks[i + 1:], t.num_worlds)
+        i += 1
+    return tpo(masks, t.num_worlds)
 
 
 @dataclass(frozen=True)
@@ -103,6 +137,7 @@ class _SerialOperator:
         return self.transform(t, mask_of(sat, t.num_worlds))
 
     def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
+        check_language(lang, t.num_worlds)
         return self.transform(t, check_mask(model_mask(a, lang), t.num_worlds))
 
 

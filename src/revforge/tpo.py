@@ -12,16 +12,22 @@ world w.  A ``TPO`` stores its blocks as the tuple ``masks``, and
 the edge: the frozenset ``blocks`` and the per-world ``ranks`` are built
 from the masks on first use and then kept, and so is ``world_masks``,
 the per-world masks over which a comparison of two orders is one mask
-expression per world rather than one test per pair.
+expression per world rather than one test per pair.  The order checks
+read ``world_masks`` on every sampled draw, so the lookup that fills a
+derived field tests it first, and reads the worlds of a block below 256
+from ``logic``'s byte table.
 ``min_of`` and the serial operators' ``revise``/``contract`` take
 frozensets, converted once by ``mask_of``; it, ``rank`` and the
 comparisons reject worlds outside the order with ``PartitionError``.
 Equality and the hash use the masks.  The hash too is computed on first
 use and then kept, so an order that never becomes a key, as almost none
 does in a sampled sweep, never pays for it.  ``TPO(blocks)`` validates
-its argument; orders that operators build are valid by construction and
-skip the check through ``TPO._from_masks``, which sets only ``masks``
-and ``num_worlds``.
+its argument.  Orders that the package builds are valid by
+construction: the serial kernels, aggregation, ``from_ranks``,
+``uniform``, ``rational_closure`` and the spaces' enumerator and sampler
+all skip the check through one function, ``tpo(masks, num_worlds)``,
+which refuses only an empty tuple of blocks and sets only ``masks`` and
+``num_worlds``; ``TPO._from_masks`` is that function.
 
 Outside the package, in scenario documents and witness payloads, a set
 of worlds is a JSON list of world names and an order is a list of such
@@ -52,7 +58,7 @@ from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import LanguageError, PartitionError, SpaceError, UnsatisfiableConditionalsError
-from .logic import Language, ascending_worlds, worlds_of
+from .logic import _LOW_BYTE, Language, ascending_worlds, worlds_of
 
 MAX_CONDITIONAL_WORLDS = 8
 
@@ -65,6 +71,15 @@ def check_mask(mask: int, num_worlds: int) -> int:
         outside = sorted(worlds_of(mask >> num_worlds << num_worlds))
         raise PartitionError(f"worlds {outside} are not in range({num_worlds})")
     return mask
+
+
+def check_language(lang: Language, num_worlds: int) -> None:
+    """PartitionError when ``lang`` has fewer worlds than an order over
+    ``num_worlds``: its masks would pass ``check_mask`` and name worlds of
+    another language.  A wider language's masks reach past the order, and
+    ``check_mask`` rejects those."""
+    if lang.num_worlds < num_worlds:
+        raise PartitionError(f"language has {lang.num_worlds} worlds, preorder has {num_worlds}")
 
 
 def mask_of(worlds: Iterable[int], num_worlds: int) -> int:
@@ -118,22 +133,18 @@ class TPO:
         _set_num_worlds(self, count)
         _set(self, "blocks", blocks)
 
-    @classmethod
-    def _from_masks(cls, masks: tuple[int, ...], num_worlds: int) -> "TPO":
-        """The order with block masks ``masks``, which must partition
-        ``range(num_worlds)``; only emptiness is checked.  It writes the
-        two slots through their own setters and leaves the hash and the
-        derived fields for first use."""
-        if not masks:
-            raise PartitionError("a total preorder needs at least one block")
-        t = _new(cls)
-        _set_masks(t, masks)
-        _set_num_worlds(t, num_worlds)
-        return t
-
     def __getattr__(self, name: str):
-        # fills the derived slots on first use
-        if name == "_hash":
+        # fills the derived slots on first use; order checks read
+        # ``world_masks`` on every draw, so it is tested first
+        if name == "world_masks":
+            below, block = [0] * self.num_worlds, [0] * self.num_worlds
+            lower = 0
+            for mask in self.masks:
+                for world in _LOW_BYTE[mask] if mask < 256 else ascending_worlds(mask):
+                    below[world], block[world] = lower, mask
+                lower |= mask
+            value = (tuple(below), tuple(block))
+        elif name == "_hash":
             value = hash(self.masks)
         elif name == "blocks":
             value = tuple(worlds_of(mask) for mask in self.masks)
@@ -145,14 +156,6 @@ class TPO:
                     ranks[low.bit_length() - 1] = depth
                     mask ^= low
             value = tuple(ranks)
-        elif name == "world_masks":
-            below, block = [0] * self.num_worlds, [0] * self.num_worlds
-            lower = 0
-            for mask in self.masks:
-                for world in ascending_worlds(mask):
-                    below[world], block[world] = lower, mask
-                lower |= mask
-            value = (tuple(below), tuple(block))
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         _set(self, name, value)
@@ -184,7 +187,7 @@ class TPO:
         """The single-block preorder: every world equally plausible."""
         if num_worlds < 1:
             raise PartitionError("a total preorder needs at least one world")
-        return cls._from_masks(((1 << num_worlds) - 1,), num_worlds)
+        return tpo(((1 << num_worlds) - 1,), num_worlds)
 
     @classmethod
     def from_ranks(cls, ranks: Sequence[int]) -> "TPO":
@@ -193,7 +196,7 @@ class TPO:
         masks = [0] * len(index)
         for world, level in enumerate(ranks):
             masks[index[level]] |= 1 << world
-        return cls._from_masks(tuple(masks), len(ranks))
+        return tpo(tuple(masks), len(ranks))
 
     @property
     def num_blocks(self) -> int:
@@ -257,6 +260,23 @@ _new = object.__new__
 # the slots' own setters, which ``__setattr__`` does not stand in front of
 _set_masks = TPO.masks.__set__
 _set_num_worlds = TPO.num_worlds.__set__
+
+
+def tpo(masks: tuple[int, ...], num_worlds: int) -> TPO:
+    """The order with block masks ``masks``, which must partition
+    ``range(num_worlds)``; only emptiness is checked.  The one trusted
+    constructor: every builder of valid orders calls it.  It writes the
+    two slots through their own setters and leaves the hash and the
+    derived fields for first use."""
+    if not masks:
+        raise PartitionError("a total preorder needs at least one block")
+    t = _new(TPO)
+    _set_masks(t, masks)
+    _set_num_worlds(t, num_worlds)
+    return t
+
+
+TPO._from_masks = staticmethod(tpo)
 
 
 def comparison_symbol(diff: int) -> str:
@@ -434,4 +454,4 @@ def rational_closure(conditionals: ConditionalSet) -> TPO:
         masks.append(level)
         remaining &= ~level
         live = [(x, breaking) for x, breaking in live if not x & level]
-    return TPO._from_masks(tuple(masks), n)
+    return tpo(tuple(masks), n)

@@ -6,12 +6,12 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from revforge import (Aggregator, CheckContext, FIRST_THEN_FULL_STRATEGY, FormulaSet,
-                      InconsistentInputError, InstanceSpace, NATURAL, NATURAL_CONTRACT,
-                      OperatorConfig, ParallelContractionOperator, STQ_STRATEGY,
-                      UnknownOperatorError, check,
+from revforge import (TPO, Aggregator, CheckContext, FIRST_THEN_FULL_STRATEGY, FormulaSet,
+                      InconsistentInputError, InstanceSpace, Language, NATURAL,
+                      NATURAL_CONTRACT, OperatorConfig, ParallelContractionOperator,
+                      PartitionError, STQ_STRATEGY, UnknownOperatorError, check,
                       default_parallel_contraction, default_parallel_revision,
-                      replay_witness)
+                      parse_formula, replay_witness)
 from revforge.parallel import minimal_inconsistent_indices
 from revforge.postulates import enumerate_tpos, all_propositions, formula_set_tuples
 from revforge.tpo import mask_of
@@ -214,3 +214,17 @@ def test_default_operator_configs():
     pcon = default_parallel_contraction()
     assert pcon.base is NATURAL_CONTRACT is config.resolved("contraction")
     assert pcon.aggregator.strategy is STQ_STRATEGY
+
+
+@pytest.mark.parametrize("entry", [
+    lambda t, lang: NATURAL.apply(t, parse_formula("p", lang), lang),
+    lambda t, lang: default_parallel_revision().revise(t, FormulaSet.parse(["p", "q"], lang)),
+    lambda t, lang: default_parallel_contraction().contract(t, FormulaSet.parse(["p"], lang)),
+], ids=["apply", "revise", "contract"])
+def test_a_language_narrower_than_the_order_is_rejected(entry):
+    """Over 4 worlds, ``p`` names worlds 2 and 3 of a 2-atom language; read
+    against an 8-world order they would be worlds of another language."""
+    lang = Language(("p", "q"))
+    with pytest.raises(PartitionError, match="language has 4 worlds, preorder has 8"):
+        entry(TPO.uniform(8), lang)
+    assert entry(TPO.uniform(4), lang).num_worlds == 4
