@@ -69,10 +69,8 @@ def lex_revise(t: TPO, mask: int) -> TPO:
         part = block & mask
         if part:
             inside.append(part)
-            if part != block:
-                outside.append(block ^ part)
-        else:
-            outside.append(block)
+        if part != block:
+            outside.append(block ^ part)
     inside += outside
     return tpo(tuple(inside), t.num_worlds)
 
@@ -95,10 +93,8 @@ def restrained_revise(t: TPO, mask: int) -> TPO:
                 part = block & mask
                 if part:
                     out.append(part)
-                    if part != block:
-                        out.append(block ^ part)
-                else:
-                    out.append(block)
+                if part != block:
+                    out.append(block ^ part)
             return tpo(tuple(out), t.num_worlds)
         i += 1
     raise InconsistentInputError(_NO_MODELS)
