@@ -30,6 +30,13 @@ returns it without running the rounds, once the teams of the rounds its
 blocks need are checked, so an invalid team raises as it would.
 The tables live on the strategy, so every ``Aggregator`` over it, such
 as the one each loaded scenario builds, shares them.
+
+``aggregate`` is where a profile is checked, and the only place: an
+empty profile raises ``PartitionError`` before anything else, and
+members of different widths raise it after the one-member shortcut,
+where there is nothing to compare.  The pipeline's profiles are the
+serial results of one order and always pass; the width test is one
+comparison per member, so they take the same checked entry.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .errors import PartitionError, lookup
-from .tpo import TPO, Profile, tpo, validate_profile
+from .tpo import TPO, tpo
 
 # profile sizes whose team tables a strategy keeps; a table holds at most
 # one team per world, since every round places a world
@@ -120,9 +127,12 @@ class Aggregator:
 
     def aggregate(self, profile: Sequence[TPO]) -> TPO:
         """Run the round-by-round team construction over ``profile``; a
-        one-member profile is its member, once its rounds' teams are checked."""
-        profile = validate_profile(profile)
+        one-member profile is its member, once its rounds' teams are checked.
+        PartitionError for an empty profile or members of different widths."""
+        profile = tuple(profile)
         n = len(profile)
+        if not n:
+            raise PartitionError("a profile needs at least one preorder")
         teams = self.strategy.teams(n)
         if n == 1:
             # a lone member's only valid team is itself, so round i emits its
@@ -133,8 +143,10 @@ class Aggregator:
                 teams[round_no] = self.strategy.checked_team(1, round_no)
             return member
         num_worlds = profile[0].num_worlds
+        orders = [t.masks for t in profile if t.num_worlds == num_worlds]
+        if len(orders) < n:
+            raise PartitionError("profile members must share the same worlds")
         remaining = (1 << num_worlds) - 1
-        orders = [t.masks for t in profile]
         cursors = [0] * n
         blocks: list[int] = []
         round_no = 0

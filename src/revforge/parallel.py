@@ -12,9 +12,12 @@ with no finishing step.
 
 These two operators are the only implementation of the pipeline.  Its
 one entry works on world masks, ``revise_masks`` and ``contract_masks``;
-``revise_worlds`` and ``contract_worlds`` convert their sets and call it,
-and ``revise`` and ``contract`` read their formulas' masks with
-``model_mask``.
+``revise_worlds`` and ``contract_worlds`` convert their sets with
+``mask_of``, which rejects a world outside the order, and call it;
+``revise`` and ``contract`` check once, with ``check_language``, that the
+``FormulaSet``'s language is exactly as wide as the order, and then pass
+its ``model_masks`` on unchecked, since a formula's models are worlds of
+its own language.
 Each stage calls a serial operator's ``transform`` on a mask.  The
 postulate checker's ``CheckContext`` builds the two operators, over its
 per-prior rows where priors repeat and over the serial operators
@@ -49,7 +52,7 @@ from .serial import (
     get_contraction_operator,
     get_revision_operator,
 )
-from .tpo import TPO, check_language, check_mask, mask_of
+from .tpo import TPO, check_language, mask_of
 
 
 def minimal_inconsistent_indices(masks: Sequence[int], full: int) -> tuple[int, ...]:
@@ -100,10 +103,8 @@ class ParallelRevisionOperator:
         return self.revise_masks(t, [mask_of(member, n) for member in member_sets], labels)
 
     def revise(self, t: TPO, s: FormulaSet) -> TPO:
-        n = t.num_worlds
-        check_language(s.lang, n)
-        return self.revise_masks(t, [check_mask(mask, n) for mask in s.model_masks()],
-                                 labels=[str(m) for m in s])
+        check_language(s.lang, t.num_worlds)
+        return self.revise_masks(t, s.model_masks(), labels=[str(m) for m in s])
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,8 @@ class ParallelContractionOperator:
         return self.contract_masks(t, [mask_of(member, n) for member in member_sets])
 
     def contract(self, t: TPO, s: FormulaSet) -> TPO:
-        n = t.num_worlds
-        check_language(s.lang, n)
-        return self.contract_masks(t, [check_mask(mask, n) for mask in s.model_masks()])
+        check_language(s.lang, t.num_worlds)
+        return self.contract_masks(t, s.model_masks())
 
 
 @dataclass(frozen=True)

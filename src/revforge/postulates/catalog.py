@@ -100,7 +100,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import combinations, repeat
-from operator import and_, or_
+from operator import and_, le, lt, or_
 from typing import Callable, Iterable, Sequence
 
 from ..aggregation import stq
@@ -738,21 +738,26 @@ def _lb(ctx, profile):
 
 
 def _unanimity_lost(ctx, profile, below: Callable) -> list[dict]:
-    """The pairs every member puts ``below`` (a ``TPO`` method) and the aggregate does not."""
+    """The pairs (x, y) whose ranks every member puts ``below`` (``lt`` or
+    ``le``) and the aggregate's do not.  The worlds are the orders' own,
+    so the ranks are read without ``TPO.rank``'s range check, as in
+    ``_listed``."""
     merged = ctx.aggregate(profile)
+    members, rank = [t.ranks for t in profile], merged.ranks
     worlds = range(merged.num_worlds)
     return [{"x": x, "y": y} for x in worlds for y in worlds
-            if x != y and all(below(t, x, y) for t in profile) and not below(merged, x, y)]
+            if x != y and all(below(r[x], r[y]) for r in members)
+            and not below(rank[x], rank[y])]
 
 
 @_register("SPU", "profile2", "unanimous strict preference survives aggregation")
 def _spu(ctx, profile):
-    return _unanimity_lost(ctx, profile, TPO.strictly_below)
+    return _unanimity_lost(ctx, profile, lt)
 
 
 @_register("WPU", "profile2", "unanimous weak preference survives aggregation")
 def _wpu(ctx, profile):
-    return _unanimity_lost(ctx, profile, TPO.weakly_below)
+    return _unanimity_lost(ctx, profile, le)
 
 
 @_register("Factoring", "profile2",
@@ -773,16 +778,17 @@ def _parity_expected(config) -> str:
            expected=_parity_expected)
 def _parity(ctx, profile):
     merged = ctx.aggregate(profile)
+    members, rank = [t.ranks for t in profile], merged.ranks
     worlds = range(merged.num_worlds)
     hits = []
     for x in worlds:
-        peers = [z for z in worlds if merged.compare(x, z) == 0]
+        peers = [z for z in worlds if rank[z] == rank[x]]
         for y in worlds:
-            if x == y or not merged.strictly_below(x, y):
+            if rank[x] >= rank[y]:
                 continue
-            for i, t in enumerate(profile):
-                if not any(t.strictly_below(z, y) for z in peers):
-                    hits.append({"x": x, "y": y, "member": profile[i]})
+            for t, r in zip(profile, members):
+                if not any(r[z] < r[y] for z in peers):
+                    hits.append({"x": x, "y": y, "member": t})
                     break
     return hits
 

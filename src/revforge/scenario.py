@@ -14,10 +14,12 @@ Each sentence becomes a world mask once, when the document loads, and
 run works on those masks throughout: they go to the pipeline's mask
 entry (``revise_masks``/``contract_masks``) or to a serial operator's
 ``transform``, and queries are answered with mask arithmetic on the
-order's blocks.  ``RunTrace.to_json`` writes its document in one pass,
-with the bytes of ``json.dumps(..., indent=2)``: each entry's order and
-beliefs come straight from its block masks, through a table of rendered
-world-name lists keyed by atom count, mask and depth.
+order's blocks; a compare query's world names become world indices at
+load too, and its answer reads the order's ``ranks`` unchecked.
+``RunTrace.to_json`` writes its document in one pass, with the bytes of
+``json.dumps(..., indent=2)``: each entry's order and beliefs come
+straight from its block masks, through a table of rendered world-name
+lists keyed by atom count, mask and depth.
 
 Sentences are read through one table of sentence masks, keyed by text
 and atoms.  Loading a document and replaying its trace both read
@@ -277,7 +279,7 @@ def _answer(query: dict, t: TPO, lang: Language) -> dict:
                 "answer": not best & ~query["_then_mask"]}
     if kind == "compare":
         return {"type": kind, "left": query["left_name"], "right": query["right_name"],
-                "answer": comparison_symbol(t.compare(query["left"], query["right"]))}
+                "answer": comparison_symbol(t.ranks[query["left"]] - t.ranks[query["right"]])}
     return {"type": kind, "answer": t.render(lang)}
 
 

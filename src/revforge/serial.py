@@ -4,10 +4,11 @@ Each operator maps a TPO and one input proposition to a new TPO over the
 same worlds.  Its ``transform(t, mask)``, called by the pipeline, the
 checker's rows and scenario steps, takes the input's models as a world
 mask and trusts it, as ``tpo.tpo`` trusts its blocks;
-``revise``/``contract`` convert a world set once with ``mask_of`` and
-``apply`` checks a formula's ``model_mask`` against the order, and
-rejects a language with fewer worlds than the order, whose masks would
-name other worlds.  Each transform is one kernel that walks ``t.masks``
+``revise``/``contract`` convert a world set once with ``mask_of``, and
+``apply`` reads a formula's ``model_mask`` once ``check_language`` has
+found the language as wide as the order: the mask of a formula over the
+order's own language names only worlds of the order, so it needs no
+check of its own.  Each transform is one kernel that walks ``t.masks``
 once: it finds ``min(t, mask)``, the first block that meets the mask,
 on the way, keeps the blocks the change leaves alone as they are, and
 hands its blocks to ``tpo.tpo``, the one constructor of valid orders.  A
@@ -40,7 +41,7 @@ from typing import Callable
 
 from .errors import InconsistentInputError, lookup
 from .logic import Formula, Language, model_mask
-from .tpo import TPO, check_language, check_mask, mask_of, tpo
+from .tpo import TPO, check_language, mask_of, tpo
 
 
 _NO_MODELS = "cannot revise by an inconsistent input (no models)"
@@ -134,7 +135,7 @@ class _SerialOperator:
 
     def apply(self, t: TPO, a: Formula, lang: Language) -> TPO:
         check_language(lang, t.num_worlds)
-        return self.transform(t, check_mask(model_mask(a, lang), t.num_worlds))
+        return self.transform(t, model_mask(a, lang))
 
 
 class SerialRevisionOperator(_SerialOperator):

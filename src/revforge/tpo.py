@@ -16,18 +16,31 @@ expression per world rather than one test per pair.  The order checks
 read ``world_masks`` on every sampled draw, so the lookup that fills a
 derived field tests it first, and reads the worlds of a block below 256
 from ``logic``'s byte table.
-``min_of`` and the serial operators' ``revise``/``contract`` take
-frozensets, converted once by ``mask_of``; it, ``rank`` and the
-comparisons reject worlds outside the order with ``PartitionError``.
 Equality and the hash use the masks.  The hash too is computed on first
 use and then kept, so an order that never becomes a key, as almost none
-does in a sampled sweep, never pays for it.  ``TPO(blocks)`` validates
-its argument.  Orders that the package builds are valid by
-construction: the serial kernels, aggregation, ``from_ranks``,
-``uniform``, ``rational_closure`` and the spaces' enumerator and sampler
-all skip the check through one function, ``tpo(masks, num_worlds)``,
-which refuses only an empty tuple of blocks and sets only ``masks`` and
-``num_worlds``; ``TPO._from_masks`` is that function.
+does in a sampled sweep, never pays for it.
+
+Each check on outside input is stated once, here, and applied where the
+input enters:
+
+* An order has two builders.  ``TPO(blocks)`` is the checked one, for
+  blocks from outside.  ``tpo(masks, num_worlds)`` is the trusted one,
+  for orders the package builds and knows to be valid: the serial
+  kernels, aggregation, ``from_ranks``, ``uniform``,
+  ``rational_closure`` and the spaces' enumerator and sampler.  It
+  refuses only an empty tuple of blocks and sets only ``masks`` and
+  ``num_worlds``.
+* ``mask_of`` is the one reader of a set of worlds: ``min_of``, the
+  serial operators' ``revise``/``contract`` and the pipeline's world-set
+  entries convert with it, and it raises ``PartitionError`` for a world
+  outside ``range(num_worlds)``.  ``rank`` and the comparisons check
+  their worlds the same way; code that walks an order's own worlds reads
+  ``ranks`` instead.
+* ``check_language`` is the one width rule: a formula meets an order
+  only when its language has exactly the order's worlds, and any other
+  width raises ``PartitionError``.  ``render`` and the formula entries of
+  the serial and parallel operators call it, after which a formula's
+  ``model_mask`` names only worlds of the order.
 
 Outside the package, in scenario documents and witness payloads, a set
 of worlds is a JSON list of world names and an order is a list of such
@@ -65,20 +78,12 @@ MAX_CONDITIONAL_WORLDS = 8
 _set = object.__setattr__
 
 
-def check_mask(mask: int, num_worlds: int) -> int:
-    """``mask``; PartitionError unless its worlds all lie in ``range(num_worlds)``."""
-    if mask >> num_worlds:
-        outside = sorted(worlds_of(mask >> num_worlds << num_worlds))
-        raise PartitionError(f"worlds {outside} are not in range({num_worlds})")
-    return mask
-
-
 def check_language(lang: Language, num_worlds: int) -> None:
-    """PartitionError when ``lang`` has fewer worlds than an order over
-    ``num_worlds``: its masks would pass ``check_mask`` and name worlds of
-    another language.  A wider language's masks reach past the order, and
-    ``check_mask`` rejects those."""
-    if lang.num_worlds < num_worlds:
+    """PartitionError unless ``lang`` has exactly the worlds of an order
+    over ``num_worlds``: a formula's models are worlds of its own language,
+    and read against an order of another width they would name other
+    worlds, or worlds the order does not have."""
+    if lang.num_worlds != num_worlds:
         raise PartitionError(f"language has {lang.num_worlds} worlds, preorder has {num_worlds}")
 
 
@@ -90,7 +95,10 @@ def mask_of(worlds: Iterable[int], num_worlds: int) -> int:
             mask |= 1 << world
         except (TypeError, ValueError):
             raise PartitionError(f"world {world!r} is not in range({num_worlds})") from None
-    return check_mask(mask, num_worlds)
+    if mask >> num_worlds:
+        outside = sorted(worlds_of(mask >> num_worlds << num_worlds))
+        raise PartitionError(f"worlds {outside} are not in range({num_worlds})")
+    return mask
 
 
 class TPO:
@@ -179,14 +187,12 @@ class TPO:
         return self._hash
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "TPO":
-        return cls(blocks)
-
-    @classmethod
     def uniform(cls, num_worlds: int) -> "TPO":
-        """The single-block preorder: every world equally plausible."""
-        if num_worlds < 1:
-            raise PartitionError("a total preorder needs at least one world")
+        """The single-block preorder: every world equally plausible.
+        PartitionError unless ``num_worlds`` is an int of at least 1."""
+        if type(num_worlds) is not int or num_worlds < 1:
+            raise PartitionError(
+                f"a total preorder needs an int world count of at least 1, got {num_worlds!r}")
         return tpo(((1 << num_worlds) - 1,), num_worlds)
 
     @classmethod
@@ -245,9 +251,7 @@ class TPO:
 
     def render(self, lang: Language) -> str:
         """Canonical text, e.g. ``[{10,01} < {11} < {00}]``."""
-        if lang.num_worlds != self.num_worlds:
-            raise PartitionError(
-                f"language has {lang.num_worlds} worlds, preorder has {self.num_worlds}")
+        check_language(lang, self.num_worlds)
         parts = ["{" + ",".join(lang.names_of(mask)) + "}" for mask in self.masks]
         return "[" + " < ".join(parts) + "]"
 
@@ -265,18 +269,15 @@ _set_num_worlds = TPO.num_worlds.__set__
 def tpo(masks: tuple[int, ...], num_worlds: int) -> TPO:
     """The order with block masks ``masks``, which must partition
     ``range(num_worlds)``; only emptiness is checked.  The one trusted
-    constructor: every builder of valid orders calls it.  It writes the
-    two slots through their own setters and leaves the hash and the
-    derived fields for first use."""
+    builder: every builder of orders known to be valid calls it.  It
+    writes the two slots through their own setters and leaves the hash
+    and the derived fields for first use."""
     if not masks:
         raise PartitionError("a total preorder needs at least one block")
     t = _new(TPO)
     _set_masks(t, masks)
     _set_num_worlds(t, num_worlds)
     return t
-
-
-TPO._from_masks = staticmethod(tpo)
 
 
 def comparison_symbol(diff: int) -> str:
@@ -319,21 +320,6 @@ def read_order(blocks, lang: Language) -> TPO:
     return TPO(worlds)
 
 
-Profile = tuple[TPO, ...]
-
-
-def validate_profile(profile: Sequence[TPO]) -> Profile:
-    """Check a profile is non-empty and shares one set of worlds."""
-    profile = tuple(profile)
-    if not profile:
-        raise PartitionError("a profile needs at least one preorder")
-    width = profile[0].num_worlds
-    for t in profile[1:]:
-        if t.num_worlds != width:
-            raise PartitionError("profile members must share the same worlds")
-    return profile
-
-
 def _check_conditional_width(num_worlds: int) -> None:
     if num_worlds > MAX_CONDITIONAL_WORLDS:
         raise SpaceError(f"conditional tables materialize all antecedents; "
@@ -372,11 +358,6 @@ class ConditionalSet:
         c._table = table
         return c
 
-    @classmethod
-    def from_tpo(cls, t: TPO) -> "ConditionalSet":
-        _check_conditional_width(t.num_worlds)
-        return cls._from_masks(t.num_worlds, tuple(map(t.min_mask, range(1 << t.num_worlds))))
-
     def accepts(self, antecedent: frozenset[int], consequent: frozenset[int]) -> bool:
         n = self.num_worlds
         return not self._table[mask_of(antecedent, n)] & ~mask_of(consequent, n)
@@ -412,8 +393,10 @@ class ConditionalSet:
 
 
 def conditional_set(t: TPO) -> ConditionalSet:
-    """The conditionals ``t`` accepts."""
-    return ConditionalSet.from_tpo(t)
+    """The conditionals ``t`` accepts: the table ``t.min_mask`` over every mask."""
+    _check_conditional_width(t.num_worlds)
+    return ConditionalSet._from_masks(t.num_worlds,
+                                      tuple(map(t.min_mask, range(1 << t.num_worlds))))
 
 
 def intersect_conditionals(sets: Sequence[ConditionalSet]) -> ConditionalSet:

@@ -41,6 +41,15 @@ def test_package_exports_what_the_benchmark_calls():
     assert revforge.OperatorConfig is revforge.postulates.OperatorConfig
 
 
+@pytest.mark.parametrize("package", [revforge, revforge.postulates],
+                         ids=["revforge", "revforge.postulates"])
+def test_every_export_resolves(package):
+    """A name removed from a module but left in ``__all__`` breaks
+    ``from package import *``; each listed name must be there, once."""
+    assert len(set(package.__all__)) == len(package.__all__)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
+
+
 def test_registry_lookups_and_default_pipelines():
     t = tpo({0}, {1, 2, 3})
     assert get_revision_operator("natural").name == "natural"

@@ -18,7 +18,8 @@ import pytest
 import reference_core as ref
 from revforge import (NATURAL, NATURAL_CONTRACT, REVISION_OPERATORS, STRATEGIES, TPO,
                       Aggregator, FormulaSet, Language, LanguageError,
-                      ParallelContractionOperator, ParallelRevisionOperator, Scenario,
+                      ParallelContractionOperator, ParallelRevisionOperator,
+                      PartitionError, Scenario,
                       entails, evaluate, format_formula, is_consistent, model_mask, models,
                       run_scenario)
 from revforge.logic import BOTTOM, TOP, And, Atom, Iff, Implies, Not, Or
@@ -82,10 +83,12 @@ def test_atom_masks_of_the_widest_language():
 # --- the FormulaSet and apply entry points ---
 
 def test_formula_set_entry_points_match_their_frozenset_versions():
-    """Orders, culprit labels and typed errors, including a family over a
-    wider language than the order and inconsistent families."""
+    """Orders, culprit labels and typed errors, including inconsistent
+    families.  A family over a wider language than the order raises the
+    width error from every formula entry, whatever its worlds."""
     rng = random.Random(815)
     lang2, lang3 = Language(ATOMS[:2]), Language(ATOMS[:3])
+    wider = (PartitionError, "language has 8 worlds, preorder has 4")
     for _ in range(300):
         t = TPO.from_ranks([rng.randrange(3) for _ in range(4)])
         lang = lang3 if rng.random() < 0.2 else lang2
@@ -95,15 +98,19 @@ def test_formula_set_entry_points_match_their_frozenset_versions():
         prev = ParallelRevisionOperator(rng.choice(list(REVISION_OPERATORS.values())),
                                         NATURAL, Aggregator(rng.choice(list(STRATEGIES.values()))))
         pcon = ParallelContractionOperator(NATURAL_CONTRACT, prev.aggregator)
-        assert outcome(lambda: prev.revise(t, s)) == outcome(
-            lambda: prev.revise_worlds(t, sets, labels=[str(m) for m in s]))
-        assert outcome(lambda: pcon.contract(t, s)) == outcome(
-            lambda: pcon.contract_worlds(t, sets))
+
+        def expect(call):
+            return (lambda: wider) if lang is lang3 else call
+
+        assert outcome(lambda: prev.revise(t, s)) == outcome(expect(
+            lambda: prev.revise_worlds(t, sets, labels=[str(m) for m in s])))
+        assert outcome(lambda: pcon.contract(t, s)) == outcome(expect(
+            lambda: pcon.contract_worlds(t, sets)))
         for m, sat in zip(s, sets):
-            assert outcome(lambda: prev.base.apply(t, m, lang)) == outcome(
-                lambda: prev.base.revise(t, sat))
-            assert outcome(lambda: NATURAL_CONTRACT.apply(t, m, lang)) == outcome(
-                lambda: NATURAL_CONTRACT.contract(t, sat))
+            assert outcome(lambda: prev.base.apply(t, m, lang)) == outcome(expect(
+                lambda: prev.base.revise(t, sat)))
+            assert outcome(lambda: NATURAL_CONTRACT.apply(t, m, lang)) == outcome(expect(
+                lambda: NATURAL_CONTRACT.contract(t, sat)))
 
 
 # --- scenario runs ---

@@ -217,14 +217,23 @@ def test_default_operator_configs():
 
 
 @pytest.mark.parametrize("entry", [
-    lambda t, lang: NATURAL.apply(t, parse_formula("p", lang), lang),
-    lambda t, lang: default_parallel_revision().revise(t, FormulaSet.parse(["p", "q"], lang)),
-    lambda t, lang: default_parallel_contraction().contract(t, FormulaSet.parse(["p"], lang)),
+    lambda t, lang, texts: NATURAL.apply(t, parse_formula(texts[0], lang), lang),
+    lambda t, lang, texts: default_parallel_revision().revise(t, FormulaSet.parse(texts, lang)),
+    lambda t, lang, texts: default_parallel_contraction().contract(
+        t, FormulaSet.parse(texts, lang)),
 ], ids=["apply", "revise", "contract"])
 def test_a_language_narrower_than_the_order_is_rejected(entry):
-    """Over 4 worlds, ``p`` names worlds 2 and 3 of a 2-atom language; read
-    against an 8-world order they would be worlds of another language."""
-    lang = Language(("p", "q"))
+    """A formula meets an order only over a language of the order's width.
+    Over 4 worlds, ``p`` names worlds 2 and 3 of a 2-atom language; read
+    against an 8-world order they would be worlds of another language.
+    Over 8 worlds, ``~p & ~q`` names worlds 0 and 1, inside a 4-world
+    order, and ``p`` names worlds 4 to 7, past it: a wider language is
+    rejected too, whether or not its masks fit."""
+    narrow, wide = Language(("p", "q")), Language(("p", "q", "r"))
     with pytest.raises(PartitionError, match="language has 4 worlds, preorder has 8"):
-        entry(TPO.uniform(8), lang)
-    assert entry(TPO.uniform(4), lang).num_worlds == 4
+        entry(TPO.uniform(8), narrow, ["p", "q"])
+    for texts in (["~p & ~q"], ["p", "q"]):
+        with pytest.raises(PartitionError, match="language has 8 worlds, preorder has 4"):
+            entry(TPO.uniform(4), wide, texts)
+    assert entry(TPO.uniform(4), narrow, ["p", "q"]).num_worlds == 4
+    assert entry(TPO.uniform(8), wide, ["p", "q"]).num_worlds == 8

@@ -252,10 +252,8 @@ def test_lex_is_a_refinement_merge(seed):
         t, tuple(mask_of(m, 4) for m in (worlds,))),
     lambda t, worlds: CheckContext(language(2), OperatorConfig()).pcontract(
         t, tuple(mask_of(m, 4) for m in (worlds,))),
-    # a formula over a wider language: the 3-atom ``A`` has worlds past 3
-    lambda t, worlds: NATURAL.apply(t, parse_formula("A", language(3)), language(3)),
 ], ids=["min_of", "natural", "lex", "restrained", "natural-contract", "revise_worlds",
-        "contract_worlds", "context-previse", "context-pcontract", "apply"])
+        "contract_worlds", "context-previse", "context-pcontract"])
 def test_worlds_outside_the_order_raise_partition_error(call, worlds):
     with pytest.raises(PartitionError, match=r"not in range\(4\)"):
         call(tpo({0}, {1, 2, 3}), worlds)

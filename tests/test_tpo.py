@@ -15,7 +15,7 @@ import reference_core as ref
 from revforge import (NATURAL, ConditionalSet, InstanceSpace, PartitionError, TPO,
                       UnsatisfiableConditionalsError, conditional_set,
                       intersect_conditionals, rational_closure)
-from revforge.tpo import validate_profile, worlds_of
+from revforge.tpo import tpo as trusted_tpo, worlds_of
 from revforge.postulates import enumerate_tpos
 
 from conftest import tpo
@@ -31,7 +31,12 @@ def test_blocks_normalize_to_frozensets():
 def test_uniform_and_from_ranks():
     assert TPO.uniform(4) == tpo({0, 1, 2, 3})
     assert TPO.from_ranks([5, 2, 5, 0]) == tpo({3}, {1}, {0, 2})
-    assert TPO.from_blocks([[1], [0]]) == tpo({1}, {0})
+
+
+@pytest.mark.parametrize("count", [2.0, True, False, "3", None, 0, -1])
+def test_uniform_needs_an_int_world_count(count):
+    with pytest.raises(PartitionError, match="int world count of at least 1"):
+        TPO.uniform(count)
 
 
 @pytest.mark.parametrize("blocks", [
@@ -56,7 +61,7 @@ def test_equality_and_hash_use_blocks_only():
     # whichever way the order was built and whatever was read before it
     makers = {
         "TPO": lambda: TPO([{1}, {0, 2}, {3}]),
-        "_from_masks": lambda: TPO._from_masks((0b0010, 0b0101, 0b1000), 4),
+        "tpo.tpo": lambda: trusted_tpo((0b0010, 0b0101, 0b1000), 4),
         "uniform": lambda: TPO.uniform(4),
         "from_ranks": lambda: TPO.from_ranks([1, 0, 1, 2]),
         "serial": lambda: NATURAL.revise(TPO.uniform(4), {1}),
@@ -109,15 +114,6 @@ def test_render_sorts_worlds_within_blocks(lang2):
     t = tpo({2, 1}, {3}, {0})
     assert t.render(lang2) == "[{01,10} < {11} < {00}]"
     assert TPO.uniform(4).render(lang2) == "[{00,01,10,11}]"
-
-
-def test_validate_profile():
-    t = tpo({0, 1, 2, 3})
-    assert validate_profile([t, t]) == (t, t)
-    with pytest.raises(PartitionError):
-        validate_profile([])
-    with pytest.raises(PartitionError):
-        validate_profile([t, TPO.uniform(2)])
 
 
 # --- enumeration oracle ---
