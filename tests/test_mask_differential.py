@@ -7,7 +7,8 @@ and answers queries on masks, must give the entries of
 ``reference_core.scenario_entries``, which steps through
 ``revise_worlds``/``contract_worlds`` on frozensets, on seeded 4-atom
 documents.  The ``FormulaSet`` and ``apply`` entry points must give the
-orders, culprit labels and typed errors of their frozenset versions.
+orders, culprit labels and typed errors of their frozenset versions over
+a language of the order's width, and the width error over a wider one.
 """
 
 import json
