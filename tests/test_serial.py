@@ -240,7 +240,7 @@ def test_lex_is_a_refinement_merge(seed):
 
 @pytest.mark.parametrize("worlds", [frozenset({1, 7}), frozenset({-1, 2})],
                          ids=["above-range", "negative"])
-@pytest.mark.parametrize("call", [
+@pytest.mark.parametrize("call, message", [(call, r"not in range\(4\)") for call in (
     TPO.min_of,
     NATURAL.revise,
     LEX.revise,
@@ -252,8 +252,13 @@ def test_lex_is_a_refinement_merge(seed):
         t, tuple(mask_of(m, 4) for m in (worlds,))),
     lambda t, worlds: CheckContext(language(2), OperatorConfig()).pcontract(
         t, tuple(mask_of(m, 4) for m in (worlds,))),
+)] + [
+    # a formula over a wider language: the 3-atom ``A`` has worlds past 3,
+    # and the width rule rejects the language before any mask is read
+    (lambda t, worlds: NATURAL.apply(t, parse_formula("A", language(3)), language(3)),
+     "language has 8 worlds, preorder has 4"),
 ], ids=["min_of", "natural", "lex", "restrained", "natural-contract", "revise_worlds",
-        "contract_worlds", "context-previse", "context-pcontract"])
-def test_worlds_outside_the_order_raise_partition_error(call, worlds):
-    with pytest.raises(PartitionError, match=r"not in range\(4\)"):
+        "contract_worlds", "context-previse", "context-pcontract", "apply"])
+def test_worlds_outside_the_order_raise_partition_error(call, message, worlds):
+    with pytest.raises(PartitionError, match=message):
         call(tpo({0}, {1, 2, 3}), worlds)
