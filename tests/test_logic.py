@@ -174,6 +174,43 @@ def test_print_parse_fixpoint_random(f):
     assert parse_formula(format_formula(f), lang) == f
 
 
+BINARY = (And, Or, Implies, Iff)
+
+
+def nested_pairs(outer, inner):
+    """The five shapes that nest ``inner`` (and negation) under ``outer``."""
+    a, b, c = Atom("A"), Atom("B"), Atom("C")
+    return (outer(inner(a, b), c), outer(a, inner(b, c)), Not(outer(a, b)),
+            outer(Not(a), b), outer(a, Not(inner(b, c))))
+
+
+def paren_pairs(text):
+    """The (open, close) offsets of each matching pair of parentheses."""
+    pairs, opened = [], []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")":
+            pairs.append((opened.pop(), i))
+    return pairs
+
+
+@pytest.mark.parametrize("outer", BINARY, ids=lambda node: node.__name__)
+@pytest.mark.parametrize("inner", BINARY, ids=lambda node: node.__name__)
+def test_printing_uses_the_fewest_parentheses(lang3, outer, inner):
+    # every pair the printer writes is needed: without it the text reads
+    # as another tree or does not parse
+    for f in nested_pairs(outer, inner):
+        text = format_formula(f)
+        assert parse_formula(text, lang3) == f
+        for left, right in paren_pairs(text):
+            bare = text[:left] + text[left + 1:right] + text[right + 1:]
+            try:
+                assert parse_formula(bare, lang3) != f, (text, bare)
+            except ParseError:
+                pass
+
+
 @given(formulas(("A", "B")))
 def test_models_agree_with_pointwise_evaluation(f):
     lang = Language(("A", "B"))
