@@ -16,11 +16,15 @@ mask with bit w set for world w; at the public edge it is a
 
 Formulas are immutable trees built from atoms, negation, conjunction,
 disjunction, implication, biconditional, and the constants verum and
-falsum.  ``parse_formula`` reads the ASCII syntax ``~ & | -> <->`` with
-``T``/``F`` for the constants; ``str()`` pretty-prints with minimal
-parentheses, and parse -> print -> parse is a fixpoint.  The tokenizer
-scans the text in one ``findall``; character positions are worked out
-only for the message of a ``ParseError``.
+falsum.  ``parse_formula`` reads the ASCII syntax ``~ & | -> <->``,
+tightest binder first, with ``T``/``F`` for the constants; ``&`` and
+``|`` group to the left, ``->`` and ``<->`` to the right.  One table,
+``_CONNECTIVES``, states each binary connective's symbol, precedence and
+grouping for both the parser and ``format_formula``.  ``str()``
+pretty-prints with the fewest parentheses, and parse -> print -> parse
+is a fixpoint.  The tokenizer scans the text in one ``findall``;
+character positions are worked out only for the message of a
+``ParseError``.
 
 ``model_mask`` is the one structural route from a formula to its
 proposition: bitwise algebra on masks, starting from the atom masks
@@ -257,6 +261,13 @@ def atoms_of(formula: Formula) -> frozenset[str]:
 
 # --- parsing ---
 
+# the binary connectives, loosest first: (node, symbol, right-associative);
+# a row's index is its precedence level, for the parser and the printer
+_CONNECTIVES = ((Iff, "<->", True), (Implies, "->", True), (Or, "|", False), (And, "&", False))
+# each row with the level its operands parse at, None below the tightest
+_LEVELS = tuple((*row, level + 1 if level + 1 < len(_CONNECTIVES) else None)
+                for level, row in enumerate(_CONNECTIVES))
+
 _TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|<->|->|~|&|\||\(|\))")
 
 
@@ -282,8 +293,11 @@ def _tokenize(text: str) -> list[str]:
 class _Parser:
     """Recursive descent over the grammar, loosest binder first.
 
-    Precedence, tightest to loosest: ~  &  |  ->  <->.  Both arrows are
-    right-associative; & and | associate to the left.
+    Precedence, tightest to loosest: ~  &  |  ->  <->.  & and | group to
+    the left; both arrows group to the right.  ``binary`` reads the levels
+    of the four connectives from ``_CONNECTIVES``; below the tightest,
+    ``unary`` reads negation and ``primary`` atoms, constants and
+    parenthesized formulas.  A level of parentheses costs six frames.
     """
 
     def __init__(self, text: str, lang: Language):
@@ -297,41 +311,24 @@ class _Parser:
         starts = [match.start(1) for match in _TOKEN.finditer(self.text)]
         return ParseError(message, (starts + [len(self.text)])[index])
 
-    def expect_op(self, value: str) -> bool:
-        if self.tokens[self.pos] == value:
-            self.pos += 1
-            return True
-        return False
-
     def parse(self) -> Formula:
-        formula = self.iff()
+        formula = self.binary(0)
         tok = self.tokens[self.pos]
         if tok:
             raise self.error(f"unexpected {tok!r}", self.pos)
         return formula
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.expect_op("<->"):
-            return Iff(left, self.iff())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.expect_op("->"):
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        formula = self.conjunction()
-        while self.expect_op("|"):
-            formula = Or(formula, self.conjunction())
-        return formula
-
-    def conjunction(self) -> Formula:
-        formula = self.unary()
-        while self.expect_op("&"):
-            formula = And(formula, self.unary())
+    def binary(self, level: int) -> Formula:
+        """A formula at ``level``: operands of the level's connective parse
+        at the next level, and a right-associative connective parses its
+        right side at its own."""
+        node, symbol, right_assoc, tighter = _LEVELS[level]
+        formula = self.unary() if tighter is None else self.binary(tighter)
+        while self.tokens[self.pos] == symbol:
+            self.pos += 1
+            if right_assoc:
+                return node(formula, self.binary(level))
+            formula = node(formula, self.unary() if tighter is None else self.binary(tighter))
         return formula
 
     def unary(self) -> Formula:
@@ -352,7 +349,7 @@ class _Parser:
                 raise self.error(f"unknown atom {tok!r}", self.pos - 1)
             return Atom(tok)
         if tok == "(":
-            formula = self.iff()
+            formula = self.binary(0)
             if self.tokens[self.pos] != ")":
                 raise self.error("expected ')'", self.pos)
             self.pos += 1
@@ -379,7 +376,10 @@ def parse_formula(text: str, lang: Language) -> Formula:
     raises ``ParseError`` at position 0, whatever the depth of the
     caller's stack, and so does a tree deeper than ``MAX_FORMULA_DEPTH``,
     such as a long chain of ``&``, which the parser builds in a loop.
+    Text that is not a ``str`` raises ``ParseError`` at position 0 too.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"expected a formula string, got {type(text).__name__}", 0)
     parser = _Parser(text, lang)
     try:
         formula = parser.parse()
@@ -393,12 +393,13 @@ def parse_formula(text: str, lang: Language) -> Formula:
 
 # --- pretty printing ---
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
-_SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
+# negation binds one level tighter than the tightest connective, atoms
+# and constants tighter still
+_PREC = {node: level for level, (node, _, _) in enumerate(_CONNECTIVES)} | {Not: len(_CONNECTIVES)}
 
 
 def _prec(formula: Formula) -> int:
-    return _PREC.get(type(formula), 6)
+    return _PREC.get(type(formula), len(_CONNECTIVES) + 1)
 
 
 def format_formula(formula: Formula) -> str:
@@ -415,20 +416,14 @@ def format_formula(formula: Formula) -> str:
             inner = f"({inner})"
         return f"~{inner}"
     prec = _prec(formula)
-    symbol = _SYMBOL[type(formula)]
+    _, symbol, right_assoc = _CONNECTIVES[prec]
     left, right = format_formula(formula.left), format_formula(formula.right)
-    if isinstance(formula, (And, Or)):
-        # left-associative: parenthesize an equal-precedence right child
-        if _prec(formula.left) < prec:
-            left = f"({left})"
-        if _prec(formula.right) <= prec:
-            right = f"({right})"
-    else:
-        # right-associative: parenthesize an equal-precedence left child
-        if _prec(formula.left) <= prec:
-            left = f"({left})"
-        if _prec(formula.right) < prec:
-            right = f"({right})"
+    # a child that binds looser is parenthesized, and so is one that binds
+    # equally on the side the connective does not group to
+    if _prec(formula.left) < prec + right_assoc:
+        left = f"({left})"
+    if _prec(formula.right) < prec + (not right_assoc):
+        right = f"({right})"
     return f"{left} {symbol} {right}"
 
 
@@ -545,6 +540,10 @@ class FormulaSet:
 
     @classmethod
     def parse(cls, texts: Iterable[str], lang: Language) -> "FormulaSet":
+        """The formulas of ``texts``, in order; ``ParseError`` for a bare
+        ``str``, which would otherwise be read one character at a time."""
+        if isinstance(texts, str):
+            raise ParseError("expected a collection of formula strings, got one str", 0)
         return cls(lang, (parse_formula(text, lang) for text in texts))
 
     def __iter__(self) -> Iterator[Formula]:

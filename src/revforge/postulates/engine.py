@@ -88,8 +88,10 @@ from .spaces import (MAX_EXHAUSTIVE_ATOMS, InstanceSpace, decode_instance, encod
 
 # plans a sweep keeps at most
 _MEMO = 150_000
-# rows kept per row table: all 75 two-atom orders fit, and sampled
-# sweeps, whose orders rarely repeat, stay bounded
+# entries kept per row table, aggregator memo and order-keyed table.  Only
+# contexts over at most 4 worlds keep rows, so a row table never holds
+# more than the 75 two-atom orders; on exhaustive 2-atom sweeps only the
+# aggregator memo fills to this bound
 _ROWS = 4096
 # masks the follow-up memo holds at most: an entry holds one per
 # consistent mask, so the more worlds, the fewer orders it keeps

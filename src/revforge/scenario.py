@@ -476,7 +476,11 @@ def run_scenario(scenario: Scenario) -> RunTrace:
             else:
                 t = scenario.contraction.transform(t, masks[0])
         except InconsistentInputError as exc:
-            raise InconsistentInputError(f"step {i} ({step.label()}): {exc}") from exc
+            # the message already names the culprits, so they are set
+            # after it is built rather than passed, which would name them twice
+            error = InconsistentInputError(f"step {i} ({step.label()}): {exc}")
+            error.culprits = exc.culprits
+            raise error from exc
         note = ""
         if order_sensitive and step.op in _SET_OPS and len(set(masks)) > 1:
             note = (f"{scenario.aggregator.name} takes the sentences in file order; "

@@ -113,6 +113,19 @@ def test_parse_error_reports_position(lang2):
         parse_formula("A B", lang2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda lang: parse_formula(5, lang), "expected a formula string, got int"),
+    (lambda lang: parse_formula(None, lang), "expected a formula string, got NoneType"),
+    (lambda lang: parse_formula(b"A", lang), "expected a formula string, got bytes"),
+    (lambda lang: FormulaSet.parse("A & B", lang), "got one str"),
+    (lambda lang: FormulaSet.parse("A", lang), "got one str"),
+], ids=["int", "none", "bytes", "set-of-one-str", "set-of-one-atom-str"])
+def test_text_that_is_not_a_string_raises_parse_error(lang2, call, message):
+    with pytest.raises(ParseError, match=message) as err:
+        call(lang2)
+    assert err.value.position == 0
+
+
 @pytest.mark.parametrize("text", ["(" * 170 + "A" + ")" * 170, "~" * 3000 + "A"],
                          ids=["170-parens", "3000-negations"])
 def test_nesting_too_deep_to_parse_raises_parse_error(lang2, text):

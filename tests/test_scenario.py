@@ -310,6 +310,15 @@ def test_inconsistent_revision_step_names_the_step():
     assert "minimal inconsistent subset" in msg
 
 
+def test_a_failed_step_keeps_the_culprits_of_its_cause():
+    doc = {**BASE, "steps": [{"op": "revise-set", "sentences": ["A", "~A", "B"]}]}
+    with pytest.raises(InconsistentInputError) as err:
+        make(doc)
+    assert err.value.culprits == err.value.__cause__.culprits == ("A", "~A")
+    assert str(err.value) == ("step 1 (revise-set {A, ~A, B}): cannot revise by a set whose "
+                              "conjunction is inconsistent; minimal inconsistent subset: {A, ~A}")
+
+
 # -- graphviz export ----------------------------------------------------------
 
 
