@@ -13,7 +13,7 @@ countermodels.
 from .aggregation import (Aggregator, FIRST_THEN_FULL_STRATEGY, ROUND_ROBIN_STRATEGY,
                           STQ_STRATEGY, STRATEGIES, SelectionStrategy, make_strategy,
                           stq)
-from .errors import (InconsistentInputError, LanguageError, ParseError,
+from .errors import (FormulaError, InconsistentInputError, LanguageError, ParseError,
                      PartitionError, RevforgeError, ScenarioError, SpaceError,
                      UnknownOperatorError, UnknownPostulateError,
                      UnsatisfiableConditionalsError)
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Aggregator", "BOTTOM", "CATALOG", "CONTRACTION_OPERATORS", "CheckContext",
     "CheckReport", "ConditionalSet", "EQUIVALENCE_PAIRS",
-    "FIRST_THEN_FULL_STRATEGY", "Formula", "FormulaSet",
+    "FIRST_THEN_FULL_STRATEGY", "Formula", "FormulaError", "FormulaSet",
     "InconsistentInputError", "InstanceSpace", "LEX", "Language",
     "LanguageError", "NATURAL", "NATURAL_CONTRACT", "OperatorConfig",
     "ParallelContractionOperator", "ParallelRevisionOperator", "ParseError",

@@ -20,6 +20,14 @@ class ParseError(RevforgeError):
         self.position = position
 
 
+class FormulaError(RevforgeError, TypeError):
+    """Raised where a formula object is expected and another value is given.
+
+    It is a ``TypeError`` too, as the bare error it replaces was, so
+    callers that catch ``TypeError`` keep working.
+    """
+
+
 class LanguageError(RevforgeError):
     """Raised for malformed languages or worlds outside the language."""
 

@@ -26,6 +26,15 @@ is a fixpoint.  The tokenizer scans the text in one ``findall``;
 character positions are worked out only for the message of a
 ``ParseError``.
 
+The one parser, ``_Parser``, takes what it builds as an argument: the
+node for an atom, a negation, ``T``, ``F`` and each connective.
+``parse_formula`` passes the tree nodes.  The scenario loader passes
+bitwise operations on world masks, so a sentence becomes its mask with
+no tree in between; a text of more than ``MAX_FORMULA_DEPTH`` tokens,
+the only kind whose tree can break the depth bound, and one nested too
+deeply for the stack, still go through ``parse_formula``.  A value
+given where a formula object is expected raises ``FormulaError``.
+
 ``model_mask`` is the one structural route from a formula to its
 proposition: bitwise algebra on masks, starting from the atom masks
 each ``Language`` keeps.  ``models``, ``entails``, ``is_consistent`` and
@@ -41,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
-from .errors import LanguageError, ParseError
+from .errors import FormulaError, LanguageError, ParseError
 
 MAX_ATOMS = 16
 # nodes on the longest path of a tree ``parse_formula`` returns: walks that
@@ -264,9 +273,19 @@ def atoms_of(formula: Formula) -> frozenset[str]:
 # the binary connectives, loosest first: (node, symbol, right-associative);
 # a row's index is its precedence level, for the parser and the printer
 _CONNECTIVES = ((Iff, "<->", True), (Implies, "->", True), (Or, "|", False), (And, "&", False))
-# each row with the level its operands parse at, None below the tightest
-_LEVELS = tuple((*row, level + 1 if level + 1 < len(_CONNECTIVES) else None)
-                for level, row in enumerate(_CONNECTIVES))
+
+
+def _levels(nodes: Iterable) -> tuple:
+    """The parser's levels: each ``_CONNECTIVES`` row with its node taken
+    from ``nodes``, and the level its operands parse at, None below the
+    tightest."""
+    return tuple((node, symbol, right_assoc, level + 1 if level + 1 < len(_CONNECTIVES) else None)
+                 for level, (node, (_, symbol, right_assoc)) in enumerate(zip(nodes, _CONNECTIVES)))
+
+
+# what ``parse_formula`` builds: from an atom name, from a negated operand,
+# for T and for F, and at each level
+_TREE = (Atom, Not, TOP, BOTTOM, _levels(node for node, _, _ in _CONNECTIVES))
 
 _TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|<->|->|~|&|\||\(|\))")
 
@@ -298,13 +317,22 @@ class _Parser:
     of the four connectives from ``_CONNECTIVES``; below the tightest,
     ``unary`` reads negation and ``primary`` atoms, constants and
     parenthesized formulas.  A level of parentheses costs six frames.
+
+    ``build`` holds what the parser builds: ``(atom, negation, top,
+    bottom, levels)``, where ``atom`` maps a known atom name to its node,
+    ``negation`` an operand to its negation, ``top`` and ``bottom`` are
+    the nodes of ``T`` and ``F``, and ``levels`` comes from ``_levels``.
+    ``parse_formula`` passes ``_TREE``; the scenario loader passes mask
+    operations.  The grammar, the frames and every ``ParseError`` are the
+    same for both.
     """
 
-    def __init__(self, text: str, lang: Language):
+    def __init__(self, text: str, lang: Language, build: tuple):
         self.text = text
         self.tokens = _tokenize(text)
         self.lang = lang
         self.pos = 0
+        self.atom, self.negation, self.top, self.bottom, self.levels = build
 
     def error(self, message: str, index: int) -> ParseError:
         """``ParseError`` at token ``index``, the only place offsets are found."""
@@ -322,7 +350,7 @@ class _Parser:
         """A formula at ``level``: operands of the level's connective parse
         at the next level, and a right-associative connective parses its
         right side at its own."""
-        node, symbol, right_assoc, tighter = _LEVELS[level]
+        node, symbol, right_assoc, tighter = self.levels[level]
         formula = self.unary() if tighter is None else self.binary(tighter)
         while self.tokens[self.pos] == symbol:
             self.pos += 1
@@ -334,27 +362,26 @@ class _Parser:
     def unary(self) -> Formula:
         if self.tokens[self.pos] == "~":
             self.pos += 1
-            return Not(self.unary())
+            return self.negation(self.unary())
         return self.primary()
 
     def primary(self) -> Formula:
         tok = self.tokens[self.pos]
         self.pos += 1
-        if tok[:1].isalpha():
-            if tok == "T":
-                return TOP
-            if tok == "F":
-                return BOTTOM
-            if tok not in self.lang._index:
-                raise self.error(f"unknown atom {tok!r}", self.pos - 1)
-            return Atom(tok)
+        if tok in self.lang._index:
+            return self.atom(tok)
         if tok == "(":
             formula = self.binary(0)
             if self.tokens[self.pos] != ")":
                 raise self.error("expected ')'", self.pos)
             self.pos += 1
             return formula
-        raise self.error(f"expected a formula, found {tok!r}" if tok else "unexpected end of input",
+        if tok == "T":
+            return self.top
+        if tok == "F":
+            return self.bottom
+        raise self.error(f"unknown atom {tok!r}" if tok[:1].isalpha() else
+                         f"expected a formula, found {tok!r}" if tok else "unexpected end of input",
                          self.pos - 1)
 
 
@@ -380,7 +407,7 @@ def parse_formula(text: str, lang: Language) -> Formula:
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a formula string, got {type(text).__name__}", 0)
-    parser = _Parser(text, lang)
+    parser = _Parser(text, lang, _TREE)
     try:
         formula = parser.parse()
     except RecursionError:
@@ -415,7 +442,9 @@ def format_formula(formula: Formula) -> str:
         if _prec(formula.operand) < _PREC[Not]:
             inner = f"({inner})"
         return f"~{inner}"
-    prec = _prec(formula)
+    prec = _PREC.get(type(formula))
+    if prec is None:
+        raise FormulaError(f"not a formula: {formula!r}")
     _, symbol, right_assoc = _CONNECTIVES[prec]
     left, right = format_formula(formula.left), format_formula(formula.right)
     # a child that binds looser is parenthesized, and so is one that binds
@@ -447,7 +476,7 @@ def evaluate(formula: Formula, world: int, lang: Language) -> bool:
         return True
     if isinstance(formula, Falsum):
         return False
-    raise TypeError(f"not a formula: {formula!r}")
+    raise FormulaError(f"not a formula: {formula!r}")
 
 
 def model_mask(formula: Formula, lang: Language) -> int:
@@ -474,7 +503,7 @@ def model_mask(formula: Formula, lang: Language) -> int:
         return lang._full_mask
     if isinstance(formula, Falsum):
         return 0
-    raise TypeError(f"not a formula: {formula!r}")
+    raise FormulaError(f"not a formula: {formula!r}")
 
 
 def models(formula: Formula, lang: Language) -> frozenset[int]:
@@ -533,17 +562,19 @@ class FormulaSet:
         seen: list[Formula] = []
         for member in members:
             if not isinstance(member, Formula):
-                raise TypeError(f"not a formula: {member!r}")
+                raise FormulaError(f"not a formula: {member!r}")
             if member not in seen:
                 seen.append(member)
         self.members = tuple(seen)
 
     @classmethod
     def parse(cls, texts: Iterable[str], lang: Language) -> "FormulaSet":
-        """The formulas of ``texts``, in order; ``ParseError`` for a bare
-        ``str``, which would otherwise be read one character at a time."""
-        if isinstance(texts, str):
-            raise ParseError("expected a collection of formula strings, got one str", 0)
+        """The formulas of ``texts``, in order.  ``ParseError`` at position 0
+        for a bare ``str``, which would otherwise be read one character at
+        a time, and for a value that is not iterable, such as ``None``."""
+        if isinstance(texts, str) or not isinstance(texts, Iterable):
+            got = "one str" if isinstance(texts, str) else type(texts).__name__
+            raise ParseError(f"expected a collection of formula strings, got {got}", 0)
         return cls(lang, (parse_formula(text, lang) for text in texts))
 
     def __iter__(self) -> Iterator[Formula]:

@@ -9,10 +9,15 @@ answers after every step.  Traces serialize deterministically and can
 be rendered as plain text or as a Graphviz document with one cluster
 per stage.
 
-Each sentence becomes a world mask once, when the document loads, and
-``Step.masks`` and the believes/conditional queries keep only the mask.  A
-run works on those masks throughout: they go to the pipeline's mask
-entry (``revise_masks``/``contract_masks``) or to a serial operator's
+Each sentence becomes a world mask once, when the document loads: the
+formula parser runs with bitwise operations in place of tree nodes
+(``_parsed``), so a load builds no formula tree, and an ``initial``
+order is read straight into block masks.  ``Step.masks`` and the
+believes/conditional queries keep only the mask.  The location in an
+error, such as ``steps[2].sentences[1]``, is a format string and its
+indices until a check fails, and is written only then.  A run works on
+those masks throughout: they go to the pipeline's mask entry
+(``revise_masks``/``contract_masks``) or to a serial operator's
 ``transform``, and queries are answered with mask arithmetic on the
 order's blocks; a compare query's world names become world indices at
 load too, and its answer reads the order's ``ranks`` unchecked.
@@ -79,11 +84,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_, invert, or_
 from pathlib import Path
 
 from .aggregation import Aggregator
 from .errors import InconsistentInputError, ParseError, RevforgeError, ScenarioError
-from .logic import Language, ascending_worlds, model_mask, parse_formula, shared_language
+from .logic import (MAX_FORMULA_DEPTH, Language, _levels, _Parser, ascending_worlds, model_mask,
+                    parse_formula, shared_language)
 from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from .serial import SerialContractionOperator, SerialRevisionOperator
 from .tpo import TPO, comparison_symbol, read_order
@@ -92,6 +99,7 @@ SCHEMA_VERSION = 1
 
 _SET_OPS = ("revise-set", "contract-set")
 _SERIAL_OPS = ("serial-revise", "serial-contract")
+_OPS = _SET_OPS + _SERIAL_OPS
 _QUERY_TYPES = ("believes", "conditional", "compare", "show-tpo")
 
 # the ``operators`` keys and the ``OperatorConfig`` fields they set
@@ -102,59 +110,85 @@ _SENTENCES = 1024
 _NAME_LISTS = 1024
 
 
+# ``logic._Parser``'s builders for world masks, after the atom masks: the
+# algebra runs over every bit, so a negation sets the bits above the
+# worlds too, and ``_parsed`` cuts them off once, at the end
+_MASKS = (invert, -1, 0, _levels((lambda l, r: ~(l ^ r), lambda l, r: ~l | r, or_, and_)))
+
+
 @lru_cache(maxsize=_SENTENCES)
 def _parsed(text: str, atoms: tuple[str, ...]) -> int:
-    """The ``model_mask`` of ``text`` parsed over ``atoms``.  A failed parse
-    is not kept, so a bad sentence is parsed, and reported, wherever it is read."""
+    """The ``model_mask`` of ``text`` parsed over ``atoms``.
+
+    The parser builds the mask itself, with no tree in between, and
+    raises the ``ParseError`` that ``parse_formula`` would.  Two kinds of
+    text take the tree route instead: one of more than
+    ``MAX_FORMULA_DEPTH`` tokens, the only kind that can break the depth
+    bound, and one nested too deeply for the interpreter's stack, so both
+    fail as ``parse_formula`` words it.  A failed parse is not kept, so a
+    bad sentence is parsed, and reported, wherever it is read.
+    """
     lang = shared_language(atoms)
+    try:
+        parser = _Parser(text, lang, (lang._atom_masks.__getitem__, *_MASKS))
+        if len(parser.tokens) <= MAX_FORMULA_DEPTH:
+            return parser.parse() & lang._full_mask
+    except RecursionError:
+        pass
     return model_mask(parse_formula(text, lang), lang)
 
 
 def _expect(condition: bool, where: str, message: str, *args) -> None:
-    """``ScenarioError`` unless ``condition``; ``message`` is a format
-    string for ``args``, filled in only when the check fails."""
+    """``ScenarioError`` unless ``condition``.  ``where`` and ``message``
+    are format strings for ``args``, in that order, filled in only when
+    the check fails."""
     if not condition:
-        raise ScenarioError(f"{where}: {message.format(*args)}")
+        raise ScenarioError(f"{where}: {message}".format(*args))
 
 
-def _list(data: dict, key: str, where: str) -> list:
+def _list(data: dict, key: str, where: str, *args) -> list:
     value = data.get(key, [])
-    _expect(isinstance(value, list), where, "{!r} must be a list", key)
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where.format(*args)}: {key!r} must be a list")
     return value
 
 
-def _parse_sentence(text, lang: Language, where: str) -> int:
-    """The ``model_mask`` of ``parse_formula(text, lang)``, from ``_parsed``."""
-    _expect(isinstance(text, str), where, "expected a sentence string, got {!r}", text)
+def _parse_sentence(text, lang: Language, where: str, *args) -> int:
+    """The ``model_mask`` of ``parse_formula(text, lang)``, from ``_parsed``;
+    ``where`` is a format string for ``args``, filled in on failure."""
+    if not isinstance(text, str):
+        raise ScenarioError(f"{where.format(*args)}: expected a sentence string, got {text!r}")
     try:
         return _parsed(text, lang.atoms)
     except ParseError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        raise ScenarioError(f"{where.format(*args)}: {exc}") from exc
 
 
-def _validate_query(query, lang: Language, where: str) -> dict:
-    _expect(isinstance(query, dict), where, "each query must be an object")
+def _validate_query(query, lang: Language, where: str, *args) -> dict:
+    if not isinstance(query, dict):
+        raise ScenarioError(f"{where.format(*args)}: each query must be an object")
     kind = query.get("type")
     if kind not in _QUERY_TYPES:
-        raise ScenarioError(f"{where}: unknown query type {kind!r} "
+        raise ScenarioError(f"{where.format(*args)}: unknown query type {kind!r} "
                             f"(expected one of {', '.join(_QUERY_TYPES)})")
     out = {"type": kind}
     if kind == "believes":
         out["sentence"] = query.get("sentence")
-        out["_mask"] = _parse_sentence(out["sentence"], lang, where)
+        out["_mask"] = _parse_sentence(out["sentence"], lang, where, *args)
     elif kind == "conditional":
         out["given"] = query.get("given")
         out["then"] = query.get("then")
-        out["_given_mask"] = _parse_sentence(out["given"], lang, f"{where} (given)")
-        out["_then_mask"] = _parse_sentence(out["then"], lang, f"{where} (then)")
+        out["_given_mask"] = _parse_sentence(out["given"], lang, where + " (given)", *args)
+        out["_then_mask"] = _parse_sentence(out["then"], lang, where + " (then)", *args)
     elif kind == "compare":
         for side in ("left", "right"):
             name = query.get(side)
-            _expect(isinstance(name, str), where, "compare query needs a {!r} world name", side)
+            _expect(isinstance(name, str), where, "compare query needs a {!r} world name",
+                    *args, side)
             try:
                 out[side] = lang.world_from_name(name)
             except Exception as exc:
-                raise ScenarioError(f"{where}: {exc}") from exc
+                raise ScenarioError(f"{where.format(*args)}: {exc}") from exc
             out[f"{side}_name"] = name
     return out
 
@@ -222,30 +256,29 @@ class Scenario:
             raise ScenarioError(f"operators: {exc}") from exc
 
         initial_queries = tuple(
-            _validate_query(q, lang, f"initial_queries[{i}]")
+            _validate_query(q, lang, "initial_queries[{}]", i)
             for i, q in enumerate(_list(data, "initial_queries", "scenario")))
 
         steps = []
         for i, raw in enumerate(_list(data, "steps", "scenario")):
-            where = f"steps[{i}]"
-            _expect(isinstance(raw, dict), where, "each step must be an object")
+            _expect(isinstance(raw, dict), "steps[{}]", "each step must be an object", i)
             op = raw.get("op")
-            if op not in _SET_OPS + _SERIAL_OPS:
-                raise ScenarioError(f"{where}: unknown op {op!r} "
-                                    f"(expected one of {', '.join(_SET_OPS + _SERIAL_OPS)})")
+            if op not in _OPS:
+                raise ScenarioError(f"steps[{i}]: unknown op {op!r} "
+                                    f"(expected one of {', '.join(_OPS)})")
             if op in _SET_OPS:
                 sentences = raw.get("sentences")
-                _expect(isinstance(sentences, list) and sentences, where,
-                        "'sentences' must be a non-empty list")
+                _expect(isinstance(sentences, list) and sentences, "steps[{}]",
+                        "'sentences' must be a non-empty list", i)
                 texts = tuple(sentences)
-                masks = tuple(_parse_sentence(s, lang, f"{where}.sentences[{j}]")
+                masks = tuple(_parse_sentence(s, lang, "steps[{}].sentences[{}]", i, j)
                               for j, s in enumerate(sentences))
             else:
                 texts = (raw.get("sentence"),)
-                masks = (_parse_sentence(texts[0], lang, f"{where}.sentence"),)
+                masks = (_parse_sentence(texts[0], lang, "steps[{}].sentence", i),)
             queries = tuple(
-                _validate_query(q, lang, f"{where}.queries[{j}]")
-                for j, q in enumerate(_list(raw, "queries", where)))
+                _validate_query(q, lang, "steps[{}].queries[{}]", i, j)
+                for j, q in enumerate(_list(raw, "queries", "steps[{}]", i)))
             steps.append(Step(op=op, texts=texts, masks=masks, queries=queries))
 
         return cls(lang=lang, initial=start, base=base, finisher=finisher,

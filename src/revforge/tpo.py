@@ -45,10 +45,12 @@ input enters:
 Outside the package, in scenario documents and witness payloads, a set
 of worlds is a JSON list of world names and an order is a list of such
 lists, most plausible first.  ``read_worlds`` and ``read_order`` are the
-one reader of that format: TypeError for a value that is not a list,
-``LanguageError`` for a name that is not a world of the language or is
-listed twice, and ``PartitionError`` for blocks that do not partition
-every world of the language.  Each caller wraps these in its own error.
+one reader of that format, and it reads names straight into masks
+through the language's name index: TypeError for a value that is not a
+list, ``LanguageError`` for a name that is not a world of the language
+or is listed twice, and ``PartitionError`` for blocks that do not
+partition every world of the language.  Each caller wraps these in its
+own error.
 
 A ``ConditionalSet`` captures the conditional beliefs a TPO supports: it
 accepts the pair (antecedent X, consequent Y) exactly when the most
@@ -67,6 +69,7 @@ in play.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -294,30 +297,59 @@ def _items(data) -> list:
     return data
 
 
-def read_worlds(names, lang: Language) -> frozenset[int]:
-    """The worlds of ``lang`` that the list ``names`` names.
+def _read_masks(blocks, lang: Language) -> list[int]:
+    """The mask of each list of world names in ``blocks``, read through
+    the language's name index.
 
     TypeError for a value that is not a list (``_items``), LanguageError
     for a name that is not one of ``lang.world_names`` or that is listed
-    twice.
+    twice in its list.
     """
-    worlds = frozenset(map(lang.world_from_name, _items(names)))
-    if len(worlds) < len(names):
-        twice = next(n for i, n in enumerate(names) if n in names[:i])
-        raise LanguageError(f"world {twice!r} is listed twice in one block or input")
-    return worlds
+    index = lang._worlds_by_name
+    masks = []
+    for names in map(_items, blocks):
+        mask = 0
+        try:
+            for name in names:
+                mask |= 1 << index[name]
+        except (KeyError, TypeError):
+            lang.world_from_name(name)  # raises the LanguageError that names it
+        if mask.bit_count() < len(names):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            raise LanguageError(f"world {twice!r} is listed twice in one block or input")
+        masks.append(mask)
+    return masks
+
+
+def read_worlds(names, lang: Language) -> frozenset[int]:
+    """The worlds of ``lang`` that the list ``names`` names, read as
+    ``_read_masks`` reads a block."""
+    return worlds_of(_read_masks((names,), lang)[0])
 
 
 def read_order(blocks, lang: Language) -> TPO:
     """The order whose blocks, most plausible first, ``blocks`` lists by
-    world name: each block is read by ``read_worlds``, and PartitionError
-    is raised unless the blocks partition every world of ``lang``."""
-    worlds = [read_worlds(block, lang) for block in _items(blocks)]
-    placed = len(frozenset().union(*worlds))
+    world name.
+
+    The blocks are read straight into masks by ``_read_masks``.  Then
+    PartitionError is raised unless they place every world of ``lang``,
+    and after that for the first block that is empty or overlaps an
+    earlier one, in the words of ``TPO(blocks)``.  The order is built by
+    the trusted ``tpo``.
+    """
+    masks = tuple(_read_masks(_items(blocks), lang))
+    placed = reduce(or_, masks, 0).bit_count()
     if placed != lang.num_worlds:
         raise PartitionError(f"the order places {placed} worlds, the language has "
                              f"{lang.num_worlds}")
-    return TPO(worlds)
+    seen = 0
+    for mask in masks:
+        if not mask:
+            raise PartitionError("blocks must be non-empty")
+        if mask & seen:
+            raise PartitionError(f"blocks overlap on {sorted(worlds_of(mask & seen))}")
+        seen |= mask
+    return tpo(masks, lang.num_worlds)
 
 
 def _check_conditional_width(num_worlds: int) -> None:

@@ -471,11 +471,13 @@ def test_table_reads_equal_fresh_parses_on_four_atom_documents():
 
 
 def _count_parses(monkeypatch) -> list:
-    """The ``(text, atoms)`` of each sentence the parse table parses from now on."""
+    """The ``(text, atoms)`` of each sentence the parse table parses from
+    now on: every read it does not answer starts one parser."""
     calls = []
-    monkeypatch.setattr(scenario_module, "parse_formula",
-                        lambda text, lang: calls.append((text, lang.atoms))
-                        or parse_formula(text, lang))
+    parser = scenario_module._Parser
+    monkeypatch.setattr(scenario_module, "_Parser",
+                        lambda text, lang, build: calls.append((text, lang.atoms))
+                        or parser(text, lang, build))
     return calls
 
 
@@ -546,9 +548,7 @@ def test_the_table_stays_within_its_bound():
 
 def test_replay_reads_its_sentences_from_the_table(monkeypatch):
     trace = run_scenario(loads_scenario(bundled_text()))
-    calls = []
-    monkeypatch.setattr(scenario_module, "parse_formula",
-                        lambda text, lang: calls.append(text) or parse_formula(text, lang))
+    calls = _count_parses(monkeypatch)
     assert trace.replay().to_json() == trace.to_json()
     assert calls == []
 
@@ -572,9 +572,7 @@ def test_replay_rereads_an_edited_document():
 def test_a_loaded_document_runs_and_replays_without_reading_masks(monkeypatch):
     """Masks are read once, at load; a replay finds them in the parse
     table, although the table is full and sheds entries meanwhile."""
-    calls = []
-    monkeypatch.setattr(scenario_module, "model_mask",
-                        lambda formula, lang: calls.append(formula) or model_mask(formula, lang))
+    calls = _count_parses(monkeypatch)
     rng = random.Random(829)
     texts = [bundled_text()] + [json.dumps(random_document(rng)) for _ in range(100)]
     runs = 0
