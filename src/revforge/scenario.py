@@ -110,7 +110,7 @@ _SENTENCES = 1024
 _NAME_LISTS = 1024
 
 
-# ``logic._Parser``'s builders for world masks, after the atom masks: the
+# what ``logic._Parser`` builds for world masks, after the atom masks: the
 # algebra runs over every bit, so a negation sets the bits above the
 # worlds too, and ``_parsed`` cuts them off once, at the end
 _MASKS = (invert, -1, 0, _levels((lambda a, b: ~(a ^ b), lambda a, b: ~a | b, or_, and_)))

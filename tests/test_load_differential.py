@@ -4,7 +4,7 @@
 tree in between.  On seeded random texts at 1-4 atoms, with every
 connective, the constants, redundant parentheses and odd whitespace, it
 must give ``model_mask`` of ``parse_formula``'s tree; so must the parser
-run with the mask builders on chains at exactly ``MAX_FORMULA_DEPTH``,
+run with the mask operations on chains at exactly ``MAX_FORMULA_DEPTH``,
 which ``_parsed`` itself sends down the tree route when they are long.
 On every malformed text of ``test_parse_errors`` both routes must raise
 the same ``ParseError``.
@@ -48,7 +48,7 @@ def tree_mask(text: str, lang) -> int:
 
 
 def mask_route(text: str, lang) -> int:
-    """The parser run with ``_parsed``'s mask builders, whatever the text's length."""
+    """The parser run with ``_parsed``'s mask operations, whatever the text's length."""
     build = (lang._atom_masks.__getitem__, *scenario_module._MASKS)
     return _Parser(text, lang, build).parse() & lang._full_mask
 
@@ -115,7 +115,7 @@ def world_set_worlds(names, lang) -> frozenset[int]:
 
 def world_set_order(blocks, lang) -> TPO:
     """An order as the world-set reading read it: every block, then the
-    count of worlds placed, then the checked builder."""
+    count of worlds placed, then the checked ``TPO``."""
     if not isinstance(blocks, list):
         raise TypeError(f"expected a list, got {blocks!r}")
     worlds = [world_set_worlds(block, lang) for block in blocks]
