@@ -8,6 +8,15 @@ results with a team-queue strategy, and finishing on the conjunction.
 The postulates package sweeps a catalog of rationality principles over
 exhaustive or sampled instance spaces and reports replayable
 countermodels.
+
+``import revforge`` loads the revision core (``errors``, ``logic``,
+``tpo``, ``serial``, ``aggregation``, ``parallel``) and the scenario
+runner, ``scenario``.  The postulate workbench, ``revforge.postulates``,
+loads on first use: the first access to ``revforge.postulates``, or to
+one of the ten names it supplies here (``CATALOG``, ``check``,
+``InstanceSpace`` and the others in ``_WORKBENCH``), imports it.  So a
+scenario run never compiles the catalog, the sweep engine or the
+instance spaces.
 """
 
 from .aggregation import (Aggregator, FIRST_THEN_FULL_STRATEGY, ROUND_ROBIN_STRATEGY,
@@ -24,9 +33,6 @@ from .logic import (BOTTOM, TOP, Formula, FormulaSet, Language, atoms_of,
 from .parallel import (OperatorConfig, ParallelContractionOperator,
                        ParallelRevisionOperator, default_parallel_contraction,
                        default_parallel_revision, minimal_inconsistent_indices)
-from .postulates import (CATALOG, CheckContext, CheckReport, EQUIVALENCE_PAIRS,
-                         InstanceSpace, check, check_equivalence_pair,
-                         find_countermodel, replay_witness, verify_rc_identity)
 from .scenario import (RunTrace, Scenario, export_dot, load_scenario,
                        loads_scenario, run_scenario)
 from .serial import (CONTRACTION_OPERATORS, LEX, NATURAL, NATURAL_CONTRACT,
@@ -38,6 +44,12 @@ from .tpo import (ConditionalSet, TPO, conditional_set, intersect_conditionals,
                   rational_closure)
 
 __version__ = "0.1.0"
+
+# the names that ``__getattr__`` takes from ``revforge.postulates``
+_WORKBENCH = frozenset({
+    "CATALOG", "CheckContext", "CheckReport", "EQUIVALENCE_PAIRS", "InstanceSpace", "check",
+    "check_equivalence_pair", "find_countermodel", "replay_witness", "verify_rc_identity",
+})
 
 __all__ = [
     "Aggregator", "BOTTOM", "CATALOG", "CONTRACTION_OPERATORS", "CheckContext",
@@ -62,3 +74,24 @@ __all__ = [
     "rational_closure", "replay_witness", "restrained_revise", "run_scenario",
     "sat_subset", "stq", "verify_rc_identity",
 ]
+
+
+def __getattr__(name):
+    if name != "postulates" and name not in _WORKBENCH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # ``from . import postulates`` would call back here through hasattr;
+    # importing the submodule binds ``postulates`` in this module, and a
+    # workbench name is bound below, so each is looked up once
+    from importlib import import_module
+    postulates = import_module(".postulates", __name__)
+    if name == "postulates":
+        return postulates
+    value = globals()[name] = getattr(postulates, name)
+    return value
+
+
+def __dir__():
+    # as if the workbench were imported eagerly: its names and the
+    # submodule, without the two hooks and their table
+    return sorted((globals().keys() - {"__getattr__", "__dir__", "_WORKBENCH"})
+                  | _WORKBENCH | {"postulates"})

@@ -19,6 +19,11 @@ input errors.  ``REVFORGE_SEED`` overrides the default sampling seed;
 an explicit ``--seed`` flag wins over the environment.  ``--seed``
 without ``--sampled`` is a usage error, since an exhaustive sweep draws
 nothing.
+
+Importing this module loads the revision core and the scenario runner,
+as ``import revforge`` does.  ``check`` and ``enumerate`` import the
+postulate workbench when they run, so ``run`` and ``self-test`` never
+load it.
 """
 
 from __future__ import annotations
@@ -30,14 +35,13 @@ import sys
 from importlib import resources
 
 from .errors import RevforgeError
-from .postulates import InstanceSpace, OperatorConfig, check
-from .postulates.spaces import DEFAULT_SEED, enumerate_tpos, language
+from .parallel import OperatorConfig
 from .scenario import export_dot, load_scenario, loads_scenario, run_scenario
 
 BUNDLED_SCENARIO = "scenarios/example1.scenario"
 
 
-def _resolve_seed(explicit) -> int:
+def _resolve_seed(explicit, default: int) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("REVFORGE_SEED")
@@ -46,7 +50,7 @@ def _resolve_seed(explicit) -> int:
             return int(env)
         except ValueError:
             raise RevforgeError(f"REVFORGE_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    return default
 
 
 def _cmd_run(args) -> int:
@@ -64,16 +68,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _make_space(args) -> InstanceSpace:
+def _make_space(args):
+    from .postulates import DEFAULT_SEED, InstanceSpace
+
     # REVFORGE_SEED feeds sampled runs only; an exhaustive space refuses a --seed
     config = OperatorConfig(**{role: getattr(args, role) for role in vars(OperatorConfig())})
     return InstanceSpace(atoms=args.atoms, mode="sampled" if args.sampled else "exhaustive",
                          sample_count=args.sampled,
-                         seed=_resolve_seed(args.seed) if args.sampled else args.seed,
+                         seed=_resolve_seed(args.seed, DEFAULT_SEED) if args.sampled else args.seed,
                          max_set_size=args.sets, operators=config, violation_cap=args.cap)
 
 
 def _cmd_check(args) -> int:
+    from .postulates import check
+
     report = check(args.id, _make_space(args), first=args.first)
     if args.expect != "auto":
         report.expected = "violated" if args.expect == "violation" else args.expect
@@ -126,6 +134,8 @@ def _cmd_self_test(_args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .postulates.spaces import enumerate_tpos, language
+
     if not 1 <= args.atoms <= 3:
         raise RevforgeError("enumerate supports 1 to 3 atoms")
     lang = language(args.atoms)

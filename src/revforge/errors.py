@@ -21,10 +21,11 @@ class ParseError(RevforgeError):
 
 
 class FormulaError(RevforgeError, TypeError):
-    """Raised where a formula object is expected and another value is given.
+    """Raised where a formula object or a ``FormulaSet`` is expected and
+    another value is given.
 
-    It is a ``TypeError`` too, as the bare error it replaces was, so
-    callers that catch ``TypeError`` keep working.
+    It is a ``TypeError`` too, as the bare error it replaced in the
+    formula entries was, so callers that catch ``TypeError`` keep working.
     """
 
 

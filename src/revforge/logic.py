@@ -33,7 +33,8 @@ bitwise operations on world masks, so a sentence becomes its mask with
 no tree in between; a text of more than ``MAX_FORMULA_DEPTH`` tokens,
 the only kind whose tree can break the depth bound, and one nested too
 deeply for the stack, still go through ``parse_formula``.  A value
-given where a formula object is expected raises ``FormulaError``.
+given where a formula object or a ``FormulaSet`` is expected raises
+``FormulaError``.
 
 ``model_mask`` is the one structural route from a formula to its
 proposition: bitwise algebra on masks, starting from the atom masks
@@ -265,7 +266,9 @@ def atoms_of(formula: Formula) -> frozenset[str]:
         return atoms_of(formula.operand)
     if isinstance(formula, (And, Or, Implies, Iff)):
         return atoms_of(formula.left) | atoms_of(formula.right)
-    return frozenset()
+    if isinstance(formula, (Verum, Falsum)):
+        return frozenset()
+    raise FormulaError(f"not a formula: {formula!r}")
 
 
 # --- parsing ---
@@ -609,9 +612,15 @@ class FormulaSet:
         return tuple(model_mask(member, self.lang) for member in self.members)
 
 
+def _checked(s: FormulaSet) -> FormulaSet:
+    if not isinstance(s, FormulaSet):
+        raise FormulaError(f"not a formula set: {s!r}")
+    return s
+
+
 def conj(s: FormulaSet) -> Formula:
     """Conjunction of all members; T for the empty set."""
-    if not s.members:
+    if not _checked(s).members:
         return TOP
     formula = s.members[0]
     for member in s.members[1:]:
@@ -621,12 +630,12 @@ def conj(s: FormulaSet) -> Formula:
 
 def neg_set(s: FormulaSet) -> FormulaSet:
     """Member-wise negation, preserving order."""
-    return FormulaSet(s.lang, (Not(member) for member in s.members))
+    return FormulaSet(_checked(s).lang, (Not(member) for member in s.members))
 
 
 def sat_subset(s: FormulaSet, world: int) -> FormulaSet:
     """The members of ``s`` true at ``world``."""
-    return FormulaSet(s.lang, (m for m in s.members if evaluate(m, world, s.lang)))
+    return FormulaSet(_checked(s).lang, (m for m in s.members if evaluate(m, world, s.lang)))
 
 
 def cn_equal(s1: FormulaSet, s2: FormulaSet) -> bool:

@@ -1,16 +1,17 @@
 """Values that are not formulas raise typed errors at the formula edges.
 
-A formula object where a ``Formula`` is expected raises ``FormulaError``,
-which is a ``RevforgeError`` and, as the bare error it replaced was, a
-``TypeError``.  ``FormulaSet.parse`` of a value that is not a collection
+A value that is not a formula where a ``Formula`` is expected, or not a
+``FormulaSet`` where a formula set is expected, raises ``FormulaError``,
+which is a ``RevforgeError`` and a ``TypeError``.  ``FormulaSet.parse`` of a value that is not a collection
 of texts raises ``ParseError`` at position 0, as ``parse_formula`` of a
 value that is not a text does.
 """
 
 import pytest
 
-from revforge import (FormulaError, FormulaSet, Language, ParseError, RevforgeError, evaluate,
-                      format_formula, model_mask)
+from revforge import (BOTTOM, TOP, FormulaError, FormulaSet, Language, ParseError, RevforgeError,
+                      atoms_of, cn_equal, conj, evaluate, format_formula, model_mask, neg_set,
+                      parse_formula, sat_subset)
 
 LANG = Language(("A", "B"))
 
@@ -20,9 +21,18 @@ LANG = Language(("A", "B"))
     (lambda: model_mask("A", LANG), FormulaError, "not a formula: 'A'"),
     (lambda: evaluate("A", 0, LANG), FormulaError, "not a formula: 'A'"),
     (lambda: format_formula(5), FormulaError, "not a formula: 5"),
+    (lambda: atoms_of(5), FormulaError, "not a formula: 5"),
+    (lambda: atoms_of("A"), FormulaError, "not a formula: 'A'"),
+    (lambda: neg_set(5), FormulaError, "not a formula set: 5"),
+    (lambda: conj([5]), FormulaError, "not a formula set: [5]"),
+    (lambda: sat_subset(5, 0), FormulaError, "not a formula set: 5"),
+    (lambda: cn_equal(5, 5), FormulaError, "not a formula set: 5"),
+    (lambda: cn_equal(FormulaSet(LANG, [TOP]), "A"), FormulaError, "not a formula set: 'A'"),
     (lambda: FormulaSet.parse(None, LANG), ParseError,
      "expected a collection of formula strings, got NoneType (at position 0)"),
-], ids=["formula-set-member", "model-mask", "evaluate", "format-formula", "parse-none"])
+], ids=["formula-set-member", "model-mask", "evaluate", "format-formula", "atoms-of-int",
+        "atoms-of-str", "neg-set", "conj-list", "sat-subset", "cn-equal", "cn-equal-second",
+        "parse-none"])
 def test_a_value_that_is_not_a_formula_raises_a_typed_error(call, error, message):
     with pytest.raises(error) as err:
         call()
@@ -32,3 +42,8 @@ def test_a_value_that_is_not_a_formula_raises_a_typed_error(call, error, message
         assert isinstance(err.value, TypeError)
     else:
         assert err.value.position == 0
+
+
+def test_atoms_of_a_constant_is_empty():
+    assert atoms_of(TOP) == atoms_of(BOTTOM) == frozenset()
+    assert atoms_of(parse_formula("A -> ~T", LANG)) == {"A"}
