@@ -18,7 +18,7 @@ expectation, 1 when a requested expectation is missed, 2 on usage or
 input errors.  ``REVFORGE_SEED`` overrides the default sampling seed;
 an explicit ``--seed`` flag wins over the environment.  ``--seed``
 without ``--sampled`` is a usage error, since an exhaustive sweep draws
-nothing.
+nothing, and so is a negative seed from either source.
 
 Importing this module loads the revision core and the scenario runner,
 as ``import revforge`` does.  ``check`` and ``enumerate`` import the

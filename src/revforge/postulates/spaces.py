@@ -33,6 +33,24 @@ make it once.  A family holds at most ``2^n - 1`` distinct members, so
 members in a dict, in the order first drawn, so a repeat is found by
 one hashed lookup even in a family of thousands.
 
+A sampled stream is drawn once and shared.  It depends only on
+``(atoms, shape, seed, max_set_size)``, not on the operators or the
+violation cap, and its instances are tuples of immutable ``TPO`` objects
+and frozensets, so one module table, ``_drawn``, keeps a stream per key
+for every sampled space to read.  A reader yields the instances drawn
+already, then draws more and keeps them for later readers.  Each reader
+has its own index, so readers that interleave, in one thread or in
+several (a lock guards each draw), get what a private
+``random.Random(seed)`` would draw.  A draw that raises ends the
+stream: every later reader raises the same error at that index, as a
+fresh stream would, but an interrupt drops the stream from the table.
+The table keeps the 2 streams used last (``_STREAMS``), each of at most
+8,192 instances (``_STREAM_CAP``); a reader past the cap draws on from a
+private copy of the generator's state there.  Shared orders keep the
+``world_masks`` that order checks derive, so a later sweep pays for
+neither.  ``random.Random(-s)`` draws ``random.Random(s)``'s stream, so
+a seed must be at least 0.
+
 ``SHAPES`` is the one table of instance shapes.  It gives each shape
 name its sequence of (payload key, ``Part``) pairs, and each part knows
 how to enumerate, sample, encode and decode its value.  Exhaustive
@@ -51,6 +69,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterator, Sequence
@@ -356,6 +375,68 @@ def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
         raise SpaceError(str(exc)) from None
 
 
+# --- the shared sampled streams ---
+
+# streams kept, the ones used last, and instances kept per stream
+_STREAMS = 2
+_STREAM_CAP = 8192
+# the kept streams by key, least recently used first; _lock guards the
+# table and each draw into a kept stream
+_drawn: dict[tuple, _Stream] = {}
+_lock = threading.Lock()
+
+
+class _Stream:
+    """What one seeded generator has drawn, in order, for every reader;
+    ``error`` is what the draw after the last kept instance raised."""
+
+    __slots__ = ("key", "rng", "draws", "drawn", "error")
+
+    def __init__(self, key: tuple, space: InstanceSpace, parts: list[Part]):
+        self.key = key
+        self.rng = random.Random(space.seed)
+        self.draws = [part.sampler(space, self.rng) for part in parts]
+        self.drawn: list[tuple] = []
+        self.error: BaseException | None = None
+
+    def read(self, space: InstanceSpace, parts: list[Part], count: int) -> Iterator[tuple]:
+        """The first ``count`` instances of the stream."""
+        drawn, draws = self.drawn, self.draws
+        i = 0
+        while i < count:
+            if i < len(drawn):
+                stop = min(count, len(drawn))
+                yield from drawn[i:stop]
+                i = stop
+            elif self.error is not None:
+                raise self.error.with_traceback(None)
+            elif i < _STREAM_CAP:
+                # draw until another reader, of this thread while this one
+                # yields or of another thread, draws the next one first
+                stop = min(count, _STREAM_CAP)
+                while i < stop:
+                    with _lock:
+                        if i != len(drawn) or self.error is not None:
+                            break
+                        try:
+                            instance = tuple([draw() for draw in draws])
+                        except BaseException as exc:
+                            self.error = exc
+                            if not isinstance(exc, Exception) and _drawn.get(self.key) is self:
+                                del _drawn[self.key]
+                            raise
+                        drawn.append(instance)
+                    yield instance
+                    i += 1
+            else:
+                rng = random.Random()
+                rng.setstate(self.rng.getstate())
+                draws = [part.sampler(space, rng) for part in parts]
+                for _ in range(count - i):
+                    yield tuple([draw() for draw in draws])
+                return
+
+
 @dataclass
 class InstanceSpace:
     """A quantification domain for postulate checks."""
@@ -374,6 +455,8 @@ class InstanceSpace:
                 raise SpaceError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.seed is not None and type(self.seed) is not int:
             raise SpaceError(f"seed must be an int or None, got {self.seed!r}")
+        if self.seed is not None and self.seed < 0:
+            raise SpaceError(f"seed must be at least 0, got {self.seed}")
         if self.mode not in ("exhaustive", "sampled"):
             raise SpaceError(f"unknown space mode {self.mode!r}")
         if self.mode == "exhaustive":
@@ -418,10 +501,15 @@ class InstanceSpace:
         return info
 
     def instances(self, shape: str) -> Iterator[tuple]:
-        """The instance stream for the shape named ``shape``."""
+        """The instance stream for the shape named ``shape``; a sampled
+        space reads the shared stream of its key."""
         parts = [part for _, part in _parts(shape)]
         if self.mode == "exhaustive":
             return itertools.product(*(part.values(self) for part in parts))
-        rng = random.Random(self.seed)
-        draws = [part.sampler(self, rng) for part in parts]
-        return (tuple([draw() for draw in draws]) for _ in range(self.sample_count))
+        key = (self.atoms, shape, self.seed, self.max_set_size)
+        with _lock:
+            stream = _drawn.pop(key, None) or _Stream(key, self, parts)
+            _drawn[key] = stream
+            while len(_drawn) > _STREAMS:
+                del _drawn[next(iter(_drawn))]
+        return stream.read(self, parts, self.sample_count)

@@ -179,6 +179,18 @@ def test_exhaustive_run_ignores_the_environment_seed(monkeypatch, capsys):
     assert doc["space"]["mode"] == "exhaustive"
 
 
+@pytest.mark.parametrize("flag, env", [(["--seed", "-3"], None), ([], "-3")])
+def test_a_negative_seed_is_a_usage_error(monkeypatch, capsys, flag, env):
+    """``random.Random(-3)`` draws ``random.Random(3)``'s stream, so a
+    negative seed, from the flag or the environment, is refused."""
+    if env is not None:
+        monkeypatch.setenv("REVFORGE_SEED", env)
+    assert main(["check", "--id", "Conj-star", "--sampled", "25", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be at least 0, got -3" in captured.err
+
+
 def test_invalid_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("REVFORGE_SEED", "lots")
     assert main(["check", "--id", "Conj-star", "--sampled", "25"]) == 2
