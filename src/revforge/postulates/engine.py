@@ -34,18 +34,14 @@ memo would only hold entries that never hit, and the context calls the
 operators on every request.  They repeat exactly across sweeps of one
 seeded space, and ``spaces`` keeps them there: each seeded stream is
 drawn once, and its orders keep their derived ``world_masks`` for every
-later sweep.  A C-star-1 sweep of 8,192 3-atom draws (seed 1) took
-11.0 microseconds a draw over a fresh stream, 2.9 of them drawing and
-keeping it, and 5.9 over a kept one, on a 2-core x86_64 box with Python
-3.11.7.  Over
-the few worlds it keeps their results in per-prior rows: one small dict
-per order, holding a serial operator's results keyed by proposition mask
-and the pipeline's results keyed by the tuple of member masks.  Under a
-``synchronous`` strategy every member joins every round and the
-finisher revises by the conjunction, so a pipeline result depends only
-on the family's set of members, and its rows key it by that set: a
-family listed in another order hits, and the rows of every prior share
-one object per set.
+later sweep.  Over the few worlds it keeps their results in per-prior
+rows: one small dict per order, holding a serial operator's results
+keyed by proposition mask and the pipeline's results keyed by the tuple
+of member masks.  Under a ``synchronous`` strategy every member joins
+every round and the finisher revises by the conjunction, so a pipeline
+result depends only on the family's set of members, and its rows key it
+by that set: a family listed in another order hits, and the rows of
+every prior share one object per set.
 Sweeps are prior-major, so the current row is found by an identity
 check, and a hit costs no hashed lookup of an order.  For the same
 reason a profile's repeats come soon after it, so the aggregator memo

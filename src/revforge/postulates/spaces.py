@@ -41,15 +41,20 @@ for every sampled space to read.  A reader yields the instances drawn
 already, then draws more and keeps them for later readers.  Each reader
 has its own index, so readers that interleave, in one thread or in
 several (a lock guards each draw), get what a private
-``random.Random(seed)`` would draw.  A draw that raises ends the
-stream: every later reader raises the same error at that index, as a
-fresh stream would, but an interrupt drops the stream from the table.
-The table keeps the 2 streams used last (``_STREAMS``), each of at most
-8,192 instances (``_STREAM_CAP``); a reader past the cap draws on from a
-private copy of the generator's state there.  Shared orders keep the
-``world_masks`` that order checks derive, so a later sweep pays for
-neither.  ``random.Random(-s)`` draws ``random.Random(s)``'s stream, so
-a seed must be at least 0.
+``random.Random(seed)`` would draw.  A draw that raises ends the stream
+and the table drops it: the readers open on it raise a copy of the error
+at that index, and a later reader draws a fresh stream, which raises
+there again only if the error is the stream's own.  The table keeps the
+2 streams used last (``_STREAMS``).  Each keeps at most 8,192 instances
+(``_STREAM_CAP``) and at most 65,536 orders and propositions
+(``_MEMBER_CAP``), every value counted at the most it can hold
+(``Part.most``), since a family may hold thousands of sets: a ``cset``
+stream at 4 atoms with a ``max_set_size`` of 1,000 keeps 65 instances.
+A reader past what its stream keeps draws on from a private copy of the
+generator's state there.  Shared orders keep the ``world_masks`` that
+order checks derive, so a later sweep pays for neither.
+``random.Random(-s)`` draws ``random.Random(s)``'s stream, so a seed
+must be at least 0.
 
 ``SHAPES`` is the one table of instance shapes.  It gives each shape
 name its sequence of (payload key, ``Part``) pairs, and each part knows
@@ -249,14 +254,16 @@ class Part:
 
     ``values(space)`` lists every value in exhaustive order,
     ``sampler(space, rng)`` binds a draw to the space and the generator,
-    which returns the next value at each call, and ``encode``/``decode``
-    map a value to and from its JSON form, with worlds as atom bit-strings.
+    which returns the next value at each call, ``encode``/``decode``
+    map a value to and from its JSON form, with worlds as atom bit-strings,
+    and ``most(space)`` is the most orders and propositions a value holds.
     """
 
     values: Callable = field(repr=False)
     sampler: Callable = field(repr=False)
     encode: Callable = field(repr=False)
     decode: Callable = field(repr=False)
+    most: Callable = field(default=lambda space: 1, repr=False)
 
 
 _PREORDER = Part(
@@ -279,16 +286,18 @@ _PROPOSITION = Part(
     _names, _read_proposition)
 
 
-def _tuple_of(part: Part, values: Callable, sampler: Callable, check: Callable) -> Part:
-    """A part whose value is a tuple of ``part`` values; ``check(value,
-    lang)`` raises SpaceError for a decoded tuple that no stream yields."""
+def _tuple_of(part: Part, values: Callable, sampler: Callable, check: Callable,
+              most: Callable) -> Part:
+    """A part whose value is a tuple of at most ``most(space)`` ``part``
+    values; ``check(value, lang)`` raises SpaceError for a decoded tuple
+    that no stream yields."""
     def decode(data, lang: Language) -> tuple:
         value = tuple(part.decode(x, lang) for x in _items(data))
         check(value, lang)
         return value
 
     return Part(values, sampler, lambda items, lang: [part.encode(x, lang) for x in items],
-                decode)
+                decode, most)
 
 
 def _check_family(family: tuple, lang: Language, jointly_consistent: bool) -> None:
@@ -310,7 +319,8 @@ def _family(jointly_consistent: bool) -> Part:
                                                space.max_set_size, jointly_consistent)),
         lambda space, rng: _family_draw(rng, space.num_worlds, space.max_set_size,
                                         jointly_consistent),
-        lambda family, lang: _check_family(family, lang, jointly_consistent))
+        lambda family, lang: _check_family(family, lang, jointly_consistent),
+        lambda space: space.max_set_size)
 
 
 def _check_profile(profile: tuple, lang: Language) -> None:
@@ -328,7 +338,8 @@ _PROFILE = _tuple_of(
     _PREORDER,
     lambda space: tuple(itertools.product(_PREORDER.values(space), repeat=2)),
     lambda space, rng: _pair_draw(_PREORDER.sampler(space, rng)),
-    _check_profile)
+    _check_profile,
+    lambda space: 2)
 
 SHAPES: dict[str, tuple[tuple[str, Part], ...]] = {
     "serial": (("tpo", _PREORDER), ("input", _PROPOSITION)),
@@ -377,31 +388,44 @@ def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
 
 # --- the shared sampled streams ---
 
-# streams kept, the ones used last, and instances kept per stream
+# streams kept, the ones used last; instances kept per stream; and orders
+# and propositions kept per stream, each value counted at ``Part.most``
 _STREAMS = 2
 _STREAM_CAP = 8192
+_MEMBER_CAP = 1 << 16
 # the kept streams by key, least recently used first; _lock guards the
 # table and each draw into a kept stream
 _drawn: dict[tuple, _Stream] = {}
 _lock = threading.Lock()
 
 
+def _again(exc: BaseException) -> BaseException:
+    """A new exception of ``exc``'s type, arguments and attributes, for
+    another reader to raise; ``__init__`` is not run again, since it may
+    take other arguments than the ones it stores."""
+    again = type(exc).__new__(type(exc), *exc.args)
+    again.__dict__.update(exc.__dict__)
+    return again
+
+
 class _Stream:
     """What one seeded generator has drawn, in order, for every reader;
-    ``error`` is what the draw after the last kept instance raised."""
+    ``cap`` is how many instances it keeps, and ``error`` is what the draw
+    after the last kept instance raised."""
 
-    __slots__ = ("key", "rng", "draws", "drawn", "error")
+    __slots__ = ("key", "rng", "draws", "drawn", "cap", "error")
 
     def __init__(self, key: tuple, space: InstanceSpace, parts: list[Part]):
         self.key = key
         self.rng = random.Random(space.seed)
         self.draws = [part.sampler(space, self.rng) for part in parts]
         self.drawn: list[tuple] = []
+        self.cap = min(_STREAM_CAP, _MEMBER_CAP // sum(part.most(space) for part in parts))
         self.error: BaseException | None = None
 
     def read(self, space: InstanceSpace, parts: list[Part], count: int) -> Iterator[tuple]:
         """The first ``count`` instances of the stream."""
-        drawn, draws = self.drawn, self.draws
+        drawn, draws, cap = self.drawn, self.draws, self.cap
         i = 0
         while i < count:
             if i < len(drawn):
@@ -409,11 +433,11 @@ class _Stream:
                 yield from drawn[i:stop]
                 i = stop
             elif self.error is not None:
-                raise self.error.with_traceback(None)
-            elif i < _STREAM_CAP:
+                raise _again(self.error) from self.error
+            elif i < cap:
                 # draw until another reader, of this thread while this one
                 # yields or of another thread, draws the next one first
-                stop = min(count, _STREAM_CAP)
+                stop = min(count, cap)
                 while i < stop:
                     with _lock:
                         if i != len(drawn) or self.error is not None:
@@ -421,8 +445,10 @@ class _Stream:
                         try:
                             instance = tuple([draw() for draw in draws])
                         except BaseException as exc:
+                            # the readers open on this stream stop here; a
+                            # later reader draws a fresh one
                             self.error = exc
-                            if not isinstance(exc, Exception) and _drawn.get(self.key) is self:
+                            if _drawn.get(self.key) is self:
                                 del _drawn[self.key]
                             raise
                         drawn.append(instance)

@@ -2,10 +2,11 @@
 
 A sampled space reads the stream kept for its (atoms, shape, seed,
 max_set_size) in ``spaces``: the instances drawn already, then new
-draws, which it keeps for later readers up to ``_STREAM_CAP``.  Each
-test here compares what a reader gets with a private draw from
-``random.Random(seed)`` through the parts' samplers, the generator every
-sampled space ran before streams were shared.
+draws, which it keeps for later readers up to ``_STREAM_CAP`` instances
+and ``_MEMBER_CAP`` orders and propositions.  Each test here compares
+what a reader gets with a private draw from ``random.Random(seed)``
+through the parts' samplers, the generator every sampled space ran
+before streams were shared.
 """
 
 import random
@@ -15,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from revforge.errors import SpaceError
+from revforge.errors import ParseError, SpaceError
 from revforge.parallel import OperatorConfig
 from revforge.postulates import InstanceSpace, check, spaces
 from revforge.postulates.spaces import SHAPES
@@ -191,44 +192,83 @@ def test_readers_in_threads_read_the_private_stream():
     assert [len(stream.drawn) for stream in spaces._drawn.values()] == [3000]
 
 
-@pytest.mark.parametrize("k", [0, 37])
-def test_a_failing_draw_fails_every_reader_at_its_index(monkeypatch, k):
-    """A draw that raises at index k ends the stream there: the reader
-    that drew it, a reader that was already open, and a reader that
-    starts afterwards each get k instances and then the same error, as a
-    fresh stream would."""
-    calls = counting_preorder_draws(monkeypatch)
+def failing_preorder_draws(monkeypatch, k, error, every_stream):
+    """Make the preorder draw raise ``error()`` at index k: for every
+    generator bound from now on where ``every_stream``, as a draw that
+    fails whatever its seed would, and else only once."""
     bind = spaces._preorder_draw
     raised = []
 
     def failing(rng, num_worlds):
         draw = bind(rng, num_worlds)
+        calls = []
 
-        # raises once, at index k; a reader that drew again would get an instance
         def call():
-            if len(calls) == k and not raised:
+            calls.append(None)
+            if len(calls) == k + 1 and (every_stream or not raised):
                 raised.append(None)
-                raise SpaceError("the draw at index k")
+                raise error()
             return draw()
         return call
 
     monkeypatch.setattr(spaces, "_preorder_draw", failing)
+    return raised
+
+
+def read_until_error(reader, error_type) -> tuple[list, BaseException]:
+    got = []
+    with pytest.raises(error_type) as info:
+        for instance in reader:
+            got.append(instance)
+    return got, info.value
+
+
+@pytest.mark.parametrize("k", [0, 37])
+def test_a_failing_draw_fails_every_reader_at_its_index(monkeypatch, k):
+    """A draw that raises at index k of every stream ends the stream
+    there: the reader that drew it, a reader that was already open on it
+    and a reader that starts afterwards each get k instances and then the
+    error.  The open reader raises a copy, made without the error's
+    ``__init__``, and a later reader draws afresh: no failed stream stays
+    kept."""
     space = sampled(count=100)
+    reference = list(private_stream(space, "pset"))[:k]
+    raised = failing_preorder_draws(
+        monkeypatch, k, lambda: ParseError("the draw at index k", 7), every_stream=True)
     early = space.instances("pset")
-    for reader in (lambda: space.instances("pset"), lambda: early,
-                   lambda: replace(space).instances("pset")):
-        got = []
-        with pytest.raises(SpaceError, match="the draw at index k"):
-            for instance in reader():
-                got.append(instance)
-        assert len(got) == k
-    assert len(calls) == k
+    got, first = read_until_error(space.instances("pset"), ParseError)
+    assert got == reference and not spaces._drawn
+    got, again = read_until_error(early, ParseError)
+    assert got == reference
+    assert again is not first and again.__cause__ is first
+    assert (type(again), again.args, again.position) == (ParseError, first.args, 7)
+    got, later = read_until_error(replace(space).instances("pset"), ParseError)
+    assert got == reference and later is not first and later.__cause__ is None
+    # one raising draw in each of the two streams drawn
+    assert len(raised) == 2 and not spaces._drawn
 
 
-def test_an_interrupted_draw_is_not_kept():
-    """An interrupt between draws leaves the stream kept, but an
-    interrupt during a draw is not the stream's: the table drops the
-    stream, and a later space draws the private stream afresh."""
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_a_passing_failure_is_not_replayed(monkeypatch, error):
+    """A draw that raises once, a passing ``MemoryError`` or an interrupt,
+    fails the reader that drew it and the readers open on the stream, and
+    no later one: the table drops the stream, and a later reader draws the
+    private stream whole."""
+    space = sampled(count=50)
+    reference = list(private_stream(space, "pset"))
+    failing_preorder_draws(monkeypatch, 5, error, every_stream=False)
+    early = space.instances("pset")
+    got, first = read_until_error(space.instances("pset"), error)
+    assert got == reference[:5] and not spaces._drawn
+    got, again = read_until_error(early, error)
+    assert got == reference[:5] and again is not first
+    assert list(replace(space).instances("pset")) == reference
+    assert [len(stream.drawn) for stream in spaces._drawn.values()] == [50]
+
+
+def test_an_interrupt_between_draws_keeps_the_stream():
+    """An interrupt thrown into a reader between draws is not the
+    stream's: it stays kept, with what was drawn and no error."""
     space = sampled(count=50)
     reader = space.instances("pset")
     next(reader)
@@ -236,14 +276,35 @@ def test_an_interrupted_draw_is_not_kept():
         reader.throw(KeyboardInterrupt)
     stream = spaces._drawn[(3, "pset", 11, 2)]
     assert len(stream.drawn) == 1 and stream.error is None
-
-    def interrupted():
-        raise KeyboardInterrupt
-    stream.draws[0] = interrupted
-    with pytest.raises(KeyboardInterrupt):
-        list(replace(space).instances("pset"))
-    assert not spaces._drawn
     assert list(space.instances("pset")) == list(private_stream(space, "pset"))
+
+
+def members(stream) -> int:
+    """The orders and propositions a kept stream holds."""
+    return sum(len(value) if type(value) is tuple else 1
+               for instance in stream.drawn for value in instance)
+
+
+def test_large_families_keep_at_most_the_member_cap():
+    """A stream keeps no more orders and propositions than the member
+    cap, counting each family at ``max_set_size``: at 4 atoms, where few
+    sets are shared objects, a ``cset`` stream of families of up to 1,000
+    sets keeps 65 instances, and a reader past them reads on privately."""
+    space = sampled(atoms=4, count=120, seed=1, max_set_size=1000)
+    assert list(space.instances("cset")) == list(private_stream(space, "cset"))
+    [stream] = spaces._drawn.values()
+    assert stream.cap == spaces._MEMBER_CAP // 1001 == 65
+    assert len(stream.drawn) == 65
+    assert 65 * 400 < members(stream) <= spaces._MEMBER_CAP
+
+
+def test_a_stream_whose_instance_may_pass_the_member_cap_keeps_nothing(monkeypatch):
+    """Where one instance could hold more than the member cap, the stream
+    keeps nothing, and every reader draws privately from the seed."""
+    monkeypatch.setattr(spaces, "_MEMBER_CAP", 4)
+    space = sampled(count=30)
+    assert list(space.instances("pset2")) == list(private_stream(space, "pset2"))
+    assert [stream.drawn for stream in spaces._drawn.values()] == [[]]
 
 
 @pytest.mark.parametrize("seed", [-1, -3])
