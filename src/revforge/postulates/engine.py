@@ -10,17 +10,21 @@ rendered as atom bit-strings throughout.
 generated and those it skipped as outside the postulate's domain.  It is
 also the one place that keeps plans, the part of a check that depends on
 the instance's inputs alone (see ``catalog``): where the context keeps
-rows, every prior meets every input, so a dict local to the sweep holds
-each distinct input's plan, and is freed with the sweep.  It holds at
-most ``_MEMO`` plans: a miss that finds it full clears it, which only a
-sampled sweep of large families reaches.  Over more worlds each draw
-makes its own plan, in a closure that calls the plan and then the body
-with no table between them, and an entry without a plan runs as its
-body bound to the context.  Its id lookup resolves catalog ids,
-``<id>-pair`` for the agreement sweep of a semantic entry against its
-syntactic companion, and ``rc-identity`` for the check that synchronous
-aggregation commutes with conditional-belief intersection followed by
-rational closure.  ``find_countermodel``, ``check_equivalence_pair`` and
+rows, every prior meets every input, so a table local to the sweep holds
+each distinct input's plan, and is freed with the sweep.  It is keyed by
+the stream's own input objects, one dict level per input: ``plans[s]``,
+or ``plans[a][b]`` for the shapes of two inputs (``serial2`` and
+``pset2``), as ``spaces.SHAPES`` counts them.  The loop looks each plan
+up inline, so no instance builds or hashes a key tuple or calls a
+closure.  It holds at most ``_MEMO`` plans, counted across both levels:
+a miss that finds it full clears it, which only a sampled sweep of large
+families reaches.  Over more worlds each draw makes its own plan, in a
+closure that calls the plan and then the body with no table between
+them, and an entry without a plan runs as its body bound to the context.
+Its id lookup resolves catalog ids, ``<id>-pair`` for the agreement
+sweep of a semantic entry against its syntactic companion, and
+``rc-identity`` for the check that synchronous aggregation commutes with
+conditional-belief intersection followed by rational closure.  ``find_countermodel``, ``check_equivalence_pair`` and
 ``verify_rc_identity`` are calls to it.
 
 A ``CheckContext`` holds the configured operators and drives the
@@ -46,7 +50,9 @@ Sweeps are prior-major, so the current row is found by an identity
 check, and a hit costs no hashed lookup of an order.  For the same
 reason a profile's repeats come soon after it, so the aggregator memo
 keeps only the profiles used last, and the conditional tables of the
-orders used last are kept too.  One table is kept at every size:
+orders used last are kept too.  The finisher revises aggregates, not
+priors, so it reads the same rows through a cursor of its own: a
+pipeline miss leaves the base's current row in place.  One table is kept at every size:
 ``follow_ups``, keyed by an order, because sampled orders of few blocks
 recur: a 3-atom pair sweep answers about one lookup in six from it.  Its
 entries hold a mask per consistent mask, so the more worlds, the fewer
@@ -74,6 +80,7 @@ from __future__ import annotations
 
 import json
 import time
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from types import SimpleNamespace
@@ -85,8 +92,8 @@ from ..logic import Language
 from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from ..tpo import TPO, conditional_set
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
-from .spaces import (MAX_EXHAUSTIVE_ATOMS, InstanceSpace, decode_instance, encode_instance,
-                     language)
+from .spaces import (MAX_EXHAUSTIVE_ATOMS, SHAPES, InstanceSpace, decode_instance,
+                     encode_instance, language)
 
 
 # plans a sweep keeps at most
@@ -110,7 +117,10 @@ class _Rows:
     keyed by the family tuple or, under a synchronous strategy, by its set.  Sweeps are
     prior-major, so the row last used is found by an identity check, the
     others through ``find``, keyed by the order's masks.  A row costs one dict, so a prior seen
-    once costs no more than its entries.
+    once costs no more than its entries.  A copy of a ``_Rows`` is a
+    second cursor over the same ``find`` and ``intern`` tables: the
+    finisher's, so that its moves among aggregates do not move the
+    base's current row away from the prior and back.
 
     A miss passes the mask straight to the operator's ``transform`` and
     interns the result through ``intern``, keyed by the order, which
@@ -194,7 +204,11 @@ class CheckContext:
     in the rows of its base (or contraction) operator, keyed by the mask
     tuple, or under a ``synchronous`` strategy by its set, which a miss
     stores through the ``set_keys`` table, so that every row holds one
-    object per set.  ``previse`` and ``pcontract`` are instance attributes
+    object per set.  When one operator object fills both ``base`` and
+    ``finisher``, the finisher reads its rows through a cursor of its own,
+    so a pipeline miss hashes no order key to move the base's current row
+    away and back; the two roles still share one row table and one
+    ``memo_info`` name.  ``previse`` and ``pcontract`` are instance attributes
     bound straight to the row lookup.  A miss runs the operator's mask
     entry on the members in their listed order, so an inconsistent family
     names its culprits by their listed positions; its stages read the
@@ -217,8 +231,8 @@ class CheckContext:
     ``self.previse``, so a stand-in sees those revisions too.
 
     ``full_mask`` is the mask of every world, which plans take.  The
-    context keeps no plan: ``check`` does, for one sweep, and at most
-    ``_MEMO`` of them.  The aggregator memo, the set keys and the tables
+    context keeps no plan: ``check`` does, for one sweep, in its own loop
+    where ``rowed`` is true, and at most ``_MEMO`` of them.  The aggregator memo, the set keys and the tables
     keyed by an order hold at most ``_ROWS`` entries.  ``memo_info()``
     reports the ``cache_info()`` of each.
     Nothing built here refers back to the context.
@@ -249,7 +263,9 @@ class CheckContext:
             if key not in rows:
                 rows[key] = ([], _Rows(op))
             rows[key][0].append(role)
-            return rows[key][1]
+            # the finisher revises aggregates, not priors: a cursor of its
+            # own over the same tables leaves the base's current row in place
+            return copy(rows[key][1]) if role == "finisher" else rows[key][1]
 
         revision, contraction = serial_op("revision"), serial_op("contraction")
         base = serial_op("base")
@@ -393,31 +409,21 @@ def _postulate(postulate_id: str) -> Postulate:
     return lookup(CATALOG, postulate_id, "postulate", UnknownPostulateError)
 
 
-def _sweep_evaluate(postulate: Postulate, ctx: CheckContext) -> Callable:
-    """``postulate.evaluate`` on ``ctx`` for one sweep.  Where the context
-    keeps rows, a dict that only this function's result holds keeps each
-    distinct input's plan, None included, and is cleared when a miss
-    finds ``_MEMO`` plans in it.  Elsewhere each instance makes its own,
-    in a closure that calls the plan and then the body, and an entry
-    without a plan is its body bound to ``ctx``."""
+def _sweep_evaluate(postulate: Postulate, ctx: CheckContext) -> Optional[Callable]:
+    """``postulate.evaluate`` on ``ctx`` for one sweep, or None where
+    ``check`` keeps the plans itself: where the context keeps rows and
+    the entry has a plan.  An entry without a plan is its body bound to
+    ``ctx``; elsewhere each instance makes its own plan, in a closure
+    that calls the plan and then the body."""
     plan, body = postulate.plan, postulate.body
     if plan is None:
         return partial(body, ctx)
+    if ctx.rowed:
+        return None
     full = ctx.full_mask
-    if not ctx.rowed:
-        def evaluate(t, *inputs):
-            fields = plan(full, *inputs)
-            return None if fields is None else body(ctx, t, *fields)
-        return evaluate
-    plans = {}
 
     def evaluate(t, *inputs):
-        try:
-            fields = plans[inputs]
-        except KeyError:
-            if len(plans) >= _MEMO:
-                plans.clear()
-            fields = plans[inputs] = plan(full, *inputs)
+        fields = plan(full, *inputs)
         return None if fields is None else body(ctx, t, *fields)
     return evaluate
 
@@ -426,7 +432,12 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
           ctx: Optional[CheckContext] = None) -> CheckReport:
     """Sweep one postulate over ``space`` and report.
 
-    A given ``ctx`` must have the space's atoms and operator names.
+    A given ``ctx`` must have the space's atoms and operator names.  Where
+    it keeps rows, an entry with a plan runs in this loop: each instance
+    looks its plan up by its own input objects, ``plans[s]`` or
+    ``plans[a][b]``, a miss plans it and counts it against ``_MEMO``, and
+    a None plan skips the instance without a body call.  Every other
+    instance goes through ``_sweep_evaluate``.
     """
     postulate = _postulate(postulate_id)
     ctx = ctx or CheckContext.from_space(space)
@@ -440,9 +451,27 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
     kept: list[dict] = []
     cap = space.violation_cap
     evaluate = _sweep_evaluate(postulate, ctx)
+    plan, body, full = postulate.plan, postulate.body, ctx.full_mask
+    # each input's plan, one dict level per input, and how many are held
+    plans: dict = {}
+    pairs, held = len(SHAPES[postulate.shape]) == 3, 0
     for instance in space.instances(postulate.shape):
         generated += 1
-        hits = evaluate(*instance)
+        if evaluate is not None:
+            hits = evaluate(*instance)
+        else:
+            try:
+                fields = plans[instance[1]][instance[2]] if pairs else plans[instance[1]]
+            except KeyError:
+                if held >= _MEMO:
+                    plans.clear()
+                    held = 0
+                held += 1
+                fields = plan(full, *instance[1:])
+                (plans.setdefault(instance[1], {}) if pairs else plans)[instance[-1]] = fields
+            if fields is None:
+                continue
+            hits = body(ctx, instance[0], *fields)
         if hits is None:
             continue
         checked += 1
