@@ -24,7 +24,8 @@ them, and an entry without a plan runs as its body bound to the context.
 Its id lookup resolves catalog ids, ``<id>-pair`` for the agreement
 sweep of a semantic entry against its syntactic companion, and
 ``rc-identity`` for the check that synchronous aggregation commutes with
-conditional-belief intersection followed by rational closure.  ``find_countermodel``, ``check_equivalence_pair`` and
+conditional-belief intersection followed by rational closure.
+``find_countermodel``, ``check_equivalence_pair`` and
 ``verify_rc_identity`` are calls to it.
 
 A ``CheckContext`` holds the configured operators and drives the
@@ -52,11 +53,11 @@ reason a profile's repeats come soon after it, so the aggregator memo
 keeps only the profiles used last, and the conditional tables of the
 orders used last are kept too.  The finisher revises aggregates, not
 priors, so it reads the same rows through a cursor of its own: a
-pipeline miss leaves the base's current row in place.  One table is kept at every size:
-``follow_ups``, keyed by an order, because sampled orders of few blocks
-recur: a 3-atom pair sweep answers about one lookup in six from it.  Its
-entries hold a mask per consistent mask, so the more worlds, the fewer
-orders it keeps.
+pipeline miss leaves the base's current row in place.  One table is
+kept at every size: ``follow_ups``, keyed by an order, because sampled
+orders of few blocks recur: a 3-atom pair sweep answers about one lookup
+in six from it.  Its entries hold a mask per consistent mask, so the
+more worlds, the fewer orders it keeps.
 The context keeps only what the operators and orders compute, and sees
 world sets only as masks: an instance's frozensets become masks in the
 plan that reads them, and ``previse`` and ``pcontract`` take a tuple of
@@ -208,8 +209,8 @@ class CheckContext:
     ``finisher``, the finisher reads its rows through a cursor of its own,
     so a pipeline miss hashes no order key to move the base's current row
     away and back; the two roles still share one row table and one
-    ``memo_info`` name.  ``previse`` and ``pcontract`` are instance attributes
-    bound straight to the row lookup.  A miss runs the operator's mask
+    ``memo_info`` name.  ``previse`` and ``pcontract`` are instance
+    attributes bound straight to the row lookup.  A miss runs the operator's mask
     entry on the members in their listed order, so an inconsistent family
     names its culprits by their listed positions; its stages read the
     same rows and aggregate through a memoizing aggregator, whose
@@ -232,9 +233,10 @@ class CheckContext:
 
     ``full_mask`` is the mask of every world, which plans take.  The
     context keeps no plan: ``check`` does, for one sweep, in its own loop
-    where ``rowed`` is true, and at most ``_MEMO`` of them.  The aggregator memo, the set keys and the tables
-    keyed by an order hold at most ``_ROWS`` entries.  ``memo_info()``
-    reports the ``cache_info()`` of each.
+    where ``rowed`` is true, and at most ``_MEMO`` of them.  The
+    aggregator memo, the set keys and the tables keyed by an order hold
+    at most ``_ROWS`` entries.  ``memo_info()`` reports the
+    ``cache_info()`` of each.
     Nothing built here refers back to the context.
     """
 
