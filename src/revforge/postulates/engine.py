@@ -37,9 +37,9 @@ enumerates, every prior meets every input family.  A sampled space over
 more worlds draws priors that rarely repeat within one sweep, so there a
 memo would only hold entries that never hit, and the context calls the
 operators on every request.  They repeat exactly across sweeps of one
-seeded space, and ``spaces`` keeps them there: each seeded stream is
-drawn once, and its orders keep their derived ``world_masks`` for every
-later sweep.  Over the few worlds it keeps their results in per-prior
+seeded space, and ``spaces`` keeps them there: a sweep reads the
+stream's kept prefix where it holds its count, and its orders keep their
+derived ``world_masks`` for every later sweep.  Over the few worlds it keeps their results in per-prior
 rows: one small dict per order, holding a serial operator's results
 keyed by proposition mask and the pipeline's results keyed by the tuple
 of member masks.  Under a ``synchronous`` strategy every member joins
@@ -189,7 +189,7 @@ class CheckContext:
     Over more worlds than an exhaustive space enumerates (more than
     ``1 << MAX_EXHAUSTIVE_ATOMS``), priors are sampled and rarely repeat
     within one sweep; across sweeps of one seeded space they repeat
-    exactly, but the shared stream in ``spaces`` keeps those, not the
+    exactly, but the kept streams in ``spaces`` hold those, not the
     context.  So the context keeps no rows, interns nothing and has no
     aggregator memo: ``previse`` and ``pcontract`` are the operators'
     ``revise_masks`` and ``contract_masks`` themselves, ``revise`` and

@@ -27,32 +27,36 @@ stream binds each part's sampler to the space and its generator once,
 before the first draw: ``Part.sampler(space, rng)`` reads the world
 count, the set size and the generator's methods and returns a draw, so
 no draw reads a property of the space or goes through another call
-layer.  ``random_tpo`` and ``_random_set_tuple`` bind such a draw and
-make it once.  A family holds at most ``2^n - 1`` distinct members, so
-``max_set_size`` may not exceed that; the family sampler keeps its
-members in a dict, in the order first drawn, so a repeat is found by
-one hashed lookup even in a family of thousands.
+layer.  ``random_tpo`` binds such a draw and makes it once.  A family
+holds at most ``2^n - 1`` distinct members, so ``max_set_size`` may not
+exceed that; the family sampler keeps its members in a dict, in the
+order first drawn, so a repeat is found by one hashed lookup even in a
+family of thousands.
 
-A sampled stream is drawn once and shared.  It depends only on
-``(atoms, shape, seed, max_set_size)``, not on the operators or the
-violation cap, and its instances are tuples of immutable ``TPO`` objects
-and frozensets, so one module table, ``_drawn``, keeps a stream per key
-for every sampled space to read.  A reader yields the instances drawn
-already, then draws more and keeps them for later readers.  Each reader
-has its own index, so readers that interleave, in one thread or in
-several (a lock guards each draw), get what a private
-``random.Random(seed)`` would draw.  A draw that raises ends the stream
-and the table drops it: the readers open on it raise a copy of the error
-at that index, and a later reader draws a fresh stream, which raises
-there again only if the error is the stream's own.  The table keeps the
-2 streams used last (``_STREAMS``).  Each keeps at most 8,192 instances
-(``_STREAM_CAP``) and at most 65,536 orders and propositions
-(``_MEMBER_CAP``), every value counted at the most it can hold
-(``Part.most``), since a family may hold thousands of sets: a ``cset``
-stream at 4 atoms with a ``max_set_size`` of 1,000 keeps 65 instances.
-A reader past what its stream keeps draws on from a private copy of the
-generator's state there.  Shared orders keep the ``world_masks`` that
-order checks derive, so a later sweep pays for neither.
+A sampled stream depends only on ``(atoms, shape, seed, max_set_size)``,
+not on the operators or the violation cap, and its instances are tuples
+of immutable ``TPO`` objects and frozensets, so one module table,
+``_drawn``, keeps a prefix of the stream per key for later readers.  A
+reader whose count the kept prefix holds reads it.  Any other reader
+draws for itself: from the generator's state kept with a prefix that is
+full at the cap, or else from its own ``random.Random(seed)``, so every
+reader gets what that generator draws.  When a reader that drew from
+the seed ends, however it ends, it offers the table the complete
+instances it drew, up to the cap, and the table keeps them if they are
+longer than the prefix it holds.  Readers open at once, in one thread or
+in several, share no draws, and a lock (``_lock``) guards only the
+table, never a draw.  The lock is reentrant: a reader may hand its
+prefix back from the collector, which can run in a thread that holds it.
+A draw that raises fails only its own reader, and the instances drawn
+before it stay kept; a later reader that needs more draws again from
+the seed, so it meets the error again only if the error is the
+stream's own.  The table keeps the 2 streams used last (``_STREAMS``).
+Each keeps at most 8,192 instances (``_STREAM_CAP``) and at most 65,536
+orders and propositions (``_MEMBER_CAP``), every value counted at the
+most it can hold (``Part.most``), since a family may hold thousands of
+sets: a ``cset`` stream at 4 atoms with a ``max_set_size`` of 1,000
+keeps 65 instances.  Kept orders keep the ``world_masks`` that order
+checks derive, so a later sweep pays for neither.
 ``random.Random(-s)`` draws ``random.Random(s)``'s stream, so a seed
 must be at least 0.
 
@@ -206,8 +210,10 @@ def _proposition_draw(rng: random.Random, num_worlds: int) -> Callable[[], froze
 
 def _family_draw(rng: random.Random, num_worlds: int, max_size: int,
                  jointly_consistent: bool) -> Callable[[], tuple[frozenset[int], ...]]:
-    """``_random_set_tuple(rng, num_worlds, max_size, jointly_consistent)``
-    as a draw bound to its arguments once."""
+    """A draw, bound to its arguments once, of a family of
+    ``rng.randint(1, max_size)`` draws of ``rng.randrange(1, 1 << num_worlds)``,
+    repeats dropped; drawn again, up to 1000 times, while
+    ``jointly_consistent`` and its conjunction is empty."""
     getrandbits, top = rng.getrandbits, (1 << num_worlds) - 1
     size_width = max_size.bit_length()
 
@@ -232,14 +238,6 @@ def _family_draw(rng: random.Random, num_worlds: int, max_size: int,
                 return tuple([worlds_of(mask) for mask in members])
         raise SpaceError("could not sample a jointly consistent input set")
     return draw
-
-
-def _random_set_tuple(rng: random.Random, num_worlds: int, max_size: int,
-                      jointly_consistent: bool) -> tuple[frozenset[int], ...]:
-    """A family of ``rng.randint(1, max_size)`` draws of
-    ``rng.randrange(1, 1 << num_worlds)``, repeats dropped; drawn again, up
-    to 1000 times, while ``jointly_consistent`` and its conjunction is empty."""
-    return _family_draw(rng, num_worlds, max_size, jointly_consistent)()
 
 
 # --- the shape table ---
@@ -386,81 +384,67 @@ def decode_instance(shape: str, payload: dict, lang: Language) -> tuple:
         raise SpaceError(str(exc)) from None
 
 
-# --- the shared sampled streams ---
+# --- the kept sampled streams ---
 
 # streams kept, the ones used last; instances kept per stream; and orders
 # and propositions kept per stream, each value counted at ``Part.most``
 _STREAMS = 2
 _STREAM_CAP = 8192
 _MEMBER_CAP = 1 << 16
-# the kept streams by key, least recently used first; _lock guards the
-# table and each draw into a kept stream
-_drawn: dict[tuple, _Stream] = {}
-_lock = threading.Lock()
+# the kept streams by key, least recently used first: the instances kept
+# and, for a prefix full at the cap, the generator's state there.  _lock
+# guards the table, not the draws; it is reentrant because a reader hands
+# its prefix back from a ``finally`` that the collector may run while
+# this thread holds the lock
+_drawn: dict[tuple, tuple[list[tuple], tuple | None]] = {}
+_lock = threading.RLock()
 
 
-def _again(exc: BaseException) -> BaseException:
-    """A new exception of ``exc``'s type, arguments and attributes, for
-    another reader to raise; ``__init__`` is not run again, since it may
-    take other arguments than the ones it stores."""
-    again = type(exc).__new__(type(exc), *exc.args)
-    again.__dict__.update(exc.__dict__)
-    return again
+def _keep(key: tuple, entry: tuple) -> None:
+    """Make ``entry`` the table's entry for ``key``, used last, and drop
+    the streams used least recently past ``_STREAMS``; call it holding
+    ``_lock``."""
+    _drawn.pop(key, None)
+    _drawn[key] = entry
+    while len(_drawn) > _STREAMS:
+        del _drawn[next(iter(_drawn))]
 
 
-class _Stream:
-    """What one seeded generator has drawn, in order, for every reader;
-    ``cap`` is how many instances it keeps, and ``error`` is what the draw
-    after the last kept instance raised."""
+def _read(key: tuple, space: InstanceSpace, parts: list[Part]) -> Iterator[tuple]:
+    """The first ``space.sample_count`` instances of the stream of ``key``.
 
-    __slots__ = ("key", "rng", "draws", "drawn", "cap", "error")
-
-    def __init__(self, key: tuple, space: InstanceSpace, parts: list[Part]):
-        self.key = key
-        self.rng = random.Random(space.seed)
-        self.draws = [part.sampler(space, self.rng) for part in parts]
-        self.drawn: list[tuple] = []
-        self.cap = min(_STREAM_CAP, _MEMBER_CAP // sum(part.most(space) for part in parts))
-        self.error: BaseException | None = None
-
-    def read(self, space: InstanceSpace, parts: list[Part], count: int) -> Iterator[tuple]:
-        """The first ``count`` instances of the stream."""
-        drawn, draws, cap = self.drawn, self.draws, self.cap
-        i = 0
-        while i < count:
-            if i < len(drawn):
-                stop = min(count, len(drawn))
-                yield from drawn[i:stop]
-                i = stop
-            elif self.error is not None:
-                raise _again(self.error) from self.error
-            elif i < cap:
-                # draw until another reader, of this thread while this one
-                # yields or of another thread, draws the next one first
-                stop = min(count, cap)
-                while i < stop:
-                    with _lock:
-                        if i != len(drawn) or self.error is not None:
-                            break
-                        try:
-                            instance = tuple([draw() for draw in draws])
-                        except BaseException as exc:
-                            # the readers open on this stream stop here; a
-                            # later reader draws a fresh one
-                            self.error = exc
-                            if _drawn.get(self.key) is self:
-                                del _drawn[self.key]
-                            raise
-                        drawn.append(instance)
-                    yield instance
-                    i += 1
-            else:
-                rng = random.Random()
-                rng.setstate(self.rng.getstate())
-                draws = [part.sampler(space, rng) for part in parts]
-                for _ in range(count - i):
-                    yield tuple([draw() for draw in draws])
-                return
+    A count the kept prefix holds is read from it.  Otherwise the reader
+    draws for itself: on from the generator's state kept with a prefix
+    full at the cap, else from the seed.  What it drew from the seed, up
+    to the cap, it offers the table when it ends, however it ends."""
+    count = space.sample_count
+    with _lock:
+        kept, state = entry = _drawn.get(key, ([], None))
+        _keep(key, entry)
+    if count <= len(kept):
+        yield from itertools.islice(kept, count)
+        return
+    rng = random.Random(space.seed)
+    if state is None:
+        cap = min(_STREAM_CAP, _MEMBER_CAP // sum(part.most(space) for part in parts))
+    else:
+        rng.setstate(state)
+        yield from kept
+        count, cap = count - len(kept), 0
+    draws = [part.sampler(space, rng) for part in parts]
+    fresh = (tuple([draw() for draw in draws]) for _ in range(count))
+    drawn: list[tuple] = []
+    try:
+        for instance in itertools.islice(fresh, cap):
+            drawn.append(instance)
+            yield instance
+        if len(drawn) == cap:
+            state = rng.getstate()
+        yield from fresh
+    finally:
+        with _lock:
+            if len(drawn) > len(_drawn.get(key, ([], None))[0]):
+                _keep(key, (drawn, state))
 
 
 @dataclass
@@ -528,14 +512,8 @@ class InstanceSpace:
 
     def instances(self, shape: str) -> Iterator[tuple]:
         """The instance stream for the shape named ``shape``; a sampled
-        space reads the shared stream of its key."""
+        space reads it through the table of kept streams."""
         parts = [part for _, part in _parts(shape)]
         if self.mode == "exhaustive":
             return itertools.product(*(part.values(self) for part in parts))
-        key = (self.atoms, shape, self.seed, self.max_set_size)
-        with _lock:
-            stream = _drawn.pop(key, None) or _Stream(key, self, parts)
-            _drawn[key] = stream
-            while len(_drawn) > _STREAMS:
-                del _drawn[next(iter(_drawn))]
-        return stream.read(self, parts, self.sample_count)
+        return _read((self.atoms, shape, self.seed, self.max_set_size), self, parts)

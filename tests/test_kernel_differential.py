@@ -27,7 +27,7 @@ from revforge import (CATALOG, TPO, CheckContext, InstanceSpace, OperatorConfig,
                       SerialRevisionOperator)
 from revforge.postulates import enumerate_tpos, random_tpo
 from revforge.postulates.catalog import _kept_below, _order_flips, _promoted
-from revforge.postulates.spaces import SHAPES, _random_set_tuple, language
+from revforge.postulates.spaces import SHAPES, _family_draw, language
 from revforge.tpo import mask_of, worlds_of
 
 ORDERS = tuple(enumerate_tpos(4))
@@ -88,8 +88,9 @@ def test_random_families_draw_what_randint_and_randrange_drew(atoms, jointly_con
     num_worlds = 1 << atoms
     for seed, size in itertools.product(SEEDS, set_sizes(atoms)):
         shipped, reference = random.Random(seed), random.Random(seed)
+        draw = _family_draw(shipped, num_worlds, size, jointly_consistent)
         for _ in range(20):
-            family = _random_set_tuple(shipped, num_worlds, size, jointly_consistent)
+            family = draw()
             assert family == ref.random_family(reference, num_worlds, size, jointly_consistent)
             assert shipped.getstate() == reference.getstate(), (seed, size)
 

@@ -827,7 +827,7 @@ def test_a_context_after_an_s_star_sweep_holds_little():
 def test_a_sampled_rc_identity_sweep_leaves_nothing_in_its_context():
     """Sampled 3-atom orders almost never repeat, so a kept context holds
     no conditional table after an rc-identity sweep: under 1 MB after
-    2,000 profiles, where a memo of every table held about 50 MB."""
+    2,000 profiles, where a memo of every table held 8,756,168 bytes."""
     space = InstanceSpace(atoms=3, mode="sampled", sample_count=2000, seed=1)
     ctx = CheckContext.from_space(space)
     check("rc-identity", replace(space, sample_count=1), ctx=ctx)

@@ -1,14 +1,17 @@
-"""Sampled streams are drawn once and shared.
+"""Sampled streams are drawn once and kept.
 
-A sampled space reads the stream kept for its (atoms, shape, seed,
-max_set_size) in ``spaces``: the instances drawn already, then new
-draws, which it keeps for later readers up to ``_STREAM_CAP`` instances
-and ``_MEMBER_CAP`` orders and propositions.  Each test here compares
+A sampled space reads the prefix kept for its (atoms, shape, seed,
+max_set_size) in ``spaces`` where the prefix holds its count, and
+otherwise draws for itself and offers the table what it drew, up to
+``_STREAM_CAP`` instances and ``_MEMBER_CAP`` orders and propositions.
+The table's entry for a key is the kept instances and, for a prefix
+full at the cap, the generator's state there.  Each test here compares
 what a reader gets with a private draw from ``random.Random(seed)``
 through the parts' samplers, the generator every sampled space ran
-before streams were shared.
+before streams were kept.
 """
 
+import gc
 import random
 import sys
 import threading
@@ -76,7 +79,7 @@ def test_the_shared_stream_is_the_private_stream(atoms, shape):
     reference = list(private_stream(sampled(atoms, cap + 100, seed=atoms), shape))
     for count in (100, cap, cap + 100):
         assert list(sampled(atoms, count, seed=atoms).instances(shape)) == reference[:count]
-    assert [len(stream.drawn) for stream in spaces._drawn.values()] == [cap]
+    assert [len(kept) for kept, _ in spaces._drawn.values()] == [cap]
 
 
 def test_interleaved_readers_read_the_same_stream(monkeypatch):
@@ -104,7 +107,7 @@ def test_an_early_stop_leaves_the_stream_whole():
     space = sampled(count=3000, seed=3)
     stopped = check("P-star", replace(space, sample_count=1000), first=True)
     assert stopped.total_hits and stopped.generated < 1000
-    assert [len(s.drawn) for s in spaces._drawn.values()] == [stopped.generated]
+    assert [len(kept) for kept, _ in spaces._drawn.values()] == [stopped.generated]
     assert list(space.instances("pset2")) == list(private_stream(space, "pset2"))
     warm = check("P-star", space)
     spaces._drawn.clear()
@@ -163,13 +166,13 @@ def test_a_stream_holds_at_most_the_cap():
     for seed in range(3, 6):
         sum(1 for _ in sampled(atoms=2, count=cap + 10, seed=seed).instances("serial"))
     assert list(spaces._drawn) == [(2, "serial", 4, 2), (2, "serial", 5, 2)]
-    assert all(len(stream.drawn) == cap for stream in spaces._drawn.values())
+    assert all(len(kept) == cap for kept, _ in spaces._drawn.values())
 
 
 def test_readers_in_threads_read_the_private_stream():
     """Readers of one stream in more threads than cores, switching as
-    often as the interpreter allows, each get the private stream: no two
-    of them draw from the generator at once, and none draws twice."""
+    often as the interpreter allows, each get the private stream, and the
+    table keeps one whole copy of it."""
     space = sampled(count=3000)
     reference = list(private_stream(space, "pset"))
     results = [None] * 4
@@ -189,7 +192,7 @@ def test_readers_in_threads_read_the_private_stream():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [reference] * len(results)
-    assert [len(stream.drawn) for stream in spaces._drawn.values()] == [3000]
+    assert [len(kept) for kept, _ in spaces._drawn.values()] == [3000]
 
 
 def failing_preorder_draws(monkeypatch, k, error, every_stream):
@@ -225,45 +228,99 @@ def read_until_error(reader, error_type) -> tuple[list, BaseException]:
 
 @pytest.mark.parametrize("k", [0, 37])
 def test_a_failing_draw_fails_every_reader_at_its_index(monkeypatch, k):
-    """A draw that raises at index k of every stream ends the stream
-    there: the reader that drew it, a reader that was already open on it
-    and a reader that starts afterwards each get k instances and then the
-    error.  The open reader raises a copy, made without the error's
-    ``__init__``, and a later reader draws afresh: no failed stream stays
-    kept."""
+    """A draw that raises at index k of every stream fails each reader
+    there: the reader that drew it, a reader that was already open and a
+    reader that starts afterwards each get k instances and then an error
+    of their own draw.  The table keeps the k instances drawn before it."""
     space = sampled(count=100)
     reference = list(private_stream(space, "pset"))[:k]
-    raised = failing_preorder_draws(
+    failing_preorder_draws(
         monkeypatch, k, lambda: ParseError("the draw at index k", 7), every_stream=True)
     early = space.instances("pset")
     got, first = read_until_error(space.instances("pset"), ParseError)
-    assert got == reference and not spaces._drawn
+    assert got == reference and spaces._drawn[(3, "pset", 11, 2)] == (reference, None)
     got, again = read_until_error(early, ParseError)
     assert got == reference
-    assert again is not first and again.__cause__ is first
+    assert again is not first
     assert (type(again), again.args, again.position) == (ParseError, first.args, 7)
     got, later = read_until_error(replace(space).instances("pset"), ParseError)
     assert got == reference and later is not first and later.__cause__ is None
-    # one raising draw in each of the two streams drawn
-    assert len(raised) == 2 and not spaces._drawn
+    assert list(spaces._drawn.values()) == [(reference, None)]
 
 
 @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
 def test_a_passing_failure_is_not_replayed(monkeypatch, error):
     """A draw that raises once, a passing ``MemoryError`` or an interrupt,
-    fails the reader that drew it and the readers open on the stream, and
-    no later one: the table drops the stream, and a later reader draws the
-    private stream whole."""
+    fails the reader that drew it and no other: a reader that was already
+    open and a later reader each draw the private stream whole."""
     space = sampled(count=50)
     reference = list(private_stream(space, "pset"))
     failing_preorder_draws(monkeypatch, 5, error, every_stream=False)
     early = space.instances("pset")
     got, first = read_until_error(space.instances("pset"), error)
-    assert got == reference[:5] and not spaces._drawn
-    got, again = read_until_error(early, error)
-    assert got == reference[:5] and again is not first
+    assert got == reference[:5]
+    assert list(early) == reference
     assert list(replace(space).instances("pset")) == reference
-    assert [len(stream.drawn) for stream in spaces._drawn.values()] == [50]
+    assert [len(kept) for kept, _ in spaces._drawn.values()] == [50]
+
+
+@pytest.mark.parametrize("every_stream", [True, False], ids=["stream-error", "one-off"])
+def test_a_failed_draw_keeps_the_instances_before_it(monkeypatch, every_stream):
+    """A draw that fails at index k keeps the k instances drawn before
+    it, which a shorter reader reads without drawing.  A later, longer
+    reader draws from the seed: it fails at k again when the failure
+    belongs to the stream, and reads the whole stream, and keeps it, when
+    the failure was a one-off."""
+    space = sampled(count=60)
+    reference = list(private_stream(space, "pset"))
+    raised = failing_preorder_draws(monkeypatch, 23, RuntimeError, every_stream)
+    got, _ = read_until_error(space.instances("pset"), RuntimeError)
+    assert got == reference[:23] and len(raised) == 1
+    assert spaces._drawn[(3, "pset", 11, 2)] == (reference[:23], None)
+    assert list(replace(space, sample_count=23).instances("pset")) == reference[:23]
+    assert len(raised) == 1
+    later = replace(space).instances("pset")
+    if every_stream:
+        got, _ = read_until_error(later, RuntimeError)
+        assert got == reference[:23] and len(raised) == 2
+        assert [kept for kept, _ in spaces._drawn.values()] == [reference[:23]]
+    else:
+        assert list(later) == reference and len(raised) == 1
+        assert [kept for kept, _ in spaces._drawn.values()] == [reference]
+
+
+def test_a_reader_collected_under_the_table_lock_hands_its_prefix_back():
+    """A half-read reader in a reference cycle is closed by the collector,
+    which may run in a thread that holds the table lock; its ``finally``
+    takes the lock again and keeps the one instance it drew.  The
+    collection runs in a daemon thread with a join timeout, so that a lock
+    that is not reentrant fails the test instead of hanging it."""
+    space = sampled(count=50)
+    reference = list(private_stream(space, "pset"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        reader = space.instances("pset")
+        assert next(reader) == reference[0]
+        cycle = [reader]
+        cycle.append(cycle)
+        del reader, cycle
+
+        def collect():
+            with spaces._lock:
+                gc.collect()
+
+        thread = threading.Thread(target=collect, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+    finally:
+        if enabled:
+            gc.enable()
+    if thread.is_alive():
+        # the stuck thread holds the table lock for good: later tests get a new one
+        spaces._lock = threading.RLock()
+        pytest.fail("a reader collected under the table lock deadlocked")
+    assert [kept for kept, _ in spaces._drawn.values()] == [reference[:1]]
 
 
 def test_an_interrupt_between_draws_keeps_the_stream():
@@ -274,15 +331,15 @@ def test_an_interrupt_between_draws_keeps_the_stream():
     next(reader)
     with pytest.raises(KeyboardInterrupt):
         reader.throw(KeyboardInterrupt)
-    stream = spaces._drawn[(3, "pset", 11, 2)]
-    assert len(stream.drawn) == 1 and stream.error is None
+    kept, state = spaces._drawn[(3, "pset", 11, 2)]
+    assert len(kept) == 1 and state is None
     assert list(space.instances("pset")) == list(private_stream(space, "pset"))
 
 
-def members(stream) -> int:
-    """The orders and propositions a kept stream holds."""
+def members(kept) -> int:
+    """The orders and propositions a kept prefix holds."""
     return sum(len(value) if type(value) is tuple else 1
-               for instance in stream.drawn for value in instance)
+               for instance in kept for value in instance)
 
 
 def test_large_families_keep_at_most_the_member_cap():
@@ -292,10 +349,9 @@ def test_large_families_keep_at_most_the_member_cap():
     sets keeps 65 instances, and a reader past them reads on privately."""
     space = sampled(atoms=4, count=120, seed=1, max_set_size=1000)
     assert list(space.instances("cset")) == list(private_stream(space, "cset"))
-    [stream] = spaces._drawn.values()
-    assert stream.cap == spaces._MEMBER_CAP // 1001 == 65
-    assert len(stream.drawn) == 65
-    assert 65 * 400 < members(stream) <= spaces._MEMBER_CAP
+    [(kept, state)] = spaces._drawn.values()
+    assert len(kept) == spaces._MEMBER_CAP // 1001 == 65 and state is not None
+    assert 65 * 400 < members(kept) <= spaces._MEMBER_CAP
 
 
 def test_a_stream_whose_instance_may_pass_the_member_cap_keeps_nothing(monkeypatch):
@@ -304,7 +360,7 @@ def test_a_stream_whose_instance_may_pass_the_member_cap_keeps_nothing(monkeypat
     monkeypatch.setattr(spaces, "_MEMBER_CAP", 4)
     space = sampled(count=30)
     assert list(space.instances("pset2")) == list(private_stream(space, "pset2"))
-    assert [stream.drawn for stream in spaces._drawn.values()] == [[]]
+    assert [kept for kept, _ in spaces._drawn.values()] == [[]]
 
 
 @pytest.mark.parametrize("seed", [-1, -3])
