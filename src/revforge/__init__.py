@@ -38,8 +38,7 @@ from .scenario import (RunTrace, Scenario, export_dot, load_scenario,
 from .serial import (CONTRACTION_OPERATORS, LEX, NATURAL, NATURAL_CONTRACT,
                      RESTRAINED, REVISION_OPERATORS, SerialContractionOperator,
                      SerialRevisionOperator, get_contraction_operator,
-                     get_revision_operator, lex_revise, natural_contract,
-                     natural_revise, restrained_revise)
+                     get_revision_operator)
 from .tpo import (ConditionalSet, TPO, conditional_set, intersect_conditionals,
                   rational_closure)
 
@@ -68,10 +67,9 @@ __all__ = [
     "conj", "default_parallel_contraction", "default_parallel_revision",
     "entails", "evaluate", "export_dot", "find_countermodel", "format_formula",
     "get_contraction_operator", "get_revision_operator", "intersect_conditionals",
-    "is_consistent", "lex_revise", "load_scenario", "loads_scenario",
-    "make_strategy", "minimal_inconsistent_indices", "model_mask", "models",
-    "natural_contract", "natural_revise", "neg_set", "parse_formula",
-    "rational_closure", "replay_witness", "restrained_revise", "run_scenario",
+    "is_consistent", "load_scenario", "loads_scenario", "make_strategy",
+    "minimal_inconsistent_indices", "model_mask", "models", "neg_set",
+    "parse_formula", "rational_closure", "replay_witness", "run_scenario",
     "sat_subset", "stq", "verify_rc_identity",
 ]
 

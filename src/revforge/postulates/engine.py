@@ -7,20 +7,22 @@ and re-evaluate it bit-for-bit with ``replay_witness``.  Worlds are
 rendered as atom bit-strings throughout.
 
 ``check`` is the one sweep loop.  Its report counts the instances it
-generated and those it skipped as outside the postulate's domain.  It is
-also the one place that keeps plans, the part of a check that depends on
-the instance's inputs alone (see ``catalog``): where the context keeps
-rows, every prior meets every input, so a table local to the sweep holds
-each distinct input's plan, and is freed with the sweep.  It is keyed by
-the stream's own input objects, one dict level per input: ``plans[s]``,
-or ``plans[a][b]`` for the shapes of two inputs (``serial2`` and
+generated and those it skipped as outside the postulate's domain.  It
+composes every instance itself, from the entry's plan, the part of a
+check that depends on the instance's inputs alone (see ``catalog``), and
+its body, so every evaluator call and plan miss of a sweep is made in
+that loop, on one of three paths.  Where the context keeps rows, every
+prior meets every input, so a table local to the sweep holds each
+distinct input's plan, and is freed with the sweep.  It is keyed by the
+stream's own input objects, one dict level per input: ``plans[s]``, or
+``plans[a][b]`` for the shapes of two inputs (``serial2`` and
 ``pset2``), as ``spaces.SHAPES`` counts them.  The loop looks each plan
-up inline, so no instance builds or hashes a key tuple or calls a
-closure.  It holds at most ``_MEMO`` plans, counted across both levels:
-a miss that finds it full clears it, which only a sampled sweep of large
-families reaches.  Over more worlds each draw makes its own plan, in a
-closure that calls the plan and then the body with no table between
-them, and an entry without a plan runs as its body bound to the context.
+up inline, so no instance builds or hashes a key tuple.  It holds at
+most ``_MEMO`` plans, counted across both levels: a miss that finds it
+full clears it, which only a sampled sweep of large families reaches.
+Over more worlds each draw makes its own plan and hands it straight to
+the body, with no table between them, and an entry without a plan has
+its body called on the instance as drawn.
 Its id lookup resolves catalog ids, ``<id>-pair`` for the agreement
 sweep of a semantic entry against its syntactic companion, and
 ``rc-identity`` for the check that synchronous aggregation commutes with
@@ -83,7 +85,7 @@ import json
 import time
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -411,37 +413,25 @@ def _postulate(postulate_id: str) -> Postulate:
     return lookup(CATALOG, postulate_id, "postulate", UnknownPostulateError)
 
 
-def _sweep_evaluate(postulate: Postulate, ctx: CheckContext) -> Optional[Callable]:
-    """``postulate.evaluate`` on ``ctx`` for one sweep, or None where
-    ``check`` keeps the plans itself: where the context keeps rows and
-    the entry has a plan.  An entry without a plan is its body bound to
-    ``ctx``; elsewhere each instance makes its own plan, in a closure
-    that calls the plan and then the body."""
-    plan, body = postulate.plan, postulate.body
-    if plan is None:
-        return partial(body, ctx)
-    if ctx.rowed:
-        return None
-    full = ctx.full_mask
-
-    def evaluate(t, *inputs):
-        fields = plan(full, *inputs)
-        return None if fields is None else body(ctx, t, *fields)
-    return evaluate
-
-
 def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
           ctx: Optional[CheckContext] = None) -> CheckReport:
     """Sweep one postulate over ``space`` and report.
 
-    A given ``ctx`` must have the space's atoms and operator names.  Where
-    it keeps rows, an entry with a plan runs in this loop: each instance
-    looks its plan up by its own input objects, ``plans[s]`` or
-    ``plans[a][b]``, a miss plans it and counts it against ``_MEMO``, and
-    a None plan skips the instance without a body call.  Every other
-    instance goes through ``_sweep_evaluate``.
+    SpaceError unless ``space`` is an ``InstanceSpace`` and ``ctx`` None
+    or a ``CheckContext``; a given ``ctx`` must have the space's atoms and
+    operator names.  The loop evaluates each instance as
+    ``Postulate.evaluate`` does, on one of three paths.  Where the context
+    keeps rows, an entry with a plan looks each instance's plan up by its
+    own input objects, ``plans[s]`` or ``plans[a][b]``, and a miss plans
+    it and counts it against ``_MEMO``.  Elsewhere an entry with a plan
+    plans every instance, and an entry without one calls its body on the
+    instance as drawn.  A None plan skips the instance without a body
+    call.
     """
     postulate = _postulate(postulate_id)
+    if not (isinstance(space, InstanceSpace) and isinstance(ctx, (CheckContext, type(None)))):
+        raise SpaceError(f"check takes an InstanceSpace and a CheckContext or None, "
+                         f"got {space!r} and {ctx!r}")
     ctx = ctx or CheckContext.from_space(space)
     made_for = (ctx.lang.atoms, ctx.config.describe())
     if made_for != (space.lang.atoms, space.operators.describe()):
@@ -452,16 +442,14 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
     total_hits = 0
     kept: list[dict] = []
     cap = space.violation_cap
-    evaluate = _sweep_evaluate(postulate, ctx)
     plan, body, full = postulate.plan, postulate.body, ctx.full_mask
-    # each input's plan, one dict level per input, and how many are held
-    plans: dict = {}
+    # where the context keeps rows, each input's plan, one dict level per
+    # input, and how many are held
+    plans = {} if plan is not None and ctx.rowed else None
     pairs, held = len(SHAPES[postulate.shape]) == 3, 0
     for instance in space.instances(postulate.shape):
         generated += 1
-        if evaluate is not None:
-            hits = evaluate(*instance)
-        else:
+        if plans is not None:
             try:
                 fields = plans[instance[1]][instance[2]] if pairs else plans[instance[1]]
             except KeyError:
@@ -474,6 +462,11 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
             if fields is None:
                 continue
             hits = body(ctx, instance[0], *fields)
+        elif plan is None:
+            hits = body(ctx, *instance)
+        else:
+            fields = plan(full, *instance[1:])
+            hits = None if fields is None else body(ctx, instance[0], *fields)
         if hits is None:
             continue
         checked += 1
@@ -507,7 +500,10 @@ def find_countermodel(postulate_id: str, space: InstanceSpace,
                       ctx: Optional[CheckContext] = None) -> Optional[dict]:
     """First witness violating (or, for existential entries, satisfying)
     the postulate over ``space``, whatever its ``violation_cap``; None if
-    the sweep finds nothing."""
+    the sweep finds nothing.  SpaceError unless ``space`` is an
+    ``InstanceSpace``."""
+    if not isinstance(space, InstanceSpace):
+        raise SpaceError(f"space must be an InstanceSpace, got {space!r}")
     report = check(postulate_id, replace(space, violation_cap=1), first=True, ctx=ctx)
     return report.violations[0] if report.violations else None
 

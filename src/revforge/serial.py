@@ -48,7 +48,8 @@ _NO_MODELS = "cannot revise by an inconsistent input (no models)"
 
 
 def natural_revise(t: TPO, mask: int) -> TPO:
-    """New bottom block ``min(t, mask)``; the rest keeps its relative order."""
+    """New bottom block ``min(t, mask)``; the rest keeps its relative order.
+    A trusted kernel: it takes ``mask`` as a world mask of ``t`` unchecked."""
     masks = t.masks
     i = 0
     for block in masks:
@@ -62,7 +63,8 @@ def natural_revise(t: TPO, mask: int) -> TPO:
 
 
 def lex_revise(t: TPO, mask: int) -> TPO:
-    """All mask-worlds below all others, prior order kept within each side."""
+    """All mask-worlds below all others, prior order kept within each side.
+    A trusted kernel: it takes ``mask`` as a world mask of ``t`` unchecked."""
     if not mask:
         raise InconsistentInputError(_NO_MODELS)
     inside, outside = [], []
@@ -78,7 +80,8 @@ def lex_revise(t: TPO, mask: int) -> TPO:
 
 def restrained_revise(t: TPO, mask: int) -> TPO:
     """``min(t, mask)`` to the bottom; prior strict comparisons survive,
-    and within surviving ties mask-worlds come first."""
+    and within surviving ties mask-worlds come first.  A trusted kernel:
+    it takes ``mask`` as a world mask of ``t`` unchecked."""
     masks = t.masks
     i = 0
     for block in masks:
@@ -109,7 +112,8 @@ def natural_contract(t: TPO, mask: int) -> TPO:
     stops the input being believed.  A tautologous input (no
     counter-worlds) and a contradictory one (whose counter-worlds are
     everything, so their minimum is the bottom block already) both leave
-    the preorder unchanged.
+    the preorder unchanged.  A trusted kernel: it takes ``mask`` as a
+    world mask of ``t`` unchecked.
     """
     masks = t.masks
     i = 0

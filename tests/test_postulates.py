@@ -984,6 +984,24 @@ def test_check_rejects_a_context_for_another_space(ctx_lang, ctx_config):
         check("K2", InstanceSpace(atoms=2), ctx=ctx)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: check("K1", None),
+    lambda: check("K1", {"atoms": 1}),
+    lambda: check("K1", InstanceSpace(atoms=1), ctx="x"),
+    lambda: check("K1", InstanceSpace(atoms=1), ctx=InstanceSpace(atoms=1)),
+    lambda: find_countermodel("P-star", None),
+    lambda: verify_rc_identity(None),
+    lambda: check_equivalence_pair("PC3", "PC3-b", None),
+], ids=["none-space", "dict-space", "str-ctx", "space-as-ctx", "countermodel-none-space",
+        "rc-identity-none-space", "pair-none-space"])
+def test_check_takes_a_space_and_a_context_or_none(call):
+    """``check`` and the calls to it test their space and context where
+    they enter, so a wrong one raises ``SpaceError``, not a bare
+    ``AttributeError`` or ``TypeError`` from inside the sweep."""
+    with pytest.raises(SpaceError, match="InstanceSpace"):
+        call()
+
+
 def test_check_accepts_a_context_with_the_same_operator_names():
     """Contexts are matched by operator names, so a stand-in operator that
     keeps its registry name (a timed wrapper, say) is accepted."""
@@ -1320,16 +1338,11 @@ def _is_raw_hit_value(key: str, value) -> bool:
     return type(value) in (frozenset, str, bool, TPO)
 
 
-def test_every_catalog_entry_executes_on_a_small_sample():
-    space = InstanceSpace(atoms=2, mode="sampled", sample_count=25, seed=5)
-    for pid in sorted(CATALOG):
-        report = check(pid, space)
-        assert isinstance(report, CheckReport)
-        assert report.checked <= 25
-    # Sound entries never hit under the shipped operators, so their hits
-    # are built only under broken ones: serial stages that reverse the
-    # prior whatever the input, and an aggregate, through the context's
-    # seam, that reverses the first member.
+def _broken(space: InstanceSpace) -> tuple[InstanceSpace, CheckContext]:
+    """``space`` under operators that break most sound entries, and its
+    context: serial stages that reverse the prior whatever the input, and
+    an aggregate, through the context's seam, that reverses the first
+    member."""
     reverse = SerialRevisionOperator("reverse", lambda t, mask: TPO(tuple(reversed(t.blocks))))
     retract = SerialContractionOperator("reverse", lambda t, mask: TPO(tuple(reversed(t.blocks))))
     broken = replace(space, operators=OperatorConfig(revision=reverse, base=reverse,
@@ -1337,6 +1350,18 @@ def test_every_catalog_entry_executes_on_a_small_sample():
                                                      strategy="round-robin"))
     ctx = CheckContext.from_space(broken)
     ctx.aggregate = lambda profile: TPO(tuple(reversed(profile[0].blocks)))
+    return broken, ctx
+
+
+def test_every_catalog_entry_executes_on_a_small_sample():
+    space = InstanceSpace(atoms=2, mode="sampled", sample_count=25, seed=5)
+    for pid in sorted(CATALOG):
+        report = check(pid, space)
+        assert isinstance(report, CheckReport)
+        assert report.checked <= 25
+    # Sound entries never hit under the shipped operators, so their hits
+    # are built only under broken ones
+    broken, ctx = _broken(space)
     entries = {**CATALOG, **PAIR_CHECKS, "rc-identity": engine.RC_IDENTITY}
     silent = set(entries)
     for pid, postulate in entries.items():
@@ -1397,3 +1422,33 @@ def test_set_twins_agree_with_their_serial_postulates(operators):
             hits[serial, twin] += len(expected or ())
     if operators.describe()["revision"] == "reverse":
         assert [pair for pair, count in hits.items() if not count] == [("K1", "K-star-1")]
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3])
+def test_the_sweep_loop_agrees_with_evaluate_on_each_path(atoms):
+    """``check`` composes each instance itself: through the sweep's plan
+    table where the context keeps rows (1 and 2 atoms), with a plan per
+    draw where it does not (3 atoms), and with no plan for entries that
+    have none.  On every path its report is a fold of
+    ``Postulate.evaluate`` over the same stream on the same context,
+    under the shipped operators and under broken ones that make hits."""
+    shipped = InstanceSpace(atoms=atoms, mode="sampled", sample_count=30, seed=11)
+    entries = {**CATALOG, **PAIR_CHECKS, "rc-identity": engine.RC_IDENTITY}
+    hits = 0
+    for space, ctx in ((shipped, CheckContext.from_space(shipped)), _broken(shipped)):
+        for pid, postulate in entries.items():
+            generated = checked = total_hits = 0
+            violations = []
+            for instance in space.instances(postulate.shape):
+                generated += 1
+                found = postulate.evaluate(ctx, *instance)
+                if found is not None:
+                    checked += 1
+                    total_hits += len(found)
+                    violations += [engine._make_witness(postulate, instance, hit, ctx)
+                                   for hit in found]
+            report = check(pid, space, ctx=ctx)
+            assert (report.generated, report.checked, report.total_hits, report.violations) == (
+                generated, checked, total_hits, violations[:space.violation_cap]), pid
+            hits += total_hits
+    assert hits > 0

@@ -15,8 +15,8 @@ from revforge import (CheckContext, InconsistentInputError, LEX, NATURAL, NATURA
                       OperatorConfig, PartitionError, RESTRAINED, SerialRevisionOperator, TPO,
                       UnknownOperatorError, default_parallel_contraction,
                       default_parallel_revision, get_contraction_operator,
-                      get_revision_operator, lex_revise, natural_revise, parse_formula,
-                      restrained_revise)
+                      get_revision_operator, parse_formula)
+from revforge.serial import lex_revise, natural_revise, restrained_revise
 from revforge.postulates import enumerate_tpos, all_propositions, random_tpo
 from revforge.postulates.spaces import language
 from revforge.tpo import mask_of
