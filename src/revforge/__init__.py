@@ -9,14 +9,16 @@ The postulates package sweeps a catalog of rationality principles over
 exhaustive or sampled instance spaces and reports replayable
 countermodels.
 
-``import revforge`` loads the revision core (``errors``, ``logic``,
-``tpo``, ``serial``, ``aggregation``, ``parallel``) and the scenario
-runner, ``scenario``.  The postulate workbench, ``revforge.postulates``,
-loads on first use: the first access to ``revforge.postulates``, or to
-one of the ten names it supplies here (``CATALOG``, ``check``,
-``InstanceSpace`` and the others in ``_WORKBENCH``), imports it.  So a
-scenario run never compiles the catalog, the sweep engine or the
-instance spaces.
+``import revforge`` loads the revision core only: ``errors``, ``logic``,
+``tpo``, ``serial``, ``aggregation`` and ``parallel``.  Two submodules
+load on first use, each named in one table, ``_LAZY``, with the names it
+supplies here.  The postulate workbench, ``revforge.postulates``, supplies
+``CATALOG``, ``check``, ``InstanceSpace`` and seven more; the scenario
+runner, ``revforge.scenario``, supplies ``run_scenario``,
+``loads_scenario`` and four more.  The first access to a submodule or to
+one of its names imports it.  So a scenario run never compiles the
+catalog, the sweep engine or the instance spaces, and a sweep never
+compiles the scenario runner.
 """
 
 from .aggregation import (Aggregator, FIRST_THEN_FULL_STRATEGY, ROUND_ROBIN_STRATEGY,
@@ -33,8 +35,6 @@ from .logic import (BOTTOM, TOP, Formula, FormulaSet, Language, atoms_of,
 from .parallel import (OperatorConfig, ParallelContractionOperator,
                        ParallelRevisionOperator, default_parallel_contraction,
                        default_parallel_revision, minimal_inconsistent_indices)
-from .scenario import (RunTrace, Scenario, export_dot, load_scenario,
-                       loads_scenario, run_scenario)
 from .serial import (CONTRACTION_OPERATORS, LEX, NATURAL, NATURAL_CONTRACT,
                      RESTRAINED, REVISION_OPERATORS, SerialContractionOperator,
                      SerialRevisionOperator, get_contraction_operator,
@@ -44,11 +44,15 @@ from .tpo import (ConditionalSet, TPO, conditional_set, intersect_conditionals,
 
 __version__ = "0.1.0"
 
-# the names that ``__getattr__`` takes from ``revforge.postulates``
-_WORKBENCH = frozenset({
-    "CATALOG", "CheckContext", "CheckReport", "EQUIVALENCE_PAIRS", "InstanceSpace", "check",
-    "check_equivalence_pair", "find_countermodel", "replay_witness", "verify_rc_identity",
-})
+# what ``__getattr__`` loads on first use: each submodule, and each name
+# it supplies here, maps to that submodule
+_LAZY = dict.fromkeys((
+    "postulates", "CATALOG", "CheckContext", "CheckReport", "EQUIVALENCE_PAIRS", "InstanceSpace",
+    "check", "check_equivalence_pair", "find_countermodel", "replay_witness", "verify_rc_identity",
+), "postulates") | dict.fromkeys((
+    "scenario", "RunTrace", "Scenario", "export_dot", "load_scenario", "loads_scenario",
+    "run_scenario",
+), "scenario")
 
 __all__ = [
     "Aggregator", "BOTTOM", "CATALOG", "CONTRACTION_OPERATORS", "CheckContext",
@@ -75,21 +79,21 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name != "postulates" and name not in _WORKBENCH:
+    submodule = _LAZY.get(name)
+    if submodule is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # ``from . import postulates`` would call back here through hasattr;
-    # importing the submodule binds ``postulates`` in this module, and a
-    # workbench name is bound below, so each is looked up once
+    # importing a submodule binds it in this module, and a name it
+    # supplies is bound below, so each is looked up once
     from importlib import import_module
-    postulates = import_module(".postulates", __name__)
-    if name == "postulates":
-        return postulates
-    value = globals()[name] = getattr(postulates, name)
+    module = import_module("." + submodule, __name__)
+    if name == submodule:
+        return module
+    value = globals()[name] = getattr(module, name)
     return value
 
 
 def __dir__():
-    # as if the workbench were imported eagerly: its names and the
-    # submodule, without the two hooks and their table
-    return sorted((globals().keys() - {"__getattr__", "__dir__", "_WORKBENCH"})
-                  | _WORKBENCH | {"postulates"})
+    # as if both submodules were imported eagerly: their names and the
+    # submodules, without the two hooks and their table
+    return sorted((globals().keys() - {"__getattr__", "__dir__", "_LAZY"}) | _LAZY.keys())

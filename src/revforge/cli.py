@@ -20,10 +20,11 @@ an explicit ``--seed`` flag wins over the environment.  ``--seed``
 without ``--sampled`` is a usage error, since an exhaustive sweep draws
 nothing, and so is a negative seed from either source.
 
-Importing this module loads the revision core and the scenario runner,
-as ``import revforge`` does.  ``check`` and ``enumerate`` import the
-postulate workbench when they run, so ``run`` and ``self-test`` never
-load it.
+Importing this module loads the revision core, as ``import revforge``
+does.  Each subcommand imports what it needs when it runs: ``run`` and
+``self-test`` the scenario runner, ``check`` and ``enumerate`` the
+postulate workbench.  So a scenario run never loads the workbench, and a
+sweep never loads the scenario runner.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 from .errors import RevforgeError
 from .parallel import OperatorConfig
-from .scenario import export_dot, load_scenario, loads_scenario, run_scenario
 
 BUNDLED_SCENARIO = "scenarios/example1.scenario"
 
@@ -54,6 +53,8 @@ def _resolve_seed(explicit, default: int) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .scenario import export_dot, load_scenario, run_scenario
+
     try:
         scenario = load_scenario(args.file)
     except (OSError, UnicodeDecodeError) as exc:
@@ -110,6 +111,10 @@ def _answer_of(entry, **match):
 
 
 def _cmd_self_test(_args) -> int:
+    from importlib import resources
+
+    from .scenario import loads_scenario, run_scenario
+
     text = resources.files("revforge").joinpath(BUNDLED_SCENARIO).read_text(encoding="utf-8")
     trace = run_scenario(loads_scenario(text))
     initial, first, second = trace.entries[0], trace.entries[1], trace.entries[2]

@@ -406,10 +406,13 @@ def parse_formula(text: str, lang: Language) -> Formula:
     raises ``ParseError`` at position 0, whatever the depth of the
     caller's stack, and so does a tree deeper than ``MAX_FORMULA_DEPTH``,
     such as a long chain of ``&``, which the parser builds in a loop.
-    Text that is not a ``str`` raises ``ParseError`` at position 0 too.
+    Text that is not a ``str`` raises ``ParseError`` at position 0 too,
+    and a ``lang`` that is not a ``Language`` raises ``LanguageError``.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a formula string, got {type(text).__name__}", 0)
+    if not isinstance(lang, Language):
+        raise LanguageError(f"parse_formula takes a Language, got {lang!r}")
     parser = _Parser(text, lang, _TREE)
     try:
         formula = parser.parse()

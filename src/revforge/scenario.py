@@ -486,7 +486,10 @@ def _format_answer(ans: dict) -> str:
 
 
 def run_scenario(scenario: Scenario) -> RunTrace:
-    """Execute every step and answer every query along the way."""
+    """Execute every step and answer every query along the way.
+    ``ScenarioError`` for a value that is not a ``Scenario``."""
+    if not isinstance(scenario, Scenario):
+        raise ScenarioError(f"run_scenario takes a Scenario, got {scenario!r}")
     lang = scenario.lang
     prev = ParallelRevisionOperator(scenario.base, scenario.finisher, scenario.aggregator)
     pcon = ParallelContractionOperator(scenario.contraction, scenario.aggregator)
@@ -531,7 +534,10 @@ def export_dot(trace: RunTrace, graph_name: str = "trace") -> str:
     Within a cluster, worlds sit on one rank per plausibility block and
     every world points at every world in the next more plausible block,
     so the drawing reads bottom-up from least to most plausible.
+    ``ScenarioError`` for a value that is not a ``RunTrace``.
     """
+    if not isinstance(trace, RunTrace):
+        raise ScenarioError(f"export_dot takes a RunTrace, got {trace!r}")
     lang = trace.lang
     out = [f"digraph {graph_name} {{", "  rankdir=BT;",
            "  node [shape=box, fontname=\"monospace\"];"]

@@ -1,11 +1,13 @@
 """What ``import revforge`` loads, and what it leaves to first use.
 
-The revision core and the scenario runner load with the package.  The
-postulate workbench, ``revforge.postulates``, loads on first access, so
-a scenario run and ``import revforge.cli`` never compile the catalog.
-The package's surface is unchanged: every ``__all__`` name resolves,
-``from revforge import *`` binds them all and ``dir(revforge)`` lists
-them.
+Only the revision core loads with the package.  The postulate
+workbench, ``revforge.postulates``, and the scenario runner,
+``revforge.scenario``, each load on first access.  So a scenario run,
+``revforge run`` and ``revforge self-test`` never compile the catalog,
+and a sweep, ``import revforge.cli`` and ``revforge check`` never
+compile the scenario runner.  The package's surface is unchanged: every
+``__all__`` name resolves, ``from revforge import *`` binds them all and
+``dir(revforge)`` lists them.
 
 Each check runs in a fresh interpreter, since this process has long
 since imported the workbench.
@@ -60,6 +62,58 @@ print(json.dumps({
 }))
 """
 
+CORE = ["revforge", "revforge.aggregation", "revforge.errors", "revforge.logic",
+        "revforge.parallel", "revforge.serial", "revforge.tpo"]
+
+SWEEPS = """
+import contextlib, io, json, sys
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
+
+seen = {}
+import revforge
+seen["import"] = loaded("revforge")
+assert revforge.check("K1", revforge.InstanceSpace(atoms=2)).outcome == "holds"
+seen["check"] = loaded("revforge.scenario")
+assert revforge.verify_rc_identity(revforge.InstanceSpace(atoms=1)).outcome == "holds"
+seen["rc-identity"] = loaded("revforge.scenario")
+import revforge.cli
+seen["cli"] = loaded("revforge.scenario")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = revforge.cli.main(["check", "--id", "K1", "--atoms", "1"])
+seen["cli-check"] = [code, loaded("revforge.scenario")]
+module = revforge.scenario
+seen["first-access"] = [module.__name__, loaded("revforge.scenario")]
+seen["run_scenario"] = revforge.run_scenario is module.run_scenario
+print(json.dumps(seen))
+"""
+
+RUNNER_BY_NAME = """
+import json, sys
+import revforge
+before = "revforge.scenario" in sys.modules
+run = revforge.run_scenario
+print(json.dumps([before, "revforge.scenario" in sys.modules,
+                  run is sys.modules["revforge.scenario"].run_scenario]))
+"""
+
+CLI_SCENARIOS = """
+import contextlib, io, json, sys
+from importlib import resources
+import revforge.cli
+
+def workbench():
+    return sorted(m for m in sys.modules if m.startswith("revforge.postulates"))
+
+path = str(resources.files("revforge").joinpath("scenarios/example1.scenario"))
+seen = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["run"] = [revforge.cli.main(["run", path]), workbench()]
+    seen["self-test"] = [revforge.cli.main(["self-test"]), workbench()]
+print(json.dumps(seen))
+"""
+
 WORKBENCH = ["CATALOG", "CheckContext", "CheckReport", "EQUIVALENCE_PAIRS", "InstanceSpace",
              "check", "check_equivalence_pair", "find_countermodel", "replay_witness",
              "verify_rc_identity"]
@@ -86,3 +140,18 @@ def test_the_workbench_resolves_on_first_access():
     assert surface["star_unbound"] == []
     assert surface["not_in_dir"] == []
     assert surface["unknown"] == "module 'revforge' has no attribute 'no_such_name'"
+
+
+def test_import_loads_the_core_and_sweeps_never_load_the_scenario_runner():
+    assert _run(SWEEPS) == {
+        "import": CORE, "check": [], "rc-identity": [], "cli": [], "cli-check": [0, []],
+        "first-access": ["revforge.scenario", ["revforge.scenario"]], "run_scenario": True,
+    }
+
+
+def test_the_scenario_runner_loads_on_first_access_to_one_of_its_names():
+    assert _run(RUNNER_BY_NAME) == [False, True, True]
+
+
+def test_the_cli_runs_scenarios_without_the_workbench():
+    assert _run(CLI_SCENARIOS) == {"run": [0, []], "self-test": [0, []]}

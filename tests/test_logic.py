@@ -126,6 +126,17 @@ def test_text_that_is_not_a_string_raises_parse_error(lang2, call, message):
     assert err.value.position == 0
 
 
+@pytest.mark.parametrize("call, got", [
+    (lambda: parse_formula("A", None), "None"),
+    (lambda: parse_formula("A", ("A", "B")), "('A', 'B')"),
+    (lambda: FormulaSet.parse(["A"], None), "None"),
+], ids=["none", "tuple-of-atoms", "set-none"])
+def test_a_language_that_is_not_a_language_raises_language_error(call, got):
+    with pytest.raises(LanguageError) as err:
+        call()
+    assert str(err.value) == f"parse_formula takes a Language, got {got}"
+
+
 @pytest.mark.parametrize("text", ["(" * 170 + "A" + ")" * 170, "~" * 3000 + "A"],
                          ids=["170-parens", "3000-negations"])
 def test_nesting_too_deep_to_parse_raises_parse_error(lang2, text):

@@ -618,3 +618,15 @@ def test_the_name_list_table_stays_within_its_bound():
         trace = make({"version": 1, "atoms": ["A", "B", "C", "D"], "initial": [first, rest]})
         assert trace.to_json() == _dumped(trace)
         assert scenario_module._name_list.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_scenario(None), "run_scenario takes a Scenario, got None"),
+    (lambda: run_scenario({"version": 1}), "run_scenario takes a Scenario, got {'version': 1}"),
+    (lambda: export_dot(None), "export_dot takes a RunTrace, got None"),
+    (lambda: export_dot("trace"), "export_dot takes a RunTrace, got 'trace'"),
+], ids=["run-none", "run-dict", "dot-none", "dot-str"])
+def test_run_and_export_take_a_scenario_and_a_trace(call, message):
+    with pytest.raises(ScenarioError) as err:
+        call()
+    assert str(err.value) == message
