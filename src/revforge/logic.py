@@ -19,8 +19,10 @@ disjunction, implication, biconditional, and the constants verum and
 falsum.  ``parse_formula`` reads the ASCII syntax ``~ & | -> <->``,
 tightest binder first, with ``T``/``F`` for the constants; ``&`` and
 ``|`` group to the left, ``->`` and ``<->`` to the right.  One table,
-``_CONNECTIVES``, states each binary connective's symbol, precedence and
-grouping for both the parser and ``format_formula``.  ``str()``
+``_CONNECTIVES``, states each binary connective once: its node, symbol,
+precedence, grouping and operation on world masks.  The parser,
+``format_formula``, ``model_mask`` and ``atoms_of`` read it, and the
+last three find a node's row by its exact type.  ``str()``
 pretty-prints with the fewest parentheses, and parse -> print -> parse
 is a fixpoint.  The tokenizer scans the text in one ``findall``;
 character positions are worked out only for the message of a
@@ -28,20 +30,23 @@ character positions are worked out only for the message of a
 
 The one parser, ``_Parser``, takes what it builds as an argument: the
 node for an atom, a negation, ``T``, ``F`` and each connective.
-``parse_formula`` passes the tree nodes.  The scenario loader passes
-bitwise operations on world masks, so a sentence becomes its mask with
-no tree in between; a text of more than ``MAX_FORMULA_DEPTH`` tokens,
-the only kind whose tree can break the depth bound, and one nested too
-deeply for the stack, still go through ``parse_formula``.  A value
-given where a formula object or a ``FormulaSet`` is expected raises
-``FormulaError``.
+``parse_formula`` passes the tree nodes, ``_TREE``.  ``sentence_mask``
+passes the mask operations, ``_MASKS``, so a sentence becomes its mask
+with no tree in between; a text of more than ``MAX_FORMULA_DEPTH``
+tokens, the only kind whose tree can break the depth bound, still goes
+through ``parse_formula``.  ``_Parser.parse`` turns a stack overflow
+into the ``ParseError`` of text nested too deeply, for both routes.
+The scenario loader reads every sentence through ``sentence_mask``.  A
+value given where a formula object or a ``FormulaSet`` is expected
+raises ``FormulaError``, and a ``FormulaSet`` over a value that is not
+a ``Language`` raises ``LanguageError``.
 
-``model_mask`` is the one structural route from a formula to its
+``model_mask`` is the one structural route from a formula tree to its
 proposition: bitwise algebra on masks, starting from the atom masks
 each ``Language`` keeps.  ``models``, ``entails``, ``is_consistent`` and
 ``cn_equal`` read it.  ``evaluate`` decides a single world
-truth-functionally and shares no code with it, so tests can
-cross-validate the two.
+truth-functionally and shares no code with it or with the table, so
+tests can cross-validate the two.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import and_, invert, or_
 from typing import Iterable, Iterator
 
 from .errors import FormulaError, LanguageError, ParseError
@@ -264,31 +270,38 @@ def atoms_of(formula: Formula) -> frozenset[str]:
         return frozenset({formula.name})
     if isinstance(formula, Not):
         return atoms_of(formula.operand)
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return atoms_of(formula.left) | atoms_of(formula.right)
     if isinstance(formula, (Verum, Falsum)):
         return frozenset()
+    if type(formula) in _PREC:
+        return atoms_of(formula.left) | atoms_of(formula.right)
     raise FormulaError(f"not a formula: {formula!r}")
 
 
 # --- parsing ---
 
-# the binary connectives, loosest first: (node, symbol, right-associative);
-# a row's index is its precedence level, for the parser and the printer
-_CONNECTIVES = ((Iff, "<->", True), (Implies, "->", True), (Or, "|", False), (And, "&", False))
+# the binary connectives, loosest first: (node, symbol, right-associative,
+# operation on world masks); a row's index is its precedence level, for the
+# parser and the printer.  The operations run over every bit of an int, so
+# ``->`` and ``<->`` set the bits above the worlds too: ``model_mask`` cuts
+# them off at each node, ``sentence_mask`` once, at the end
+_CONNECTIVES = ((Iff, "<->", True, lambda a, b: ~a ^ b), (Implies, "->", True, lambda a, b: ~a | b),
+                (Or, "|", False, or_), (And, "&", False, and_))
 
 
-def _levels(nodes: Iterable) -> tuple:
-    """The parser's levels: each ``_CONNECTIVES`` row with its node taken
-    from ``nodes``, and the level its operands parse at, None below the
-    tightest."""
-    return tuple((node, symbol, right_assoc, level + 1 if level + 1 < len(_CONNECTIVES) else None)
-                 for level, (node, (_, symbol, right_assoc)) in enumerate(zip(nodes, _CONNECTIVES)))
+def _levels(column: int) -> tuple:
+    """The parser's levels: what each ``_CONNECTIVES`` row builds, its
+    entry at ``column``, with the row's symbol and grouping, and the
+    level its operands parse at, None below the tightest."""
+    return tuple((row[column], row[1], row[2], level + 1 if level + 1 < len(_CONNECTIVES) else None)
+                 for level, row in enumerate(_CONNECTIVES))
 
 
 # what ``parse_formula`` builds: from an atom name, from a negated operand,
 # for T and for F, and at each level
-_TREE = (Atom, Not, TOP, BOTTOM, _levels(node for node, _, _ in _CONNECTIVES))
+_TREE = (Atom, Not, TOP, BOTTOM, _levels(0))
+# what ``sentence_mask`` builds, after the atom masks: like the rows'
+# operations, a negation sets the bits above the worlds
+_MASKS = (invert, -1, 0, _levels(3))
 
 _TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|<->|->|~|&|\||\(|\))")
 
@@ -325,9 +338,9 @@ class _Parser:
     bottom, levels)``, where ``atom`` maps a known atom name to its node,
     ``negation`` an operand to its negation, ``top`` and ``bottom`` are
     the nodes of ``T`` and ``F``, and ``levels`` comes from ``_levels``.
-    ``parse_formula`` passes ``_TREE``; the scenario loader passes mask
-    operations.  The grammar, the frames and every ``ParseError`` are the
-    same for both.
+    ``parse_formula`` passes ``_TREE``; ``sentence_mask`` passes the atom
+    masks and ``_MASKS``.  The grammar, the frames and every
+    ``ParseError`` are the same for both.
     """
 
     def __init__(self, text: str, lang: Language, build: tuple):
@@ -343,7 +356,12 @@ class _Parser:
         return ParseError(message, (starts + [len(self.text)])[index])
 
     def parse(self) -> Formula:
-        formula = self.binary(0)
+        """What the text builds.  Text nested deeper than the interpreter's
+        recursion limit allows raises ``ParseError`` at position 0."""
+        try:
+            formula = self.binary(0)
+        except RecursionError:
+            raise ParseError("formula nested too deeply", 0) from None
         tok = self.tokens[self.pos]
         if tok:
             raise self.error(f"unexpected {tok!r}", self.pos)
@@ -414,21 +432,37 @@ def parse_formula(text: str, lang: Language) -> Formula:
     if not isinstance(lang, Language):
         raise LanguageError(f"parse_formula takes a Language, got {lang!r}")
     parser = _Parser(text, lang, _TREE)
-    try:
-        formula = parser.parse()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", 0) from None
+    formula = parser.parse()
     # a tree has fewer nodes on a path than the text has tokens
     if len(parser.tokens) > MAX_FORMULA_DEPTH and _depth(formula) > MAX_FORMULA_DEPTH:
         raise ParseError(f"formula nested too deeply (more than {MAX_FORMULA_DEPTH} levels)", 0)
     return formula
 
 
+def sentence_mask(text: str, lang: Language) -> int:
+    """``model_mask(parse_formula(text, lang), lang)``, with the parser
+    building the mask itself, no tree in between.
+
+    It raises the ``ParseError`` that ``parse_formula`` would, since the
+    grammar, the frames and the errors are the parser's, text nested too
+    deeply for the stack included.  A text of more than
+    ``MAX_FORMULA_DEPTH`` tokens, the only kind whose tree can break the
+    depth bound, takes the tree route instead, so it fails as
+    ``parse_formula`` words it.  A trusted kernel: ``text`` must be a
+    ``str`` and ``lang`` a ``Language``, as the scenario loader, which
+    checks its sentences and shares its languages, passes them.
+    """
+    parser = _Parser(text, lang, (lang._atom_masks.__getitem__, *_MASKS))
+    if len(parser.tokens) <= MAX_FORMULA_DEPTH:
+        return parser.parse() & lang._full_mask
+    return model_mask(parse_formula(text, lang), lang)
+
+
 # --- pretty printing ---
 
 # negation binds one level tighter than the tightest connective, atoms
 # and constants tighter still
-_PREC = {node: level for level, (node, _, _) in enumerate(_CONNECTIVES)} | {Not: len(_CONNECTIVES)}
+_PREC = {row[0]: level for level, row in enumerate(_CONNECTIVES)} | {Not: len(_CONNECTIVES)}
 
 
 def _prec(formula: Formula) -> int:
@@ -451,7 +485,7 @@ def format_formula(formula: Formula) -> str:
     prec = _PREC.get(type(formula))
     if prec is None:
         raise FormulaError(f"not a formula: {formula!r}")
-    _, symbol, right_assoc = _CONNECTIVES[prec]
+    _, symbol, right_assoc, _ = _CONNECTIVES[prec]
     left, right = format_formula(formula.left), format_formula(formula.right)
     # a child that binds looser is parenthesized, and so is one that binds
     # equally on the side the connective does not group to
@@ -489,27 +523,23 @@ def model_mask(formula: Formula, lang: Language) -> int:
     """The proposition expressed by ``formula``, as a world mask.
 
     Computed by structural bitwise algebra on the language's atom masks
-    rather than per-world evaluation.
+    rather than per-world evaluation.  A binary node's operation is its
+    ``_CONNECTIVES`` row's, found by the node's exact type, as
+    ``format_formula`` finds it.
     """
     if isinstance(formula, Atom):
         return lang.atom_mask(formula.name)
     if isinstance(formula, Not):
         return lang._full_mask & ~model_mask(formula.operand, lang)
-    if isinstance(formula, And):
-        return model_mask(formula.left, lang) & model_mask(formula.right, lang)
-    if isinstance(formula, Or):
-        return model_mask(formula.left, lang) | model_mask(formula.right, lang)
-    if isinstance(formula, Implies):
-        left, right = model_mask(formula.left, lang), model_mask(formula.right, lang)
-        return (lang._full_mask & ~left) | right
-    if isinstance(formula, Iff):
-        left, right = model_mask(formula.left, lang), model_mask(formula.right, lang)
-        return lang._full_mask & ~(left ^ right)
     if isinstance(formula, Verum):
         return lang._full_mask
     if isinstance(formula, Falsum):
         return 0
-    raise FormulaError(f"not a formula: {formula!r}")
+    prec = _PREC.get(type(formula))
+    if prec is None:
+        raise FormulaError(f"not a formula: {formula!r}")
+    left, right = model_mask(formula.left, lang), model_mask(formula.right, lang)
+    return lang._full_mask & _CONNECTIVES[prec][3](left, right)
 
 
 def models(formula: Formula, lang: Language) -> frozenset[int]:
@@ -560,10 +590,13 @@ class FormulaSet:
     Members are deduplicated under syntactic (structural) equality only;
     semantically equal but syntactically distinct members are kept, and
     the insertion order of first occurrences is preserved.  The order is
-    what downstream consumers treat as the set's indexing.
+    what downstream consumers treat as the set's indexing.  A ``lang``
+    that is not a ``Language`` raises ``LanguageError``.
     """
 
     def __init__(self, lang: Language, members: Iterable[Formula] = ()):
+        if not isinstance(lang, Language):
+            raise LanguageError(f"FormulaSet takes a Language, got {lang!r}")
         self.lang = lang
         seen: list[Formula] = []
         for member in members:
@@ -577,11 +610,14 @@ class FormulaSet:
     def parse(cls, texts: Iterable[str], lang: Language) -> "FormulaSet":
         """The formulas of ``texts``, in order.  ``ParseError`` at position 0
         for a bare ``str``, which would otherwise be read one character at
-        a time, and for a value that is not iterable, such as ``None``."""
+        a time, and for a value that is not iterable, such as ``None``.
+        Every text is parsed before the set is built, so a ``lang`` that
+        is not a ``Language`` fails as ``parse_formula`` words it, or as
+        the constructor does when there is no text."""
         if isinstance(texts, str) or not isinstance(texts, Iterable):
             got = "one str" if isinstance(texts, str) else type(texts).__name__
             raise ParseError(f"expected a collection of formula strings, got {got}", 0)
-        return cls(lang, (parse_formula(text, lang) for text in texts))
+        return cls(lang, [parse_formula(text, lang) for text in texts])
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.members)

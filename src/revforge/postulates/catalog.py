@@ -29,8 +29,9 @@ It turns the inputs into masks, and returns the body's fields, or None
 when the instance falls outside the check's domain, which skips it
 without a body call.  The body takes ``(ctx, t, *fields)``; every step
 it takes, ``ctx.previse(t, masks)`` and ``ctx.pcontract(t, masks)``
-included, sees only masks.  An entry without a plan (the profile
-entries) has a body that takes the instance as the stream yields it.
+included, sees only masks.  Every entry has a plan: a profile has no
+inputs, so the profile entries' plan is the empty one, ``full -> ()``,
+and their body takes ``(ctx, profile)``.
 ``Postulate.evaluate(ctx, *instance)`` composes the two for one
 instance; the sweep in ``engine.check`` is the one place that keeps
 plans, so no plan outlives its sweep.  A body returns a list of hit
@@ -114,8 +115,8 @@ class Postulate:
     shape: str
     summary: str
     body: Callable = field(repr=False)
-    # ``(full, *inputs) -> fields or None``; None when the body takes the instance
-    plan: Callable | None = field(default=None, repr=False)
+    # ``(full, *inputs) -> fields or None``
+    plan: Callable = field(repr=False)
     kind: str = "universal"
     expected: object = "sound"
     # (role, name) pairs the check uses whatever the space configures;
@@ -131,7 +132,7 @@ class Postulate:
         """The body's result on one instance, after its plan: None where
         the plan puts the instance outside the domain."""
         t, *inputs = instance
-        fields = inputs if self.plan is None else self.plan(ctx.full_mask, *inputs)
+        fields = self.plan(ctx.full_mask, *inputs)
         return None if fields is None else self.body(ctx, t, *fields)
 
 
@@ -142,11 +143,10 @@ def _register(id: str, shape: str, summary: str, *, plan: Callable | None = None
               kind: str = "universal", expected: object = "sound"):
     """The one way into ``CATALOG``: a decorator that enters the function
     it decorates as the body of ``id``, with ``plan``, or else the
-    shape's plan in ``_SHAPE_DEFAULTS``.  Given a plan, the body is
-    written over the plan's fields, ``body(ctx, t, *fields)``, and a
-    sweep calls the plan once per distinct input where inputs repeat;
-    without one (``profile2``), the body takes the instance as the stream
-    yields it."""
+    shape's plan in ``_SHAPE_DEFAULTS``.  The body is written over the
+    plan's fields, ``body(ctx, t, *fields)``, and a sweep calls the plan
+    once per distinct input where inputs repeat; ``profile2``'s plan is
+    the empty one, so its bodies take ``(ctx, profile)``."""
     def wrap(body):
         CATALOG[id] = Postulate(id, shape, summary, body, plan or _SHAPE_DEFAULTS[shape][0],
                                 kind, expected)
@@ -319,15 +319,16 @@ def _s_star_plan(full, s1, s2):
 
 # Each shape's default plan and, where its entries test one operator,
 # that operator as ``post(ctx, t, conj, masks)``; it reads the seam from
-# the context at each call, so a stand-in for it is seen.
-_SHAPE_DEFAULTS: dict[str, tuple[Callable | None, Callable | None]] = {
+# the context at each call, so a stand-in for it is seen.  A profile has
+# no inputs, so its plan is the empty one.
+_SHAPE_DEFAULTS: dict[str, tuple[Callable, Callable | None]] = {
     "serial": (_input, lambda ctx, t, conj, masks: ctx.revise(t, conj)),
     "sercon": (_input, lambda ctx, t, conj, masks: ctx.contract(t, conj)),
     "serial2": (_inputs, None),
     "pset": (_regions, lambda ctx, t, conj, masks: ctx.previse(t, masks)),
     "cset": (_regions, lambda ctx, t, conj, masks: ctx.pcontract(t, masks)),
     "pset2": (_pair_plan, None),
-    "profile2": (None, None),
+    "profile2": (lambda full: (), None),
 }
 
 
@@ -935,4 +936,4 @@ def _rc_identity(ctx, profile):
 RC_IDENTITY = Postulate(
     "rc-identity", "profile2",
     "synchronous aggregation equals rational closure of intersected conditional beliefs",
-    _rc_identity, operators=(("strategy", "stq"),))
+    _rc_identity, _SHAPE_DEFAULTS["profile2"][0], operators=(("strategy", "stq"),))

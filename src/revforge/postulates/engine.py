@@ -11,18 +11,18 @@ generated and those it skipped as outside the postulate's domain.  It
 composes every instance itself, from the entry's plan, the part of a
 check that depends on the instance's inputs alone (see ``catalog``), and
 its body, so every evaluator call and plan miss of a sweep is made in
-that loop, on one of three paths.  Where the context keeps rows, every
-prior meets every input, so a table local to the sweep holds each
-distinct input's plan, and is freed with the sweep.  It is keyed by the
-stream's own input objects, one dict level per input: ``plans[s]``, or
-``plans[a][b]`` for the shapes of two inputs (``serial2`` and
-``pset2``), as ``spaces.SHAPES`` counts them.  The loop looks each plan
-up inline, so no instance builds or hashes a key tuple.  It holds at
-most ``_MEMO`` plans, counted across both levels: a miss that finds it
-full clears it, which only a sampled sweep of large families reaches.
-Over more worlds each draw makes its own plan and hands it straight to
-the body, with no table between them, and an entry without a plan has
-its body called on the instance as drawn.
+that loop, on one of two paths.  Where the context keeps rows and the
+shape has inputs, every prior meets every input, so a table local to
+the sweep holds each distinct input's plan, and is freed with the
+sweep.  It is keyed by the stream's own input objects, one dict level
+per input: ``plans[s]``, or ``plans[a][b]`` for the shapes of two inputs
+(``serial2`` and ``pset2``), as ``spaces.SHAPES`` counts them.  The loop
+looks each plan up inline, so no instance builds or hashes a key tuple.
+It holds at most ``_MEMO`` plans, counted across both levels: a miss
+that finds it full clears it, which only a sampled sweep of large
+families reaches.  Every other sweep, over more worlds or over profiles,
+whose plan is the empty one, makes each draw's plan and hands it
+straight to the body, with no table between them.
 Its id lookup resolves catalog ids, ``<id>-pair`` for the agreement
 sweep of a semantic entry against its syntactic companion, and
 ``rc-identity`` for the check that synchronous aggregation commutes with
@@ -420,13 +420,11 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
     SpaceError unless ``space`` is an ``InstanceSpace`` and ``ctx`` None
     or a ``CheckContext``; a given ``ctx`` must have the space's atoms and
     operator names.  The loop evaluates each instance as
-    ``Postulate.evaluate`` does, on one of three paths.  Where the context
-    keeps rows, an entry with a plan looks each instance's plan up by its
-    own input objects, ``plans[s]`` or ``plans[a][b]``, and a miss plans
-    it and counts it against ``_MEMO``.  Elsewhere an entry with a plan
-    plans every instance, and an entry without one calls its body on the
-    instance as drawn.  A None plan skips the instance without a body
-    call.
+    ``Postulate.evaluate`` does, on one of two paths.  Where the context
+    keeps rows and the shape has inputs, it looks each instance's plan up
+    by its own input objects, ``plans[s]`` or ``plans[a][b]``, and a miss
+    plans it and counts it against ``_MEMO``.  Every other sweep plans
+    each instance.  A None plan skips the instance without a body call.
     """
     postulate = _postulate(postulate_id)
     if not (isinstance(space, InstanceSpace) and isinstance(ctx, (CheckContext, type(None)))):
@@ -443,13 +441,16 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
     kept: list[dict] = []
     cap = space.violation_cap
     plan, body, full = postulate.plan, postulate.body, ctx.full_mask
-    # where the context keeps rows, each input's plan, one dict level per
-    # input, and how many are held
-    plans = {} if plan is not None and ctx.rowed else None
-    pairs, held = len(SHAPES[postulate.shape]) == 3, 0
+    # where the context keeps rows and the shape has inputs, each input's
+    # plan, one dict level per input, and how many are held
+    parts = len(SHAPES[postulate.shape])
+    plans = {} if ctx.rowed and parts > 1 else None
+    pairs, held = parts == 3, 0
     for instance in space.instances(postulate.shape):
         generated += 1
-        if plans is not None:
+        if plans is None:
+            fields = plan(full, *instance[1:])
+        else:
             try:
                 fields = plans[instance[1]][instance[2]] if pairs else plans[instance[1]]
             except KeyError:
@@ -459,14 +460,9 @@ def check(postulate_id: str, space: InstanceSpace, *, first: bool = False,
                 held += 1
                 fields = plan(full, *instance[1:])
                 (plans.setdefault(instance[1], {}) if pairs else plans)[instance[-1]] = fields
-            if fields is None:
-                continue
-            hits = body(ctx, instance[0], *fields)
-        elif plan is None:
-            hits = body(ctx, *instance)
-        else:
-            fields = plan(full, *instance[1:])
-            hits = None if fields is None else body(ctx, instance[0], *fields)
+        if fields is None:
+            continue
+        hits = body(ctx, instance[0], *fields)
         if hits is None:
             continue
         checked += 1

@@ -9,13 +9,13 @@ answers after every step.  Traces serialize deterministically and can
 be rendered as plain text or as a Graphviz document with one cluster
 per stage.
 
-Each sentence becomes a world mask once, when the document loads: the
-formula parser runs with bitwise operations in place of tree nodes
-(``_parsed``), so a load builds no formula tree, and an ``initial``
-order is read straight into block masks.  ``Step.masks`` and the
-believes/conditional queries keep only the mask.  The location in an
-error, such as ``steps[2].sentences[1]``, is a format string and its
-indices until a check fails, and is written only then.  A run works on
+Each sentence becomes a world mask once, when the document loads:
+``logic.sentence_mask`` runs the formula parser with bitwise operations
+in place of tree nodes, so a load builds no formula tree, and an
+``initial`` order is read straight into block masks.  ``Step.masks``
+and the believes/conditional queries keep only the mask.  The location
+in an error, such as ``steps[2].sentences[1]``, is a format string and
+its indices until a check fails, and is written only then.  A run works on
 those masks throughout: they go to the pipeline's mask entry
 (``revise_masks``/``contract_masks``) or to a serial operator's
 ``transform``, and queries are answered with mask arithmetic on the
@@ -84,13 +84,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_, invert, or_
 from pathlib import Path
 
 from .aggregation import Aggregator
 from .errors import InconsistentInputError, ParseError, RevforgeError, ScenarioError
-from .logic import (MAX_FORMULA_DEPTH, Language, _levels, _Parser, ascending_worlds, model_mask,
-                    parse_formula, shared_language)
+from .logic import Language, ascending_worlds, sentence_mask, shared_language
 from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from .serial import SerialContractionOperator, SerialRevisionOperator
 from .tpo import TPO, comparison_symbol, read_order
@@ -110,32 +108,13 @@ _SENTENCES = 1024
 _NAME_LISTS = 1024
 
 
-# what ``logic._Parser`` builds for world masks, after the atom masks: the
-# algebra runs over every bit, so a negation sets the bits above the
-# worlds too, and ``_parsed`` cuts them off once, at the end
-_MASKS = (invert, -1, 0, _levels((lambda a, b: ~(a ^ b), lambda a, b: ~a | b, or_, and_)))
-
-
 @lru_cache(maxsize=_SENTENCES)
 def _parsed(text: str, atoms: tuple[str, ...]) -> int:
-    """The ``model_mask`` of ``text`` parsed over ``atoms``.
-
-    The parser builds the mask itself, with no tree in between, and
-    raises the ``ParseError`` that ``parse_formula`` would.  Two kinds of
-    text take the tree route instead: one of more than
-    ``MAX_FORMULA_DEPTH`` tokens, the only kind that can break the depth
-    bound, and one nested too deeply for the interpreter's stack, so both
-    fail as ``parse_formula`` words it.  A failed parse is not kept, so a
-    bad sentence is parsed, and reported, wherever it is read.
-    """
-    lang = shared_language(atoms)
-    try:
-        parser = _Parser(text, lang, (lang._atom_masks.__getitem__, *_MASKS))
-        if len(parser.tokens) <= MAX_FORMULA_DEPTH:
-            return parser.parse() & lang._full_mask
-    except RecursionError:
-        pass
-    return model_mask(parse_formula(text, lang), lang)
+    """``logic.sentence_mask`` of ``text`` over the shared language of
+    ``atoms``: the ``model_mask`` of its ``parse_formula`` tree, built
+    with no tree in between.  A failed parse is not kept, so a bad
+    sentence is parsed, and reported, wherever it is read."""
+    return sentence_mask(text, shared_language(atoms))
 
 
 def _expect(condition: bool, where: str, message: str, *args) -> None:

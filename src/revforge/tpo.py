@@ -425,19 +425,21 @@ class ConditionalSet:
 
 
 def conditional_set(t: TPO) -> ConditionalSet:
-    """The conditionals ``t`` accepts: the table ``t.min_mask`` over every mask."""
+    """The conditionals ``t`` accepts: the table ``t.min_mask`` over every
+    mask.  PartitionError for a value that is not a ``TPO``."""
+    if not isinstance(t, TPO):
+        raise PartitionError(f"conditional_set takes a TPO, got {t!r}")
     _check_conditional_width(t.num_worlds)
     return ConditionalSet._from_masks(t.num_worlds,
                                       tuple(map(t.min_mask, range(1 << t.num_worlds))))
 
 
 def intersect_conditionals(sets: Sequence[ConditionalSet]) -> ConditionalSet:
-    if not sets:
-        raise PartitionError("need at least one conditional set")
-    result = sets[0]
-    for other in sets[1:]:
-        result = result.intersect(other)
-    return result
+    """The conditionals every member of ``sets`` accepts.  PartitionError
+    unless ``sets`` holds one or more ``ConditionalSet``s."""
+    if not sets or not all(isinstance(c, ConditionalSet) for c in sets):
+        raise PartitionError(f"need one or more ConditionalSets, got {sets!r}")
+    return reduce(ConditionalSet.intersect, sets)
 
 
 def rational_closure(conditionals: ConditionalSet) -> TPO:
@@ -450,8 +452,11 @@ def rational_closure(conditionals: ConditionalSet) -> TPO:
     what remains outside every live ``X - Y``.  The antecedents are read
     off the table as its indices.  If some round strands worlds that
     satisfy nothing, no TPO supports the input.  On the table of a TPO
-    it returns that TPO.
+    it returns that TPO.  PartitionError for a value that is not a
+    ``ConditionalSet``.
     """
+    if not isinstance(conditionals, ConditionalSet):
+        raise PartitionError(f"rational_closure takes a ConditionalSet, got {conditionals!r}")
     n = conditionals.num_worlds
     # (antecedent, its worlds that break the conditional), for those with any
     live = [(x, x & ~y) for x, y in enumerate(conditionals._table) if x & ~y]

@@ -11,8 +11,14 @@ compile the scenario runner.  The package's surface is unchanged: every
 
 Each check runs in a fresh interpreter, since this process has long
 since imported the workbench.
+
+The scenario loader reaches the formula layer only through its public
+names: its source imports no private name from ``revforge.logic`` and
+reads no private mask table of a ``Language``.  That is read from the
+source with ``ast``, so it needs no interpreter of its own.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -155,3 +161,14 @@ def test_the_scenario_runner_loads_on_first_access_to_one_of_its_names():
 
 def test_the_cli_runs_scenarios_without_the_workbench():
     assert _run(CLI_SCENARIOS) == {"run": [0, []], "self-test": [0, []]}
+
+
+def test_the_scenario_loader_reaches_logic_only_through_public_names():
+    tree = ast.parse((SRC / "revforge" / "scenario.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "logic"
+                for alias in node.names]
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "sentence_mask" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+    assert read & {"_atom_masks", "_full_mask"} == set()

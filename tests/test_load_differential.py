@@ -1,9 +1,9 @@
 """The mask route of a scenario load against the tree and world-set routes.
 
-``scenario._parsed`` has the parser build each sentence's mask, with no
-tree in between.  On seeded random texts at 1-4 atoms, with every
-connective, the constants, redundant parentheses and odd whitespace, it
-must give ``model_mask`` of ``parse_formula``'s tree; so must the parser
+``scenario._parsed``, the table over ``logic.sentence_mask``, has the
+parser build each sentence's mask, with no tree in between.  On seeded
+random texts at 1-4 atoms, with every connective, the constants,
+redundant parentheses and odd whitespace, it must give ``model_mask`` of ``parse_formula``'s tree; so must the parser
 run with the mask operations on chains at exactly ``MAX_FORMULA_DEPTH``,
 which ``_parsed`` itself sends down the tree route when they are long.
 On every malformed text of ``test_parse_errors`` both routes must raise
@@ -19,11 +19,11 @@ import random
 
 import pytest
 
-from revforge import TPO, LanguageError, PartitionError, model_mask, parse_formula
+from revforge import TPO, LanguageError, ParseError, PartitionError, model_mask, parse_formula
 from revforge import scenario as scenario_module
-from revforge.logic import MAX_FORMULA_DEPTH, _Parser, shared_language
+from revforge.logic import _MASKS, MAX_FORMULA_DEPTH, _Parser, shared_language
 from revforge.tpo import read_order, read_worlds
-from test_parse_errors import MALFORMED, in_fresh_thread
+from test_parse_errors import MALFORMED, _from_depth, in_fresh_thread
 
 ATOMS = ("A", "B", "C", "D")
 SYMBOLS = ("&", "|", "->", "<->")
@@ -48,8 +48,8 @@ def tree_mask(text: str, lang) -> int:
 
 
 def mask_route(text: str, lang) -> int:
-    """The parser run with ``_parsed``'s mask operations, whatever the text's length."""
-    build = (lang._atom_masks.__getitem__, *scenario_module._MASKS)
+    """The parser run with ``sentence_mask``'s mask operations, whatever the text's length."""
+    build = (lang._atom_masks.__getitem__, *_MASKS)
     return _Parser(text, lang, build).parse() & lang._full_mask
 
 
@@ -98,6 +98,21 @@ def test_malformed_text_raises_the_same_error_through_both_routes(name):
     got = in_fresh_thread(lambda: scenario_module._parsed.__wrapped__(text, lang.atoms))
     assert type(got) is type(want)
     assert (str(got), got.position) == (str(want), want.position)
+
+
+def test_a_short_text_too_deep_for_the_stack_fails_alike_through_both_routes():
+    """99 parentheses take 199 tokens, so the text stays on the mask
+    route; 400 frames below the parser leave it too little room, and
+    both routes then raise the parser's own ``ParseError``."""
+    lang = shared_language(("A", "B"))
+    text = "(" * 99 + "A" + ")" * 99
+    assert in_fresh_thread(lambda: scenario_module._parsed.__wrapped__(text, lang.atoms)) is None
+    want = in_fresh_thread(lambda: _from_depth(400, lambda: parse_formula(text, lang)))
+    got = in_fresh_thread(
+        lambda: _from_depth(400, lambda: scenario_module._parsed.__wrapped__(text, lang.atoms)))
+    assert type(want) is type(got) is ParseError
+    assert (str(got), got.position) == (str(want), want.position) == (
+        "formula nested too deeply (at position 0)", 0)
 
 
 # --- orders -------------------------------------------------------------------

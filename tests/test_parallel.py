@@ -12,6 +12,7 @@ from revforge import (TPO, Aggregator, CheckContext, FIRST_THEN_FULL_STRATEGY, F
                       PartitionError, STQ_STRATEGY, UnknownOperatorError, check,
                       default_parallel_contraction, default_parallel_revision,
                       parse_formula, replay_witness)
+from revforge.logic import Atom, LanguageError
 from revforge.parallel import minimal_inconsistent_indices
 from revforge.postulates import enumerate_tpos, all_propositions, formula_set_tuples
 from revforge.tpo import mask_of
@@ -214,6 +215,22 @@ def test_default_operator_configs():
     pcon = default_parallel_contraction()
     assert pcon.base is NATURAL_CONTRACT is config.resolved("contraction")
     assert pcon.aggregator.strategy is STQ_STRATEGY
+
+
+@pytest.mark.parametrize("build, got", [
+    (lambda: FormulaSet(None, []), "None"),
+    (lambda: FormulaSet(None, [Atom("A")]), "None"),
+    (lambda: FormulaSet("AB", [Atom("A")]), "'AB'"),
+    (lambda: FormulaSet.parse([], None), "None"),
+], ids=["none-empty", "none", "str", "parse-empty"])
+def test_a_formula_set_needs_a_language(build, got):
+    """A formula set is built over a ``Language`` or not at all.  Each of
+    these used to build a set that ``conj`` and ``neg_set`` took, while
+    ``sat_subset``, ``cn_equal`` and the parallel operators' ``revise``
+    met its language only to raise ``AttributeError``."""
+    with pytest.raises(LanguageError) as err:
+        build()
+    assert str(err.value) == f"FormulaSet takes a Language, got {got}"
 
 
 @pytest.mark.parametrize("entry", [

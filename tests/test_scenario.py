@@ -20,6 +20,7 @@ from revforge import (
     scenario as scenario_module,
 )
 from revforge.aggregation import STQ_STRATEGY, STRATEGIES, SelectionStrategy
+from revforge import logic
 from revforge.logic import MAX_FORMULA_DEPTH, Language
 from revforge.postulates import InstanceSpace
 from revforge.postulates.spaces import language
@@ -474,8 +475,8 @@ def _count_parses(monkeypatch) -> list:
     """The ``(text, atoms)`` of each sentence the parse table parses from
     now on: every read it does not answer starts one parser."""
     calls = []
-    parser = scenario_module._Parser
-    monkeypatch.setattr(scenario_module, "_Parser",
+    parser = logic._Parser
+    monkeypatch.setattr(logic, "_Parser",
                         lambda text, lang, build: calls.append((text, lang.atoms))
                         or parser(text, lang, build))
     return calls

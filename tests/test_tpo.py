@@ -170,6 +170,24 @@ def test_intersection_is_pointwise_union():
         intersect_conditionals([])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: conditional_set(None), "conditional_set takes a TPO, got None"),
+    (lambda: conditional_set(5), "conditional_set takes a TPO, got 5"),
+    (lambda: rational_closure(None), "rational_closure takes a ConditionalSet, got None"),
+    (lambda: intersect_conditionals([None]), "need one or more ConditionalSets, got [None]"),
+    (lambda: intersect_conditionals([conditional_set(TPO.uniform(2)), 5]),
+     "need one or more ConditionalSets, got [ConditionalSet(2 worlds, 4 antecedents), 5]"),
+    (lambda: intersect_conditionals([]), "need one or more ConditionalSets, got []"),
+], ids=["table-of-none", "table-of-int", "closure-of-none", "intersect-none",
+        "intersect-int", "intersect-empty"])
+def test_the_conditional_entries_raise_partition_error_for_a_value_of_another_type(call, message):
+    """Each entry names the value it got; ``intersect_conditionals([None])``
+    used to return None, and the others raised ``AttributeError``."""
+    with pytest.raises(PartitionError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_closure_of_intersection_is_least_committal():
     # intersecting a state with its reverse leaves nothing to separate x from w
     a = conditional_set(tpo({0}, {1, 2}, {3}))
