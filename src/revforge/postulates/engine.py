@@ -235,7 +235,8 @@ class CheckContext:
 
     ``full_mask`` is the mask of every world, which plans take.  The
     context keeps no plan: ``check`` does, for one sweep, in its own loop
-    where ``rowed`` is true, and at most ``_MEMO`` of them.  The
+    where ``rowed`` is true and the shape has inputs, and at most
+    ``_MEMO`` of them.  The
     aggregator memo, the set keys and the tables keyed by an order hold
     at most ``_ROWS`` entries.  ``memo_info()`` reports the
     ``cache_info()`` of each.

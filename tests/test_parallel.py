@@ -224,10 +224,9 @@ def test_default_operator_configs():
     (lambda: FormulaSet.parse([], None), "None"),
 ], ids=["none-empty", "none", "str", "parse-empty"])
 def test_a_formula_set_needs_a_language(build, got):
-    """A formula set is built over a ``Language`` or not at all.  Each of
-    these used to build a set that ``conj`` and ``neg_set`` took, while
-    ``sat_subset``, ``cn_equal`` and the parallel operators' ``revise``
-    met its language only to raise ``AttributeError``."""
+    """A formula set is built over a ``Language`` or not at all, so
+    ``conj``, ``neg_set``, ``sat_subset``, ``cn_equal`` and the parallel
+    operators never meet a set without one, empty sets included."""
     with pytest.raises(LanguageError) as err:
         build()
     assert str(err.value) == f"FormulaSet takes a Language, got {got}"

@@ -181,8 +181,8 @@ def test_intersection_is_pointwise_union():
 ], ids=["table-of-none", "table-of-int", "closure-of-none", "intersect-none",
         "intersect-int", "intersect-empty"])
 def test_the_conditional_entries_raise_partition_error_for_a_value_of_another_type(call, message):
-    """Each entry names the value it got; ``intersect_conditionals([None])``
-    used to return None, and the others raised ``AttributeError``."""
+    """Each entry names the value it got, and a list holding anything but
+    conditional sets is refused, even when it holds one value only."""
     with pytest.raises(PartitionError) as err:
         call()
     assert str(err.value) == message
