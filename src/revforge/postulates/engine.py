@@ -93,7 +93,7 @@ from ..aggregation import Aggregator
 from ..errors import SpaceError, UnknownPostulateError, lookup
 from ..logic import Language
 from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
-from ..tpo import TPO, conditional_set
+from ..tpo import TPO, conditional_set, mask_of
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
 from .spaces import (MAX_EXHAUSTIVE_ATOMS, SHAPES, InstanceSpace, decode_instance,
                      encode_instance, language)
@@ -323,7 +323,9 @@ class CheckContext:
 
 
 def render_value(value, lang: Language):
-    """Make a hit/instance value JSON-friendly; worlds become bit-strings."""
+    """Make a hit/instance value JSON-friendly; worlds become bit-strings.
+    A world set is named by ``Language.names_of`` over its mask, as a
+    witness instance is, and an order by ``TPO.render``."""
     if isinstance(value, TPO):
         return value.render(lang)
     if isinstance(value, bool):
@@ -331,7 +333,7 @@ def render_value(value, lang: Language):
     if isinstance(value, int):
         return lang.world_name(value)
     if isinstance(value, (frozenset, set)):
-        return sorted(lang.world_name(w) for w in value)
+        return lang.names_of(mask_of(value, lang.num_worlds))
     if isinstance(value, (list, tuple)):
         return [render_value(v, lang) for v in value]
     if isinstance(value, dict):

@@ -66,8 +66,10 @@ how to enumerate, sample, encode and decode its value.  Exhaustive
 streams are the product of the parts' values, sampled streams draw the
 parts in order, and witnesses encode an instance part by part, so
 ``decode_instance`` inverts ``encode_instance`` by construction.  The
-preorder and proposition parts read world names through ``tpo``'s
-``read_order`` and ``read_worlds``, the readers scenario documents use.
+preorder and proposition parts write world names with
+``Language.names_of``, over an order's block masks and over each
+proposition's mask, and read them through ``tpo``'s ``read_order`` and
+``read_worlds``, the readers scenario documents use.
 Decoding rejects what no stream yields: an empty input or member, an
 empty family or one that repeats a member, a ``pset`` or ``pset2``
 family whose members share no world, and a profile of other than two
@@ -86,7 +88,7 @@ from typing import Callable, Iterator, Sequence
 from ..errors import RevforgeError, SpaceError, lookup
 from ..logic import Language, shared_language
 from ..parallel import OperatorConfig
-from ..tpo import TPO, _items, read_order, read_worlds, tpo, worlds_of
+from ..tpo import TPO, _items, mask_of, read_order, read_worlds, tpo, worlds_of
 
 DEFAULT_SEED = 1729
 MAX_EXHAUSTIVE_ATOMS = 2
@@ -242,10 +244,6 @@ def _family_draw(rng: random.Random, num_worlds: int, max_size: int,
 
 # --- the shape table ---
 
-def _names(worlds, lang: Language) -> list[str]:
-    return sorted(lang.world_name(w) for w in worlds)
-
-
 @dataclass(frozen=True)
 class Part:
     """One component of an instance.
@@ -253,8 +251,9 @@ class Part:
     ``values(space)`` lists every value in exhaustive order,
     ``sampler(space, rng)`` binds a draw to the space and the generator,
     which returns the next value at each call, ``encode``/``decode``
-    map a value to and from its JSON form, with worlds as atom bit-strings,
-    and ``most(space)`` is the most orders and propositions a value holds.
+    map a value to and from its JSON form, with worlds as atom
+    bit-strings that ``Language.names_of`` writes, and ``most(space)``
+    is the most orders and propositions a value holds.
     """
 
     values: Callable = field(repr=False)
@@ -267,7 +266,7 @@ class Part:
 _PREORDER = Part(
     lambda space: tuple(enumerate_tpos(space.num_worlds)),
     lambda space, rng: _preorder_draw(rng, space.num_worlds),
-    lambda t, lang: [_names(block, lang) for block in t.blocks],
+    lambda t, lang: [lang.names_of(mask) for mask in t.masks],
     read_order)
 
 
@@ -281,7 +280,7 @@ def _read_proposition(names, lang: Language) -> frozenset[int]:
 _PROPOSITION = Part(
     lambda space: all_propositions(space.num_worlds),
     lambda space, rng: _proposition_draw(rng, space.num_worlds),
-    _names, _read_proposition)
+    lambda worlds, lang: lang.names_of(mask_of(worlds, lang.num_worlds)), _read_proposition)
 
 
 def _tuple_of(part: Part, values: Callable, sampler: Callable, check: Callable,
@@ -305,7 +304,8 @@ def _check_family(family: tuple, lang: Language, jointly_consistent: bool) -> No
         raise SpaceError("a family needs at least one member")
     for i, member in enumerate(family):
         if member in family[:i]:
-            raise SpaceError(f"a family lists the member {_names(member, lang)} twice")
+            names = _PROPOSITION.encode(member, lang)
+            raise SpaceError(f"a family lists the member {names} twice")
     if jointly_consistent and not family[0].intersection(*family[1:]):
         raise SpaceError("the members of a jointly consistent family share no world")
 

@@ -24,7 +24,8 @@ load too, and its answer reads the order's ``ranks`` unchecked.
 ``RunTrace.to_json`` writes its document in one pass, with the bytes of
 ``json.dumps(..., indent=2)``: each entry's order and beliefs come
 straight from its block masks, through a table of rendered world-name
-lists keyed by atom count, mask and depth.
+lists keyed by language, mask and depth, whose names come from the
+trace's ``Language.names_of``.
 
 Sentences are read through one table of sentence masks, keyed by text
 and atoms.  Loading a document and replaying its trace both read
@@ -88,7 +89,7 @@ from pathlib import Path
 
 from .aggregation import Aggregator
 from .errors import InconsistentInputError, ParseError, RevforgeError, ScenarioError
-from .logic import Language, ascending_worlds, sentence_mask, shared_language
+from .logic import Language, sentence_mask, shared_language
 from .parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
 from .serial import SerialContractionOperator, SerialRevisionOperator
 from .tpo import TPO, comparison_symbol, read_order
@@ -103,6 +104,9 @@ _QUERY_TYPES = ("believes", "conditional", "compare", "show-tpo")
 # the ``operators`` keys and the ``OperatorConfig`` fields they set
 _OPERATOR_ROLES = {"base": "base", "finisher": "finisher", "contraction": "contraction",
                    "agg": "strategy"}
+
+# words DOT reserves, in any case, so that none of them names a graph unquoted
+_DOT_KEYWORDS = frozenset({"digraph", "edge", "graph", "node", "strict", "subgraph"})
 
 _SENTENCES = 1024
 _NAME_LISTS = 1024
@@ -351,16 +355,16 @@ class RunTrace:
         as does nesting too deep to recurse, so that a circular document
         raises json's own error.
         """
-        count = len(self.lang.atoms)
+        lang = self.lang
         out = ['{\n  "scenario": ']
         try:
             _write(self.scenario, out, "\n  ")
             opener = ',\n  "entries": [\n    {'
             for e in self.entries:
-                blocks = ",\n        ".join([_name_list(count, mask, 4) for mask in e.tpo.masks])
+                blocks = ",\n        ".join([_name_list(lang, mask, 4) for mask in e.tpo.masks])
                 out.append(f'{opener}\n      "label": {_escape(e.label)},\n      "tpo": [\n'
                            f'        {blocks}\n      ],\n      "beliefs": '
-                           f'{_name_list(count, e.tpo.masks[0], 3)},\n      "queries": ')
+                           f'{_name_list(lang, e.tpo.masks[0], 3)},\n      "queries": ')
                 _write(list(e.answers), out, "\n      ")
                 opener = "\n    },\n    {"
         except (_Unwritable, RecursionError):
@@ -399,12 +403,11 @@ _escape = json.encoder.encode_basestring_ascii
 
 
 @lru_cache(maxsize=_NAME_LISTS)
-def _name_list(atom_count: int, mask: int, depth: int) -> str:
-    """The names of ``mask``'s worlds over ``atom_count`` atoms, as the
-    JSON list that ``json.dumps(..., indent=2)`` writes ``depth`` levels in."""
-    spec = f"0{atom_count}b"
+def _name_list(lang: Language, mask: int, depth: int) -> str:
+    """``lang.names_of(mask)`` as the JSON list that
+    ``json.dumps(..., indent=2)`` writes ``depth`` levels in."""
     inner = "\n" + "  " * (depth + 1)
-    items = ("," + inner).join([_escape(format(w, spec)) for w in ascending_worlds(mask)])
+    items = ("," + inner).join(map(_escape, lang.names_of(mask)))
     return f"[{inner}{items}\n{'  ' * depth}]"
 
 
@@ -513,10 +516,18 @@ def export_dot(trace: RunTrace, graph_name: str = "trace") -> str:
     Within a cluster, worlds sit on one rank per plausibility block and
     every world points at every world in the next more plausible block,
     so the drawing reads bottom-up from least to most plausible.
-    ``ScenarioError`` for a value that is not a ``RunTrace``.
+    ``ScenarioError`` for a value that is not a ``RunTrace``, and for a
+    ``graph_name`` that is not an unquoted DOT ID: ASCII letters, digits
+    and underscores, not starting with a digit, and not one of DOT's
+    keywords, which it reads in any case.
     """
     if not isinstance(trace, RunTrace):
         raise ScenarioError(f"export_dot takes a RunTrace, got {trace!r}")
+    if not (isinstance(graph_name, str) and graph_name.isascii() and graph_name.isidentifier()
+            and graph_name.lower() not in _DOT_KEYWORDS):
+        raise ScenarioError("export_dot takes a graph name of ASCII letters, digits and "
+                            "underscores, not starting with a digit and not a DOT keyword, "
+                            f"got {graph_name!r}")
     lang = trace.lang
     out = [f"digraph {graph_name} {{", "  rankdir=BT;",
            "  node [shape=box, fontname=\"monospace\"];"]

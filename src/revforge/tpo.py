@@ -20,11 +20,14 @@ Equality and the hash use the masks.  The hash too is computed on first
 use and then kept, so an order that never becomes a key, as almost none
 does in a sampled sweep, never pays for it.
 
-Each check on outside input is stated once, here, and applied where the
-input enters:
+Each check on outside input, and each rule about worlds and blocks, is
+stated once, here, and applied where the input enters:
 
 * An order has two builders.  ``TPO(blocks)`` is the checked one, for
-  blocks from outside.  ``tpo(masks, num_worlds)`` is the trusted one,
+  blocks from outside; it and ``read_order``, the reader of world
+  names, share one block check, ``_disjoint``, which rejects the first
+  block that is empty or overlaps an earlier one, in the same words for
+  both.  ``tpo(masks, num_worlds)`` is the trusted one,
   for orders the package builds and knows to be valid: the serial
   kernels, aggregation, ``from_ranks``, ``uniform``,
   ``rational_closure`` and the spaces' enumerator and sampler.  It
@@ -35,7 +38,8 @@ input enters:
   entries convert with it, and it raises ``PartitionError`` for a world
   outside ``range(num_worlds)``.  ``rank`` and the comparisons check
   their worlds the same way; code that walks an order's own worlds reads
-  ``ranks`` instead.
+  ``ranks`` instead, which lists each block's worlds with
+  ``logic.ascending_worlds``, as ``Language.names_of`` does.
 * ``check_language`` is the one width rule: a formula meets an order
   only when its language has exactly the order's worlds, and any other
   width raises ``PartitionError``.  ``render`` and the formula entries of
@@ -50,7 +54,8 @@ through the language's name index: TypeError for a value that is not a
 list, ``LanguageError`` for a name that is not a world of the language
 or is listed twice, and ``PartitionError`` for blocks that do not
 partition every world of the language.  Each caller wraps these in its
-own error.
+own error.  Going out, world names come only from ``Language.names_of``
+over a mask: ``render``, witness payloads and scenario traces alike.
 
 A ``ConditionalSet`` captures the conditional beliefs a TPO supports: it
 accepts the pair (antecedent X, consequent Y) exactly when the most
@@ -71,7 +76,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import LanguageError, PartitionError, SpaceError, UnsatisfiableConditionalsError
 from .logic import _LOW_BYTE, Language, ascending_worlds, worlds_of
@@ -116,6 +121,15 @@ class TPO:
     Equality and hashing look at ``masks`` only; the hash, ``hash(masks)``,
     is computed on first use and kept, like the derived fields.
     Instances are immutable.
+
+    ``TPO(blocks)`` reads its blocks in order.  Each block's mask comes
+    from ``mask_of`` over ``range(count)``, ``count`` being the number of
+    worlds the blocks list, and a world outside it raises
+    ``PartitionError`` in words of its own ("blocks must cover
+    range(count) exactly").  Then ``_disjoint`` checks that mask against
+    the earlier ones, so the first fault in block order is the one
+    reported.  Disjoint blocks of ``count`` worlds inside
+    ``range(count)`` cover it.
     """
 
     __slots__ = ("masks", "num_worlds", "blocks", "ranks", "world_masks", "_hash")
@@ -125,22 +139,7 @@ class TPO:
         if not blocks:
             raise PartitionError("a total preorder needs at least one block")
         count = sum(map(len, blocks))
-        masks = []
-        seen = 0
-        for block in blocks:
-            if not block:
-                raise PartitionError("blocks must be non-empty")
-            try:
-                mask = mask_of(block, count)
-            except PartitionError as exc:
-                raise PartitionError(f"blocks must cover range({count}) exactly: {exc}") from None
-            if mask & seen:
-                raise PartitionError(f"blocks overlap on {sorted(worlds_of(mask & seen))}")
-            seen |= mask
-            masks.append(mask)
-        # disjoint blocks of ``count`` worlds, all in range(count), cover it
-        masks = tuple(masks)
-        _set_masks(self, masks)
+        _set_masks(self, tuple(_disjoint(_in_range(blocks, count))))
         _set_num_worlds(self, count)
         _set(self, "blocks", blocks)
 
@@ -162,10 +161,8 @@ class TPO:
         elif name == "ranks":
             ranks = [0] * self.num_worlds
             for depth, mask in enumerate(self.masks, start=1):
-                while mask:
-                    low = mask & -mask
-                    ranks[low.bit_length() - 1] = depth
-                    mask ^= low
+                for world in ascending_worlds(mask):
+                    ranks[world] = depth
             value = tuple(ranks)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -283,6 +280,34 @@ def tpo(masks: tuple[int, ...], num_worlds: int) -> TPO:
     return t
 
 
+def _in_range(blocks: tuple[frozenset, ...], count: int) -> Iterator[int]:
+    """The mask of each block, read by ``mask_of`` when the next one is
+    asked for; PartitionError for a world outside ``range(count)``, in
+    the words of ``TPO(blocks)``."""
+    for block in blocks:
+        try:
+            mask = mask_of(block, count)
+        except PartitionError as exc:
+            raise PartitionError(f"blocks must cover range({count}) exactly: {exc}") from None
+        yield mask
+
+
+def _disjoint(masks: Iterable[int]) -> Iterator[int]:
+    """Each of ``masks`` in turn; PartitionError for the first that is
+    empty or overlaps an earlier one.  The one block check of both
+    checked readers, ``TPO(blocks)`` and ``read_order``.  It asks for
+    the masks one at a time, so a fault that an iterator raises for a
+    later mask comes after these faults of the earlier ones."""
+    seen = 0
+    for mask in masks:
+        if not mask:
+            raise PartitionError("blocks must be non-empty")
+        if mask & seen:
+            raise PartitionError(f"blocks overlap on {sorted(worlds_of(mask & seen))}")
+        seen |= mask
+        yield mask
+
+
 def comparison_symbol(diff: int) -> str:
     """The symbol of a rank difference such as ``t.compare(x, y)``: ``<``
     when x is strictly more plausible, ``>`` when y is, ``~`` when tied."""
@@ -333,23 +358,16 @@ def read_order(blocks, lang: Language) -> TPO:
 
     The blocks are read straight into masks by ``_read_masks``.  Then
     PartitionError is raised unless they place every world of ``lang``,
-    and after that for the first block that is empty or overlaps an
-    earlier one, in the words of ``TPO(blocks)``.  The order is built by
-    the trusted ``tpo``.
+    and after that ``_disjoint``, the block check of ``TPO(blocks)``,
+    raises it for the first block that is empty or overlaps an earlier
+    one.  The order is built by the trusted ``tpo``.
     """
-    masks = tuple(_read_masks(_items(blocks), lang))
+    masks = _read_masks(_items(blocks), lang)
     placed = reduce(or_, masks, 0).bit_count()
     if placed != lang.num_worlds:
         raise PartitionError(f"the order places {placed} worlds, the language has "
                              f"{lang.num_worlds}")
-    seen = 0
-    for mask in masks:
-        if not mask:
-            raise PartitionError("blocks must be non-empty")
-        if mask & seen:
-            raise PartitionError(f"blocks overlap on {sorted(worlds_of(mask & seen))}")
-        seen |= mask
-    return tpo(masks, lang.num_worlds)
+    return tpo(tuple(_disjoint(masks)), lang.num_worlds)
 
 
 def _check_conditional_width(num_worlds: int) -> None:
