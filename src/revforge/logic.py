@@ -20,9 +20,10 @@ falsum.  ``parse_formula`` reads the ASCII syntax ``~ & | -> <->``,
 tightest binder first, with ``T``/``F`` for the constants; ``&`` and
 ``|`` group to the left, ``->`` and ``<->`` to the right.  One table,
 ``_CONNECTIVES``, states each binary connective once: its node, symbol,
-precedence, grouping and operation on world masks.  The parser,
-``format_formula``, ``model_mask`` and ``atoms_of`` read it, and the
-last three find a node's row by its exact type.  ``str()``
+precedence, grouping and operation on world masks.  Two readers walk
+with it: the parser over text, and one fold, ``_fold``, over trees,
+which finds a binary node's row by its exact type.  ``format_formula``,
+``model_mask`` and ``atoms_of`` are each one fold.  ``str()``
 pretty-prints with the fewest parentheses, and parse -> print -> parse
 is a fixpoint.  The tokenizer scans the text in one ``findall``;
 character positions are worked out only for the message of a
@@ -41,19 +42,24 @@ value given where a formula object or a ``FormulaSet`` is expected
 raises ``FormulaError``, and a ``FormulaSet`` over a value that is not
 a ``Language`` raises ``LanguageError``.
 
+The fold takes the builds the parser takes, and raises the one
+``FormulaError`` for a value that is not a formula node, at any depth.
 ``model_mask`` is the one structural route from a formula tree to its
-proposition: bitwise algebra on masks, starting from the atom masks
-each ``Language`` keeps.  ``models``, ``entails``, ``is_consistent`` and
-``cn_equal`` read it.  ``evaluate`` decides a single world
-truth-functionally and shares no code with it or with the table, so
-tests can cross-validate the two.
+proposition: it folds the tree through the atom masks each ``Language``
+keeps and ``_MASKS``, the build ``sentence_mask`` parses with, and cuts
+the result to the language's worlds once, at the end.  So
+``sentence_mask(text, lang)`` equals ``model_mask(parse_formula(text,
+lang), lang)`` by construction.  ``models``, ``entails``,
+``is_consistent`` and ``cn_equal`` read it.  ``evaluate`` decides a
+single world truth-functionally and shares no code with the fold or
+its tables, so tests can cross-validate the two.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import and_, invert, or_
 from typing import Iterable, Iterator
 
@@ -264,44 +270,37 @@ TOP = Verum()
 BOTTOM = Falsum()
 
 
-def atoms_of(formula: Formula) -> frozenset[str]:
-    """The set of atom names occurring in ``formula``."""
-    if isinstance(formula, Atom):
-        return frozenset({formula.name})
-    if isinstance(formula, Not):
-        return atoms_of(formula.operand)
-    if isinstance(formula, (Verum, Falsum)):
-        return frozenset()
-    if type(formula) in _PREC:
-        return atoms_of(formula.left) | atoms_of(formula.right)
-    raise FormulaError(f"not a formula: {formula!r}")
-
-
 # --- parsing ---
 
 # the binary connectives, loosest first: (node, symbol, right-associative,
 # operation on world masks); a row's index is its precedence level, for the
-# parser and the printer.  The operations run over every bit of an int, so
-# ``->`` and ``<->`` set the bits above the worlds too: ``model_mask`` cuts
-# them off at each node, ``sentence_mask`` once, at the end
+# parser, the fold and the printer.  The operations run over every bit of
+# an int, so ``->`` and ``<->`` set the bits above the worlds too:
+# ``sentence_mask`` and ``model_mask`` cut them off once, at the end
 _CONNECTIVES = ((Iff, "<->", True, lambda a, b: ~a ^ b), (Implies, "->", True, lambda a, b: ~a | b),
                 (Or, "|", False, or_), (And, "&", False, and_))
+# the level of each binary node, which ``_fold`` finds by exact type
+_LEVEL = {row[0]: level for level, row in enumerate(_CONNECTIVES)}
 
 
-def _levels(column: int) -> tuple:
-    """The parser's levels: what each ``_CONNECTIVES`` row builds, its
-    entry at ``column``, with the row's symbol and grouping, and the
+def _levels(joins: Iterable) -> tuple:
+    """The parser's levels: ``joins``, what each ``_CONNECTIVES`` row
+    builds, in row order, each with its row's symbol and grouping and the
     level its operands parse at, None below the tightest."""
-    return tuple((row[column], row[1], row[2], level + 1 if level + 1 < len(_CONNECTIVES) else None)
-                 for level, row in enumerate(_CONNECTIVES))
+    return tuple((join, symbol, right_assoc, level + 1 if level + 1 < len(_CONNECTIVES) else None)
+                 for level, (join, (_, symbol, right_assoc, _)) in enumerate(zip(joins, _CONNECTIVES)))
 
 
 # what ``parse_formula`` builds: from an atom name, from a negated operand,
 # for T and for F, and at each level
-_TREE = (Atom, Not, TOP, BOTTOM, _levels(0))
-# what ``sentence_mask`` builds, after the atom masks: like the rows'
-# operations, a negation sets the bits above the worlds
-_MASKS = (invert, -1, 0, _levels(3))
+_TREE = (Atom, Not, TOP, BOTTOM, _levels(row[0] for row in _CONNECTIVES))
+# what ``sentence_mask`` and ``model_mask`` build, after the atom masks:
+# like the rows' operations, a negation sets the bits above the worlds
+_MASKS = (invert, -1, 0, _levels(row[3] for row in _CONNECTIVES))
+# what ``atoms_of`` builds: a negation has its operand's atoms, which
+# ``frozenset`` returns as they are
+_ATOM_SETS = (lambda name: frozenset((name,)), frozenset, frozenset(), frozenset(),
+              _levels([or_] * len(_CONNECTIVES)))
 
 _TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|<->|->|~|&|\||\(|\))")
 
@@ -340,7 +339,9 @@ class _Parser:
     the nodes of ``T`` and ``F``, and ``levels`` comes from ``_levels``.
     ``parse_formula`` passes ``_TREE``; ``sentence_mask`` passes the atom
     masks and ``_MASKS``.  The grammar, the frames and every
-    ``ParseError`` are the same for both.
+    ``ParseError`` are the same for both.  ``_fold`` is its twin for
+    trees: it takes the same builds, and builds from a tree what the
+    parser builds from its text.
     """
 
     def __init__(self, text: str, lang: Language, build: tuple):
@@ -406,6 +407,33 @@ class _Parser:
                          self.pos - 1)
 
 
+def _fold(formula: Formula, build: tuple):
+    """What ``formula`` builds through ``build``, the
+    ``(atom, negation, top, bottom, levels)`` a ``_Parser`` takes,
+    leaves first: a binary node's level is found by its exact type, and
+    its row of ``levels`` joins what its children built.
+    ``FormulaError`` for a value that is not a formula node, at any
+    depth of the tree."""
+    level = _LEVEL.get(type(formula))
+    if level is not None:
+        return build[4][level][0](_fold(formula.left, build), _fold(formula.right, build))
+    if isinstance(formula, Not):
+        return build[1](_fold(formula.operand, build))
+    if isinstance(formula, Atom):
+        return build[0](formula.name)
+    if isinstance(formula, Verum):
+        return build[2]
+    if isinstance(formula, Falsum):
+        return build[3]
+    raise FormulaError(f"not a formula: {formula!r}")
+
+
+def atoms_of(formula: Formula) -> frozenset[str]:
+    """The set of atom names occurring in ``formula``: its fold through
+    ``_ATOM_SETS``."""
+    return _fold(formula, _ATOM_SETS)
+
+
 def _depth(formula: Formula) -> int:
     """Nodes on the longest root-to-leaf path of ``formula``, counted level
     by level without recursion; a node's children are its formula fields."""
@@ -460,40 +488,35 @@ def sentence_mask(text: str, lang: Language) -> int:
 
 # --- pretty printing ---
 
-# negation binds one level tighter than the tightest connective, atoms
+# what ``format_formula`` builds: a text and the level it binds at.
+# Negation binds one level tighter than the tightest connective, atoms
 # and constants tighter still
-_PREC = {row[0]: level for level, row in enumerate(_CONNECTIVES)} | {Not: len(_CONNECTIVES)}
+_NEGATED = len(_CONNECTIVES)
+_LEAF = _NEGATED + 1
 
 
-def _prec(formula: Formula) -> int:
-    return _PREC.get(type(formula), len(_CONNECTIVES) + 1)
+def _joined(level: int, symbol: str, right_assoc: bool, left: tuple, right: tuple) -> tuple:
+    """Two operands' (text, level) pairs joined by the connective at
+    ``level``.  A child that binds looser is parenthesized, and so is one
+    that binds equally on the side the connective does not group to."""
+    left = left[0] if left[1] >= level + right_assoc else f"({left[0]})"
+    right = right[0] if right[1] >= level + (not right_assoc) else f"({right[0]})"
+    return f"{left} {symbol} {right}", level
+
+
+def _negated(operand: tuple) -> tuple:
+    return (f"~{operand[0]}" if operand[1] >= _NEGATED else f"~({operand[0]})"), _NEGATED
+
+
+_TEXT = (lambda name: (name, _LEAF), _negated, ("T", _LEAF), ("F", _LEAF),
+         _levels(partial(_joined, level, symbol, right_assoc)
+                 for level, (_, symbol, right_assoc, _) in enumerate(_CONNECTIVES)))
 
 
 def format_formula(formula: Formula) -> str:
-    """Render with the fewest parentheses that survive re-parsing."""
-    if isinstance(formula, Atom):
-        return formula.name
-    if isinstance(formula, Verum):
-        return "T"
-    if isinstance(formula, Falsum):
-        return "F"
-    if isinstance(formula, Not):
-        inner = format_formula(formula.operand)
-        if _prec(formula.operand) < _PREC[Not]:
-            inner = f"({inner})"
-        return f"~{inner}"
-    prec = _PREC.get(type(formula))
-    if prec is None:
-        raise FormulaError(f"not a formula: {formula!r}")
-    _, symbol, right_assoc, _ = _CONNECTIVES[prec]
-    left, right = format_formula(formula.left), format_formula(formula.right)
-    # a child that binds looser is parenthesized, and so is one that binds
-    # equally on the side the connective does not group to
-    if _prec(formula.left) < prec + right_assoc:
-        left = f"({left})"
-    if _prec(formula.right) < prec + (not right_assoc):
-        right = f"({right})"
-    return f"{left} {symbol} {right}"
+    """Render with the fewest parentheses that survive re-parsing: the
+    text of the fold of ``formula`` through ``_TEXT``."""
+    return _fold(formula, _TEXT)[0]
 
 
 # --- semantics ---
@@ -523,23 +546,14 @@ def model_mask(formula: Formula, lang: Language) -> int:
     """The proposition expressed by ``formula``, as a world mask.
 
     Computed by structural bitwise algebra on the language's atom masks
-    rather than per-world evaluation.  A binary node's operation is its
-    ``_CONNECTIVES`` row's, found by the node's exact type, as
-    ``format_formula`` finds it.
+    rather than per-world evaluation: the fold of ``formula`` through the
+    atom masks and ``_MASKS``, which ``sentence_mask`` parses with, cut
+    to the language's worlds once, at the end.  So
+    ``sentence_mask(text, lang)`` is ``model_mask(parse_formula(text,
+    lang), lang)`` by construction.  An atom ``lang`` does not know raises
+    ``LanguageError``.
     """
-    if isinstance(formula, Atom):
-        return lang.atom_mask(formula.name)
-    if isinstance(formula, Not):
-        return lang._full_mask & ~model_mask(formula.operand, lang)
-    if isinstance(formula, Verum):
-        return lang._full_mask
-    if isinstance(formula, Falsum):
-        return 0
-    prec = _PREC.get(type(formula))
-    if prec is None:
-        raise FormulaError(f"not a formula: {formula!r}")
-    left, right = model_mask(formula.left, lang), model_mask(formula.right, lang)
-    return lang._full_mask & _CONNECTIVES[prec][3](left, right)
+    return _fold(formula, (lang.atom_mask, *_MASKS)) & lang._full_mask
 
 
 def models(formula: Formula, lang: Language) -> frozenset[int]:

@@ -519,7 +519,8 @@ def export_dot(trace: RunTrace, graph_name: str = "trace") -> str:
     ``ScenarioError`` for a value that is not a ``RunTrace``, and for a
     ``graph_name`` that is not an unquoted DOT ID: ASCII letters, digits
     and underscores, not starting with a digit, and not one of DOT's
-    keywords, which it reads in any case.
+    keywords, which it reads in any case.  A stage's label is written
+    into a quoted DOT string with each ``\\`` and ``"`` escaped.
     """
     if not isinstance(trace, RunTrace):
         raise ScenarioError(f"export_dot takes a RunTrace, got {trace!r}")
@@ -533,8 +534,9 @@ def export_dot(trace: RunTrace, graph_name: str = "trace") -> str:
            "  node [shape=box, fontname=\"monospace\"];"]
     for i, e in enumerate(trace.entries):
         names = [lang.names_of(mask) for mask in e.tpo.masks]
+        label = e.label.replace("\\", "\\\\").replace('"', '\\"')
         out.append(f"  subgraph cluster_{i} {{")
-        out.append(f"    label=\"{e.label}\";")
+        out.append(f"    label=\"{label}\";")
         for j, block in enumerate(names):
             members = " ".join(f"\"s{i}_{n}\"" for n in block)
             out.append(f"    {{ rank=same; {members} }}")

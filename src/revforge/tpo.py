@@ -129,13 +129,18 @@ class TPO:
     range(count) exactly").  Then ``_disjoint`` checks that mask against
     the earlier ones, so the first fault in block order is the one
     reported.  Disjoint blocks of ``count`` worlds inside
-    ``range(count)`` cover it.
+    ``range(count)`` cover it.  Blocks that are not an iterable of
+    iterables of worlds, such as ``5`` or ``[5]``, raise
+    ``PartitionError`` naming the value.
     """
 
     __slots__ = ("masks", "num_worlds", "blocks", "ranks", "world_masks", "_hash")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        blocks = tuple(frozenset(b) for b in blocks)
+        try:
+            blocks = tuple(frozenset(b) for b in blocks)
+        except TypeError:
+            raise PartitionError(f"TPO takes an iterable of blocks of worlds, got {blocks!r}") from None
         if not blocks:
             raise PartitionError("a total preorder needs at least one block")
         count = sum(map(len, blocks))
@@ -454,10 +459,12 @@ def conditional_set(t: TPO) -> ConditionalSet:
 
 def intersect_conditionals(sets: Sequence[ConditionalSet]) -> ConditionalSet:
     """The conditionals every member of ``sets`` accepts.  PartitionError
-    unless ``sets`` holds one or more ``ConditionalSet``s."""
-    if not sets or not all(isinstance(c, ConditionalSet) for c in sets):
+    unless ``sets`` holds one or more ``ConditionalSet``s.  ``sets`` is
+    read once, so an iterator gives what the list of its members gives."""
+    members = tuple(sets) if isinstance(sets, Iterable) else ()
+    if not members or not all(isinstance(c, ConditionalSet) for c in members):
         raise PartitionError(f"need one or more ConditionalSets, got {sets!r}")
-    return reduce(ConditionalSet.intersect, sets)
+    return reduce(ConditionalSet.intersect, members)
 
 
 def rational_closure(conditionals: ConditionalSet) -> TPO:

@@ -16,7 +16,10 @@ It also keeps the frozenset route of formulas and scenario runs:
 ``revise_worlds``/``contract_worlds`` and the serial ``revise``/
 ``contract``, answers queries on frozensets and names worlds one by one.
 ``test_mask_differential.py`` checks ``model_mask`` and ``run_scenario``
-against them.
+against them.  Beside them sit the three walkers over formula trees that
+one fold replaced, ``atoms_of``, ``format_formula`` and ``model_mask``,
+each dispatching on node kinds itself; ``test_fold_differential.py``
+checks the fold's versions against them.
 
 Last, it keeps the order checks as the pair loops they were (the
 catalog's order helpers, PC3 and PC4), the profile entries (UB, LB,
@@ -32,12 +35,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
 from revforge.aggregation import SelectionStrategy
-from revforge.errors import (InconsistentInputError, PartitionError,
+from revforge.errors import (FormulaError, InconsistentInputError, PartitionError,
                              UnsatisfiableConditionalsError)
-from revforge.logic import parse_formula
+from revforge.logic import And, Atom, Falsum, Iff, Implies, Not, Or, Verum, parse_formula
 
 
 @dataclass(frozen=True)
@@ -589,7 +593,6 @@ def sampled_stream(shape: str, atoms: int, count: int, seed: int, max_set_size: 
 
 def models(formula, lang) -> frozenset[int]:
     """A formula's set of worlds by structural set algebra."""
-    from revforge.logic import And, Atom, Falsum, Iff, Implies, Not, Or, Verum
     if isinstance(formula, Atom):
         shift = len(lang.atoms) - 1 - lang.atom_index(formula.name)
         return frozenset(w for w in lang.worlds() if (w >> shift) & 1)
@@ -609,6 +612,79 @@ def models(formula, lang) -> frozenset[int]:
     if isinstance(formula, Falsum):
         return frozenset()
     raise TypeError(f"not a formula: {formula!r}")
+
+
+# --- the walkers over formula trees that one fold replaced ---
+
+# the connective table they read, as it stood: (node, symbol,
+# right-associative, operation on world masks), loosest first
+_CONNECTIVES = ((Iff, "<->", True, lambda a, b: ~a ^ b), (Implies, "->", True, lambda a, b: ~a | b),
+                (Or, "|", False, or_), (And, "&", False, and_))
+# negation binds one level tighter than the tightest connective, atoms
+# and constants tighter still
+_PREC = {row[0]: level for level, row in enumerate(_CONNECTIVES)} | {Not: len(_CONNECTIVES)}
+
+
+def _prec(formula) -> int:
+    return _PREC.get(type(formula), len(_CONNECTIVES) + 1)
+
+
+def atoms_of(formula) -> frozenset[str]:
+    """The set of atom names occurring in ``formula``."""
+    if isinstance(formula, Atom):
+        return frozenset({formula.name})
+    if isinstance(formula, Not):
+        return atoms_of(formula.operand)
+    if isinstance(formula, (Verum, Falsum)):
+        return frozenset()
+    if type(formula) in _PREC:
+        return atoms_of(formula.left) | atoms_of(formula.right)
+    raise FormulaError(f"not a formula: {formula!r}")
+
+
+def format_formula(formula) -> str:
+    """Render with the fewest parentheses that survive re-parsing."""
+    if isinstance(formula, Atom):
+        return formula.name
+    if isinstance(formula, Verum):
+        return "T"
+    if isinstance(formula, Falsum):
+        return "F"
+    if isinstance(formula, Not):
+        inner = format_formula(formula.operand)
+        if _prec(formula.operand) < _PREC[Not]:
+            inner = f"({inner})"
+        return f"~{inner}"
+    prec = _PREC.get(type(formula))
+    if prec is None:
+        raise FormulaError(f"not a formula: {formula!r}")
+    _, symbol, right_assoc, _ = _CONNECTIVES[prec]
+    left, right = format_formula(formula.left), format_formula(formula.right)
+    # a child that binds looser is parenthesized, and so is one that binds
+    # equally on the side the connective does not group to
+    if _prec(formula.left) < prec + right_assoc:
+        left = f"({left})"
+    if _prec(formula.right) < prec + (not right_assoc):
+        right = f"({right})"
+    return f"{left} {symbol} {right}"
+
+
+def model_mask(formula, lang) -> int:
+    """The proposition expressed by ``formula``, as a world mask, cut to
+    the language's worlds at each node."""
+    if isinstance(formula, Atom):
+        return lang.atom_mask(formula.name)
+    if isinstance(formula, Not):
+        return lang._full_mask & ~model_mask(formula.operand, lang)
+    if isinstance(formula, Verum):
+        return lang._full_mask
+    if isinstance(formula, Falsum):
+        return 0
+    prec = _PREC.get(type(formula))
+    if prec is None:
+        raise FormulaError(f"not a formula: {formula!r}")
+    left, right = model_mask(formula.left, lang), model_mask(formula.right, lang)
+    return lang._full_mask & _CONNECTIVES[prec][3](left, right)
 
 
 def _world_names(lang, worlds) -> list[str]:

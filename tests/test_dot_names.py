@@ -5,8 +5,11 @@ that does not start with a digit, and reserves the words ``node``,
 ``edge``, ``graph``, ``digraph``, ``subgraph`` and ``strict`` in any
 case.  Any other graph name would write a document Graphviz cannot
 read, so ``export_dot`` refuses it with ``ScenarioError``.  The check is
-tested here, not the renderer.
+tested here, not the renderer, and so is the escaping of each ``\\``
+and ``"`` in a stage label, which goes inside a quoted DOT string.
 """
+
+import dataclasses
 
 import pytest
 
@@ -37,3 +40,9 @@ def test_any_other_graph_name_is_a_scenario_error(name):
     assert str(err.value) == ("export_dot takes a graph name of ASCII letters, digits and "
                               "underscores, not starting with a digit and not a DOT keyword, "
                               f"got {name!r}")
+
+
+def test_a_stage_label_is_escaped_inside_its_quoted_string():
+    entry = dataclasses.replace(TRACE.entries[0], label='a"b\\c')
+    lines = export_dot(dataclasses.replace(TRACE, entries=(entry,))).splitlines()
+    assert '    label="a\\"b\\\\c";' in lines

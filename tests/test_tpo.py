@@ -45,6 +45,9 @@ def test_uniform_needs_an_int_world_count(count):
     (frozenset({0}), frozenset({0, 1})),    # overlap
     (frozenset({0}), frozenset({2})),    # gap: world 1 missing
     (frozenset({0, 2}),),                # not 0..n-1
+    5,                                   # not an iterable
+    None,
+    [5],                                 # a block that is not an iterable
 ])
 def test_invalid_partitions_rejected(blocks):
     with pytest.raises(PartitionError):
@@ -166,6 +169,7 @@ def test_intersection_is_pointwise_union():
     both = a.intersect(b)
     assert both.strongest(frozenset({0, 3})) == frozenset({0, 3})
     assert intersect_conditionals([a, b]) == both
+    assert intersect_conditionals(iter([a, b])) == both
     with pytest.raises(PartitionError):
         intersect_conditionals([])
 
@@ -178,10 +182,17 @@ def test_intersection_is_pointwise_union():
     (lambda: intersect_conditionals([conditional_set(TPO.uniform(2)), 5]),
      "need one or more ConditionalSets, got [ConditionalSet(2 worlds, 4 antecedents), 5]"),
     (lambda: intersect_conditionals([]), "need one or more ConditionalSets, got []"),
+    (lambda: intersect_conditionals(5), "need one or more ConditionalSets, got 5"),
+    (lambda: intersect_conditionals(None), "need one or more ConditionalSets, got None"),
+    (lambda: TPO(5), "TPO takes an iterable of blocks of worlds, got 5"),
+    (lambda: TPO([5]), "TPO takes an iterable of blocks of worlds, got [5]"),
+    (lambda: TPO(None), "TPO takes an iterable of blocks of worlds, got None"),
 ], ids=["table-of-none", "table-of-int", "closure-of-none", "intersect-none",
-        "intersect-int", "intersect-empty"])
+        "intersect-int", "intersect-empty", "intersect-of-int", "intersect-of-none",
+        "order-of-int", "order-of-int-blocks", "order-of-none"])
 def test_the_conditional_entries_raise_partition_error_for_a_value_of_another_type(call, message):
-    """Each entry names the value it got, and a list holding anything but
+    """Each entry names the value it got, as ``TPO(blocks)`` does for
+    blocks that are not iterables, and a list holding anything but
     conditional sets is refused, even when it holds one value only."""
     with pytest.raises(PartitionError) as err:
         call()
