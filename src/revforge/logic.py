@@ -39,8 +39,13 @@ through ``parse_formula``.  ``_Parser.parse`` turns a stack overflow
 into the ``ParseError`` of text nested too deeply, for both routes.
 The scenario loader reads every sentence through ``sentence_mask``.  A
 value given where a formula object or a ``FormulaSet`` is expected
-raises ``FormulaError``, and a ``FormulaSet`` over a value that is not
-a ``Language`` raises ``LanguageError``.
+raises ``FormulaError``, and a ``lang`` that is not a ``Language``,
+given to ``parse_formula``, ``FormulaSet``, ``model_mask`` or
+``evaluate``, raises ``LanguageError`` from the one check,
+``_language``.  The trees the package builds itself, by
+``canonical_formula`` and ``conj``, join their parts in balanced pairs,
+``_balanced``, so the recursive fold and ``evaluate`` walk them at any
+length the atoms allow.
 
 The fold takes the builds the parser takes, and raises the one
 ``FormulaError`` for a value that is not a formula node, at any depth.
@@ -61,7 +66,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import and_, invert, or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FormulaError, LanguageError, ParseError
 
@@ -211,6 +216,14 @@ def shared_language(atoms: tuple[str, ...]) -> Language:
     return Language(atoms)
 
 
+def _language(lang: Language, entry: str) -> Language:
+    """``lang``, or ``LanguageError`` naming ``entry`` if it is not a
+    ``Language``."""
+    if not isinstance(lang, Language):
+        raise LanguageError(f"{entry} takes a Language, got {lang!r}")
+    return lang
+
+
 # --- formula trees ---
 
 class Formula:
@@ -268,6 +281,17 @@ class Falsum(Formula):
 
 TOP = Verum()
 BOTTOM = Falsum()
+
+
+def _balanced(node: type, items: Sequence[Formula]) -> Formula:
+    """The non-empty ``items``, in order, joined by the binary ``node``
+    into a tree ``ceil(log2(len(items)))`` levels deep: neighbours are
+    joined in pairs, round after round.  Up to three items it is the
+    left-nested chain."""
+    while len(items) > 1:
+        items = [node(*items[i:i + 2]) if i + 1 < len(items) else items[i]
+                 for i in range(0, len(items), 2)]
+    return items[0]
 
 
 # --- parsing ---
@@ -457,9 +481,7 @@ def parse_formula(text: str, lang: Language) -> Formula:
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a formula string, got {type(text).__name__}", 0)
-    if not isinstance(lang, Language):
-        raise LanguageError(f"parse_formula takes a Language, got {lang!r}")
-    parser = _Parser(text, lang, _TREE)
+    parser = _Parser(text, _language(lang, "parse_formula"), _TREE)
     formula = parser.parse()
     # a tree has fewer nodes on a path than the text has tokens
     if len(parser.tokens) > MAX_FORMULA_DEPTH and _depth(formula) > MAX_FORMULA_DEPTH:
@@ -522,7 +544,9 @@ def format_formula(formula: Formula) -> str:
 # --- semantics ---
 
 def evaluate(formula: Formula, world: int, lang: Language) -> bool:
-    """Truth value of ``formula`` at a single world."""
+    """Truth value of ``formula`` at a single world.  A ``lang`` that is
+    not a ``Language`` raises ``LanguageError``."""
+    _language(lang, "evaluate")
     if isinstance(formula, Atom):
         return lang.holds_at(world, formula.name)
     if isinstance(formula, Not):
@@ -551,8 +575,10 @@ def model_mask(formula: Formula, lang: Language) -> int:
     to the language's worlds once, at the end.  So
     ``sentence_mask(text, lang)`` is ``model_mask(parse_formula(text,
     lang), lang)`` by construction.  An atom ``lang`` does not know raises
-    ``LanguageError``.
+    ``LanguageError``, and so does a ``lang`` that is not a ``Language``;
+    ``models``, ``is_consistent`` and ``entails`` read this one check.
     """
+    lang = _language(lang, "model_mask")
     return _fold(formula, (lang.atom_mask, *_MASKS)) & lang._full_mask
 
 
@@ -572,28 +598,21 @@ def entails(premise: Formula, conclusion: Formula, lang: Language) -> bool:
 def canonical_formula(worlds: frozenset[int] | set[int], lang: Language) -> Formula:
     """A formula whose models are exactly ``worlds``.
 
-    Disjunction of one conjunction of literals per world; T for the full
-    set, F for the empty one.
+    Disjunction of one conjunction of literals per world, in ascending
+    world order; T for the full set, F for the empty one.  Both are
+    joined by ``_balanced``, so a path from the root passes at most
+    ``ceil(log2(len(worlds))) + ceil(log2(len(lang.atoms))) + 2`` nodes,
+    and every walk over the tree stays far inside the recursion limit.
     """
     worlds = frozenset(worlds)
     if worlds == lang.all_worlds:
         return TOP
     if not worlds:
         return BOTTOM
-    disjuncts = []
-    for world in sorted(worlds):
-        literals: list[Formula] = []
-        for name in lang.atoms:
-            atom = Atom(name)
-            literals.append(atom if lang.holds_at(world, name) else Not(atom))
-        term = literals[0]
-        for lit in literals[1:]:
-            term = And(term, lit)
-        disjuncts.append(term)
-    formula = disjuncts[0]
-    for term in disjuncts[1:]:
-        formula = Or(formula, term)
-    return formula
+    return _balanced(Or, [
+        _balanced(And, [Atom(name) if lang.holds_at(world, name) else Not(Atom(name))
+                        for name in lang.atoms])
+        for world in sorted(worlds)])
 
 
 # --- finite sets of formulas ---
@@ -609,15 +628,13 @@ class FormulaSet:
     """
 
     def __init__(self, lang: Language, members: Iterable[Formula] = ()):
-        if not isinstance(lang, Language):
-            raise LanguageError(f"FormulaSet takes a Language, got {lang!r}")
-        self.lang = lang
-        seen: list[Formula] = []
+        self.lang = _language(lang, "FormulaSet")
+        # a dict keeps each member's first occurrence, in insertion order
+        seen: dict[Formula, None] = {}
         for member in members:
             if not isinstance(member, Formula):
                 raise FormulaError(f"not a formula: {member!r}")
-            if member not in seen:
-                seen.append(member)
+            seen[member] = None
         self.members = tuple(seen)
 
     @classmethod
@@ -672,13 +689,11 @@ def _checked(s: FormulaSet) -> FormulaSet:
 
 
 def conj(s: FormulaSet) -> Formula:
-    """Conjunction of all members; T for the empty set."""
-    if not _checked(s).members:
-        return TOP
-    formula = s.members[0]
-    for member in s.members[1:]:
-        formula = And(formula, member)
-    return formula
+    """Conjunction of all members, joined by ``_balanced``, so it is at
+    most ``ceil(log2(len(s)))`` levels deeper than its deepest member;
+    T for the empty set."""
+    members = _checked(s).members
+    return _balanced(And, members) if members else TOP
 
 
 def neg_set(s: FormulaSet) -> FormulaSet:

@@ -79,18 +79,20 @@ class ParallelRevisionOperator:
     aggregator: Aggregator
 
     def revise_masks(self, t: TPO, masks: Sequence[int],
-                     labels: Sequence[str] | None = None) -> TPO:
+                     labels: Sequence[object] | None = None) -> TPO:
         """Revise ``t`` by the family whose members have world masks ``masks``.
 
         The one implementation of the pipeline: each stage calls the
-        serial operators' ``transform``.
+        serial operators' ``transform``.  ``labels`` name the members, by
+        their ``str``, in the error for an inconsistent family; only the
+        culprits' labels are formatted.
         """
         full = (1 << t.num_worlds) - 1
         masks = tuple(masks) or (full,)
         target = reduce(and_, masks, full)
         if not target:
             culprits = minimal_inconsistent_indices(masks, full)
-            names = tuple(labels[i] if labels else f"member {i}" for i in culprits)
+            names = tuple(str(labels[i]) if labels else f"member {i}" for i in culprits)
             raise InconsistentInputError(
                 "cannot revise by a set whose conjunction is inconsistent", names)
         revise = self.base.transform
@@ -98,13 +100,13 @@ class ParallelRevisionOperator:
         return self.finisher.transform(merged, target)
 
     def revise_worlds(self, t: TPO, member_sets: Sequence[frozenset[int]],
-                      labels: Sequence[str] | None = None) -> TPO:
+                      labels: Sequence[object] | None = None) -> TPO:
         n = t.num_worlds
         return self.revise_masks(t, [mask_of(member, n) for member in member_sets], labels)
 
     def revise(self, t: TPO, s: FormulaSet) -> TPO:
         check_language(s.lang, t.num_worlds)
-        return self.revise_masks(t, s.model_masks(), labels=[str(m) for m in s])
+        return self.revise_masks(t, s.model_masks(), labels=s.members)
 
 
 @dataclass(frozen=True)

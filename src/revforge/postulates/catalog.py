@@ -74,13 +74,18 @@ shared ``worlds_of`` sets, so up to 8 worlds the table answers almost
 every read.
 
 Belief sets are read as ``masks[0]`` of an order and best worlds as
-``min_mask``.  The order checks read the orders' ``world_masks``: one
-mask expression per world x names the worlds y that break the postulate
-with it, and ``_listed`` turns that mask into the pairs' hits, so a
-check builds nothing where none breaks.  ``_kept`` is the one walk for
-"x stays weakly or strictly below y": it takes pairs ``(x, ys)``, which
-``_kept_below`` makes with one fixed mask of ys for every world of a
-region, and PC3 and PC4 take from ``_dominance``, a mask per world.
+``min_mask``.  Every order check, the serial and set ones and SPU, WPU
+and Parity over a profile alike, finds its pairs in the orders'
+``world_masks``, the per-world tables ``(below, weak)`` of the worlds
+strictly and weakly more plausible: one mask expression per world x
+names the worlds y that break the postulate with it, and ``_listed``
+turns that mask into the pairs' hits, reading ``ranks`` only for the
+symbols it prints, so a check builds nothing where none breaks.  ``_kept`` is the one walk for "x stays
+weakly or strictly below y": it picks its table once per call, takes
+pairs ``(x, ys)``, which ``_kept_below`` makes with one fixed mask of ys
+for every world of a region, and PC3 and PC4 take from ``_dominance``, a
+mask per world.  ``_promoted`` keeps a loop of its own over the prior's
+``below`` and the posterior's ``weak``.
 UB, LB and Factoring read every subset's best worlds, the aggregate's
 and each member's, from one walk, ``_bests``.  Syntactic forms range
 over every consistent mask and read the beliefs after each single
@@ -101,7 +106,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import combinations, repeat
-from operator import and_, le, lt, or_
+from operator import and_, or_
 from typing import Callable, Iterable, Sequence
 
 from ..aggregation import stq
@@ -189,20 +194,21 @@ def _listed(x: int, ys: int, prior, posterior) -> list[dict]:
 
 
 # The order helpers below take world masks and read each order's
-# ``world_masks``, the pair (below, block) of per-world masks: for a world
-# x, y is more plausible when in ``below[x]``, tied when in ``block[x]`` and
-# less plausible otherwise.  One mask expression per x names the worlds y
-# that break the postulate with it, so each helper lists exactly its pairs,
-# in ascending x then y, and builds nothing where no pair breaks.
+# ``world_masks``, the pair (below, weak) of per-world masks: for a world
+# x, y is more plausible when in ``below[x]``, at least as plausible when
+# in ``weak[x]`` and less plausible otherwise.  One mask expression per x
+# names the worlds y that break the postulate with it, so each helper lists
+# exactly its pairs, in ascending x then y, and builds nothing where no
+# pair breaks.
 
 def _order_flips(t: TPO, t2: TPO, region: int) -> list[dict]:
     """Pairs in ``region`` whose comparison changes between t and t2."""
-    (b, k), (b2, k2) = t.world_masks, t2.world_masks
+    (b, w), (b2, w2) = t.world_masks, t2.world_masks
     hits = []
     for x in ascending_worlds(region):
         # y's side of x changes where y leaves or joins the worlds below x
         # or those weakly below it; each pair counts once, as y > x
-        changed = (b[x] ^ b2[x]) | ((b[x] | k[x]) ^ (b2[x] | k2[x]))
+        changed = (b[x] ^ b2[x]) | (w[x] ^ w2[x])
         changed &= region >> x + 1 << x + 1
         if changed:
             hits += _listed(x, changed, t, t2)
@@ -211,20 +217,16 @@ def _order_flips(t: TPO, t2: TPO, region: int) -> list[dict]:
 
 def _kept(t: TPO, t2: TPO, tests: Iterable[tuple[int, int]], weak: bool) -> list[dict]:
     """For each ``(x, ys)`` of ``tests``, x weakly/strictly below a world
-    of the mask ``ys`` must stay so."""
-    (b, k), (b2, k2) = t.world_masks, t2.world_masks
+    of the mask ``ys`` must stay so: y lost is one that joins the worlds
+    below x (weak) or weakly below it (strict) and was not there before."""
+    table = 0 if weak else 1
+    old, new = t.world_masks[table], t2.world_masks[table]
+    prior, posterior = ("<=", ">") if weak else ("<", t2)
     hits = []
     for x, ys in tests:
-        if weak:
-            # y not below x before, and below it after
-            lost = ys & b2[x] & ~b[x]
-            if lost:
-                hits += _listed(x, lost, "<=", ">")
-        else:
-            # y strictly above x before, and not after
-            lost = ys & (b2[x] | k2[x]) & ~(b[x] | k[x])
-            if lost:
-                hits += _listed(x, lost, "<", t2)
+        lost = ys & new[x] & ~old[x]
+        if lost:
+            hits += _listed(x, lost, prior, posterior)
     return hits
 
 
@@ -235,12 +237,11 @@ def _kept_below(t: TPO, t2: TPO, inside: int, outside: int, weak: bool) -> list[
 
 def _promoted(t: TPO, t2: TPO, inside: int, outside: int) -> list[dict]:
     """Weakly-below inside-worlds must end up strictly below."""
-    b = t.world_masks[0]
-    b2, k2 = t2.world_masks
+    b, w2 = t.world_masks[0], t2.world_masks[1]
     hits = []
     for x in ascending_worlds(inside):
         # y not below x before, and not strictly above it after
-        kept = outside & (b2[x] | k2[x]) & ~b[x]
+        kept = outside & w2[x] & ~b[x]
         if kept:
             hits += _listed(x, kept, t, t2)
     return hits
@@ -738,27 +739,24 @@ def _lb(ctx, profile):
             for subset, chosen, mins in _bests(ctx, profile) if all(m & ~chosen for m in mins)]
 
 
-def _unanimity_lost(ctx, profile, below: Callable) -> list[dict]:
-    """The pairs (x, y) whose ranks every member puts ``below`` (``lt`` or
-    ``le``) and the aggregate's do not.  The worlds are the orders' own,
-    so the ranks are read without ``TPO.rank``'s range check, as in
-    ``_listed``."""
+def _unanimity_lost(ctx, profile, table: int) -> list[dict]:
+    """The pairs (x, y) with x strictly (``table`` 1) or weakly (``table``
+    0) below y in every member and not in the aggregate: y is in the
+    aggregate's ``world_masks[table]`` at x, and in no member's."""
     merged = ctx.aggregate(profile)
-    members, rank = [t.ranks for t in profile], merged.ranks
-    worlds = range(merged.num_worlds)
-    return [{"x": x, "y": y} for x in worlds for y in worlds
-            if x != y and all(below(r[x], r[y]) for r in members)
-            and not below(rank[x], rank[y])]
+    members = [t.world_masks[table] for t in profile]
+    return [{"x": x, "y": y} for x, mask in enumerate(merged.world_masks[table])
+            for y in ascending_worlds(mask & ~reduce(or_, [m[x] for m in members]))]
 
 
 @_register("SPU", "profile2", "unanimous strict preference survives aggregation")
 def _spu(ctx, profile):
-    return _unanimity_lost(ctx, profile, lt)
+    return _unanimity_lost(ctx, profile, 1)
 
 
 @_register("WPU", "profile2", "unanimous weak preference survives aggregation")
 def _wpu(ctx, profile):
-    return _unanimity_lost(ctx, profile, le)
+    return _unanimity_lost(ctx, profile, 0)
 
 
 @_register("Factoring", "profile2",
@@ -778,17 +776,15 @@ def _parity_expected(config) -> str:
            "whatever the aggregate strictly prefers, every member prefers some tied peer",
            expected=_parity_expected)
 def _parity(ctx, profile):
-    merged = ctx.aggregate(profile)
-    members, rank = [t.ranks for t in profile], merged.ranks
-    worlds = range(merged.num_worlds)
+    below, weak = ctx.aggregate(profile).world_masks
+    members = [(t, t.world_masks[0]) for t in profile]
     hits = []
-    for x in worlds:
-        peers = [z for z in worlds if rank[z] == rank[x]]
-        for y in worlds:
-            if rank[x] >= rank[y]:
-                continue
-            for t, r in zip(profile, members):
-                if not any(r[z] < r[y] for z in peers):
+    for x, lower in enumerate(weak):
+        # x's tied peers in the aggregate, and the worlds it puts above x
+        peers = lower & ~below[x]
+        for y in ascending_worlds(ctx.full_mask & ~lower):
+            for t, b in members:
+                if not peers & b[y]:
                     hits.append({"x": x, "y": y, "member": t})
                     break
     return hits

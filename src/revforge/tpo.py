@@ -11,11 +11,12 @@ world w.  A ``TPO`` stores its blocks as the tuple ``masks``, and
 ``min_mask`` is the first non-zero ``block & mask``.  Frozensets stay at
 the edge: the frozenset ``blocks`` and the per-world ``ranks`` are built
 from the masks on first use and then kept, and so is ``world_masks``,
-the per-world masks over which a comparison of two orders is one mask
-expression per world rather than one test per pair.  The order checks
-read ``world_masks`` on every sampled draw, so the lookup that fills a
-derived field tests it first, and reads the worlds of a block below 256
-from ``logic``'s byte table.
+the two per-world tables, of the worlds strictly and weakly more
+plausible than each world, over which a comparison of two orders is one
+mask expression per world rather than one test per pair.  Every order
+check of the catalog finds its pairs in these two tables, on every
+sampled draw, so the lookup that fills a derived field tests it first,
+and reads the worlds of a block below 256 from ``logic``'s byte table.
 Equality and the hash use the masks.  The hash too is computed on first
 use and then kept, so an order that never becomes a key, as almost none
 does in a sampled sweep, never pays for it.
@@ -114,10 +115,12 @@ class TPO:
 
     ``masks[i]`` is block i as a world mask.  ``blocks`` (frozensets),
     ``ranks`` (1-based block index per world) and ``world_masks`` are
-    derived on first use.  ``world_masks`` is the pair ``(below, block)``
+    derived on first use.  ``world_masks`` is the pair ``(below, weak)``
     of per-world tuples: ``below[w]`` masks the worlds strictly more
-    plausible than w and ``block[w]`` masks w's own block, so y is
-    strictly less plausible than w exactly when it is in neither.
+    plausible than w and ``weak[w]`` the worlds at least as plausible as
+    w, w's own block included, so y is tied with w exactly when it is in
+    ``weak[w]`` but not ``below[w]``, and strictly less plausible than w
+    exactly when it is in neither.
     Equality and hashing look at ``masks`` only; the hash, ``hash(masks)``,
     is computed on first use and kept, like the derived fields.
     Instances are immutable.
@@ -152,13 +155,13 @@ class TPO:
         # fills the derived slots on first use; order checks read
         # ``world_masks`` on every draw, so it is tested first
         if name == "world_masks":
-            below, block = [0] * self.num_worlds, [0] * self.num_worlds
+            below, weak = [0] * self.num_worlds, [0] * self.num_worlds
             lower = 0
             for mask in self.masks:
                 for world in _LOW_BYTE[mask] if mask < 256 else ascending_worlds(mask):
-                    below[world], block[world] = lower, mask
+                    below[world], weak[world] = lower, lower | mask
                 lower |= mask
-            value = (tuple(below), tuple(block))
+            value = (tuple(below), tuple(weak))
         elif name == "_hash":
             value = hash(self.masks)
         elif name == "blocks":

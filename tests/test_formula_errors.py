@@ -4,14 +4,18 @@ A value that is not a formula where a ``Formula`` is expected, or not a
 ``FormulaSet`` where a formula set is expected, raises ``FormulaError``,
 which is a ``RevforgeError`` and a ``TypeError``.  ``FormulaSet.parse`` of a value that is not a collection
 of texts raises ``ParseError`` at position 0, as ``parse_formula`` of a
-value that is not a text does.
+value that is not a text does.  A ``lang`` that is not a ``Language``,
+given to ``model_mask`` or to the entries that read it (``models``,
+``is_consistent``, ``entails``) or to ``evaluate``, raises
+``LanguageError`` naming the entry that checks it.
 """
 
 import pytest
 
-from revforge import (BOTTOM, TOP, FormulaError, FormulaSet, Language, ParseError, RevforgeError,
-                      atoms_of, cn_equal, conj, evaluate, format_formula, model_mask, neg_set,
-                      parse_formula, sat_subset)
+from revforge import (BOTTOM, TOP, FormulaError, FormulaSet, Language, LanguageError, ParseError,
+                      RevforgeError, atoms_of, cn_equal, conj, entails, evaluate, format_formula,
+                      is_consistent, model_mask, models, neg_set, parse_formula, sat_subset)
+from revforge.logic import Atom
 
 LANG = Language(("A", "B"))
 
@@ -30,9 +34,17 @@ LANG = Language(("A", "B"))
     (lambda: cn_equal(FormulaSet(LANG, [TOP]), "A"), FormulaError, "not a formula set: 'A'"),
     (lambda: FormulaSet.parse(None, LANG), ParseError,
      "expected a collection of formula strings, got NoneType (at position 0)"),
+    (lambda: model_mask(TOP, None), LanguageError, "model_mask takes a Language, got None"),
+    (lambda: models(TOP, 5), LanguageError, "model_mask takes a Language, got 5"),
+    (lambda: is_consistent(TOP, ("A", "B")), LanguageError,
+     "model_mask takes a Language, got ('A', 'B')"),
+    (lambda: entails(TOP, BOTTOM, None), LanguageError, "model_mask takes a Language, got None"),
+    (lambda: evaluate(Atom("A"), 0, None), LanguageError, "evaluate takes a Language, got None"),
+    (lambda: evaluate(TOP, 0, "A"), LanguageError, "evaluate takes a Language, got 'A'"),
 ], ids=["formula-set-member", "model-mask", "evaluate", "format-formula", "atoms-of-int",
         "atoms-of-str", "neg-set", "conj-list", "sat-subset", "cn-equal", "cn-equal-second",
-        "parse-none"])
+        "parse-none", "model-mask-lang", "models-lang", "is-consistent-lang", "entails-lang",
+        "evaluate-lang", "evaluate-constant-lang"])
 def test_a_value_that_is_not_a_formula_raises_a_typed_error(call, error, message):
     with pytest.raises(error) as err:
         call()
@@ -40,7 +52,7 @@ def test_a_value_that_is_not_a_formula_raises_a_typed_error(call, error, message
     assert str(err.value) == message
     if error is FormulaError:
         assert isinstance(err.value, TypeError)
-    else:
+    elif error is ParseError:
         assert err.value.position == 0
 
 

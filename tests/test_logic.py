@@ -12,7 +12,7 @@ from revforge import (BOTTOM, TOP, FormulaSet, Language, LanguageError,
                       ParseError, atoms_of, canonical_formula, cn_equal, conj,
                       entails, evaluate, format_formula, is_consistent, models,
                       neg_set, parse_formula, sat_subset)
-from revforge.logic import MAX_FORMULA_DEPTH, And, Atom, Iff, Implies, Not, Or
+from revforge.logic import MAX_FORMULA_DEPTH, And, Atom, Iff, Implies, Not, Or, _depth
 
 
 # --- language ---
@@ -262,6 +262,37 @@ def test_canonical_formula_round_trips_every_region(lang2):
 def test_canonical_formula_edges(lang2):
     assert canonical_formula(frozenset(), lang2) == BOTTOM
     assert canonical_formula(frozenset(range(4)), lang2) == TOP
+
+
+def test_canonical_formulas_and_conjunctions_join_in_balanced_pairs(lang3):
+    """Neighbours join in pairs, round after round: three items are the
+    left-nested chain, four are two pairs."""
+    a, b, c = (Atom(name) for name in lang3.atoms)
+    terms = [And(And(Not(a), Not(b)), c if w & 1 else Not(c)) for w in range(2)]
+    assert canonical_formula({0, 1}, lang3) == Or(*terms)
+    assert conj(FormulaSet(lang3, [a, b, c])) == And(And(a, b), c)
+    assert conj(FormulaSet(lang3, [a, b, c, Not(a)])) == And(And(a, b), And(c, Not(a)))
+    assert str(canonical_formula(range(4), lang3)) == (
+        "~A & ~B & ~C | ~A & ~B & C | (~A & B & ~C | ~A & B & C)")
+
+
+def test_large_canonical_formulas_and_conjunctions_stay_walkable():
+    """A canonical formula of 1,000 worlds over 10 atoms is 16 nodes deep,
+    and a conjunction of 1,331 members over 11 atoms 17: every walk over
+    them stays inside the recursion limit, and the text parses back."""
+    lang = Language([f"p{i}" for i in range(10)])
+    worlds = frozenset(range(1000))
+    f = canonical_formula(worlds, lang)
+    assert _depth(f) == 16
+    assert models(f, lang) == worlds
+    assert atoms_of(f) == set(lang.atoms)
+    assert evaluate(f, 999, lang) and not evaluate(f, 1000, lang)
+    assert parse_formula(str(f), lang) == f
+    assert repr(FormulaSet(lang, [f])) == f"FormulaSet({{{f}}})"
+    lang11 = Language([f"q{i}" for i in range(11)])
+    s = FormulaSet(lang11, [canonical_formula({w}, lang11) for w in range(1331)])
+    assert _depth(conj(s)) == 17
+    assert cn_equal(s, s) and not is_consistent(conj(s), lang11)
 
 
 # --- formula sets ---
