@@ -45,7 +45,11 @@ given to ``parse_formula``, ``FormulaSet``, ``model_mask`` or
 ``_language``.  The trees the package builds itself, by
 ``canonical_formula`` and ``conj``, join their parts in balanced pairs,
 ``_balanced``, so the recursive fold and ``evaluate`` walk them at any
-length the atoms allow.
+length the atoms allow.  A tree built by hand deeper than the
+interpreter's recursion limit allows raises ``FormulaError`` from the
+fold, from ``evaluate`` and from ``FormulaSet``, which hashes its
+members, and so does an ``Atom`` built with a name that is not a
+``str``.
 
 The fold takes the builds the parser takes, and raises the one
 ``FormulaError`` for a value that is not a formula node, at any depth.
@@ -74,6 +78,8 @@ MAX_ATOMS = 16
 # nodes on the longest path of a tree ``parse_formula`` returns: walks that
 # recurse once per level (printing, models) stay inside the recursion limit
 MAX_FORMULA_DEPTH = 200
+# what those walks raise for a tree built by hand past the recursion limit
+_TOO_DEEP = "formula nested too deeply for the interpreter's recursion limit"
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RESERVED_NAMES = frozenset({"T", "F"})
@@ -238,6 +244,10 @@ class Formula:
 @dataclass(frozen=True)
 class Atom(Formula):
     name: str
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise FormulaError(f"not an atom name: {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -437,12 +447,21 @@ def _fold(formula: Formula, build: tuple):
     leaves first: a binary node's level is found by its exact type, and
     its row of ``levels`` joins what its children built.
     ``FormulaError`` for a value that is not a formula node, at any
-    depth of the tree."""
+    depth of the tree, and for a tree nested deeper than the
+    interpreter's recursion limit allows."""
+    try:
+        return _folded(formula, build)
+    except RecursionError:
+        raise FormulaError(_TOO_DEEP) from None
+
+
+def _folded(formula: Formula, build: tuple):
+    """``_fold`` without its depth check, one frame per level."""
     level = _LEVEL.get(type(formula))
     if level is not None:
-        return build[4][level][0](_fold(formula.left, build), _fold(formula.right, build))
+        return build[4][level][0](_folded(formula.left, build), _folded(formula.right, build))
     if isinstance(formula, Not):
-        return build[1](_fold(formula.operand, build))
+        return build[1](_folded(formula.operand, build))
     if isinstance(formula, Atom):
         return build[0](formula.name)
     if isinstance(formula, Verum):
@@ -545,20 +564,29 @@ def format_formula(formula: Formula) -> str:
 
 def evaluate(formula: Formula, world: int, lang: Language) -> bool:
     """Truth value of ``formula`` at a single world.  A ``lang`` that is
-    not a ``Language`` raises ``LanguageError``."""
+    not a ``Language`` raises ``LanguageError``, and a tree nested deeper
+    than the interpreter's recursion limit allows ``FormulaError``."""
     _language(lang, "evaluate")
+    try:
+        return _truth(formula, world, lang)
+    except RecursionError:
+        raise FormulaError(_TOO_DEEP) from None
+
+
+def _truth(formula: Formula, world: int, lang: Language) -> bool:
+    """``evaluate`` without its checks, one frame per level."""
     if isinstance(formula, Atom):
         return lang.holds_at(world, formula.name)
     if isinstance(formula, Not):
-        return not evaluate(formula.operand, world, lang)
+        return not _truth(formula.operand, world, lang)
     if isinstance(formula, And):
-        return evaluate(formula.left, world, lang) and evaluate(formula.right, world, lang)
+        return _truth(formula.left, world, lang) and _truth(formula.right, world, lang)
     if isinstance(formula, Or):
-        return evaluate(formula.left, world, lang) or evaluate(formula.right, world, lang)
+        return _truth(formula.left, world, lang) or _truth(formula.right, world, lang)
     if isinstance(formula, Implies):
-        return (not evaluate(formula.left, world, lang)) or evaluate(formula.right, world, lang)
+        return (not _truth(formula.left, world, lang)) or _truth(formula.right, world, lang)
     if isinstance(formula, Iff):
-        return evaluate(formula.left, world, lang) == evaluate(formula.right, world, lang)
+        return _truth(formula.left, world, lang) == _truth(formula.right, world, lang)
     if isinstance(formula, Verum):
         return True
     if isinstance(formula, Falsum):
@@ -631,10 +659,14 @@ class FormulaSet:
         self.lang = _language(lang, "FormulaSet")
         # a dict keeps each member's first occurrence, in insertion order
         seen: dict[Formula, None] = {}
-        for member in members:
-            if not isinstance(member, Formula):
-                raise FormulaError(f"not a formula: {member!r}")
-            seen[member] = None
+        try:
+            for member in members:
+                if not isinstance(member, Formula):
+                    raise FormulaError(f"not a formula: {member!r}")
+                # a member's hash walks its tree, one frame per level
+                seen[member] = None
+        except RecursionError:
+            raise FormulaError(_TOO_DEEP) from None
         self.members = tuple(seen)
 
     @classmethod

@@ -43,14 +43,19 @@ returns whether the form holds.
 
 A serial input is a one-member family: its plan, ``_input``, is
 ``_regions`` of ``(a,)``, so serial and set bodies read the same fields
-``(conj, refuting, masks)``.  ``_SHAPE_DEFAULTS`` gives each shape its
-default plan and, for the shapes whose entries test one operator, that
-operator as ``post(ctx, t, conj, masks)``: ``ctx.revise`` for
-``serial``, ``ctx.contract`` for ``sercon``, ``ctx.previse`` for
-``pset`` and ``ctx.pcontract`` for ``cset``.  A postulate and its set
-twin (K4 and K-star-4, CR3 and C-star-3, CC3 and C-con-3, ...) are one
-body over ``post``, which ``_lifted`` registers once per id, bound to
-that id's shape's operator.
+``(conj, refuting, masks)``; and ``serial2``'s plan, ``_input_pair``, is
+``_pair_plan`` of ``(a,)`` and ``(b,)``, so ``serial2`` and ``pset2``
+bodies read the same fields too.  ``_SHAPE_DEFAULTS`` gives each shape
+its default plan and, for the shapes whose entries test one operator,
+that operator as ``post(ctx, t, conj, masks)``: ``ctx.revise`` for
+``serial`` and ``serial2``, ``ctx.contract`` for ``sercon``,
+``ctx.previse`` for ``pset`` and ``pset2`` and ``ctx.pcontract`` for
+``cset``.  A postulate and its set twin (K4 and K-star-4, K7 and
+K-star-7, CR3 and C-star-3, CC3 and C-con-3, ...) are one body over
+``post``, which ``_lifted`` registers once per id, bound to that id's
+shape's operator and, where the twins name a hit's key differently
+(K2's ``input`` is K-star-2's ``conjunction``), to the shape's word for
+it from ``words``.
 
 Every entry enters ``CATALOG`` through ``_register``, which names a plan
 only where the entry's differs from its shape's, and every syntactic
@@ -60,18 +65,17 @@ their agreement check in ``PAIR_CHECKS``, whose plan pairs the two
 forms' plans.
 
 Entries that read the same facts of an input share one plan: ``_input``
-(a serial input as a one-member family), ``_inputs`` (the masks of the
-two inputs of ``serial2``), ``_regions`` (a family's conjunction,
-refuting and member masks), which every other family plan extends,
-``_negation_plan`` (the member-wise negations), ``_dominance`` (a mask
-per world of the worlds it dominates), ``_subfamilies`` and
-``_pair_plan`` (two families merged and mixed).  S-star reads
-``_s_star_plan``, the part of ``_pair_plan`` it needs, which is None
-outside its domain.  ``_regions`` and ``_inputs`` read each input's mask
-through ``_member_mask``, a bounded table keyed by the input: a sampled
-sweep makes a plan on every draw, and the streams' members are the
-shared ``worlds_of`` sets, so up to 8 worlds the table answers almost
-every read.
+(a serial input as a one-member family), ``_regions`` (a family's
+conjunction, refuting and member masks), which every other family plan
+extends, ``_negation_plan`` (the member-wise negations), ``_dominance``
+(a mask per world of the worlds it dominates), ``_subfamilies``,
+``_pair_plan`` (two families merged and mixed) and ``_input_pair`` (two
+serial inputs as one-member families).  S-star reads ``_s_star_plan``,
+the part of ``_pair_plan`` it needs, which is None outside its domain.
+``_regions`` reads each input's mask through ``_member_mask``, a
+bounded table keyed by the input: a sampled sweep makes a plan on every
+draw, and the streams' members are the shared ``worlds_of`` sets, so up
+to 8 worlds the table answers almost every read.
 
 Belief sets are read as ``masks[0]`` of an order and best worlds as
 ``min_mask``.  Every order check, the serial and set ones and SPU, WPU
@@ -159,16 +163,20 @@ def _register(id: str, shape: str, summary: str, *, plan: Callable | None = None
     return wrap
 
 
-def _lifted(*entries):
+def _lifted(*entries, words: dict | None = None):
     """A decorator that registers the body it decorates once per entry
     ``(id, shape, summary)``, or ``(id, shape, summary, expected)``,
     bound to the shape's operator: the body is ``body(post, ctx, t,
-    conj, refuting, masks)``, and one body serves a serial postulate and
-    its set twin."""
+    *fields)`` over the shape's plan fields, and one body serves a
+    serial postulate and its set twin.  Given ``words``, a dict from
+    shape to the key under which that shape's entry writes a hit's
+    value, the body takes that shape's word after ``post``: ``body(post,
+    word, ctx, t, *fields)``."""
     def wrap(body):
         for id, shape, summary, *expected in entries:
+            word = (words[shape],) if words else ()
             _register(id, shape, summary, expected=expected[0] if expected else "sound")(
-                partial(body, _SHAPE_DEFAULTS[shape][1]))
+                partial(body, _SHAPE_DEFAULTS[shape][1], *word))
         return body
     return wrap
 
@@ -262,11 +270,6 @@ def _merge(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
 _member_mask = lru_cache(maxsize=256)(mask_of)
 
 
-def _inputs(full, a, b) -> tuple[int, int]:
-    """``(first, second)``: the masks of the worlds satisfying ``a`` and ``b``."""
-    return _member_mask(a, full.bit_length()), _member_mask(b, full.bit_length())
-
-
 def _regions(full, s) -> tuple[int, int, tuple[int, ...]]:
     """``(conj, refuting, masks)``: the masks of the worlds satisfying
     every member of ``s`` and of the worlds refuting every member, and
@@ -305,6 +308,11 @@ def _pair_plan(full, s1, s2) -> tuple:
     return masks, _merge(masks, masks2), mixed, first, second
 
 
+def _input_pair(full, a, b) -> tuple:
+    """``_pair_plan`` of the one-member families ``(a,)`` and ``(b,)``."""
+    return _pair_plan(full, (a,), (b,))
+
+
 def _s_star_plan(full, s1, s2):
     """S-star's part of ``_pair_plan``: None outside its domain, where s1
     joined with the negations of s2's members is inconsistent, else
@@ -325,10 +333,10 @@ def _s_star_plan(full, s1, s2):
 _SHAPE_DEFAULTS: dict[str, tuple[Callable, Callable | None]] = {
     "serial": (_input, lambda ctx, t, conj, masks: ctx.revise(t, conj)),
     "sercon": (_input, lambda ctx, t, conj, masks: ctx.contract(t, conj)),
-    "serial2": (_inputs, None),
+    "serial2": (_input_pair, lambda ctx, t, conj, masks: ctx.revise(t, conj)),
     "pset": (_regions, lambda ctx, t, conj, masks: ctx.previse(t, masks)),
     "cset": (_regions, lambda ctx, t, conj, masks: ctx.pcontract(t, masks)),
-    "pset2": (_pair_plan, None),
+    "pset2": (_pair_plan, lambda ctx, t, conj, masks: ctx.previse(t, masks)),
     "profile2": (lambda full: (), None),
 }
 
@@ -341,6 +349,16 @@ def _closed(post, ctx, t, conj, refuting, masks):
     # Beliefs are represented by their worlds, so closure cannot fail;
     # kept executable so the catalog stays total.
     post(ctx, t, conj, masks)
+    return []
+
+
+@_lifted(("K2", "serial", "the input is believed after revising by it"),
+         ("K-star-2", "pset", "every member of the input set is believed afterwards"),
+         words={"serial": "input", "pset": "conjunction"})
+def _believed(post, word, ctx, t, conj, refuting, masks):
+    beliefs = post(ctx, t, conj, masks).masks[0]
+    if beliefs & ~conj:
+        return [_hit(beliefs=beliefs, **{word: conj})]
     return []
 
 
@@ -424,6 +442,40 @@ def _refuting_weakly_below(post, ctx, t, conj, refuting, masks):
                        weak=True)
 
 
+# the key under which K7, K8 and their twins write the beliefs after
+# revising by both inputs: by their conjunction, or by the families' union
+_BOTH = {"serial2": "conjunction_beliefs", "pset2": "union_beliefs"}
+
+
+@_lifted(("K7", "serial2", "revising by a conjunction keeps everything expansion would add"),
+         ("K-star-7", "pset2", "revising by a union keeps everything expansion would add"),
+         words=_BOTH)
+def _expansion_kept(post, word, ctx, t, masks, merged, mixed, first, second):
+    if not first & second:
+        return None
+    lhs = post(ctx, t, first, masks).masks[0] & second
+    rhs = post(ctx, t, first & second, merged).masks[0]
+    if lhs & ~rhs:
+        return [_hit(expansion=lhs, **{word: rhs})]
+    return []
+
+
+@_lifted(("K8", "serial2", "expansion of a revision is conservative when consistent"),
+         ("K-star-8", "pset2", "expansion of a set revision is conservative when consistent"),
+         words=_BOTH)
+def _conservative_expansion(post, word, ctx, t, masks, merged, mixed, first, second):
+    lhs = post(ctx, t, first, masks).masks[0] & second
+    if not lhs:
+        return []
+    if not first & second:
+        # revision by an inconsistent conjunction or union is undefined
+        return None
+    rhs = post(ctx, t, first & second, merged).masks[0]
+    if rhs & ~lhs:
+        return [_hit(expansion=lhs, **{word: rhs})]
+    return []
+
+
 def _ind_expected(config) -> str:
     name = config.describe()["revision"]
     return "sound" if name in ("lex", "restrained") else "violated"
@@ -447,14 +499,6 @@ def _promotion(post, ctx, t, conj, refuting, masks):
 
 # --- serial revision ---
 
-@_register("K2", "serial", "the input is believed after revising by it")
-def _k2(ctx, t, a, not_a, _):
-    beliefs = ctx.revise(t, a).masks[0]
-    if beliefs & ~a:
-        return [_hit(beliefs=beliefs, input=a)]
-    return []
-
-
 @_register("K5", "serial", "revising by a consistent input yields consistent beliefs")
 def _k5(ctx, t, a, not_a, _):
     if not ctx.revise(t, a).masks[0]:
@@ -472,32 +516,6 @@ def _k6(ctx, t, a, not_a, _):
         beliefs = ctx.revise(t, model_mask(variant, ctx.lang)).masks[0]
         if beliefs != reference:
             return [_hit(input=a, variant_beliefs=beliefs, beliefs=reference)]
-    return []
-
-
-@_register("K7", "serial2", "revising by a conjunction keeps everything expansion would add")
-def _k7(ctx, t, first, second):
-    both = first & second
-    if not both:
-        return None
-    lhs = ctx.revise(t, first).masks[0] & second
-    rhs = ctx.revise(t, both).masks[0]
-    if lhs & ~rhs:
-        return [_hit(expansion=lhs, conjunction_beliefs=rhs)]
-    return []
-
-
-@_register("K8", "serial2", "expansion of a revision is conservative when consistent")
-def _k8(ctx, t, first, second):
-    lhs = ctx.revise(t, first).masks[0] & second
-    if not lhs:
-        return []
-    if not first & second:
-        # revision by an inconsistent conjunction is undefined
-        return None
-    rhs = ctx.revise(t, first & second).masks[0]
-    if rhs & ~lhs:
-        return [_hit(expansion=lhs, conjunction_beliefs=rhs)]
     return []
 
 
@@ -541,14 +559,6 @@ def _conj_star(ctx, t, conj, refuting, masks):
     return []
 
 
-@_register("K-star-2", "pset", "every member of the input set is believed afterwards")
-def _ks2(ctx, t, conj, refuting, masks):
-    beliefs = ctx.previse(t, masks).masks[0]
-    if beliefs & ~conj:
-        return [_hit(beliefs=beliefs, conjunction=conj)]
-    return []
-
-
 @_register("K-star-5", "pset", "revising by a jointly consistent set yields consistent beliefs")
 def _ks5(ctx, t, conj, refuting, masks):
     if not ctx.previse(t, masks).masks[0]:
@@ -576,31 +586,6 @@ def _ks6(ctx, t, conj, refuting, masks):
 @_register("K-star-6-minus", "pset", "member-wise equivalent input sets revise to the same beliefs")
 def _ks6_minus(ctx, t, conj, refuting, masks):
     return _variant_hits(ctx, t, masks, (masks + masks[:1], masks[::-1] + masks[-1:]))
-
-
-@_register("K-star-7", "pset2", "revising by a union keeps everything expansion would add")
-def _ks7(ctx, t, masks, merged, mixed, first, second):
-    if not first & second:
-        return None
-    lhs = ctx.previse(t, masks).masks[0] & second
-    rhs = ctx.previse(t, merged).masks[0]
-    if lhs & ~rhs:
-        return [_hit(expansion=lhs, union_beliefs=rhs)]
-    return []
-
-
-@_register("K-star-8", "pset2", "expansion of a set revision is conservative when consistent")
-def _ks8(ctx, t, masks, merged, mixed, first, second):
-    lhs = ctx.previse(t, masks).masks[0] & second
-    if not lhs:
-        return []
-    if not first & second:
-        # revision by an inconsistent union is undefined
-        return None
-    rhs = ctx.previse(t, merged).masks[0]
-    if rhs & ~lhs:
-        return [_hit(expansion=lhs, union_beliefs=rhs)]
-    return []
 
 
 def _dominance(full, s) -> tuple:

@@ -7,17 +7,26 @@ of texts raises ``ParseError`` at position 0, as ``parse_formula`` of a
 value that is not a text does.  A ``lang`` that is not a ``Language``,
 given to ``model_mask`` or to the entries that read it (``models``,
 ``is_consistent``, ``entails``) or to ``evaluate``, raises
-``LanguageError`` naming the entry that checks it.
+``LanguageError`` naming the entry that checks it.  An ``Atom`` whose
+name is not a ``str`` raises ``FormulaError`` when built, and so does
+every walk over a tree built by hand deeper than the interpreter's
+recursion limit allows, where it would otherwise overflow the stack.
 """
+
+import sys
+from functools import reduce
 
 import pytest
 
 from revforge import (BOTTOM, TOP, FormulaError, FormulaSet, Language, LanguageError, ParseError,
                       RevforgeError, atoms_of, cn_equal, conj, entails, evaluate, format_formula,
                       is_consistent, model_mask, models, neg_set, parse_formula, sat_subset)
-from revforge.logic import Atom
+from revforge.logic import And, Atom
 
 LANG = Language(("A", "B"))
+# a tree built by hand, nested three times deeper than the recursion limit
+DEEP = reduce(And, [Atom("A")] * (sys.getrecursionlimit() * 3))
+TOO_DEEP = "formula nested too deeply for the interpreter's recursion limit"
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -41,10 +50,22 @@ LANG = Language(("A", "B"))
     (lambda: entails(TOP, BOTTOM, None), LanguageError, "model_mask takes a Language, got None"),
     (lambda: evaluate(Atom("A"), 0, None), LanguageError, "evaluate takes a Language, got None"),
     (lambda: evaluate(TOP, 0, "A"), LanguageError, "evaluate takes a Language, got 'A'"),
+    (lambda: model_mask(Atom(["A"]), LANG), FormulaError, "not an atom name: ['A']"),
+    (lambda: FormulaSet(LANG, [Atom(["A"])]), FormulaError, "not an atom name: ['A']"),
+    (lambda: str(Atom(["A"])), FormulaError, "not an atom name: ['A']"),
+    (lambda: Atom(5), FormulaError, "not an atom name: 5"),
+    (lambda: model_mask(DEEP, LANG), FormulaError, TOO_DEEP),
+    (lambda: str(DEEP), FormulaError, TOO_DEEP),
+    (lambda: format_formula(DEEP), FormulaError, TOO_DEEP),
+    (lambda: atoms_of(DEEP), FormulaError, TOO_DEEP),
+    (lambda: evaluate(DEEP, 0, LANG), FormulaError, TOO_DEEP),
+    (lambda: FormulaSet(LANG, [DEEP]), FormulaError, TOO_DEEP),
 ], ids=["formula-set-member", "model-mask", "evaluate", "format-formula", "atoms-of-int",
         "atoms-of-str", "neg-set", "conj-list", "sat-subset", "cn-equal", "cn-equal-second",
         "parse-none", "model-mask-lang", "models-lang", "is-consistent-lang", "entails-lang",
-        "evaluate-lang", "evaluate-constant-lang"])
+        "evaluate-lang", "evaluate-constant-lang", "atom-list-model-mask", "atom-list-set",
+        "atom-list-str", "atom-int", "deep-model-mask", "deep-str", "deep-format-formula",
+        "deep-atoms-of", "deep-evaluate", "deep-formula-set"])
 def test_a_value_that_is_not_a_formula_raises_a_typed_error(call, error, message):
     with pytest.raises(error) as err:
         call()

@@ -1,9 +1,11 @@
 """Catalog, instance spaces, and the checking engine."""
 
+import functools
 import gc
 import hashlib
 import itertools
 import json
+import operator
 import random
 import re
 import tracemalloc
@@ -1387,10 +1389,20 @@ def test_hits_turn_masks_into_world_sets():
 
 
 # (serial postulate, set twin): the set postulate restated for a family
-TWINS = (("K1", "K-star-1"), ("K3", "K-star-3"), ("K4", "K-star-4"),
+TWINS = (("K1", "K-star-1"), ("K2", "K-star-2"), ("K3", "K-star-3"), ("K4", "K-star-4"),
          ("CR1", "C-star-1"), ("CC2", "C-con-2"), ("CR2", "C-star-2"), ("CC1", "C-con-1"),
          ("CR3", "C-star-3"), ("CC3", "C-con-3"), ("CR4", "C-star-4"), ("CC4", "C-con-4"),
          ("Ind", "Ind-star"), ("CR2", "C-star-2-plus"))
+# (serial2 postulate, pset2 twin): the same, restated for two families
+PAIR_TWINS = (("K7", "K-star-7"), ("K8", "K-star-8"))
+# the key a set twin's hit writes where its serial postulate's writes another
+TWIN_WORDS = {"input": "conjunction", "conjunction_beliefs": "union_beliefs"}
+
+
+def _as_twin(hits):
+    """A serial postulate's ``hits`` under the keys its set twin writes."""
+    return hits and [{TWIN_WORDS.get(key, key): value for key, value in hit.items()}
+                     for hit in hits]
 
 
 def _reversing(name: str) -> OperatorConfig:
@@ -1400,10 +1412,13 @@ def _reversing(name: str) -> OperatorConfig:
                           contraction=SerialContractionOperator(name, reverse))
 
 
-@pytest.mark.parametrize("operators", [OperatorConfig(), OperatorConfig(revision="lex"),
-                                       OperatorConfig(revision="restrained"),
-                                       _reversing("reverse")],
-                         ids=["natural", "lex", "restrained", "reverse"])
+each_serial_operator = pytest.mark.parametrize(
+    "operators", [OperatorConfig(), OperatorConfig(revision="lex"),
+                  OperatorConfig(revision="restrained"), _reversing("reverse")],
+    ids=["natural", "lex", "restrained", "reverse"])
+
+
+@each_serial_operator
 def test_set_twins_agree_with_their_serial_postulates(operators):
     """Under parallel operators that revise and contract by a one-member
     family as the serial ones do by its member, each set twin finds
@@ -1417,11 +1432,32 @@ def test_set_twins_agree_with_their_serial_postulates(operators):
     hits = dict.fromkeys(TWINS, 0)
     for t, a in space.instances("serial"):
         for serial, twin in TWINS:
-            expected = CATALOG[serial].evaluate(ctx, t, a)
+            expected = _as_twin(CATALOG[serial].evaluate(ctx, t, a))
             assert CATALOG[twin].evaluate(view, t, (a,)) == expected, (serial, twin, t, a)
             hits[serial, twin] += len(expected or ())
     if operators.describe()["revision"] == "reverse":
         assert [pair for pair, count in hits.items() if not count] == [("K1", "K-star-1")]
+
+
+@each_serial_operator
+def test_pair_twins_agree_with_their_serial_postulates(operators):
+    """Under a parallel operator that revises by a family as the serial
+    one does by its conjunction, K-star-7 and K-star-8 find exactly the
+    hits of K7 and K8 on every two-atom serial2 instance ``(t, a, b)``,
+    read as the families ``(a,)`` and ``(b,)``; under an operator that
+    reverses the prior, K8's pair finds some and K7's none, since both
+    sides of K7 revise to the same reversed order."""
+    space = InstanceSpace(atoms=2, operators=operators)
+    ctx, view = CheckContext.from_space(space), CheckContext.from_space(space)
+    view.previse = lambda t, masks: view.revise(t, functools.reduce(operator.and_, masks))
+    hits = dict.fromkeys(PAIR_TWINS, 0)
+    for t, a, b in space.instances("serial2"):
+        for serial, twin in PAIR_TWINS:
+            expected = _as_twin(CATALOG[serial].evaluate(ctx, t, a, b))
+            assert CATALOG[twin].evaluate(view, t, (a,), (b,)) == expected, (serial, twin, t, a, b)
+            hits[serial, twin] += len(expected or ())
+    if operators.describe()["revision"] == "reverse":
+        assert [pair for pair, count in hits.items() if not count] == [("K7", "K-star-7")]
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 3])

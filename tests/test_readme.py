@@ -3,8 +3,9 @@
 Each complete ```` ```python ```` block of README.md runs in a fresh
 interpreter with ``src`` on its path, so a block that registers an
 operator leaves the registries of the test process as they were.  A
-block whose first line is a comment starting ``# excerpt`` quotes a
-module and is skipped: its names are defined in that module.
+block whose first line is a comment starting ``# excerpt of <module>``
+quotes that module, under ``src/revforge``, and is not run: its names
+are defined there, and each of its lines must be a line of the module.
 
 Each ``$ revforge ...`` line of the "Quick start, command line" block
 runs as ``python -m revforge.cli ...`` the same way, and must print the
@@ -27,6 +28,7 @@ COMMANDS = re.findall(r"^\$ revforge (.*)\n(.*?), [\d.]+ ms\)\n(expected: .* -> 
                       README.split("## Quick start, command line", 1)[1].split("```", 2)[1],
                       re.MULTILINE)
 COMPLETE = [block for block in BLOCKS if not block.startswith("# excerpt")]
+EXCERPTS = [block for block in BLOCKS if block.startswith("# excerpt")]
 # the start of each line each complete block prints, as the README states it
 PRINTED = [
     ["[{11} < {01,10} < {00}]", "frozenset({3})"],
@@ -49,6 +51,14 @@ def test_each_complete_example_prints_what_the_readme_states(index):
     assert len(printed) == len(PRINTED[index])
     for line, start in zip(printed, PRINTED[index]):
         assert line.startswith(start), (line, start)
+
+
+@pytest.mark.parametrize("index", range(len(EXCERPTS)))
+def test_each_excerpt_quotes_its_module_verbatim(index):
+    heading, *lines = EXCERPTS[index].splitlines()
+    module = re.match(r"# excerpt of (\S+?),? ", heading + " ").group(1)
+    source = (ROOT / "src" / "revforge" / module).read_text(encoding="utf-8").splitlines()
+    assert lines and [line for line in lines if line not in source] == []
 
 
 def test_the_command_line_quick_start_has_two_commands():
