@@ -89,10 +89,8 @@ def _cmd_check(args) -> int:
     matched = report.matches_expected()
 
     if args.format == "json":
-        payload = report.to_json_dict()
-        payload["expected"] = report.expected
-        payload["outcome"] = report.outcome
-        payload["matched"] = matched
+        payload = {**report.to_json_dict(), "expected": report.expected,
+                   "outcome": report.outcome, "matched": matched}
         print(json.dumps(payload, indent=2))
     else:
         print(report.summary_line())

@@ -233,7 +233,17 @@ def _language(lang: Language, entry: str) -> Language:
 # --- formula trees ---
 
 class Formula:
-    """Base class for all formula nodes."""
+    """Base class for all formula nodes.
+
+    ``repr()``, ``==`` and ``hash()`` of the nodes are the ones the frozen
+    dataclasses generate, and they recurse once per level of the tree, so
+    they are trusted only for trees inside the interpreter's recursion
+    limit: a tree built by hand deeper than that, such as
+    ``reduce(And, [Atom("A")] * 3000)``, raises a bare ``RecursionError``
+    from each.  Every tree the package builds is inside it:
+    ``parse_formula`` refuses text nested deeper than
+    ``MAX_FORMULA_DEPTH``, and ``canonical_formula`` and ``conj`` build
+    balanced trees."""
 
     __slots__ = ()
 

@@ -35,8 +35,11 @@ and their body takes ``(ctx, profile)``.
 ``Postulate.evaluate(ctx, *instance)`` composes the two for one
 instance; the sweep in ``engine.check`` is the one place that keeps
 plans, so no plan outlives its sweep.  A body returns a list of hit
-dictionaries (empty when the instance is fine), or ``None`` when its
-domain depends on the prior.  For the one existential entry the hits
+dictionaries (empty when the instance is fine), or ``None`` for an
+instance outside its domain that its plan lets through.  K8 and
+K-star-8 return None where their domain depends on the prior; K7 and
+K-star-7, HI-serial, GR-star, P-star, DiP and HI-star return None on
+their plan's fields alone.  For the one existential entry the hits
 are witnesses rather than violations, and the property holds over a
 space when at least one witness turns up.  A syntactic form's body
 returns whether the form holds.
@@ -44,18 +47,18 @@ returns whether the form holds.
 A serial input is a one-member family: its plan, ``_input``, is
 ``_regions`` of ``(a,)``, so serial and set bodies read the same fields
 ``(conj, refuting, masks)``; and ``serial2``'s plan, ``_input_pair``, is
-``_pair_plan`` of ``(a,)`` and ``(b,)``, so ``serial2`` and ``pset2``
-bodies read the same fields too.  ``_SHAPE_DEFAULTS`` gives each shape
-its default plan and, for the shapes whose entries test one operator,
-that operator as ``post(ctx, t, conj, masks)``: ``ctx.revise`` for
-``serial`` and ``serial2``, ``ctx.contract`` for ``sercon``,
-``ctx.previse`` for ``pset`` and ``pset2`` and ``ctx.pcontract`` for
-``cset``.  A postulate and its set twin (K4 and K-star-4, K7 and
-K-star-7, CR3 and C-star-3, CC3 and C-con-3, ...) are one body over
-``post``, which ``_lifted`` registers once per id, bound to that id's
-shape's operator and, where the twins name a hit's key differently
-(K2's ``input`` is K-star-2's ``conjunction``), to the shape's word for
-it from ``words``.
+``_pair_plan`` of ``(a,)`` and ``(b,)``, so K7 and K8 read the fields of
+their set twins, ``(masks, merged, first, second)``.
+``_SHAPE_DEFAULTS`` gives each shape its default plan and, for the
+shapes whose entries test one operator, that operator as ``post(ctx, t,
+conj, masks)``: ``ctx.revise`` for ``serial`` and ``serial2``,
+``ctx.contract`` for ``sercon``, ``ctx.previse`` for ``pset`` and
+``pset2`` and ``ctx.pcontract`` for ``cset``.  A postulate and its set
+twin (K4 and K-star-4, K7 and K-star-7, CR3 and C-star-3, CC3 and
+C-con-3, ...) are one body over ``post``, which ``_lifted`` registers
+once per id, bound to that id's shape's operator and, where the twins
+name a hit's key differently (K2's ``input`` is K-star-2's
+``conjunction``), to the shape's word for it from ``words``.
 
 Every entry enters ``CATALOG`` through ``_register``, which names a plan
 only where the entry's differs from its shape's, and every syntactic
@@ -69,13 +72,16 @@ Entries that read the same facts of an input share one plan: ``_input``
 conjunction, refuting and member masks), which every other family plan
 extends, ``_negation_plan`` (the member-wise negations), ``_dominance``
 (a mask per world of the worlds it dominates), ``_subfamilies``,
-``_pair_plan`` (two families merged and mixed) and ``_input_pair`` (two
-serial inputs as one-member families).  S-star reads ``_s_star_plan``,
-the part of ``_pair_plan`` it needs, which is None outside its domain.
-``_regions`` reads each input's mask through ``_member_mask``, a
-bounded table keyed by the input: a sampled sweep makes a plan on every
-draw, and the streams' members are the shared ``worlds_of`` sets, so up
-to 8 worlds the table answers almost every read.
+``_pair_plan`` (``pset2``'s default: s1's member masks, the union family
+of s1 and s2, and the conjunctions of each) and ``_input_pair`` (two
+serial inputs as one-member families).  ``_mixed_plan`` is the one
+builder of the mixed family, s1 joined with the negations of s2's
+members: P-star reads it, and S-star reads it through ``_s_star_plan``,
+which is None outside S-star's domain.  ``_regions`` reads each input's
+mask through ``_member_mask``, a bounded table keyed by the input: a
+sampled sweep makes a plan on every draw, and the streams' members are
+the shared ``worlds_of`` sets, so up to 8 worlds the table answers
+almost every read.
 
 Belief sets are read as ``masks[0]`` of an order and best worlds as
 ``min_mask``.  Every order check, the serial and set ones and SPU, WPU
@@ -290,22 +296,19 @@ def _input(full, a) -> tuple[int, int, tuple[int]]:
     return _regions(full, (a,))
 
 
-# ``_pair_plan`` meets each family in many pairs, so it reads their regions
-# through a bounded table of its own, of as many entries as the logic
-# layer keeps world sets
+# the two-family plans meet each family in many pairs, so they read their
+# regions through a bounded table of their own, of as many entries as the
+# logic layer keeps world sets
 _pair_regions = lru_cache(maxsize=256)(_regions)
 
 
 def _pair_plan(full, s1, s2) -> tuple:
-    """The prior-independent part of the ``pset2`` entries:
-    ``(masks, merged, mixed, first, second)``, the member masks of s1, the
-    union family of s1 and s2, s1 joined with the negations of s2's
-    members (None when that family is inconsistent), and the conjunction
-    masks of s1 and of s2."""
+    """The prior-independent part of K7, K8 and their set twins: ``(masks,
+    merged, first, second)``, the member masks of s1, the union family of
+    s1 and s2, and the conjunction masks of s1 and of s2."""
     first, _, masks = _pair_regions(full, s1)
-    second, refuting, masks2 = _pair_regions(full, s2)
-    mixed = _merge(masks, [full ^ m for m in masks2]) if first & refuting else None
-    return masks, _merge(masks, masks2), mixed, first, second
+    second, _, masks2 = _pair_regions(full, s2)
+    return masks, _merge(masks, masks2), first, second
 
 
 def _input_pair(full, a, b) -> tuple:
@@ -313,17 +316,24 @@ def _input_pair(full, a, b) -> tuple:
     return _pair_plan(full, (a,), (b,))
 
 
-def _s_star_plan(full, s1, s2):
-    """S-star's part of ``_pair_plan``: None outside its domain, where s1
-    joined with the negations of s2's members is inconsistent, else
-    ``(mixed, joint)``, that family's member masks and the mask of the
-    worlds satisfying both families.  Two in three two-atom pairs fall
-    outside, and their instances make no body call."""
+def _mixed_plan(full, s1, s2) -> tuple:
+    """P-star's plan, and the one builder of the mixed family: ``(mixed,
+    first, second)``, the member masks of s1 joined with the negations of
+    s2's members (None when that family is inconsistent), and the
+    conjunction masks of s1 and of s2."""
     first, _, masks = _pair_regions(full, s1)
     second, refuting, masks2 = _pair_regions(full, s2)
-    if not first & refuting:
-        return None
-    return _merge(masks, [full ^ m for m in masks2]), first & second
+    mixed = _merge(masks, [full ^ m for m in masks2]) if first & refuting else None
+    return mixed, first, second
+
+
+def _s_star_plan(full, s1, s2):
+    """S-star's part of ``_mixed_plan``: None outside its domain, where the
+    mixed family is inconsistent, else ``(mixed, joint)``, that family and
+    the mask of the worlds satisfying both families.  Two in three
+    two-atom pairs fall outside, and their instances make no body call."""
+    mixed, first, second = _mixed_plan(full, s1, s2)
+    return None if mixed is None else (mixed, first & second)
 
 
 # Each shape's default plan and, where its entries test one operator,
@@ -450,7 +460,7 @@ _BOTH = {"serial2": "conjunction_beliefs", "pset2": "union_beliefs"}
 @_lifted(("K7", "serial2", "revising by a conjunction keeps everything expansion would add"),
          ("K-star-7", "pset2", "revising by a union keeps everything expansion would add"),
          words=_BOTH)
-def _expansion_kept(post, word, ctx, t, masks, merged, mixed, first, second):
+def _expansion_kept(post, word, ctx, t, masks, merged, first, second):
     if not first & second:
         return None
     lhs = post(ctx, t, first, masks).masks[0] & second
@@ -463,7 +473,7 @@ def _expansion_kept(post, word, ctx, t, masks, merged, mixed, first, second):
 @_lifted(("K8", "serial2", "expansion of a revision is conservative when consistent"),
          ("K-star-8", "pset2", "expansion of a set revision is conservative when consistent"),
          words=_BOTH)
-def _conservative_expansion(post, word, ctx, t, masks, merged, mixed, first, second):
+def _conservative_expansion(post, word, ctx, t, masks, merged, first, second):
     lhs = post(ctx, t, first, masks).masks[0] & second
     if not lhs:
         return []
@@ -659,8 +669,8 @@ def _s_star(ctx, t, mixed, joint):
 
 @_register("P-star", "pset2",
            "after adopting one set against another, the other's best worlds satisfy the first",
-           expected="violated")
-def _p_star(ctx, t, masks, merged, mixed, first, second):
+           plan=_mixed_plan, expected="violated")
+def _p_star(ctx, t, mixed, first, second):
     if not first & second:
         return []
     if mixed is None:

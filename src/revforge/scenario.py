@@ -271,16 +271,22 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
-    return loads_scenario(text)
+    return loads_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-def loads_scenario(text: str) -> Scenario:
+def loads_scenario(text: str | bytes | bytearray) -> Scenario:
+    """Read and validate a scenario from its JSON text, as ``json.loads``
+    takes it: a ``str``, or ``bytes`` or a ``bytearray`` in UTF-8, -16 or
+    -32.  Any other value, or bytes that do not decode, raise
+    ``ScenarioError``, naming the value's type or the bad byte."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (TypeError, UnicodeDecodeError) as exc:
+        # json's own check names the type of a value that is not text
+        raise ScenarioError(f"scenario: {exc}") from exc
     return Scenario.from_dict(data)
 
 

@@ -21,6 +21,11 @@ one fold replaced, ``atoms_of``, ``format_formula`` and ``model_mask``,
 each dispatching on node kinds itself; ``test_fold_differential.py``
 checks the fold's versions against them.
 
+It keeps ``catalog._pair_plan`` as it read with five fields, building
+the mixed family that only P-star and S-star read;
+``test_core_differential.py`` checks the two-family plans that replaced
+it against it.
+
 Last, it keeps the order checks as the pair loops they were (the
 catalog's order helpers, PC3 and PC4), the profile entries (UB, LB,
 Factoring, SPU, WPU and Parity) over world sets, and the sampled stream
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
@@ -384,6 +390,27 @@ def pc4_b(ctx, t, s):
         if not any(beliefs <= two_step for beliefs in _subset_beliefs(ctx, t, s, x)):
             return False
     return True
+
+
+# --- the two-family plan with the mixed family in it ---
+#
+# ``catalog._pair_plan`` as it read while it built the mixed family for
+# every ``pset2`` and ``serial2`` plan, before that family got a plan of
+# its own.  It takes the families as the streams yield them and masks
+# each member itself.
+
+def pair_plan(full: int, s1, s2) -> tuple:
+    """``(masks, merged, mixed, first, second)``: the member masks of s1,
+    the union family of s1 and s2, s1 joined with the negations of s2's
+    members (None when that family is inconsistent), and the conjunction
+    masks of s1 and of s2."""
+    masks = tuple(sum(1 << w for w in member) for member in s1)
+    masks2 = tuple(sum(1 << w for w in member) for member in s2)
+    first = reduce(and_, masks, full)
+    second = reduce(and_, masks2, full)
+    refuting = full & ~reduce(or_, masks2, 0)
+    mixed = _merge(masks, [full ^ m for m in masks2]) if first & refuting else None
+    return masks, _merge(masks, masks2), mixed, first, second
 
 
 # --- order checks by pair enumeration ---

@@ -19,7 +19,11 @@ compared block by block, on:
   once per input family and follow-up beliefs read once per order,
   against the per-instance frozenset versions, on every exhaustive
   two-atom instance, both under the default operators and under a base
-  operator that reverses the prior, which makes them fail.
+  operator that reverses the prior, which makes them fail;
+* the two-family plans, ``_pair_plan``, ``_mixed_plan``, ``_s_star_plan``
+  and ``_input_pair``, against the one five-field plan they split, on
+  every pair of two-atom families or inputs and a seeded three-atom
+  sample.
 
 The reference side is memoized, which is sound because it is pure; the
 shipped side runs the operators unmemoized.  The two versions of an
@@ -38,7 +42,7 @@ from revforge import (CATALOG, NATURAL_CONTRACT, REVISION_OPERATORS, STRATEGIES,
                       Aggregator, CheckContext, InstanceSpace, OperatorConfig,
                       ParallelContractionOperator, ParallelRevisionOperator,
                       SerialRevisionOperator, conditional_set, rational_closure)
-from revforge.postulates import SYNTACTIC_FORMS, all_propositions, enumerate_tpos
+from revforge.postulates import SYNTACTIC_FORMS, all_propositions, catalog, enumerate_tpos
 from revforge.tpo import mask_of
 
 ORDERS = tuple(enumerate_tpos(4))
@@ -182,6 +186,38 @@ def test_catalog_evaluators(pid, config_name):
     # the comparison reaches the failure paths: P-star fails under any
     # operators, the others under the reversing base operator
     assert bool(failing) == (config_name == "reverse-base" or pid == "P-star")
+
+
+@pytest.mark.parametrize("atoms", [2, 3])
+def test_two_family_plans_are_parts_of_the_five_field_plan(atoms):
+    """``_pair_plan`` is the five-field plan without its mixed family,
+    ``_mixed_plan`` that family and the two conjunctions, and
+    ``_s_star_plan`` None where the family is inconsistent, else the
+    family and the joint conjunction: on all 9,025 pairs of the 95
+    two-atom families, with ``_input_pair`` on every pair of two-atom
+    inputs, and on 2,000 seeded three-atom ``pset2`` draws."""
+    full = (1 << (1 << atoms)) - 1
+    if atoms == 2:
+        families = [s for t, s in PSETS if t is PSETS[0][0]]
+        assert len(families) == 95
+        pairs = list(itertools.product(families, repeat=2))
+        for a, b in itertools.product(all_propositions(4), repeat=2):
+            masks, merged, _, first, second = ref.pair_plan(full, (a,), (b,))
+            assert catalog._input_pair(full, a, b) == (masks, merged, first, second)
+    else:
+        space = InstanceSpace(atoms=3, mode="sampled", sample_count=2000, seed=5)
+        pairs = [(s1, s2) for _, s1, s2 in space.instances("pset2")]
+        assert len(pairs) == 2000
+    inside = 0
+    for s1, s2 in pairs:
+        masks, merged, mixed, first, second = ref.pair_plan(full, s1, s2)
+        assert catalog._pair_plan(full, s1, s2) == (masks, merged, first, second)
+        assert catalog._mixed_plan(full, s1, s2) == (mixed, first, second)
+        star = None if mixed is None else (mixed, first & second)
+        assert catalog._s_star_plan(full, s1, s2) == star
+        inside += mixed is not None
+    # both sides of the domain are reached: 2,880 two-atom pairs are inside
+    assert inside == 2_880 if atoms == 2 else 0 < inside < len(pairs)
 
 
 REF_PROFILE_ENTRIES = {"UB": ref.ub, "LB": ref.lb, "Factoring": ref.factoring,

@@ -756,7 +756,7 @@ def test_a_bounded_aggregator_memo_keeps_most_hits(monkeypatch):
 
 def test_s_star_plan_is_none_outside_its_domain():
     """S-star's plan is None for each of the 6,145 two-atom pairs outside
-    its domain, and for the 2,880 inside it holds ``_pair_plan``'s mixed
+    its domain, and for the 2,880 inside it holds ``_mixed_plan``'s mixed
     family and the families' joint conjunction."""
     families = [s for t, s in InstanceSpace(atoms=2).instances("pset") if t == tpo({0, 1, 2, 3})]
     assert len(families) == 95
@@ -764,7 +764,7 @@ def test_s_star_plan_is_none_outside_its_domain():
     inside = 0
     for s1 in families:
         for s2 in families:
-            _, _, mixed, first, second = catalog._pair_plan(15, s1, s2)
+            mixed, first, second = catalog._mixed_plan(15, s1, s2)
             plan = catalog._s_star_plan(15, s1, s2)
             if mixed is None:
                 assert plan is None
@@ -772,6 +772,19 @@ def test_s_star_plan_is_none_outside_its_domain():
                 inside += 1
                 assert plan == (mixed, first & second)
     assert inside == 2_880
+
+
+def test_a_k_star_7_sweep_merges_once_per_plan(monkeypatch):
+    """K-star-7 reads no mixed family, so its plan merges only the two
+    families' union: a two-atom sweep merges once per plan, where a plan
+    that built the mixed family too merged 2,880 more times."""
+    merges = []
+    merge = catalog._merge
+    monkeypatch.setattr(catalog, "_merge", lambda s1, s2: merges.append(s1) or merge(s1, s2))
+    calls = {}
+    _counted(monkeypatch, "K-star-7", calls)
+    assert check("K-star-7", InstanceSpace(atoms=2)).holds
+    assert calls["plan"] == len(merges) == 9_025
 
 
 @pytest.mark.parametrize("strategy", ["stq", "round-robin"])

@@ -302,6 +302,24 @@ def test_bad_json_reports_line_and_column():
     assert "invalid JSON at line 3, column 1" in str(err.value)
 
 
+@pytest.mark.parametrize("text, name", [(None, "NoneType"), (5, "int")])
+def test_a_document_that_is_not_text_is_a_scenario_error(text, name):
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(text)
+    assert str(err.value).startswith("scenario: ") and str(err.value).endswith(f"not {name}")
+
+
+def test_a_document_in_bytes_loads_as_its_text():
+    """Bytes and bytearrays load as ``json.loads`` reads them; bytes that
+    do not decode raise ``ScenarioError``."""
+    text = json.dumps(BASE)
+    for document in (text.encode(), bytearray(text.encode()), text.encode("utf-16")):
+        assert loads_scenario(document).raw == BASE
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(b"\x80" + text.encode())
+    assert "can't decode byte 0x80" in str(err.value)
+
+
 def test_inconsistent_revision_step_names_the_step():
     doc = {**BASE, "steps": [{"op": "revise-set", "sentences": ["A & ~A"]}]}
     with pytest.raises(InconsistentInputError) as err:
