@@ -57,7 +57,7 @@ def _cmd_run(args) -> int:
 
     try:
         scenario = load_scenario(args.file)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise RevforgeError(f"cannot read {args.file}: {exc}") from exc
     trace = run_scenario(scenario)
     if args.format == "json":

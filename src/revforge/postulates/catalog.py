@@ -36,13 +36,14 @@ and their body takes ``(ctx, profile)``.
 instance; the sweep in ``engine.check`` is the one place that keeps
 plans, so no plan outlives its sweep.  A body returns a list of hit
 dictionaries (empty when the instance is fine), or ``None`` for an
-instance outside its domain that its plan lets through.  K8 and
-K-star-8 return None where their domain depends on the prior; K7 and
-K-star-7, HI-serial, GR-star, P-star, DiP and HI-star return None on
-their plan's fields alone.  For the one existential entry the hits
-are witnesses rather than violations, and the property holds over a
-space when at least one witness turns up.  A syntactic form's body
-returns whether the form holds.
+instance outside its domain that its plan lets through: only K8 and
+K-star-8 do, where their domain depends on the prior.  Every domain
+that the inputs alone decide is its plan's, so no instance outside it
+makes a body call: ``_within`` puts it on the plan of K7 and K-star-7,
+HI-serial, GR-star, P-star, DiP and HI-star.  For the one existential
+entry the hits are witnesses rather than violations, and the property
+holds over a space when at least one witness turns up.  A syntactic
+form's body returns whether the form holds.
 
 A serial input is a one-member family: its plan, ``_input``, is
 ``_regions`` of ``(a,)``, so serial and set bodies read the same fields
@@ -70,7 +71,8 @@ forms' plans.
 Entries that read the same facts of an input share one plan: ``_input``
 (a serial input as a one-member family), ``_regions`` (a family's
 conjunction, refuting and member masks), which every other family plan
-extends, ``_negation_plan`` (the member-wise negations), ``_dominance``
+extends, ``_negation_plan`` (the member-wise negations, which GR-star
+and HI-star read through ``_refutable_negations``), ``_dominance``
 (a mask per world of the worlds it dominates), ``_subfamilies``,
 ``_pair_plan`` (``pset2``'s default: s1's member masks, the union family
 of s1 and s2, and the conjunctions of each) and ``_input_pair`` (two
@@ -169,7 +171,7 @@ def _register(id: str, shape: str, summary: str, *, plan: Callable | None = None
     return wrap
 
 
-def _lifted(*entries, words: dict | None = None):
+def _lifted(*entries, words: dict | None = None, domain: Callable | None = None):
     """A decorator that registers the body it decorates once per entry
     ``(id, shape, summary)``, or ``(id, shape, summary, expected)``,
     bound to the shape's operator: the body is ``body(post, ctx, t,
@@ -177,11 +179,14 @@ def _lifted(*entries, words: dict | None = None):
     serial postulate and its set twin.  Given ``words``, a dict from
     shape to the key under which that shape's entry writes a hit's
     value, the body takes that shape's word after ``post``: ``body(post,
-    word, ctx, t, *fields)``."""
+    word, ctx, t, *fields)``.  Given ``domain``, each entry's plan is its
+    shape's ``_within`` that domain."""
     def wrap(body):
         for id, shape, summary, *expected in entries:
             word = (words[shape],) if words else ()
-            _register(id, shape, summary, expected=expected[0] if expected else "sound")(
+            plan = _SHAPE_DEFAULTS[shape][0]
+            _register(id, shape, summary, plan=plan if domain is None else _within(domain, plan),
+                      expected=expected[0] if expected else "sound")(
                 partial(body, _SHAPE_DEFAULTS[shape][1], *word))
         return body
     return wrap
@@ -336,6 +341,23 @@ def _s_star_plan(full, s1, s2):
     return None if mixed is None else (mixed, first & second)
 
 
+def _within(domain: Callable, plan: Callable) -> Callable:
+    """``plan``, but None wherever ``domain`` is false on its fields: an
+    instance outside a domain that the inputs alone decide makes no body
+    call."""
+    def planned(full, *inputs):
+        fields = plan(full, *inputs)
+        return fields if domain(*fields) else None
+    return planned
+
+
+def _refutable(conj, refuting, *rest) -> int:
+    """The domain of the checks that revise by every member's negation,
+    on ``_regions``' fields: some world refutes every member, so the
+    negations are jointly consistent."""
+    return refuting
+
+
 # Each shape's default plan and, where its entries test one operator,
 # that operator as ``post(ctx, t, conj, masks)``; it reads the seam from
 # the context at each call, so a stand-in for it is seen.  A profile has
@@ -459,10 +481,8 @@ _BOTH = {"serial2": "conjunction_beliefs", "pset2": "union_beliefs"}
 
 @_lifted(("K7", "serial2", "revising by a conjunction keeps everything expansion would add"),
          ("K-star-7", "pset2", "revising by a union keeps everything expansion would add"),
-         words=_BOTH)
+         words=_BOTH, domain=lambda masks, merged, first, second: first & second)
 def _expansion_kept(post, word, ctx, t, masks, merged, first, second):
-    if not first & second:
-        return None
     lhs = post(ctx, t, first, masks).masks[0] & second
     rhs = post(ctx, t, first & second, merged).masks[0]
     if lhs & ~rhs:
@@ -550,10 +570,9 @@ def _li_serial(ctx, t, a, not_a, _):
 
 
 @_register("HI-serial", "serial",
-           "retracting equals keeping what survives revision by the negation, at the belief level")
+           "retracting equals keeping what survives revision by the negation, at the belief level",
+           plan=_within(_refutable, _input))
 def _hi_serial(ctx, t, a, not_a, _):
-    if not not_a:
-        return None
     return _harper(ctx.contract(t, a).masks[0], t.masks[0] | ctx.revise(t, not_a).masks[0])
 
 
@@ -633,12 +652,14 @@ def _negation_plan(full, s) -> tuple:
     return regions + (tuple([full ^ mask for mask in regions[2]]),)
 
 
+# the plan of the checks that revise by the member-wise negations
+_refutable_negations = _within(_refutable, _negation_plan)
+
+
 @_register("GR-star", "pset",
            "revising by the member-wise negations leaves the set's best worlds untouched",
-           plan=_negation_plan)
+           plan=_refutable_negations)
 def _gr_star(ctx, t, conj, refuting, masks, negations):
-    if not refuting:
-        return None
     after = ctx.previse(t, negations).min_mask(conj)
     before = t.min_mask(conj)
     if after != before:
@@ -669,12 +690,11 @@ def _s_star(ctx, t, mixed, joint):
 
 @_register("P-star", "pset2",
            "after adopting one set against another, the other's best worlds satisfy the first",
-           plan=_mixed_plan, expected="violated")
+           plan=_within(lambda mixed, first, second: mixed is not None or not first & second,
+                        _mixed_plan), expected="violated")
 def _p_star(ctx, t, mixed, first, second):
     if not first & second:
         return []
-    if mixed is None:
-        return None
     best = ctx.previse(t, mixed).min_mask(second)
     if best & ~first:
         return [_hit(best_of_second=best, first_conjunction=first)]
@@ -685,10 +705,8 @@ def _p_star(ctx, t, mixed, first, second):
 
 @_register("DiP", "cset",
            "some contraction by a consistent set still believes the set's disjunction",
-           kind="existential")
+           kind="existential", plan=_within(lambda conj, *rest: conj, _regions))
 def _dip(ctx, t, conj, refuting, masks):
-    if not conj:
-        return None
     beliefs = ctx.pcontract(t, masks).masks[0]
     if not beliefs & refuting:
         return [_hit(beliefs=beliefs, disjunction=ctx.full_mask ^ refuting)]
@@ -697,10 +715,9 @@ def _dip(ctx, t, conj, refuting, masks):
 
 @_register("HI-star", "cset",
            "retracting a set equals keeping what survives revision by the member-wise"
-           " negations, at the belief level", plan=_negation_plan, expected="exploratory")
+           " negations, at the belief level", plan=_refutable_negations,
+           expected="exploratory")
 def _hi_star(ctx, t, conj, refuting, masks, negations):
-    if not refuting:
-        return None
     return _harper(ctx.pcontract(t, masks).masks[0],
                    t.masks[0] | ctx.previse(t, negations).masks[0])
 

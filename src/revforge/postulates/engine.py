@@ -33,15 +33,21 @@ conditional-belief intersection followed by rational closure.
 A ``CheckContext`` holds the configured operators and drives the
 shipped ``ParallelRevisionOperator`` and ``ParallelContractionOperator``
 through their mask entries rather than copying their stages, so every
-verdict tests the operator the package ships.  Only where priors repeat
-does it remember their results: over the worlds an exhaustive space
-enumerates, every prior meets every input family.  A sampled space over
-more worlds draws priors that rarely repeat within one sweep, so there a
-memo would only hold entries that never hit, and the context calls the
-operators on every request.  They repeat exactly across sweeps of one
-seeded space, and ``spaces`` keeps them there: a sweep reads the
-stream's kept prefix where it holds its count, and its orders keep their
-derived ``world_masks`` for every later sweep.  Over the few worlds it keeps their results in per-prior
+verdict tests the operator the package ships.  Over the worlds an
+exhaustive space enumerates, every prior meets every input family, so
+the context remembers what the operators compute per prior.  A sampled
+space over more worlds draws priors that rarely repeat within one
+sweep, but exactly across the sweeps of one seeded space: ``spaces``
+keeps the stream's prefix, so each sweep that reads it asks the
+pipeline what the sweep before it asked, and the stream's orders keep
+their derived ``world_masks`` for every later sweep.  So there the
+context keeps no rows, and ``previse`` and ``pcontract`` each read one
+pipeline memo, keyed by the order and the family, which every live
+context over the same world count and the same operator objects
+shares, and which goes with the last of them.  It stores the first ``_ROWS`` results it
+meets and then only answers: sweeps re-read a kept stream in order, so
+an LRU shorter than the stream would evict each entry before its next
+hit.  Over the few worlds the context keeps results in per-prior
 rows: one small dict per order, holding a serial operator's results
 keyed by proposition mask and the pipeline's results keyed by the tuple
 of member masks.  Under a ``synchronous`` strategy every member joins
@@ -63,10 +69,12 @@ more worlds, the fewer orders it keeps.
 The context keeps only what the operators and orders compute, and sees
 world sets only as masks: an instance's frozensets become masks in the
 plan that reads them, and ``previse`` and ``pcontract`` take a tuple of
-member masks.  No table of world sets is built.  Every memo is a bounded ``functools.lru_cache``,
-so each reports its hits and misses through ``cache_info()``, which
-``CheckContext.memo_info`` collects, and a hit keeps its entry.  Sweeps
-that share operators should share one context.
+member masks.  No table of world sets is built.  Every memo is bounded
+and reports its hits and misses through ``cache_info()``, which
+``CheckContext.memo_info`` collects.  Each is a ``functools.lru_cache``,
+where a hit keeps its entry, except the pipeline memos above 4 worlds,
+which fill and never evict.  Sweeps that share operators should share
+one context.
 A body asks for no pipeline result whose answer the instance already
 fixes: S-star and P-star hold at once on a pair of families whose
 conjunctions share no world, so such an instance counts as checked
@@ -83,6 +91,7 @@ from __future__ import annotations
 
 import json
 import time
+import weakref
 from copy import copy
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -101,10 +110,10 @@ from .spaces import (MAX_EXHAUSTIVE_ATOMS, SHAPES, InstanceSpace, decode_instanc
 
 # plans a sweep keeps at most
 _MEMO = 150_000
-# entries kept per row table, aggregator memo and order-keyed table.  Only
-# contexts over at most 4 worlds keep rows, so a row table never holds
-# more than the 75 two-atom orders; on exhaustive 2-atom sweeps only the
-# aggregator memo fills to this bound
+# entries kept per row table, aggregator memo, pipeline memo and
+# order-keyed table.  Only contexts over at most 4 worlds keep rows, so a
+# row table never holds more than the 75 two-atom orders; on exhaustive
+# 2-atom sweeps only the aggregator memo fills to this bound
 _ROWS = 4096
 # masks the follow-up memo holds at most: an entry holds one per
 # consistent mask, so the more worlds, the fewer orders it keeps
@@ -174,6 +183,55 @@ def _family_lookup(rows: _Rows, pipeline: Callable, set_keys: Optional[Callable]
     return lookup
 
 
+def _filled(pipeline: Callable) -> Callable:
+    """``pipeline(t, masks)`` through a memo keyed by the order's masks and
+    the family's, which stores the first ``_ROWS`` results it meets and
+    then only answers: it never evicts.  A family whose conjunction is
+    inconsistent raises from the pipeline, so it is never stored.  The
+    lookup's ``cache_info()`` reports the fields an ``lru_cache``'s does:
+    its hits, misses, bound and size."""
+    table: dict = {}
+    hits = misses = 0
+
+    def lookup(t: TPO, masks: tuple) -> TPO:
+        nonlocal hits, misses
+        key = (t.masks, masks)
+        hit = table.get(key)
+        if hit is None:
+            misses += 1
+            hit = pipeline(t, masks)
+            if len(table) < _ROWS:
+                table[key] = hit
+        else:
+            hits += 1
+        return hit
+
+    lookup.cache_info = lambda: SimpleNamespace(hits=hits, misses=misses, maxsize=_ROWS,
+                                                currsize=len(table))
+    return lookup
+
+
+class _Pipelines:
+    """``previse`` and ``pcontract`` of contexts over more worlds than an
+    exhaustive space enumerates, each through a ``_filled`` memo.  The
+    live contexts over one world count and one set of operator objects
+    share one ``_Pipelines`` through ``_SHARED``; it holds the operators,
+    so no other object takes their ids while it lives."""
+
+    __slots__ = ("previse", "pcontract", "__weakref__")
+
+    def __init__(self, parallel_rev: ParallelRevisionOperator,
+                 parallel_con: ParallelContractionOperator):
+        self.previse = _filled(parallel_rev.revise_masks)
+        self.pcontract = _filled(parallel_con.contract_masks)
+
+
+# the shared pipelines of the live contexts that keep no rows, keyed by the
+# world count and the ids of the base, finisher, strategy and contraction;
+# an entry goes with the last context that holds it
+_SHARED: "weakref.WeakValueDictionary[tuple, _Pipelines]" = weakref.WeakValueDictionary()
+
+
 def _follow_up_masks(t: TPO, previse: Callable) -> tuple[int, ...]:
     """The belief mask of ``previse(t, (x,))`` for every consistent mask x, in order."""
     return tuple([previse(t, (x,)).masks[0] for x in range(1, 1 << t.num_worlds)])
@@ -190,13 +248,22 @@ class CheckContext:
 
     Over more worlds than an exhaustive space enumerates (more than
     ``1 << MAX_EXHAUSTIVE_ATOMS``), priors are sampled and rarely repeat
-    within one sweep; across sweeps of one seeded space they repeat
-    exactly, but the kept streams in ``spaces`` hold those, not the
-    context.  So the context keeps no rows, interns nothing and has no
-    aggregator memo: ``previse`` and ``pcontract`` are the operators'
-    ``revise_masks`` and ``contract_masks`` themselves, ``revise`` and
-    ``contract`` the serial operators' ``transform``, ``aggregate`` the
-    aggregator's, and ``conditionals`` is ``conditional_set``.  ``rowed``
+    within one sweep; across the sweeps of one seeded space they repeat
+    exactly, in the order the kept streams in ``spaces`` hold them.  So
+    the context keeps no rows, interns nothing and has no aggregator
+    memo: ``revise`` and ``contract`` are the serial operators'
+    ``transform``, ``aggregate`` the aggregator's, and ``conditionals``
+    is ``conditional_set``.  ``previse`` and ``pcontract`` run the
+    operators' ``revise_masks`` and ``contract_masks`` through one memo
+    each, keyed by ``t.masks`` and ``masks``, which every live context
+    over the same world count and the same base, finisher, strategy and
+    contraction objects, compared by identity, shares through ``_SHARED``, a
+    ``weakref.WeakValueDictionary``: the memo goes with the last context
+    that holds it.  Each holds at most ``_ROWS`` results and fills
+    without evicting: it stores the first it meets and then only
+    answers, since a sweep re-reads a kept stream in order and an LRU
+    shorter than the stream would get no hits.  A family whose
+    conjunction is inconsistent raises, and is never stored.  ``rowed``
     says which of the two holds: it is true where the context keeps rows.
 
     Over fewer worlds, each configured serial operator gets one
@@ -237,9 +304,10 @@ class CheckContext:
     context keeps no plan: ``check`` does, for one sweep, in its own loop
     where ``rowed`` is true and the shape has inputs, and at most
     ``_MEMO`` of them.  The
-    aggregator memo, the set keys and the tables keyed by an order hold
-    at most ``_ROWS`` entries.  ``memo_info()`` reports the
-    ``cache_info()`` of each.
+    aggregator memo, the set keys, the pipeline memos and the tables
+    keyed by an order hold at most ``_ROWS`` entries.  ``memo_info()``
+    reports the ``cache_info()`` of each; a shared pipeline memo counts
+    the hits and misses of every context that shares it.
     Nothing built here refers back to the context.
     """
 
@@ -273,25 +341,33 @@ class CheckContext:
             return copy(rows[key][1]) if role == "finisher" else rows[key][1]
 
         revision, contraction = serial_op("revision"), serial_op("contraction")
-        base = serial_op("base")
+        base, finisher = serial_op("base"), serial_op("finisher")
         strategy = config.resolved("strategy")
         self.aggregator = Aggregator(strategy)
         # sweeps are prior-major, so a profile's repeats come soon after it
         merge = (SimpleNamespace(aggregate=lru_cache(maxsize=_ROWS)(self.aggregator.aggregate))
                  if rowed else self.aggregator)
-        self.parallel_rev = ParallelRevisionOperator(base, serial_op("finisher"), merge)
+        self.parallel_rev = ParallelRevisionOperator(base, finisher, merge)
         self.parallel_con = ParallelContractionOperator(contraction, merge)
         self.revise = revision.transform
         self.contract = contraction.transform
         self._aggregate = merge.aggregate
-        self.previse = self.parallel_rev.revise_masks
-        self.pcontract = self.parallel_con.contract_masks
         self._rows = [(f"{'+'.join(roles)}.", table) for roles, table in rows.values()]
         self._set_keys = (lru_cache(maxsize=_ROWS)(lambda key: key)
                           if rowed and strategy.synchronous else None)
         if rowed:
-            self.previse = _family_lookup(base, self.previse, self._set_keys)
-            self.pcontract = _family_lookup(contraction, self.pcontract, self._set_keys)
+            self._shared = None
+            self.previse = _family_lookup(base, self.parallel_rev.revise_masks, self._set_keys)
+            self.pcontract = _family_lookup(contraction, self.parallel_con.contract_masks,
+                                            self._set_keys)
+        else:
+            # sweeps of one kept stream ask every such context the same questions
+            key = (num_worlds, id(base), id(finisher), id(strategy), id(contraction))
+            shared = _SHARED.get(key)
+            if shared is None:
+                shared = _SHARED[key] = _Pipelines(self.parallel_rev, self.parallel_con)
+            self._shared = shared
+            self.previse, self.pcontract = shared.previse, shared.pcontract
         self._follow_ups = lru_cache(maxsize=min(_ROWS, _FOLLOW_UP_MASKS >> num_worlds))(
             _follow_up_masks)
         self.conditionals = lru_cache(maxsize=_ROWS)(conditional_set) if rowed else conditional_set
@@ -310,12 +386,15 @@ class CheckContext:
     def memo_info(self) -> dict:
         """``cache_info()`` of every memo table the context keeps, by name:
         ``follow_ups``; ``aggregate``, ``conditionals`` and ``set_keys``
-        where the context has them; and
+        where the context has them; the shared ``previse`` and
+        ``pcontract`` memos where it keeps no rows; and
         ``<roles>.find`` and ``<roles>.intern`` for each row table, named
         by the roles it serves (``revision+base+finisher`` when one
         operator fills the three)."""
         tables = {"aggregate": self._aggregate, "follow_ups": self._follow_ups,
                   "conditionals": self.conditionals, "set_keys": self._set_keys}
+        if self._shared:
+            tables.update(previse=self._shared.previse, pcontract=self._shared.pcontract)
         for prefix, rows in self._rows:
             tables[prefix + "find"], tables[prefix + "intern"] = rows.find, rows.intern
         return {name: table.cache_info() for name, table in tables.items()

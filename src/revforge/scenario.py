@@ -270,8 +270,16 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario JSON file."""
-    return loads_scenario(Path(path).read_text(encoding="utf-8"))
+    """Read and validate a scenario JSON file.  A ``path`` that is not a
+    path, or a file that is not UTF-8, raises ``ScenarioError``; a file
+    that cannot be read raises its ``OSError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except TypeError:
+        raise ScenarioError(f"a scenario path must be a str or os.PathLike, got {path!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    return loads_scenario(text)
 
 
 def loads_scenario(text: str | bytes | bytearray) -> Scenario:

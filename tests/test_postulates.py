@@ -222,15 +222,18 @@ def test_memo_remembers_none_results(monkeypatch):
 def test_each_sweep_plans_each_family_once(monkeypatch):
     """Entries that read the same facts of a family share one plan
     function, and each sweep calls its plan once per two-atom family,
-    however many sweeps share the context, which keeps no plan."""
-    assert CATALOG["LI-star"].plan is CATALOG["GR-star"].plan is catalog._negation_plan
+    however many sweeps share the context, which keeps no plan.  GR-star's
+    plan is None on the 2,475 instances whose negations clash, and their
+    bodies are not called."""
+    assert CATALOG["LI-star"].plan is catalog._negation_plan
+    assert CATALOG["GR-star"].plan is CATALOG["HI-star"].plan is catalog._refutable_negations
     space = InstanceSpace(atoms=2)
     ctx = CheckContext.from_space(space)
-    for pid in ("LI-star", "GR-star", "LI-star"):
+    for pid, bodies in (("LI-star", 7125), ("GR-star", 4650), ("LI-star", 7125)):
         calls = {}
         _counted(monkeypatch, pid, calls)
         check(pid, space, ctx=ctx)
-        assert calls == {"plan": 95, "body": 7125}
+        assert calls == {"plan": 95, "body": bodies}
     planned = []
     pair = PAIR_CHECKS["C-star-3-pair"]
     monkeypatch.setitem(PAIR_CHECKS, "C-star-3-pair", replace(
@@ -242,7 +245,7 @@ def test_each_sweep_plans_each_family_once(monkeypatch):
 @pytest.mark.parametrize("pid, plans, bodies, skipped", [
     ("S-star", 9_025, 216_000, 460_875),
     ("Conj-star", 95, 7_125, 0),
-    ("GR-star", 95, 7_125, 2_475),
+    ("GR-star", 95, 4_650, 2_475),
 ])
 def test_plans_belong_to_the_sweep(monkeypatch, pid, plans, bodies, skipped):
     """Over 2 atoms a sweep calls a check's plan once per distinct input
@@ -258,6 +261,38 @@ def test_plans_belong_to_the_sweep(monkeypatch, pid, plans, bodies, skipped):
     assert calls == {"plan": plans, "body": bodies}
     assert kept and all(ref() is None for ref in kept)
     assert not hasattr(ctx, "derived")
+
+
+@pytest.mark.parametrize("pid, exhaustive, sampled", [
+    ("K7", (16_875, 13_125, 3_750, 0), (2_000, 1_844, 156, 0)),
+    ("K-star-7", (676_875, 346_425, 330_450, 0), (2_000, 1_468, 532, 0)),
+    ("HI-serial", (1_125, 1_050, 75, 0), (2_000, 1_990, 10, 0)),
+    ("GR-star", (7_125, 4_650, 2_475, 0), (2_000, 1_898, 102, 0)),
+    ("P-star", (676_875, 405_300, 271_575, 14_544), (2_000, 1_509, 491, 346)),
+    ("DiP", (9_000, 7_125, 1_875, 2_703), (2_000, 1_911, 89, 227)),
+    ("HI-star", (9_000, 6_000, 3_000, 1_326), (2_000, 1_911, 89, 294)),
+])
+def test_a_domain_of_the_inputs_alone_is_the_plans(monkeypatch, pid, exhaustive, sampled):
+    """Where an entry's domain depends on the inputs alone, its plan is
+    None outside it, so no body call returns None: over every two-atom
+    instance and 2,000 seeded three-atom draws, each body call counts as
+    checked, and ``(generated, checked, skipped, total_hits)`` are what
+    they were when the bodies returned None themselves."""
+    entry = CATALOG[pid]
+    results = []
+
+    def body(ctx, t, *fields):
+        results.append(entry.body(ctx, t, *fields))
+        return results[-1]
+
+    monkeypatch.setitem(CATALOG, pid, replace(entry, body=body))
+    for space, counts in ((InstanceSpace(atoms=2), exhaustive),
+                          (InstanceSpace(atoms=3, mode="sampled", sample_count=2000, seed=5),
+                           sampled)):
+        results.clear()
+        report = check(pid, space)
+        assert (report.generated, report.checked, report.skipped, report.total_hits) == counts
+        assert None not in results and len(results) == report.checked
 
 
 def test_a_sampled_sweep_plans_every_draw(monkeypatch):
@@ -657,9 +692,10 @@ def test_rows_key_by_set_under_any_synchronous_strategy(monkeypatch, strategy, r
 def test_only_contexts_whose_priors_repeat_keep_rows(atoms):
     """Rows and the aggregator memo exist only up to the worlds an
     exhaustive space enumerates, and ``rowed`` says so, which the sweep
-    reads to keep plans; a larger context calls the shipped operators
-    themselves, and ``conditional_set`` too.  The follow-up memo, which
-    sampled sweeps hit, stays at every size.  No context keeps a plan."""
+    reads to keep plans; a larger context binds the shipped serial
+    operators and aggregator themselves, and ``conditional_set`` too.
+    The follow-up memo, which sampled sweeps hit, stays at every size.
+    No context keeps a plan."""
     ctx = CheckContext(language(atoms), OperatorConfig())
     rowed = atoms <= MAX_EXHAUSTIVE_ATOMS
     assert ctx.rowed is rowed
@@ -679,8 +715,9 @@ def test_only_contexts_whose_priors_repeat_keep_rows(atoms):
 @pytest.mark.parametrize("strategy", ["stq", "round-robin"])
 def test_no_context_memo_is_unbounded(monkeypatch, atoms, strategy):
     """Every ``lru_cache`` a context builds keeps at most ``_MEMO`` entries,
-    and ``memo_info`` reports each of them: a table added later cannot
-    grow without limit, or unseen."""
+    and ``memo_info`` reports each of them, beside the pipeline memos
+    above 4 worlds, which are not ``lru_cache``s and hold at most
+    ``_ROWS``: a table added later cannot grow without limit, or unseen."""
     made = []
     real = engine.lru_cache
 
@@ -700,19 +737,21 @@ def test_no_context_memo_is_unbounded(monkeypatch, atoms, strategy):
     ctx = CheckContext(language(atoms), config)
     sizes = sorted(table.cache_info().maxsize for table in made)
     assert sizes and all(size is not None and 0 < size <= engine._MEMO for size in sizes)
-    assert sorted(info.maxsize for info in ctx.memo_info().values()) == sizes
+    pipelines = [engine._ROWS] * 2 if atoms > MAX_EXHAUSTIVE_ATOMS else []
+    assert sorted(info.maxsize for info in ctx.memo_info().values()) == sorted(sizes + pipelines)
 
 
 @pytest.mark.parametrize("atoms, names", [
     (2, {"aggregate", "follow_ups", "conditionals", "set_keys",
          "revision+base+finisher.find", "revision+base+finisher.intern",
          "contraction.find", "contraction.intern"}),
-    (3, {"follow_ups"}),
+    (3, {"follow_ups", "previse", "pcontract"}),
 ])
 def test_memo_info_names_every_table(atoms, names):
     """``memo_info`` reports each table's ``cache_info()`` by name; one row
-    table serves every role one operator fills.  Above 4 worlds only the
-    follow-up memo, the one table kept at every size, remains.  No table
+    table serves every role one operator fills.  Above 4 worlds the
+    follow-up memo, the one table kept at every size, remains, beside the
+    pipeline memos that contexts over the same operators share.  No table
     holds plans or formulas."""
     ctx = CheckContext(language(atoms), OperatorConfig())
     info = ctx.memo_info()
@@ -867,11 +906,11 @@ def test_a_sampled_rc_identity_sweep_leaves_nothing_in_its_context():
     ("restrained", "lex", "first-then-full"),
 ])
 def test_direct_context_matches_the_shipped_operators(atoms, base, finisher, strategy):
-    """A context over more worlds than an exhaustive space enumerates runs
-    the shipped operators on every call: on a seeded sample it answers
-    ``previse``, ``pcontract``, ``revise``, ``contract`` and ``aggregate``
-    as fresh operators do, twice over, and an inconsistent family names
-    the same culprits."""
+    """A context over more worlds than an exhaustive space enumerates keeps
+    no rows: on a seeded sample it answers ``previse``, ``pcontract``,
+    ``revise``, ``contract`` and ``aggregate`` as fresh operators do,
+    twice over, the second time from its pipeline memo, and an
+    inconsistent family names the same culprits."""
     config = OperatorConfig(revision=finisher, base=base, finisher=finisher, strategy=strategy)
     space = InstanceSpace(atoms=atoms, mode="sampled", sample_count=120, seed=18,
                           max_set_size=3, operators=config)

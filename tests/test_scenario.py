@@ -105,6 +105,23 @@ def test_load_scenario_from_path(tmp_path):
     assert trace.final().beliefs() == frozenset({2})
 
 
+def test_load_scenario_of_a_file_that_is_not_utf8(tmp_path):
+    """A file whose bytes are not UTF-8 raises ``ScenarioError``, naming
+    the file, not a bare ``UnicodeDecodeError``."""
+    p = tmp_path / "latin1.scenario"
+    p.write_bytes(b'{"version": 1, "atoms": ["\xe9"]}')
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(p)
+    assert str(err.value).startswith(f"cannot read {p}: ")
+
+
+def test_load_scenario_of_no_path():
+    """A ``path`` of None raises ``ScenarioError``, not a bare ``TypeError``."""
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(None)
+    assert "got None" in str(err.value)
+
+
 # -- semantics of steps and queries -----------------------------------------
 
 
