@@ -35,19 +35,15 @@ shipped ``ParallelRevisionOperator`` and ``ParallelContractionOperator``
 through their mask entries rather than copying their stages, so every
 verdict tests the operator the package ships.  Over the worlds an
 exhaustive space enumerates, every prior meets every input family, so
-the context remembers what the operators compute per prior.  A sampled
-space over more worlds draws priors that rarely repeat within one
-sweep, but exactly across the sweeps of one seeded space: ``spaces``
-keeps the stream's prefix, so each sweep that reads it asks the
-pipeline what the sweep before it asked, and the stream's orders keep
-their derived ``world_masks`` for every later sweep.  So there the
-context keeps no rows, and ``previse`` and ``pcontract`` each read one
-pipeline memo, keyed by the order and the family, which every live
-context over the same world count and the same operator objects
-shares, and which goes with the last of them.  It stores the first ``_ROWS`` results it
-meets and then only answers: sweeps re-read a kept stream in order, so
-an LRU shorter than the stream would evict each entry before its next
-hit.  Over the few worlds the context keeps results in per-prior
+the context keeps the operators' results per prior.  A sampled space
+over more worlds draws priors that rarely repeat within one sweep, but
+exactly across the sweeps of one seeded space: ``spaces`` keeps the
+stream's prefix, so a sweep that reads it asks of its orders what the
+sweep before it asked.  There the orders keep what is derived from
+them, for every later sweep and every context: their ``world_masks``,
+and, in the slot ``last_run``, the last result ``previse`` or
+``pcontract`` computed from each, with its operators and family.  Over
+the few worlds the context keeps results in per-prior
 rows: one small dict per order, holding a serial operator's results
 keyed by proposition mask and the pipeline's results keyed by the tuple
 of member masks.  Under a ``synchronous`` strategy every member joins
@@ -69,12 +65,12 @@ more worlds, the fewer orders it keeps.
 The context keeps only what the operators and orders compute, and sees
 world sets only as masks: an instance's frozensets become masks in the
 plan that reads them, and ``previse`` and ``pcontract`` take a tuple of
-member masks.  No table of world sets is built.  Every memo is bounded
-and reports its hits and misses through ``cache_info()``, which
-``CheckContext.memo_info`` collects.  Each is a ``functools.lru_cache``,
-where a hit keeps its entry, except the pipeline memos above 4 worlds,
-which fill and never evict.  Sweeps that share operators should share
-one context.
+member masks.  No table of world sets is built.  Every memo is a bounded ``functools.lru_cache``,
+so each reports its hits and misses through ``cache_info()``, which
+``CheckContext.memo_info`` collects, and a hit keeps its entry.  What
+orders keep in ``last_run`` is no table: each holds one result, and
+``memo_info`` does not report it.  Sweeps that share operators should
+share one context.
 A body asks for no pipeline result whose answer the instance already
 fixes: S-star and P-star hold at once on a pair of families whose
 conjunctions share no world, so such an instance counts as checked
@@ -91,7 +87,6 @@ from __future__ import annotations
 
 import json
 import time
-import weakref
 from copy import copy
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -102,7 +97,7 @@ from ..aggregation import Aggregator
 from ..errors import SpaceError, UnknownPostulateError, lookup
 from ..logic import Language
 from ..parallel import OperatorConfig, ParallelContractionOperator, ParallelRevisionOperator
-from ..tpo import TPO, conditional_set, mask_of
+from ..tpo import TPO, conditional_set, mask_of, tpo
 from .catalog import CATALOG, EQUIVALENCE_PAIRS, PAIR_CHECKS, RC_IDENTITY, Postulate
 from .spaces import (MAX_EXHAUSTIVE_ATOMS, SHAPES, InstanceSpace, decode_instance,
                      encode_instance, language)
@@ -110,10 +105,10 @@ from .spaces import (MAX_EXHAUSTIVE_ATOMS, SHAPES, InstanceSpace, decode_instanc
 
 # plans a sweep keeps at most
 _MEMO = 150_000
-# entries kept per row table, aggregator memo, pipeline memo and
-# order-keyed table.  Only contexts over at most 4 worlds keep rows, so a
-# row table never holds more than the 75 two-atom orders; on exhaustive
-# 2-atom sweeps only the aggregator memo fills to this bound
+# entries kept per row table, aggregator memo and order-keyed table.  Only
+# contexts over at most 4 worlds keep rows, so a row table never holds
+# more than the 75 two-atom orders; on exhaustive 2-atom sweeps only the
+# aggregator memo fills to this bound
 _ROWS = 4096
 # masks the follow-up memo holds at most: an entry holds one per
 # consistent mask, so the more worlds, the fewer orders it keeps
@@ -183,53 +178,27 @@ def _family_lookup(rows: _Rows, pipeline: Callable, set_keys: Optional[Callable]
     return lookup
 
 
-def _filled(pipeline: Callable) -> Callable:
-    """``pipeline(t, masks)`` through a memo keyed by the order's masks and
-    the family's, which stores the first ``_ROWS`` results it meets and
-    then only answers: it never evicts.  A family whose conjunction is
-    inconsistent raises from the pipeline, so it is never stored.  The
-    lookup's ``cache_info()`` reports the fields an ``lru_cache``'s does:
-    its hits, misses, bound and size."""
-    table: dict = {}
-    hits = misses = 0
+# writes the slot an order keeps its last pipeline result in
+_keep_last_run = TPO.last_run.__set__
 
+
+def _last_run_lookup(pipeline: Callable, operators: tuple) -> Callable:
+    """``pipeline(t, masks)``, kept on ``t`` as its ``last_run``, the
+    triple ``(operators, masks, result.masks)``.  A call with the family
+    and the operators of that triple, from this context or another,
+    rebuilds the result from its masks; any other call runs the pipeline
+    and replaces the triple.  Only the masks are kept, so the fields an
+    order check derives on a result go with it.  A family whose
+    conjunction is inconsistent raises from the pipeline, so it is never
+    kept."""
     def lookup(t: TPO, masks: tuple) -> TPO:
-        nonlocal hits, misses
-        key = (t.masks, masks)
-        hit = table.get(key)
-        if hit is None:
-            misses += 1
-            hit = pipeline(t, masks)
-            if len(table) < _ROWS:
-                table[key] = hit
-        else:
-            hits += 1
-        return hit
-
-    lookup.cache_info = lambda: SimpleNamespace(hits=hits, misses=misses, maxsize=_ROWS,
-                                                currsize=len(table))
+        last = t.last_run
+        if last is not None and last[1] == masks and last[0] == operators:
+            return tpo(last[2], t.num_worlds)
+        result = pipeline(t, masks)
+        _keep_last_run(t, (operators, masks, result.masks))
+        return result
     return lookup
-
-
-class _Pipelines:
-    """``previse`` and ``pcontract`` of contexts over more worlds than an
-    exhaustive space enumerates, each through a ``_filled`` memo.  The
-    live contexts over one world count and one set of operator objects
-    share one ``_Pipelines`` through ``_SHARED``; it holds the operators,
-    so no other object takes their ids while it lives."""
-
-    __slots__ = ("previse", "pcontract", "__weakref__")
-
-    def __init__(self, parallel_rev: ParallelRevisionOperator,
-                 parallel_con: ParallelContractionOperator):
-        self.previse = _filled(parallel_rev.revise_masks)
-        self.pcontract = _filled(parallel_con.contract_masks)
-
-
-# the shared pipelines of the live contexts that keep no rows, keyed by the
-# world count and the ids of the base, finisher, strategy and contraction;
-# an entry goes with the last context that holds it
-_SHARED: "weakref.WeakValueDictionary[tuple, _Pipelines]" = weakref.WeakValueDictionary()
 
 
 def _follow_up_masks(t: TPO, previse: Callable) -> tuple[int, ...]:
@@ -248,22 +217,23 @@ class CheckContext:
 
     Over more worlds than an exhaustive space enumerates (more than
     ``1 << MAX_EXHAUSTIVE_ATOMS``), priors are sampled and rarely repeat
-    within one sweep; across the sweeps of one seeded space they repeat
-    exactly, in the order the kept streams in ``spaces`` hold them.  So
-    the context keeps no rows, interns nothing and has no aggregator
-    memo: ``revise`` and ``contract`` are the serial operators'
-    ``transform``, ``aggregate`` the aggregator's, and ``conditionals``
-    is ``conditional_set``.  ``previse`` and ``pcontract`` run the
-    operators' ``revise_masks`` and ``contract_masks`` through one memo
-    each, keyed by ``t.masks`` and ``masks``, which every live context
-    over the same world count and the same base, finisher, strategy and
-    contraction objects, compared by identity, shares through ``_SHARED``, a
-    ``weakref.WeakValueDictionary``: the memo goes with the last context
-    that holds it.  Each holds at most ``_ROWS`` results and fills
-    without evicting: it stores the first it meets and then only
-    answers, since a sweep re-reads a kept stream in order and an LRU
-    shorter than the stream would get no hits.  A family whose
-    conjunction is inconsistent raises, and is never stored.  ``rowed``
+    within one sweep; across sweeps of one seeded space they repeat
+    exactly, and the kept streams in ``spaces`` hold those, not the
+    context.  So the context keeps no rows, interns nothing and has no
+    aggregator memo: ``revise`` and ``contract`` are the serial
+    operators' ``transform``, ``aggregate`` the aggregator's, and
+    ``conditionals`` is ``conditional_set``.  ``previse`` and
+    ``pcontract`` run the operators' ``revise_masks`` and
+    ``contract_masks`` through ``_last_run_lookup``, which keeps each
+    result on the prior order, in its ``last_run`` slot, as the triple
+    of the operators (base, finisher and strategy, or contraction and
+    strategy), the family and the result's block masks.  A call on that
+    order with an equal family and equal operators, from this context
+    or another, rebuilds the result from the masks; any other call runs
+    the operators and replaces the triple.  So each order keeps one
+    result, which goes with the order; a sweep that re-reads a kept
+    stream and asks what the sweep before it asked runs no pipeline;
+    and an inconsistent family, which raises, is never kept.  ``rowed``
     says which of the two holds: it is true where the context keeps rows.
 
     Over fewer worlds, each configured serial operator gets one
@@ -304,10 +274,9 @@ class CheckContext:
     context keeps no plan: ``check`` does, for one sweep, in its own loop
     where ``rowed`` is true and the shape has inputs, and at most
     ``_MEMO`` of them.  The
-    aggregator memo, the set keys, the pipeline memos and the tables
-    keyed by an order hold at most ``_ROWS`` entries.  ``memo_info()``
-    reports the ``cache_info()`` of each; a shared pipeline memo counts
-    the hits and misses of every context that shares it.
+    aggregator memo, the set keys and the tables keyed by an order hold
+    at most ``_ROWS`` entries.  ``memo_info()`` reports the
+    ``cache_info()`` of each.
     Nothing built here refers back to the context.
     """
 
@@ -352,22 +321,18 @@ class CheckContext:
         self.revise = revision.transform
         self.contract = contraction.transform
         self._aggregate = merge.aggregate
+        self.previse = self.parallel_rev.revise_masks
+        self.pcontract = self.parallel_con.contract_masks
         self._rows = [(f"{'+'.join(roles)}.", table) for roles, table in rows.values()]
         self._set_keys = (lru_cache(maxsize=_ROWS)(lambda key: key)
                           if rowed and strategy.synchronous else None)
         if rowed:
-            self._shared = None
-            self.previse = _family_lookup(base, self.parallel_rev.revise_masks, self._set_keys)
-            self.pcontract = _family_lookup(contraction, self.parallel_con.contract_masks,
-                                            self._set_keys)
+            self.previse = _family_lookup(base, self.previse, self._set_keys)
+            self.pcontract = _family_lookup(contraction, self.pcontract, self._set_keys)
         else:
-            # sweeps of one kept stream ask every such context the same questions
-            key = (num_worlds, id(base), id(finisher), id(strategy), id(contraction))
-            shared = _SHARED.get(key)
-            if shared is None:
-                shared = _SHARED[key] = _Pipelines(self.parallel_rev, self.parallel_con)
-            self._shared = shared
-            self.previse, self.pcontract = shared.previse, shared.pcontract
+            # each sweep of a kept stream asks its orders what the last one did
+            self.previse = _last_run_lookup(self.previse, (base, finisher, strategy))
+            self.pcontract = _last_run_lookup(self.pcontract, (contraction, strategy))
         self._follow_ups = lru_cache(maxsize=min(_ROWS, _FOLLOW_UP_MASKS >> num_worlds))(
             _follow_up_masks)
         self.conditionals = lru_cache(maxsize=_ROWS)(conditional_set) if rowed else conditional_set
@@ -386,15 +351,12 @@ class CheckContext:
     def memo_info(self) -> dict:
         """``cache_info()`` of every memo table the context keeps, by name:
         ``follow_ups``; ``aggregate``, ``conditionals`` and ``set_keys``
-        where the context has them; the shared ``previse`` and
-        ``pcontract`` memos where it keeps no rows; and
+        where the context has them; and
         ``<roles>.find`` and ``<roles>.intern`` for each row table, named
         by the roles it serves (``revision+base+finisher`` when one
         operator fills the three)."""
         tables = {"aggregate": self._aggregate, "follow_ups": self._follow_ups,
                   "conditionals": self.conditionals, "set_keys": self._set_keys}
-        if self._shared:
-            tables.update(previse=self._shared.previse, pcontract=self._shared.pcontract)
         for prefix, rows in self._rows:
             tables[prefix + "find"], tables[prefix + "intern"] = rows.find, rows.intern
         return {name: table.cache_info() for name, table in tables.items()

@@ -123,7 +123,12 @@ class TPO:
     exactly when it is in neither.
     Equality and hashing look at ``masks`` only; the hash, ``hash(masks)``,
     is computed on first use and kept, like the derived fields.
-    Instances are immutable.
+    Instances are immutable.  ``last_run`` alone is not derived: a
+    caller may keep there the last result it computed from the order,
+    written through the slot's own setter, ``TPO.last_run.__set__``, as
+    the checker keeps its last pipeline result.  It reads ``None`` until
+    then, and the order never reads it; equality, the hash and pickling
+    ignore it.
 
     ``TPO(blocks)`` reads its blocks in order.  Each block's mask comes
     from ``mask_of`` over ``range(count)``, ``count`` being the number of
@@ -137,7 +142,7 @@ class TPO:
     ``PartitionError`` naming the value.
     """
 
-    __slots__ = ("masks", "num_worlds", "blocks", "ranks", "world_masks", "_hash")
+    __slots__ = ("masks", "num_worlds", "blocks", "ranks", "world_masks", "_hash", "last_run")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         try:
@@ -162,6 +167,8 @@ class TPO:
                     below[world], weak[world] = lower, lower | mask
                 lower |= mask
             value = (tuple(below), tuple(weak))
+        elif name == "last_run":
+            return None
         elif name == "_hash":
             value = hash(self.masks)
         elif name == "blocks":

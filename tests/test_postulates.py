@@ -715,9 +715,8 @@ def test_only_contexts_whose_priors_repeat_keep_rows(atoms):
 @pytest.mark.parametrize("strategy", ["stq", "round-robin"])
 def test_no_context_memo_is_unbounded(monkeypatch, atoms, strategy):
     """Every ``lru_cache`` a context builds keeps at most ``_MEMO`` entries,
-    and ``memo_info`` reports each of them, beside the pipeline memos
-    above 4 worlds, which are not ``lru_cache``s and hold at most
-    ``_ROWS``: a table added later cannot grow without limit, or unseen."""
+    and ``memo_info`` reports each of them: a table added later cannot
+    grow without limit, or unseen."""
     made = []
     real = engine.lru_cache
 
@@ -737,21 +736,19 @@ def test_no_context_memo_is_unbounded(monkeypatch, atoms, strategy):
     ctx = CheckContext(language(atoms), config)
     sizes = sorted(table.cache_info().maxsize for table in made)
     assert sizes and all(size is not None and 0 < size <= engine._MEMO for size in sizes)
-    pipelines = [engine._ROWS] * 2 if atoms > MAX_EXHAUSTIVE_ATOMS else []
-    assert sorted(info.maxsize for info in ctx.memo_info().values()) == sorted(sizes + pipelines)
+    assert sorted(info.maxsize for info in ctx.memo_info().values()) == sizes
 
 
 @pytest.mark.parametrize("atoms, names", [
     (2, {"aggregate", "follow_ups", "conditionals", "set_keys",
          "revision+base+finisher.find", "revision+base+finisher.intern",
          "contraction.find", "contraction.intern"}),
-    (3, {"follow_ups", "previse", "pcontract"}),
+    (3, {"follow_ups"}),
 ])
 def test_memo_info_names_every_table(atoms, names):
     """``memo_info`` reports each table's ``cache_info()`` by name; one row
-    table serves every role one operator fills.  Above 4 worlds the
-    follow-up memo, the one table kept at every size, remains, beside the
-    pipeline memos that contexts over the same operators share.  No table
+    table serves every role one operator fills.  Above 4 worlds only the
+    follow-up memo, the one table kept at every size, remains.  No table
     holds plans or formulas."""
     ctx = CheckContext(language(atoms), OperatorConfig())
     info = ctx.memo_info()
@@ -909,7 +906,7 @@ def test_direct_context_matches_the_shipped_operators(atoms, base, finisher, str
     """A context over more worlds than an exhaustive space enumerates keeps
     no rows: on a seeded sample it answers ``previse``, ``pcontract``,
     ``revise``, ``contract`` and ``aggregate`` as fresh operators do,
-    twice over, the second time from its pipeline memo, and an
+    twice over, the second time from the results its orders keep, and an
     inconsistent family names the same culprits."""
     config = OperatorConfig(revision=finisher, base=base, finisher=finisher, strategy=strategy)
     space = InstanceSpace(atoms=atoms, mode="sampled", sample_count=120, seed=18,

@@ -1,26 +1,28 @@
 """Contexts over more worlds than an exhaustive space enumerates share
-their pipeline results.
+their pipeline results through the orders they revise.
 
-Such a context keeps no rows; its ``previse`` and ``pcontract`` read one
-memo each, keyed by ``(t, masks)``, which every live context over the
-same world count and the same operator objects shares, and which goes
-with the last of them.  It stores the first ``_ROWS`` results it meets
-and then only answers.
+Such a context keeps no rows; its ``previse`` and ``pcontract`` keep each
+result on the prior order, as the order's ``last_run``: the operators,
+the family and the result's block masks.  A later call on that order
+with the same family and equal operators, from any context, rebuilds the
+result from those masks, so sweeps that re-read a kept stream run the
+pipeline only on its first reading.
 """
 
 import gc
-from dataclasses import replace
+import pickle
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
 from revforge import InstanceSpace, OperatorConfig, check
 from revforge.errors import InconsistentInputError
-from revforge.postulates import engine
+from revforge.postulates import spaces
 from revforge.postulates.catalog import CATALOG, PAIR_CHECKS, RC_IDENTITY
 from revforge.postulates.engine import CheckContext
 from revforge.postulates.spaces import language
-from revforge.serial import NATURAL_CONTRACT, get_revision_operator
+from revforge.serial import NATURAL, NATURAL_CONTRACT
 from revforge.tpo import mask_of
 
 
@@ -28,88 +30,104 @@ def _masks(s, n: int = 8) -> tuple:
     return tuple(mask_of(member, n) for member in s)
 
 
-def test_contexts_over_the_same_operators_share_one_memo():
-    """Two 3-atom contexts over the same operators share one memo, and a
-    result one computes is a hit for the other; other operator objects,
-    even equal ones, and another world count get memos of their own."""
-    first = CheckContext(language(3), OperatorConfig())
-    second = CheckContext(language(3), OperatorConfig(revision="lex"))
-    assert first.previse is second.previse and first.pcontract is second.pcontract
-    t, s = next(iter(InstanceSpace(atoms=3, mode="sampled", sample_count=1,
-                                   seed=47).instances("pset")))
-    before = second.memo_info()["previse"]
-    assert first.previse(t, _masks(s)) is second.previse(t, _masks(s))
-    after = second.memo_info()["previse"]
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    assert first.memo_info()["previse"] == after
-
-    natural = get_revision_operator("natural")
-    others = [OperatorConfig(base="lex"), OperatorConfig(finisher="restrained"),
-              OperatorConfig(strategy="round-robin"), OperatorConfig(base=replace(natural)),
-              OperatorConfig(contraction=replace(NATURAL_CONTRACT))]
-    contexts = [CheckContext(language(3), config) for config in others]
-    contexts.append(CheckContext(language(4), OperatorConfig()))
-    assert len({id(ctx.previse) for ctx in contexts}) == len(contexts)
-    for ctx in contexts:
-        assert ctx.previse is not first.previse and ctx.pcontract is not first.pcontract
-        assert ctx.memo_info()["previse"].currsize == 0
-
-
-def test_the_memo_goes_with_its_last_context():
-    """The shared table holds a memo while a context holds it; once both
-    contexts are deleted and the collector has run, its entry is gone."""
-    gc.collect()
-    held = len(engine._SHARED)
-    config = OperatorConfig(base=replace(get_revision_operator("natural")))
-    first, second = CheckContext(language(3), config), CheckContext(language(3), config)
-    assert len(engine._SHARED) == held + 1
-    space = InstanceSpace(atoms=3, mode="sampled", sample_count=50, seed=47, operators=config)
-    check("C-star-1", space, ctx=first)
-    del first
-    gc.collect()
-    assert len(engine._SHARED) == held + 1
-    assert second.memo_info()["previse"].currsize == 50
-    del second
-    gc.collect()
-    assert len(engine._SHARED) == held
-
-
-def test_a_second_sweep_of_a_kept_stream_hits_its_first_families():
-    """With a counting stand-in base, a second sweep of a kept stream
-    makes no pipeline call for its first ``_ROWS`` distinct families, and
-    one call, a base call per member, for each family after them: the
-    memo filled with the first families it met and evicted none."""
-    natural = get_revision_operator("natural")
-    calls = []
-
+def _counting(calls: list, operator=NATURAL):
+    """``operator``, as a stand-in that logs the mask of each call."""
     def transform(t, mask):
         calls.append(mask)
-        return natural.transform(t, mask)
+        return operator.transform(t, mask)
+    return SimpleNamespace(name=operator.name, transform=transform)
 
-    base = SimpleNamespace(name="natural", transform=transform)
-    ctx = CheckContext(language(3), OperatorConfig(base=base))
-    stream = [(t, _masks(s)) for t, s in InstanceSpace(
-        atoms=3, mode="sampled", sample_count=5000, seed=47).instances("pset")]
-    kept = set(list(dict.fromkeys(stream))[:engine._ROWS])
-    assert len(kept) == engine._ROWS
-    for t, masks in stream:
-        ctx.previse(t, masks)
-    hits = ctx.memo_info()["previse"].hits
-    for t, masks in stream:
+
+def _first(atoms: int = 3, shape: str = "pset"):
+    return next(iter(InstanceSpace(atoms=atoms, mode="sampled", sample_count=1,
+                                   seed=47).instances(shape)))
+
+
+def test_contexts_over_equal_operators_share_what_an_order_keeps():
+    """A result one 3-atom context computes is kept on the order, and a
+    second context over equal operators gets it without a pipeline call;
+    another base, finisher or strategy runs the pipeline again, and so
+    does a contraction under another strategy.  A context over 4 worlds
+    keeps its results in rows, not on the order."""
+    calls = []
+    base = _counting(calls)
+    first = CheckContext(language(3), OperatorConfig(base=base))
+    second = CheckContext(language(3), OperatorConfig(base=base))
+    t, s = _first()
+    masks = _masks(s)
+    result = first.previse(t, masks)
+    assert len(calls) == len(masks)
+    assert t.last_run == ((base, NATURAL, first.aggregator.strategy), masks, result.masks)
+    calls.clear()
+    assert second.previse(t, masks) == result and calls == []
+
+    for config in (OperatorConfig(base=base, finisher="restrained"),
+                   OperatorConfig(base=base, strategy="round-robin")):
         calls.clear()
-        ctx.previse(t, masks)
-        assert len(calls) == (0 if (t, masks) in kept else len(masks))
-    info = ctx.memo_info()["previse"]
-    assert info.currsize == engine._ROWS
-    assert info.hits - hits == sum((t, masks) in kept for t, masks in stream) < len(stream)
+        assert CheckContext(language(3), config).previse(t, masks) is not None
+        assert len(calls) == len(masks)
+    calls.clear()
+    lex = CheckContext(language(3), OperatorConfig(base="lex", finisher="lex"))
+    assert lex.previse(t, masks) == lex.parallel_rev.revise_masks(t, masks)
+    assert t.last_run[0][0].name == "lex"
+
+    contraction = _counting(calls, NATURAL_CONTRACT)
+    c, family = _first(shape="cset")
+    for strategy, runs in (("stq", 1), ("stq", 0), ("round-robin", 1)):
+        calls.clear()
+        ctx = CheckContext(language(3), OperatorConfig(contraction=contraction,
+                                                       strategy=strategy))
+        assert ctx.pcontract(c, _masks(family)) == ctx.parallel_con.contract_masks(
+            c, _masks(family))
+        assert len(calls) == (runs + 1) * len(family)
+
+    t4, s4 = _first(atoms=2)
+    CheckContext(language(2), OperatorConfig()).previse(t4, _masks(s4, 4))
+    assert t4.last_run is None
 
 
-def test_an_inconsistent_family_is_never_stored():
+def test_what_an_order_keeps_refers_to_no_context():
+    """The kept triple holds operators, not the context, so a context goes
+    when it is deleted; equality, the hash and pickling ignore it."""
+    ctx = CheckContext(language(3), OperatorConfig())
+    t, s = _first()
+    ctx.previse(t, _masks(s))
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None and t.last_run is not None
+    again = pickle.loads(pickle.dumps(t))
+    assert again == t and hash(again) == hash(t) and again.last_run is None
+
+
+def test_a_second_sweep_of_a_kept_stream_runs_no_pipeline_on_its_prefix():
+    """With a counting stand-in base, a second sweep of a kept stream
+    through a fresh context makes no pipeline call for any family of the
+    stream's kept prefix, and a base call per member for each draw past
+    it, whose orders are drawn afresh."""
+    calls = []
+    config = OperatorConfig(base=_counting(calls))
+    space = InstanceSpace(atoms=3, mode="sampled", sample_count=spaces._STREAM_CAP + 100,
+                          seed=47)
+    members = []
+    for sweep in range(2):
+        ctx = CheckContext(language(3), config)
+        calls.clear()
+        members.clear()
+        for t, s in space.instances("pset"):
+            ctx.previse(t, _masks(s))
+            members.append(len(s))
+    assert len(calls) == sum(members[spaces._STREAM_CAP:]) > 0
+
+
+def test_an_inconsistent_family_is_never_kept():
     """An inconsistent family raises the same culprits on each call, and
-    the memo stores nothing for it."""
-    ctx = CheckContext(language(3), OperatorConfig(base=replace(get_revision_operator("lex"))))
-    t = next(iter(InstanceSpace(atoms=3, mode="sampled", sample_count=1,
-                                seed=47).instances("pset")))[0]
+    the order keeps the result it held before."""
+    calls = []
+    ctx = CheckContext(language(3), OperatorConfig(base=_counting(calls)))
+    t, s = _first()
+    ctx.previse(t, _masks(s))
+    kept = t.last_run
     clash = (0b1100, 0b1010, 0b0001)
     raised = []
     for _ in range(2):
@@ -117,8 +135,7 @@ def test_an_inconsistent_family_is_never_stored():
             ctx.previse(t, clash)
         raised.append((err.value.culprits, str(err.value)))
     assert raised[0] == raised[1] and raised[0][0] == ("member 1", "member 2")
-    info = ctx.memo_info()["previse"]
-    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+    assert t.last_run is kept
 
 
 def _reports(ids, space, ctx_of) -> dict:
@@ -137,22 +154,22 @@ def _reports(ids, space, ctx_of) -> dict:
     ("lex", "restrained", "round-robin"),
     ("restrained", "lex", "first-then-full"),
 ])
-def test_a_warm_memo_reports_what_a_fresh_one_does(base, finisher, strategy):
+def test_kept_results_report_what_the_operators_do(base, finisher, strategy):
     """Every id ``check`` accepts gives the same 3-atom report, witnesses
-    and counts included, through a memo that earlier sweeps of the same
-    stream filled as through a fresh one."""
+    and counts included, whether its sweep reads results that earlier
+    sweeps of the same stream kept on the orders, on a first pass over
+    the ids and on a second, or runs the shipped operators on every
+    call."""
     config = OperatorConfig(revision=finisher, base=base, finisher=finisher, strategy=strategy)
     space = InstanceSpace(atoms=3, mode="sampled", sample_count=300, seed=5, operators=config)
     ids = [*CATALOG, *PAIR_CHECKS, RC_IDENTITY.id]
-    gc.collect()
 
-    def fresh() -> CheckContext:
+    def plain() -> CheckContext:
         ctx = CheckContext.from_space(space)
-        assert ctx.memo_info()["previse"].currsize == 0
+        ctx.previse = ctx.parallel_rev.revise_masks
+        ctx.pcontract = ctx.parallel_con.contract_masks
         return ctx
 
-    cold = _reports(ids, space, fresh)
-    ctx = CheckContext.from_space(space)
-    warm = _reports(ids, space, lambda: ctx)
-    assert ctx.memo_info()["previse"].hits > 0
-    assert warm == cold
+    cold = _reports(ids, space, plain)
+    for _ in range(2):
+        assert _reports(ids, space, lambda: CheckContext.from_space(space)) == cold
